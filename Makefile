@@ -1,16 +1,18 @@
 # Developer entry points for the checks ROADMAP.md requires before merging.
 # `make check` is the full pre-merge gate: tier-1 (build + test), static
 # analysis (go vet + hpelint), the race-detector subsets over the suite's
-# shared-cache paths, the probe hot path and the serving layer, and the
-# fuzz seed corpus. One command reproduces everything CI would ask for.
+# shared-cache paths, the probe hot path and the serving layer, the fuzz
+# seed corpus, and the perfbench module (a separate module that root
+# `go build ./...` never compiles, but that drives the server and cluster
+# APIs). One command reproduces everything CI would ask for.
 
 GO ?= go
 
-.PHONY: all check build test vet lint lint-bench spec-goldens race race-probe serve-check cluster-check workload-check fuzz-seed bench bench-probe bench-json bench-smoke clean
+.PHONY: all check build test vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed perfbench-check bench bench-probe bench-json bench-smoke clean
 
 all: check
 
-check: build vet lint spec-goldens test race race-probe serve-check cluster-check workload-check fuzz-seed bench-smoke
+check: build vet lint spec-goldens test race race-probe serve-check workload-check fuzz-seed perfbench-check bench-smoke
 
 # Tier-1 verify (ROADMAP.md).
 build:
@@ -56,21 +58,15 @@ race:
 race-probe:
 	$(GO) test -race -run 'Probe|Trace|Race' ./internal/probe/ ./internal/gpu/ ./internal/sim/
 
-# The hped serving layer under the race detector: coalescer, result cache,
-# admission queue, cancellation, the soak test, and the daemon's SIGTERM
-# lifecycle are all concurrency-critical.
+# The one /v1 surface under the race detector (DESIGN.md §9, §13): the
+# shared handler set (coalescer, result cache, admission queue,
+# cancellation, the soak test), the coordinator's ring executor (routing,
+# re-dispatch and circuit breaking, the chaos kill/pause tests, byte-identity
+# of merged sweeps against single-node goldens, the concurrent soak), and
+# the daemon's SIGTERM lifecycle and connection timeouts.
 serve-check:
-	$(GO) vet ./internal/server/ ./cmd/hped/
-	$(GO) test -race -count=1 ./internal/server/ ./cmd/hped/
-
-# The cluster coordinator under the race detector (DESIGN.md §13): ring
-# routing, shard dispatch with re-dispatch and circuit breaking, the chaos
-# tests (backend killed mid-sweep, backend paused past the health deadline),
-# byte-identity of merged sweeps against single-node goldens, and the
-# concurrent soak.
-cluster-check:
-	$(GO) vet ./internal/cluster/
-	$(GO) test -race -count=1 -timeout 600s ./internal/cluster/
+	$(GO) vet ./internal/server/ ./internal/cluster/ ./cmd/hped/
+	$(GO) test -race -count=1 -timeout 600s ./internal/server/ ./internal/cluster/ ./cmd/hped/
 
 # Workload v2 (DESIGN.md §14) under the race detector: phase-schedule and
 # colocation generators, scenario presets, and the versioned .hpet codec
@@ -80,10 +76,16 @@ workload-check:
 
 # Fuzz targets, seed corpus only (the -fuzz loop is interactive; run
 # `go test -fuzz=FuzzEngineEquivalence ./internal/sim/`,
-# `go test -fuzz=FuzzCatalogGenerate ./internal/workload/`, or
-# `go test -fuzz=FuzzPhaseSchedule ./internal/workload/` to explore).
+# `go test -fuzz=FuzzCatalogGenerate ./internal/workload/`,
+# `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`, or
+# `go test -fuzz=FuzzDecode ./internal/runspec/` to explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/
+
+# The perfbench module builds against this module's internal packages; vet
+# and test it so an API reshape cannot silently break the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One benchmark per paper table/figure plus the ablations.
 bench:

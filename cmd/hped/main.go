@@ -50,6 +50,16 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// Connection timeouts of the daemon's one http.Server. There is no
+// WriteTimeout and no ReadTimeout: a suite sweep legitimately streams its
+// response minutes after the request arrived. What is bounded is the part a
+// client controls before any work starts — delivering the request header —
+// and how long an idle keep-alive connection may hold a goroutine.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // run is main with its environment injected, so tests can drive a full
 // daemon lifecycle — including real SIGTERM delivery — in-process.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -80,31 +90,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, format+"\n", a...)
 	}
 
+	// Either role is the one /v1 handler set: a coordinator is a
+	// server.Server mounted over its ring executor.
+	var d *server.Server
+	var role, sizing string
 	if *coordinator {
-		return runCoordinator(ctx, coordinatorConfig{
-			addr:            *addr,
-			backends:        *backends,
-			cacheMB:         *cacheMB,
-			healthInterval:  *healthInterval,
-			maxAttempts:     *dispatchAttempts,
-			shutdownTimeout: *shutdownTimeout,
-		}, logf, stdout, stderr)
+		var urls []string
+		for _, b := range strings.Split(*backends, ",") {
+			if b = strings.TrimSpace(b); b != "" {
+				urls = append(urls, strings.TrimRight(b, "/"))
+			}
+		}
+		coord, err := cluster.New(cluster.Config{
+			Backends:       urls,
+			HealthInterval: *healthInterval,
+			MaxAttempts:    *dispatchAttempts,
+			CacheBytes:     *cacheMB << 20,
+			Logf:           logf,
+		})
+		if err != nil {
+			fmt.Fprintf(stderr, "hped: %v\n", err)
+			return 2
+		}
+		d, role, sizing = coord.Server, "hped coordinator", fmt.Sprintf("%d backends", len(urls))
+	} else {
+		d = server.New(server.Config{
+			Workers:    *workers,
+			QueueDepth: *queue,
+			CacheBytes: *cacheMB << 20,
+			Logf:       logf,
+		})
+		role, sizing = "hped", fmt.Sprintf("workers=%d", *workers)
 	}
 
-	srv := server.New(server.Config{
-		Workers:    *workers,
-		QueueDepth: *queue,
-		CacheBytes: *cacheMB << 20,
-		Logf:       logf,
-	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "hped: listen: %v\n", err)
+		d.Close()
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(stdout, "hped listening on http://%s (workers=%d, cache=%dMiB)\n",
-		ln.Addr(), *workers, *cacheMB)
+	httpSrv := newHTTPServer(d.Handler())
+	fmt.Fprintf(stdout, "%s listening on http://%s (%s, cache=%dMiB)\n", role, ln.Addr(), sizing, *cacheMB)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -112,91 +138,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	select {
 	case err := <-serveErr:
 		fmt.Fprintf(stderr, "hped: serve: %v\n", err)
-		srv.Close()
+		d.Close()
 		return 1
 	case <-ctx.Done():
 	}
 
 	// Graceful shutdown: stop accepting, let in-flight requests finish
-	// within the timeout, then cancel whatever is still simulating.
+	// within the timeout, then cancel whatever is still running.
 	fmt.Fprintf(stderr, "hped: shutdown signal, draining (timeout %v)\n", *shutdownTimeout)
-	srv.Drain()
+	d.Drain()
 	dctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 	defer cancel()
 	drainErr := httpSrv.Shutdown(dctx)
-	fmt.Fprintf(stderr, "hped: %s\n", srv.Close())
+	fmt.Fprintf(stderr, "hped: %s\n", d.Close())
 	if drainErr != nil && !errors.Is(drainErr, http.ErrServerClosed) {
-		fmt.Fprintf(stderr, "hped: drain: %v (in-flight simulations cancelled)\n", drainErr)
+		fmt.Fprintf(stderr, "hped: drain: %v (in-flight work cancelled)\n", drainErr)
 		return 1
 	}
 	fmt.Fprintln(stderr, "hped: drained cleanly")
 	return 0
 }
 
-// coordinatorConfig carries the coordinator-mode flag values.
-type coordinatorConfig struct {
-	addr            string
-	backends        string
-	cacheMB         int64
-	healthInterval  time.Duration
-	maxAttempts     int
-	shutdownTimeout time.Duration
-}
-
-// runCoordinator is the -coordinator serving loop: same lifecycle shape as
-// the backend path (listen, serve, drain on signal), with the cluster
-// coordinator behind the handler instead of the local simulator.
-func runCoordinator(ctx context.Context, cfg coordinatorConfig,
-	logf func(string, ...any), stdout, stderr io.Writer) int {
-	var urls []string
-	for _, b := range strings.Split(cfg.backends, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			urls = append(urls, strings.TrimRight(b, "/"))
-		}
-	}
-	coord, err := cluster.New(cluster.Config{
-		Backends:       urls,
-		HealthInterval: cfg.healthInterval,
-		MaxAttempts:    cfg.maxAttempts,
-		CacheBytes:     cfg.cacheMB << 20,
-		Logf:           logf,
-	})
-	if err != nil {
-		fmt.Fprintf(stderr, "hped: %v\n", err)
-		return 2
-	}
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "hped: listen: %v\n", err)
-		coord.Close()
-		return 1
-	}
-	httpSrv := &http.Server{Handler: coord.Handler()}
-	fmt.Fprintf(stdout, "hped coordinator listening on http://%s (%d backends, cache=%dMiB)\n",
-		ln.Addr(), len(urls), cfg.cacheMB)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(stderr, "hped: serve: %v\n", err)
-		coord.Close()
-		return 1
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintf(stderr, "hped: shutdown signal, draining (timeout %v)\n", cfg.shutdownTimeout)
-	coord.Drain()
-	//lint:ignore hpelint/ctxflow the caller's ctx has already fired (that is why we are draining); the drain deadline must outlive it
-	dctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
-	defer cancel()
-	drainErr := httpSrv.Shutdown(dctx)
-	fmt.Fprintf(stderr, "hped: %s\n", coord.Close())
-	if drainErr != nil && !errors.Is(drainErr, http.ErrServerClosed) {
-		fmt.Fprintf(stderr, "hped: drain: %v (in-flight dispatches cancelled)\n", drainErr)
-		return 1
-	}
-	fmt.Fprintln(stderr, "hped: drained cleanly")
-	return 0
+// newHTTPServer wraps h in the daemon's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -116,5 +117,41 @@ func TestBadFlags(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "flag") {
 		t.Errorf("flag error not reported: %s", stderr.String())
+	}
+}
+
+// TestStalledHeaderDisconnected is the slow-client guard: a client that
+// opens a request and stops partway through its header is disconnected once
+// readHeaderTimeout elapses, instead of holding its connection forever.
+func TestStalledHeaderDisconnected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header timeout")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(http.NotFoundHandler())
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A request line and one header field, never the blank line ending the
+	// header block.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: hped\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %v", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout could fire", waited, readHeaderTimeout)
 	}
 }

@@ -11,7 +11,7 @@
 //
 //	hpesim -app HSD -policy hpe -rate 75
 //	hpesim -app BFS -policy lru,rrip,ideal,hpe -rate 50 -v
-//	hpesim -trace dump.hpet -policy clockpro -rate 75   # pre-generated trace
+//	hpesim -app trace:dump.hpet -policy clockpro -rate 75   # pre-generated trace
 //	hpesim -list                                        # list workloads
 package main
 
@@ -19,24 +19,18 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
 
 	"hpe"
-	"hpe/internal/gpu"
 	"hpe/internal/runspec"
-	"hpe/internal/sim"
 	"hpe/internal/trace"
 )
-
-func loadTrace(r io.Reader) (*hpe.Trace, error) { return trace.Read(r) }
 
 func main() {
 	var fl runspec.Flags
 	fl.Register(flag.CommandLine)
-	tracePath := flag.String("trace", "", "run a trace file instead of a catalog workload")
 	list := flag.Bool("list", false, "list catalog workloads and exit")
 	listPolicies := flag.Bool("policies", false, "list registered eviction policies and exit")
 	metrics := flag.Bool("metrics", false, "attach a metrics probe and print per-event histograms")
@@ -64,11 +58,6 @@ func main() {
 		<-ctx.Done()
 		stop()
 	}()
-
-	if *tracePath != "" {
-		runTraceFile(ctx, fl, *tracePath, *metrics, *verbose)
-		return
-	}
 
 	// Catalog mode: each -policy entry is one run spec; the shared env
 	// generates the (scaled) workload's trace once across the policy list.
@@ -127,58 +116,6 @@ func main() {
 			fatalf("%v", err)
 		}
 		report(res, m, *verbose)
-	}
-}
-
-// runTraceFile is the pre-generated-trace path: the reference string comes
-// from a file instead of the workload catalog, so there is no spec identity —
-// the run is assembled by hand on the same flag values.
-func runTraceFile(ctx context.Context, fl runspec.Flags, path string, metrics, verbose bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatalf("open trace: %v", err)
-	}
-	defer f.Close()
-	tr, err := loadTrace(f)
-	if err != nil {
-		fatalf("read trace: %v", err)
-	}
-	if fl.Rate <= 0 || fl.Rate > 100 {
-		fatalf("rate %d out of (0,100]", fl.Rate)
-	}
-	capacity := runspec.CapacityFor(tr, fl.Rate)
-	printBanner(tr, fl.Rate)
-	for _, name := range strings.Split(fl.Policy, ",") {
-		name = strings.TrimSpace(strings.ToLower(name))
-		cfg := hpe.SystemConfig(capacity)
-		cfg.Driver.PrefetchPages = fl.Prefetch
-		cfg.Driver.Channels = fl.Channels
-		cfg.ModelDataPath = fl.DataPath
-		cfg.MaxCycles = sim.Cycle(fl.MaxCycles)
-		switch strings.ToLower(fl.Design) {
-		case "", "l2tlb":
-		case "pwc":
-			cfg.Translation = gpu.DesignPWC
-		default:
-			fatalf("unknown translation design %q (l2tlb or pwc)", fl.Design)
-		}
-		pol, err := hpe.NewPolicy(name,
-			hpe.WithPolicySeed(fl.Seed),
-			hpe.WithCapacity(capacity),
-			hpe.WithTrace(tr))
-		if err != nil {
-			fatalf("%v", err)
-		}
-		ropts := []hpe.RunOption{hpe.WithContext(ctx)}
-		if info, ok := hpe.LookupPolicy(name); ok && info.NeedsHIR && fl.HIR != "off" {
-			ropts = append(ropts, hpe.WithHIR())
-		}
-		var m *hpe.MetricsProbe
-		if metrics {
-			m = hpe.NewMetricsProbe()
-			ropts = append(ropts, hpe.WithProbe(m))
-		}
-		report(hpe.Simulate(cfg, tr, pol, ropts...), m, verbose)
 	}
 }
 

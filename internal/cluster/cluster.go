@@ -10,11 +10,13 @@
 // old shards, and a dead backend's shards fall through to the next backend
 // on the ring with no reconciliation protocol.
 //
-// The coordinator serves the same /v1 endpoints as a backend (runs, suite,
-// policies, apps, healthz, metrics, enumeration), shares the backend's error
-// envelope vocabulary verbatim, and adds cluster-level /metrics: per-backend
-// liveness, breaker state, shard and re-dispatch counters, and the
-// saturation analyzer's max-sustainable-rate estimates. See DESIGN.md §13.
+// This package defines no HTTP handlers: a Coordinator is internal/server's
+// /v1 handler set mounted over a ring executor, so the routes, cache,
+// coalescer, enumeration, drain and error envelope are the backend's own
+// code. The executor contributes ring dispatch, health checking and circuit
+// breaking, and cluster-level /metrics: per-backend liveness, breaker state,
+// shard and re-dispatch counters, and the saturation analyzer's
+// max-sustainable-rate estimates. See DESIGN.md §13.
 package cluster
 
 import (
@@ -23,14 +25,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"hpe"
-	"hpe/internal/flight"
 	"hpe/internal/promtext"
-	"hpe/internal/respcache"
 	"hpe/internal/runspec"
 	"hpe/internal/server"
 )
@@ -101,32 +100,21 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Coordinator fronts a set of hped backends. Construct with New; it is safe
-// for concurrent use and is wired into an http.Server via Handler.
+// Coordinator fronts a set of hped backends: the shared /v1 handler set
+// (embedded, for Handler, Drain and Close) over the ring executor below.
+// Construct with New; it is safe for concurrent use.
 type Coordinator struct {
+	*server.Server
+
 	cfg        Config
-	baseCtx    context.Context
+	baseCtx    context.Context // the health loop's lifetime
 	baseCancel context.CancelFunc
 	ring       *ring
 	order      []string            // backend names, configuration order (immutable)
 	backends   map[string]*backend // immutable map; each backend locks itself
 	client     *http.Client
-	cache      *respcache.Cache
-	co         *flight.Group
 	met        *clusterMetrics
-	mux        *http.ServeMux
-	draining   chan struct{} // closed by Drain
-	drainOnce  sync.Once
 	healthDone chan struct{} // closed when the health loop exits
-
-	sumMu     sync.Mutex
-	summaries map[string]listMeta // guarded by sumMu; id → enumeration summary
-}
-
-// listMeta is the enumeration metadata the coordinator records at submission.
-type listMeta struct {
-	kind    string
-	summary string
 }
 
 // New builds a Coordinator, performs one synchronous health round (so the
@@ -144,7 +132,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		seen[b] = true
 	}
-	//lint:ignore hpelint/ctxflow the coordinator owns its lifecycle root; Close cancels it, and the health loop and orphaned-shard computations derive from it
+	//lint:ignore hpelint/ctxflow the coordinator owns its lifecycle root; Close cancels it, and the health loop derives from it
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:        cfg,
@@ -154,59 +142,18 @@ func New(cfg Config) (*Coordinator, error) {
 		order:      cfg.Backends,
 		backends:   make(map[string]*backend, len(cfg.Backends)),
 		client:     &http.Client{},
-		cache:      respcache.New(cfg.CacheBytes),
-		co:         flight.NewGroup(),
 		met:        newClusterMetrics(),
-		draining:   make(chan struct{}),
 		healthDone: make(chan struct{}),
-		summaries:  make(map[string]listMeta),
 	}
 	for _, name := range cfg.Backends {
 		c.backends[name] = newBackend(name)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/runs", c.handleSubmitRun)
-	mux.HandleFunc("GET /v1/runs", c.handleListRuns)
-	mux.HandleFunc("GET /v1/runs/{id}", c.handleGetRun)
-	mux.HandleFunc("POST /v1/suite", c.handleSuite)
-	mux.HandleFunc("GET /v1/policies", c.handlePolicies)
-	mux.HandleFunc("GET /v1/apps", c.handleApps)
-	mux.HandleFunc("GET /v1/scenarios", c.handleScenarios)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux = mux
+	c.Server = server.Mount((*executor)(c), server.Surface{
+		Name: "coordinator", Source: "dispatch", CacheBytes: cfg.CacheBytes, Logf: cfg.Logf})
 
 	c.CheckHealth(ctx)
 	go c.healthLoop()
 	return c, nil
-}
-
-// Handler returns the HTTP handler tree.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Drain refuses new submissions with 503 while in-flight work completes.
-func (c *Coordinator) Drain() { c.drainOnce.Do(func() { close(c.draining) }) }
-
-func (c *Coordinator) isDraining() bool {
-	select {
-	case <-c.draining:
-		return true
-	default:
-		return false
-	}
-}
-
-// Close drains, stops the health loop, cancels in-flight dispatches, and
-// returns a final stats line for logging.
-func (c *Coordinator) Close() string {
-	c.Drain()
-	c.baseCancel()
-	<-c.healthDone
-	cs := c.cache.Snapshot()
-	sat := c.Saturation()
-	return fmt.Sprintf("cluster: %d/%d backends live, %.2f rps capacity; cache: %d entries, %d bytes; coalesced %d, redispatched %d",
-		sat.Live, len(c.order), sat.ClusterRPS, cs.Entries, cs.Bytes,
-		c.co.Coalesced(), c.met.redispatchCount())
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -283,176 +230,155 @@ func (c *Coordinator) liveBackends() []string {
 	return out
 }
 
-// --- response plumbing ---------------------------------------------------
+// --- the ring executor ---------------------------------------------------
 
-func (c *Coordinator) writeBody(w http.ResponseWriter, route string, code int, source string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	if source != "" {
-		w.Header().Set("X-Hped-Source", source)
-	}
-	w.WriteHeader(code)
-	w.Write(body)
-	c.met.observeRequest(route, code)
+// executor is the Coordinator seen as the handler set's server.Executor. The
+// conversion keeps the executor's methods off the Coordinator's public API.
+type executor Coordinator
+
+// Admit claims nothing: concurrency is bounded per backend by the dispatch
+// windows, inside Run.
+func (x *executor) Admit(ctx context.Context, id string) (func(), error) {
+	return func() {}, nil
 }
 
-// writeError emits one typed error envelope — the identical envelope the
-// backends emit (server.WriteError), so clients branch on one vocabulary.
-// 429/503 carry a Retry-After hint like the backend's.
-func (c *Coordinator) writeError(w http.ResponseWriter, route string, status int, code server.ErrorCode, msg, runID string) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(c.retryAfterSeconds()))
-	}
-	server.WriteError(w, status, code, msg, runID)
-	c.met.observeRequest(route, status)
+// Run dispatches one run spec to the backend owning its content address and
+// returns that backend's RunResponse body verbatim.
+func (x *executor) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, error) {
+	return x.dispatch(ctx, sp, id, id)
 }
 
-// retryAfterSeconds prices the cluster's backlog: total in-flight shards
-// across backends, divided by the cluster's estimated capacity. Clamped to
-// [1, 300] like the backend's own hint.
-func (c *Coordinator) retryAfterSeconds() int {
-	sat := c.Saturation()
-	inflight := 0
-	for _, s := range c.snapshots() {
-		inflight += s.Inflight
-	}
-	if sat.ClusterRPS <= 0 {
-		return 1
-	}
-	est := float64(inflight+1) / sat.ClusterRPS
+// dispatch runs shard on its owning backend for the request reqID (the run
+// itself, or the sweep it is a cell of). A backend's own 4xx comes back as
+// its relayed envelope; exhausting the ring is backend_unavailable.
+func (x *executor) dispatch(ctx context.Context, sp runspec.Spec, shard, reqID string) ([]byte, error) {
+	c := (*Coordinator)(x)
+	body, err := c.dispatchRun(ctx, sp, shard)
+	var xe *server.Error
 	switch {
-	case est < 1:
-		return 1
-	case est > 300:
-		return 300
+	case err == nil, errors.As(err, &xe),
+		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return body, err
 	}
-	return int(est)
+	return nil, x.unavailable(reqID, err)
 }
 
-// recordSummary indexes id for GET /v1/runs enumeration.
-func (c *Coordinator) recordSummary(id string, m listMeta) {
-	c.sumMu.Lock()
-	c.summaries[id] = m
-	c.sumMu.Unlock()
+func (x *executor) unavailable(reqID string, err error) error {
+	(*Coordinator)(x).logf("coordinator: %s failed: %v", reqID, err)
+	return &server.Error{Status: http.StatusServiceUnavailable, Code: server.ErrBackendUnavailable,
+		Msg: "no backend could run this shard: " + err.Error(), RunID: reqID}
 }
 
-// summaryOf looks up the recorded enumeration metadata for id.
-func (c *Coordinator) summaryOf(id string) (listMeta, bool) {
-	c.sumMu.Lock()
-	defer c.sumMu.Unlock()
-	m, ok := c.summaries[id]
-	return m, ok
-}
-
-// --- /v1/runs: submission ------------------------------------------------
-
-func (c *Coordinator) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	const route = "run_submit"
-	if c.isDraining() {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrDraining, "coordinator draining", "")
-		return
-	}
-	sp, err := runspec.Decode(http.MaxBytesReader(nil, r.Body, 1<<20))
-	if err != nil {
-		c.writeError(w, route, http.StatusBadRequest, server.ErrBadSpec, "bad request body: "+err.Error(), "")
-		return
-	}
-	id := sp.ID()
-	c.recordSummary(id, listMeta{kind: "run", summary: runSummaryLine(sp)})
-	c.serveComputed(w, r, route, id, func(ctx context.Context) ([]byte, error) {
-		return c.dispatchRun(ctx, sp, id)
-	})
-}
-
-// runSummaryLine renders the spec sketch shown by GET /v1/runs.
-func runSummaryLine(sp hpe.RunSpec) string {
-	out := fmt.Sprintf("%s %s @%d%%", sp.App, sp.Policy, sp.Rate)
-	if v := sp.VariantLabel(); v != "" {
-		out += " [" + v + "]"
-	}
-	return out
-}
-
-// serveComputed is the coordinator's cache → coalesce → compute path. There
-// is no admission queue here — concurrency is bounded per backend by the
-// dispatch windows — so the error mapping is smaller than the backend's.
-func (c *Coordinator) serveComputed(w http.ResponseWriter, r *http.Request, route, id string,
-	compute func(context.Context) ([]byte, error)) {
-	if body, ok := c.cache.Get(id); ok {
-		c.writeBody(w, route, http.StatusOK, "cache", body)
-		return
-	}
-	body, coalesced, err := c.co.Do(r.Context(), c.baseCtx, id, func(ctx context.Context) ([]byte, error) {
-		body, err := compute(ctx)
-		if err != nil {
-			return nil, err
+// Sweep keeps the experiment harness local and delegates every cell of the
+// sweep id: each cell's content-addressed spec is consistent-hashed to a
+// backend, and the handler set's suite aggregates and renders the returned
+// results exactly as a single node would. The client's parallelism hint is
+// ignored — scheduling is the coordinator's.
+func (x *executor) Sweep(id string, _ int) (func(context.Context, runspec.Spec, string) (hpe.Result, error), int) {
+	c := (*Coordinator)(x)
+	workers := c.cfg.SuiteWorkers
+	if workers <= 0 {
+		// Adaptive: enough concurrent shards to fill every live backend's
+		// window (workers + queue) without tripping 429s.
+		for _, s := range c.snapshots() {
+			if s.Alive {
+				workers += s.Workers + s.Queue
+			}
 		}
-		c.cache.Put(id, body)
-		return body, nil
-	})
-	source := "dispatch"
-	if coalesced {
-		source = "coalesce"
+		workers = max(workers, 4)
 	}
-	var perm *permanentError
-	switch {
-	case err == nil:
-		c.writeBody(w, route, http.StatusOK, source, body)
-	case errors.As(err, &perm):
-		// The backend rejected the request itself: relay its envelope and
-		// status verbatim — the coordinator adds no vocabulary of its own.
-		c.met.observeRequest(route, perm.status)
-		server.WriteError(w, perm.status, perm.body.Code, perm.body.Message, perm.body.RunID)
-	case r.Context().Err() != nil:
-		c.writeError(w, route, 499, server.ErrClientGone, "client disconnected", id)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrCancelled,
-			"computation cancelled: "+err.Error(), id)
-	default:
-		c.logf("coordinator: %s %s failed: %v", route, id, err)
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrBackendUnavailable,
-			"no backend could run this shard: "+err.Error(), id)
-	}
+	return func(ctx context.Context, sp runspec.Spec, rid string) (hpe.Result, error) {
+		body, err := x.dispatch(ctx, sp, rid, id)
+		if err != nil {
+			return hpe.Result{}, err
+		}
+		var rr server.RunResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			return hpe.Result{}, x.unavailable(id, fmt.Errorf("shard %s: malformed run response: %w", rid, err))
+		}
+		return rr.Result, nil
+	}, workers
 }
 
-// --- /v1/runs/{id}: status and fetch -------------------------------------
-
-func (c *Coordinator) handleGetRun(w http.ResponseWriter, r *http.Request) {
-	const route = "run_get"
-	id := r.PathValue("id")
-	if body, ok := c.cache.Get(id); ok {
-		c.writeBody(w, route, http.StatusOK, "cache", body)
-		return
-	}
-	if waiters, running := c.co.Inflight(id); running {
-		body, _ := json.Marshal(map[string]any{"id": id, "status": "running", "waiters": waiters})
-		c.writeBody(w, route, http.StatusAccepted, "", append(body, '\n'))
-		return
-	}
-	// Not held locally: walk the shard's preference sequence, then any other
-	// live backend (the id may predate a ring change). First cached or
-	// in-flight answer wins.
+// Lookup walks the id's preference sequence, then any other live backend
+// (the id may predate a ring change). The first cached or in-flight answer
+// wins, with the answering backend as its source.
+func (x *executor) Lookup(ctx context.Context, id string) (int, []byte, string, error) {
+	c := (*Coordinator)(x)
 	tried := make(map[string]bool)
 	for _, name := range append(c.ring.sequence(id), c.liveBackends()...) {
 		if tried[name] {
 			continue
 		}
 		tried[name] = true
-		b := c.backends[name]
-		if !b.usable(time.Now(), c.cfg.BreakerThreshold) {
+		if !c.backends[name].usable(time.Now(), c.cfg.BreakerThreshold) {
 			continue
 		}
-		status, body, err := c.proxyGet(r.Context(), name, "/v1/runs/"+id)
+		status, body, err := c.proxyGet(ctx, name, "/v1/runs/"+id)
 		if err != nil || status == http.StatusNotFound {
 			continue
 		}
-		if status == http.StatusOK {
-			c.cache.Put(id, body)
-		}
-		c.writeBody(w, route, status, name, body)
-		return
+		return status, body, name, nil
 	}
-	c.writeError(w, route, http.StatusNotFound, server.ErrNotFound,
-		"no backend holds this run (results live in LRU caches; re-POST the request to recompute)", id)
+	return 0, nil, "", &server.Error{Status: http.StatusNotFound, Code: server.ErrNotFound,
+		Msg: "no backend holds this run (results live in LRU caches; re-POST the request to recompute)", RunID: id}
+}
+
+// ClusterHealthBody is the coordinator's /healthz response.
+type ClusterHealthBody struct {
+	Status   string `json:"status"`
+	Backends int    `json:"backends"`
+	Live     int    `json:"live"`
+	// Workers is the summed simulation capacity of the live backends.
+	Workers int `json:"workers"`
+}
+
+func (x *executor) Health() ([]byte, error) {
+	c := (*Coordinator)(x)
+	hb := ClusterHealthBody{Status: "ok", Backends: len(c.order)}
+	for _, s := range c.snapshots() {
+		if s.Alive {
+			hb.Live++
+			hb.Workers += s.Workers
+		}
+	}
+	if hb.Live == 0 {
+		return nil, &server.Error{Status: http.StatusServiceUnavailable,
+			Code: server.ErrBackendUnavailable, Msg: "no live backends"}
+	}
+	body, err := json.Marshal(hb)
+	return append(body, '\n'), err
+}
+
+// RetryAfter prices the cluster's backlog: total in-flight shards across
+// backends, divided by the cluster's estimated capacity.
+func (x *executor) RetryAfter() float64 {
+	c := (*Coordinator)(x)
+	sat := c.Saturation()
+	if sat.ClusterRPS <= 0 {
+		return 1
+	}
+	inflight := 0
+	for _, s := range c.snapshots() {
+		inflight += s.Inflight
+	}
+	return float64(inflight+1) / sat.ClusterRPS
+}
+
+func (x *executor) Metrics(p *promtext.Writer) {
+	c := (*Coordinator)(x)
+	c.met.render(p, c.snapshots(), c.Saturation())
+}
+
+// Shutdown stops the health loop once the handler set has cancelled
+// in-flight dispatches.
+func (x *executor) Shutdown() string {
+	c := (*Coordinator)(x)
+	c.baseCancel()
+	<-c.healthDone
+	sat := c.Saturation()
+	return fmt.Sprintf("%d/%d backends live, %.2f rps capacity, redispatched %d",
+		sat.Live, len(c.order), sat.ClusterRPS, c.met.redispatchCount())
 }
 
 // proxyGet performs one GET against one backend and returns status + body.
@@ -471,161 +397,4 @@ func (c *Coordinator) proxyGet(ctx context.Context, name, path string) (int, []b
 		return 0, nil, err
 	}
 	return resp.StatusCode, body, nil
-}
-
-// --- /v1/suite: sharded sweep --------------------------------------------
-
-func (c *Coordinator) handleSuite(w http.ResponseWriter, r *http.Request) {
-	const route = "suite_submit"
-	if c.isDraining() {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrDraining, "coordinator draining", "")
-		return
-	}
-	var req server.SuiteRequest
-	if err := decodeJSON(r, &req); err != nil {
-		c.writeError(w, route, http.StatusBadRequest, server.ErrBadSpec, "bad request body: "+err.Error(), "")
-		return
-	}
-	// The identical normalization (and therefore the identical content
-	// address) as a single backend: a sweep submitted to the coordinator or
-	// straight to a backend is the same sweep.
-	id, err := server.NormalizeSuite(&req)
-	if err != nil {
-		c.writeError(w, route, http.StatusBadRequest, server.ErrBadSpec, err.Error(), "")
-		return
-	}
-	req.Workers = 0 // scheduling is the coordinator's, not the client's
-	c.recordSummary(id, listMeta{kind: "suite",
-		summary: fmt.Sprintf("%d experiments, quick=%t, seed=%d", len(req.IDs), req.Quick, req.Seed)})
-	c.serveComputed(w, r, route, id, func(ctx context.Context) ([]byte, error) {
-		return c.sweepSuite(ctx, req, id)
-	})
-}
-
-// sweepSuite runs one sweep with the experiment harness local and every
-// simulation delegated: the suite enumerates the run matrix, each cell's
-// content-addressed spec is consistent-hashed to a backend, and the local
-// harness aggregates the returned results into reports. RenderSuiteBody is
-// the same renderer a backend uses, so the merged body is byte-identical to
-// a single-node sweep.
-func (c *Coordinator) sweepSuite(ctx context.Context, req server.SuiteRequest, id string) ([]byte, error) {
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var errMu sync.Mutex
-	var dispatchErr error // guarded by errMu
-	fail := func(err error) {
-		errMu.Lock()
-		if dispatchErr == nil {
-			dispatchErr = err
-		}
-		errMu.Unlock()
-		cancel() // the sweep cannot complete; stop the whole matrix
-	}
-
-	workers := c.cfg.SuiteWorkers
-	if workers <= 0 {
-		// Adaptive: enough concurrent shards to fill every live backend's
-		// window (workers + queue) without tripping 429s.
-		for _, s := range c.snapshots() {
-			if s.Alive {
-				workers += s.Workers + s.Queue
-			}
-		}
-		if workers < 4 {
-			workers = 4
-		}
-	}
-
-	suite := hpe.NewSuite(hpe.SuiteOptions{
-		Quick:   req.Quick,
-		Seed:    req.Seed,
-		Workers: workers,
-		Context: runCtx,
-		Runner: func(rctx context.Context, sp hpe.RunSpec, rid string) (hpe.Result, error) {
-			body, err := c.dispatchRun(rctx, sp, rid)
-			if err != nil {
-				fail(err)
-				return hpe.Result{}, err
-			}
-			var rr server.RunResponse
-			if err := json.Unmarshal(body, &rr); err != nil {
-				fail(fmt.Errorf("shard %s: malformed run response: %w", rid, err))
-				return hpe.Result{}, err
-			}
-			return rr.Result, nil
-		},
-	})
-	reports, err := suite.Reports(req.IDs)
-	errMu.Lock()
-	de := dispatchErr
-	errMu.Unlock()
-	if de != nil {
-		return nil, de
-	}
-	if err != nil {
-		return nil, err
-	}
-	return server.RenderSuiteBody(id, req, reports)
-}
-
-// --- catalog, health, metrics --------------------------------------------
-
-func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	// The registry is compiled into the coordinator too: serve the identical
-	// bytes locally instead of proxying.
-	c.writeBody(w, "policies", http.StatusOK, "", server.PoliciesBody())
-}
-
-func (c *Coordinator) handleApps(w http.ResponseWriter, r *http.Request) {
-	c.writeBody(w, "apps", http.StatusOK, "", server.AppsBody())
-}
-
-func (c *Coordinator) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	c.writeBody(w, "scenarios", http.StatusOK, "", server.ScenariosBody())
-}
-
-// ClusterHealthBody is the coordinator's /healthz response.
-type ClusterHealthBody struct {
-	Status   string `json:"status"`
-	Backends int    `json:"backends"`
-	Live     int    `json:"live"`
-	// Workers is the summed simulation capacity of the live backends.
-	Workers int `json:"workers"`
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	const route = "healthz"
-	if c.isDraining() {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrDraining, "draining", "")
-		return
-	}
-	hb := ClusterHealthBody{Status: "ok", Backends: len(c.order)}
-	for _, s := range c.snapshots() {
-		if s.Alive {
-			hb.Live++
-			hb.Workers += s.Workers
-		}
-	}
-	if hb.Live == 0 {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrBackendUnavailable,
-			"no live backends", "")
-		return
-	}
-	body, _ := json.Marshal(hb)
-	c.writeBody(w, route, http.StatusOK, "", append(body, '\n'))
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", promtext.ContentType)
-	c.met.render(w, c.snapshots(), c.Saturation(), c.cache.Snapshot(), c.co.Coalesced())
-	c.met.observeRequest("metrics", http.StatusOK)
-}
-
-// decodeJSON reads a bounded request body with unknown fields rejected,
-// matching the backend's decoding discipline.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }

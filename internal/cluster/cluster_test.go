@@ -508,6 +508,52 @@ func TestMergedEnumeration(t *testing.T) {
 	}
 }
 
+// TestEnumerationSummaryParity checks a workload-v2 run is summarized the
+// same way through a coordinator and through a single hped: the phase
+// schedule, not an empty app name.
+func TestEnumerationSummaryParity(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	const spec = `{"phases":"HOT:16,HSD:32,HOT:16","policy":"lru","rate":75}`
+	code, body, _ := post(t, tc.front.URL, "/v1/runs", spec)
+	if code != http.StatusOK {
+		t.Fatalf("coordinator run: status %d: %s", code, body)
+	}
+	var rr server.RunResponse
+	if err := json.Unmarshal(body, &rr); err != nil {
+		t.Fatal(err)
+	}
+	single := server.New(server.Config{Workers: 1})
+	defer single.Close()
+	ts := httptest.NewServer(single.Handler())
+	defer ts.Close()
+	if code, body, _ := post(t, ts.URL, "/v1/runs", spec); code != http.StatusOK {
+		t.Fatalf("single-node run: status %d: %s", code, body)
+	}
+
+	summaryOf := func(base string) string {
+		t.Helper()
+		code, body := get(t, base, "/v1/runs")
+		if code != http.StatusOK {
+			t.Fatalf("list %s: status %d: %s", base, code, body)
+		}
+		var list server.RunListResponse
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range list.Runs {
+			if e.ID == rr.ID {
+				return e.Summary
+			}
+		}
+		t.Fatalf("%s does not list run %s", base, rr.ID)
+		return ""
+	}
+	viaCoord, direct := summaryOf(tc.front.URL), summaryOf(ts.URL)
+	if viaCoord != direct || !strings.HasPrefix(direct, "phases:") {
+		t.Fatalf("summaries differ: coordinator %q, single node %q", viaCoord, direct)
+	}
+}
+
 // --- surface parity ------------------------------------------------------
 
 func TestCatalogParity(t *testing.T) {

@@ -26,18 +26,6 @@ import (
 // a backend able to run it.
 var errNoBackends = errors.New("no usable backend")
 
-// permanentError wraps a backend rejection that retrying cannot fix (a 4xx:
-// the request itself is wrong). The coordinator surfaces the backend's own
-// envelope verbatim.
-type permanentError struct {
-	status int
-	body   server.ErrorBody
-}
-
-func (e *permanentError) Error() string {
-	return fmt.Sprintf("backend rejected shard: %s (%s)", e.body.Message, e.body.Code)
-}
-
 // dispatchRun executes one run spec on the cluster and returns the owning
 // backend's response body verbatim (a server.RunResponse). Determinism makes
 // any backend's bytes THE bytes, so the coordinator can cache and serve them
@@ -76,7 +64,7 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 			if err == nil {
 				return body, nil
 			}
-			var perm *permanentError
+			var perm *server.Error
 			if errors.As(err, &perm) {
 				return nil, err
 			}
@@ -109,9 +97,11 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 
 // tryBackend runs one attempt against one backend. A positive retryAfter
 // reports backpressure (429/503 with a Retry-After hint); err then describes
-// the rejection. Transport failures and 5xx responses are charged to the
-// breaker; backpressure and 4xx rejections are not (the backend is healthy —
-// it is full, or the request is wrong).
+// the rejection. A 4xx is permanent — the request itself is wrong — and
+// comes back as a *server.Error carrying the backend's own status and
+// envelope, which the handler set relays verbatim. Transport failures and
+// 5xx responses are charged to the breaker; backpressure and 4xx rejections
+// are not (the backend is healthy — it is full, or the request is wrong).
 func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byte, id string) (body []byte, retryAfter time.Duration, err error) {
 	release, err := b.acquire(ctx)
 	if err != nil {
@@ -174,7 +164,7 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 		if !ok {
 			eb = server.ErrorBody{Code: server.ErrInternal, Message: string(raw)}
 		}
-		return nil, 0, &permanentError{status: resp.StatusCode, body: eb}
+		return nil, 0, &server.Error{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Message, RunID: eb.RunID}
 
 	default:
 		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)

@@ -6,105 +6,25 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 
 	"hpe/internal/server"
 )
 
-// GET /v1/runs on the coordinator: the union of every live backend's
-// enumeration plus the coordinator's own cache and in-flight computations
-// (merged sweeps live only here — backends see their shards, not the sweep).
-// The merged listing speaks the identical wire form and pagination surface
-// as a single backend, so a client (or another coordinator) cannot tell the
-// difference — reconciliation over the public API, no side channel.
-
-func (c *Coordinator) handleListRuns(w http.ResponseWriter, r *http.Request) {
-	const route = "run_list"
-	limit, after, err := server.ParseListQuery(r)
-	if err != nil {
-		c.writeError(w, route, http.StatusBadRequest, server.ErrBadSpec, err.Error(), "")
-		return
-	}
-	resp, err := c.mergedList(r.Context(), limit, after)
-	if err != nil {
-		c.writeError(w, route, http.StatusServiceUnavailable, server.ErrBackendUnavailable, err.Error(), "")
-		return
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		c.writeError(w, route, http.StatusInternalServerError, server.ErrInternal, err.Error(), "")
-		return
-	}
-	c.writeBody(w, route, http.StatusOK, "", append(body, '\n'))
-}
-
-// mergedList builds the cluster-wide enumeration in canonical ID order.
-func (c *Coordinator) mergedList(ctx context.Context, limit int, after string) (server.RunListResponse, error) {
-	entries := make(map[string]server.RunListEntry)
-	keep := func(e server.RunListEntry) {
-		prev, ok := entries[e.ID]
-		if !ok {
-			entries[e.ID] = e
-			return
-		}
-		// A cached entry wins over a running one (the bytes are final), and
-		// any summary beats an empty one.
-		if prev.Status != "cached" && e.Status == "cached" {
-			prev.Status = "cached"
-		}
-		if prev.Summary == "" {
-			prev.Summary = e.Summary
-		}
-		entries[e.ID] = prev
-	}
-
-	// The coordinator's own state: merged bodies it cached, sweeps in flight.
-	for _, id := range c.cache.IDs() {
-		keep(c.localEntry(id, "cached"))
-	}
-	for _, id := range c.co.InflightIDs() {
-		keep(c.localEntry(id, "running"))
-	}
-
-	// Every live backend's full enumeration, paged through the same public
-	// endpoint clients use.
+// List feeds GET /v1/runs every live backend's full enumeration, paged
+// through the same public endpoint clients use; the handler set merges it
+// with the coordinator's own cache and in-flight sweeps (merged sweeps live
+// only here — backends see their shards, not the sweep). Reconciliation runs
+// over the public API, no side channel, so any hped can join a cluster.
+func (x *executor) List(ctx context.Context, keep func(server.RunListEntry)) error {
+	c := (*Coordinator)(x)
 	for _, name := range c.liveBackends() {
 		if err := c.collectBackendList(ctx, name, keep); err != nil {
-			return server.RunListResponse{}, fmt.Errorf("list %s: %w", name, err)
+			return &server.Error{Status: http.StatusServiceUnavailable, Code: server.ErrBackendUnavailable,
+				Msg: fmt.Sprintf("list %s: %v", name, err)}
 		}
 	}
-
-	ids := make([]string, 0, len(entries))
-	for id := range entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	var out server.RunListResponse
-	for _, id := range ids {
-		if after != "" && id <= after {
-			continue
-		}
-		if len(out.Runs) == limit {
-			out.Truncated = true
-			break
-		}
-		out.Runs = append(out.Runs, entries[id])
-	}
-	return out, nil
-}
-
-// localEntry renders one coordinator-held ID as a list entry.
-func (c *Coordinator) localEntry(id, status string) server.RunListEntry {
-	e := server.RunListEntry{ID: id, Status: status, Kind: "run"}
-	if len(id) >= 6 && id[:6] == "suite-" {
-		e.Kind = "suite"
-	}
-	if m, ok := c.summaryOf(id); ok {
-		e.Kind, e.Summary = m.kind, m.summary
-	}
-	return e
+	return nil
 }
 
 // collectBackendList pages through one backend's GET /v1/runs.

@@ -1,44 +1,28 @@
 package cluster
 
 import (
-	"io"
 	"sync"
 	"time"
 
 	"hpe/internal/promtext"
-	"hpe/internal/respcache"
 	"hpe/internal/stats"
 )
 
-// clusterMetrics aggregates the coordinator's operational counters: HTTP
-// responses, shard dispatch outcomes per backend, re-dispatches, and the
-// shard service-latency histogram the saturation analyzer cross-checks.
+// clusterMetrics aggregates the coordinator-only counters: shard dispatch
+// outcomes per backend, re-dispatches, and the shard service-latency
+// histogram the saturation analyzer cross-checks. The serving series every
+// role shares (requests, cache, coalescing) belong to the handler set.
 type clusterMetrics struct {
 	mu sync.Mutex
 
-	requests map[string]uint64 // guarded by mu; "route code" → count
-	shards   map[string]uint64 // guarded by mu; backend → shards completed
+	shards map[string]uint64 // guarded by mu; backend → shards completed
 
 	redispatched uint64          // guarded by mu; shards tried off their primary owner or re-tried
 	shardLat     stats.Histogram // guarded by mu; shard round-trip, µs
 }
 
 func newClusterMetrics() *clusterMetrics {
-	return &clusterMetrics{
-		requests: make(map[string]uint64),
-		shards:   make(map[string]uint64),
-	}
-}
-
-func (m *clusterMetrics) observeRequest(route string, code int) {
-	m.mu.Lock()
-	m.requests[route+" "+itoa(code)]++
-	m.mu.Unlock()
-}
-
-func itoa(code int) string {
-	// Status codes are three digits; avoid strconv on the request path.
-	return string([]byte{byte('0' + code/100), byte('0' + code/10%10), byte('0' + code%10)})
+	return &clusterMetrics{shards: make(map[string]uint64)}
 }
 
 // shardDone records one shard served by the named backend.
@@ -64,31 +48,24 @@ func (m *clusterMetrics) redispatchCount() uint64 {
 	return m.redispatched
 }
 
-// render writes the full Prometheus exposition: the metrics' own counters
-// plus the point-in-time backend, saturation, cache, and coalescer figures
-// the Coordinator passes in.
-func (m *clusterMetrics) render(w io.Writer, snaps []backendSnapshot, sat Saturation,
-	cs respcache.Stats, coalesced uint64) {
-	// Snapshot under the lock, render outside it: w is an HTTP response, and
-	// a slow scraper must not stall shard-dispatch bookkeeping behind the
-	// socket write (hpelint/lockorder).
+// render writes the coordinator-only families: the metrics' own counters
+// plus the point-in-time backend and saturation figures the Coordinator
+// passes in.
+func (m *clusterMetrics) render(p *promtext.Writer, snaps []backendSnapshot, sat Saturation) {
+	// Snapshot under the lock, render outside it: p writes to an HTTP
+	// response, and a slow scraper must not stall shard-dispatch bookkeeping
+	// behind the socket write (hpelint/lockorder).
 	m.mu.Lock()
-	requests := copyCounts(m.requests)
 	shards := copyCounts(m.shards)
 	redispatched := m.redispatched
 	shardLat := m.shardLat
 	m.mu.Unlock()
-	p := promtext.New(w)
 
-	p.LabelledCounter("hped_cluster_requests_total",
-		"Coordinator HTTP responses by route and status code.", requests, "route_code")
 	p.LabelledCounter("hped_cluster_shards_total",
 		"Shards completed, by owning backend.", shards, "backend")
 	p.Counter("hped_cluster_redispatched_total",
 		"Shard attempts routed past their primary owner (dead, broken, or saturated).",
 		redispatched)
-	p.Counter("hped_cluster_coalesced_total",
-		"Coordinator requests served by joining an identical in-flight computation.", coalesced)
 
 	up := make(map[string]float64, len(snaps))
 	open := make(map[string]float64, len(snaps))
@@ -134,13 +111,6 @@ func (m *clusterMetrics) render(w io.Writer, snaps []backendSnapshot, sat Satura
 		sat.ClusterRPS)
 	p.Gauge("hped_cluster_backends_live",
 		"Backends whose last health probe succeeded.", float64(sat.Live))
-
-	p.Counter("hped_cluster_cache_hits_total", "Coordinator result-cache hits.", cs.Hits)
-	p.Counter("hped_cluster_cache_misses_total", "Coordinator result-cache misses.", cs.Misses)
-	p.Gauge("hped_cluster_cache_bytes",
-		"Bytes of response bodies held by the coordinator's result cache.", float64(cs.Bytes))
-	p.Gauge("hped_cluster_cache_entries",
-		"Entries held by the coordinator's result cache.", float64(cs.Entries))
 
 	p.Histogram("hped_cluster_shard_latency_seconds",
 		"Round-trip latency of one shard dispatched to a backend.", &shardLat, 1e-6)

@@ -7,6 +7,8 @@
 // owning server is running), so a leader that disconnects does not kill work
 // other clients still want — and when the last waiter goes away the
 // computation is cancelled mid-flight instead of burning cycles for nobody.
+// Each flight carries a short label (hped stores the run's enumeration
+// summary) that lives exactly as long as the flight does.
 package flight
 
 import (
@@ -25,6 +27,7 @@ type Group struct {
 // call is one in-flight computation.
 type call struct {
 	done    chan struct{} // closed when body/err are final
+	meta    string        // immutable label
 	body    []byte
 	err     error
 	waiters int
@@ -38,10 +41,10 @@ func NewGroup() *Group {
 
 // Do returns the computation's result for id, starting compute at most once
 // across concurrent callers. base bounds the computation's lifetime (server
-// shutdown); ctx is this caller's interest (client disconnect, timeout).
-// The returned bool reports whether this caller coalesced onto an existing
-// flight rather than starting one.
-func (c *Group) Do(ctx, base context.Context, id string,
+// shutdown); ctx is this caller's interest (client disconnect, timeout);
+// meta labels a flight this call starts. The returned bool reports whether
+// this caller coalesced onto an existing flight rather than starting one.
+func (c *Group) Do(ctx, base context.Context, id, meta string,
 	compute func(context.Context) ([]byte, error)) ([]byte, bool, error) {
 	c.mu.Lock()
 	if cl, ok := c.calls[id]; ok {
@@ -51,7 +54,7 @@ func (c *Group) Do(ctx, base context.Context, id string,
 		return c.wait(ctx, cl, true)
 	}
 	runCtx, cancel := context.WithCancel(base)
-	cl := &call{done: make(chan struct{}), waiters: 1, cancel: cancel}
+	cl := &call{done: make(chan struct{}), meta: meta, waiters: 1, cancel: cancel}
 	c.calls[id] = cl
 	c.mu.Unlock()
 
@@ -113,17 +116,22 @@ func (c *Group) Inflight(id string) (waiters int, running bool) {
 	return cl.waiters, true
 }
 
-// InflightIDs returns every in-flight computation's ID in canonical
-// (lexicographic) order — the enumeration order GET /v1/runs paginates in.
-func (c *Group) InflightIDs() []string {
+// Entry is one in-flight computation's ID and label.
+type Entry struct {
+	ID, Meta string
+}
+
+// Entries returns every in-flight computation in canonical (lexicographic)
+// ID order — the enumeration order GET /v1/runs paginates in.
+func (c *Group) Entries() []Entry {
 	c.mu.Lock()
-	ids := make([]string, 0, len(c.calls))
-	for id := range c.calls {
-		ids = append(ids, id)
+	out := make([]Entry, 0, len(c.calls))
+	for id, cl := range c.calls {
+		out = append(out, Entry{ID: id, Meta: cl.meta})
 	}
 	c.mu.Unlock()
-	sort.Strings(ids)
-	return ids
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Coalesced returns the number of requests that joined an existing flight.

@@ -209,7 +209,8 @@ type continuation struct {
 // itself — `(*issueEvent)(s)` is a zero-allocation pointer conversion, so
 // scheduling an issue, walk-completion, or access-completion event costs no
 // heap allocation at all (the payload travels in the event's two integer
-// words). Only cold paths (fault service, barrier probes) still use closures.
+// words). These three are the only events the simulator schedules; fault
+// service runs inside internal/uvm's driver.
 
 // issueEvent runs the translation path: a0 = SM id, a1 = access sequence.
 type issueEvent Simulator

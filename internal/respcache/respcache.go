@@ -5,7 +5,9 @@
 // run's). Because IDs are content addresses of canonicalized requests and
 // every simulation is deterministic, a hit is byte-identical to what a fresh
 // simulation would render — the cache can never serve a stale or wrong body,
-// only save the minutes it would take to recompute one.
+// only save the minutes it would take to recompute one. Each entry carries a
+// short caller-supplied label (hped stores the run's enumeration summary), so
+// a listing needs no side index that could outlive the entry.
 package respcache
 
 import (
@@ -27,6 +29,7 @@ type Cache struct {
 
 type cacheEntry struct {
 	id   string
+	meta string
 	body []byte
 }
 
@@ -54,10 +57,10 @@ func (c *Cache) Get(id string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// Put inserts body under id, evicting least-recently-used entries until the
-// byte budget holds. A body larger than the whole budget is not cached.
-// Callers must not mutate body after handing it over.
-func (c *Cache) Put(id string, body []byte) {
+// Put inserts body under id with its label meta, evicting least-recently-used
+// entries until the byte budget holds. A body larger than the whole budget is
+// not cached. Callers must not mutate body after handing it over.
+func (c *Cache) Put(id string, body []byte, meta string) {
 	if int64(len(body)) > c.budget {
 		return
 	}
@@ -65,11 +68,14 @@ func (c *Cache) Put(id string, body []byte) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[id]; ok {
 		// Deterministic results make re-insertion a no-op byte-wise; just
-		// refresh recency.
+		// refresh recency, and fill in a label the first insertion lacked.
 		c.ll.MoveToFront(el)
+		if meta != "" {
+			el.Value.(*cacheEntry).meta = meta
+		}
 		return
 	}
-	c.ll.PushFront(&cacheEntry{id: id, body: body})
+	c.ll.PushFront(&cacheEntry{id: id, meta: meta, body: body})
 	c.items[id] = c.ll.Front()
 	c.bytes += int64(len(body))
 	for c.bytes > c.budget {
@@ -85,17 +91,22 @@ func (c *Cache) Put(id string, body []byte) {
 	}
 }
 
-// IDs returns every cached ID in canonical (lexicographic) order — the
-// enumeration order GET /v1/runs paginates in.
-func (c *Cache) IDs() []string {
+// Entry is one cached ID and the label it was stored under.
+type Entry struct {
+	ID, Meta string
+}
+
+// Entries returns every cached entry in canonical (lexicographic) ID order —
+// the enumeration order GET /v1/runs paginates in.
+func (c *Cache) Entries() []Entry {
 	c.mu.Lock()
-	ids := make([]string, 0, len(c.items))
-	for id := range c.items {
-		ids = append(ids, id)
+	out := make([]Entry, 0, len(c.items))
+	for id, el := range c.items {
+		out = append(out, Entry{ID: id, Meta: el.Value.(*cacheEntry).meta})
 	}
 	c.mu.Unlock()
-	sort.Strings(ids)
-	return ids
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Stats is a point-in-time snapshot for /metrics and shutdown logging.

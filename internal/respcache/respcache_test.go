@@ -7,13 +7,13 @@ import (
 
 func TestLRUEviction(t *testing.T) {
 	c := New(10)
-	c.Put("a", []byte("aaaa")) // 4 bytes
-	c.Put("b", []byte("bbbb")) // 8 bytes
+	c.Put("a", []byte("aaaa"), "") // 4 bytes
+	c.Put("b", []byte("bbbb"), "") // 8 bytes
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing before budget pressure")
 	}
 	// a is now most recently used; inserting 4 more bytes must evict b.
-	c.Put("c", []byte("cccc"))
+	c.Put("c", []byte("cccc"), "")
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction despite being least recently used")
 	}
@@ -31,7 +31,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestOversizedBodySkipped(t *testing.T) {
 	c := New(4)
-	c.Put("big", []byte("too large"))
+	c.Put("big", []byte("too large"), "")
 	if _, ok := c.Get("big"); ok {
 		t.Error("body larger than the whole budget was cached")
 	}
@@ -42,10 +42,10 @@ func TestOversizedBodySkipped(t *testing.T) {
 
 func TestReinsertRefreshesRecency(t *testing.T) {
 	c := New(8)
-	c.Put("a", []byte("aaaa"))
-	c.Put("b", []byte("bbbb"))
-	c.Put("a", []byte("aaaa")) // refresh, not duplicate
-	c.Put("c", []byte("cccc")) // must evict b, not a
+	c.Put("a", []byte("aaaa"), "")
+	c.Put("b", []byte("bbbb"), "")
+	c.Put("a", []byte("aaaa"), "") // refresh, not duplicate
+	c.Put("c", []byte("cccc"), "") // must evict b, not a
 	if _, ok := c.Get("a"); !ok {
 		t.Error("re-inserted entry was evicted")
 	}
@@ -56,7 +56,7 @@ func TestReinsertRefreshesRecency(t *testing.T) {
 
 func TestDisabled(t *testing.T) {
 	c := New(-1)
-	c.Put("a", []byte("aaaa"))
+	c.Put("a", []byte("aaaa"), "")
 	if _, ok := c.Get("a"); ok {
 		t.Error("negative budget should disable caching")
 	}
@@ -65,10 +65,11 @@ func TestDisabled(t *testing.T) {
 func TestIDsCanonicalOrder(t *testing.T) {
 	c := New(1 << 20)
 	for _, id := range []string{"run-v2-zz", "run-v2-aa", "suite-00", "run-v2-mm"} {
-		c.Put(id, []byte("x"))
+		c.Put(id, []byte("x"), "label "+id)
 	}
-	want := []string{"run-v2-aa", "run-v2-mm", "run-v2-zz", "suite-00"}
-	if got := c.IDs(); !reflect.DeepEqual(got, want) {
-		t.Errorf("IDs() = %v, want canonical order %v", got, want)
+	want := []Entry{{"run-v2-aa", "label run-v2-aa"}, {"run-v2-mm", "label run-v2-mm"},
+		{"run-v2-zz", "label run-v2-zz"}, {"suite-00", "label suite-00"}}
+	if got := c.Entries(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Entries() = %v, want canonical order %v", got, want)
 	}
 }

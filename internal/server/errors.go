@@ -45,6 +45,19 @@ const (
 	ErrInternal ErrorCode = "internal"
 )
 
+// Error is a failure an Executor reports with its own status and envelope
+// — 429 queue_full from the admission queue, 503 backend_unavailable from
+// ring dispatch, a backend's 4xx relayed verbatim — so the handler set maps
+// every role's failures in one place. RunID is emitted as given.
+type Error struct {
+	Status int
+	Code   ErrorCode
+	Msg    string
+	RunID  string
+}
+
+func (e *Error) Error() string { return string(e.Code) + ": " + e.Msg }
+
 // ErrorBody is the envelope's payload.
 type ErrorBody struct {
 	Code    ErrorCode `json:"code"`
@@ -65,8 +78,7 @@ func EncodeError(code ErrorCode, msg, runID string) []byte {
 }
 
 // WriteError writes one enveloped error response. It is the single error
-// path of the /v1 surface; the coordinator reuses it so the two layers'
-// envelopes are byte-compatible.
+// path of the /v1 surface.
 func WriteError(w http.ResponseWriter, status int, code ErrorCode, msg, runID string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -12,9 +12,13 @@ import (
 
 // GET /v1/runs — run enumeration. Lists every cached and in-flight
 // computation ID with a short spec summary, in canonical (lexicographic) ID
-// order, paginated with limit/after. The cluster coordinator reconciles
-// shard state over this endpoint instead of a side channel: the union of the
-// backends' listings is the cluster's run inventory.
+// order, paginated with limit/after. A coordinator's executor adds every
+// live backend's listing, read over this same endpoint instead of a side
+// channel: the union of the listings is the cluster's run inventory.
+//
+// Summaries live in the result cache's and the coalescer's own entries, so
+// the index holds exactly the ids the process can answer for — an evicted,
+// failed, or rejected computation leaves nothing behind.
 
 // RunListEntry is one enumerated computation.
 type RunListEntry struct {
@@ -25,8 +29,8 @@ type RunListEntry struct {
 	// Kind is "run" or "suite".
 	Kind string `json:"kind"`
 	// Summary is a one-line human sketch of the request ("HSD hpe @75%");
-	// empty when the entry predates this server's summary index (e.g. a
-	// coordinator merging an older backend).
+	// empty when no layer that holds the entry recorded one (e.g. a body a
+	// coordinator fetched by id from a backend).
 	Summary string `json:"summary,omitempty"`
 }
 
@@ -44,21 +48,6 @@ const (
 	maxListLimit     = 5000
 )
 
-// runSummary is the enumeration metadata recorded at submission time.
-type runSummary struct {
-	Kind    string
-	Summary string
-}
-
-// recordSummary indexes id for GET /v1/runs. The index is pruned against
-// cache + in-flight membership on every listing, so it cannot grow past the
-// set of ids the server can actually answer for.
-func (s *Server) recordSummary(id string, sum runSummary) {
-	s.sumMu.Lock()
-	s.summaries[id] = sum
-	s.sumMu.Unlock()
-}
-
 // specSummary renders a run spec's one-line enumeration sketch.
 func specSummary(sp runspec.Spec) string {
 	src := sp.App
@@ -75,9 +64,8 @@ func specSummary(sp runspec.Spec) string {
 	return out
 }
 
-// ParseListQuery extracts the shared limit/after pagination parameters; the
-// coordinator parses the identical query surface.
-func ParseListQuery(r *http.Request) (limit int, after string, err error) {
+// parseListQuery extracts the limit/after pagination parameters.
+func parseListQuery(r *http.Request) (limit int, after string, err error) {
 	limit = defaultListLimit
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		limit, err = strconv.Atoi(raw)
@@ -91,63 +79,7 @@ func ParseListQuery(r *http.Request) (limit int, after string, err error) {
 	return limit, r.URL.Query().Get("after"), nil
 }
 
-// ListRuns enumerates the server's cached and in-flight computations in
-// canonical ID order, applying limit/after pagination.
-func (s *Server) ListRuns(limit int, after string) RunListResponse {
-	cached := s.cache.IDs()
-	inflight := s.co.InflightIDs()
-
-	status := make(map[string]string, len(cached)+len(inflight))
-	for _, id := range inflight {
-		status[id] = "running"
-	}
-	for _, id := range cached {
-		status[id] = "cached" // a cached entry wins: the bytes are final
-	}
-	ids := make([]string, 0, len(status))
-	for id := range status {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	// Prune the summary index down to ids the server can still answer for.
-	live := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		live[id] = true
-	}
-	s.sumMu.Lock()
-	for id := range s.summaries {
-		if !live[id] {
-			delete(s.summaries, id)
-		}
-	}
-	sums := make(map[string]runSummary, len(ids))
-	for id, sum := range s.summaries {
-		sums[id] = sum
-	}
-	s.sumMu.Unlock()
-
-	var out RunListResponse
-	for _, id := range ids {
-		if after != "" && id <= after {
-			continue
-		}
-		if len(out.Runs) == limit {
-			out.Truncated = true
-			break
-		}
-		sum := sums[id]
-		if sum.Kind == "" {
-			sum.Kind = kindOfID(id)
-		}
-		out.Runs = append(out.Runs, RunListEntry{ID: id, Status: status[id],
-			Kind: sum.Kind, Summary: sum.Summary})
-	}
-	return out
-}
-
-// kindOfID classifies an ID by its content-address prefix when no summary
-// was recorded.
+// kindOfID classifies an ID by its content-address prefix.
 func kindOfID(id string) string {
 	if len(id) >= 6 && id[:6] == "suite-" {
 		return "suite"
@@ -157,12 +89,56 @@ func kindOfID(id string) string {
 
 func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	const route = "run_list"
-	limit, after, err := ParseListQuery(r)
+	limit, after, err := parseListQuery(r)
 	if err != nil {
 		s.writeError(w, route, http.StatusBadRequest, ErrBadSpec, err.Error(), "")
 		return
 	}
-	body, err := json.Marshal(s.ListRuns(limit, after))
+	entries := make(map[string]RunListEntry)
+	keep := func(e RunListEntry) {
+		prev, ok := entries[e.ID]
+		if !ok {
+			entries[e.ID] = e
+			return
+		}
+		// A cached entry wins over a running one (the bytes are final), and
+		// any summary beats an empty one.
+		if e.Status == "cached" {
+			prev.Status = "cached"
+		}
+		if prev.Summary == "" {
+			prev.Summary = e.Summary
+		}
+		entries[e.ID] = prev
+	}
+	for _, e := range s.co.Entries() {
+		keep(RunListEntry{ID: e.ID, Status: "running", Kind: kindOfID(e.ID), Summary: e.Meta})
+	}
+	for _, e := range s.cache.Entries() {
+		keep(RunListEntry{ID: e.ID, Status: "cached", Kind: kindOfID(e.ID), Summary: e.Meta})
+	}
+	if err := s.x.List(r.Context(), keep); err != nil {
+		s.writeFailure(w, route, err)
+		return
+	}
+
+	ids := make([]string, 0, len(entries))
+	for id := range entries {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	out := RunListResponse{}
+	for _, id := range ids {
+		if after != "" && id <= after {
+			continue
+		}
+		if len(out.Runs) == limit {
+			out.Truncated = true
+			break
+		}
+		out.Runs = append(out.Runs, entries[id])
+	}
+	body, err := json.Marshal(out)
 	if err != nil {
 		s.writeError(w, route, http.StatusInternalServerError, ErrInternal, err.Error(), "")
 		return

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -224,21 +225,70 @@ func TestParseListQuery(t *testing.T) {
 	mk := func(query string) *http.Request {
 		return httptest.NewRequest(http.MethodGet, "/v1/runs?"+query, nil)
 	}
-	if limit, after, err := ParseListQuery(mk("")); err != nil || limit != defaultListLimit || after != "" {
+	if limit, after, err := parseListQuery(mk("")); err != nil || limit != defaultListLimit || after != "" {
 		t.Errorf("defaults: limit=%d after=%q err=%v", limit, after, err)
 	}
-	if limit, _, err := ParseListQuery(mk("limit=7")); err != nil || limit != 7 {
+	if limit, _, err := parseListQuery(mk("limit=7")); err != nil || limit != 7 {
 		t.Errorf("explicit limit: %d, %v", limit, err)
 	}
-	if limit, _, err := ParseListQuery(mk("limit=999999")); err != nil || limit != maxListLimit {
+	if limit, _, err := parseListQuery(mk("limit=999999")); err != nil || limit != maxListLimit {
 		t.Errorf("oversized limit should clamp to %d, got %d, %v", maxListLimit, limit, err)
 	}
 	for _, bad := range []string{"limit=0", "limit=-3", "limit=ten"} {
-		if _, _, err := ParseListQuery(mk(bad)); err == nil {
+		if _, _, err := parseListQuery(mk(bad)); err == nil {
 			t.Errorf("%s accepted", bad)
 		}
 	}
-	if _, after, err := ParseListQuery(mk("after=run-v2-abc")); err != nil || after != "run-v2-abc" {
+	if _, after, err := parseListQuery(mk("after=run-v2-abc")); err != nil || after != "run-v2-abc" {
 		t.Errorf("after: %q, %v", after, err)
+	}
+}
+
+// TestSummaryIndexBounded pins the enumeration index to what the server can
+// answer for: with a cache that holds only a couple of bodies, many distinct
+// submissions (some of them racing for the one worker, so some may be
+// rejected with 429) and no listing in between, the summaries held never
+// exceed the cache's and the coalescer's own membership.
+func TestSummaryIndexBounded(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: -1, CacheBytes: 8 << 10})
+
+	var wg sync.WaitGroup
+	for rate := 30; rate < 70; rate++ {
+		wg.Add(1)
+		go func(rate int) {
+			defer wg.Done()
+			body := `{"app":"HOT","policy":"lru","rate":` + strconv.Itoa(rate) + `}`
+			if code, _, b := postRun(t, ts.Client(), ts.URL, body); code != http.StatusOK && code != http.StatusTooManyRequests {
+				t.Errorf("rate %d: status %d: %s", rate, code, b)
+			}
+		}(rate)
+		if rate%4 == 3 {
+			wg.Wait() // bursts of four: contention without starving every request
+		}
+	}
+	wg.Wait()
+
+	held := len(srv.cache.Entries()) + len(srv.co.Entries())
+	if st := srv.cache.Snapshot(); held != st.Entries || st.Evictions == 0 {
+		t.Fatalf("index holds %d ids; cache holds %d after %d evictions", held, st.Entries, st.Evictions)
+	}
+	if held > 4 {
+		t.Fatalf("index holds %d ids under an 8 KiB cache", held)
+	}
+	code, body := get(t, ts, "/v1/runs")
+	if code != http.StatusOK {
+		t.Fatalf("list: status %d: %s", code, body)
+	}
+	var list RunListResponse
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != held {
+		t.Fatalf("listed %d runs, index holds %d", len(list.Runs), held)
+	}
+	for _, e := range list.Runs {
+		if e.Status != "cached" || !strings.HasPrefix(e.Summary, "HOT lru @") {
+			t.Errorf("entry %+v: want a cached run with its summary", e)
+		}
 	}
 }

@@ -3,21 +3,19 @@ package server
 import (
 	"context"
 	"errors"
-	"io"
 	"sync"
 	"time"
 
-	"hpe/internal/probe"
 	"hpe/internal/promtext"
 	"hpe/internal/respcache"
 	"hpe/internal/stats"
 )
 
-// serverMetrics aggregates the daemon's operational counters and latency
-// histograms. Latencies land in internal/stats power-of-two histograms
-// (observed in microseconds, exported in seconds); simulation-level event
-// counts are merged from each run's probe.Metrics snapshot, so /metrics
-// exposes both the serving layer and the simulated machine it fronts.
+// serverMetrics aggregates the handler set's operational counters and
+// latency histograms — the series every role exports under one name.
+// Latencies land in internal/stats power-of-two histograms (observed in
+// microseconds, exported in seconds). Role-specific families (queue gauges,
+// simulator events, per-backend dispatch) are the Executor's to render.
 type serverMetrics struct {
 	mu sync.Mutex
 
@@ -28,18 +26,13 @@ type serverMetrics struct {
 	runsCancelled uint64 // guarded by mu
 	runsFailed    uint64 // guarded by mu
 
-	simEvents map[string]uint64 // guarded by mu; probe kind name → total events
-
 	cachedLat stats.Histogram // guarded by mu; cache-hit responses, µs
-	simLat    stats.Histogram // guarded by mu; full simulations, µs
+	simLat    stats.Histogram // guarded by mu; leader runs, µs
 	suiteLat  stats.Histogram // guarded by mu; suite sweeps, µs
 }
 
 func newServerMetrics() *serverMetrics {
-	return &serverMetrics{
-		requests:  make(map[string]uint64),
-		simEvents: make(map[string]uint64),
-	}
+	return &serverMetrics{requests: make(map[string]uint64)}
 }
 
 // observeRequest counts one HTTP response by route and status code.
@@ -89,8 +82,8 @@ func (m *serverMetrics) runFinished(d time.Duration, err error, suite bool) {
 }
 
 // meanRunSeconds is the observed mean leader-computation latency across runs
-// and sweeps, in seconds; 0 before anything has completed. The Retry-After
-// estimate prices the admission backlog with it.
+// and sweeps, in seconds; 0 before anything has completed. The local
+// executor prices its admission backlog with it.
 func (m *serverMetrics) meanRunSeconds() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -101,41 +94,19 @@ func (m *serverMetrics) meanRunSeconds() float64 {
 	return float64(m.simLat.Sum()+m.suiteLat.Sum()) / float64(count) * 1e-6
 }
 
-// mergeProbe folds one run's probe snapshot into the per-kind event totals.
-func (m *serverMetrics) mergeProbe(s *probe.Snapshot) {
-	if s == nil {
-		return
-	}
-	m.mu.Lock()
-	for _, k := range s.Kinds {
-		m.simEvents[k.Kind] += k.Count
-	}
-	m.mu.Unlock()
-}
-
-// simEventTotal returns the merged count for one probe kind (tests).
-func (m *serverMetrics) simEventTotal(kind string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.simEvents[kind]
-}
-
-// render writes the full Prometheus exposition, combining the metrics'
-// own state with the point-in-time cache, queue, and coalescer figures the
-// Server passes in.
-func (m *serverMetrics) render(w io.Writer, cs respcache.Stats, queued, running int,
-	rejected, coalesced uint64) {
-	// Snapshot under the lock, render outside it: w is an HTTP response, and
-	// a slow client scraping /metrics must not stall every request-path
-	// counter update behind the socket write (hpelint/lockorder).
+// render writes the shared families, combining the metrics' own state with
+// the point-in-time cache and coalescer figures the Server passes in.
+func (m *serverMetrics) render(p *promtext.Writer, cs respcache.Stats, coalesced uint64) {
+	// Snapshot under the lock, render outside it: p writes to an HTTP
+	// response, and a slow client scraping /metrics must not stall every
+	// request-path counter update behind the socket write
+	// (hpelint/lockorder).
 	m.mu.Lock()
 	requests := copyCounts(m.requests)
-	simEvents := copyCounts(m.simEvents)
 	runsStarted, runsCompleted := m.runsStarted, m.runsCompleted
 	runsCancelled, runsFailed := m.runsCancelled, m.runsFailed
 	cachedLat, simLat, suiteLat := m.cachedLat, m.simLat, m.suiteLat
 	m.mu.Unlock()
-	p := promtext.New(w)
 
 	p.LabelledCounter("hped_requests_total",
 		"HTTP responses by route and status code.", requests, "route_code")
@@ -156,24 +127,16 @@ func (m *serverMetrics) render(w io.Writer, cs respcache.Stats, queued, running 
 	p.Gauge("hped_cache_bytes", "Bytes of response bodies held by the result cache.", float64(cs.Bytes))
 	p.Gauge("hped_cache_entries", "Entries held by the result cache.", float64(cs.Entries))
 
-	p.Gauge("hped_queue_depth", "Admitted computations waiting for a worker slot.", float64(queued))
-	p.Gauge("hped_running", "Computations currently holding a worker slot.", float64(running))
-	p.Counter("hped_queue_rejected_total",
-		"Submissions refused with 429 because the admission queue was full.", rejected)
-
 	p.Histogram("hped_cached_hit_latency_seconds",
 		"Latency of responses served from the result cache.", &cachedLat, 1e-6)
 	p.Histogram("hped_run_latency_seconds",
-		"Latency of single-run simulations (leader computations).", &simLat, 1e-6)
+		"Latency of single runs (leader computations).", &simLat, 1e-6)
 	p.Histogram("hped_suite_latency_seconds",
 		"Latency of suite sweeps (leader computations).", &suiteLat, 1e-6)
-
-	p.LabelledCounter("hped_sim_events_total",
-		"Simulator probe events aggregated across served runs, by kind.", simEvents, "kind")
 }
 
-// copyCounts duplicates a counter map so render can release the metrics
-// lock before any byte reaches the response writer.
+// copyCounts duplicates a counter map so a renderer can release its lock
+// before any byte reaches the response writer.
 func copyCounts(src map[string]uint64) map[string]uint64 {
 	out := make(map[string]uint64, len(src))
 	for k, v := range src {

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"hpe/internal/promtext"
 	"hpe/internal/respcache"
 )
 
@@ -38,7 +40,7 @@ func TestRenderReleasesLockBeforeWriting(t *testing.T) {
 	m.observeCachedHit(time.Millisecond)
 
 	pw := &lockProbeWriter{mu: &m.mu}
-	m.render(pw, respcache.Stats{Hits: 3, Misses: 1}, 2, 1, 0, 0)
+	m.render(promtext.New(pw), respcache.Stats{Hits: 3, Misses: 1}, 2)
 
 	if !pw.wrote {
 		t.Fatal("render wrote nothing")
@@ -51,10 +53,49 @@ func TestRenderReleasesLockBeforeWriting(t *testing.T) {
 		"hped_runs_started_total 1",
 		"hped_runs_completed_total 1",
 		"hped_cache_hits_total 3",
-		"hped_queue_depth 2",
+		"hped_runs_coalesced_total 2",
 	} {
 		if !strings.Contains(pw.out.String(), want) {
 			t.Errorf("render output missing %q", want)
+		}
+	}
+}
+
+// The local executor's families (queue gauges, simulator events) follow the
+// same rule as the shared ones: snapshot under simMu, write outside it.
+func TestLocalMetricsReleaseLockBeforeWriting(t *testing.T) {
+	l := New(Config{Workers: 1, QueueDepth: 1}).x.(*local)
+	release, err := l.adm.admit(context.Background())
+	if err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	defer release()
+	// A cancelled second admission gives up its queue position; occupy it
+	// directly instead so the gauge reads one queued computation.
+	l.adm.tokens <- struct{}{}
+	defer func() { <-l.adm.tokens }()
+	if _, err := l.adm.admit(context.Background()); err != errQueueFull {
+		t.Fatalf("third admission: err = %v, want errQueueFull", err)
+	}
+	l.simEvents["fault_end"] = 7
+
+	pw := &lockProbeWriter{mu: &l.simMu}
+	l.Metrics(promtext.New(pw))
+
+	if !pw.wrote {
+		t.Fatal("Metrics wrote nothing")
+	}
+	if pw.heldLock {
+		t.Error("Metrics held local.simMu during a response write; snapshot state and render outside the lock")
+	}
+	for _, want := range []string{
+		"hped_queue_depth 1",
+		"hped_running 1",
+		"hped_queue_rejected_total 1",
+		`hped_sim_events_total{kind="fault_end"} 7`,
+	} {
+		if !strings.Contains(pw.out.String(), want) {
+			t.Errorf("Metrics output missing %q", want)
 		}
 	}
 }

@@ -34,10 +34,10 @@ type SuiteRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// NormalizeSuite canonicalizes a suite request in place and returns its
-// content-addressed ID. The cluster coordinator normalizes with the same
-// function, so a sweep submitted to either layer lands on one ID.
-func NormalizeSuite(req *SuiteRequest) (string, error) {
+// normalizeSuite canonicalizes a suite request in place and returns its
+// content-addressed ID. Every role normalizes with it, so a sweep submitted
+// to a coordinator or straight to a backend lands on one ID.
+func normalizeSuite(req *SuiteRequest) (string, error) {
 	known := make(map[string]bool)
 	for _, id := range experiments.IDs() {
 		known[id] = true

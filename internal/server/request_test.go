@@ -74,11 +74,11 @@ func TestRunWireFormRejectsInvalid(t *testing.T) {
 func TestNormalizeSuiteWorkersHintExcluded(t *testing.T) {
 	a := SuiteRequest{IDs: []string{"fig10"}, Quick: true, Workers: 1}
 	b := SuiteRequest{IDs: []string{"fig10"}, Quick: true, Workers: 8}
-	idA, err := NormalizeSuite(&a)
+	idA, err := normalizeSuite(&a)
 	if err != nil {
 		t.Fatalf("normalize a: %v", err)
 	}
-	idB, err := NormalizeSuite(&b)
+	idB, err := normalizeSuite(&b)
 	if err != nil {
 		t.Fatalf("normalize b: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestNormalizeSuiteWorkersHintExcluded(t *testing.T) {
 	}
 
 	c := SuiteRequest{IDs: []string{"fig10"}, Quick: false}
-	idC, err := NormalizeSuite(&c)
+	idC, err := normalizeSuite(&c)
 	if err != nil {
 		t.Fatalf("normalize c: %v", err)
 	}
@@ -99,12 +99,12 @@ func TestNormalizeSuiteWorkersHintExcluded(t *testing.T) {
 	}
 
 	d := SuiteRequest{IDs: []string{"fig99"}}
-	if _, err := NormalizeSuite(&d); err == nil {
+	if _, err := normalizeSuite(&d); err == nil {
 		t.Errorf("unknown experiment accepted")
 	}
 
 	e := SuiteRequest{}
-	if _, err := NormalizeSuite(&e); err != nil {
+	if _, err := normalizeSuite(&e); err != nil {
 		t.Fatalf("empty IDs (meaning all): %v", err)
 	}
 	if len(e.IDs) == 0 {

@@ -20,13 +20,20 @@
 //	GET  /healthz        liveness (503 while draining; body carries capacity)
 //	GET  /metrics        Prometheus text exposition
 //
+// This package owns the only /v1 handler set. It runs over an Executor — the
+// role-specific half of an hped process: New mounts it over the local
+// executor (admission queue + simulator), and the cluster coordinator mounts
+// the same handlers over ring dispatch. Everything between the socket and
+// the executor — decoding, content addressing, the result cache, coalescing,
+// enumeration, drain, request counters and the error envelope — exists once.
+//
 // Run IDs are runspec content addresses (Spec.ID()), so identical requests —
 // across clients, across restarts, across replicas, and across the suite and
 // CLI layers that speak the same spec — share one ID, one simulation, and one
 // cache entry, and byte-identical bodies are guaranteed by the simulator's
 // determinism contract. Errors are typed envelopes (errors.go): every non-2xx
 // JSON body is {"error":{"code","message","run_id?"}} with a machine-readable
-// code shared verbatim with the cluster coordinator.
+// code from one closed vocabulary.
 package server
 
 import (
@@ -36,7 +43,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,97 +50,92 @@ import (
 
 	"hpe"
 	"hpe/internal/flight"
+	"hpe/internal/promtext"
 	"hpe/internal/respcache"
 	"hpe/internal/runspec"
 )
 
-// Config sizes the daemon.
-type Config struct {
-	// Workers is the number of concurrent simulations; defaults to
-	// GOMAXPROCS.
-	Workers int
-	// QueueDepth is how many admitted computations may wait beyond the
-	// running ones before submissions get 429; defaults to 4×Workers.
-	QueueDepth int
-	// CacheBytes is the result cache's byte budget; defaults to 256 MiB.
-	// Negative disables caching.
+// Executor is the role-specific half of an hped process. The handler set
+// calls it only past the shared cache and coalescer, so every method runs
+// for a leader computation or a request the shared state cannot answer.
+// Failures that carry their own status and code return an *Error.
+type Executor interface {
+	// Admit claims capacity for one leader computation (a run or a sweep)
+	// of id; release returns it.
+	Admit(ctx context.Context, id string) (release func(), err error)
+	// Run executes one canonical run spec and returns its RunResponse body.
+	Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, error)
+	// Sweep supplies the per-cell runner of sweep id (nil simulates
+	// in-process) and its worker count, given the client's parallelism hint
+	// (0 = none).
+	Sweep(id string, hint int) (runner func(context.Context, runspec.Spec, string) (hpe.Result, error), workers int)
+	// Lookup answers GET /v1/runs/{id} for an id the shared cache and
+	// coalescer do not hold, returning the status, body and X-Hped-Source.
+	Lookup(ctx context.Context, id string) (status int, body []byte, source string, err error)
+	// List feeds GET /v1/runs the entries held elsewhere.
+	List(ctx context.Context, keep func(RunListEntry)) error
+	// Health returns the /healthz body of a healthy, non-draining process.
+	Health() ([]byte, error)
+	// RetryAfter prices the backlog, in seconds, for 429/503 hints; the
+	// handler set bounds it.
+	RetryAfter() float64
+	// Metrics writes the role's own /metrics families.
+	Metrics(p *promtext.Writer)
+	// Shutdown releases the executor once in-flight work has been cancelled
+	// and returns the role's half of the final stats line.
+	Shutdown() string
+}
+
+// Surface names what distinguishes one role's handler set.
+type Surface struct {
+	// Name is the subject of the draining envelope ("server" draining).
+	Name string
+	// Source is the X-Hped-Source of a freshly computed body.
+	Source string
+	// CacheBytes is the result cache's byte budget; negative disables it.
 	CacheBytes int64
-	// SuiteWorkers caps the parallelism of one /v1/suite sweep; defaults
-	// to Workers.
-	SuiteWorkers int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) fillDefaults() {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
-	if c.QueueDepth < 0 {
-		c.QueueDepth = 0
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 256 << 20
-	}
-	if c.SuiteWorkers <= 0 {
-		c.SuiteWorkers = c.Workers
-	}
-}
-
-// Server is the serving core. Construct with New; it is safe for concurrent
-// use and is wired into an http.Server via Handler.
+// Server is the /v1 handler set over one Executor. Construct with New (a
+// single simulating hped) or Mount; it is safe for concurrent use and is
+// wired into an http.Server via Handler.
 type Server struct {
-	cfg        Config
+	x          Executor
+	sf         Surface
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	cache      *respcache.Cache
 	co         *flight.Group
-	adm        *admission
 	met        *serverMetrics
 	mux        *http.ServeMux
 	draining   chan struct{} // closed by Drain
 	drainOnce  sync.Once
-
-	traceMu sync.Mutex
-	traces  map[string]*traceEntry // guarded by traceMu
-
-	sumMu     sync.Mutex
-	summaries map[string]runSummary // guarded by sumMu; id → enumeration summary
 }
 
-type traceEntry struct {
-	once sync.Once
-	tr   *hpe.Trace
-}
-
-// New builds a Server.
-func New(cfg Config) *Server {
-	cfg.fillDefaults()
+// Mount builds the handler set over x.
+func Mount(x Executor, sf Surface) *Server {
 	//lint:ignore hpelint/ctxflow the daemon owns its lifecycle root; Close cancels it, and per-request contexts derive from it
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
+		x:          x,
+		sf:         sf,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		cache:      respcache.New(cfg.CacheBytes),
+		cache:      respcache.New(sf.CacheBytes),
 		co:         flight.NewGroup(),
-		adm:        newAdmission(cfg.Workers, cfg.QueueDepth),
 		met:        newServerMetrics(),
 		draining:   make(chan struct{}),
-		traces:     make(map[string]*traceEntry),
-		summaries:  make(map[string]runSummary),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
 	mux.HandleFunc("GET /v1/runs", s.handleListRuns)
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleGetRun)
 	mux.HandleFunc("POST /v1/suite", s.handleSuite)
-	mux.HandleFunc("GET /v1/policies", s.handlePolicies)
-	mux.HandleFunc("GET /v1/apps", s.handleApps)
-	mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)
+	mux.HandleFunc("GET /v1/policies", s.handleCatalog("policies", policiesBody))
+	mux.HandleFunc("GET /v1/apps", s.handleCatalog("apps", appsBody))
+	mux.HandleFunc("GET /v1/scenarios", s.handleCatalog("scenarios", scenariosBody))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
@@ -160,23 +161,20 @@ func (s *Server) isDraining() bool {
 }
 
 // Close drains the server, cancels every computation still running (their
-// engines stop at the next cancellation poll), and returns a final stats
-// summary for logging — the flush-on-shutdown line.
+// engines stop at the next cancellation poll), shuts the executor down, and
+// returns a final stats summary for logging — the flush-on-shutdown line.
 func (s *Server) Close() string {
 	s.Drain()
 	s.baseCancel()
 	cs := s.cache.Snapshot()
-	queued, running := s.adm.Depths()
-	return fmt.Sprintf(
-		"cache: %d entries, %d/%d bytes, %d hits, %d misses, %d evictions; coalesced %d, rejected %d, queued %d, running %d",
-		cs.Entries, cs.Bytes, cs.Budget, cs.Hits, cs.Misses, cs.Evictions,
-		s.co.Coalesced(), s.adm.Rejected(), queued, running)
+	return fmt.Sprintf("cache: %d entries, %d/%d bytes, %d hits, %d misses, %d evictions; coalesced %d, %s",
+		cs.Entries, cs.Bytes, cs.Budget, cs.Hits, cs.Misses, cs.Evictions, s.co.Coalesced(), s.x.Shutdown())
 }
 
 // logf logs through the configured sink.
 func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
+	if s.sf.Logf != nil {
+		s.sf.Logf(format, args...)
 	}
 }
 
@@ -197,34 +195,30 @@ func (s *Server) writeBody(w http.ResponseWriter, route string, code int, source
 }
 
 // writeError emits one typed error envelope (errors.go). 429 and 503
-// responses carry a Retry-After hint derived from the admission queue's
-// depth, so backpressured clients pace themselves instead of guessing.
+// responses carry the executor's Retry-After hint, so backpressured clients
+// pace themselves instead of guessing.
 func (s *Server) writeError(w http.ResponseWriter, route string, status int, code ErrorCode, msg, runID string) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(clampRetryAfter(s.x.RetryAfter())))
 	}
 	WriteError(w, status, code, msg, runID)
 	s.met.observeRequest(route, status)
 }
 
-// retryAfterSeconds estimates how long a rejected client should wait before
-// the admission queue plausibly has room: the queued-plus-running backlog,
-// divided across the worker pool, priced at the observed mean computation
-// latency (1 s before any run has completed). Clamped to [1, 300].
-func (s *Server) retryAfterSeconds() int {
-	queued, running := s.adm.Depths()
-	mean := s.met.meanRunSeconds()
-	if mean <= 0 {
-		mean = 1
+// writeFailure maps a failure to its envelope: an executor's *Error carries
+// its own status and code; anything else is the server's fault.
+func (s *Server) writeFailure(w http.ResponseWriter, route string, err error) {
+	var xe *Error
+	if errors.As(err, &xe) {
+		s.writeError(w, route, xe.Status, xe.Code, xe.Msg, xe.RunID)
+		return
 	}
-	est := math.Ceil(float64(queued+running+1) * mean / float64(s.cfg.Workers))
-	if est < 1 {
-		est = 1
-	}
-	if est > 300 {
-		est = 300
-	}
-	return int(est)
+	s.writeError(w, route, http.StatusInternalServerError, ErrInternal, err.Error(), "")
+}
+
+// clampRetryAfter bounds a Retry-After estimate to [1, 300] whole seconds.
+func clampRetryAfter(sec float64) int {
+	return int(min(max(sec, 1), 300))
 }
 
 // decodeJSON reads a bounded request body with unknown fields rejected —
@@ -250,7 +244,7 @@ type RunResponse struct {
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	const route = "run_submit"
 	if s.isDraining() {
-		s.writeError(w, route, http.StatusServiceUnavailable, ErrDraining, "server draining", "")
+		s.writeError(w, route, http.StatusServiceUnavailable, ErrDraining, s.sf.Name+" draining", "")
 		return
 	}
 	// The wire form IS the canonical run spec: bounded body, unknown fields
@@ -269,24 +263,34 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := sp.ID()
-	s.recordSummary(id, runSummary{Kind: "run", Summary: specSummary(sp)})
-	s.serveComputed(w, r, route, id, false, func(ctx context.Context) ([]byte, error) {
-		return s.simulateRun(ctx, sp, id)
-	})
-}
-
-// serveComputed is the shared cache → coalesce → admit → compute path for
-// runs and suite sweeps.
-func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id string,
-	suite bool, compute func(context.Context) ([]byte, error)) {
-	start := time.Now()
-	if body, ok := s.cache.Get(id); ok {
-		s.met.observeCachedHit(time.Since(start))
+	if body, ok := s.cached(id); ok {
 		s.writeBody(w, route, http.StatusOK, "cache", body)
 		return
 	}
-	body, coalesced, err := s.co.Do(r.Context(), s.baseCtx, id, func(ctx context.Context) ([]byte, error) {
-		release, err := s.adm.admit(ctx)
+	s.serveComputed(w, r, route, id, specSummary(sp), false, func(ctx context.Context) ([]byte, error) {
+		return s.x.Run(ctx, sp, id)
+	})
+}
+
+// cached looks id up in the result cache, timing hits for the cached-hit
+// latency histogram. Handlers call it before building any per-request
+// closure, so a hit allocates nothing beyond the response itself.
+func (s *Server) cached(id string) ([]byte, bool) {
+	start := time.Now()
+	body, ok := s.cache.Get(id)
+	if ok {
+		s.met.observeCachedHit(time.Since(start))
+	}
+	return body, ok
+}
+
+// serveComputed is the shared coalesce → admit → compute → cache path for
+// runs and suite sweeps on a cache miss. summary labels the computation in
+// GET /v1/runs for exactly as long as the coalescer or the cache holds it.
+func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id, summary string,
+	suite bool, compute func(context.Context) ([]byte, error)) {
+	body, coalesced, err := s.co.Do(r.Context(), s.baseCtx, id, summary, func(ctx context.Context) ([]byte, error) {
+		release, err := s.x.Admit(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -298,19 +302,19 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(id, body)
+		s.cache.Put(id, body, summary)
 		return body, nil
 	})
-	source := "simulate"
+	source := s.sf.Source
 	if coalesced {
 		source = "coalesce"
 	}
+	var xe *Error
 	switch {
 	case err == nil:
 		s.writeBody(w, route, http.StatusOK, source, body)
-	case errors.Is(err, errQueueFull):
-		s.writeError(w, route, http.StatusTooManyRequests, ErrQueueFull,
-			"admission queue full; retry after the Retry-After hint", id)
+	case errors.As(err, &xe):
+		s.writeError(w, route, xe.Status, xe.Code, xe.Msg, xe.RunID)
 	case r.Context().Err() != nil:
 		// The client went away; nobody reads this, but the metrics do.
 		s.writeError(w, route, statusClientGone, ErrClientGone, "client disconnected", id)
@@ -324,60 +328,12 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id
 	}
 }
 
-// trace returns the app's canonical trace, generated once per server
-// lifetime (traces are deterministic and immutable once the lazy footprint
-// is primed). Scaled variants of an app get their own entries.
-func (s *Server) trace(app hpe.App) *hpe.Trace {
-	key := fmt.Sprintf("%s/%d", app.Abbr, app.Sets)
-	s.traceMu.Lock()
-	e, ok := s.traces[key]
-	if !ok {
-		e = &traceEntry{}
-		s.traces[key] = e
-	}
-	s.traceMu.Unlock()
-	e.once.Do(func() {
-		tr := app.Generate()
-		tr.Footprint()
-		e.tr = tr
-	})
-	return e.tr
-}
-
-// simulateRun executes one canonicalized run spec under ctx and renders its
-// response body. The spec → (config, trace, policy) materialization lives in
-// runspec; the server only contributes its long-lived trace cache and its
-// metrics probe. Cancelled (partial) results are reported as errors and never
-// rendered or cached.
-func (s *Server) simulateRun(ctx context.Context, sp hpe.RunSpec, id string) ([]byte, error) {
-	m := hpe.NewMetricsProbe()
-	res, err := hpe.Run(sp,
-		hpe.WithContext(ctx),
-		hpe.WithProbe(m),
-		hpe.WithRunEnv(hpe.RunEnv{Trace: s.trace}))
-	if err != nil {
-		return nil, err
-	}
-	s.met.mergeProbe(res.Probe)
-	if res.Cancelled {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, context.Canceled
-	}
-	body, err := json.Marshal(RunResponse{ID: id, Request: sp, Result: res})
-	if err != nil {
-		return nil, fmt.Errorf("render result: %w", err)
-	}
-	return append(body, '\n'), nil
-}
-
 // --- run status ----------------------------------------------------------
 
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	const route = "run_get"
 	id := r.PathValue("id")
-	if body, ok := s.cache.Get(id); ok {
+	if body, ok := s.cached(id); ok {
 		s.writeBody(w, route, http.StatusOK, "cache", body)
 		return
 	}
@@ -386,8 +342,15 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		s.writeBody(w, route, http.StatusAccepted, "", append(body, '\n'))
 		return
 	}
-	s.writeError(w, route, http.StatusNotFound, ErrNotFound,
-		"unknown run id (results live in an LRU cache; re-POST the request to recompute)", id)
+	status, body, source, err := s.x.Lookup(r.Context(), id)
+	if err != nil {
+		s.writeFailure(w, route, err)
+		return
+	}
+	if status == http.StatusOK {
+		s.cache.Put(id, body, "")
+	}
+	s.writeBody(w, route, status, source, body)
 }
 
 // --- suite sweeps --------------------------------------------------------
@@ -409,11 +372,10 @@ type suiteResponse struct {
 	Reports []suiteReport `json:"reports"`
 }
 
-// RenderSuiteBody renders the canonical /v1/suite response body for a
-// normalized request and its reports. The cluster coordinator calls the same
-// function over remotely merged reports, which is what makes a coordinator
-// sweep byte-identical to a single-node one.
-func RenderSuiteBody(id string, req SuiteRequest, reports []hpe.Report) ([]byte, error) {
+// renderSuiteBody renders the canonical /v1/suite response body for a
+// normalized request and its reports. Every role renders through it, which
+// is what makes a coordinator sweep byte-identical to a single-node one.
+func renderSuiteBody(id string, req SuiteRequest, reports []hpe.Report) ([]byte, error) {
 	out := suiteResponse{ID: id, Request: req, Reports: make([]suiteReport, len(reports))}
 	for i, rep := range reports {
 		metrics, clamped := clampMetrics(rep.Metrics)
@@ -430,7 +392,7 @@ func RenderSuiteBody(id string, req SuiteRequest, reports []hpe.Report) ([]byte,
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	const route = "suite_submit"
 	if s.isDraining() {
-		s.writeError(w, route, http.StatusServiceUnavailable, ErrDraining, "server draining", "")
+		s.writeError(w, route, http.StatusServiceUnavailable, ErrDraining, s.sf.Name+" draining", "")
 		return
 	}
 	var req SuiteRequest
@@ -438,37 +400,59 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, route, http.StatusBadRequest, ErrBadSpec, "bad request body: "+err.Error(), "")
 		return
 	}
-	id, err := NormalizeSuite(&req)
+	id, err := normalizeSuite(&req)
 	if err != nil {
 		s.writeError(w, route, http.StatusBadRequest, ErrBadSpec, err.Error(), "")
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.SuiteWorkers {
-		workers = s.cfg.SuiteWorkers
+	if body, ok := s.cached(id); ok {
+		s.writeBody(w, route, http.StatusOK, "cache", body)
+		return
 	}
+	hint := req.Workers
 	req.Workers = 0 // scheduling hint: kept out of the cached body
-	s.recordSummary(id, runSummary{Kind: "suite",
-		Summary: fmt.Sprintf("%d experiments, quick=%t, seed=%d", len(req.IDs), req.Quick, req.Seed)})
-	s.serveComputed(w, r, route, id, true, func(ctx context.Context) ([]byte, error) {
-		return s.sweepSuite(ctx, req, id, workers)
+	summary := fmt.Sprintf("%d experiments, quick=%t, seed=%d", len(req.IDs), req.Quick, req.Seed)
+	s.serveComputed(w, r, route, id, summary, true, func(ctx context.Context) ([]byte, error) {
+		return s.sweepSuite(ctx, req, id, hint)
 	})
 }
 
-// sweepSuite runs a whole-matrix sweep through the experiment harness,
-// sharded across the PR-1 worker pool under the request's context.
-func (s *Server) sweepSuite(ctx context.Context, req SuiteRequest, id string, workers int) ([]byte, error) {
-	suite := hpe.NewSuite(hpe.SuiteOptions{
-		Quick:   req.Quick,
-		Seed:    req.Seed,
-		Workers: workers,
-		Context: ctx,
-	})
-	reports, err := suite.Reports(req.IDs)
+// sweepSuite runs a whole-matrix sweep through the experiment harness under
+// the request's context, with the executor's per-cell runner and worker
+// count. The first runner error cancels the rest of the matrix and is the
+// sweep's error: a partial sweep is never rendered.
+func (s *Server) sweepSuite(ctx context.Context, req SuiteRequest, id string, hint int) ([]byte, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	runner, workers := s.x.Sweep(id, hint)
+	opts := hpe.SuiteOptions{Quick: req.Quick, Seed: req.Seed, Workers: workers, Context: ctx}
+
+	var errMu sync.Mutex
+	var cellErr error // guarded by errMu
+	if runner != nil {
+		opts.Runner = func(rctx context.Context, sp runspec.Spec, rid string) (hpe.Result, error) {
+			res, err := runner(rctx, sp, rid)
+			if err != nil {
+				errMu.Lock()
+				if cellErr == nil {
+					cellErr = err
+				}
+				errMu.Unlock()
+				cancel()
+			}
+			return res, err
+		}
+	}
+	reports, err := hpe.NewSuite(opts).Reports(req.IDs)
+	errMu.Lock()
+	if cellErr != nil {
+		err = cellErr
+	}
+	errMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return RenderSuiteBody(id, req, reports)
+	return renderSuiteBody(id, req, reports)
 }
 
 // clampMetrics rewrites values JSON cannot carry, recording every rewrite.
@@ -500,6 +484,9 @@ func clampMetrics(in map[string]float64) (map[string]float64, map[string]string)
 
 // --- catalog endpoints ---------------------------------------------------
 
+// The catalogs are compiled into every hped binary, so each role serves the
+// identical bytes locally.
+
 type policyJSON struct {
 	Name          string   `json:"name"`
 	Display       string   `json:"display"`
@@ -510,9 +497,8 @@ type policyJSON struct {
 	NeedsHIR      bool     `json:"needs_hir,omitempty"`
 }
 
-// PoliciesBody renders the /v1/policies catalog body. The coordinator serves
-// the identical bytes (the registry is compiled into both binaries).
-func PoliciesBody() []byte {
+// policiesBody renders the /v1/policies catalog body.
+func policiesBody() []byte {
 	infos := hpe.Policies()
 	out := make([]policyJSON, len(infos))
 	for i, info := range infos {
@@ -525,10 +511,6 @@ func PoliciesBody() []byte {
 	return append(body, '\n')
 }
 
-func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	s.writeBody(w, "policies", http.StatusOK, "", PoliciesBody())
-}
-
 type appJSON struct {
 	Name           string `json:"name"`
 	Abbr           string `json:"abbr"`
@@ -539,20 +521,8 @@ type appJSON struct {
 	ComputeGap     int    `json:"compute_gap"`
 }
 
-// ScenariosBody renders the /v1/scenarios catalog body: the named
-// workload-v2 presets, ready to paste into a run spec's phases/tenants
-// fields. Shared with the coordinator (compiled into both binaries).
-func ScenariosBody() []byte {
-	body, _ := json.Marshal(hpe.Scenarios())
-	return append(body, '\n')
-}
-
-func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	s.writeBody(w, "scenarios", http.StatusOK, "", ScenariosBody())
-}
-
-// AppsBody renders the /v1/apps catalog body, shared with the coordinator.
-func AppsBody() []byte {
+// appsBody renders the /v1/apps catalog body.
+func appsBody() []byte {
 	apps := hpe.Workloads()
 	out := make([]appJSON, len(apps))
 	for i, a := range apps {
@@ -564,33 +534,40 @@ func AppsBody() []byte {
 	return append(body, '\n')
 }
 
-func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
-	s.writeBody(w, "apps", http.StatusOK, "", AppsBody())
+// scenariosBody renders the /v1/scenarios catalog body: the named
+// workload-v2 presets, ready to paste into a run spec's phases/tenants
+// fields.
+func scenariosBody() []byte {
+	body, _ := json.Marshal(hpe.Scenarios())
+	return append(body, '\n')
+}
+
+func (s *Server) handleCatalog(route string, render func() []byte) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.writeBody(w, route, http.StatusOK, "", render())
+	}
 }
 
 // --- health and metrics --------------------------------------------------
 
-// HealthBody is the /healthz response: liveness plus the capacity figures
-// the cluster coordinator sizes its per-backend dispatch window and
-// saturation model from.
-type HealthBody struct {
-	Status  string `json:"status"`
-	Workers int    `json:"workers"`
-	Queue   int    `json:"queue"`
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	const route = "healthz"
 	if s.isDraining() {
-		s.writeError(w, "healthz", http.StatusServiceUnavailable, ErrDraining, "draining", "")
+		s.writeError(w, route, http.StatusServiceUnavailable, ErrDraining, "draining", "")
 		return
 	}
-	body, _ := json.Marshal(HealthBody{Status: "ok", Workers: s.cfg.Workers, Queue: s.cfg.QueueDepth})
-	s.writeBody(w, "healthz", http.StatusOK, "", append(body, '\n'))
+	body, err := s.x.Health()
+	if err != nil {
+		s.writeFailure(w, route, err)
+		return
+	}
+	s.writeBody(w, route, http.StatusOK, "", body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	queued, running := s.adm.Depths()
-	s.met.render(w, s.cache.Snapshot(), queued, running, s.adm.Rejected(), s.co.Coalesced())
+	w.Header().Set("Content-Type", promtext.ContentType)
+	p := promtext.New(w)
+	s.met.render(p, s.cache.Snapshot(), s.co.Coalesced())
+	s.x.Metrics(p)
 	s.met.observeRequest("metrics", http.StatusOK)
 }

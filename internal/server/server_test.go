@@ -242,11 +242,11 @@ func waitInflight(t *testing.T, srv *Server, id string) {
 // --- cancellation ---------------------------------------------------------
 
 // simEventsTotal sums the merged probe event counts across kinds.
-func (m *serverMetrics) simEventsTotal() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (l *local) simEventsTotal() uint64 {
+	l.simMu.Lock()
+	defer l.simMu.Unlock()
 	var total uint64
-	for _, n := range m.simEvents {
+	for _, n := range l.simEvents {
 		total += n
 	}
 	return total
@@ -303,9 +303,9 @@ func TestCancelledRequestStopsSimulation(t *testing.T) {
 	}
 
 	// Probe events have ceased: totals are stable once the engine stopped.
-	partial := srv.met.simEventsTotal()
+	partial := srv.x.(*local).simEventsTotal()
 	time.Sleep(200 * time.Millisecond)
-	if after := srv.met.simEventsTotal(); after != partial {
+	if after := srv.x.(*local).simEventsTotal(); after != partial {
 		t.Errorf("probe events still flowing after cancellation: %d -> %d", partial, after)
 	}
 
@@ -320,7 +320,7 @@ func TestCancelledRequestStopsSimulation(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("re-run after cancel: %d: %s", code, b)
 	}
-	full := srv.met.simEventsTotal() - partial
+	full := srv.x.(*local).simEventsTotal() - partial
 	if full <= partial {
 		t.Errorf("cancelled run merged %d events, full run %d — cancellation did not stop the engine early",
 			partial, full)
@@ -346,7 +346,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	// happens inside the coalescer's computation, just after inflight).
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, running := srv.adm.Depths(); running == 1 {
+		if _, running := srv.x.(*local).adm.Depths(); running == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -369,7 +369,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 		t.Errorf("429 envelope = %+v (ok=%t), want code %q", eb, ok, ErrQueueFull)
 	}
 	assertRetryAfter(t, resp.Header)
-	if srv.adm.Rejected() == 0 {
+	if srv.x.(*local).adm.Rejected() == 0 {
 		t.Errorf("rejection not counted")
 	}
 	<-done
@@ -470,6 +470,9 @@ func TestMetricsExposition(t *testing.T) {
 		"hped_cache_hits_total 1",
 		"hped_cache_misses_total 1",
 		"hped_cache_entries 1",
+		"hped_queue_depth 0",
+		"hped_running 0",
+		"hped_queue_rejected_total 0",
 		`hped_cached_hit_latency_seconds_bucket{le="+Inf"} 1`,
 		"hped_cached_hit_latency_seconds_count 1",
 		`hped_run_latency_seconds_bucket{le="+Inf"} 1`,
