@@ -2,17 +2,17 @@
 # `make check` is the full pre-merge gate: tier-1 (build + test), static
 # analysis (go vet + hpelint), the race-detector subsets over the suite's
 # shared-cache paths, the probe hot path and the serving layer, the fuzz
-# seed corpus, and the perfbench module (a separate module that root
+# seed corpus, the runnable examples, and the perfbench module (a separate module that root
 # `go build ./...` never compiles, but that drives the server and cluster
 # APIs). One command reproduces everything CI would ask for.
 
 GO ?= go
 
-.PHONY: all check build test vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed perfbench-check bench bench-probe bench-json bench-smoke clean
+.PHONY: all check build test vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe bench-json bench-smoke clean
 
 all: check
 
-check: build vet lint spec-goldens test race race-probe serve-check workload-check fuzz-seed perfbench-check bench-smoke
+check: build vet lint spec-goldens test race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench-smoke
 
 # Tier-1 verify (ROADMAP.md).
 build:
@@ -81,6 +81,16 @@ workload-check:
 # `go test -fuzz=FuzzDecode ./internal/runspec/` to explore).
 fuzz-seed:
 	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/
+
+# Run every example end to end (each takes well under a second): they
+# exercise the public facade the way a library user does, so an API change
+# that compiles but breaks a walk-through fails here.
+EXAMPLES := quickstart policycompare oversubscription patternexplorer uvmtuning
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "go run ./examples/$$e"; \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
 
 # The perfbench module builds against this module's internal packages; vet
 # and test it so an API reshape cannot silently break the benchmark.

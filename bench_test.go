@@ -15,6 +15,9 @@ import (
 
 	"hpe"
 	"hpe/internal/experiments"
+	"hpe/internal/gpu"
+	hpecore "hpe/internal/hpe"
+	"hpe/internal/registry"
 )
 
 func quickSuite() *experiments.Suite {
@@ -218,26 +221,53 @@ func BenchmarkOverheadAnalysis(b *testing.B) {
 
 // --- Ablations (DESIGN.md design-choice benches) --------------------------------
 
-// thrashingSetup returns the Type II workload and memory the ablations use.
-func thrashingSetup() (*hpe.Trace, int) {
-	app, _ := hpe.WorkloadByAbbr("HSD")
-	tr := app.Generate()
-	return tr, tr.Footprint() * 3 / 4
+// thrashing is the Type II workload and memory the ablations use.
+var thrashing = hpe.RunSpec{App: "HSD", Rate: 75}
+
+// traceCache generates each workload's trace once, so benchmark loops time
+// the simulation rather than trace generation.
+func traceCache() hpe.RunEnv {
+	traces := map[string]*hpe.Trace{}
+	return hpe.RunEnv{Trace: func(app hpe.App) *hpe.Trace {
+		tr, ok := traces[app.Abbr]
+		if !ok {
+			tr = app.Generate()
+			traces[app.Abbr] = tr
+		}
+		return tr
+	}}
+}
+
+// runHPEConfig runs spec on the simulator with an HPE policy built from cfg
+// — for ablation configs a RunSpec cannot express. The spec's own
+// materialization supplies the trace, system config and HIR attachment.
+func runHPEConfig(b *testing.B, sp hpe.RunSpec, env hpe.RunEnv, cfg hpecore.Config) hpe.Result {
+	b.Helper()
+	sp.Policy = "hpe"
+	m, err := sp.Materialize(env)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol, err := registry.New("hpe", registry.WithHPEConfig(cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return gpu.Run(m.Config, m.Trace, pol)
 }
 
 // BenchmarkAblationHIRBatching compares full HPE (HIR, batched hits, transfer
 // latency charged) against the ideal direct hit feed — the cost of the
 // paper's hardware-frugal hit channel.
 func BenchmarkAblationHIRBatching(b *testing.B) {
-	tr, capacity := thrashingSetup()
+	env := traceCache()
+	direct := thrashing
+	direct.HIR = "off"
+	cfg := hpecore.DefaultConfig()
+	cfg.IdealHitFeed = true
 	var batched, ideal uint64
 	for i := 0; i < b.N; i++ {
-		res := hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, hpe.DefaultHPEConfig())
-		batched = res.Faults
-		cfg := hpe.DefaultHPEConfig()
-		cfg.IdealHitFeed = true
-		res = hpe.Simulate(hpe.SystemConfig(capacity), tr, hpe.NewHPE(cfg))
-		ideal = res.Faults
+		batched = mustRun(b, thrashing, "hpe", hpe.WithRunEnv(env)).Faults
+		ideal = runHPEConfig(b, direct, env, cfg).Faults
 	}
 	b.ReportMetric(float64(batched), "faults-hir")
 	b.ReportMetric(float64(ideal), "faults-idealfeed")
@@ -247,17 +277,14 @@ func BenchmarkAblationHIRBatching(b *testing.B) {
 // paper's misclassification example: without adjustment BFS stays on LRU and
 // thrashes.
 func BenchmarkAblationDynamicAdjustment(b *testing.B) {
-	app, _ := hpe.WorkloadByAbbr("BFS")
-	tr := app.Generate()
-	capacity := tr.Footprint() * 3 / 4
+	env := traceCache()
+	bfs := hpe.RunSpec{App: "BFS", Rate: 75}
+	cfg := hpecore.DefaultConfig()
+	cfg.DynamicAdjustment = false
 	var on, off uint64
 	for i := 0; i < b.N; i++ {
-		res := hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, hpe.DefaultHPEConfig())
-		on = res.Faults
-		cfg := hpe.DefaultHPEConfig()
-		cfg.DynamicAdjustment = false
-		res = hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, cfg)
-		off = res.Faults
+		on = mustRun(b, bfs, "hpe", hpe.WithRunEnv(env)).Faults
+		off = runHPEConfig(b, bfs, env, cfg).Faults
 	}
 	b.ReportMetric(float64(on), "faults-adjust-on")
 	b.ReportMetric(float64(off), "faults-adjust-off")
@@ -266,17 +293,14 @@ func BenchmarkAblationDynamicAdjustment(b *testing.B) {
 // BenchmarkAblationDivision quantifies page-set division on NW, the paper's
 // even/odd example.
 func BenchmarkAblationDivision(b *testing.B) {
-	app, _ := hpe.WorkloadByAbbr("NW")
-	tr := app.Generate()
-	capacity := tr.Footprint() / 2
+	env := hpe.WithRunEnv(traceCache())
+	nw := hpe.RunSpec{App: "NW", Rate: 50}
+	undivided := nw
+	undivided.Tuning.HPEDisableDivision = true
 	var on, off uint64
 	for i := 0; i < b.N; i++ {
-		res := hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, hpe.DefaultHPEConfig())
-		on = res.Faults
-		cfg := hpe.DefaultHPEConfig()
-		cfg.DisableDivision = true
-		res = hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, cfg)
-		off = res.Faults
+		on = mustRun(b, nw, "hpe", env).Faults
+		off = mustRun(b, undivided, "hpe", env).Faults
 	}
 	b.ReportMetric(float64(on), "faults-division-on")
 	b.ReportMetric(float64(off), "faults-division-off")
@@ -285,11 +309,11 @@ func BenchmarkAblationDivision(b *testing.B) {
 // BenchmarkAblationExtraBaselines runs the baselines the paper mentions but
 // does not plot (FIFO, LFU) on the thrashing workload.
 func BenchmarkAblationExtraBaselines(b *testing.B) {
-	tr, capacity := thrashingSetup()
+	env := hpe.WithRunEnv(traceCache())
 	var fifo, lfu uint64
 	for i := 0; i < b.N; i++ {
-		fifo = hpe.Simulate(hpe.SystemConfig(capacity), tr, hpe.NewFIFO()).Faults
-		lfu = hpe.Simulate(hpe.SystemConfig(capacity), tr, hpe.NewLFU()).Faults
+		fifo = mustRun(b, thrashing, "fifo", env).Faults
+		lfu = mustRun(b, thrashing, "lfu", env).Faults
 	}
 	b.ReportMetric(float64(fifo), "faults-fifo")
 	b.ReportMetric(float64(lfu), "faults-lfu")
@@ -302,10 +326,10 @@ func BenchmarkAblationExtraBaselines(b *testing.B) {
 // emission site is one nil check). Compare against BenchmarkMetricsProbe to
 // price the instrumentation itself.
 func BenchmarkNilProbe(b *testing.B) {
-	tr, capacity := thrashingSetup()
+	env := hpe.WithRunEnv(traceCache())
 	total := 0
 	for i := 0; i < b.N; i++ {
-		res := hpe.Simulate(hpe.SystemConfig(capacity), tr, hpe.NewLRU())
+		res := mustRun(b, thrashing, "lru", env)
 		total += int(res.Accesses)
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "accesses/s")
@@ -314,11 +338,11 @@ func BenchmarkNilProbe(b *testing.B) {
 // BenchmarkMetricsProbe runs the same simulation with a Metrics probe
 // attached — the cheapest real probe, priced per event.
 func BenchmarkMetricsProbe(b *testing.B) {
-	tr, capacity := thrashingSetup()
+	env := hpe.WithRunEnv(traceCache())
 	total := 0
 	for i := 0; i < b.N; i++ {
 		m := hpe.NewMetricsProbe()
-		res := hpe.Simulate(hpe.SystemConfig(capacity), tr, hpe.NewLRU(), hpe.WithProbe(m))
+		res := mustRun(b, thrashing, "lru", env, hpe.WithProbe(m))
 		total += int(res.Accesses)
 		if res.Probe == nil || res.Probe.Events == 0 {
 			b.Fatal("metrics probe observed nothing")
@@ -330,13 +354,13 @@ func BenchmarkMetricsProbe(b *testing.B) {
 // BenchmarkSimulatorThroughput measures raw simulator speed (accesses per
 // second of wall time) on the largest workload.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	app, _ := hpe.WorkloadByAbbr("KMN")
-	tr := app.Generate()
-	capacity := tr.Footprint() * 3 / 4
+	kmn := hpe.RunSpec{App: "KMN", Rate: 75}
+	env := hpe.WithRunEnv(traceCache())
+	mustRun(b, kmn, "lru", env) // generate the trace outside the timed loop
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		res := hpe.Simulate(hpe.SystemConfig(capacity), tr, hpe.NewLRU())
+		res := mustRun(b, kmn, "lru", env)
 		total += int(res.Accesses)
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "accesses/s")
@@ -411,12 +435,12 @@ func BenchmarkExtPrefetchStudy(b *testing.B) {
 // thrashing workload: page-level LRU vs set-level LRU (granularity only) vs
 // full HPE (granularity + partitions + classification).
 func BenchmarkAblationSetGranularity(b *testing.B) {
-	tr, capacity := thrashingSetup()
+	env := hpe.WithRunEnv(traceCache())
 	var page, set, full uint64
 	for i := 0; i < b.N; i++ {
-		page = hpe.Simulate(hpe.SystemConfig(capacity), tr, hpe.NewLRU()).Faults
-		set = hpe.Simulate(hpe.SystemConfig(capacity), tr, hpe.NewSetLRU()).Faults
-		full = hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, hpe.DefaultHPEConfig()).Faults
+		page = mustRun(b, thrashing, "lru", env).Faults
+		set = mustRun(b, thrashing, "setlru", env).Faults
+		full = mustRun(b, thrashing, "hpe", env).Faults
 	}
 	b.ReportMetric(float64(page), "faults-page-lru")
 	b.ReportMetric(float64(set), "faults-set-lru")

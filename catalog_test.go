@@ -58,11 +58,9 @@ func TestCatalogContract(t *testing.T) {
 			t.Errorf("%s: no contract recorded", app.Abbr)
 			continue
 		}
-		tr := app.Generate()
-		capacity := tr.Footprint() * 75 / 100
-		cfg := hpe.SystemConfig(capacity)
-		lru := hpe.Simulate(cfg, tr, hpe.NewLRU())
-		res := hpe.SimulateHPE(cfg, tr, hpe.DefaultHPEConfig())
+		sp := hpe.RunSpec{App: app.Abbr, Rate: 75}
+		lru := mustRun(t, sp, "lru")
+		res := mustRun(t, sp, "hpe")
 		st, haveStats := hpe.HPEStatsOf(res)
 		if !haveStats || !st.Classified {
 			t.Errorf("%s: HPE never classified", app.Abbr)

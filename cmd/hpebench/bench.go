@@ -76,7 +76,7 @@ type benchReport struct {
 
 // requiredBenchmarks are the keys every report must carry.
 var requiredBenchmarks = []string{
-	"engine_closure", "engine_handler", "engine_cascade", "reference_engine",
+	"engine_handler", "engine_cascade", "reference_engine",
 }
 
 var benchFileRe = regexp.MustCompile(`^BENCH_([0-9]+)\.json$`)
@@ -174,16 +174,6 @@ func benchLoop(iters int, inner func()) benchResult {
 // across 97 distinct cycles, scheduled up front and drained, so `go test
 // -bench` numbers and BENCH_<n>.json entries are directly comparable.
 
-func benchEngineClosure(iters int) benchResult {
-	return benchLoop(iters, func() {
-		e := sim.NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.At(sim.Cycle(j%97), func() {})
-		}
-		e.Run()
-	})
-}
-
 type benchNoop struct{ n int }
 
 func (h *benchNoop) OnEvent(a0, a1 uint64) { h.n++ }
@@ -247,7 +237,6 @@ func runBenchJSON(path string, iters int, quick bool) error {
 		N:      n,
 		Iters:  iters,
 		Benchmarks: map[string]benchResult{
-			"engine_closure":   benchEngineClosure(iters),
 			"engine_handler":   benchEngineHandler(iters),
 			"engine_cascade":   benchEngineCascade(iters),
 			"reference_engine": benchReference(iters),

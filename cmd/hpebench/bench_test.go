@@ -87,7 +87,6 @@ func validReport() benchReport {
 		N:      1,
 		Iters:  1,
 		Benchmarks: map[string]benchResult{
-			"engine_closure":   bench,
 			"engine_handler":   bench,
 			"engine_cascade":   bench,
 			"reference_engine": bench,
@@ -120,7 +119,7 @@ func TestValidateBenchReportRejections(t *testing.T) {
 			r.Benchmarks["engine_cascade"] = benchResult{NsPerOp: 1, BytesPerOp: math.Inf(1)}
 		}},
 		{"zero ns_per_op", func(r *benchReport) {
-			r.Benchmarks["engine_closure"] = benchResult{NsPerOp: 0}
+			r.Benchmarks["reference_engine"] = benchResult{NsPerOp: 0}
 		}},
 		{"zero sweep seconds", func(r *benchReport) { r.FullSweep.Seconds = 0 }},
 		{"NaN sweep seconds", func(r *benchReport) { r.FullSweep.Seconds = math.NaN() }},

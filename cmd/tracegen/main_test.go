@@ -99,10 +99,9 @@ func TestWriteReloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCapturedTraceReplayReproducesFaults is the ISSUE acceptance check: a
-// tracegen-captured v2 trace, read back from disk, replays through
-// policy.Replay reproducing the originating run's fault count — including
-// the per-tenant attribution.
+// TestCapturedTraceReplayReproducesFaults: a tracegen-captured v2 trace,
+// read back from disk, replays through hpe.ReplaySpec reproducing the
+// originating run's fault count — including the per-tenant attribution.
 func TestCapturedTraceReplayReproducesFaults(t *testing.T) {
 	app, err := resolveApp("", "", "HSD,BFS", "", 512)
 	if err != nil {
@@ -112,8 +111,15 @@ func TestCapturedTraceReplayReproducesFaults(t *testing.T) {
 	if !tr.Annotated() {
 		t.Fatal("colocated trace should carry v2 annotations")
 	}
-	capacity := tr.Footprint() / 2
-	origin := hpe.Replay(tr, hpe.NewLRU(), capacity)
+	// The originating run replays the in-memory trace; the captured run
+	// below reads the written file, both through the same spec.
+	spec := hpe.RunSpec{App: "trace:origin", Policy: "lru", Rate: 50}
+	origin, err := hpe.ReplaySpec(spec, hpe.WithRunEnv(hpe.RunEnv{
+		ReadTrace: func(string) (*hpe.Trace, error) { return tr, nil },
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if origin.Faults == 0 {
 		t.Fatal("originating run produced no faults")
 	}
@@ -125,17 +131,11 @@ func TestCapturedTraceReplayReproducesFaults(t *testing.T) {
 	if err := writeTrace(tr, path); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	spec.App = "trace:" + path
+	replayed, err := hpe.ReplaySpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	captured, err := trace.Read(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	replayed := hpe.Replay(captured, hpe.NewLRU(), capacity)
 	if replayed.Faults != origin.Faults {
 		t.Fatalf("captured replay faults %d != originating %d", replayed.Faults, origin.Faults)
 	}

@@ -7,16 +7,17 @@ import (
 	"hpe"
 )
 
-// ExampleSimulate reproduces the paper's headline comparison on hotspot3D:
+// ExampleRun reproduces the paper's headline comparison on hotspot3D:
 // HPE versus LRU at 75% oversubscription.
-func ExampleSimulate() {
-	app, _ := hpe.WorkloadByAbbr("HSD")
-	tr := app.Generate()
-	capacity := tr.Footprint() * 75 / 100
-
-	cfg := hpe.SystemConfig(capacity)
-	lru := hpe.Simulate(cfg, tr, hpe.NewLRU())
-	hp := hpe.SimulateHPE(cfg, tr, hpe.DefaultHPEConfig())
+func ExampleRun() {
+	lru, err := hpe.Run(hpe.RunSpec{App: "HSD", Policy: "lru", Rate: 75})
+	if err != nil {
+		panic(err)
+	}
+	hp, err := hpe.Run(hpe.RunSpec{App: "HSD", Policy: "hpe", Rate: 75})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("LRU faults: %d\n", lru.Faults)
 	fmt.Printf("HPE faults: %d\n", hp.Faults)
@@ -27,15 +28,17 @@ func ExampleSimulate() {
 	// speedup: 2.37x
 }
 
-// ExampleReplay uses the timing-free replay to compare eviction counts —
+// ExampleReplaySpec uses the timing-free replay to compare eviction counts —
 // the fast path for policy studies that don't need the GPU timing model.
-func ExampleReplay() {
-	app, _ := hpe.WorkloadByAbbr("STN")
-	tr := app.Generate()
-	capacity := tr.Footprint() * 3 / 4
-
-	lru := hpe.Replay(tr, hpe.NewLRU(), capacity)
-	ideal := hpe.Replay(tr, hpe.NewIdeal(tr), capacity)
+func ExampleReplaySpec() {
+	lru, err := hpe.ReplaySpec(hpe.RunSpec{App: "STN", Policy: "lru", Rate: 75})
+	if err != nil {
+		panic(err)
+	}
+	ideal, err := hpe.ReplaySpec(hpe.RunSpec{App: "STN", Policy: "ideal", Rate: 75})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("LRU evicts %.1fx what Belady-MIN would\n",
 		float64(lru.Evictions)/float64(ideal.Evictions))
@@ -43,31 +46,26 @@ func ExampleReplay() {
 	// LRU evicts 3.4x what Belady-MIN would
 }
 
-// ExampleNewPolicy builds policies by registry name — the API the experiment
-// harness and both CLIs use. Options a policy does not understand are
-// ignored, so one uniform option set serves the whole registry.
-func ExampleNewPolicy() {
-	pol, err := hpe.NewPolicy("clock-pro", hpe.WithCapacity(1024))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(pol.Name())
+// ExamplePolicyNames lists the registry names a RunSpec's Policy field
+// accepts; aliases such as "clock-pro" resolve to the same entries.
+func ExamplePolicyNames() {
 	fmt.Println(strings.Join(hpe.PolicyNames(), " "))
+	info, _ := hpe.LookupPolicy("clock-pro")
+	fmt.Println(info.Name, info.Display)
 	// Output:
-	// CLOCK-Pro
 	// lru random rrip clockpro ideal hpe fifo lfu clock nru arc setlru
+	// clockpro CLOCK-Pro
 }
 
 // ExampleWithProbe attaches a metrics probe to a run. Probes observe the
 // simulator's typed event stream without changing any result; the metrics
 // snapshot surfaces on Result.Probe.
 func ExampleWithProbe() {
-	app, _ := hpe.WorkloadByAbbr("HSD")
-	tr := app.Generate()
-	cfg := hpe.SystemConfig(tr.Footprint() * 75 / 100)
-
 	m := hpe.NewMetricsProbe()
-	res := hpe.Simulate(cfg, tr, hpe.NewLRU(), hpe.WithProbe(m))
+	res, err := hpe.Run(hpe.RunSpec{App: "HSD", Policy: "lru", Rate: 75}, hpe.WithProbe(m))
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("faults: %d\n", res.Faults)
 	fmt.Printf("probe fault_end events: %d\n", res.Probe.Count("fault_end"))
@@ -78,9 +76,11 @@ func ExampleWithProbe() {
 
 // ExampleHPEStatsOf inspects HPE's classification of a workload.
 func ExampleHPEStatsOf() {
-	app, _ := hpe.WorkloadByAbbr("KMN") // kmeans: the paper's ratio1 outlier
-	tr := app.Generate()
-	res := hpe.SimulateHPE(hpe.SystemConfig(tr.Footprint()*3/4), tr, hpe.DefaultHPEConfig())
+	// kmeans: the paper's ratio1 outlier
+	res, err := hpe.Run(hpe.RunSpec{App: "KMN", Policy: "hpe", Rate: 75})
+	if err != nil {
+		panic(err)
+	}
 
 	if st, ok := hpe.HPEStatsOf(res); ok {
 		fmt.Printf("category: %v\n", st.Category)

@@ -25,28 +25,27 @@ func main() {
 	}
 	tr := app.Generate()
 	fmt.Printf("%s: %d pages footprint, %d references\n\n", app, tr.Footprint(), tr.Len())
+	// Every run below simulates this one trace; the env spares each Run a
+	// regeneration.
+	env := hpe.WithRunEnv(hpe.RunEnv{Trace: func(hpe.App) *hpe.Trace { return tr }})
 
-	rates := []int{100, 90, 75, 60, 50, 40}
+	policies := []string{"lru", "random", "clockpro", "ideal", "hpe"}
 	fmt.Printf("%-6s", "rate")
-	for _, name := range []string{"LRU", "Random", "CLOCK-Pro", "Ideal", "HPE"} {
-		fmt.Printf("  %12s", name)
+	for _, name := range policies {
+		info, _ := hpe.LookupPolicy(name)
+		fmt.Printf("  %12s", info.Display)
 	}
 	fmt.Println("   (faults; lower is better)")
-	for _, rate := range rates {
-		capacity := tr.Footprint() * rate / 100
-		if capacity < 1 {
-			capacity = 1
-		}
-		cfg := hpe.SystemConfig(capacity)
+	for _, rate := range []int{100, 90, 75, 60, 50, 40} {
 		fmt.Printf("%3d%%  ", rate)
-		for _, pol := range []hpe.Policy{
-			hpe.NewLRU(), hpe.NewRandom(1), hpe.NewClockPro(capacity), hpe.NewIdeal(tr),
-		} {
-			res := hpe.Simulate(cfg, tr, pol)
+		for _, name := range policies {
+			res, err := hpe.Run(hpe.RunSpec{App: abbr, Policy: name, Rate: rate}, env)
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("  %12d", res.Faults)
 		}
-		res := hpe.SimulateHPE(cfg, tr, hpe.DefaultHPEConfig())
-		fmt.Printf("  %12d\n", res.Faults)
+		fmt.Println()
 	}
 	fmt.Println("\nAt 100% everything faults exactly once per page (compulsory misses).")
 	fmt.Println("Below that, the gap between a policy's column and Ideal's is pure")

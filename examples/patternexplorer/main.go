@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"hpe"
 	"hpe/internal/addrspace"
@@ -23,8 +24,10 @@ func main() {
 			p := trace.Profiler(tr, addrspace.DefaultGeometry())
 
 			// Run the real simulator long enough for HPE to classify.
-			capacity := tr.Footprint() * 3 / 4
-			res := hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, hpe.DefaultHPEConfig())
+			res, err := hpe.Run(hpe.RunSpec{App: app.Abbr, Policy: "hpe", Rate: 75})
+			if err != nil {
+				log.Fatal(err)
+			}
 
 			cat, ratios := "never full", ""
 			if st, ok := hpe.HPEStatsOf(res); ok && st.Classified {

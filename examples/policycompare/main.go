@@ -1,11 +1,13 @@
 // Policy comparison: every policy head-to-head over every Fig. 2 access
-// pattern using the fast timing-free replay (demand paging only), showing
+// pattern using the fast timing-free replay (demand paging only; HPE runs
+// on the timing simulator, which models its hit channel), showing
 // where each policy's weakness lives — LRU's thrashing cliff, RRIP's
 // instant thrashing, CLOCK-Pro and Random losing Type VI's recency signal.
 package main
 
 import (
 	"fmt"
+	"log"
 
 	"hpe"
 	"hpe/internal/addrspace"
@@ -27,25 +29,43 @@ func main() {
 		{"Type VI (regions)", func(b *workload.Builder) { workload.RegionMoving(b, 100, 2, 3, 1) }},
 	}
 
-	fmt.Printf("%-22s %9s %9s %9s %9s %9s %9s %9s\n",
-		"pattern (100 sets)", "Ideal", "LRU", "FIFO", "Random", "RRIP", "CLOCKPro", "HPE")
+	// The synthetic traces reach the RunSpec as "trace:<name>" sources: the
+	// env's ReadTrace hook resolves each name to its in-memory trace.
+	traces := map[string]*hpe.Trace{}
+	env := hpe.WithRunEnv(hpe.RunEnv{ReadTrace: func(name string) (*hpe.Trace, error) {
+		return traces[name], nil
+	}})
+	baselines := []string{"ideal", "lru", "fifo", "random", "rrip", "clockpro"}
+
+	fmt.Printf("%-22s", "pattern (100 sets)")
+	for _, name := range append(baselines, "hpe") {
+		info, _ := hpe.LookupPolicy(name)
+		fmt.Printf(" %9s", info.Display)
+	}
+	fmt.Println()
 	for _, p := range patterns {
 		b := workload.NewBuilder(addrspace.DefaultGeometry(), 0x8000, 42)
 		p.gen(b)
-		tr := b.Build(p.name)
-		capacity := tr.Footprint() * 3 / 4
+		traces[p.name] = b.Build(p.name)
+		spec := hpe.RunSpec{App: "trace:" + p.name, Rate: 75, Seed: 7}
 
 		fmt.Printf("%-22s", p.name)
-		for _, pol := range []hpe.Policy{
-			hpe.NewIdeal(tr), hpe.NewLRU(), hpe.NewFIFO(), hpe.NewRandom(7),
-			hpe.NewRRIP(hpe.DefaultRRIPConfig()), hpe.NewClockPro(capacity),
-		} {
-			fmt.Printf(" %9d", hpe.Replay(tr, pol, capacity).Faults)
+		for _, name := range baselines {
+			spec.Policy = name
+			res, err := hpe.ReplaySpec(spec, env)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf(" %9d", res.Faults)
 		}
-		// HPE with the ideal hit feed (Replay has no HIR hardware).
-		cfg := hpe.DefaultHPEConfig()
-		cfg.IdealHitFeed = true
-		fmt.Printf(" %9d\n", hpe.Replay(tr, hpe.NewHPE(cfg), capacity).Faults)
+		// HPE learns from walk hits through its HIR hardware, which only the
+		// timing simulator models, so its column comes from Run.
+		spec.Policy = "hpe"
+		res, err := hpe.Run(spec, env)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf(" %9d\n", res.Faults)
 	}
 	fmt.Println("\nfault counts at 75% oversubscription; every page is referenced at least")
 	fmt.Println("once, so the floor is the footprint (compulsory misses).")

@@ -11,20 +11,19 @@ import (
 )
 
 func main() {
-	app, ok := hpe.WorkloadByAbbr("HSD")
-	if !ok {
-		log.Fatal("HSD missing from the catalog")
+	// A RunSpec names one result: workload, eviction policy, and the
+	// oversubscription rate (75%: only three quarters of the footprint fits).
+	lru, err := hpe.Run(hpe.RunSpec{App: "HSD", Policy: "lru", Rate: 75})
+	if err != nil {
+		log.Fatal(err)
 	}
-	tr := app.Generate()
+	hp, err := hpe.Run(hpe.RunSpec{App: "HSD", Policy: "hpe", Rate: 75})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// 75% oversubscription: only three quarters of the footprint fits.
-	capacity := tr.Footprint() * 75 / 100
-	cfg := hpe.SystemConfig(capacity)
-
-	lru := hpe.Simulate(cfg, tr, hpe.NewLRU())
-	hp := hpe.SimulateHPE(cfg, tr, hpe.DefaultHPEConfig())
-
-	fmt.Printf("workload: %s (%d pages, memory %d pages)\n", app, tr.Footprint(), capacity)
+	app, _ := hpe.WorkloadByAbbr("HSD")
+	fmt.Printf("workload: %s at 75%% oversubscription\n", app)
 	fmt.Printf("LRU: %v\n", lru)
 	fmt.Printf("HPE: %v\n", hp)
 	fmt.Printf("HPE speedup over LRU: %.2fx (%.0f%% fewer evictions)\n",

@@ -21,14 +21,11 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown workload %q", abbr)
 	}
-	tr := app.Generate()
-	capacity := tr.Footprint() * 3 / 4
-	fmt.Printf("%s at 75%% oversubscription (%d pages of %d resident)\n\n",
-		app, capacity, tr.Footprint())
+	fmt.Printf("%s at 75%% oversubscription\n\n", app)
 
-	base := run(tr, capacity, "lru", 0, 1)
+	var base hpe.Result
 	fmt.Printf("%-28s %12s %12s %10s\n", "configuration", "faults", "cycles", "speedup")
-	for _, c := range []struct {
+	for i, c := range []struct {
 		name     string
 		policy   string
 		prefetch int
@@ -42,21 +39,20 @@ func main() {
 		{"HPE + 4 channels", "hpe", 0, 4},
 		{"HPE + both", "hpe", 15, 4},
 	} {
-		res := run(tr, capacity, c.policy, c.prefetch, c.channels)
+		res, err := hpe.Run(hpe.RunSpec{
+			App: abbr, Policy: c.policy, Rate: 75,
+			Prefetch: c.prefetch, Channels: c.channels,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if i == 0 {
+			base = res
+		}
 		fmt.Printf("%-28s %12d %12d %9.2fx\n",
 			c.name, res.Faults, res.Cycles, float64(base.Cycles)/float64(res.Cycles))
 	}
 	fmt.Println("\nprefetching collapses the per-page fault storm (runtime-level);")
 	fmt.Println("HPE reduces how many of those faults exist at all (policy-level);")
 	fmt.Println("pipelined servicing hides queueing delay. The three compose.")
-}
-
-func run(tr *hpe.Trace, capacity int, policy string, prefetch, channels int) hpe.Result {
-	cfg := hpe.SystemConfig(capacity)
-	cfg.Driver.PrefetchPages = prefetch
-	cfg.Driver.Channels = channels
-	if policy == "hpe" {
-		return hpe.SimulateHPE(cfg, tr, hpe.DefaultHPEConfig())
-	}
-	return hpe.Simulate(cfg, tr, hpe.NewLRU())
 }

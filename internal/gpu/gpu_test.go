@@ -64,7 +64,7 @@ func TestThrashingHurtsLRUMoreThanIdeal(t *testing.T) {
 	tr := thrashTrace(10, 4) // 160 pages, 4 passes
 	cfg := smallConfig(120)  // 75% of footprint
 	lru := Run(cfg, tr, policy.NewLRU())
-	ideal := Run(cfg, tr, policy.NewIdealFactory(tr)(cfg.MemoryPages))
+	ideal := Run(cfg, tr, policy.NewIdeal(trace.BuildFutureIndex(tr)))
 	if lru.Faults <= ideal.Faults {
 		t.Fatalf("LRU faults %d <= Ideal %d on thrashing", lru.Faults, ideal.Faults)
 	}
@@ -231,8 +231,8 @@ func TestAllCatalogAppsRunUnderAllPolicies(t *testing.T) {
 			"LRU":       policy.NewLRU(),
 			"Random":    policy.NewRandom(1),
 			"RRIP":      policy.NewRRIP(policy.DefaultRRIPConfig()),
-			"CLOCK-Pro": policy.NewClockProFactory(capacity),
-			"Ideal":     policy.NewIdealFactory(tr)(capacity),
+			"CLOCK-Pro": policy.NewClockPro(capacity, policy.DefaultColdTarget),
+			"Ideal":     policy.NewIdeal(trace.BuildFutureIndex(tr)),
 		}
 		for name, pol := range pols {
 			res := Run(cfg, tr, pol)

@@ -14,9 +14,9 @@ var specsourceExempt = []string{"internal/runspec", "internal/gpu"}
 // runspec.Spec and materialized in exactly one place, so every knob exists
 // once and every layer lands on the same content-addressed identity. A
 // gpu.Config assembled by hand elsewhere silently forks that mapping — the
-// per-layer knob-plumbing this rule exists to keep deleted. Sanctioned
-// construction sites (the public facade's SystemConfig, documentation
-// tables) carry a //lint:ignore hpelint/specsource directive.
+// per-layer knob-plumbing this rule exists to keep deleted. A sanctioned
+// construction site (a documentation table that runs nothing on the config)
+// carries a //lint:ignore hpelint/specsource directive.
 var AnalyzerSpecSource = &Analyzer{
 	Name: "specsource",
 	Doc: "forbid gpu.Config construction outside internal/runspec and " +

@@ -44,9 +44,6 @@ func NewARC(capacityPages int) *ARC {
 	}
 }
 
-// NewARCFactory adapts NewARC to the Factory signature.
-func NewARCFactory(capacityPages int) Policy { return NewARC(capacityPages) }
-
 // Name implements Policy.
 func (a *ARC) Name() string { return "ARC" }
 

@@ -25,9 +25,6 @@ func NewClock() *Clock {
 	return &Clock{index: make(map[addrspace.PageID]int)}
 }
 
-// NewClockFactory adapts NewClock to the Factory signature.
-func NewClockFactory(capacityPages int) Policy { return NewClock() }
-
 // Name implements Policy.
 func (c *Clock) Name() string { return "CLOCK" }
 
@@ -107,9 +104,6 @@ type NRU struct {
 func NewNRU() *NRU {
 	return &NRU{chain: newRecencyList(), ref: make(map[addrspace.PageID]bool)}
 }
-
-// NewNRUFactory adapts NewNRU to the Factory signature.
-func NewNRUFactory(capacityPages int) Policy { return NewNRU() }
 
 // Name implements Policy.
 func (n *NRU) Name() string { return "NRU" }

@@ -72,12 +72,6 @@ func NewClockPro(capacityPages, coldTarget int) *ClockPro {
 	}
 }
 
-// NewClockProFactory returns a Factory producing CLOCK-Pro with the paper's
-// fixed m_c = 128.
-func NewClockProFactory(capacityPages int) Policy {
-	return NewClockPro(capacityPages, DefaultColdTarget)
-}
-
 // Name implements Policy.
 func (c *ClockPro) Name() string { return "CLOCK-Pro" }
 

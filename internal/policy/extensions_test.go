@@ -281,7 +281,7 @@ func TestSetLRUTouchRefreshesWholeSet(t *testing.T) {
 func TestSetLRUReplayInvariants(t *testing.T) {
 	tr := randomTrace(15000, 400, 31)
 	capacity := 150
-	res := Replay(tr, NewSetLRUFactory(capacity), capacity)
+	res := Replay(tr, NewSetLRU(addrspace.DefaultGeometry()), capacity)
 	if res.Hits+res.Faults != uint64(tr.Len()) {
 		t.Fatalf("hits+faults = %d", res.Hits+res.Faults)
 	}

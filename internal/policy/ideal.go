@@ -70,12 +70,6 @@ func NewIdeal(fi *trace.FutureIndex) *Ideal {
 	}
 }
 
-// NewIdealFactory returns a Factory producing Ideal policies over tr.
-func NewIdealFactory(tr *trace.Trace) Factory {
-	fi := trace.BuildFutureIndex(tr)
-	return func(capacityPages int) Policy { return NewIdeal(fi) }
-}
-
 // Name implements Policy.
 func (b *Ideal) Name() string { return "Ideal" }
 

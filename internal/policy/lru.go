@@ -107,9 +107,6 @@ type LRU struct {
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU { return &LRU{chain: newRecencyList()} }
 
-// NewLRUFactory adapts NewLRU to the Factory signature.
-func NewLRUFactory(capacityPages int) Policy { return NewLRU() }
-
 // Name implements Policy.
 func (l *LRU) Name() string { return "LRU" }
 
@@ -145,9 +142,6 @@ type FIFO struct {
 
 // NewFIFO returns an empty FIFO policy.
 func NewFIFO() *FIFO { return &FIFO{chain: newRecencyList()} }
-
-// NewFIFOFactory adapts NewFIFO to the Factory signature.
-func NewFIFOFactory(capacityPages int) Policy { return NewFIFO() }
 
 // Name implements Policy.
 func (f *FIFO) Name() string { return "FIFO" }

@@ -39,14 +39,3 @@ type Policy interface {
 	// OnEvicted tells the policy the page has been unmapped.
 	OnEvicted(p addrspace.PageID)
 }
-
-// Factory constructs a fresh policy instance for one simulation run.
-// capacityPages is the device-memory capacity.
-type Factory func(capacityPages int) Policy
-
-// Reseedable is implemented by randomised policies (Random) whose RNG can be
-// re-seeded after construction — how the facade's WithSeed run option reaches
-// an already-built policy.
-type Reseedable interface {
-	Reseed(seed int64)
-}

@@ -23,17 +23,8 @@ func NewRandom(seed int64) *Random {
 	}
 }
 
-// NewRandomFactory returns a Factory producing seeded Random policies.
-func NewRandomFactory(seed int64) Factory {
-	return func(capacityPages int) Policy { return NewRandom(seed) }
-}
-
 // Name implements Policy.
 func (r *Random) Name() string { return "Random" }
-
-// Reseed implements Reseedable: it replaces the RNG with a fresh one seeded
-// from seed, so a run option can override the construction-time seed.
-func (r *Random) Reseed(seed int64) { r.rng = rand.New(rand.NewSource(seed)) }
 
 // OnWalkHit implements Policy: random ignores reference history.
 func (r *Random) OnWalkHit(p addrspace.PageID, seq int) {}
@@ -83,9 +74,6 @@ type LFU struct {
 func NewLFU() *LFU {
 	return &LFU{counts: make(map[addrspace.PageID]uint64), chain: newRecencyList()}
 }
-
-// NewLFUFactory adapts NewLFU to the Factory signature.
-func NewLFUFactory(capacityPages int) Policy { return NewLFU() }
 
 // Name implements Policy.
 func (l *LFU) Name() string { return "LFU" }

@@ -67,11 +67,6 @@ func NewRRIP(cfg RRIPConfig) *RRIP {
 	}
 }
 
-// NewRRIPFactory returns a Factory producing RRIP policies with cfg.
-func NewRRIPFactory(cfg RRIPConfig) Factory {
-	return func(capacityPages int) Policy { return NewRRIP(cfg) }
-}
-
 // Name implements Policy.
 func (r *RRIP) Name() string { return "RRIP" }
 

@@ -30,11 +30,6 @@ func NewSetLRU(g addrspace.Geometry) *SetLRU {
 	}
 }
 
-// NewSetLRUFactory adapts NewSetLRU (default geometry) to Factory.
-func NewSetLRUFactory(capacityPages int) Policy {
-	return NewSetLRU(addrspace.DefaultGeometry())
-}
-
 // Name implements Policy.
 func (s *SetLRU) Name() string { return "SetLRU" }
 

@@ -1,6 +1,6 @@
 // Package registry is the single name-keyed catalog of eviction policies.
-// Every way of naming a policy — the facade's hpe.NewPolicy, a
-// runspec.Spec's Policy field, and the CLI tools' -policy flags — resolves
+// Every way of naming a policy — a runspec.Spec's Policy field, the
+// facade's hpe.LookupPolicy, and the CLI tools' -policy flags — resolves
 // here, so adding a policy means adding one Register call, not editing
 // switch statements across the tree.
 //

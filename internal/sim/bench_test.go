@@ -12,22 +12,8 @@ type noopHandler struct{ n int }
 
 func (h *noopHandler) OnEvent(a0, a1 uint64) { h.n++ }
 
-// BenchmarkEngineScheduleAndRun is the historical closure-path benchmark:
-// 1000 At closures, drained. The SoA store removes the per-event *Event
-// allocation; the closures themselves remain.
-func BenchmarkEngineScheduleAndRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.At(Cycle(j%97), func() {})
-		}
-		e.Run()
-	}
-}
-
-// BenchmarkEngineHandlerScheduleAndRun is the hot-path variant the simulator
-// actually uses: Handler events with integer payloads, zero allocations per
-// event.
+// BenchmarkEngineHandlerScheduleAndRun is the engine's only scheduling
+// path: Handler events with integer payloads, zero allocations per event.
 func BenchmarkEngineHandlerScheduleAndRun(b *testing.B) {
 	h := &noopHandler{}
 	b.ReportAllocs()

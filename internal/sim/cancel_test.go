@@ -8,8 +8,9 @@ import "testing"
 func TestCancelStopsEngine(t *testing.T) {
 	e := NewEngine()
 	var fired int
+	hid := e.Register(handlerFunc(func(_, _ uint64) { fired++ }))
 	for i := 0; i < 100; i++ {
-		e.At(Cycle(i), func() { fired++ })
+		e.Schedule(Cycle(i), hid, 0, 0)
 	}
 	polls := 0
 	e.SetCancel(10, func() bool {
@@ -38,8 +39,9 @@ func TestCancelStopsEngine(t *testing.T) {
 func TestCancelNeverTripsIsFree(t *testing.T) {
 	run := func(poll bool) (Cycle, uint64) {
 		e := NewEngine()
+		hid := e.Register(&noopHandler{})
 		for i := 0; i < 1000; i++ {
-			e.At(Cycle(i*3), func() {})
+			e.Schedule(Cycle(i*3), hid, 0, 0)
 		}
 		if poll {
 			e.SetCancel(7, func() bool { return false })
@@ -59,7 +61,7 @@ func TestSetCancelClears(t *testing.T) {
 	e.SetCancel(1, func() bool { return true })
 	e.SetCancel(0, nil)
 	done := false
-	e.At(0, func() { done = true })
+	e.Schedule(0, e.Register(handlerFunc(func(_, _ uint64) { done = true })), 0, 0)
 	e.Run()
 	if !done || e.Cancelled() {
 		t.Fatal("cleared cancel hook still active")

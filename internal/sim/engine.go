@@ -13,14 +13,13 @@
 // heap of all-scalar heapNode values — timestamp, FIFO sequence, and the two
 // payload words inline — so heap sifts never chase pointers, never trigger
 // write barriers, and the whole queue is invisible to the garbage collector.
-// Hot callers register a Handler once (Register) and then schedule by
+// Components register a Handler once (Register) and then schedule by
 // HandlerID with two integer payload words (Schedule/ScheduleAfter): zero
-// allocations per event. The closure API (At/After) remains for cold paths;
-// closures park in a side store of index-based slots reused through a free
-// list. The clock always skips directly to the next scheduled event's
-// timestamp — there is no per-cycle ticking anywhere in the engine. The
-// previous container/heap implementation survives as Reference, the
-// differential-testing oracle (FuzzEngineEquivalence) and the
+// allocations per event, and one dispatch in Step. The clock always skips
+// directly to the next scheduled event's timestamp — there is no per-cycle
+// ticking anywhere in the engine. The previous container/heap
+// implementation, with its closure API (At/After), survives as Reference:
+// the differential-testing oracle (FuzzEngineEquivalence) and the
 // bench-trajectory baseline (`make bench-json`).
 package sim
 
@@ -48,9 +47,9 @@ type Handler interface {
 type HandlerID int32
 
 // heapNode is one 4-ary-heap element: the ordering key (at, seq) with the
-// payload inline. kind >= 0 indexes the registered-handler table; kind < 0
-// encodes a closure slot as -(slot+1). All fields are scalars, so the heap
-// needs no write barriers and is never scanned by the GC.
+// payload inline. kind indexes the registered-handler table. All fields are
+// scalars, so the heap needs no write barriers and is never scanned by the
+// GC.
 type heapNode struct {
 	at     Cycle
 	seq    uint64
@@ -65,8 +64,6 @@ type Engine struct {
 	nextSeq  uint64
 	heap     []heapNode // 4-ary min-heap ordered by (at, seq)
 	handlers []Handler  // Register'd, indexed by HandlerID
-	fns      []func()   // closure payloads (At/After), indexed by slot
-	fnFree   []int32    // recycled closure slots
 	fired    uint64
 	limit    Cycle // 0 means no limit
 
@@ -219,31 +216,9 @@ func (e *Engine) siftDown() {
 	h[i] = n
 }
 
-// At schedules fn to run at the given absolute cycle. Scheduling in the past
-// (before Now) is an error and panics: it would silently reorder causality.
-func (e *Engine) At(at Cycle, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now (%d)", at, e.now))
-	}
-	var slot int32
-	if n := len(e.fnFree); n > 0 {
-		slot = e.fnFree[n-1]
-		e.fnFree = e.fnFree[:n-1]
-	} else {
-		e.fns = append(e.fns, nil)
-		slot = int32(len(e.fns) - 1)
-	}
-	e.fns[slot] = fn
-	e.push(at, 0, 0, -(slot + 1))
-}
-
-// After schedules fn to run delay cycles from now.
-func (e *Engine) After(delay Cycle, fn func()) {
-	e.At(e.now+delay, fn)
-}
-
 // Schedule enqueues an event for a registered handler at the given absolute
-// cycle with two payload words. It is the allocation-free analogue of At.
+// cycle with two payload words. Scheduling in the past (before Now) is an
+// error and panics: it would silently reorder causality.
 func (e *Engine) Schedule(at Cycle, h HandlerID, a0, a1 uint64) {
 	e.push(at, a0, a1, int32(h))
 }
@@ -284,15 +259,7 @@ func (e *Engine) Step() bool {
 	}
 	e.now = next.at
 	e.fired++
-	if next.kind >= 0 {
-		e.handlers[next.kind].OnEvent(next.a0, next.a1)
-	} else {
-		slot := -next.kind - 1
-		fn := e.fns[slot]
-		e.fns[slot] = nil // drop the closure ref before slot reuse
-		e.fnFree = append(e.fnFree, slot)
-		fn()
-	}
+	e.handlers[next.kind].OnEvent(next.a0, next.a1)
 	return true
 }
 

@@ -10,9 +10,9 @@ import (
 func TestEngineFiresInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []Cycle
+	hid := e.Register(handlerFunc(func(a0, _ uint64) { got = append(got, Cycle(a0)) }))
 	for _, at := range []Cycle{50, 10, 30, 20, 40} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
+		e.Schedule(at, hid, uint64(at), 0)
 	}
 	end := e.Run()
 	if end != 50 {
@@ -29,9 +29,9 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 func TestEngineSameCycleFIFO(t *testing.T) {
 	e := NewEngine()
 	var got []int
+	hid := e.Register(handlerFunc(func(a0, _ uint64) { got = append(got, int(a0)) }))
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(100, func() { got = append(got, i) })
+		e.Schedule(100, hid, uint64(i), 0)
 	}
 	e.Run()
 	for i := range got {
@@ -44,39 +44,41 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 func TestEngineAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
 	var at Cycle
-	e.At(7, func() {
-		e.After(5, func() { at = e.Now() })
-	})
+	inner := e.Register(handlerFunc(func(_, _ uint64) { at = e.Now() }))
+	outer := e.Register(handlerFunc(func(_, _ uint64) { e.ScheduleAfter(5, inner, 0, 0) }))
+	e.Schedule(7, outer, 0, 0)
 	e.Run()
 	if at != 12 {
-		t.Fatalf("After(5) at cycle 7 fired at %d, want 12", at)
+		t.Fatalf("ScheduleAfter(5) at cycle 7 fired at %d, want 12", at)
 	}
 }
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	noop := e.Register(handlerFunc(func(_, _ uint64) {}))
+	past := e.Register(handlerFunc(func(_, _ uint64) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.Schedule(5, noop, 0, 0)
+	}))
+	e.Schedule(10, past, 0, 0)
 	e.Run()
 }
 
 func TestEngineCascadedEvents(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var schedule func()
-	schedule = func() {
+	var hid HandlerID
+	hid = e.Register(handlerFunc(func(_, _ uint64) {
 		count++
 		if count < 100 {
-			e.After(3, schedule)
+			e.ScheduleAfter(3, hid, 0, 0)
 		}
-	}
-	e.At(0, schedule)
+	}))
+	e.Schedule(0, hid, 0, 0)
 	end := e.Run()
 	if count != 100 {
 		t.Fatalf("fired %d cascaded events, want 100", count)
@@ -92,8 +94,9 @@ func TestEngineCascadedEvents(t *testing.T) {
 func TestEngineLimitStopsRun(t *testing.T) {
 	e := NewEngine()
 	fired := 0
+	hid := e.Register(handlerFunc(func(_, _ uint64) { fired++ }))
 	for i := Cycle(0); i < 10; i++ {
-		e.At(i*10, func() { fired++ })
+		e.Schedule(i*10, hid, 0, 0)
 	}
 	e.SetLimit(45)
 	e.Run()
@@ -112,7 +115,7 @@ func TestEngineLimitStopsRun(t *testing.T) {
 
 func TestEngineRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {})
+	e.Schedule(10, e.Register(handlerFunc(func(_, _ uint64) {})), 0, 0)
 	e.RunUntil(100)
 	if e.Now() != 100 {
 		t.Fatalf("RunUntil(100) left clock at %d", e.Now())
@@ -125,7 +128,7 @@ func TestEngineRunUntilAdvancesClock(t *testing.T) {
 func TestEngineRunUntilLeavesLaterEvents(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.At(200, func() { fired = true })
+	e.Schedule(200, e.Register(handlerFunc(func(_, _ uint64) { fired = true })), 0, 0)
 	e.RunUntil(100)
 	if fired {
 		t.Fatal("event at 200 fired during RunUntil(100)")
@@ -151,9 +154,9 @@ func TestEngineOrderingProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		e := NewEngine()
 		var fired []Cycle
+		hid := e.Register(handlerFunc(func(a0, _ uint64) { fired = append(fired, Cycle(a0)) }))
 		for _, ti := range times {
-			at := Cycle(ti)
-			e.At(at, func() { fired = append(fired, at) })
+			e.Schedule(Cycle(ti), hid, uint64(ti), 0)
 		}
 		e.Run()
 		if len(fired) != len(times) {
@@ -175,19 +178,20 @@ func TestEngineConservationProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		e := NewEngine()
 		scheduled, fired := 0, 0
-		var cascade func(depth int)
-		cascade = func(depth int) {
+		// a0 is the remaining cascade depth.
+		var cascade HandlerID
+		cascade = e.Register(handlerFunc(func(depth, _ uint64) {
 			fired++
 			if depth > 0 {
 				scheduled++
-				e.After(Cycle(rng.Intn(5)), func() { cascade(depth - 1) })
+				e.ScheduleAfter(Cycle(rng.Intn(5)), cascade, depth-1, 0)
 			}
-		}
+		}))
 		n := 1 + rng.Intn(50)
 		for i := 0; i < n; i++ {
 			scheduled++
 			d := rng.Intn(4)
-			e.At(Cycle(rng.Intn(1000)), func() { cascade(d) })
+			e.Schedule(Cycle(rng.Intn(1000)), cascade, uint64(d), 0)
 		}
 		e.Run()
 		if fired != scheduled {

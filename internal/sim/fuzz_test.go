@@ -5,11 +5,9 @@ import (
 )
 
 // scheduler is the surface FuzzEngineEquivalence drives on both
-// implementations. Engine and Reference both satisfy it; the Handler path
-// (Engine.Schedule) is exercised through the closure-equivalent op below.
+// implementations. Events are enqueued through the per-side hooks of
+// fuzzRun: registered handlers on the Engine, closures on the Reference.
 type scheduler interface {
-	At(Cycle, func())
-	After(Cycle, func())
 	Step() bool
 	Run() Cycle
 	RunUntil(Cycle)
@@ -37,53 +35,57 @@ func decodeProgram(data []byte) []fuzzOp {
 	return ops
 }
 
-// fuzzLogHandler appends its first payload word to the run log — the Handler
-// path's analogue of the logging closures.
-type fuzzLogHandler struct {
-	log *[]uint64
-	eng *Engine
+// fuzzRun is one execution of a decoded program: the fire log (event id ++
+// low clock bits), the remaining event budget, and the poll count.
+type fuzzRun struct {
+	s      scheduler
+	log    []uint64
+	nextID uint64
+	budget int
+	polls  int
+	// schedule enqueues a logging event; when delay > 0 its firing also
+	// emits a follow-up delay cycles later (a cascade).
+	schedule func(at Cycle, id uint64, delay Cycle)
 }
 
-func (h *fuzzLogHandler) OnEvent(a0, _ uint64) {
-	*h.log = append(*h.log, a0<<16|uint64(h.eng.Now())&0xffff)
-}
-
-// runProgram executes the decoded program on one engine. schedule is how a
-// plain logging event is enqueued (closure for Reference, Handler for
-// Engine), so the same program exercises both dispatch paths. It returns the
-// fire log (event id ++ low clock bits) and the number of cancellation
-// polls.
-func runProgram(s scheduler, ops []fuzzOp, schedule func(at Cycle, id uint64, log *[]uint64)) ([]uint64, int) {
-	var log []uint64
-	nextID := uint64(1)
-	budget := 512
-	polls := 0
-	emit := func(at Cycle) {
-		if budget <= 0 {
-			return
-		}
-		budget--
-		id := nextID
-		nextID++
-		schedule(at, id, &log)
+// fire logs event id at the current clock and, for a cascade, emits the
+// follow-up.
+func (r *fuzzRun) fire(id uint64, delay Cycle) {
+	r.log = append(r.log, id<<16|uint64(r.s.Now())&0xffff)
+	if delay > 0 {
+		r.emit(r.s.Now()+delay, 0)
 	}
+}
+
+// emit enqueues one event while the budget lasts.
+func (r *fuzzRun) emit(at, delay Cycle) {
+	if r.budget <= 0 {
+		return
+	}
+	r.budget--
+	id := r.nextID
+	r.nextID++
+	r.schedule(at, id, delay)
+}
+
+// fuzzHandler is the Engine side's event: a0 is the event id, a1 the
+// cascade delay.
+type fuzzHandler struct{ r *fuzzRun }
+
+func (h fuzzHandler) OnEvent(a0, a1 uint64) { h.r.fire(a0, Cycle(a1)) }
+
+// runProgram executes the decoded program through r and returns the fire
+// log and the number of cancellation polls.
+func runProgram(r *fuzzRun, ops []fuzzOp) ([]uint64, int) {
+	r.nextID, r.budget = 1, 512
+	s := r.s
 	for _, op := range ops {
 		d := Cycle(op.param % 64)
 		switch op.kind {
 		case 0, 1:
-			emit(s.Now() + d)
-		case 2: // cascade: the fired closure schedules a follow-up
-			if budget <= 0 {
-				break
-			}
-			budget--
-			id := nextID
-			nextID++
-			delay := Cycle(op.param%16 + 1)
-			s.At(s.Now()+d, func() {
-				log = append(log, id<<16|uint64(s.Now())&0xffff)
-				emit(s.Now() + delay)
-			})
+			r.emit(s.Now()+d, 0)
+		case 2: // cascade: the fired event schedules a follow-up
+			r.emit(s.Now()+d, Cycle(op.param%16+1))
 		case 3:
 			if op.param == 0 {
 				s.SetLimit(0)
@@ -102,8 +104,8 @@ func runProgram(s scheduler, ops []fuzzOp, schedule func(at Cycle, id uint64, lo
 			every := uint64(op.param%8 + 1)
 			trip := int(op.param % 16)
 			s.SetCancel(every, func() bool {
-				polls++
-				return polls > trip
+				r.polls++
+				return r.polls > trip
 			})
 		case 7:
 			s.SetCancel(0, nil)
@@ -111,12 +113,12 @@ func runProgram(s scheduler, ops []fuzzOp, schedule func(at Cycle, id uint64, lo
 	}
 	s.SetLimit(0)
 	s.Run()
-	return log, polls
+	return r.log, r.polls
 }
 
 // FuzzEngineEquivalence drives the struct-of-arrays Engine and the
-// container/heap Reference with the same randomized schedule — At/After,
-// Handler events, cascades, SetLimit, RunUntil, partial Steps, and
+// container/heap Reference with the same randomized schedule — Handler
+// events on the Engine, closures on the Reference, cascades, SetLimit, RunUntil, partial Steps, and
 // cancellation at random event boundaries — and requires identical fire
 // order, clocks, fired counts, pending counts, poll counts and cancellation
 // status. This is the differential proof that the hot-path rewrite preserved
@@ -134,19 +136,19 @@ func FuzzEngineEquivalence(f *testing.F) {
 		ops := decodeProgram(data)
 
 		eng := NewEngine()
-		h := &fuzzLogHandler{eng: eng}
-		hid := eng.Register(h)
-		engLog, engPolls := runProgram(eng, ops, func(at Cycle, id uint64, log *[]uint64) {
-			h.log = log // same backing log for every call within a run
-			eng.Schedule(at, hid, id, 0)
-		})
+		engRun := &fuzzRun{s: eng}
+		hid := eng.Register(fuzzHandler{engRun})
+		engRun.schedule = func(at Cycle, id uint64, delay Cycle) {
+			eng.Schedule(at, hid, id, uint64(delay))
+		}
+		engLog, engPolls := runProgram(engRun, ops)
 
 		ref := NewReference()
-		refLog, refPolls := runProgram(ref, ops, func(at Cycle, id uint64, log *[]uint64) {
-			ref.At(at, func() {
-				*log = append(*log, id<<16|uint64(ref.Now())&0xffff)
-			})
-		})
+		refRun := &fuzzRun{s: ref}
+		refRun.schedule = func(at Cycle, id uint64, delay Cycle) {
+			ref.At(at, func() { refRun.fire(id, delay) })
+		}
+		refLog, refPolls := runProgram(refRun, ops)
 
 		if len(engLog) != len(refLog) {
 			t.Fatalf("fire counts diverge: engine %d, reference %d", len(engLog), len(refLog))

@@ -13,8 +13,9 @@ import (
 func TestStepAtLimitConsumesNoPollTicks(t *testing.T) {
 	e := NewEngine()
 	fired := 0
+	hid := e.Register(handlerFunc(func(_, _ uint64) { fired++ }))
 	for i := 0; i < 10; i++ {
-		e.At(Cycle(i*10), func() { fired++ })
+		e.Schedule(Cycle(i*10), hid, 0, 0)
 	}
 	polls := 0
 	e.SetCancel(4, func() bool {
@@ -59,7 +60,7 @@ func TestStepAtLimitConsumesNoPollTicks(t *testing.T) {
 // the limit case.
 func TestStepOnDrainedQueueConsumesNoPollTicks(t *testing.T) {
 	e := NewEngine()
-	e.At(0, func() {})
+	e.Schedule(0, e.Register(&noopHandler{}), 0, 0)
 	polls := 0
 	e.SetCancel(1, func() bool { polls++; return false })
 	e.Run()
@@ -74,10 +75,11 @@ func TestStepOnDrainedQueueConsumesNoPollTicks(t *testing.T) {
 	}
 }
 
-// TestRaceParallelEngines runs independent engines (closure and Handler
-// paths) on concurrent goroutines. Engines are documented single-threaded
-// per run but must share no hidden global state — a regression here (for
-// example a package-level slot pool) would corrupt parallel suite sweeps.
+// TestRaceParallelEngines runs independent engines, each with two
+// registered handlers, on concurrent goroutines. Engines are documented
+// single-threaded per run but must share no hidden global state — a
+// regression here (for example a package-level handler table) would corrupt
+// parallel suite sweeps.
 // The name matches the `make race-probe` pattern so it runs under -race.
 func TestRaceParallelEngines(t *testing.T) {
 	var wg sync.WaitGroup
@@ -87,12 +89,13 @@ func TestRaceParallelEngines(t *testing.T) {
 			defer wg.Done()
 			e := NewEngine()
 			count := 0
-			hid := e.Register(handlerFunc(func(a0, a1 uint64) { count++ }))
+			tally := handlerFunc(func(a0, a1 uint64) { count++ })
+			even, odd := e.Register(tally), e.Register(tally)
 			for i := 0; i < 2000; i++ {
 				if i%2 == 0 {
-					e.Schedule(Cycle((i*7+seed)%997), hid, uint64(i), 0)
+					e.Schedule(Cycle((i*7+seed)%997), even, uint64(i), 0)
 				} else {
-					e.At(Cycle((i*7+seed)%997), func() { count++ })
+					e.Schedule(Cycle((i*7+seed)%997), odd, uint64(i), 0)
 				}
 			}
 			e.Run()

@@ -133,6 +133,15 @@ func (e *serviceDoneEvent) OnEvent(a0, _ uint64) {
 	(*Driver)(e).complete(int32(a0))
 }
 
+// drainDoneEvent fires when an HIR drain's PCIe transfer finishes:
+// a0 = index into Driver.batches. The transfer occupied the channel of the
+// fault that triggered the drain, so the event also frees that channel.
+type drainDoneEvent Driver
+
+func (e *drainDoneEvent) OnEvent(a0, _ uint64) {
+	(*Driver)(e).drainDone(int32(a0))
+}
+
 // Driver is the host-side UVM runtime.
 type Driver struct {
 	cfg    Config
@@ -157,6 +166,12 @@ type Driver struct {
 	wakePool  [][]func()                 // recycled wakeup slices
 	hDone     sim.HandlerID              // serviceDoneEvent registration
 	busy      int                        // channels in use
+
+	// HIR drains in flight over PCIe, indexed by drainDoneEvent's a0 and
+	// recycled through batchFree.
+	batches   [][]hir.Record
+	batchFree []int32
+	hDrain    sim.HandlerID // drainDoneEvent registration
 
 	probe probe.Probe // nil unless instrumented
 	stats Stats
@@ -188,6 +203,7 @@ func New(cfg Config, engine *sim.Engine, memory *mem.DeviceMemory, pol policy.Po
 		inFlight:   make(map[addrspace.PageID]int32),
 	}
 	d.hDone = engine.Register((*serviceDoneEvent)(d))
+	d.hDrain = engine.Register((*drainDoneEvent)(d))
 	if sink, ok := pol.(HitBatchReceiver); ok {
 		d.sink = sink
 	}
@@ -439,8 +455,8 @@ func (d *Driver) evictIfFull(trigger addrspace.PageID) bool {
 }
 
 // complete finishes one fault: evict if full, map the page, notify the
-// policy, wake the waiting warps, handle the periodic HIR drain, then free
-// the channel.
+// policy, wake the waiting warps, then free the channel — or, on a periodic
+// HIR drain, hand it to the transfer, which frees it in drainDone.
 func (d *Driver) complete(fi int32) {
 	f := &d.faults[fi]
 	d.pol.OnFault(f.page, f.seq)
@@ -488,35 +504,47 @@ func (d *Driver) complete(fi int32) {
 
 	// Periodic HIR drain: every TransferInterval-th serviced fault the HIR
 	// contents cross PCIe; the transfer occupies this channel before it can
-	// take the next fault.
-	var transfer sim.Cycle
+	// take the next fault, and the sink sees the records when it lands.
 	if d.hirC != nil && d.cfg.TransferInterval > 0 &&
 		d.stats.FaultsServiced%uint64(d.cfg.TransferInterval) == 0 {
-		recs := d.hirC.Drain()
-		if len(recs) > 0 {
+		if recs := d.hirC.Drain(); len(recs) > 0 {
 			bytes := d.hirC.TransferBytes(len(recs))
+			transfer := sim.Cycle(math.Ceil(float64(bytes) / d.cfg.PCIeBytesPerCycle))
 			d.stats.HIRTransferBytes += uint64(bytes)
-			transfer = sim.Cycle(math.Ceil(float64(bytes) / d.cfg.PCIeBytesPerCycle))
 			d.stats.HIRTransferCycles += transfer
 			d.stats.BusyCycles += transfer
 			if d.probe != nil {
 				d.probe.Emit(probe.HIRDrain(d.engine.Now(), len(recs), bytes, transfer))
 			}
-			if d.sink != nil {
-				sink := d.sink
-				//lint:ignore hpelint/hotalloc one closure per HIR drain epoch (every TransferInterval faults), not per event
-				d.engine.After(transfer, func() { sink.OnHitBatch(recs) })
-			}
+			d.engine.ScheduleAfter(transfer, d.hDrain, uint64(d.allocBatch(recs)), 0)
+			return
 		}
 	}
+	d.busy--
+	d.pump()
+}
 
-	if transfer > 0 {
-		//lint:ignore hpelint/hotalloc one closure per HIR drain epoch (every TransferInterval faults), not per event
-		d.engine.After(transfer, func() {
-			d.busy--
-			d.pump()
-		})
-		return
+// allocBatch parks a drained batch in a free batch slot until its transfer
+// completes.
+func (d *Driver) allocBatch(recs []hir.Record) int32 {
+	if n := len(d.batchFree); n > 0 {
+		bi := d.batchFree[n-1]
+		d.batchFree = d.batchFree[:n-1]
+		d.batches[bi] = recs
+		return bi
+	}
+	d.batches = append(d.batches, recs)
+	return int32(len(d.batches) - 1)
+}
+
+// drainDone lands an HIR transfer: the sink (if any) receives the batch,
+// then the channel the transfer occupied takes the next fault.
+func (d *Driver) drainDone(bi int32) {
+	recs := d.batches[bi]
+	d.batches[bi] = nil
+	d.batchFree = append(d.batchFree, bi)
+	if d.sink != nil {
+		d.sink.OnHitBatch(recs)
 	}
 	d.busy--
 	d.pump()

@@ -184,6 +184,59 @@ func TestHIRDrainEveryNthFault(t *testing.T) {
 	}
 }
 
+// batchSink is an LRU that also consumes HIR drains, logging when each
+// batch lands.
+type batchSink struct {
+	*policy.LRU
+	eng     *sim.Engine
+	at      []sim.Cycle
+	batches [][]hir.Record
+}
+
+func (b *batchSink) OnHitBatch(recs []hir.Record) {
+	b.at = append(b.at, b.eng.Now())
+	b.batches = append(b.batches, recs)
+}
+
+// TestHIRDrainDeliveryTiming pins when a drain lands: the sink receives the
+// drained batch exactly HIRTransferCycles after the draining fault
+// completes, and the transfer holds the channel, so the next queued fault
+// starts service no earlier than that cycle.
+func TestHIRDrainDeliveryTiming(t *testing.T) {
+	cfg := testConfig()
+	cfg.TransferInterval = 2
+	eng := sim.NewEngine()
+	sink := &batchSink{LRU: policy.NewLRU(), eng: eng}
+	d := New(cfg, eng, mem.NewDeviceMemory(64), sink, hir.New(hir.DefaultConfig()), nil)
+	d.Fault(1, 0, func() {})
+	eng.Run()
+	d.RecordWalkHit(1, 1)
+
+	var drained, next sim.Cycle
+	d.Fault(2, 2, func() { drained = eng.Now() }) // 2nd serviced fault → drain
+	d.Fault(3, 3, func() { next = eng.Now() })    // queued behind the drain
+	eng.Run()
+
+	transfer := d.Stats().HIRTransferCycles
+	if transfer == 0 {
+		t.Fatal("drain charged no transfer cycles")
+	}
+	if len(sink.at) != 1 {
+		t.Fatalf("sink received %d batches, want 1", len(sink.at))
+	}
+	if want := drained + transfer; sink.at[0] != want {
+		t.Fatalf("batch landed at %d, want %d (fault done %d + transfer %d)",
+			sink.at[0], want, drained, transfer)
+	}
+	if recs := sink.batches[0]; len(recs) != 1 || recs[0].Set != addrspace.DefaultGeometry().SetOf(1) {
+		t.Fatalf("batch = %+v, want the one record of page 1's set", recs)
+	}
+	if want := sink.at[0] + cfg.FaultLatency; next != want {
+		t.Fatalf("next fault completed at %d, want %d (service starts when the batch lands)",
+			next, want)
+	}
+}
+
 func TestQueueDepthTracking(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(16)

@@ -4,11 +4,9 @@ import (
 	"context"
 	"io"
 
-	"hpe/internal/policy"
 	"hpe/internal/probe"
 	"hpe/internal/registry"
 	"hpe/internal/runspec"
-	"hpe/internal/trace"
 )
 
 // Observability vocabulary re-exported from internal/probe.
@@ -47,19 +45,17 @@ func MultiProbe(ps ...Probe) Probe { return probe.Multi(ps...) }
 // ProbeEventNames lists every event-kind name in taxonomy order.
 func ProbeEventNames() []string { return probe.KindNames() }
 
-// runConfig collects the RunOption state for one Simulate/Replay call.
+// runConfig collects the RunOption state for one Run/ReplaySpec call.
 type runConfig struct {
 	probes []probe.Probe
-	seed   *int64
-	useHIR bool
 	ctx    context.Context
 	env    runspec.Env
 }
 
 // RunOption customises one simulation or replay run. Options are run-scoped
-// concerns (instrumentation, seeding) that do not belong in the simulated
-// system's Config — future knobs extend this list instead of growing
-// gpu.Config.
+// concerns (instrumentation, cancellation, shared caches) that do not belong
+// in the run's identity: the RunSpec describes what is simulated, options
+// only how the host runs it.
 type RunOption func(*runConfig)
 
 // WithProbe attaches an instrumentation probe to the run; repeating the
@@ -74,18 +70,6 @@ func WithProbe(p Probe) RunOption {
 	}
 }
 
-// WithSeed re-seeds randomised policies (Random) for this run; policies
-// without an RNG ignore it.
-func WithSeed(seed int64) RunOption {
-	return func(rc *runConfig) { s := seed; rc.seed = &s }
-}
-
-// WithHIR attaches the HIR cache to the run (cfg.HIR geometry), routing walk
-// hits through it — the production HPE configuration. SimulateHPE implies it.
-func WithHIR() RunOption {
-	return func(rc *runConfig) { rc.useHIR = true }
-}
-
 // WithContext ties the run to ctx: the simulation polls for cancellation
 // every few thousand events and stops early when ctx is done, marking the
 // result Cancelled. This is how servers abort work for disconnected clients
@@ -97,29 +81,18 @@ func WithContext(ctx context.Context) RunOption {
 
 // WithRunEnv supplies shared trace/future-index caches to Run and ReplaySpec,
 // so long-lived callers (servers, sweeps) generate each workload's reference
-// string once. Simulate and Replay — which take an explicit trace — ignore it.
+// string once.
 func WithRunEnv(env RunEnv) RunOption {
 	return func(rc *runConfig) { rc.env = runspec.Env(env) }
 }
 
-// apply folds the options and prepares the composed probe (nil when none).
-func applyRunOptions(pol Policy, opts []RunOption) (runConfig, Probe) {
+// applyRunOptions folds the options into one run configuration.
+func applyRunOptions(opts []RunOption) runConfig {
 	var rc runConfig
 	for _, opt := range opts {
 		opt(&rc)
 	}
-	reseed(pol, rc.seed)
-	return rc, probe.Multi(rc.probes...)
-}
-
-// reseed applies a WithSeed override to policies that carry an RNG.
-func reseed(pol Policy, seed *int64) {
-	if seed == nil {
-		return
-	}
-	if r, ok := pol.(policy.Reseedable); ok {
-		r.Reseed(*seed)
-	}
+	return rc
 }
 
 // flushProbe finalises a run's probe; flush errors surface on the probe
@@ -130,47 +103,12 @@ func flushProbe(p Probe) {
 	}
 }
 
-// PolicyOption customises registry policy construction (NewPolicy).
-type PolicyOption = registry.Option
-
 // PolicyInfo describes one registered policy.
 type PolicyInfo = registry.Info
 
-// WithPolicySeed seeds randomised policies at construction time.
-func WithPolicySeed(seed int64) PolicyOption { return registry.WithSeed(seed) }
-
-// WithCapacity supplies the device-memory capacity in pages (required by
-// CLOCK-Pro and ARC).
-func WithCapacity(pages int) PolicyOption { return registry.WithCapacity(pages) }
-
-// WithTrace supplies the reference string for offline policies (Ideal).
-func WithTrace(tr *Trace) PolicyOption { return registry.WithTrace(tr) }
-
-// WithFutureIndex lazily supplies a prebuilt Belady future index to Ideal;
-// fn runs only if the policy needs it.
-func WithFutureIndex(fn func() *trace.FutureIndex) PolicyOption {
-	return registry.WithFutureIndex(fn)
-}
-
-// WithRRIPConfig pins the RRIP configuration.
-func WithRRIPConfig(cfg RRIPConfig) PolicyOption { return registry.WithRRIPConfig(cfg) }
-
-// WithThrashingRRIP selects the Type-II RRIP preset (distant insertion,
-// delay threshold 128); other policies ignore it.
-func WithThrashingRRIP() PolicyOption { return registry.WithThrashingRRIP() }
-
-// WithHPEConfig pins the HPE policy configuration.
-func WithHPEConfig(cfg HPEConfig) PolicyOption { return registry.WithHPEConfig(cfg) }
-
-// NewPolicy builds a fresh policy instance by registry name
-// (case-insensitive; aliases like "clock-pro" and "belady" accepted). It
-// errors on an unknown name or a missing required option — CLOCK-Pro and ARC
-// need WithCapacity, Ideal needs WithTrace or WithFutureIndex.
-func NewPolicy(name string, opts ...PolicyOption) (Policy, error) {
-	return registry.New(name, opts...)
-}
-
-// PolicyNames lists the canonical registry policy names in paper order.
+// PolicyNames lists the canonical registry policy names in paper order —
+// the names a RunSpec's Policy field accepts (aliases like "clock-pro" and
+// "belady" resolve too).
 func PolicyNames() []string { return registry.Names() }
 
 // Policies returns every registered policy's metadata in paper order.
@@ -178,13 +116,3 @@ func Policies() []PolicyInfo { return registry.Infos() }
 
 // LookupPolicy returns the metadata of a policy name (canonical or alias).
 func LookupPolicy(name string) (PolicyInfo, bool) { return registry.Lookup(name) }
-
-// mustPolicy backs the legacy fixed constructors, which delegate to the
-// registry with options that make construction infallible.
-func mustPolicy(name string, opts ...PolicyOption) Policy {
-	pol, err := registry.New(name, opts...)
-	if err != nil {
-		panic("hpe: " + err.Error())
-	}
-	return pol
-}

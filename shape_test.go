@@ -184,17 +184,22 @@ func TestShapeOverheads(t *testing.T) {
 	}
 }
 
+// mustRun runs spec under policy, failing the test on a spec error.
+func mustRun(tb testing.TB, sp hpe.RunSpec, policy string, opts ...hpe.RunOption) hpe.Result {
+	tb.Helper()
+	sp.Policy = policy
+	res, err := hpe.Run(sp, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestFacadeEndToEnd(t *testing.T) {
 	// The README quickstart, as a test.
-	app, ok := hpe.WorkloadByAbbr("HSD")
-	if !ok {
-		t.Fatal("HSD missing")
-	}
-	tr := app.Generate()
-	capacity := tr.Footprint() * 75 / 100
-	cfg := hpe.SystemConfig(capacity)
-	lru := hpe.Simulate(cfg, tr, hpe.NewLRU())
-	hp := hpe.SimulateHPE(cfg, tr, hpe.DefaultHPEConfig())
+	hsd := hpe.RunSpec{App: "HSD", Rate: 75}
+	lru := mustRun(t, hsd, "lru")
+	hp := mustRun(t, hsd, "hpe")
 	if hp.IPC <= lru.IPC {
 		t.Fatalf("quickstart regression: HPE IPC %.5f <= LRU %.5f", hp.IPC, lru.IPC)
 	}
@@ -211,22 +216,23 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if len(hpe.ExperimentIDs()) != 25 {
 		t.Fatalf("experiment count %d", len(hpe.ExperimentIDs()))
 	}
-	rr := hpe.Replay(tr, hpe.NewIdeal(tr), capacity)
-	if rr.Faults == 0 || rr.Faults > uint64(tr.Len()) {
-		t.Fatalf("replay faults = %d", rr.Faults)
+	hsd.Policy = "ideal"
+	rr, err := hpe.ReplaySpec(hsd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Faults == 0 || rr.Faults > uint64(rr.Refs) {
+		t.Fatalf("replay faults = %d of %d refs", rr.Faults, rr.Refs)
 	}
 }
 
 func TestDivisionAblationHelpsNW(t *testing.T) {
 	// With division disabled, NW must do no better (usually worse) than
 	// with it enabled, at 50% oversubscription.
-	app, _ := hpe.WorkloadByAbbr("NW")
-	tr := app.Generate()
-	capacity := tr.Footprint() / 2
-	on := hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, hpe.DefaultHPEConfig())
-	cfg := hpe.DefaultHPEConfig()
-	cfg.DisableDivision = true
-	off := hpe.SimulateHPE(hpe.SystemConfig(capacity), tr, cfg)
+	nw := hpe.RunSpec{App: "NW", Rate: 50}
+	on := mustRun(t, nw, "hpe")
+	nw.Tuning.HPEDisableDivision = true
+	off := mustRun(t, nw, "hpe")
 	if st, _ := hpe.HPEStatsOf(on); st.Divisions == 0 {
 		t.Fatal("NW did not divide any page sets")
 	}
@@ -239,18 +245,15 @@ func TestDivisionAblationHelpsNW(t *testing.T) {
 }
 
 func TestFacadeConstructors(t *testing.T) {
-	app, _ := hpe.WorkloadByAbbr("STN")
-	tr := app.Generate()
-	capacity := tr.Footprint() * 3 / 4
-	pols := []hpe.Policy{
-		hpe.NewFIFO(), hpe.NewLFU(), hpe.NewRandom(3),
-		hpe.NewRRIP(hpe.DefaultRRIPConfig()), hpe.NewRRIP(hpe.ThrashingRRIPConfig()),
-		hpe.NewClockPro(capacity), hpe.NewHPE(hpe.DefaultHPEConfig()),
-	}
-	for _, pol := range pols {
-		res := hpe.Replay(tr, pol, capacity)
-		if res.Faults == 0 || res.Hits+res.Faults != uint64(tr.Len()) {
-			t.Errorf("%s: bad replay result %+v", pol.Name(), res)
+	// Every registry policy replays a spec through the facade.
+	for _, name := range hpe.PolicyNames() {
+		res, err := hpe.ReplaySpec(hpe.RunSpec{App: "STN", Policy: name, Rate: 75})
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if res.Faults == 0 || res.Hits+res.Faults != uint64(res.Refs) {
+			t.Errorf("%s: bad replay result %+v", name, res)
 		}
 	}
 	if hpe.NewSuite(hpe.SuiteOptions{Quick: true}) == nil {
