@@ -8,11 +8,11 @@
 
 GO ?= go
 
-.PHONY: all check build test vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe bench-json bench-smoke clean
+.PHONY: all check build test vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe clean
 
 all: check
 
-check: build vet lint spec-goldens test race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench-smoke
+check: build vet lint spec-goldens test race race-probe serve-check workload-check fuzz-seed examples perfbench-check
 
 # Tier-1 verify (ROADMAP.md).
 build:
@@ -106,18 +106,6 @@ bench:
 # per emission site); BenchmarkMetricsProbe prices the instrumentation.
 bench-probe:
 	$(GO) test -run '^$$' -bench 'BenchmarkNilProbe|BenchmarkMetricsProbe' -benchtime=5x -count=3 .
-
-# Performance trajectory (EXPERIMENTS.md): append the next numbered
-# BENCH_<n>.json at the repo root — engine microbenchmarks, the retained
-# reference engine as in-run baseline, and the serial full-sweep wall-clock.
-bench-json:
-	sh scripts/bench_json.sh
-
-# 1-iteration schema smoke of the trajectory harness (part of `make check`):
-# validates that -bench-json still emits a schema-correct report without
-# paying for a full measurement run.
-bench-smoke:
-	sh scripts/bench_json.sh --smoke
 
 clean:
 	rm -f hpelint

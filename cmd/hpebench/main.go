@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -51,18 +50,7 @@ func main() {
 	jsonOut := flag.String("json", "", "also write report metrics as JSON to this file (\"-\" = stdout)")
 	traceDir := flag.String("trace", "", "write a Chrome trace_event JSON file per simulation into this directory")
 	metrics := flag.Bool("metrics", false, "print per-simulation event histograms to stderr")
-	benchJSON := flag.String("bench-json", "", "run the performance-trajectory harness and write BENCH_<n>.json to this path")
-	benchIters := flag.Int("bench-iters", 2000, "microbenchmark repetitions for -bench-json")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchIters, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "hpebench: bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-		return
-	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -96,6 +84,11 @@ func main() {
 		stop() // restore default handling: a second Ctrl-C kills outright
 	}()
 
+	// The suite runs anything below one worker serially; clamp here too so
+	// the completion line reports the count that actually ran.
+	if *workers < 1 {
+		*workers = 1
+	}
 	opts := experiments.Options{Quick: *quick, Seed: 1, Workers: *workers, Context: ctx}
 	if *verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
@@ -210,35 +203,12 @@ type jsonReport struct {
 	Clamped map[string]string `json:"clamped,omitempty"`
 }
 
-// encodeReports converts reports to their JSON form. JSON has no ±Inf/NaN
-// (e.g. MVT's ratio1 is +Inf): infinities are clamped to the float64
-// extremes and NaNs dropped, and every such key is recorded in Clamped so
-// the output says what happened instead of silently rewriting values.
+// encodeReports converts reports to their JSON form; Report.JSONMetrics
+// clamps the values JSON cannot carry.
 func encodeReports(reports []experiments.Report) []jsonReport {
 	out := make([]jsonReport, len(reports))
 	for i, r := range reports {
-		metrics := make(map[string]float64, len(r.Metrics))
-		var clamped map[string]string
-		note := func(k, why string) {
-			if clamped == nil {
-				clamped = make(map[string]string)
-			}
-			clamped[k] = why
-		}
-		for k, v := range r.Metrics {
-			switch {
-			case math.IsNaN(v):
-				note(k, "NaN: dropped")
-				continue
-			case math.IsInf(v, 1):
-				note(k, "+Inf: clamped to +MaxFloat64")
-				v = math.MaxFloat64
-			case math.IsInf(v, -1):
-				note(k, "-Inf: clamped to -MaxFloat64")
-				v = -math.MaxFloat64
-			}
-			metrics[k] = v
-		}
+		metrics, clamped := r.JSONMetrics()
 		out[i] = jsonReport{ID: r.ID, Title: r.Title, Metrics: metrics, Clamped: clamped}
 	}
 	return out

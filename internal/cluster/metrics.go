@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -56,7 +57,7 @@ func (m *clusterMetrics) render(p *promtext.Writer, snaps []backendSnapshot, sat
 	// response, and a slow scraper must not stall shard-dispatch bookkeeping
 	// behind the socket write (hpelint/lockorder).
 	m.mu.Lock()
-	shards := copyCounts(m.shards)
+	shards := maps.Clone(m.shards)
 	redispatched := m.redispatched
 	shardLat := m.shardLat
 	m.mu.Unlock()
@@ -114,16 +115,6 @@ func (m *clusterMetrics) render(p *promtext.Writer, snaps []backendSnapshot, sat
 
 	p.Histogram("hped_cluster_shard_latency_seconds",
 		"Round-trip latency of one shard dispatched to a backend.", &shardLat, 1e-6)
-}
-
-// copyCounts duplicates a counter map so render can release the metrics
-// lock before any byte reaches the response writer.
-func copyCounts(src map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
 }
 
 func b2f(b bool) float64 {

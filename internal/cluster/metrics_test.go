@@ -53,3 +53,14 @@ func TestClusterRenderReleasesLockBeforeWriting(t *testing.T) {
 		}
 	}
 }
+
+// A nil shard map (maps.Clone returns nil for nil) renders the same /metrics
+// text as an empty one: the family header and no series.
+func TestClusterRenderNilShardsMatchesEmpty(t *testing.T) {
+	var nilOut, emptyOut strings.Builder
+	(&clusterMetrics{}).render(promtext.New(&nilOut), nil, Saturation{})
+	newClusterMetrics().render(promtext.New(&emptyOut), nil, Saturation{})
+	if nilOut.String() != emptyOut.String() {
+		t.Errorf("nil shards map renders\n%s\nempty map renders\n%s", nilOut.String(), emptyOut.String())
+	}
+}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -232,6 +234,44 @@ func TestReportString(t *testing.T) {
 	out := r.String()
 	if !strings.Contains(out, "x") || !strings.Contains(out, "T") || !strings.Contains(out, "body") {
 		t.Fatalf("Report.String() = %q", out)
+	}
+}
+
+// TestReportJSONMetrics pins the shared wire form of hpebench -json and
+// /v1/suite: finite values pass through, ±Inf clamps to ±MaxFloat64, NaN is
+// dropped, and only the rewritten keys are recorded, with the reason.
+func TestReportJSONMetrics(t *testing.T) {
+	r := Report{Metrics: map[string]float64{
+		"ok": 1.5, "zero": 0, "neg": -2,
+		"posinf": math.Inf(1), "neginf": math.Inf(-1), "notanum": math.NaN(),
+	}}
+	metrics, clamped := r.JSONMetrics()
+	wantMetrics := map[string]float64{
+		"ok": 1.5, "zero": 0, "neg": -2,
+		"posinf": math.MaxFloat64, "neginf": -math.MaxFloat64,
+	}
+	if !reflect.DeepEqual(metrics, wantMetrics) {
+		t.Errorf("metrics = %v, want %v", metrics, wantMetrics)
+	}
+	wantClamped := map[string]string{
+		"posinf":  "+Inf: clamped to +MaxFloat64",
+		"neginf":  "-Inf: clamped to -MaxFloat64",
+		"notanum": "NaN: dropped",
+	}
+	if !reflect.DeepEqual(clamped, wantClamped) {
+		t.Errorf("clamped = %v, want %v", clamped, wantClamped)
+	}
+
+	// All-finite (and empty) metrics rewrite nothing, so clamped stays nil
+	// and its omitempty field never serialises.
+	for _, in := range []map[string]float64{{"a": 1}, nil} {
+		metrics, clamped := Report{Metrics: in}.JSONMetrics()
+		if clamped != nil {
+			t.Errorf("%v: clamped = %v, want nil", in, clamped)
+		}
+		if metrics == nil || len(metrics) != len(in) {
+			t.Errorf("%v: metrics = %v", in, metrics)
+		}
 	}
 }
 

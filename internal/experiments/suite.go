@@ -35,6 +35,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"hpe/internal/gpu"
@@ -308,4 +309,35 @@ type Report struct {
 // String renders the report.
 func (r Report) String() string {
 	return fmt.Sprintf("=== %s: %s ===\n%s", r.ID, r.Title, r.Text)
+}
+
+// JSONMetrics returns the report's metrics in the one wire form that
+// `hpebench -json` and hped's /v1/suite share. JSON has no ±Inf/NaN (e.g.
+// MVT's ratio1 is +Inf): infinities are clamped to the float64 extremes and
+// NaNs dropped, and every such key is recorded in clamped (nil when nothing
+// was rewritten) so the output says what happened instead of silently
+// rewriting values.
+func (r Report) JSONMetrics() (metrics map[string]float64, clamped map[string]string) {
+	metrics = make(map[string]float64, len(r.Metrics))
+	note := func(k, why string) {
+		if clamped == nil {
+			clamped = make(map[string]string)
+		}
+		clamped[k] = why
+	}
+	for k, v := range r.Metrics {
+		switch {
+		case math.IsNaN(v):
+			note(k, "NaN: dropped")
+			continue
+		case math.IsInf(v, 1):
+			note(k, "+Inf: clamped to +MaxFloat64")
+			v = math.MaxFloat64
+		case math.IsInf(v, -1):
+			note(k, "-Inf: clamped to -MaxFloat64")
+			v = -math.MaxFloat64
+		}
+		metrics[k] = v
+	}
+	return metrics, clamped
 }

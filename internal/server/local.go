@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"runtime"
@@ -203,7 +204,7 @@ func (l *local) RetryAfter() float64 {
 func (l *local) Metrics(p *promtext.Writer) {
 	queued, running := l.adm.Depths()
 	l.simMu.Lock()
-	simEvents := copyCounts(l.simEvents)
+	simEvents := maps.Clone(l.simEvents)
 	l.simMu.Unlock()
 
 	p.Gauge("hped_queue_depth", "Admitted computations waiting for a worker slot.", float64(queued))

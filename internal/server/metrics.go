@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync"
 	"time"
 
@@ -102,7 +103,7 @@ func (m *serverMetrics) render(p *promtext.Writer, cs respcache.Stats, coalesced
 	// request-path counter update behind the socket write
 	// (hpelint/lockorder).
 	m.mu.Lock()
-	requests := copyCounts(m.requests)
+	requests := maps.Clone(m.requests)
 	runsStarted, runsCompleted := m.runsStarted, m.runsCompleted
 	runsCancelled, runsFailed := m.runsCancelled, m.runsFailed
 	cachedLat, simLat, suiteLat := m.cachedLat, m.simLat, m.suiteLat
@@ -133,14 +134,4 @@ func (m *serverMetrics) render(p *promtext.Writer, cs respcache.Stats, coalesced
 		"Latency of single runs (leader computations).", &simLat, 1e-6)
 	p.Histogram("hped_suite_latency_seconds",
 		"Latency of suite sweeps (leader computations).", &suiteLat, 1e-6)
-}
-
-// copyCounts duplicates a counter map so a renderer can release its lock
-// before any byte reaches the response writer.
-func copyCounts(src map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
 }

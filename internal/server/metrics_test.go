@@ -61,6 +61,17 @@ func TestRenderReleasesLockBeforeWriting(t *testing.T) {
 	}
 }
 
+// A nil counter map (maps.Clone returns nil for nil) renders the same
+// /metrics text as an empty one: the family header and no series.
+func TestRenderNilCountsMatchesEmpty(t *testing.T) {
+	var nilOut, emptyOut strings.Builder
+	(&serverMetrics{}).render(promtext.New(&nilOut), respcache.Stats{}, 0)
+	newServerMetrics().render(promtext.New(&emptyOut), respcache.Stats{}, 0)
+	if nilOut.String() != emptyOut.String() {
+		t.Errorf("nil requests map renders\n%s\nempty map renders\n%s", nilOut.String(), emptyOut.String())
+	}
+}
+
 // The local executor's families (queue gauges, simulator events) follow the
 // same rule as the shared ones: snapshot under simMu, write outside it.
 func TestLocalMetricsReleaseLockBeforeWriting(t *testing.T) {

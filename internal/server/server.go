@@ -41,7 +41,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -357,7 +356,7 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 
 // suiteReport is one experiment's JSON form. Metrics that JSON cannot carry
 // are clamped (±Inf → ±MaxFloat64) or dropped (NaN) with the rewrite
-// recorded in Clamped, mirroring hpebench -json.
+// recorded in Clamped, by the same Report.JSONMetrics as hpebench -json.
 type suiteReport struct {
 	ID      string             `json:"id"`
 	Title   string             `json:"title"`
@@ -378,7 +377,7 @@ type suiteResponse struct {
 func renderSuiteBody(id string, req SuiteRequest, reports []hpe.Report) ([]byte, error) {
 	out := suiteResponse{ID: id, Request: req, Reports: make([]suiteReport, len(reports))}
 	for i, rep := range reports {
-		metrics, clamped := clampMetrics(rep.Metrics)
+		metrics, clamped := rep.JSONMetrics()
 		out.Reports[i] = suiteReport{ID: rep.ID, Title: rep.Title, Text: rep.Text,
 			Metrics: metrics, Clamped: clamped}
 	}
@@ -453,33 +452,6 @@ func (s *Server) sweepSuite(ctx context.Context, req SuiteRequest, id string, hi
 		return nil, err
 	}
 	return renderSuiteBody(id, req, reports)
-}
-
-// clampMetrics rewrites values JSON cannot carry, recording every rewrite.
-func clampMetrics(in map[string]float64) (map[string]float64, map[string]string) {
-	metrics := make(map[string]float64, len(in))
-	var clamped map[string]string
-	note := func(k, why string) {
-		if clamped == nil {
-			clamped = make(map[string]string)
-		}
-		clamped[k] = why
-	}
-	for k, v := range in {
-		switch {
-		case math.IsNaN(v):
-			note(k, "NaN: dropped")
-			continue
-		case math.IsInf(v, 1):
-			note(k, "+Inf: clamped to +MaxFloat64")
-			v = math.MaxFloat64
-		case math.IsInf(v, -1):
-			note(k, "-Inf: clamped to -MaxFloat64")
-			v = -math.MaxFloat64
-		}
-		metrics[k] = v
-	}
-	return metrics, clamped
 }
 
 // --- catalog endpoints ---------------------------------------------------

@@ -281,6 +281,18 @@ func TestCancelledRequestStopsSimulation(t *testing.T) {
 		errc <- err
 	}()
 	waitInflight(t, srv, id)
+	// Cancel only once the leader holds a worker slot (admission happens
+	// inside the coalescer's computation, just after inflight): a client
+	// that leaves while the computation is still queued abandons it before
+	// it starts, and an unstarted run is never counted as cancelled.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if started, _, _, _ := srv.met.runsSnapshot(); started == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("run never started")
+		}
+	}
 	cancel()
 	if err := <-errc; err == nil {
 		t.Fatal("client Do succeeded despite cancelled context")

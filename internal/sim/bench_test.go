@@ -2,10 +2,11 @@ package sim
 
 import "testing"
 
-// The engine microbenchmarks mirror the schedule shape `hpebench
-// -bench-json` uses (see cmd/hpebench), so BENCH_<n>.json numbers and `go
-// test -bench` numbers are directly comparable: 1000 events across 97
-// distinct cycles, scheduled up front and drained.
+// The engine microbenchmarks use the schedule shape perfbench times for
+// `sim.engine_ns_per_event` and `calib.reference_engine_ns`: 1000 events
+// across 97 distinct cycles, scheduled up front and drained. `go test -run
+// '^$' -bench ScheduleAndRun ./internal/sim/` gives the engine-vs-reference
+// ratio live.
 
 // noopHandler is the zero-payload handler for dispatch-cost benchmarks.
 type noopHandler struct{ n int }
@@ -28,7 +29,7 @@ func BenchmarkEngineHandlerScheduleAndRun(b *testing.B) {
 }
 
 // BenchmarkReferenceScheduleAndRun runs the identical schedule on the
-// pre-rewrite container/heap engine — the bench-trajectory baseline.
+// pre-rewrite container/heap engine — the same-host baseline.
 func BenchmarkReferenceScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewReference()

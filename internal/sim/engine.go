@@ -19,8 +19,8 @@
 // directly to the next scheduled event's timestamp — there is no per-cycle
 // ticking anywhere in the engine. The previous container/heap
 // implementation, with its closure API (At/After), survives as Reference:
-// the differential-testing oracle (FuzzEngineEquivalence) and the
-// bench-trajectory baseline (`make bench-json`).
+// the differential-testing oracle (FuzzEngineEquivalence) and perfbench's
+// in-run calibration (`calib.reference_engine_ns`).
 package sim
 
 import "fmt"

@@ -13,9 +13,9 @@ import (
 //     randomized schedules and asserts identical fire order, Now, Fired,
 //     Pending and cancellation behaviour — the differential proof that the
 //     struct-of-arrays rewrite preserved the determinism contract.
-//   - `hpebench -bench-json` benchmarks both implementations on the same
-//     schedule shape, so every BENCH_<n>.json carries the old engine's
-//     ns/op next to the new one's.
+//   - perfbench times it on the same 1000-event schedule shape as the
+//     engine (`calib.reference_engine_ns` beside `sim.engine_ns_per_event`):
+//     no program change moves it, so a shift in it is host drift.
 //
 // The cancellation poll follows the fixed semantics (poll after the queue
 // and limit checks): the Reference is the oracle for the current contract,
