@@ -48,9 +48,11 @@ lint-bench:
 spec-goldens:
 	$(GO) test -run SpecGoldens -count=1 ./internal/runspec/
 
-# The experiment suite's shared-cache paths under the race detector (~35 s).
+# The shared-cache paths under the race detector: the singleflight memo
+# (internal/flight), the workload cache over it (internal/runspec), and the
+# experiment suite that runs through both.
 race:
-	$(GO) test -race -run 'Concurrent|Dedup|RunPool' ./internal/experiments/
+	$(GO) test -race -run 'Concurrent|Dedup|RunPool' ./internal/experiments/ ./internal/flight/ ./internal/runspec/
 
 # The probe hot path and the rewritten event engine under the race detector:
 # emission sites, Chrome-trace streaming, probed-vs-unprobed determinism, and

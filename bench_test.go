@@ -17,7 +17,7 @@ import (
 	"hpe/internal/experiments"
 	"hpe/internal/gpu"
 	hpecore "hpe/internal/hpe"
-	"hpe/internal/registry"
+	"hpe/internal/runspec"
 )
 
 func quickSuite() *experiments.Suite {
@@ -227,15 +227,8 @@ var thrashing = hpe.RunSpec{App: "HSD", Rate: 75}
 // traceCache generates each workload's trace once, so benchmark loops time
 // the simulation rather than trace generation.
 func traceCache() hpe.RunEnv {
-	traces := map[string]*hpe.Trace{}
-	return hpe.RunEnv{Trace: func(app hpe.App) *hpe.Trace {
-		tr, ok := traces[app.Abbr]
-		if !ok {
-			tr = app.Generate()
-			traces[app.Abbr] = tr
-		}
-		return tr
-	}}
+	var c runspec.Cache
+	return hpe.RunEnv{Trace: c.Trace}
 }
 
 // runHPEConfig runs spec on the simulator with an HPE policy built from cfg
@@ -248,11 +241,7 @@ func runHPEConfig(b *testing.B, sp hpe.RunSpec, env hpe.RunEnv, cfg hpecore.Conf
 	if err != nil {
 		b.Fatal(err)
 	}
-	pol, err := registry.New("hpe", registry.WithHPEConfig(cfg))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return gpu.Run(m.Config, m.Trace, pol)
+	return gpu.Run(m.Config, m.Trace, hpecore.New(cfg))
 }
 
 // BenchmarkAblationHIRBatching compares full HPE (HIR, batched hits, transfer

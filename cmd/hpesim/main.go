@@ -25,7 +25,6 @@ import (
 
 	"hpe"
 	"hpe/internal/runspec"
-	"hpe/internal/trace"
 )
 
 func main() {
@@ -71,29 +70,8 @@ func main() {
 		}
 		specs = append(specs, sp)
 	}
-	traces := make(map[string]*hpe.Trace)
-	futures := make(map[string]*trace.FutureIndex)
-	env := hpe.RunEnv{
-		Trace: func(a hpe.App) *hpe.Trace {
-			key := fmt.Sprintf("%s/%d", a.Abbr, a.Sets)
-			if tr, ok := traces[key]; ok {
-				return tr
-			}
-			tr := a.Generate()
-			tr.Footprint()
-			traces[key] = tr
-			return tr
-		},
-		Future: func(a hpe.App, tr *hpe.Trace) *trace.FutureIndex {
-			key := fmt.Sprintf("%s/%d", a.Abbr, a.Sets)
-			if fi, ok := futures[key]; ok {
-				return fi
-			}
-			fi := trace.BuildFutureIndex(tr)
-			futures[key] = fi
-			return fi
-		},
-	}
+	var cache runspec.Cache
+	env := hpe.RunEnv{Trace: cache.Trace, Future: cache.Future}
 
 	// Materializing the first spec resolves the workload source — a catalog
 	// app, a phase schedule, a tenant colocation, or a trace file — and the

@@ -34,14 +34,14 @@ import (
 	"hpe/internal/server"
 )
 
+// ringVNodes is the number of virtual ring points per backend.
+const ringVNodes = 64
+
 // Config sizes the coordinator.
 type Config struct {
 	// Backends are the base URLs of the hped instances to shard across
 	// (e.g. "http://10.0.0.1:8080"). Required, at least one.
 	Backends []string
-	// VNodes is the number of virtual ring points per backend; defaults
-	// to 64.
-	VNodes int
 	// HealthInterval is the /healthz polling period; defaults to 2s.
 	HealthInterval time.Duration
 	// HealthTimeout bounds one health probe; defaults to 1s.
@@ -62,18 +62,11 @@ type Config struct {
 	// CacheBytes is the coordinator's merged-result cache budget; defaults
 	// to 256 MiB. Negative disables caching.
 	CacheBytes int64
-	// SuiteWorkers caps one sweep's concurrent shards; 0 means adaptive
-	// (the live backends' summed workers+queue, so every backend's window
-	// stays full without queueing rejections).
-	SuiteWorkers int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
 
 func (c *Config) fillDefaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -138,7 +131,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		ring:       newRing(cfg.Backends, cfg.VNodes),
+		ring:       newRing(cfg.Backends, ringVNodes),
 		order:      cfg.Backends,
 		backends:   make(map[string]*backend, len(cfg.Backends)),
 		client:     &http.Client{},
@@ -273,20 +266,16 @@ func (x *executor) unavailable(reqID string, err error) error {
 // sweep id: each cell's content-addressed spec is consistent-hashed to a
 // backend, and the handler set's suite aggregates and renders the returned
 // results exactly as a single node would. The client's parallelism hint is
-// ignored — scheduling is the coordinator's.
+// ignored — scheduling is the coordinator's: enough concurrent shards to fill
+// every live backend's window (workers + queue) without tripping 429s.
 func (x *executor) Sweep(id string, _ int) (func(context.Context, runspec.Spec, string) (hpe.Result, error), int) {
-	c := (*Coordinator)(x)
-	workers := c.cfg.SuiteWorkers
-	if workers <= 0 {
-		// Adaptive: enough concurrent shards to fill every live backend's
-		// window (workers + queue) without tripping 429s.
-		for _, s := range c.snapshots() {
-			if s.Alive {
-				workers += s.Workers + s.Queue
-			}
+	workers := 0
+	for _, s := range (*Coordinator)(x).snapshots() {
+		if s.Alive {
+			workers += s.Workers + s.Queue
 		}
-		workers = max(workers, 4)
 	}
+	workers = max(workers, 4)
 	return func(ctx context.Context, sp runspec.Spec, rid string) (hpe.Result, error) {
 		body, err := x.dispatch(ctx, sp, rid, id)
 		if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // Consistent-hash ring with virtual nodes. Every backend is hashed onto the
-// ring at VNodes points; a shard (a run's content address) is owned by the
+// ring at ringVNodes points; a shard (a run's content address) is owned by the
 // first backend clockwise of its own hash. Virtual nodes smooth the
 // partition: with ~64 points per backend the load imbalance across backends
 // stays within a few percent, and adding or removing one backend moves only

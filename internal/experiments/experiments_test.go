@@ -132,7 +132,7 @@ func TestMaterializedPolicyNames(t *testing.T) {
 		"rrip": "RRIP", "clockpro": "CLOCK-Pro", "ideal": "Ideal", "hpe": "HPE",
 		"clock": "CLOCK", "nru": "NRU", "arc": "ARC",
 	} {
-		m, err := s.spec(app, pol, 75).Materialize(s.env())
+		m, err := s.spec(app, pol, 75).Materialize(s.env)
 		if err != nil {
 			t.Fatalf("materialize %s: %v", pol, err)
 		}
@@ -154,8 +154,8 @@ func TestRRIPConfiguredPerPattern(t *testing.T) {
 	hot, _ := workload.ByAbbr("HOT") // Type I → default config
 	// Both build RRIP; behavioural difference is covered in policy tests.
 	// Here: just verify materialization does not fail and names match.
-	mh, err1 := s.spec(hsd, "rrip", 75).Materialize(s.env())
-	mo, err2 := s.spec(hot, "rrip", 75).Materialize(s.env())
+	mh, err1 := s.spec(hsd, "rrip", 75).Materialize(s.env)
+	mo, err2 := s.spec(hot, "rrip", 75).Materialize(s.env)
 	if err1 != nil || err2 != nil || mh.Policy.Name() != "RRIP" || mo.Policy.Name() != "RRIP" {
 		t.Fatal("RRIP construction failed")
 	}
@@ -312,7 +312,7 @@ func TestPrewarmMatchesSerial(t *testing.T) {
 func TestPrewarmNoopForOneWorker(t *testing.T) {
 	s := NewSuite(Options{Quick: true})
 	s.Prewarm(1)
-	if len(s.results) != 0 {
+	if s.results.Len() != 0 {
 		t.Fatal("Prewarm(1) ran simulations")
 	}
 }

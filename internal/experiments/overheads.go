@@ -126,81 +126,65 @@ func measureChainUpdate(sets, records int) float64 {
 	return float64(best.Nanoseconds()) / 1e3
 }
 
-// paperIDs are the experiments that reproduce the paper's own tables and
-// figures, in paper order; extensionIDs are the studies beyond the paper.
-var (
-	paperIDs = []string{"table1", "table2", "fig3", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "transfer", "walklat", "overhead"}
-	extensionIDs = []string{"ext", "sweep", "division", "channels", "translation",
-		"prefetch", "datapath", "hirsize", "temporal", "colocation"}
-)
+// table lists every experiment once, in report order: the paper's own
+// tables and figures (paper true) in paper order, then the studies beyond
+// the paper.
+var table = []struct {
+	id    string
+	paper bool
+	fn    func(*Suite) Report
+}{
+	{"table1", true, (*Suite).Table1},
+	{"table2", true, (*Suite).Table2},
+	{"fig3", true, (*Suite).Fig3},
+	{"fig7", true, (*Suite).Fig7},
+	{"fig8", true, (*Suite).Fig8},
+	{"fig9", true, (*Suite).Fig9},
+	{"fig10", true, (*Suite).Fig10},
+	{"fig11", true, (*Suite).Fig11},
+	{"fig12", true, (*Suite).Fig12},
+	{"fig13", true, (*Suite).Fig13},
+	{"fig14", true, (*Suite).Fig14},
+	{"fig15", true, (*Suite).Fig15},
+	{"transfer", true, (*Suite).TransferInterval},
+	{"walklat", true, (*Suite).WalkLatency},
+	{"overhead", true, (*Suite).Overheads},
+	{"ext", false, (*Suite).ExtendedPolicies},
+	{"sweep", false, (*Suite).OversubscriptionSweep},
+	{"division", false, (*Suite).DivisionStudy},
+	{"channels", false, (*Suite).ChannelStudy},
+	{"translation", false, (*Suite).TranslationStudy},
+	{"prefetch", false, (*Suite).PrefetchStudy},
+	{"datapath", false, (*Suite).DataPathStudy},
+	{"hirsize", false, (*Suite).HIRSizeStudy},
+	{"temporal", false, (*Suite).TemporalStudy},
+	{"colocation", false, (*Suite).ColocationStudy},
+}
 
 // All runs every paper experiment in paper order (concurrently when
 // Options.Workers > 1; output is identical either way).
 func (s *Suite) All() []Report {
-	reps, err := s.Reports(paperIDs)
+	var ids []string
+	for _, e := range table {
+		if e.paper {
+			ids = append(ids, e.id)
+		}
+	}
+	reps, err := s.Reports(ids)
 	if err != nil {
-		panic(err) // paperIDs are all registered; unreachable
+		panic(err) // every table ID resolves; unreachable
 	}
 	return reps
 }
 
 // experiment resolves an ID to its (unexecuted) experiment function.
 func (s *Suite) experiment(id string) (func() Report, bool) {
-	switch id {
-	case "table1":
-		return s.Table1, true
-	case "table2":
-		return s.Table2, true
-	case "fig3":
-		return s.Fig3, true
-	case "fig7":
-		return s.Fig7, true
-	case "fig8":
-		return s.Fig8, true
-	case "fig9":
-		return s.Fig9, true
-	case "fig10":
-		return s.Fig10, true
-	case "fig11":
-		return s.Fig11, true
-	case "fig12":
-		return s.Fig12, true
-	case "fig13":
-		return s.Fig13, true
-	case "fig14":
-		return s.Fig14, true
-	case "fig15":
-		return s.Fig15, true
-	case "transfer":
-		return s.TransferInterval, true
-	case "walklat":
-		return s.WalkLatency, true
-	case "overhead":
-		return s.Overheads, true
-	case "ext":
-		return s.ExtendedPolicies, true
-	case "sweep":
-		return s.OversubscriptionSweep, true
-	case "division":
-		return s.DivisionStudy, true
-	case "channels":
-		return s.ChannelStudy, true
-	case "translation":
-		return s.TranslationStudy, true
-	case "prefetch":
-		return s.PrefetchStudy, true
-	case "datapath":
-		return s.DataPathStudy, true
-	case "hirsize":
-		return s.HIRSizeStudy, true
-	case "temporal":
-		return s.TemporalStudy, true
-	case "colocation":
-		return s.ColocationStudy, true
-	default:
-		return nil, false
+	for _, e := range table {
+		if e.id == id {
+			return func() Report { return e.fn(s) }, true
+		}
 	}
+	return nil, false
 }
 
 // ByID returns the experiment with the given ID, or false.
@@ -215,7 +199,9 @@ func (s *Suite) ByID(id string) (Report, bool) {
 // IDs lists all experiment identifiers: the paper's set in paper order,
 // then the extensions.
 func IDs() []string {
-	out := make([]string, 0, len(paperIDs)+len(extensionIDs))
-	out = append(out, paperIDs...)
-	return append(out, extensionIDs...)
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.id
+	}
+	return out
 }

@@ -1,13 +1,11 @@
 package experiments
 
 // Concurrent suite runner: a worker-pool scheduler that shards the
-// (app, policy, rate, variant) run matrix across Options.Workers goroutines,
-// plus the singleflight primitive that makes the Suite's memoized caches
-// goroutine-safe. Every simulation is deterministic and keyed, and report
-// aggregation walks the caches in canonical order, so parallel execution is
-// byte-identical to serial execution (TestParallelMatchesSerial is the
-// contract). Workers == 1 bypasses every goroutine and channel — the
-// debugging path.
+// (app, policy, rate, variant) run matrix across Options.Workers goroutines.
+// Every simulation is deterministic and keyed, and report aggregation walks
+// the caches in canonical order, so parallel execution is byte-identical to
+// serial execution (TestParallelMatchesSerial is the contract). Workers == 1
+// bypasses every goroutine and channel — the debugging path.
 
 import (
 	"context"
@@ -16,68 +14,6 @@ import (
 
 	"hpe/internal/runspec"
 )
-
-// flight is one in-progress singleflight computation. The goroutine that
-// claims a key computes the value; later arrivals block on done and read
-// val. ok distinguishes a completed computation from one that panicked;
-// cacheable records the compute function's verdict on whether the value may
-// be published to the memo cache (a cancelled, partial simulation must not
-// be).
-type flight[V any] struct {
-	done      chan struct{}
-	val       V
-	ok        bool
-	cacheable bool
-}
-
-// dedup returns cache[key], computing it at most once across concurrent
-// callers: the first goroutine to ask runs compute with mu released, every
-// other goroutine blocks until the value is published. compute's second
-// return value decides whether the result enters the cache — an uncacheable
-// result (e.g. a simulation cut short by cancellation) is still handed to
-// this round's waiters but is never visible to later callers, who recompute.
-// The publication decision and the cache write happen under one critical
-// section, so there is no window in which an uncacheable value can be
-// observed in the cache. The returned bool reports whether this caller did
-// the computing (callers use it to emit progress exactly once per cell). If
-// compute panics, the panic propagates to the computing caller and waiters
-// retry the computation themselves.
-func dedup[K comparable, V any](mu *sync.Mutex, cache map[K]V, inflight map[K]*flight[V],
-	key K, compute func() (V, bool)) (V, bool) {
-	mu.Lock()
-	for {
-		if v, ok := cache[key]; ok {
-			mu.Unlock()
-			return v, false
-		}
-		f, ok := inflight[key]
-		if !ok {
-			break
-		}
-		mu.Unlock()
-		<-f.done
-		if f.ok {
-			return f.val, false
-		}
-		mu.Lock() // the computing goroutine panicked: try to claim the key ourselves
-	}
-	f := &flight[V]{done: make(chan struct{})}
-	inflight[key] = f
-	mu.Unlock()
-
-	defer func() {
-		mu.Lock()
-		if f.ok && f.cacheable {
-			cache[key] = f.val
-		}
-		delete(inflight, key)
-		mu.Unlock()
-		close(f.done)
-	}()
-	f.val, f.cacheable = compute()
-	f.ok = true
-	return f.val, true
-}
 
 // workers normalizes Options.Workers: anything below 1 means serial.
 func (s *Suite) workers() int {

@@ -13,110 +13,6 @@ import (
 	"hpe/internal/runspec"
 )
 
-// --- singleflight primitive ---------------------------------------------------
-
-func TestDedupComputesOncePerKey(t *testing.T) {
-	var mu sync.Mutex
-	cache := map[string]int{}
-	inflight := map[string]*flight[int]{}
-	var computes atomic.Int32
-
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				v, _ := dedup(&mu, cache, inflight, "k", func() (int, bool) {
-					computes.Add(1)
-					return 42, true
-				})
-				if v != 42 {
-					t.Error("dedup returned wrong value")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times, want 1", n)
-	}
-	if len(inflight) != 0 {
-		t.Fatalf("%d inflight entries leaked", len(inflight))
-	}
-}
-
-func TestDedupRecoversFromPanic(t *testing.T) {
-	var mu sync.Mutex
-	cache := map[string]int{}
-	inflight := map[string]*flight[int]{}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate")
-			}
-		}()
-		dedup(&mu, cache, inflight, "k", func() (int, bool) { panic("boom") })
-	}()
-	if len(inflight) != 0 {
-		t.Fatal("panicked flight left in the inflight table")
-	}
-	// The key is reclaimable after the failure.
-	v, computed := dedup(&mu, cache, inflight, "k", func() (int, bool) { return 7, true })
-	if v != 7 || !computed {
-		t.Fatalf("retry after panic = (%d, %v), want (7, true)", v, computed)
-	}
-}
-
-// TestDedupUncacheableNeverPublished is the cancellation-semantics contract:
-// a compute that declares its value uncacheable (a cancelled, partial
-// simulation) hands the value to this round's waiters but never publishes it
-// — a later caller recomputes. Concurrent readers racing the uncacheable
-// flight must never observe the poisoned value in the cache.
-func TestDedupUncacheableNeverPublished(t *testing.T) {
-	var mu sync.Mutex
-	cache := map[string]int{}
-	inflight := map[string]*flight[int]{}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				mu.Lock()
-				v, cached := cache["k"]
-				mu.Unlock()
-				if cached && v == -1 {
-					t.Error("uncacheable value observed in the cache")
-					return
-				}
-			}
-		}()
-	}
-	v, computed := dedup(&mu, cache, inflight, "k", func() (int, bool) { return -1, false })
-	if v != -1 || !computed {
-		t.Fatalf("uncacheable compute = (%d, %v), want (-1, true)", v, computed)
-	}
-	wg.Wait()
-	if _, ok := cache["k"]; ok {
-		t.Fatal("uncacheable value was published to the cache")
-	}
-	if len(inflight) != 0 {
-		t.Fatal("inflight entry leaked")
-	}
-	// The key recomputes for the next caller.
-	v, computed = dedup(&mu, cache, inflight, "k", func() (int, bool) { return 9, true })
-	if v != 9 || !computed {
-		t.Fatalf("recompute after uncacheable = (%d, %v), want (9, true)", v, computed)
-	}
-	if cache["k"] != 9 {
-		t.Fatal("cacheable recompute was not published")
-	}
-}
-
 // --- worker pool ---------------------------------------------------------------
 
 func TestRunPoolCoversAllIndices(t *testing.T) {
@@ -190,7 +86,7 @@ func TestRunPoolDrainsOnPanic(t *testing.T) {
 // TestSuitePanickingRunDrains runs real suite cells whose probe factory
 // panics under a 4-worker pool: the panic must surface to the caller with
 // the pool fully drained, and the poisoned cells must be reclaimable
-// afterwards (dedup drops panicked flights).
+// afterwards (flight.Memo drops panicked flights).
 func TestSuitePanickingRunDrains(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
@@ -429,8 +325,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if ns, np := serial.CachedRuns(), par.CachedRuns(); ns != np {
 		t.Fatalf("run-cache sizes differ: serial %d vs parallel %d", ns, np)
 	}
-	for key, sv := range serial.results {
-		pv, ok := par.results[key]
+	parRuns := par.results.Snapshot()
+	for key, sv := range serial.results.Snapshot() {
+		pv, ok := parRuns[key]
 		if !ok {
 			t.Errorf("parallel run missing cell %+v", key)
 			continue

@@ -66,8 +66,9 @@ func TestRunnerDelegationByteIdentical(t *testing.T) {
 	if nl, no := local.CachedRuns(), outer.CachedRuns(); nl != no {
 		t.Fatalf("cache sizes differ: local %d vs delegated %d", nl, no)
 	}
-	for key, lv := range local.results {
-		ov, ok := outer.results[key]
+	outerRuns := outer.results.Snapshot()
+	for key, lv := range local.results.Snapshot() {
+		ov, ok := outerRuns[key]
 		if !ok {
 			t.Errorf("delegated suite missing cell %s", key)
 			continue

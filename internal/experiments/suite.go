@@ -18,10 +18,10 @@
 // # Concurrency contract
 //
 // A Suite is safe for concurrent use by multiple goroutines. Every memoized
-// cache (traces, Belady future indexes, simulation results) sits behind a
-// single mutex with singleflight deduplication: when two goroutines ask for
-// the same run, one computes it while the other blocks and receives the same
-// value, so each spec is simulated exactly once per Suite regardless of
+// cache (traces and Belady future indexes in a runspec.Cache, simulation
+// results in a flight.Memo) deduplicates in flight: when two goroutines ask
+// for the same run, one computes it while the other blocks and receives the
+// same value, so each spec is simulated exactly once per Suite regardless of
 // interleaving. Cached values are immutable once published — traces have
 // their lazy footprint primed before they are shared — so readers never
 // observe partial state. Options.Workers sets the parallelism of Prewarm and
@@ -38,6 +38,7 @@ import (
 	"math"
 	"sync"
 
+	"hpe/internal/flight"
 	"hpe/internal/gpu"
 	"hpe/internal/probe"
 	"hpe/internal/registry"
@@ -107,15 +108,9 @@ type Suite struct {
 	opts Options
 	apps []workload.App
 
-	// mu guards every map below, including the in-flight singleflight
-	// tables; compute functions run with mu released.
-	mu        sync.Mutex
-	traces    map[string]*trace.Trace
-	traceWIP  map[string]*flight[*trace.Trace]
-	futures   map[string]*trace.FutureIndex
-	futureWIP map[string]*flight[*trace.FutureIndex]
-	results   map[string]gpu.Result // keyed by Spec.ID()
-	runWIP    map[string]*flight[gpu.Result]
+	cache   runspec.Cache
+	env     runspec.Env                     // materializes through cache
+	results flight.Memo[string, gpu.Result] // keyed by Spec.ID()
 
 	progressMu sync.Mutex
 }
@@ -123,15 +118,8 @@ type Suite struct {
 // NewSuite builds a suite over the full Table II catalog (or the quick
 // subset).
 func NewSuite(opts Options) *Suite {
-	s := &Suite{
-		opts:      opts,
-		traces:    make(map[string]*trace.Trace),
-		traceWIP:  make(map[string]*flight[*trace.Trace]),
-		futures:   make(map[string]*trace.FutureIndex),
-		futureWIP: make(map[string]*flight[*trace.FutureIndex]),
-		results:   make(map[string]gpu.Result),
-		runWIP:    make(map[string]*flight[gpu.Result]),
-	}
+	s := &Suite{opts: opts}
+	s.env = runspec.Env{Trace: s.cache.Trace, Future: s.cache.Future}
 	if opts.Quick {
 		for _, abbr := range []string{"HOT", "GEM", "HSD", "STN", "PAT", "KMN", "NW", "BFS", "SGM", "B+T"} {
 			app, ok := workload.ByAbbr(abbr)
@@ -158,45 +146,11 @@ func (s *Suite) ctx() context.Context {
 	return context.Background()
 }
 
-// Trace returns (and caches) the app's canonical trace. Concurrent callers
-// for the same app share one generation. Scaled variants of an app get
-// their own entries.
-func (s *Suite) Trace(app workload.App) *trace.Trace {
-	key := fmt.Sprintf("%s/%d", app.Abbr, app.Sets)
-	tr, _ := dedup(&s.mu, s.traces, s.traceWIP, key, func() (*trace.Trace, bool) {
-		tr := app.Generate()
-		// Prime the trace's lazily-memoized footprint before publication:
-		// Footprint() writes its cache on first call, which would race when
-		// workers share the trace.
-		tr.Footprint()
-		return tr, true
-	})
-	return tr
-}
-
-func (s *Suite) future(app workload.App) *trace.FutureIndex {
-	key := fmt.Sprintf("%s/%d", app.Abbr, app.Sets)
-	fi, _ := dedup(&s.mu, s.futures, s.futureWIP, key, func() (*trace.FutureIndex, bool) {
-		return trace.BuildFutureIndex(s.Trace(app)), true
-	})
-	return fi
-}
-
-// env is the suite's materialization environment: traces and future indexes
-// flow through the memo caches.
-func (s *Suite) env() runspec.Env {
-	return runspec.Env{
-		Trace:  func(app workload.App) *trace.Trace { return s.Trace(app) },
-		Future: func(app workload.App, _ *trace.Trace) *trace.FutureIndex { return s.future(app) },
-	}
-}
+// Trace returns the app's canonical trace, shared with every run of it.
+func (s *Suite) Trace(app workload.App) *trace.Trace { return s.cache.Trace(app) }
 
 // CachedRuns reports how many simulation results the Suite has memoized.
-func (s *Suite) CachedRuns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.results)
-}
+func (s *Suite) CachedRuns() int { return s.results.Len() }
 
 // capacityFor translates an oversubscription rate into a device-memory size.
 func capacityFor(tr *trace.Trace, ratePct int) int {
@@ -228,7 +182,7 @@ func (s *Suite) RunSpec(sp runspec.Spec) gpu.Result {
 		panic("experiments: " + err.Error())
 	}
 	id := c.ID()
-	r, computed := dedup(&s.mu, s.results, s.runWIP, id, func() (gpu.Result, bool) {
+	r, computed := s.results.Do(id, func() (gpu.Result, bool) {
 		r := s.simulate(c, id)
 		// A cancelled (partial) result must never be published under the
 		// spec's ID: a later identical request would mistake it for the
@@ -260,7 +214,7 @@ func (s *Suite) simulate(sp runspec.Spec, id string) gpu.Result {
 		}
 		return r
 	}
-	m, err := sp.Materialize(s.env())
+	m, err := sp.Materialize(s.env)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}

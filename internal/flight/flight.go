@@ -9,6 +9,10 @@
 // computation is cancelled mid-flight instead of burning cycles for nobody.
 // Each flight carries a short label (hped stores the run's enumeration
 // summary) that lives exactly as long as the flight does.
+//
+// Memo is the in-process sibling: a singleflight memo table whose values
+// outlive the computation (the experiment suite's results, runspec.Cache's
+// traces and future indexes).
 package flight
 
 import (

@@ -38,14 +38,6 @@ type TenantReplay struct {
 	Hits      uint64
 }
 
-// FaultRate returns faults per reference.
-func (r ReplayResult) FaultRate() float64 {
-	if r.Refs == 0 {
-		return 0
-	}
-	return float64(r.Faults) / float64(r.Refs)
-}
-
 // String renders the result as a one-line report.
 func (r ReplayResult) String() string {
 	return fmt.Sprintf("%-10s refs=%-8d faults=%-7d evictions=%-7d hits=%d",
@@ -57,26 +49,22 @@ func (r ReplayResult) String() string {
 // policy (the paper's "ideal model" feed). The sequence number passed to the
 // policy is the trace position.
 func Replay(tr *trace.Trace, p Policy, capacityPages int) ReplayResult {
-	return ReplayProbed(tr, p, capacityPages, nil)
-}
-
-// ReplayProbed is Replay with an optional instrumentation probe. Replay is
-// timing-free, so events carry the trace position as their cycle (At =
-// sim.Cycle(seq)): inter-arrival histograms then measure reference distance
-// rather than simulated time. A nil probe keeps the exact Replay fast path.
-func ReplayProbed(tr *trace.Trace, p Policy, capacityPages int, pr probe.Probe) ReplayResult {
-	//lint:ignore hpelint/ctxflow context-free compatibility wrapper by design; callers needing cancellation use ReplayContext
-	return ReplayContext(context.Background(), tr, p, capacityPages, pr)
+	//lint:ignore hpelint/ctxflow context-free convenience wrapper by design; callers needing cancellation use ReplayContext
+	return ReplayContext(context.Background(), tr, p, capacityPages, nil)
 }
 
 // cancelPollRefs is how many references replay between context polls in
 // ReplayContext — same rationale as the event engine's poll interval.
 const cancelPollRefs = 4096
 
-// ReplayContext is ReplayProbed tied to a context: the replay loop polls
-// ctx.Done() every cancelPollRefs references and stops early when it closes,
-// marking the result Cancelled. A never-cancellable context (Background)
-// keeps the exact unpolled fast path.
+// ReplayContext is Replay tied to a context and an optional instrumentation
+// probe. The replay loop polls ctx.Done() every cancelPollRefs references and
+// stops early when it closes, marking the result Cancelled; a
+// never-cancellable context (Background) keeps the exact unpolled fast path.
+// Replay is timing-free, so events carry the trace position as their cycle
+// (At = sim.Cycle(seq)): inter-arrival histograms then measure reference
+// distance rather than simulated time. A nil probe keeps the unprobed fast
+// path.
 func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages int, pr probe.Probe) ReplayResult {
 	if capacityPages <= 0 {
 		panic(fmt.Sprintf("policy: Replay capacity %d must be positive", capacityPages))

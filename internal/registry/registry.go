@@ -4,12 +4,10 @@
 // here, so adding a policy means adding one Register call, not editing
 // switch statements across the tree.
 //
-// Policies are constructed from a name plus functional options. Options are
-// uniform: a builder consumes the ones it understands and ignores the rest
-// (WithThrashingRRIP, for example, only matters to RRIP), which lets callers
-// pass one option set for every policy of a run matrix. Options that a
-// builder *requires* (CLOCK-Pro and ARC need WithCapacity; Ideal needs
-// WithTrace or WithFutureIndex) produce an error when missing.
+// A policy is built from its name plus one Options value describing the
+// run (runspec.Spec.Materialize is the only caller). A builder reads the
+// fields it understands; the ones it requires (CLOCK-Pro and ARC need
+// Capacity, Ideal needs Future) produce an error when missing.
 package registry
 
 import (
@@ -23,60 +21,24 @@ import (
 	"hpe/internal/trace"
 )
 
-// Options is the merged option set a builder sees. Builders read the fields
+// Options describes the run a policy is built for. Builders read the fields
 // they understand and ignore the rest.
 type Options struct {
-	// Seed feeds randomised policies (Random). Default 1.
+	// Seed feeds randomised policies (Random).
 	Seed int64
 	// Capacity is the device-memory capacity in pages, required by the
 	// capacity-aware policies (CLOCK-Pro, ARC).
 	Capacity int
-	// Trace supplies the reference string for offline policies (Ideal).
-	Trace *trace.Trace
-	// Future lazily supplies a prebuilt Belady future index; when set it
-	// takes precedence over Trace. The callback runs only if the policy
-	// being built actually needs the index, so callers can pass it
-	// unconditionally without paying for the build.
+	// Future lazily supplies the Belady future index offline policies
+	// (Ideal) replay. The callback runs only if the policy being built
+	// needs the index, so callers pass it unconditionally without paying
+	// for the build.
 	Future func() *trace.FutureIndex
-	// RRIP overrides the RRIP configuration entirely.
-	RRIP *policy.RRIPConfig
 	// ThrashingRRIP selects the paper's Type-II RRIP setup (distant
-	// insertion, delay threshold 128) when no explicit RRIP config is given.
+	// insertion, delay threshold 128).
 	ThrashingRRIP bool
 	// HPE overrides the HPE configuration.
 	HPE *hpe.Config
-}
-
-// Option customises policy construction.
-type Option func(*Options)
-
-// WithSeed seeds randomised policies.
-func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
-
-// WithCapacity supplies the device-memory capacity in pages.
-func WithCapacity(pages int) Option { return func(o *Options) { o.Capacity = pages } }
-
-// WithTrace supplies the reference string offline policies replay.
-func WithTrace(tr *trace.Trace) Option { return func(o *Options) { o.Trace = tr } }
-
-// WithFutureIndex lazily supplies a Belady future index; fn is only invoked
-// if the policy needs it.
-func WithFutureIndex(fn func() *trace.FutureIndex) Option {
-	return func(o *Options) { o.Future = fn }
-}
-
-// WithRRIPConfig pins the RRIP configuration.
-func WithRRIPConfig(cfg policy.RRIPConfig) Option {
-	return func(o *Options) { c := cfg; o.RRIP = &c }
-}
-
-// WithThrashingRRIP selects the Type-II RRIP setup; ignored by every other
-// policy, so it can be applied uniformly across a run matrix.
-func WithThrashingRRIP() Option { return func(o *Options) { o.ThrashingRRIP = true } }
-
-// WithHPEConfig pins the HPE configuration.
-func WithHPEConfig(cfg hpe.Config) Option {
-	return func(o *Options) { c := cfg; o.HPE = &c }
 }
 
 // Info describes a registered policy.
@@ -89,7 +51,8 @@ type Info struct {
 	Description string
 	// Aliases are additional accepted names ("clock-pro").
 	Aliases []string
-	// NeedsCapacity, NeedsTrace: the policy errors without that option.
+	// NeedsCapacity, NeedsTrace: the policy errors without Options.Capacity
+	// or Options.Future respectively.
 	NeedsCapacity bool
 	NeedsTrace    bool
 	// NeedsHIR: the policy is driven by the HIR cache, so simulations must
@@ -131,20 +94,16 @@ func lookup(name string) (*entry, error) {
 
 // New builds a fresh policy instance by name (case-insensitive; aliases
 // accepted). It errors on an unknown name or a missing required option.
-func New(name string, opts ...Option) (policy.Policy, error) {
+func New(name string, o Options) (policy.Policy, error) {
 	e, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	o := Options{Seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
 	if e.info.NeedsCapacity && o.Capacity <= 0 {
-		return nil, fmt.Errorf("registry: policy %q requires WithCapacity", e.info.Name)
+		return nil, fmt.Errorf("registry: policy %q requires Options.Capacity", e.info.Name)
 	}
-	if e.info.NeedsTrace && o.Trace == nil && o.Future == nil {
-		return nil, fmt.Errorf("registry: policy %q requires WithTrace or WithFutureIndex", e.info.Name)
+	if e.info.NeedsTrace && o.Future == nil {
+		return nil, fmt.Errorf("registry: policy %q requires Options.Future", e.info.Name)
 	}
 	return e.build(o)
 }
@@ -215,16 +174,12 @@ func init() {
 
 	register(Info{
 		Name: "rrip", Display: "RRIP",
-		Description: "the paper's enhanced RRIP-FP (delay field; Type-II preset via WithThrashingRRIP)",
+		Description: "the paper's enhanced RRIP-FP (delay field; Type-II preset for thrashing apps)",
 	}, func(o Options) (policy.Policy, error) {
-		cfg := policy.DefaultRRIPConfig()
 		if o.ThrashingRRIP {
-			cfg = policy.ThrashingRRIPConfig()
+			return policy.NewRRIP(policy.ThrashingRRIPConfig()), nil
 		}
-		if o.RRIP != nil {
-			cfg = *o.RRIP
-		}
-		return policy.NewRRIP(cfg), nil
+		return policy.NewRRIP(policy.DefaultRRIPConfig()), nil
 	})
 
 	register(Info{
@@ -239,12 +194,7 @@ func init() {
 		Name: "ideal", Display: "Ideal", Aliases: []string{"belady", "min"},
 		Description: "offline Belady-MIN upper bound (needs the trace)",
 		NeedsTrace:  true,
-	}, func(o Options) (policy.Policy, error) {
-		if o.Future != nil {
-			return policy.NewIdeal(o.Future()), nil
-		}
-		return policy.NewIdeal(trace.BuildFutureIndex(o.Trace)), nil
-	})
+	}, func(o Options) (policy.Policy, error) { return policy.NewIdeal(o.Future()), nil })
 
 	register(Info{
 		Name: "hpe", Display: "HPE",

@@ -19,17 +19,13 @@ func tinyTrace() *trace.Trace {
 	return trace.New("tiny", refs)
 }
 
-// allOpts is the uniform option set the experiment suite passes: every
-// registered policy must build with it.
-func allOpts(t *testing.T) []Option {
-	t.Helper()
-	tr := tinyTrace()
-	return []Option{
-		WithSeed(7),
-		WithCapacity(16),
-		WithTrace(tr),
-		WithThrashingRRIP(),
-	}
+// tinyFuture lazily builds the Belady index over tinyTrace.
+func tinyFuture() *trace.FutureIndex { return trace.BuildFutureIndex(tinyTrace()) }
+
+// allOpts is a full option set, as Spec.Materialize passes for a thrashing
+// app: every registered policy must build with it.
+func allOpts() Options {
+	return Options{Seed: 7, Capacity: 16, Future: tinyFuture, ThrashingRRIP: true}
 }
 
 // TestEveryNameRoundTrips builds every registered policy and checks its
@@ -41,7 +37,7 @@ func TestEveryNameRoundTrips(t *testing.T) {
 		t.Fatal("empty registry")
 	}
 	for _, name := range names {
-		pol, err := New(name, allOpts(t)...)
+		pol, err := New(name, allOpts())
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
@@ -49,7 +45,7 @@ func TestEveryNameRoundTrips(t *testing.T) {
 			t.Errorf("New(%q).Name() = %q, want display %q", name, got, DisplayName(name))
 		}
 		// A second build must be a fresh instance.
-		pol2, err := New(name, allOpts(t)...)
+		pol2, err := New(name, allOpts())
 		if err != nil {
 			t.Fatalf("New(%q) second build: %v", name, err)
 		}
@@ -79,7 +75,7 @@ func TestDisplayNames(t *testing.T) {
 }
 
 func TestUnknownNameErrors(t *testing.T) {
-	_, err := New("not-a-policy")
+	_, err := New("not-a-policy", Options{})
 	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}
@@ -90,19 +86,16 @@ func TestUnknownNameErrors(t *testing.T) {
 
 func TestRequiredOptions(t *testing.T) {
 	for _, name := range []string{"clockpro", "arc"} {
-		if _, err := New(name); err == nil {
-			t.Errorf("%s without WithCapacity accepted", name)
+		if _, err := New(name, Options{}); err == nil {
+			t.Errorf("%s without Capacity accepted", name)
 		}
 	}
-	if _, err := New("ideal"); err == nil {
-		t.Error("ideal without trace accepted")
-	}
-	if _, err := New("ideal", WithTrace(tinyTrace())); err != nil {
-		t.Errorf("ideal with trace: %v", err)
+	if _, err := New("ideal", Options{}); err == nil {
+		t.Error("ideal without future index accepted")
 	}
 	built := false
-	fi := func() *trace.FutureIndex { built = true; return trace.BuildFutureIndex(tinyTrace()) }
-	if _, err := New("ideal", WithFutureIndex(fi)); err != nil {
+	fi := func() *trace.FutureIndex { built = true; return tinyFuture() }
+	if _, err := New("ideal", Options{Future: fi}); err != nil {
 		t.Errorf("ideal with future index: %v", err)
 	}
 	if !built {
@@ -110,7 +103,7 @@ func TestRequiredOptions(t *testing.T) {
 	}
 	// The lazy index must NOT be built for policies that don't need it.
 	built = false
-	if _, err := New("lru", WithFutureIndex(fi)); err != nil || built {
+	if _, err := New("lru", Options{Future: fi}); err != nil || built {
 		t.Errorf("lru consumed the future index (built=%v, err=%v)", built, err)
 	}
 }
@@ -129,7 +122,7 @@ func TestAliasesAndCase(t *testing.T) {
 
 func TestRandomSeedDeterminism(t *testing.T) {
 	run := func(seed int64) uint64 {
-		pol, err := New("random", WithSeed(seed))
+		pol, err := New("random", Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,23 +134,19 @@ func TestRandomSeedDeterminism(t *testing.T) {
 }
 
 func TestThrashingRRIPIgnoredByOthers(t *testing.T) {
-	// WithThrashingRRIP changes RRIP's configuration but must not break or
+	// ThrashingRRIP changes RRIP's configuration but must not break or
 	// alter any other policy's construction.
 	for _, name := range Names() {
-		with, err1 := New(name, allOpts(t)...)
-		without, err2 := New(name, WithSeed(7), WithCapacity(16), WithTrace(tinyTrace()))
+		without := allOpts()
+		without.ThrashingRRIP = false
+		with, err1 := New(name, allOpts())
+		plain, err2 := New(name, without)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: %v / %v", name, err1, err2)
 		}
-		if with.Name() != without.Name() {
-			t.Errorf("%s: name changed by WithThrashingRRIP", name)
+		if with.Name() != plain.Name() {
+			t.Errorf("%s: name changed by ThrashingRRIP", name)
 		}
-	}
-	// An explicit RRIP config wins over the thrashing preset.
-	cfg := policy.DefaultRRIPConfig()
-	pol, err := New("rrip", WithThrashingRRIP(), WithRRIPConfig(cfg))
-	if err != nil || pol.Name() != "RRIP" {
-		t.Fatalf("explicit RRIP config: %v", err)
 	}
 }
 

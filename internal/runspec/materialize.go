@@ -16,11 +16,12 @@ import (
 	"hpe/internal/workload"
 )
 
-// Env supplies the environment a materialization draws on. Both hooks are
-// optional: the zero Env generates traces on demand and lets offline
-// policies build their own future index. Long-lived callers (the experiment
-// suite, hped) plug their memo caches in here so repeated materializations
-// of the same workload share one trace generation.
+// Env supplies the environment a materialization draws on. Every hook is
+// optional: the zero Env generates traces on demand and builds offline
+// policies' future index from the materialized trace. Long-lived callers
+// (the experiment suite, hped, hpesim) plug a Cache's methods in here so
+// repeated materializations of the same workload share one trace
+// generation.
 type Env struct {
 	// Trace returns the canonical trace of app (already scaled). When nil,
 	// the trace is generated fresh with its lazy footprint primed.
@@ -118,25 +119,21 @@ func (s Spec) Materialize(env Env) (Materialized, error) {
 		cfg.HIR.Entries = c.Tuning.HIREntries
 	}
 
-	popts := []registry.Option{
-		registry.WithSeed(c.Seed),
-		registry.WithCapacity(capacity),
-	}
+	future := func() *trace.FutureIndex { return trace.BuildFutureIndex(tr) }
 	if env.Future != nil {
-		appC, trC := app, tr
-		popts = append(popts, registry.WithFutureIndex(func() *trace.FutureIndex {
-			return env.Future(appC, trC)
-		}))
-	} else {
-		popts = append(popts, registry.WithTrace(tr))
+		future = func() *trace.FutureIndex { return env.Future(app, tr) }
 	}
-	if app.Pattern == workload.PatternThrashing {
-		popts = append(popts, registry.WithThrashingRRIP())
+	ropts := registry.Options{
+		Seed:          c.Seed,
+		Capacity:      capacity,
+		Future:        future,
+		ThrashingRRIP: app.Pattern == workload.PatternThrashing,
 	}
 	if c.Policy == "hpe" {
-		popts = append(popts, registry.WithHPEConfig(hpeConfigFor(app, c.Tuning)))
+		hc := hpeConfigFor(app, c.Tuning)
+		ropts.HPE = &hc
 	}
-	pol, err := registry.New(c.Policy, popts...)
+	pol, err := registry.New(c.Policy, ropts)
 	if err != nil {
 		return Materialized{}, err
 	}

@@ -28,9 +28,6 @@ type Config struct {
 	// CacheBytes is the result cache's byte budget; defaults to 256 MiB.
 	// Negative disables caching.
 	CacheBytes int64
-	// SuiteWorkers caps the parallelism of one /v1/suite sweep; defaults
-	// to Workers.
-	SuiteWorkers int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -48,9 +45,6 @@ func (c *Config) fillDefaults() {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.SuiteWorkers <= 0 {
-		c.SuiteWorkers = c.Workers
-	}
 }
 
 // New builds a single simulating hped: the handler set over the local
@@ -60,7 +54,6 @@ func New(cfg Config) *Server {
 	l := &local{
 		cfg:       cfg,
 		adm:       newAdmission(cfg.Workers, cfg.QueueDepth),
-		traces:    make(map[string]*traceEntry),
 		simEvents: make(map[string]uint64),
 	}
 	s := Mount(l, Surface{Name: "server", Source: "simulate", CacheBytes: cfg.CacheBytes, Logf: cfg.Logf})
@@ -76,16 +69,12 @@ type local struct {
 	adm *admission
 	met *serverMetrics // the handler set's; prices Retry-After
 
-	traceMu sync.Mutex
-	traces  map[string]*traceEntry // guarded by traceMu
+	// traces serves only its Trace hook: a future index per app, kept for
+	// the process lifetime, would grow the daemon's resident set.
+	traces runspec.Cache
 
 	simMu     sync.Mutex
 	simEvents map[string]uint64 // guarded by simMu; probe kind name → total events
-}
-
-type traceEntry struct {
-	once sync.Once
-	tr   *hpe.Trace
 }
 
 // HealthBody is the /healthz response: liveness plus the capacity figures
@@ -116,7 +105,7 @@ func (l *local) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, er
 	res, err := hpe.Run(sp,
 		hpe.WithContext(ctx),
 		hpe.WithProbe(m),
-		hpe.WithRunEnv(hpe.RunEnv{Trace: l.trace}))
+		hpe.WithRunEnv(hpe.RunEnv{Trace: l.traces.Trace}))
 	if err != nil {
 		return nil, err
 	}
@@ -134,26 +123,6 @@ func (l *local) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, er
 	return append(body, '\n'), nil
 }
 
-// trace returns the app's canonical trace, generated once per process
-// lifetime (traces are deterministic and immutable once the lazy footprint
-// is primed). Scaled variants of an app get their own entries.
-func (l *local) trace(app hpe.App) *hpe.Trace {
-	key := fmt.Sprintf("%s/%d", app.Abbr, app.Sets)
-	l.traceMu.Lock()
-	e, ok := l.traces[key]
-	if !ok {
-		e = &traceEntry{}
-		l.traces[key] = e
-	}
-	l.traceMu.Unlock()
-	e.once.Do(func() {
-		tr := app.Generate()
-		tr.Footprint()
-		e.tr = tr
-	})
-	return e.tr
-}
-
 // mergeProbe folds one run's probe snapshot into the per-kind event totals.
 func (l *local) mergeProbe(s *probe.Snapshot) {
 	if s == nil {
@@ -167,10 +136,10 @@ func (l *local) mergeProbe(s *probe.Snapshot) {
 }
 
 // Sweep simulates in-process, sharded across the suite's worker pool: the
-// client's hint, capped by the configured suite parallelism.
+// client's hint, capped by Workers.
 func (l *local) Sweep(_ string, hint int) (func(context.Context, runspec.Spec, string) (hpe.Result, error), int) {
-	if hint <= 0 || hint > l.cfg.SuiteWorkers {
-		hint = l.cfg.SuiteWorkers
+	if hint <= 0 || hint > l.cfg.Workers {
+		hint = l.cfg.Workers
 	}
 	return nil, hint
 }
