@@ -71,14 +71,16 @@ serve-check:
 	$(GO) test -race -count=1 -timeout 600s ./internal/server/ ./internal/cluster/ ./cmd/hped/
 
 # Workload v2 (DESIGN.md §14) under the race detector: phase-schedule and
-# colocation generators, scenario presets, and the versioned .hpet codec
-# (v1/v2 round-trips, annotation tables, fuzzed header validation).
+# colocation generators, scenario presets, the versioned .hpet codec
+# (v1/v2 round-trips, annotation tables, fuzzed header validation), and
+# concurrent readers of a freshly built trace.
 workload-check:
 	$(GO) test -race -count=1 ./internal/workload/... ./internal/trace/
 
 # Fuzz targets, seed corpus only (the -fuzz loop is interactive; run
 # `go test -fuzz=FuzzEngineEquivalence ./internal/sim/`,
-# `go test -fuzz=FuzzCatalogGenerate ./internal/workload/`,
+# `go test -fuzz=FuzzCatalogGenerate ./internal/workload/` (catalog app ×
+# scale 1–64; the seeds cover every app at scales 1–4),
 # `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`, or
 # `go test -fuzz=FuzzDecode ./internal/runspec/` to explore).
 fuzz-seed:

@@ -1,16 +1,17 @@
-// Golden-results regression test: the headline figures of the evaluation
-// (Fig. 10/11/12 — HPE vs LRU speedups, eviction reductions, and the
-// all-policy comparison) recomputed over the full 23-app catalog and checked
-// against the committed results.json. A silent simulator regression now
-// fails `go test ./...` instead of only surfacing when EXPERIMENTS.md is
-// next regenerated. Refresh the golden file after an intentional behaviour
-// change with:
+// Golden-results regression test: every experiment of the suite — the
+// paper's tables and figures and the studies beyond them — recomputed over
+// the full 23-app catalog and checked against the committed results.json.
+// A silent simulator regression anywhere in the output fails
+// `go test ./...` instead of only surfacing when EXPERIMENTS.md is next
+// regenerated. Refresh the golden file after an intentional behaviour change
+// with:
 //
 //	go run ./cmd/hpebench -json results.json
 package hpe_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -32,10 +33,9 @@ type goldenReport struct {
 // so genuine regressions shift these aggregates by far more.
 const goldenTolerance = 1e-6
 
-func TestGoldenHeadlineResults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-catalog recomputation skipped in -short mode")
-	}
+// loadGolden reads results.json into experiment ID → report.
+func loadGolden(t *testing.T) map[string]goldenReport {
+	t.Helper()
 	raw, err := os.ReadFile("results.json")
 	if err != nil {
 		t.Fatalf("reading golden file: %v", err)
@@ -48,39 +48,61 @@ func TestGoldenHeadlineResults(t *testing.T) {
 	for _, g := range golden {
 		byID[g.ID] = g
 	}
+	return byID
+}
 
-	// Full catalog, same seed as cmd/hpebench; the parallel runner is
-	// byte-identical to serial, so it is safe to use here.
+// checkGolden compares one recomputed report with its results.json entry:
+// every golden metric is recomputed within goldenTolerance and no new
+// non-NaN metric appears. Values clamped from ±Inf by the JSON writer and
+// the host-timed metrics are not comparable and are skipped.
+func checkGolden(t *testing.T, label string, golden map[string]goldenReport, rep experiments.Report) {
+	t.Helper()
+	want, ok := golden[rep.ID]
+	if !ok {
+		t.Errorf("results.json has no %q entry", rep.ID)
+		return
+	}
+	for key, gv := range want.Metrics {
+		if math.Abs(gv) >= math.MaxFloat64/2 || experiments.HostTimed(rep.ID, key) {
+			continue
+		}
+		mv, ok := rep.Metrics[key]
+		if !ok {
+			t.Errorf("%s%s: metric %q in golden file but not recomputed", label, rep.ID, key)
+			continue
+		}
+		diff := math.Abs(mv - gv)
+		if diff > goldenTolerance*math.Max(1, math.Abs(gv)) {
+			t.Errorf("%s%s/%s: recomputed %v, golden %v (Δ %.3g) — simulator behaviour changed; "+
+				"if intentional, regenerate results.json", label, rep.ID, key, mv, gv, diff)
+		}
+	}
+	for key, mv := range rep.Metrics {
+		if _, ok := want.Metrics[key]; !ok && !math.IsNaN(mv) {
+			t.Errorf("%s%s: new metric %q missing from golden file — regenerate results.json", label, rep.ID, key)
+		}
+	}
+}
+
+// TestGoldenHeadlineResults recomputes every experiment ID. The parallel
+// runner is byte-identical to serial, so it runs at one worker per CPU.
+func TestGoldenHeadlineResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog recomputation skipped in -short mode")
+	}
+	golden := loadGolden(t)
+	ids := experiments.IDs()
+	if len(golden) != len(ids) {
+		t.Errorf("results.json has %d entries, the suite %d experiments", len(golden), len(ids))
+	}
+	// Same seed as cmd/hpebench.
 	s := experiments.NewSuite(experiments.Options{Seed: 1, Workers: runtime.GOMAXPROCS(0)})
-	for _, id := range []string{"fig10", "fig11", "fig12"} {
-		want, ok := byID[id]
-		if !ok {
-			t.Fatalf("results.json has no %q entry", id)
-		}
-		rep, ok := s.ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not dispatchable", id)
-		}
-		for key, gv := range want.Metrics {
-			if math.Abs(gv) >= math.MaxFloat64/2 {
-				continue // ±Inf clamped by the JSON writer; not comparable
-			}
-			mv, ok := rep.Metrics[key]
-			if !ok {
-				t.Errorf("%s: metric %q in golden file but not recomputed", id, key)
-				continue
-			}
-			diff := math.Abs(mv - gv)
-			if diff > goldenTolerance*math.Max(1, math.Abs(gv)) {
-				t.Errorf("%s/%s: recomputed %v, golden %v (Δ %.3g) — simulator behaviour changed; "+
-					"if intentional, regenerate results.json", id, key, mv, gv, diff)
-			}
-		}
-		for key := range rep.Metrics {
-			if _, ok := want.Metrics[key]; !ok && !math.IsNaN(rep.Metrics[key]) {
-				t.Errorf("%s: new metric %q missing from golden file — regenerate results.json", id, key)
-			}
-		}
+	reps, err := s.Reports(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range reps {
+		checkGolden(t, "", golden, rep)
 	}
 }
 
@@ -88,55 +110,25 @@ func TestGoldenHeadlineResults(t *testing.T) {
 // rewritten engine hot path must uphold together: attaching instrumentation
 // (a Metrics probe on every run) changes no result, and neither does the
 // worker count. Both a serial run and an 8-worker run, each fully probed,
-// must reproduce the committed results.json exactly — the same golden file
-// the unprobed headline test uses.
+// must reproduce the headline figures (Fig. 10/11/12) of the committed
+// results.json exactly — the same golden file the unprobed test uses.
 func TestGoldenProbedRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full recomputation skipped in -short mode")
 	}
-	raw, err := os.ReadFile("results.json")
-	if err != nil {
-		t.Fatalf("reading golden file: %v", err)
-	}
-	var golden []goldenReport
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatalf("parsing results.json: %v", err)
-	}
-	byID := map[string]goldenReport{}
-	for _, g := range golden {
-		byID[g.ID] = g
-	}
-
+	golden := loadGolden(t)
 	for _, workers := range []int{1, 8} {
 		s := experiments.NewSuite(experiments.Options{
 			Seed:    1,
 			Workers: workers,
 			Probe:   func(experiments.RunInfo) probe.Probe { return probe.NewMetrics() },
 		})
-		for _, id := range []string{"fig10", "fig11", "fig12"} {
-			want, ok := byID[id]
-			if !ok {
-				t.Fatalf("results.json has no %q entry", id)
-			}
-			rep, ok := s.ByID(id)
-			if !ok {
-				t.Fatalf("experiment %q not dispatchable", id)
-			}
-			for key, gv := range want.Metrics {
-				if math.Abs(gv) >= math.MaxFloat64/2 {
-					continue // ±Inf clamped by the JSON writer; not comparable
-				}
-				mv, ok := rep.Metrics[key]
-				if !ok {
-					t.Errorf("workers=%d %s: metric %q in golden file but not recomputed", workers, id, key)
-					continue
-				}
-				diff := math.Abs(mv - gv)
-				if diff > goldenTolerance*math.Max(1, math.Abs(gv)) {
-					t.Errorf("workers=%d %s/%s: probed run recomputed %v, golden %v (Δ %.3g) — "+
-						"probes must observe without steering", workers, id, key, mv, gv, diff)
-				}
-			}
+		reps, err := s.Reports([]string{"fig10", "fig11", "fig12"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range reps {
+			checkGolden(t, fmt.Sprintf("probed workers=%d ", workers), golden, rep)
 		}
 	}
 }

@@ -68,6 +68,15 @@ func (s *Suite) Overheads() Report {
 	return Report{ID: "overhead", Title: "Overhead analysis (§V-C)", Text: b.String(), Metrics: metrics}
 }
 
+// HostTimed reports whether metric key of experiment id times the host
+// rather than the model: the overhead experiment's measured classification
+// and chain-update microseconds. They vary from run to run, yet results.json
+// and /v1/suite bodies carry them, so golden and determinism comparisons
+// skip exactly these keys.
+func HostTimed(id, key string) bool {
+	return id == "overhead" && (key == "classifyUS" || key == "updateUS")
+}
+
 // measureClassification times HPE's statistics classification over a chain
 // of `sets` page sets, in microseconds (median of several trials).
 func measureClassification(sets int) float64 {
@@ -84,10 +93,10 @@ func measureClassification(sets int) float64 {
 				h.OnMapped(p, 0)
 			}
 		}
-		//lint:ignore hpelint/determinism Table VI measures real wall-clock software overhead; the figure is labelled best-of-N and never feeds golden output
+		//lint:ignore hpelint/determinism Table VI measures real wall-clock software overhead, best-of-N; results.json and /v1/suite bodies carry it, so golden comparisons skip it (HostTimed)
 		start := time.Now()
 		h.SelectVictim() // triggers the one-time classification
-		//lint:ignore hpelint/determinism wall-clock pairing for the Table VI overhead measurement above
+		//lint:ignore hpelint/determinism wall-clock pairing for the host-timed Table VI measurement above (HostTimed)
 		if d := time.Since(start); d < best {
 			best = d
 		}
@@ -115,10 +124,10 @@ func measureChainUpdate(sets, records int) float64 {
 	}
 	best := time.Duration(1 << 62)
 	for trial := 0; trial < 7; trial++ {
-		//lint:ignore hpelint/determinism Table VI measures real wall-clock software overhead; the figure is labelled best-of-N and never feeds golden output
+		//lint:ignore hpelint/determinism Table VI measures real wall-clock software overhead, best-of-N; results.json and /v1/suite bodies carry it, so golden comparisons skip it (HostTimed)
 		start := time.Now()
 		h.OnHitBatch(recs)
-		//lint:ignore hpelint/determinism wall-clock pairing for the Table VI overhead measurement above
+		//lint:ignore hpelint/determinism wall-clock pairing for the host-timed Table VI measurement above (HostTimed)
 		if d := time.Since(start); d < best {
 			best = d
 		}

@@ -312,7 +312,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// compared bit for bit.
 	sOv, pOv := serial.Overheads(), par.Overheads()
 	for k, sv := range sOv.Metrics {
-		if k == "classifyUS" || k == "updateUS" {
+		if HostTimed("overhead", k) {
 			continue
 		}
 		if pv, ok := pOv.Metrics[k]; !ok || pv != sv {

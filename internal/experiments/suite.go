@@ -22,14 +22,14 @@
 // results in a flight.Memo) deduplicates in flight: when two goroutines ask
 // for the same run, one computes it while the other blocks and receives the
 // same value, so each spec is simulated exactly once per Suite regardless of
-// interleaving. Cached values are immutable once published — traces have
-// their lazy footprint primed before they are shared — so readers never
-// observe partial state. Options.Workers sets the parallelism of Prewarm and
-// Reports; because every simulation is deterministic and aggregation walks
-// the caches in canonical (catalog × paper) order, a parallel run renders
-// byte-identical reports to a serial one. The Progress callback is
-// serialized: it is never invoked concurrently, though line order under
-// Workers > 1 follows completion order, not canonical order.
+// interleaving. Cached values are immutable once published — a trace is
+// immutable from construction — so readers never observe partial state.
+// Options.Workers sets the parallelism of Prewarm and Reports; because every
+// simulation is deterministic and aggregation walks the caches in canonical
+// (catalog × paper) order, a parallel run renders byte-identical reports to
+// a serial one. The Progress callback is serialized: it is never invoked
+// concurrently, though line order under Workers > 1 follows completion
+// order, not canonical order.
 package experiments
 
 import (

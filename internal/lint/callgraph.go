@@ -138,9 +138,6 @@ func funcSymbol(fn *types.Func) string {
 	return pkgPath + "." + fn.Name()
 }
 
-// NodeOfLit returns the node for a function literal, or nil.
-func (g *CallGraph) NodeOfLit(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
-
 // Reachable walks the graph breadth-first from roots, in deterministic
 // order, and returns every node reached. via[n] is the edge-predecessor
 // root's name — the first root (in root order) from which n was reached —

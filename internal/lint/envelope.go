@@ -13,7 +13,8 @@ import (
 //
 //   - net/http.Error bypasses the envelope entirely and is always flagged;
 //   - w.WriteHeader(<constant >= 400>) is a raw, envelope-less error status;
-//   - an ErrorCode-typed argument must be a declared constant of the package
+//   - an ErrorCode-typed argument or keyed composite-literal field
+//     (&server.Error{Code: ...}) must be a declared constant of the package
 //     that declares the ErrorCode type, or an ErrorCode-typed variable
 //     threading an existing code — string literals and cross-package
 //     conversions mint vocabulary the clients never agreed to;
@@ -30,8 +31,9 @@ var AnalyzerEnvelope = &Analyzer{
 	RunProgram: runEnvelope,
 }
 
-// envelopePkgScope is where the /v1 surface lives: the backend daemon and
-// the cluster coordinator.
+// envelopePkgScope is where /v1 error codes are created: the handler set
+// and its local executor (internal/server), and the coordinator's ring
+// executor (internal/cluster), which builds error envelopes itself.
 var envelopePkgScope = []string{
 	"internal/server",
 	"internal/cluster",
@@ -62,11 +64,15 @@ func runEnvelope(pass *ProgramPass) {
 }
 
 // checkEnvelopeCalls applies the call-shaped rules (http.Error, raw
-// WriteHeader, ErrorCode provenance) to the whole declaration subtree,
-// nested literals included.
+// WriteHeader, ErrorCode provenance) and the composite-literal field rule to
+// the whole declaration subtree, nested literals included.
 func checkEnvelopeCalls(pass *ProgramPass, pkg *Package, fd *ast.FuncDecl) {
 	info := pkg.Info
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.CompositeLit); ok {
+			checkCodeFields(pass, pkg, info, lit)
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -149,18 +155,40 @@ func checkCodeArgs(pass *ProgramPass, pkg *Package, info *types.Info, call *ast.
 		if pi >= sig.Params().Len() {
 			pi = sig.Params().Len() - 1
 		}
-		named := errorCodeNamed(sig.Params().At(pi).Type())
-		if named == nil || named.Obj().Pkg() == nil {
+		checkCode(pass, pkg, info, arg, sig.Params().At(pi).Type())
+	}
+}
+
+// checkCodeFields verifies every ErrorCode-typed field set by a keyed
+// composite literal the way checkCodeArgs verifies arguments.
+func checkCodeFields(pass *ProgramPass, pkg *Package, info *types.Info, lit *ast.CompositeLit) {
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
 			continue
 		}
-		if !vocabularyCode(pkg, info, arg, named) {
-			pass.Reportf(arg.Pos(), "error code %s is not a declared constant of the closed /v1 vocabulary (%s.ErrorCode)",
-				describeExpr(arg), named.Obj().Pkg().Name())
+		key, ok := kv.Key.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		if field, ok := info.Uses[key].(*types.Var); ok && field.IsField() {
+			checkCode(pass, pkg, info, kv.Value, field.Type())
 		}
 	}
 }
 
-// vocabularyCode reports whether an ErrorCode argument is legitimate: a
+// checkCode reports e, the value filling a slot of type slot, when the slot
+// is an ErrorCode and e is not a vocabulary code.
+func checkCode(pass *ProgramPass, pkg *Package, info *types.Info, e ast.Expr, slot types.Type) {
+	named := errorCodeNamed(slot)
+	if named == nil || named.Obj().Pkg() == nil || vocabularyCode(pkg, info, e, named) {
+		return
+	}
+	pass.Reportf(e.Pos(), "error code %s is not a declared constant of the closed /v1 vocabulary (%s.ErrorCode)",
+		describeExpr(e), named.Obj().Pkg().Name())
+}
+
+// vocabularyCode reports whether an ErrorCode value is legitimate: a
 // constant declared next to the type, any ErrorCode-typed variable or field
 // (threading), or a construction inside the declaring package itself.
 func vocabularyCode(pkg *Package, info *types.Info, arg ast.Expr, named *types.Named) bool {

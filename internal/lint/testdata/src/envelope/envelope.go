@@ -1,6 +1,7 @@
 // Package envelope exercises the error-envelope analyzer: raw error
-// responses, minted error codes, and response-less return paths are
-// flagged; enveloped errors with vocabulary codes stay silent.
+// responses, minted error codes (as call arguments, conversions, or typed
+// error fields), and response-less return paths are flagged; enveloped
+// errors with vocabulary codes stay silent.
 package envelope
 
 import (
@@ -32,6 +33,17 @@ func handleMint(w http.ResponseWriter, r *http.Request) {
 	envelopecodes.WriteError(w, http.StatusInternalServerError, "boom", "exploded") // want `error code "boom" is not a declared constant of the closed /v1 vocabulary`
 	code := envelopecodes.ErrorCode("oops")                                         // want `conversion to envelopecodes.ErrorCode mints an error code outside its declaring package`
 	envelopecodes.WriteError(w, http.StatusInternalServerError, code, "threaded-after-mint")
+}
+
+// mintLiteral builds typed errors the way an executor does: a literal
+// string in the Code field mints vocabulary; a declared constant or a
+// threaded ErrorCode value stays silent.
+func mintLiteral(code envelopecodes.ErrorCode) []error {
+	return []error{
+		&envelopecodes.Error{Status: http.StatusNotFound, Code: "made_up_code", Msg: "minted"}, // want `error code "made_up_code" is not a declared constant of the closed /v1 vocabulary`
+		&envelopecodes.Error{Status: http.StatusBadRequest, Code: envelopecodes.ErrBad, Msg: "declared"},
+		&envelopecodes.Error{Status: http.StatusBadGateway, Code: code, Msg: "threaded"},
+	}
 }
 
 // handleForgot has a path that returns without ever touching the writer.

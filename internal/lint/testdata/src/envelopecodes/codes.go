@@ -1,6 +1,7 @@
 // Package envelopecodes is the fixture stand-in for hpe/internal/server's
-// error vocabulary: it declares the closed ErrorCode set and the single
-// envelope writer the envelope analyzer anchors on.
+// error vocabulary: it declares the closed ErrorCode set, the typed error
+// that carries a code, and the single envelope writer the envelope analyzer
+// anchors on.
 package envelopecodes
 
 import "net/http"
@@ -12,6 +13,16 @@ const (
 	ErrBad      ErrorCode = "bad_spec"
 	ErrInternal ErrorCode = "internal"
 )
+
+// Error is the fixture typed error an executor returns; handlers render it
+// through WriteError.
+type Error struct {
+	Status int
+	Code   ErrorCode
+	Msg    string
+}
+
+func (e *Error) Error() string { return string(e.Code) + ": " + e.Msg }
 
 // WriteError is the fixture envelope writer.
 func WriteError(w http.ResponseWriter, status int, code ErrorCode, msg string) {

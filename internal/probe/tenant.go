@@ -38,32 +38,21 @@ func NewTenantCounts(tens []trace.TenantRange) *TenantCounts {
 	return t
 }
 
-// indexOf returns the tenant owning p, or -1 (linear scan over a handful of
-// ranges, same as the driver's attribution).
-func (t *TenantCounts) indexOf(p addrspace.PageID) int {
-	for i := range t.ranges {
-		if p >= t.ranges[i].Lo && p < t.ranges[i].Hi {
-			return i
-		}
-	}
-	return -1
-}
-
 // Emit implements Probe.
 func (t *TenantCounts) Emit(ev Event) {
 	switch ev.Kind {
 	case KindFaultEnd:
-		if i := t.indexOf(ev.Page); i >= 0 {
+		if i := trace.TenantIndex(t.ranges, ev.Page); i >= 0 {
 			t.counts[i].Faults++
 		}
 	case KindEviction:
-		vi := t.indexOf(ev.Page)
+		vi := trace.TenantIndex(t.ranges, ev.Page)
 		if vi < 0 {
 			return
 		}
 		t.counts[vi].Evictions++
 		// The eviction event carries the triggering page in A.
-		if ti := t.indexOf(addrspace.PageID(ev.A)); ti >= 0 && ti != vi {
+		if ti := trace.TenantIndex(t.ranges, addrspace.PageID(ev.A)); ti >= 0 && ti != vi {
 			t.counts[vi].CrossEvictions++
 		}
 	}

@@ -33,7 +33,7 @@ func TestConcurrentCacheSharesOneTracePerApp(t *testing.T) {
 			}
 			traces[g] = c.Trace(a)
 			futures[g] = c.Future(a, traces[g])
-			traces[g].Footprint() // primed before publication: no race here
+			traces[g].Footprint() // a plain read: traces are immutable
 		}()
 	}
 	wg.Wait()

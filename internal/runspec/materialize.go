@@ -24,7 +24,7 @@ import (
 // generation.
 type Env struct {
 	// Trace returns the canonical trace of app (already scaled). When nil,
-	// the trace is generated fresh with its lazy footprint primed.
+	// the trace is generated fresh.
 	Trace func(app workload.App) *trace.Trace
 	// Future returns a Belady future index over the app's trace, for the
 	// offline Ideal policy. When nil, Ideal builds the index itself.
@@ -94,7 +94,6 @@ func (s Spec) Materialize(env Env) (Materialized, error) {
 		tr = env.Trace(app)
 	} else {
 		tr = app.Generate()
-		tr.Footprint() // prime the lazy footprint before the trace is shared
 	}
 	capacity := CapacityFor(tr, c.Rate)
 

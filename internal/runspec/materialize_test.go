@@ -70,9 +70,7 @@ func TestMaterializeEnvTraceShared(t *testing.T) {
 	env := Env{Trace: func(app workload.App) *trace.Trace {
 		calls++
 		asked = app
-		tr := app.Generate()
-		tr.Footprint()
-		return tr
+		return app.Generate()
 	}}
 	m, err := Spec{App: "BFS", Policy: "lru", Rate: 50, Scale: 4}.Materialize(env)
 	if err != nil {

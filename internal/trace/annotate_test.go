@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"hpe/internal/addrspace"
@@ -93,6 +94,29 @@ func TestTenantOf(t *testing.T) {
 			t.Errorf("TenantOf(%d) = %d, want %d", c.p, got, c.want)
 		}
 	}
+}
+
+// TestConcurrentReadersOfFreshTrace shares a trace nobody has read yet
+// among many goroutines. A trace is immutable from construction, so under
+// -race (make workload-check) a lazy memo written by a reader fails here.
+func TestConcurrentReadersOfFreshTrace(t *testing.T) {
+	tr := annotated()
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if fp := tr.Footprint(); fp != 6 {
+				t.Errorf("Footprint = %d, want 6", fp)
+			}
+			for i, p := range tr.Refs {
+				if want := i % 2; tr.TenantOf(p) != want {
+					t.Errorf("TenantOf(%d) = %d, want %d", p, tr.TenantOf(p), want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAnnotateRejectsBadSegments(t *testing.T) {

@@ -18,7 +18,10 @@ import (
 	"hpe/internal/addrspace"
 )
 
-// Trace is an ordered page reference string with a name for reporting.
+// Trace is an ordered page reference string with a name for reporting. It is
+// immutable once constructed: New and NewWithBarriers count its footprint
+// once, and nothing writes to a trace afterwards, so any number of
+// goroutines may share one without synchronisation.
 type Trace struct {
 	// Name identifies the workload that produced the trace.
 	Name string
@@ -40,8 +43,7 @@ type Trace struct {
 	// per-tenant fault/eviction attribution. Empty for single-app traces.
 	Tenants []TenantRange
 
-	uniq     int  // cached unique-page count; 0 means not computed
-	uniqDone bool // distinguishes "not computed" from "trace is empty"
+	footprint int // unique pages in Refs, counted at construction
 }
 
 // Segment annotates references [Start, nextSegment.Start) — or through the
@@ -73,9 +75,14 @@ func (t *Trace) Annotated() bool {
 
 // TenantOf returns the index of the tenant range containing page p, or -1
 // when p falls outside every range.
-func (t *Trace) TenantOf(p addrspace.PageID) int {
-	for i := range t.Tenants {
-		if p >= t.Tenants[i].Lo && p < t.Tenants[i].Hi {
+func (t *Trace) TenantOf(p addrspace.PageID) int { return TenantIndex(t.Tenants, p) }
+
+// TenantIndex returns the index of the range in tens containing page p, or
+// -1 when p falls outside every range. A linear scan: a colocation has at
+// most a handful of tenants.
+func TenantIndex(tens []TenantRange, p addrspace.PageID) int {
+	for i := range tens {
+		if p >= tens[i].Lo && p < tens[i].Hi {
 			return i
 		}
 	}
@@ -117,6 +124,7 @@ func validateTenants(tens []TenantRange) {
 // Annotate attaches phase segments and tenant ranges to the trace and
 // returns it. Invalid annotations panic: annotations are produced by
 // generators, so a bad one is a programming error. The slices are retained.
+// Call it only on a trace that has not been shared yet.
 func (t *Trace) Annotate(segs []Segment, tenants []TenantRange) *Trace {
 	validateSegments(segs, len(t.Refs))
 	validateTenants(tenants)
@@ -126,9 +134,13 @@ func (t *Trace) Annotate(segs []Segment, tenants []TenantRange) *Trace {
 }
 
 // New returns a trace over the given reference string. The slice is retained,
-// not copied.
+// not copied, and must not be modified afterwards.
 func New(name string, refs []addrspace.PageID) *Trace {
-	return &Trace{Name: name, Refs: refs}
+	seen := make(map[addrspace.PageID]struct{}, len(refs)/4+1)
+	for _, p := range refs {
+		seen[p] = struct{}{}
+	}
+	return &Trace{Name: name, Refs: refs, footprint: len(seen)}
 }
 
 // NewWithBarriers returns a trace with kernel boundaries. Barriers must be
@@ -146,27 +158,16 @@ func NewWithBarriers(name string, refs []addrspace.PageID, barriers []int) *Trac
 		}
 		prev = b
 	}
-	return &Trace{Name: name, Refs: refs, Barriers: clean}
+	t := New(name, refs)
+	t.Barriers = clean
+	return t
 }
 
 // Len returns the number of references.
 func (t *Trace) Len() int { return len(t.Refs) }
 
-// Footprint returns the number of unique pages referenced. The result is
-// cached; mutating Refs after the first call invalidates it silently, so
-// treat traces as immutable once built.
-func (t *Trace) Footprint() int {
-	if t.uniqDone {
-		return t.uniq
-	}
-	seen := make(map[addrspace.PageID]struct{}, len(t.Refs)/4+1)
-	for _, p := range t.Refs {
-		seen[p] = struct{}{}
-	}
-	t.uniq = len(seen)
-	t.uniqDone = true
-	return t.uniq
-}
+// Footprint returns the number of unique pages referenced.
+func (t *Trace) Footprint() int { return t.footprint }
 
 // FootprintBytes returns the footprint in bytes (unique pages × page size).
 func (t *Trace) FootprintBytes() uint64 {

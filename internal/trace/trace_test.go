@@ -26,10 +26,6 @@ func TestFootprintCountsUniquePages(t *testing.T) {
 	if tr.Footprint() != 3 {
 		t.Fatalf("Footprint = %d, want 3", tr.Footprint())
 	}
-	// Cached path.
-	if tr.Footprint() != 3 {
-		t.Fatalf("cached Footprint = %d, want 3", tr.Footprint())
-	}
 	if tr.FootprintBytes() != 3*4096 {
 		t.Fatalf("FootprintBytes = %d, want %d", tr.FootprintBytes(), 3*4096)
 	}

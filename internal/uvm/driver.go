@@ -227,20 +227,9 @@ func (d *Driver) SetTenants(tens []trace.TenantRange) {
 	}
 }
 
-// tenantOf returns the index of the tenant owning p, or -1. Linear scan: a
-// colocation has at most a handful of tenants.
-func (d *Driver) tenantOf(p addrspace.PageID) int {
-	for i := range d.tenants {
-		if p >= d.tenants[i].Lo && p < d.tenants[i].Hi {
-			return i
-		}
-	}
-	return -1
-}
-
 // chargeFault attributes one serviced fault; call only when tenants != nil.
 func (d *Driver) chargeFault(p addrspace.PageID) {
-	if i := d.tenantOf(p); i >= 0 {
+	if i := trace.TenantIndex(d.tenants, p); i >= 0 {
 		d.stats.Tenants[i].Faults++
 	}
 }
@@ -249,12 +238,12 @@ func (d *Driver) chargeFault(p addrspace.PageID) {
 // cross-tenant when another tenant's fault triggered it; call only when
 // tenants != nil.
 func (d *Driver) chargeEviction(victim, trigger addrspace.PageID) {
-	vi := d.tenantOf(victim)
+	vi := trace.TenantIndex(d.tenants, victim)
 	if vi < 0 {
 		return
 	}
 	d.stats.Tenants[vi].Evictions++
-	if ti := d.tenantOf(trigger); ti >= 0 && ti != vi {
+	if ti := trace.TenantIndex(d.tenants, trigger); ti >= 0 && ti != vi {
 		d.stats.Tenants[vi].CrossEvictions++
 	}
 }

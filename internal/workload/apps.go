@@ -31,9 +31,8 @@ type App struct {
 	// build, when non-nil, replaces the builder-based gen entirely: scenario
 	// apps (phase schedules, co-located tenants, trace replays) assemble
 	// their traces from multiple builders or a pre-loaded file. sets is the
-	// current footprint in default-geometry page sets (so Scaled composes);
-	// the hook owns any geometry conversion.
-	build func(g addrspace.Geometry, sets int) *trace.Trace
+	// current footprint in page sets, so Scaled composes.
+	build func(sets int) *trace.Trace
 }
 
 // Pages returns the nominal footprint in pages.
@@ -49,10 +48,15 @@ func (a App) String() string {
 	return fmt.Sprintf("%s/%s (%s, %s, %d pages)", a.Suite, a.Abbr, a.Name, a.Pattern, a.Pages())
 }
 
-// seed derives a stable per-app seed from the abbreviation.
-func (a App) seed() int64 {
+// genSeed derives a stable generator seed from identity strings: the fnv64a
+// hash of their concatenation. Catalog apps seed from their abbreviation,
+// scenario components from their canonical string and index, so the same
+// spec generates the same trace on every host.
+func genSeed(parts ...string) int64 {
 	h := fnv.New64a()
-	h.Write([]byte(a.Abbr))
+	for _, p := range parts {
+		h.Write([]byte(p))
+	}
 	return int64(h.Sum64() & 0x7fffffffffffffff)
 }
 
@@ -63,9 +67,9 @@ const baseSet = addrspace.SetID(0x8000)
 // Generate builds the app's canonical reference string.
 func (a App) Generate() *trace.Trace {
 	if a.build != nil {
-		return a.build(addrspace.DefaultGeometry(), a.Sets)
+		return a.build(a.Sets)
 	}
-	b := NewBuilder(addrspace.DefaultGeometry(), baseSet, a.seed())
+	b := NewBuilder(addrspace.DefaultGeometry(), baseSet, genSeed(a.Abbr))
 	a.gen(b, a.Sets)
 	return b.Build(a.Abbr)
 }
@@ -81,22 +85,6 @@ func (a App) Scaled(scale int) App {
 		a.Sets *= scale
 	}
 	return a
-}
-
-// GenerateWithGeometry builds the reference string under a non-default
-// page-set geometry (used by the Fig. 7 page-set-size sensitivity study; the
-// footprint in pages is preserved).
-func (a App) GenerateWithGeometry(g addrspace.Geometry) *trace.Trace {
-	if a.build != nil {
-		// Scenario builds receive sets in default-geometry units and convert
-		// internally, preserving the footprint in pages.
-		return a.build(g, a.Sets)
-	}
-	pages := a.Pages()
-	sets := pages / g.SetSize()
-	b := NewBuilder(g, baseSet, a.seed())
-	a.gen(b, sets)
-	return b.Build(a.Abbr)
 }
 
 // Catalog returns the 23 applications of Table II, in suite/pattern order.

@@ -35,12 +35,6 @@ func NewBuilder(g addrspace.Geometry, baseSet addrspace.SetID, seed int64) *Buil
 	return &Builder{g: g, rng: rand.New(rand.NewSource(seed)), base: baseSet}
 }
 
-// Geometry returns the builder's page-set geometry.
-func (b *Builder) Geometry() addrspace.Geometry { return b.g }
-
-// Rand exposes the builder's deterministic random source.
-func (b *Builder) Rand() *rand.Rand { return b.rng }
-
 // Refs returns the reference string built so far. The returned slice aliases
 // the builder's storage.
 func (b *Builder) Refs() []addrspace.PageID { return b.refs }

@@ -224,27 +224,6 @@ func RegionMoving(b *Builder, sets, regions, visits, dups int) {
 	}
 }
 
-// EvenOddPhases models NW: `visits` kernel rounds touching only the even
-// pages of every set, then the same number of rounds over the odd pages.
-// Evicting a half-touched set causes thrashing when the other half is
-// needed; HPE's page-set division targets exactly this. With 8 even pages
-// per 16-page set, visits = 8 drives the primaries' counters to the 64 cap,
-// triggering the division check.
-func EvenOddPhases(b *Builder, sets, visits, dups int) {
-	for v := 0; v < visits; v++ {
-		for s := 0; s < sets; s++ {
-			b.TouchSetOffsets(s, b.EvenOffsets(), dups)
-		}
-		b.Barrier()
-	}
-	for v := 0; v < visits; v++ {
-		for s := 0; s < sets; s++ {
-			b.TouchSetOffsets(s, b.OddOffsets(), dups)
-		}
-		b.Barrier()
-	}
-}
-
 // StridedRepetitive models MVT: only pages at the given stride within each
 // set are touched (stride 4 → 4 pages per 16-page set), revisited over
 // `visits` kernel rounds. This wastes HIR entry space (each entry records

@@ -14,13 +14,13 @@
 //   - Trace replay: a reference string captured in a .hpet file (FromTrace,
 //     used by the runspec "trace:<path>" app source).
 //
-// All randomness is seeded from the scenario's canonical string, mirroring
-// App.seed: the same spec generates the same trace on every host.
+// All randomness is seeded from the scenario's canonical string through
+// genSeed, as catalog apps are: the same spec generates the same trace on
+// every host.
 package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 
@@ -180,25 +180,16 @@ func (s PhaseSchedule) maxSets() int {
 }
 
 // scenarioSeed derives a deterministic per-component seed from a scenario's
-// canonical string, the way App.seed derives one from the abbreviation.
+// canonical string.
 func scenarioSeed(canon string, idx int) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(canon))
-	h.Write([]byte("#" + strconv.Itoa(idx)))
-	return int64(h.Sum64() & 0x7fffffffffffffff)
-}
-
-// geomSets converts a footprint in default-geometry page sets to the target
-// geometry, preserving pages.
-func geomSets(defaultSets int, g addrspace.Geometry) int {
-	return max(1, defaultSets*addrspace.DefaultSetSize/g.SetSize())
+	return genSeed(canon, "#"+strconv.Itoa(idx))
 }
 
 // phaseFloor returns the smallest footprint, in sets, the app's generator
 // supports. Catalog generators embed fixed-size structures — BFS's CSR hot
 // region, B+T's header sets, NW's input stream — that need room no matter how
-// far a phase shrinks the footprint. ParsePhases rejects smaller requests;
-// generate clamps, since geometry conversion can shrink a valid footprint.
+// far a phase shrinks the footprint, so ParsePhases rejects smaller requests.
+// Every catalog app's own Sets clears its floor, and scaling only grows it.
 func phaseFloor(a App) int {
 	switch a.Abbr {
 	case "BFS":
@@ -214,11 +205,10 @@ func phaseFloor(a App) int {
 // generate builds one phase's reference string in its own seeded builder —
 // each phase draws from an independent RNG stream, so a phase's contribution
 // is invariant to what ran before it (the FuzzPhaseSchedule sum oracle).
-func (p Phase) generate(g addrspace.Geometry, seed int64, factor int) *Builder {
-	b := NewBuilder(g, baseSet, seed)
-	sets := max(geomSets(p.Sets*factor, g), phaseFloor(p.App))
+func (p Phase) generate(seed int64, factor int) *Builder {
+	b := NewBuilder(addrspace.DefaultGeometry(), baseSet, seed)
 	for r := 0; r < p.Repeat; r++ {
-		p.App.gen(b, sets)
+		p.App.gen(b, p.Sets*factor)
 		b.Barrier()
 	}
 	return b
@@ -228,12 +218,12 @@ func (p Phase) generate(g addrspace.Geometry, seed int64, factor int) *Builder {
 // concatenated over the shared region, kernel barriers preserved (plus one at
 // each phase boundary), and one trace segment per phase carrying its compute
 // gap.
-func (s PhaseSchedule) generate(g addrspace.Geometry, factor int) *trace.Trace {
+func (s PhaseSchedule) generate(factor int) *trace.Trace {
 	var refs []addrspace.PageID
 	var barriers []int
 	var segs []trace.Segment
 	for i, p := range s.phases {
-		b := p.generate(g, scenarioSeed(s.canon, i), factor)
+		b := p.generate(scenarioSeed(s.canon, i), factor)
 		if b.Len() == 0 {
 			continue
 		}
@@ -261,12 +251,12 @@ func (s PhaseSchedule) App() App {
 		Pattern:    PatternTemporal,
 		Sets:       nominal,
 		ComputeGap: s.phases[0].Gap,
-		build: func(g addrspace.Geometry, sets int) *trace.Trace {
+		build: func(sets int) *trace.Trace {
 			factor := 1
 			if sets > nominal {
 				factor = sets / nominal
 			}
-			return s.generate(g, factor)
+			return s.generate(factor)
 		},
 	}
 }
@@ -352,18 +342,19 @@ func (c Colocation) totalSets() int {
 // co-located processes do not synchronise with each other — and each quantum
 // becomes a trace segment carrying the tenant's compute gap, with the tenant
 // page ranges recorded for fault/eviction attribution.
-func (c Colocation) generate(g addrspace.Geometry, interleave, factor int) *trace.Trace {
+func (c Colocation) generate(interleave, factor int) *trace.Trace {
 	type stream struct {
 		refs []addrspace.PageID
 		pos  int
 		gap  int
 	}
+	g := addrspace.DefaultGeometry()
 	streams := make([]stream, len(c.tenants))
 	tens := make([]trace.TenantRange, len(c.tenants))
 	base := baseSet
 	total := 0
 	for i, t := range c.tenants {
-		sets := max(geomSets(t.App.Sets*t.Scale*factor, g), phaseFloor(t.App))
+		sets := t.App.Sets * t.Scale * factor
 		b := NewBuilder(g, base, scenarioSeed(c.canon, i))
 		t.App.gen(b, sets)
 		streams[i] = stream{refs: b.Refs(), gap: t.App.ComputeGap}
@@ -416,12 +407,12 @@ func (c Colocation) App(interleave int) App {
 		Pattern:    PatternColocated,
 		Sets:       nominal,
 		ComputeGap: c.tenants[0].App.ComputeGap,
-		build: func(g addrspace.Geometry, sets int) *trace.Trace {
+		build: func(sets int) *trace.Trace {
 			factor := 1
 			if sets > nominal {
 				factor = sets / nominal
 			}
-			return c.generate(g, interleave, factor)
+			return c.generate(interleave, factor)
 		},
 	}
 }
@@ -445,7 +436,7 @@ func FromTrace(source string, tr *trace.Trace) App {
 		// traces override this per segment, v1 traces run at the simulator
 		// default.
 		ComputeGap: 4,
-		build:      func(addrspace.Geometry, int) *trace.Trace { return tr },
+		build:      func(int) *trace.Trace { return tr },
 	}
 }
 

@@ -292,10 +292,9 @@ func FuzzPhaseSchedule(f *testing.F) {
 		}
 		// Total references match the schedule sum: each phase regenerated
 		// standalone with its schedule seed contributes exactly its segment.
-		g := addrspace.DefaultGeometry()
 		sum := 0
 		for i, p := range ps.Phases() {
-			sum += p.generate(g, scenarioSeed(canon, i), 1).Len()
+			sum += p.generate(scenarioSeed(canon, i), 1).Len()
 		}
 		if tr.Len() != sum {
 			t.Fatalf("trace has %d refs, schedule sum is %d", tr.Len(), sum)

@@ -177,27 +177,6 @@ func TestPartRepetitiveIrregularProducesIrregularCounters(t *testing.T) {
 	}
 }
 
-func TestEvenOddPhasesOrdering(t *testing.T) {
-	g := addrspace.DefaultGeometry()
-	b := NewBuilder(g, 0, 1)
-	EvenOddPhases(b, 2, 1, 1)
-	refs := b.Refs()
-	// First half must be even pages only, second half odd pages only.
-	half := len(refs) / 2
-	for i, p := range refs {
-		even := uint64(p)%2 == 0
-		if i < half && !even {
-			t.Fatalf("ref %d (%v) is odd during even phase", i, p)
-		}
-		if i >= half && even {
-			t.Fatalf("ref %d (%v) is even during odd phase", i, p)
-		}
-	}
-	if trace.New("nw", refs).Footprint() != 2*16 {
-		t.Fatalf("footprint = %d, want 32", trace.New("nw", refs).Footprint())
-	}
-}
-
 func TestStridedRepetitiveTouchesOnlyStridePages(t *testing.T) {
 	g := addrspace.DefaultGeometry()
 	b := NewBuilder(g, 0, 1)
@@ -315,17 +294,6 @@ func TestBuilderTouchMinimumOne(t *testing.T) {
 	b.Touch(5, 0) // dups 0 still emits one reference
 	if b.Len() != 1 {
 		t.Fatalf("Touch(_, 0) emitted %d refs, want 1", b.Len())
-	}
-}
-
-func TestGenerateWithGeometryPreservesPageFootprint(t *testing.T) {
-	a, _ := ByAbbr("HOT")
-	for _, shift := range []uint{3, 4, 5} {
-		g := addrspace.NewGeometry(shift)
-		tr := a.GenerateWithGeometry(g)
-		if tr.Footprint() != a.Pages() {
-			t.Errorf("shift %d: footprint %d, want %d", shift, tr.Footprint(), a.Pages())
-		}
 	}
 }
 
