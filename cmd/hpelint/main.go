@@ -1,12 +1,13 @@
 // Command hpelint machine-checks the invariants this repository's serving
 // and caching layers depend on: byte-reproducible simulation output,
 // nil-guarded probe emission sites, end-to-end context threading,
-// documented lock discipline, allocation-free simulator hot paths,
-// deadlock-free lock acquisition order, and the closed /v1 error-envelope
-// vocabulary. It is a hand-rolled, stdlib-only multichecker (go/ast +
-// go/parser + go/types; go.mod keeps zero external requirements); the
-// whole-program analyzers (hotalloc, lockorder, envelope) share one
-// cross-package call graph per invocation (DESIGN.md §10).
+// documented lock discipline, one run-description-to-config mapping,
+// allocation-free simulator hot paths, deadlock-free lock acquisition
+// order, and the closed /v1 error-envelope vocabulary. It is a
+// hand-rolled, stdlib-only multichecker (go/ast + go/parser + go/types;
+// go.mod keeps zero external requirements); the analyzers that walk the
+// cross-package call graph (hotalloc, lockorder) share one graph per
+// invocation (DESIGN.md §10).
 //
 // Usage:
 //
@@ -35,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -59,11 +61,12 @@ type jsonDiagnostic struct {
 }
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hpelint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON (schema in DESIGN.md §10)")
 	only := fs.String("only", "", "comma-separated analyzer subset to run")
 	pkgs := fs.String("pkgs", "", "comma-separated package patterns to check (alternative to positional packages)")
@@ -77,13 +80,13 @@ func run(args []string) int {
 		var err error
 		analyzers, err = lint.ByName(strings.Split(*only, ","))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hpelint:", err)
+			fmt.Fprintln(stderr, "hpelint:", err)
 			return 2
 		}
 	}
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -91,7 +94,7 @@ func run(args []string) int {
 	patterns := fs.Args()
 	if *pkgs != "" {
 		if len(patterns) > 0 {
-			fmt.Fprintln(os.Stderr, "hpelint: -pkgs and positional packages are mutually exclusive")
+			fmt.Fprintln(stderr, "hpelint: -pkgs and positional packages are mutually exclusive")
 			return 2
 		}
 		for _, p := range strings.Split(*pkgs, ",") {
@@ -100,7 +103,7 @@ func run(args []string) int {
 			}
 		}
 		if len(patterns) == 0 {
-			fmt.Fprintln(os.Stderr, "hpelint: -pkgs given but empty after splitting")
+			fmt.Fprintln(stderr, "hpelint: -pkgs given but empty after splitting")
 			return 2
 		}
 	}
@@ -109,12 +112,12 @@ func run(args []string) int {
 	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hpelint:", err)
+		fmt.Fprintln(stderr, "hpelint:", err)
 		return 2
 	}
 	diags, err := lint.Run(wd, patterns, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hpelint:", err)
+		fmt.Fprintln(stderr, "hpelint:", err)
 		return 2
 	}
 
@@ -134,15 +137,15 @@ func run(args []string) int {
 				Message:  d.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "hpelint:", err)
+			fmt.Fprintln(stderr, "hpelint:", err)
 			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d.String())
+			fmt.Fprintln(stdout, d.String())
 		}
 	}
 	if len(diags) > 0 {

@@ -589,7 +589,7 @@ func (s *Simulator) Run() Result {
 				len(pages), s.cfg.MemoryPages))
 		}
 		for _, p := range pages {
-			if _, err := s.memory.Insert(p); err != nil {
+			if err := s.memory.Insert(p); err != nil {
 				panic(fmt.Sprintf("gpu: prepopulate: %v", err))
 			}
 			s.pol.OnMapped(p, 0)

@@ -9,11 +9,11 @@ import (
 	"strings"
 )
 
-// This file is the whole-program layer the PR-10 analyzers build on: a
-// cross-package call graph over every loaded package, constructed once per
-// driver invocation and shared (cached) across analyzers. It is stdlib-only
-// like the rest of the suite — no SSA, no golang.org/x/tools — so edges are
-// resolved from the AST plus types.Info:
+// This file is the whole-program layer the call-graph analyzers build on: a
+// cross-package call graph over every loaded package, constructed on first
+// use (Pass.Graph) once per driver invocation and shared across analyzers.
+// It is stdlib-only like the rest of the suite — no SSA, no
+// golang.org/x/tools — so edges are resolved from the AST plus types.Info:
 //
 //   - static calls resolve to the declared function or method;
 //   - interface method calls resolve CHA-style: every named concrete type in
@@ -115,27 +115,36 @@ func (g *CallGraph) NodeOf(fn *types.Func) *CGNode {
 }
 
 // funcSymbol renders a universe-independent key for a declared function:
-// "path.(ptr Recv).Name" or "path.Name".
+// "path.(*Recv).Name", "path.(Recv).Name" or "path.Name".
 func funcSymbol(fn *types.Func) string {
 	pkgPath := ""
 	if fn.Pkg() != nil {
 		pkgPath = fn.Pkg().Path()
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		ptr := ""
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			ptr = "*"
-		}
-		name := "?"
-		if named, ok := t.(*types.Named); ok {
-			name = named.Obj().Name()
-		}
-		return pkgPath + ".(" + ptr + name + ")." + fn.Name()
+	if recv := receiverName(fn); recv != "" {
+		return pkgPath + ".(" + recv + ")." + fn.Name()
 	}
 	return pkgPath + "." + fn.Name()
+}
+
+// receiverName is the one rendering of a method's receiver type: its name,
+// prefixed with "*" for a pointer receiver ("?" for an unnamed receiver
+// such as an interface literal's), or "" for a plain function.
+func receiverName(fn *types.Func) string {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	ptr := ""
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+		ptr = "*"
+	}
+	if named, ok := t.(*types.Named); ok {
+		return ptr + named.Obj().Name()
+	}
+	return ptr + "?"
 }
 
 // Reachable walks the graph breadth-first from roots, in deterministic
@@ -275,24 +284,14 @@ func (b *graphBuilder) collectLits(pkg *Package, parent string, body *ast.BlockS
 	})
 }
 
-// nodeName renders a declared function's stable name.
+// nodeName renders a declared function's stable name: "pkg.Func",
+// "pkg.Type.Method" or "pkg.(*Type).Method".
 func nodeName(pkg *Package, fn *types.Func) string {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		ptr := ""
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			ptr = "*"
-		}
-		name := "?"
-		if named, ok := t.(*types.Named); ok {
-			name = named.Obj().Name()
-		}
-		if ptr != "" {
-			return fmt.Sprintf("%s.(*%s).%s", pkg.Types.Name(), name, fn.Name())
-		}
-		return fmt.Sprintf("%s.%s.%s", pkg.Types.Name(), name, fn.Name())
+	switch recv := receiverName(fn); {
+	case strings.HasPrefix(recv, "*"):
+		return pkg.Types.Name() + ".(" + recv + ")." + fn.Name()
+	case recv != "":
+		return pkg.Types.Name() + "." + recv + "." + fn.Name()
 	}
 	return pkg.Types.Name() + "." + fn.Name()
 }
@@ -427,7 +426,7 @@ func (b *graphBuilder) resolveSite(pkg *Package, call *ast.CallExpr) []CGEdge {
 	}
 	var edges []CGEdge
 	for _, cand := range b.taken {
-		if identicalSignatures(candidateSignature(cand), sig) {
+		if identicalSignatures(nodeSignature(cand), sig) {
 			edges = append(edges, CGEdge{Site: call, Callee: cand, Kind: EdgeFuncValue})
 		}
 	}
@@ -476,8 +475,8 @@ func (b *graphBuilder) resolveInterfaceCall(call *ast.CallExpr, fn *types.Func, 
 	return edges
 }
 
-// candidateSignature returns a callee candidate's signature.
-func candidateSignature(n *CGNode) *types.Signature {
+// nodeSignature returns the signature of a node's function or literal.
+func nodeSignature(n *CGNode) *types.Signature {
 	if n.Fn != nil {
 		sig, _ := n.Fn.Type().(*types.Signature)
 		return sig

@@ -3,39 +3,19 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
-	"go/token"
-	"path/filepath"
 	"testing"
 )
 
-// loadFixtureGraph type-checks testdata/src/<name> with a fresh loader and
-// file set and builds its call graph, so repeated calls are fully
-// independent builds (the determinism test depends on that).
+// loadFixtureGraph builds the call graph of testdata/src/<name> from a
+// fresh load, so repeated calls are fully independent builds (the
+// determinism test depends on that).
 func loadFixtureGraph(t *testing.T, name string) *CallGraph {
 	t.Helper()
-	repoRoot, err := repoRootDir()
+	prog, err := loadFixture(name)
 	if err != nil {
-		t.Fatalf("locating repo root: %v", err)
+		t.Fatal(err)
 	}
-	std, err := stdlibExports(repoRoot)
-	if err != nil {
-		t.Fatalf("resolving stdlib export data: %v", err)
-	}
-	fset := token.NewFileSet()
-	loader := &fixtureLoader{
-		fset:    fset,
-		srcRoot: filepath.Join(repoRoot, "internal", "lint", "testdata", "src"),
-		std:     exportImporter(fset, std),
-		cache:   map[string]*Package{},
-	}
-	pkg, err := loader.load(name)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	for _, terr := range pkg.TypeErrors {
-		t.Fatalf("fixture %s does not type-check: %v", name, terr)
-	}
-	return buildCallGraph(fset, []*Package{pkg})
+	return buildCallGraph(prog.Fset, prog.Packages)
 }
 
 // node finds a graph node by display name.
@@ -208,8 +188,7 @@ func TestRunJSONByteIdentical(t *testing.T) {
 // analyzers must serialize identically.
 func TestFixtureDiagnosticsByteIdentical(t *testing.T) {
 	render := func() []byte {
-		res := runFixture(t, "lockorder", AnalyzerLockOrder)
-		b, err := json.Marshal(res.Diags)
+		b, err := json.Marshal(runFixture(t, "lockorder", AnalyzerLockOrder))
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}

@@ -26,39 +26,42 @@ var AnalyzerCtxFlow = &Analyzer{
 }
 
 func runCtxFlow(pass *Pass) {
-	reported := map[token.Pos]bool{}
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	for _, pkg := range pass.Packages {
+		info := pkg.Info
+		reported := map[token.Pos]bool{}
+		inspectWithStack(pkg.Files, func(n ast.Node, stack []ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			// Rule 2: dropping an in-scope ctx on the floor.
+			if enclosingHasCtx(info, stack) {
+				sig := calleeSignature(info, call)
+				if sig != nil && sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type()) &&
+					len(call.Args) > 0 && isFreshContext(info, call.Args[0]) {
+					pass.Reportf(call.Args[0].Pos(),
+						"%s receives a context but passes a fresh %s to %s: thread the "+
+							"caller's ctx or cancellation silently stops here",
+						enclosingFuncName(stack), freshContextName(info, call.Args[0]), calleeLabel(info, call))
+					reported[freshContextPos(call.Args[0])] = true
+				}
+			}
+			// Rule 1: fresh root contexts outside main/tests.
+			if isFreshContext(info, ast.Expr(call)) && !reported[call.Pos()] {
+				if pkg.Types.Name() == "main" {
+					return true
+				}
+				file := pass.Fset.Position(call.Pos()).Filename
+				if strings.HasSuffix(file, "_test.go") {
+					return true
+				}
+				pass.Reportf(call.Pos(),
+					"%s outside package main or tests: accept a ctx parameter so "+
+						"callers control cancellation", freshContextName(info, ast.Expr(call)))
+			}
 			return true
-		}
-		// Rule 2: dropping an in-scope ctx on the floor.
-		if enclosingHasCtx(pass, stack) {
-			sig := calleeSignature(pass.Info, call)
-			if sig != nil && sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type()) &&
-				len(call.Args) > 0 && isFreshContext(pass.Info, call.Args[0]) {
-				pass.Reportf(call.Args[0].Pos(),
-					"%s receives a context but passes a fresh %s to %s: thread the "+
-						"caller's ctx or cancellation silently stops here",
-					enclosingFuncName(stack), freshContextName(pass.Info, call.Args[0]), calleeLabel(pass.Info, call))
-				reported[freshContextPos(call.Args[0])] = true
-			}
-		}
-		// Rule 1: fresh root contexts outside main/tests.
-		if isFreshContext(pass.Info, ast.Expr(call)) && !reported[call.Pos()] {
-			if pass.Pkg != nil && pass.Pkg.Name() == "main" {
-				return true
-			}
-			file := pass.Fset.Position(call.Pos()).Filename
-			if strings.HasSuffix(file, "_test.go") {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"%s outside package main or tests: accept a ctx parameter so "+
-					"callers control cancellation", freshContextName(pass.Info, ast.Expr(call)))
-		}
-		return true
-	})
+		})
+	}
 }
 
 // isContextType matches the context.Context interface type.
@@ -98,7 +101,7 @@ func freshContextPos(e ast.Expr) token.Pos {
 // enclosingHasCtx reports whether any enclosing function on the stack
 // declares a parameter of type context.Context (closures inherit their
 // enclosing function's ctx by capture).
-func enclosingHasCtx(pass *Pass, stack []ast.Node) bool {
+func enclosingHasCtx(info *types.Info, stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		var ft *ast.FuncType
 		switch v := stack[i].(type) {
@@ -113,7 +116,7 @@ func enclosingHasCtx(pass *Pass, stack []ast.Node) bool {
 			continue
 		}
 		for _, field := range ft.Params.List {
-			if t := pass.Info.TypeOf(field.Type); t != nil && isContextType(t) {
+			if t := info.TypeOf(field.Type); t != nil && isContextType(t) {
 				return true
 			}
 		}

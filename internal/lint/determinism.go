@@ -30,34 +30,38 @@ var AnalyzerDeterminism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads, unseeded RNG use and multi-ready selects " +
 		"in simulator packages whose outputs must be byte-reproducible",
-	Scope: func(pkgPath string) bool { return pathHasSuffixAny(pkgPath, determinismScope) },
-	Run:   runDeterminism,
+	Run: runDeterminism,
 }
 
 func runDeterminism(pass *Pass) {
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			checkDeterminismCall(pass, v)
-		case *ast.SelectStmt:
-			comm := 0
-			for _, c := range v.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					comm++
+	for _, pkg := range pass.Packages {
+		if !pass.InScope(pkg.ImportPath, determinismScope, nil) {
+			continue
+		}
+		inspectWithStack(pkg.Files, func(n ast.Node, stack []ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.CallExpr:
+				checkDeterminismCall(pass, pkg.Info, v)
+			case *ast.SelectStmt:
+				comm := 0
+				for _, c := range v.Body.List {
+					if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+						comm++
+					}
+				}
+				if comm >= 2 {
+					pass.Reportf(v.Pos(),
+						"select with %d communication cases: the runtime chooses a ready case "+
+							"pseudo-randomly, so simulator state must not depend on which wins", comm)
 				}
 			}
-			if comm >= 2 {
-				pass.Reportf(v.Pos(),
-					"select with %d communication cases: the runtime chooses a ready case "+
-						"pseudo-randomly, so simulator state must not depend on which wins", comm)
-			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 }
 
-func checkDeterminismCall(pass *Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass.Info, call)
+func checkDeterminismCall(pass *Pass, info *types.Info, call *ast.CallExpr) {
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}

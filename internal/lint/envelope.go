@@ -26,9 +26,9 @@ import (
 // through a helper invisible to it earns a //lint:ignore hpelint/envelope
 // with the reason.
 var AnalyzerEnvelope = &Analyzer{
-	Name:       "envelope",
-	Doc:        "require /v1 error paths to end in the typed error envelope with a vocabulary code",
-	RunProgram: runEnvelope,
+	Name: "envelope",
+	Doc:  "require /v1 error paths to end in the typed error envelope with a vocabulary code",
+	Run:  runEnvelope,
 }
 
 // envelopePkgScope is where /v1 error codes are created: the handler set
@@ -39,9 +39,9 @@ var envelopePkgScope = []string{
 	"internal/cluster",
 }
 
-func runEnvelope(pass *ProgramPass) {
+func runEnvelope(pass *Pass) {
 	for _, pkg := range pass.Packages {
-		if !pass.InScope(pkg.ImportPath, envelopePkgScope) || pkg.Info == nil {
+		if !pass.InScope(pkg.ImportPath, envelopePkgScope, nil) {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -66,7 +66,7 @@ func runEnvelope(pass *ProgramPass) {
 // checkEnvelopeCalls applies the call-shaped rules (http.Error, raw
 // WriteHeader, ErrorCode provenance) and the composite-literal field rule to
 // the whole declaration subtree, nested literals included.
-func checkEnvelopeCalls(pass *ProgramPass, pkg *Package, fd *ast.FuncDecl) {
+func checkEnvelopeCalls(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
 	info := pkg.Info
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.CompositeLit); ok {
@@ -94,7 +94,7 @@ func checkEnvelopeCalls(pass *ProgramPass, pkg *Package, fd *ast.FuncDecl) {
 
 // checkRawWriteHeader flags w.WriteHeader with a constant error status —
 // an enveloped response would carry the status through WriteError instead.
-func checkRawWriteHeader(pass *ProgramPass, info *types.Info, call *ast.CallExpr) {
+func checkRawWriteHeader(pass *Pass, info *types.Info, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "WriteHeader" || len(call.Args) != 1 {
 		return
@@ -127,7 +127,7 @@ func errorCodeNamed(t types.Type) *types.Named {
 
 // checkCodeConversion flags ErrorCode conversions outside the package that
 // declares the type: minting codes the closed vocabulary does not contain.
-func checkCodeConversion(pass *ProgramPass, pkg *Package, call *ast.CallExpr, target types.Type) {
+func checkCodeConversion(pass *Pass, pkg *Package, call *ast.CallExpr, target types.Type) {
 	named := errorCodeNamed(target)
 	if named == nil || named.Obj().Pkg() == nil {
 		return
@@ -142,7 +142,7 @@ func checkCodeConversion(pass *ProgramPass, pkg *Package, call *ast.CallExpr, ta
 // checkCodeArgs verifies every ErrorCode-typed argument resolves to a
 // declared constant of the vocabulary's package, or threads an existing
 // ErrorCode-typed value.
-func checkCodeArgs(pass *ProgramPass, pkg *Package, info *types.Info, call *ast.CallExpr) {
+func checkCodeArgs(pass *Pass, pkg *Package, info *types.Info, call *ast.CallExpr) {
 	sig := calleeSignature(info, call)
 	if sig == nil {
 		return
@@ -161,7 +161,7 @@ func checkCodeArgs(pass *ProgramPass, pkg *Package, info *types.Info, call *ast.
 
 // checkCodeFields verifies every ErrorCode-typed field set by a keyed
 // composite literal the way checkCodeArgs verifies arguments.
-func checkCodeFields(pass *ProgramPass, pkg *Package, info *types.Info, lit *ast.CompositeLit) {
+func checkCodeFields(pass *Pass, pkg *Package, info *types.Info, lit *ast.CompositeLit) {
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
@@ -179,7 +179,7 @@ func checkCodeFields(pass *ProgramPass, pkg *Package, info *types.Info, lit *ast
 
 // checkCode reports e, the value filling a slot of type slot, when the slot
 // is an ErrorCode and e is not a vocabulary code.
-func checkCode(pass *ProgramPass, pkg *Package, info *types.Info, e ast.Expr, slot types.Type) {
+func checkCode(pass *Pass, pkg *Package, info *types.Info, e ast.Expr, slot types.Type) {
 	named := errorCodeNamed(slot)
 	if named == nil || named.Obj().Pkg() == nil || vocabularyCode(pkg, info, e, named) {
 		return
@@ -195,7 +195,7 @@ func vocabularyCode(pkg *Package, info *types.Info, arg ast.Expr, named *types.N
 	if pkg.Types != nil && named.Obj().Pkg() == pkg.Types {
 		return true
 	}
-	switch e := unparen(arg).(type) {
+	switch e := ast.Unparen(arg).(type) {
 	case *ast.Ident:
 		return declaredCodeObj(info.Uses[e], named)
 	case *ast.SelectorExpr:
@@ -219,7 +219,7 @@ func declaredCodeObj(obj types.Object, named *types.Named) bool {
 
 // describeExpr renders a short label for the offending argument.
 func describeExpr(e ast.Expr) string {
-	switch v := unparen(e).(type) {
+	switch v := ast.Unparen(e).(type) {
 	case *ast.BasicLit:
 		return v.Value
 	case *ast.Ident:
@@ -236,7 +236,7 @@ func describeExpr(e ast.Expr) string {
 // checkEnvelopeReturns applies the response-dropping rule to one function
 // body: a return whose innermost enclosing block never touched the
 // function's ResponseWriter parameter before it is a path with no response.
-func checkEnvelopeReturns(pass *ProgramPass, pkg *Package, ftype *ast.FuncType, body *ast.BlockStmt) {
+func checkEnvelopeReturns(pass *Pass, pkg *Package, ftype *ast.FuncType, body *ast.BlockStmt) {
 	w := responseWriterParam(pkg.Info, ftype)
 	if w == nil {
 		return

@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -21,21 +19,16 @@ import (
 //	code under test // want "regexp" "another regexp"
 //
 // and runFixture asserts an exact bidirectional match — every produced
-// diagnostic must be wanted on its line, every want must be matched. Fixture
-// packages import stdlib (resolved through the same go-list export-data
-// loader production uses) and sibling fixture packages (type-checked from
-// source on demand), so analyzers see real types.Info, not mocks.
+// diagnostic must be wanted on its line, every want must be matched.
+// Fixture packages are type-checked from source by the production
+// type-check step (typeCheck); they import stdlib from the export data one
+// `go list std` resolves and sibling fixture packages from source, so
+// analyzers see real types.Info, not mocks.
 
 // errorfer is the slice of testing.T the harness needs; taking the
 // interface keeps harness.go in the main build without importing testing.
 type errorfer interface {
 	Errorf(format string, args ...any)
-}
-
-// fixtureResult carries the diagnostics a fixture produced, for tests that
-// assert beyond want-matching.
-type fixtureResult struct {
-	Diags []Diagnostic
 }
 
 var (
@@ -81,57 +74,36 @@ func dirExists(dir string) bool {
 	return err == nil && st.IsDir()
 }
 
-// load parses and type-checks the fixture package at srcRoot/<path>.
+// load type-checks the fixture package at srcRoot/<path>.
 func (l *fixtureLoader) load(path string) (*Package, error) {
 	if pkg, ok := l.cache[path]; ok {
 		return pkg, nil
 	}
-	dir := filepath.Join(l.srcRoot, filepath.FromSlash(path))
-	entries, err := os.ReadDir(dir)
+	files, err := filepath.Glob(filepath.Join(l.srcRoot, filepath.FromSlash(path), "*.go"))
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{ImportPath: path, Dir: dir}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		file := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(l.fset, file, nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("parsing fixture %s: %v", file, err)
-		}
-		pkg.GoFiles = append(pkg.GoFiles, file)
-		pkg.Files = append(pkg.Files, f)
-	}
-	if len(pkg.Files) == 0 {
+	if len(files) == 0 {
 		return nil, fmt.Errorf("fixture %s has no Go files", path)
 	}
-	pkg.Name = pkg.Files[0].Name.Name
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	pkg, err := typeCheck(l.fset, path, files, l)
+	if err != nil {
+		return nil, err
 	}
-	pkg.Info = newTypesInfo()
-	pkg.Types, _ = conf.Check(path, l.fset, pkg.Files, pkg.Info)
 	l.cache[path] = pkg
 	return pkg, nil
 }
 
-// runFixture loads testdata/src/<fixture>, runs the analyzers (Scope
-// bypassed — fixtures exercise the check, not its production footprint),
-// applies //lint:ignore suppression exactly as the production driver does,
-// and asserts the diagnostics against the fixture's want annotations.
-func runFixture(t errorfer, fixture string, analyzers ...*Analyzer) fixtureResult {
+// loadFixture type-checks testdata/src/<name> with a fresh file set and
+// loader, so two loads of the same fixture are fully independent.
+func loadFixture(name string) (*Program, error) {
 	repoRoot, err := repoRootDir()
 	if err != nil {
-		t.Errorf("locating repo root: %v", err)
-		return fixtureResult{}
+		return nil, fmt.Errorf("locating repo root: %v", err)
 	}
 	std, err := stdlibExports(repoRoot)
 	if err != nil {
-		t.Errorf("resolving stdlib export data: %v", err)
-		return fixtureResult{}
+		return nil, fmt.Errorf("resolving stdlib export data: %v", err)
 	}
 	fset := token.NewFileSet()
 	loader := &fixtureLoader{
@@ -140,31 +112,27 @@ func runFixture(t errorfer, fixture string, analyzers ...*Analyzer) fixtureResul
 		std:     exportImporter(fset, std),
 		cache:   map[string]*Package{},
 	}
-	pkg, err := loader.load(fixture)
+	pkg, err := loader.load(name)
 	if err != nil {
-		t.Errorf("loading fixture %s: %v", fixture, err)
-		return fixtureResult{}
+		return nil, fmt.Errorf("loading fixture %s: %v", name, err)
 	}
-	for _, terr := range pkg.TypeErrors {
-		t.Errorf("fixture %s does not type-check: %v", fixture, terr)
-	}
-	if len(pkg.TypeErrors) > 0 {
-		return fixtureResult{}
-	}
+	return &Program{Fset: fset, Packages: []*Package{pkg}}, nil
+}
 
-	known := map[string]bool{}
-	for _, a := range analyzers {
-		known[a.Name] = true
+// runFixture loads testdata/src/<fixture>, runs the analyzers through the
+// production driver path with package scoping switched off (fixtures
+// exercise the check, not its production footprint), asserts the
+// diagnostics against the fixture's want annotations, and returns them for
+// tests that assert beyond want-matching.
+func runFixture(t errorfer, fixture string, analyzers ...*Analyzer) []Diagnostic {
+	prog, err := loadFixture(fixture)
+	if err != nil {
+		t.Errorf("%v", err)
+		return nil
 	}
-	diags := runAnalyzers(pkg, fset, analyzers, false)
-	diags = append(diags, runProgramAnalyzers(fset, []*Package{pkg}, analyzers, false)...)
-	dirs, dirDiags := collectDirectives(fset, pkg.Files, known)
-	diags = append(applyDirectives(diags, dirs), dirDiags...)
-	sortDiagnostics(diags)
-
-	wants := collectWants(t, fset, pkg.Files)
-	checkWants(t, diags, wants)
-	return fixtureResult{Diags: diags}
+	diags := analyze(prog, analyzers, false)
+	checkWants(t, diags, collectWants(t, prog.Fset, prog.Packages[0].Files))
+	return diags
 }
 
 // want is one expected-diagnostic annotation.

@@ -39,7 +39,7 @@ var AnalyzerHotAlloc = &Analyzer{
 	Doc: "forbid per-event heap allocation (composite literals, closures, " +
 		"boxing, fmt/string concat, un-presized append) in functions " +
 		"reachable from the simulation hot-path roots",
-	RunProgram: runHotAlloc,
+	Run: runHotAlloc,
 }
 
 // hotPkgScope bounds the reachability walk: the per-event simulator core.
@@ -61,14 +61,14 @@ var hotRoots = []struct{ pkg, typ, method string }{
 // hotpathMarker is the doc-comment line that declares an additional root.
 const hotpathMarker = "//hpelint:hotpath"
 
-func runHotAlloc(pass *ProgramPass) {
+func runHotAlloc(pass *Pass) {
 	g := pass.Graph()
-	roots, rootPkgs := hotallocRoots(pass, g)
+	roots, rootPkgs := hotallocRoots(g)
 	if len(roots) == 0 {
 		return
 	}
 	keep := func(n *CGNode) bool {
-		return rootPkgs[n.Pkg] || pass.InScope(n.Pkg.ImportPath, hotPkgScope)
+		return rootPkgs[n.Pkg] || pass.InScope(n.Pkg.ImportPath, hotPkgScope, nil)
 	}
 	reached, via := g.Reachable(roots, keep)
 	for _, n := range g.Nodes { // slice order keeps reports deterministic
@@ -80,7 +80,7 @@ func runHotAlloc(pass *ProgramPass) {
 
 // hotallocRoots resolves the root set: the structural entry points plus
 // every //hpelint:hotpath-annotated declaration.
-func hotallocRoots(pass *ProgramPass, g *CallGraph) ([]*CGNode, map[*Package]bool) {
+func hotallocRoots(g *CallGraph) ([]*CGNode, map[*Package]bool) {
 	var roots []*CGNode
 	rootPkgs := make(map[*Package]bool)
 	add := func(n *CGNode) {
@@ -99,7 +99,7 @@ func hotallocRoots(pass *ProgramPass, g *CallGraph) ([]*CGNode, map[*Package]boo
 			if n.Pkg.Types.Name() != r.pkg || n.Fn.Name() != r.method {
 				continue
 			}
-			if r.typ != "" && receiverTypeName(n.Fn) != r.typ {
+			if r.typ != "" && strings.TrimPrefix(receiverName(n.Fn), "*") != r.typ {
 				continue
 			}
 			add(n)
@@ -134,27 +134,10 @@ func markedHotpath(n *CGNode) bool {
 	return false
 }
 
-// receiverTypeName returns the name of fn's receiver type ("" for plain
-// functions), pointer receivers unwrapped.
-func receiverTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
 // checkHotNode scans one hot function body for allocating constructs.
 // Nested literal bodies are skipped — each literal is its own (possibly
 // reachable) node.
-func checkHotNode(pass *ProgramPass, n *CGNode, root string) {
+func checkHotNode(pass *Pass, n *CGNode, root string) {
 	info := n.Pkg.Info
 	ast.Inspect(n.Body, func(x ast.Node) bool {
 		if lit, ok := x.(*ast.FuncLit); ok && lit.Body != n.Body {
@@ -219,7 +202,7 @@ func allocatingLiteralType(info *types.Info, cl *ast.CompositeLit) bool {
 // checkClosureCapture flags function literals that capture enclosing
 // variables: each creation allocates the closure (and often moves captures
 // to the heap). Capture-free literals compile to static funcs and are fine.
-func checkClosureCapture(pass *ProgramPass, info *types.Info, lit *ast.FuncLit, n *CGNode, root string) {
+func checkClosureCapture(pass *Pass, info *types.Info, lit *ast.FuncLit, n *CGNode, root string) {
 	captured := ""
 	ast.Inspect(lit.Body, func(x ast.Node) bool {
 		if captured != "" {
@@ -253,7 +236,7 @@ func checkClosureCapture(pass *ProgramPass, info *types.Info, lit *ast.FuncLit, 
 
 // checkHotCall flags allocating calls: make/new, fmt, and un-presized
 // append; and boxes concrete arguments passed to interface parameters.
-func checkHotCall(pass *ProgramPass, info *types.Info, call *ast.CallExpr, n *CGNode, root string) {
+func checkHotCall(pass *Pass, info *types.Info, call *ast.CallExpr, n *CGNode, root string) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 			switch id.Name {
@@ -283,7 +266,7 @@ func checkHotCall(pass *ProgramPass, info *types.Info, call *ast.CallExpr, n *CG
 // checkHotAppend flags append calls whose appendee is a function-local
 // slice not created by make. Fields and parameters stay silent: the PR-6
 // idiom pre-sizes or free-lists them, and growth amortizes across events.
-func checkHotAppend(pass *ProgramPass, info *types.Info, call *ast.CallExpr, n *CGNode, root string) {
+func checkHotAppend(pass *Pass, info *types.Info, call *ast.CallExpr, n *CGNode, root string) {
 	if len(call.Args) == 0 {
 		return
 	}
@@ -313,14 +296,7 @@ func checkHotAppend(pass *ProgramPass, info *types.Info, call *ast.CallExpr, n *
 // isParamOf reports whether v is a parameter (or named result, or receiver)
 // of the node's function.
 func isParamOf(n *CGNode, v *types.Var) bool {
-	var sig *types.Signature
-	if n.Fn != nil {
-		sig, _ = n.Fn.Type().(*types.Signature)
-	} else if n.Lit != nil {
-		if tv, ok := n.Pkg.Info.Types[n.Lit]; ok {
-			sig, _ = tv.Type.(*types.Signature)
-		}
-	}
+	sig := nodeSignature(n)
 	if sig == nil {
 		return false
 	}
@@ -379,7 +355,7 @@ func localMadeWithMake(info *types.Info, body *ast.BlockStmt, v *types.Var) bool
 
 // checkBoxingArgs flags concrete non-pointer values passed to interface
 // parameters — each such pass allocates the interface's data word.
-func checkBoxingArgs(pass *ProgramPass, info *types.Info, call *ast.CallExpr, root string) {
+func checkBoxingArgs(pass *Pass, info *types.Info, call *ast.CallExpr, root string) {
 	sig := calleeSignature(info, call)
 	if sig == nil {
 		return
@@ -405,7 +381,7 @@ func checkBoxingArgs(pass *ProgramPass, info *types.Info, call *ast.CallExpr, ro
 
 // checkBoxingAssign flags concrete values assigned into interface-typed
 // destinations.
-func checkBoxingAssign(pass *ProgramPass, info *types.Info, as *ast.AssignStmt, root string) {
+func checkBoxingAssign(pass *Pass, info *types.Info, as *ast.AssignStmt, root string) {
 	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}
@@ -419,15 +395,8 @@ func checkBoxingAssign(pass *ProgramPass, info *types.Info, as *ast.AssignStmt, 
 }
 
 // checkBoxingReturn flags concrete values returned as interface results.
-func checkBoxingReturn(pass *ProgramPass, info *types.Info, ret *ast.ReturnStmt, n *CGNode, root string) {
-	var sig *types.Signature
-	if n.Fn != nil {
-		sig, _ = n.Fn.Type().(*types.Signature)
-	} else if n.Lit != nil {
-		if tv, ok := n.Pkg.Info.Types[n.Lit]; ok {
-			sig, _ = tv.Type.(*types.Signature)
-		}
-	}
+func checkBoxingReturn(pass *Pass, info *types.Info, ret *ast.ReturnStmt, n *CGNode, root string) {
+	sig := nodeSignature(n)
 	if sig == nil || sig.Results().Len() != len(ret.Results) {
 		return
 	}
@@ -442,7 +411,7 @@ func checkBoxingReturn(pass *ProgramPass, info *types.Info, ret *ast.ReturnStmt,
 // fit the interface data word without allocating; untyped constants are
 // folded or interned by the compiler; error is exempt because hot-path
 // error returns are nil on the fast path and already off it when non-nil.
-func reportBoxing(pass *ProgramPass, info *types.Info, expr ast.Expr, dst types.Type, root, context string) {
+func reportBoxing(pass *Pass, info *types.Info, expr ast.Expr, dst types.Type, root, context string) {
 	if _, ok := dst.Underlying().(*types.Interface); !ok || isErrorType(dst) {
 		return
 	}

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"strings"
 )
@@ -23,53 +22,51 @@ const directivePrefix = "//lint:ignore "
 // suppressible: a broken suppression must always surface.
 const ignoreAnalyzerName = "ignore"
 
-// collectDirectives parses suppression directives from a package's files.
-// Malformed directives are reported immediately as diagnostics.
-func collectDirectives(fset *token.FileSet, files []*ast.File, known map[string]bool) ([]*directive, []Diagnostic) {
+// collectDirectives parses suppression directives from every file of the
+// program. Malformed directives are reported immediately as diagnostics.
+func collectDirectives(prog *Program, known map[string]bool) ([]*directive, []Diagnostic) {
 	var dirs []*directive
 	var diags []Diagnostic
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, directivePrefix) {
-					continue
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if !strings.HasPrefix(c.Text, directivePrefix) {
+						continue
+					}
+					pos := prog.Fset.Position(c.Pos())
+					if name, problem := parseDirective(c.Text, known); problem != "" {
+						diags = append(diags, Diagnostic{Analyzer: ignoreAnalyzerName, Pos: pos, Message: problem})
+					} else {
+						dirs = append(dirs, &directive{analyzer: name, pos: pos})
+					}
 				}
-				pos := fset.Position(c.Pos())
-				text := c.Text
-				// Harness affordance: a fixture directive may carry its own
-				// `// want ...` annotation; that tail is not part of the reason.
-				if i := strings.Index(text, "// want "); i > 0 {
-					text = strings.TrimSpace(text[:i])
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, directivePrefix))
-				name, reason, _ := strings.Cut(rest, " ")
-				switch {
-				case !strings.HasPrefix(name, "hpelint/"):
-					diags = append(diags, Diagnostic{
-						Analyzer: ignoreAnalyzerName, Pos: pos,
-						Message: "malformed //lint:ignore: analyzer must be named hpelint/<name>",
-					})
-					continue
-				case strings.TrimSpace(reason) == "":
-					diags = append(diags, Diagnostic{
-						Analyzer: ignoreAnalyzerName, Pos: pos,
-						Message: "//lint:ignore " + name + " needs a reason: say why the invariant does not apply here",
-					})
-					continue
-				}
-				short := strings.TrimPrefix(name, "hpelint/")
-				if !known[short] {
-					diags = append(diags, Diagnostic{
-						Analyzer: ignoreAnalyzerName, Pos: pos,
-						Message: "//lint:ignore names unknown analyzer " + name,
-					})
-					continue
-				}
-				dirs = append(dirs, &directive{analyzer: short, pos: pos})
 			}
 		}
 	}
 	return dirs, diags
+}
+
+// parseDirective parses one //lint:ignore comment into the analyzer name
+// it suppresses, or the problem that makes it invalid.
+func parseDirective(text string, known map[string]bool) (analyzer, problem string) {
+	// Harness affordance: a fixture directive may carry its own
+	// `// want ...` annotation; that tail is not part of the reason.
+	if i := strings.Index(text, "// want "); i > 0 {
+		text = strings.TrimSpace(text[:i])
+	}
+	rest := strings.TrimSpace(strings.TrimPrefix(text, directivePrefix))
+	name, reason, _ := strings.Cut(rest, " ")
+	short := strings.TrimPrefix(name, "hpelint/")
+	switch {
+	case !strings.HasPrefix(name, "hpelint/"):
+		return "", "malformed //lint:ignore: analyzer must be named hpelint/<name>"
+	case strings.TrimSpace(reason) == "":
+		return "", "//lint:ignore " + name + " needs a reason: say why the invariant does not apply here"
+	case !known[short]:
+		return "", "//lint:ignore names unknown analyzer " + name
+	}
+	return short, ""
 }
 
 // applyDirectives drops diagnostics suppressed by a directive (same file,

@@ -8,57 +8,57 @@ import (
 // requireMin asserts the fixture produced at least min diagnostics from the
 // named analyzer — the acceptance floor: every analyzer demonstrates at
 // least two want-annotated findings in its fixture package.
-func requireMin(t *testing.T, res fixtureResult, name string, min int) {
+func requireMin(t *testing.T, diags []Diagnostic, name string, min int) {
 	t.Helper()
-	if n := countByAnalyzer(res.Diags)[name]; n < min {
+	if n := countByAnalyzer(diags)[name]; n < min {
 		t.Errorf("fixture produced %d %s diagnostics (by analyzer: %v), want >= %d",
-			n, name, sortedKeys(countByAnalyzer(res.Diags)), min)
+			n, name, sortedKeys(countByAnalyzer(diags)), min)
 	}
 }
 
 func TestDeterminismFixture(t *testing.T) {
-	res := runFixture(t, "determinism", AnalyzerDeterminism)
-	requireMin(t, res, "determinism", 2)
+	diags := runFixture(t, "determinism", AnalyzerDeterminism)
+	requireMin(t, diags, "determinism", 2)
 }
 
 func TestMapOrderFixture(t *testing.T) {
-	res := runFixture(t, "maporder", AnalyzerMapOrder)
-	requireMin(t, res, "maporder", 2)
+	diags := runFixture(t, "maporder", AnalyzerMapOrder)
+	requireMin(t, diags, "maporder", 2)
 }
 
 func TestProbeGuardFixture(t *testing.T) {
-	res := runFixture(t, "probeguard", AnalyzerProbeGuard)
-	requireMin(t, res, "probeguard", 2)
+	diags := runFixture(t, "probeguard", AnalyzerProbeGuard)
+	requireMin(t, diags, "probeguard", 2)
 }
 
 func TestCtxFlowFixture(t *testing.T) {
-	res := runFixture(t, "ctxflow", AnalyzerCtxFlow)
-	requireMin(t, res, "ctxflow", 2)
+	diags := runFixture(t, "ctxflow", AnalyzerCtxFlow)
+	requireMin(t, diags, "ctxflow", 2)
 }
 
 func TestLockedFixture(t *testing.T) {
-	res := runFixture(t, "locked", AnalyzerLocked)
-	requireMin(t, res, "locked", 2)
+	diags := runFixture(t, "locked", AnalyzerLocked)
+	requireMin(t, diags, "locked", 2)
 }
 
 func TestSpecSourceFixture(t *testing.T) {
-	res := runFixture(t, "specsource", AnalyzerSpecSource)
-	requireMin(t, res, "specsource", 2)
+	diags := runFixture(t, "specsource", AnalyzerSpecSource)
+	requireMin(t, diags, "specsource", 2)
 }
 
 func TestEnvelopeFixture(t *testing.T) {
-	res := runFixture(t, "envelope", AnalyzerEnvelope)
-	requireMin(t, res, "envelope", 2)
+	diags := runFixture(t, "envelope", AnalyzerEnvelope)
+	requireMin(t, diags, "envelope", 2)
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	res := runFixture(t, "hotalloc", AnalyzerHotAlloc)
-	requireMin(t, res, "hotalloc", 2)
+	diags := runFixture(t, "hotalloc", AnalyzerHotAlloc)
+	requireMin(t, diags, "hotalloc", 2)
 }
 
 func TestLockOrderFixture(t *testing.T) {
-	res := runFixture(t, "lockorder", AnalyzerLockOrder)
-	requireMin(t, res, "lockorder", 2)
+	diags := runFixture(t, "lockorder", AnalyzerLockOrder)
+	requireMin(t, diags, "lockorder", 2)
 }
 
 // TestIgnoreFixture proves the suppression contract: a directive silences
@@ -66,8 +66,8 @@ func TestLockOrderFixture(t *testing.T) {
 // directive shape (wrong analyzer, wrong line, no violation, malformed,
 // unknown analyzer, missing reason) is itself reported.
 func TestIgnoreFixture(t *testing.T) {
-	res := runFixture(t, "ignorefix", AnalyzerDeterminism, AnalyzerMapOrder)
-	counts := countByAnalyzer(res.Diags)
+	diags := runFixture(t, "ignorefix", AnalyzerDeterminism, AnalyzerMapOrder)
+	counts := countByAnalyzer(diags)
 	// Five unsuppressed determinism findings (WrongName, WrongLine,
 	// Malformed, Unknown, NoReason) — the Suppressed one must be absent.
 	if counts["determinism"] != 5 {
@@ -78,7 +78,7 @@ func TestIgnoreFixture(t *testing.T) {
 	if counts[ignoreAnalyzerName] != 6 {
 		t.Errorf("ignore fixture: %d directive diagnostics, want 6", counts[ignoreAnalyzerName])
 	}
-	for _, d := range res.Diags {
+	for _, d := range diags {
 		if strings.Contains(d.Message, "suppression mechanism silences") {
 			t.Errorf("suppressed diagnostic leaked: %s", d.Message)
 		}
@@ -116,5 +116,28 @@ func TestAnalyzerNamesStable(t *testing.T) {
 	}
 	if _, err := ByName([]string{"bogus"}); err == nil {
 		t.Errorf("ByName(bogus) should error")
+	}
+	// Names are trimmed, and a repeat selects its analyzer once, at its
+	// first position: an analyzer never runs (or reports) twice.
+	for _, tc := range []struct {
+		in   []string
+		want string
+	}{
+		{[]string{"specsource", "specsource"}, "specsource"},
+		{[]string{" specsource"}, "specsource"},
+		{[]string{"probeguard", " ctxflow ", "probeguard", "ctxflow"}, "probeguard,ctxflow"},
+	} {
+		as, err := ByName(tc.in)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", tc.in, err)
+			continue
+		}
+		var got []string
+		for _, a := range as {
+			got = append(got, a.Name)
+		}
+		if strings.Join(got, ",") != tc.want {
+			t.Errorf("ByName(%q) = %v, want %s", tc.in, got, tc.want)
+		}
 	}
 }

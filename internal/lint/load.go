@@ -15,16 +15,12 @@ import (
 	"path/filepath"
 )
 
-// Package is one loaded, parsed and type-checked target package.
+// Package is one parsed and type-checked target package.
 type Package struct {
 	ImportPath string
-	Name       string
-	Dir        string
-	GoFiles    []string // absolute paths, build-constraint filtered, no tests
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-	TypeErrors []error
 }
 
 // Program is the result of loading a pattern set: a shared FileSet plus the
@@ -32,15 +28,17 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
+	// Dir is the directory the patterns were resolved against; findings
+	// are reported relative to it. The fixture harness leaves it empty and
+	// keeps absolute file names.
+	Dir string
 }
 
 // listPackage mirrors the subset of `go list -json` fields the loader needs.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
-	Standard   bool
 	DepOnly    bool
 	Export     string
 	Error      *struct{ Err string }
@@ -56,7 +54,7 @@ type listPackage struct {
 func goListExport(dir string, patterns []string) ([]*listPackage, map[string]string, error) {
 	args := append([]string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,GoFiles,Standard,DepOnly,Export,Error",
+		"-json=ImportPath,Dir,GoFiles,DepOnly,Export,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -106,16 +104,41 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// newTypesInfo allocates the full types.Info map set the analyzers rely on.
-func newTypesInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+// typeCheck parses files (absolute paths) as the package importPath and
+// type-checks them against imp. It is the one type-check step of both
+// loaders: Load imports dependencies from gc export data, the fixture
+// harness imports sibling fixtures from source. A package that does not
+// type-check is an error — analysis over broken type information produces
+// unreliable findings.
+func typeCheck(fset *token.FileSet, importPath string, files []string, imp types.Importer) (*Package, error) {
+	pkg := &Package{
+		ImportPath: importPath,
+		Info: &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Implicits:  make(map[ast.Node]types.Object),
+			Scopes:     make(map[ast.Node]*types.Scope),
+		},
 	}
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("parsing %s: %v", path, err)
+		}
+		pkg.Files = append(pkg.Files, f)
+	}
+	var typeErrs []error
+	conf := types.Config{
+		Importer: imp,
+		Error:    func(err error) { typeErrs = append(typeErrs, err) },
+	}
+	pkg.Types, _ = conf.Check(importPath, fset, pkg.Files, pkg.Info)
+	if len(typeErrs) > 0 {
+		return nil, fmt.Errorf("%s does not type-check: %v", importPath, typeErrs[0])
+	}
+	return pkg, nil
 }
 
 // Load resolves patterns (e.g. "./...") relative to dir, parses each matched
@@ -130,27 +153,19 @@ func Load(dir string, patterns []string) (*Program, error) {
 	}
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, exports)
-	prog := &Program{Fset: fset}
+	prog := &Program{Fset: fset, Dir: dir}
 	for _, t := range targets {
 		if len(t.GoFiles) == 0 {
 			continue
 		}
-		pkg := &Package{ImportPath: t.ImportPath, Name: t.Name, Dir: t.Dir}
-		for _, g := range t.GoFiles {
-			path := filepath.Join(t.Dir, g)
-			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("parsing %s: %v", path, err)
-			}
-			pkg.GoFiles = append(pkg.GoFiles, path)
-			pkg.Files = append(pkg.Files, f)
+		files := make([]string, len(t.GoFiles))
+		for i, g := range t.GoFiles {
+			files[i] = filepath.Join(t.Dir, g)
 		}
-		conf := types.Config{
-			Importer: imp,
-			Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+		pkg, err := typeCheck(fset, t.ImportPath, files, imp)
+		if err != nil {
+			return nil, err
 		}
-		pkg.Info = newTypesInfo()
-		pkg.Types, _ = conf.Check(t.ImportPath, fset, pkg.Files, pkg.Info)
 		prog.Packages = append(prog.Packages, pkg)
 	}
 	return prog, nil

@@ -29,51 +29,54 @@ var AnalyzerLocked = &Analyzer{
 var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 
 func runLocked(pass *Pass) {
-	guarded := collectGuardedFields(pass)
-	if len(guarded) == 0 {
-		return
-	}
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
+	for _, pkg := range pass.Packages {
+		guarded := collectGuardedFields(pkg)
+		if len(guarded) == 0 {
+			continue
 		}
-		selection := pass.Info.Selections[sel]
-		if selection == nil || selection.Kind() != types.FieldVal {
-			return true
-		}
-		fieldVar, ok := selection.Obj().(*types.Var)
-		if !ok {
-			return true
-		}
-		mu, isGuarded := guarded[fieldVar]
-		if !isGuarded {
-			return true
-		}
-		base, ok := flattenPath(sel.X)
-		if !ok {
+		inspectWithStack(pkg.Files, func(n ast.Node, stack []ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			selection := pkg.Info.Selections[sel]
+			if selection == nil || selection.Kind() != types.FieldVal {
+				return true
+			}
+			fieldVar, ok := selection.Obj().(*types.Var)
+			if !ok {
+				return true
+			}
+			mu, isGuarded := guarded[fieldVar]
+			if !isGuarded {
+				return true
+			}
+			base, ok := flattenPath(sel.X)
+			if !ok {
+				pass.Reportf(sel.Pos(),
+					"field %s is guarded by %s but accessed through an expression that "+
+						"cannot be matched to a lock", fieldVar.Name(), mu)
+				return true
+			}
+			if fname := enclosingFuncName(stack); strings.HasSuffix(fname, "Locked") {
+				return true
+			}
+			if holdsLock(stack, sel, base, mu) {
+				return true
+			}
 			pass.Reportf(sel.Pos(),
-				"field %s is guarded by %s but accessed through an expression that "+
-					"cannot be matched to a lock", fieldVar.Name(), mu)
+				"field %s is guarded by %s but accessed without %s.%s held",
+				fieldVar.Name(), mu, base, mu)
 			return true
-		}
-		if fname := enclosingFuncName(stack); strings.HasSuffix(fname, "Locked") {
-			return true
-		}
-		if holdsLock(pass, stack, sel, base, mu) {
-			return true
-		}
-		pass.Reportf(sel.Pos(),
-			"field %s is guarded by %s but accessed without %s.%s held",
-			fieldVar.Name(), mu, base, mu)
-		return true
-	})
+		})
+	}
 }
 
-// collectGuardedFields maps annotated field objects to their mutex name.
-func collectGuardedFields(pass *Pass) map[*types.Var]string {
+// collectGuardedFields maps a package's annotated field objects to their
+// mutex name.
+func collectGuardedFields(pkg *Package) map[*types.Var]string {
 	out := map[*types.Var]string{}
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
 			if !ok {
@@ -85,7 +88,7 @@ func collectGuardedFields(pass *Pass) map[*types.Var]string {
 					continue
 				}
 				for _, name := range field.Names {
-					if v, ok := pass.Info.Defs[name].(*types.Var); ok {
+					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
 						out[v] = mu
 					}
 				}
@@ -113,7 +116,7 @@ func guardAnnotation(field *ast.Field) string {
 // holdsLock reports whether some enclosing function body contains a call to
 // <base>.<mu>.Lock or RLock lexically before the access (which the
 // canonical `mu.Lock(); defer mu.Unlock()` pair always satisfies).
-func holdsLock(pass *Pass, stack []ast.Node, access *ast.SelectorExpr, base, mu string) bool {
+func holdsLock(stack []ast.Node, access *ast.SelectorExpr, base, mu string) bool {
 	lockPath := base + "." + mu
 	for _, body := range enclosingFuncBodies(stack) {
 		if body == nil {

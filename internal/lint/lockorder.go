@@ -25,9 +25,9 @@ import (
 // branches that release early — suppress genuinely impossible interleavings
 // with //lint:ignore hpelint/lockorder.
 var AnalyzerLockOrder = &Analyzer{
-	Name:       "lockorder",
-	Doc:        "detect lock-order cycles and blocking operations performed while holding a mutex",
-	RunProgram: runLockOrder,
+	Name: "lockorder",
+	Doc:  "detect lock-order cycles and blocking operations performed while holding a mutex",
+	Run:  runLockOrder,
 }
 
 // lockPkgScope is the production footprint: the layers that compose mutexes
@@ -77,7 +77,7 @@ type lockSummary struct {
 	blocks   []blockSite          // blocking ops, source order
 }
 
-func runLockOrder(pass *ProgramPass) {
+func runLockOrder(pass *Pass) {
 	g := pass.Graph()
 	classes := collectLockClasses(pass)
 
@@ -85,10 +85,10 @@ func runLockOrder(pass *ProgramPass) {
 	var sums []*lockSummary
 	byNode := map[*CGNode]*lockSummary{}
 	for _, n := range g.Nodes {
-		if !pass.InScope(n.Pkg.ImportPath, lockPkgScope) || n.Body == nil {
+		if !pass.InScope(n.Pkg.ImportPath, lockPkgScope, nil) || n.Body == nil {
 			continue
 		}
-		s := scanLocks(pass, g, n, classes)
+		s := scanLocks(g, n, classes)
 		sums = append(sums, s)
 		byNode[n] = s
 	}
@@ -237,7 +237,7 @@ func classReaches(adj map[string]map[string]bool, from, to string) bool {
 // collectLockClasses names every mutex-typed struct field declared by an
 // in-scope package as "pkg.Type.field". Package-level and local mutexes are
 // named lazily at their first acquisition site.
-func collectLockClasses(pass *ProgramPass) map[*types.Var]string {
+func collectLockClasses(pass *Pass) map[*types.Var]string {
 	classes := map[*types.Var]string{}
 	for _, pkg := range pass.Packages {
 		if pkg.Types == nil {
@@ -272,7 +272,6 @@ func isMutexType(t types.Type) bool {
 // lockScanner walks one function body in source order, maintaining the
 // lexical held set.
 type lockScanner struct {
-	pass    *ProgramPass
 	g       *CallGraph
 	node    *CGNode
 	info    *types.Info
@@ -282,9 +281,8 @@ type lockScanner struct {
 	sum     *lockSummary
 }
 
-func scanLocks(pass *ProgramPass, g *CallGraph, n *CGNode, classes map[*types.Var]string) *lockSummary {
+func scanLocks(g *CallGraph, n *CGNode, classes map[*types.Var]string) *lockSummary {
 	s := &lockScanner{
-		pass:    pass,
 		g:       g,
 		node:    n,
 		info:    n.Pkg.Info,
@@ -330,7 +328,7 @@ func (s *lockScanner) visit(nd ast.Node) bool {
 			s.block("select without default", v.Select)
 		}
 	case *ast.RangeStmt:
-		if t := s.exprType(v.X); t != nil {
+		if t := s.info.TypeOf(v.X); t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
 				s.block("range over channel", v.For)
 			}
@@ -408,7 +406,7 @@ func blockingCallDesc(info *types.Info, call *ast.CallExpr) string {
 	}
 	switch {
 	case fn.Name() == "Wait" && (namedTypeIn(recv, "sync", "WaitGroup") || namedTypeIn(recv, "sync", "Cond")):
-		return "sync." + recvShortName(recv) + ".Wait"
+		return "sync." + strings.TrimPrefix(receiverName(fn), "*") + ".Wait"
 	case fn.Pkg().Path() == "time" && fn.Name() == "Sleep":
 		return "time.Sleep"
 	case namedTypeIn(recv, "http", "Client"):
@@ -417,17 +415,6 @@ func blockingCallDesc(info *types.Info, call *ast.CallExpr) string {
 		return "outbound HTTP request (http." + fn.Name() + ")"
 	}
 	return ""
-}
-
-// recvShortName renders a receiver type's bare name for messages.
-func recvShortName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return t.String()
 }
 
 // writesCallerWriter reports whether the call hands a caller-supplied
@@ -494,7 +481,7 @@ func (s *lockScanner) lockClassOf(sel *ast.SelectorExpr) string {
 	// Promoted method on an embedded mutex: walk the selection's field path
 	// to the embedded field.
 	if msel, ok := s.info.Selections[sel]; ok && len(msel.Index()) > 1 {
-		t := s.exprType(sel.X)
+		t := s.info.TypeOf(sel.X)
 		var fld *types.Var
 		idx := msel.Index()
 		for _, i := range idx[:len(idx)-1] {
@@ -507,7 +494,7 @@ func (s *lockScanner) lockClassOf(sel *ast.SelectorExpr) string {
 		}
 		return s.fieldClassName(fld)
 	}
-	switch x := unparen(sel.X).(type) {
+	switch x := ast.Unparen(sel.X).(type) {
 	case *ast.SelectorExpr:
 		if fsel, ok := s.info.Selections[x]; ok && fsel.Kind() == types.FieldVal {
 			t := fsel.Recv()
@@ -563,14 +550,6 @@ func (s *lockScanner) varClassName(v *types.Var) string {
 	return s.node.Name + "." + v.Name()
 }
 
-// exprType returns the static type of e, or nil.
-func (s *lockScanner) exprType(e ast.Expr) types.Type {
-	if tv, ok := s.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
 // derefStruct unwraps pointers and named types down to a struct.
 func derefStruct(t types.Type) (*types.Struct, bool) {
 	if t == nil {
@@ -581,17 +560,6 @@ func derefStruct(t types.Type) (*types.Struct, bool) {
 	}
 	st, ok := t.Underlying().(*types.Struct)
 	return st, ok
-}
-
-// unparen strips parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 // selectHasDefault reports whether a select statement has a default clause.

@@ -44,31 +44,33 @@ var fmtSinks = map[string]bool{
 }
 
 func runMapOrder(pass *Pass) {
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
+	for _, pkg := range pass.Packages {
+		inspectWithStack(pkg.Files, func(n ast.Node, stack []ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			t := pkg.Info.TypeOf(rs.X)
+			if t == nil {
+				return true
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			checkMapRange(pass, pkg.Info, rs, stack)
 			return true
-		}
-		t := pass.Info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		checkMapRange(pass, rs, stack)
-		return true
-	})
+		})
+	}
 }
 
-func checkMapRange(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
+func checkMapRange(pass *Pass, info *types.Info, rs *ast.RangeStmt, stack []ast.Node) {
 	// Shape 2: order-sensitive sinks anywhere in the body.
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass.Info, call)
+		fn := calleeFunc(info, call)
 		if fn == nil {
 			return true
 		}
@@ -90,9 +92,9 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) {
 	})
 
 	// Shape 1: unsorted accumulation into an outer slice.
-	appends := mapRangeAppends(pass, rs)
+	appends := mapRangeAppends(info, rs)
 	for _, ap := range appends {
-		if sortFollows(pass, rs, stack, ap.path) {
+		if sortFollows(info, rs, stack, ap.path) {
 			continue
 		}
 		pass.Reportf(ap.pos,
@@ -108,7 +110,7 @@ type outerAppend struct {
 
 // mapRangeAppends finds `x = append(x, ...)` statements in the loop body
 // where x is rooted outside the loop (a pre-declared slice or a field).
-func mapRangeAppends(pass *Pass, rs *ast.RangeStmt) []outerAppend {
+func mapRangeAppends(info *types.Info, rs *ast.RangeStmt) []outerAppend {
 	var out []outerAppend
 	seen := map[string]bool{}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
@@ -125,7 +127,7 @@ func mapRangeAppends(pass *Pass, rs *ast.RangeStmt) []outerAppend {
 			if !ok || id.Name != "append" {
 				continue
 			}
-			if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); !isBuiltin {
+			if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
 				continue
 			}
 			path, ok := flattenPath(call.Args[0])
@@ -135,7 +137,7 @@ func mapRangeAppends(pass *Pass, rs *ast.RangeStmt) []outerAppend {
 			if lhs, ok := flattenPath(as.Lhs[i]); !ok || lhs != path {
 				continue
 			}
-			if !rootedOutside(pass, call.Args[0], rs) || seen[path] {
+			if !rootedOutside(info, call.Args[0], rs) || seen[path] {
 				continue
 			}
 			seen[path] = true
@@ -148,10 +150,10 @@ func mapRangeAppends(pass *Pass, rs *ast.RangeStmt) []outerAppend {
 
 // rootedOutside reports whether the root identifier of e was declared
 // before the range statement (or is a field selection, necessarily outer).
-func rootedOutside(pass *Pass, e ast.Expr, rs *ast.RangeStmt) bool {
+func rootedOutside(info *types.Info, e ast.Expr, rs *ast.RangeStmt) bool {
 	switch v := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		obj := pass.Info.ObjectOf(v)
+		obj := info.ObjectOf(v)
 		return obj != nil && obj.Pos() < rs.Pos()
 	case *ast.SelectorExpr:
 		return true
@@ -162,7 +164,7 @@ func rootedOutside(pass *Pass, e ast.Expr, rs *ast.RangeStmt) bool {
 // sortFollows reports whether, after the range statement in its enclosing
 // block, some statement calls a sort.* function or a slices.Sort* variant
 // with the accumulated slice among its arguments.
-func sortFollows(pass *Pass, rs *ast.RangeStmt, stack []ast.Node, path string) bool {
+func sortFollows(info *types.Info, rs *ast.RangeStmt, stack []ast.Node, path string) bool {
 	var block *ast.BlockStmt
 	for i := len(stack) - 1; i >= 0; i-- {
 		if b, ok := stack[i].(*ast.BlockStmt); ok {
@@ -188,7 +190,7 @@ func sortFollows(pass *Pass, rs *ast.RangeStmt, stack []ast.Node, path string) b
 			if !ok || found {
 				return !found
 			}
-			fn := calleeFunc(pass.Info, call)
+			fn := calleeFunc(info, call)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // AnalyzerProbeGuard enforces the probe overhead contract (internal/probe
@@ -24,41 +25,44 @@ var AnalyzerProbeGuard = &Analyzer{
 }
 
 func runProbeGuard(pass *Pass) {
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
+	for _, pkg := range pass.Packages {
+		info := pkg.Info
+		inspectWithStack(pkg.Files, func(n ast.Node, stack []ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if info.Selections[sel] == nil {
+				return true // qualified identifier (pkg.Func), not a method call
+			}
+			recv := info.TypeOf(sel.X)
+			if recv == nil || !namedTypeIn(recv, "probe", "Probe") {
+				return true
+			}
+			path, ok := flattenPath(sel.X)
+			if !ok {
+				pass.Reportf(call.Pos(),
+					"call of %s on a probe.Probe value that is not a checkable variable: "+
+						"bind it to a variable and nil-check before calling", sel.Sel.Name)
+				return true
+			}
+			if !nilCheckDominates(info, call, stack, path) {
+				pass.Reportf(call.Pos(),
+					"%s.%s called without a dominating `%s != nil` check: unprobed runs "+
+						"must keep the zero-cost fast path", path, sel.Sel.Name, path)
+			}
 			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if pass.Info.Selections[sel] == nil {
-			return true // qualified identifier (pkg.Func), not a method call
-		}
-		recv := pass.Info.TypeOf(sel.X)
-		if recv == nil || !namedTypeIn(recv, "probe", "Probe") {
-			return true
-		}
-		path, ok := flattenPath(sel.X)
-		if !ok {
-			pass.Reportf(call.Pos(),
-				"call of %s on a probe.Probe value that is not a checkable variable: "+
-					"bind it to a variable and nil-check before calling", sel.Sel.Name)
-			return true
-		}
-		if !nilCheckDominates(pass, call, stack, path) {
-			pass.Reportf(call.Pos(),
-				"%s.%s called without a dominating `%s != nil` check: unprobed runs "+
-					"must keep the zero-cost fast path", path, sel.Sel.Name, path)
-		}
-		return true
-	})
+		})
+	}
 }
 
 // nilCheckDominates reports whether the call node (whose ancestors are
 // stack) is dominated by a nil check on path.
-func nilCheckDominates(pass *Pass, call *ast.CallExpr, stack []ast.Node, path string) bool {
+func nilCheckDominates(info *types.Info, call *ast.CallExpr, stack []ast.Node, path string) bool {
 	// Enclosing if-branches: inside the body of `if path != nil`, or the
 	// else of `if path == nil`.
 	for i := len(stack) - 1; i >= 0; i-- {
@@ -68,10 +72,10 @@ func nilCheckDominates(pass *Pass, call *ast.CallExpr, stack []ast.Node, path st
 		}
 		inBody := i+1 < len(stack) && stack[i+1] == ast.Node(ifs.Body)
 		inElse := i+1 < len(stack) && ifs.Else != nil && stack[i+1] == ast.Node(ifs.Else)
-		if inBody && condGuaranteesNonNil(pass.Info, ifs.Cond, path) {
+		if inBody && condGuaranteesNonNil(info, ifs.Cond, path) {
 			return true
 		}
-		if inElse && condGuaranteesNil(pass.Info, ifs.Cond, path) {
+		if inElse && condGuaranteesNil(info, ifs.Cond, path) {
 			return true
 		}
 	}
@@ -90,7 +94,7 @@ func nilCheckDominates(pass *Pass, call *ast.CallExpr, stack []ast.Node, path st
 				if !ok {
 					continue
 				}
-				if condGuaranteesNil(pass.Info, ifs.Cond, path) && blockTerminates(pass.Info, ifs.Body) {
+				if condGuaranteesNil(info, ifs.Cond, path) && blockTerminates(info, ifs.Body) {
 					return true
 				}
 			}

@@ -2,7 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"path/filepath"
+	"strings"
 )
 
 // All returns the full analyzer suite in stable order.
@@ -20,19 +20,26 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName resolves a comma-separated analyzer selection against All.
+// ByName resolves an analyzer selection against All. Names are trimmed of
+// surrounding space and a repeated name selects its analyzer once, at its
+// first position, so no analyzer runs (or reports) twice.
 func ByName(names []string) ([]*Analyzer, error) {
 	index := map[string]*Analyzer{}
 	for _, a := range All() {
 		index[a.Name] = a
 	}
 	var out []*Analyzer
+	seen := map[string]bool{}
 	for _, n := range names {
+		n = strings.TrimSpace(n)
 		a, ok := index[n]
 		if !ok {
 			return nil, fmt.Errorf("unknown analyzer %q (have %v)", n, AnalyzerNames())
 		}
-		out = append(out, a)
+		if !seen[n] {
+			seen[n] = true
+			out = append(out, a)
+		}
 	}
 	return out, nil
 }
@@ -47,47 +54,15 @@ func AnalyzerNames() []string {
 }
 
 // Run is the multichecker driver: load the packages matched by patterns
-// (relative to dir), run every applicable analyzer, filter through
-// //lint:ignore directives, and return the findings in deterministic order.
-// A package that fails to type-check is an error — analysis over broken
-// type information produces unreliable findings.
+// (relative to dir), run every analyzer over them, filter through
+// //lint:ignore directives, and return the findings in deterministic order
+// with file names relative to dir. A package that fails to type-check is
+// an error — analysis over broken type information produces unreliable
+// findings.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	prog, err := Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	known := map[string]bool{}
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	// Per-package analyzers first, then the whole-program ones (which see
-	// every loaded package at once and share one cached call graph).
-	// Directives are collected program-wide and applied to the combined
-	// diagnostic set: a //lint:ignore suppresses by (file, line, analyzer)
-	// regardless of which kind of analyzer produced the finding.
-	var all []Diagnostic
-	var dirs []*directive
-	for _, pkg := range prog.Packages {
-		if len(pkg.TypeErrors) > 0 {
-			return nil, fmt.Errorf("%s does not type-check: %v", pkg.ImportPath, pkg.TypeErrors[0])
-		}
-		all = append(all, runAnalyzers(pkg, prog.Fset, analyzers, true)...)
-		pkgDirs, dirDiags := collectDirectives(prog.Fset, pkg.Files, known)
-		dirs = append(dirs, pkgDirs...)
-		all = append(all, dirDiags...)
-	}
-	all = append(all, runProgramAnalyzers(prog.Fset, prog.Packages, analyzers, true)...)
-	all = applyDirectives(all, dirs)
-	for i := range all {
-		if rel, err := filepath.Rel(dir, all[i].Pos.Filename); err == nil && !filepath.IsAbs(rel) && rel != "" && !isParentEscape(rel) {
-			all[i].Pos.Filename = rel
-		}
-	}
-	sortDiagnostics(all)
-	return all, nil
-}
-
-// isParentEscape reports whether a relative path climbs out of the root.
-func isParentEscape(rel string) bool {
-	return rel == ".." || len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
+	return analyze(prog, analyzers, true), nil
 }

@@ -22,27 +22,31 @@ var AnalyzerSpecSource = &Analyzer{
 	Doc: "forbid gpu.Config construction outside internal/runspec and " +
 		"internal/gpu: describe runs as runspec.Specs and materialize them " +
 		"in one place",
-	Scope: func(pkgPath string) bool { return !pathHasSuffixAny(pkgPath, specsourceExempt) },
-	Run:   runSpecSource,
+	Run: runSpecSource,
 }
 
 func runSpecSource(pass *Pass) {
-	inspectWithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			fn := calleeFunc(pass.Info, v)
-			if fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "gpu" && fn.Name() == "DefaultConfig" {
-				pass.Reportf(v.Pos(),
-					"gpu.DefaultConfig called outside the spec materializer: describe the run "+
-						"as a runspec.Spec and let Materialize build the config (DESIGN.md §12)")
-			}
-		case *ast.CompositeLit:
-			if t := pass.Info.TypeOf(v); t != nil && namedTypeIn(t, "gpu", "Config") {
-				pass.Reportf(v.Pos(),
-					"gpu.Config composite literal outside the spec materializer: describe the run "+
-						"as a runspec.Spec and let Materialize build the config (DESIGN.md §12)")
-			}
+	for _, pkg := range pass.Packages {
+		if !pass.InScope(pkg.ImportPath, nil, specsourceExempt) {
+			continue
 		}
-		return true
-	})
+		inspectWithStack(pkg.Files, func(n ast.Node, stack []ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.CallExpr:
+				fn := calleeFunc(pkg.Info, v)
+				if fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "gpu" && fn.Name() == "DefaultConfig" {
+					pass.Reportf(v.Pos(),
+						"gpu.DefaultConfig called outside the spec materializer: describe the run "+
+							"as a runspec.Spec and let Materialize build the config (DESIGN.md §12)")
+				}
+			case *ast.CompositeLit:
+				if t := pkg.Info.TypeOf(v); t != nil && namedTypeIn(t, "gpu", "Config") {
+					pass.Reportf(v.Pos(),
+						"gpu.Config composite literal outside the spec materializer: describe the run "+
+							"as a runspec.Spec and let Materialize build the config (DESIGN.md §12)")
+				}
+			}
+			return true
+		})
+	}
 }

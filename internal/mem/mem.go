@@ -1,10 +1,11 @@
 // Package mem models the GPU device memory as seen by the unified-memory
-// runtime: a fixed pool of physical frames and a single-level page table
-// mapping resident virtual pages to frames.
+// runtime: a capacity-bounded set of resident virtual pages.
 //
 // The paper simplifies the page table to a single level with a fixed walk
-// latency; the walk latency itself is modelled by package walker. This
-// package is purely the residency/occupancy state plus accounting.
+// latency; the GPU simulator (package gpu) charges that latency, or the
+// radix walker of package ptw in the translation study. Nothing reads
+// physical frame numbers, so this package keeps only residency: which
+// pages are mapped, and whether a free frame remains.
 package mem
 
 import (
@@ -21,19 +22,11 @@ var ErrFull = errors.New("mem: device memory full")
 // ErrNotResident is returned by Evict for a page that is not mapped.
 var ErrNotResident = errors.New("mem: page not resident")
 
-// FrameID identifies a physical frame in device memory.
-type FrameID uint32
-
-// DeviceMemory is the GPU-resident frame pool plus page table.
+// DeviceMemory is the set of GPU-resident pages, bounded by the device's
+// capacity in frames.
 type DeviceMemory struct {
 	capacity int
-	table    map[addrspace.PageID]FrameID
-	free     []FrameID
-
-	// Stats
-	inserts uint64
-	evicts  uint64
-	peak    int
+	resident map[addrspace.PageID]struct{}
 }
 
 // NewDeviceMemory returns a memory with the given capacity in frames
@@ -42,88 +35,40 @@ func NewDeviceMemory(capacityFrames int) *DeviceMemory {
 	if capacityFrames <= 0 {
 		panic(fmt.Sprintf("mem: capacity %d must be positive", capacityFrames))
 	}
-	free := make([]FrameID, capacityFrames)
-	for i := range free {
-		// Hand out frames in ascending order: free list is a stack, so push
-		// descending.
-		free[i] = FrameID(capacityFrames - 1 - i)
-	}
 	return &DeviceMemory{
 		capacity: capacityFrames,
-		table:    make(map[addrspace.PageID]FrameID, capacityFrames),
-		free:     free,
+		resident: make(map[addrspace.PageID]struct{}, capacityFrames),
 	}
 }
 
-// Capacity returns the total number of frames.
-func (m *DeviceMemory) Capacity() int { return m.capacity }
-
-// Len returns the number of resident pages.
-func (m *DeviceMemory) Len() int { return len(m.table) }
-
 // Full reports whether no free frame remains.
-func (m *DeviceMemory) Full() bool { return len(m.free) == 0 }
+func (m *DeviceMemory) Full() bool { return len(m.resident) == m.capacity }
 
 // Resident reports whether the page is mapped.
 func (m *DeviceMemory) Resident(p addrspace.PageID) bool {
-	_, ok := m.table[p]
+	_, ok := m.resident[p]
 	return ok
 }
 
-// Frame returns the frame backing a resident page.
-func (m *DeviceMemory) Frame(p addrspace.PageID) (FrameID, bool) {
-	f, ok := m.table[p]
-	return f, ok
-}
-
-// Insert maps a page to a free frame. It returns ErrFull when the memory is
-// at capacity and the frame it assigned otherwise. Inserting an
-// already-resident page is a programming error and panics: the UVM driver
-// must never double-map.
-func (m *DeviceMemory) Insert(p addrspace.PageID) (FrameID, error) {
-	if _, ok := m.table[p]; ok {
+// Insert maps a page into a free frame. It returns ErrFull when the memory
+// is at capacity. Inserting an already-resident page is a programming error
+// and panics: the UVM driver must never double-map.
+func (m *DeviceMemory) Insert(p addrspace.PageID) error {
+	if _, ok := m.resident[p]; ok {
 		panic(fmt.Sprintf("mem: double map of %v", p))
 	}
-	if len(m.free) == 0 {
-		return 0, ErrFull
+	if m.Full() {
+		return ErrFull
 	}
-	f := m.free[len(m.free)-1]
-	m.free = m.free[:len(m.free)-1]
-	m.table[p] = f
-	m.inserts++
-	if len(m.table) > m.peak {
-		m.peak = len(m.table)
-	}
-	return f, nil
-}
-
-// Evict unmaps a resident page, returning its frame to the free pool.
-func (m *DeviceMemory) Evict(p addrspace.PageID) error {
-	f, ok := m.table[p]
-	if !ok {
-		return ErrNotResident
-	}
-	delete(m.table, p)
-	m.free = append(m.free, f)
-	m.evicts++
+	m.resident[p] = struct{}{}
 	return nil
 }
 
-// Stats reports cumulative insert/evict counts and the peak occupancy.
-func (m *DeviceMemory) Stats() (inserts, evicts uint64, peak int) {
-	return m.inserts, m.evicts, m.peak
-}
-
-// ResidentPages returns the number of resident pages belonging to the given
-// page set under geometry g. The HPE policy uses this when draining a victim
-// set.
-func (m *DeviceMemory) ResidentPages(g addrspace.Geometry, s addrspace.SetID) []addrspace.PageID {
-	var out []addrspace.PageID
-	for off := 0; off < g.SetSize(); off++ {
-		p := g.PageAt(s, off)
-		if m.Resident(p) {
-			out = append(out, p)
-		}
+// Evict unmaps a resident page, freeing its frame.
+func (m *DeviceMemory) Evict(p addrspace.PageID) error {
+	if _, ok := m.resident[p]; !ok {
+		return ErrNotResident
 	}
-	return out
+	delete(m.resident, p)
+	return nil
 }

@@ -10,38 +10,35 @@ import (
 
 func TestInsertEvictLifecycle(t *testing.T) {
 	m := NewDeviceMemory(2)
-	if m.Capacity() != 2 || m.Len() != 0 || m.Full() {
-		t.Fatalf("fresh memory state wrong: cap=%d len=%d full=%v", m.Capacity(), m.Len(), m.Full())
+	if m.Full() || m.Resident(10) {
+		t.Fatal("fresh memory is full or has a resident page")
 	}
-	f1, err := m.Insert(10)
-	if err != nil {
+	if err := m.Insert(10); err != nil {
 		t.Fatal(err)
 	}
-	f2, err := m.Insert(20)
-	if err != nil {
+	if err := m.Insert(20); err != nil {
 		t.Fatal(err)
 	}
-	if f1 == f2 {
-		t.Fatal("two pages share a frame")
+	if !m.Full() || !m.Resident(10) || !m.Resident(20) {
+		t.Fatalf("after two inserts: full=%v resident(10)=%v resident(20)=%v", m.Full(), m.Resident(10), m.Resident(20))
 	}
-	if !m.Full() || m.Len() != 2 {
-		t.Fatalf("after two inserts: full=%v len=%d", m.Full(), m.Len())
-	}
-	if _, err := m.Insert(30); !errors.Is(err, ErrFull) {
+	if err := m.Insert(30); !errors.Is(err, ErrFull) {
 		t.Fatalf("Insert into full memory: err = %v, want ErrFull", err)
+	}
+	if m.Resident(30) {
+		t.Fatal("rejected insert left the page resident")
 	}
 	if err := m.Evict(10); err != nil {
 		t.Fatal(err)
 	}
-	if m.Resident(10) || !m.Resident(20) {
+	if m.Resident(10) || !m.Resident(20) || m.Full() {
 		t.Fatal("residency wrong after evict")
 	}
-	f3, err := m.Insert(30)
-	if err != nil {
-		t.Fatal(err)
+	if err := m.Insert(30); err != nil {
+		t.Fatalf("freed frame not reusable: %v", err)
 	}
-	if f3 != f1 {
-		t.Fatalf("freed frame not reused: got %d, want %d", f3, f1)
+	if !m.Full() || !m.Resident(30) {
+		t.Fatalf("after refill: full=%v resident(30)=%v", m.Full(), m.Resident(30))
 	}
 }
 
@@ -72,58 +69,13 @@ func TestZeroCapacityPanics(t *testing.T) {
 	NewDeviceMemory(0)
 }
 
-func TestFrameLookup(t *testing.T) {
-	m := NewDeviceMemory(4)
-	f, _ := m.Insert(42)
-	got, ok := m.Frame(42)
-	if !ok || got != f {
-		t.Fatalf("Frame(42) = %d,%v, want %d,true", got, ok, f)
-	}
-	if _, ok := m.Frame(43); ok {
-		t.Fatal("Frame(43) found a mapping")
-	}
-}
-
-func TestStatsAndPeak(t *testing.T) {
-	m := NewDeviceMemory(3)
-	m.Insert(1)
-	m.Insert(2)
-	m.Evict(1)
-	m.Insert(3)
-	ins, ev, peak := m.Stats()
-	if ins != 3 || ev != 1 || peak != 2 {
-		t.Fatalf("stats = %d,%d,%d, want 3,1,2", ins, ev, peak)
-	}
-}
-
-func TestResidentPagesOfSet(t *testing.T) {
-	g := addrspace.DefaultGeometry()
-	m := NewDeviceMemory(64)
-	s := addrspace.SetID(5)
-	// Map offsets 0, 3, 15.
-	for _, off := range []int{0, 3, 15} {
-		if _, err := m.Insert(g.PageAt(s, off)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.Insert(g.PageAt(6, 0)) // other set, must not appear
-	got := m.ResidentPages(g, s)
-	if len(got) != 3 {
-		t.Fatalf("ResidentPages = %v", got)
-	}
-	// Address order.
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("ResidentPages not sorted: %v", got)
-		}
-	}
-}
-
-// Property: after any sequence of inserts and evicts, Len + free == Capacity
-// and no two resident pages share a frame.
+// Property: after any sequence of inserts and evicts, the resident set
+// matches a model set, never exceeds the capacity in frames, and Insert
+// fails with ErrFull exactly when every frame is taken.
 func TestFrameConservationProperty(t *testing.T) {
+	const capacity = 8
 	f := func(ops []uint8) bool {
-		m := NewDeviceMemory(8)
+		m := NewDeviceMemory(capacity)
 		resident := map[addrspace.PageID]bool{}
 		for _, op := range ops {
 			p := addrspace.PageID(op % 16)
@@ -133,9 +85,9 @@ func TestFrameConservationProperty(t *testing.T) {
 				}
 				delete(resident, p)
 			} else {
-				_, err := m.Insert(p)
+				err := m.Insert(p)
 				if errors.Is(err, ErrFull) {
-					if m.Len() != 8 {
+					if len(resident) != capacity {
 						return false
 					}
 					continue
@@ -145,17 +97,14 @@ func TestFrameConservationProperty(t *testing.T) {
 				}
 				resident[p] = true
 			}
-		}
-		if m.Len() != len(resident) {
-			return false
-		}
-		frames := map[FrameID]bool{}
-		for p := range resident {
-			fr, ok := m.Frame(p)
-			if !ok || frames[fr] {
+			if m.Full() != (len(resident) == capacity) {
 				return false
 			}
-			frames[fr] = true
+			for q := addrspace.PageID(0); q < 16; q++ {
+				if m.Resident(q) != resident[q] {
+					return false
+				}
+			}
 		}
 		return true
 	}

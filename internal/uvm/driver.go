@@ -381,7 +381,7 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 			if d.evictIfFull(p) {
 				continue
 			}
-			if _, err := d.memory.Insert(p); err != nil {
+			if err := d.memory.Insert(p); err != nil {
 				panic(fmt.Sprintf("uvm: prefetch insert failed: %v", err))
 			}
 			d.pol.OnFault(p, f.seq)
@@ -406,7 +406,7 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 		if d.evictIfFull(p) {
 			continue
 		}
-		if _, err := d.memory.Insert(p); err != nil {
+		if err := d.memory.Insert(p); err != nil {
 			panic(fmt.Sprintf("uvm: prefetch insert failed: %v", err))
 		}
 		d.pol.OnMapped(p, seq)
@@ -466,7 +466,7 @@ func (d *Driver) complete(fi int32) {
 			d.probe.Emit(probe.Eviction(d.engine.Now(), victim, f.page))
 		}
 	}
-	if _, err := d.memory.Insert(f.page); err != nil {
+	if err := d.memory.Insert(f.page); err != nil {
 		panic(fmt.Sprintf("uvm: insert after eviction failed: %v", err))
 	}
 	d.pol.OnMapped(f.page, f.seq)

@@ -351,8 +351,8 @@ func TestPrefetchEvictsWhenFull(t *testing.T) {
 	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
 	d.Fault(0, 0, func() {})
 	eng.Run()
-	if m.Len() != 8 {
-		t.Fatalf("resident = %d, want full memory", m.Len())
+	if !m.Full() {
+		t.Fatal("memory not full after the prefetch, want all 8 frames resident")
 	}
 	st := d.Stats()
 	// 1 fault + 7 prefetches fill memory; the remaining 8 block pages each
