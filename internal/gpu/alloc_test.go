@@ -40,3 +40,28 @@ func TestPrepopulatedRunAllocBound(t *testing.T) {
 			total, perAccess)
 	}
 }
+
+// TestFaultPathAllocBound extends the bound to the demand-paging path: a
+// thrashing run under RRIP faults on most walks. Every fault resumes its
+// merged accesses through the driver's registered waker with a waiter-list
+// token, and the fault queue reuses its storage, so once the free lists and
+// page tables are warm the fault path allocates nothing per fault. Setup
+// and the free lists' growth amortize over the run's ~13k faults (about
+// 0.015 allocations per fault; a closure per fault would be 1).
+func TestFaultPathAllocBound(t *testing.T) {
+	tr := thrashTrace(64, 32) // 1,024 pages swept 32 times
+	cfg := smallConfig(768)   // 75% of the footprint
+
+	var res Result
+	total := testing.AllocsPerRun(1, func() {
+		res = Run(cfg, tr, policy.NewRRIP(policy.ThrashingRRIPConfig()))
+	})
+	if res.Evictions == 0 {
+		t.Fatalf("run took %d faults and no evictions; the trace must thrash", res.Faults)
+	}
+	perFault := total / float64(res.Faults)
+	if perFault >= 0.1 {
+		t.Errorf("thrashing run allocated %.0f objects over %d faults (%.3f per fault), want < 0.1 per fault",
+			total, res.Faults, perFault)
+	}
+}

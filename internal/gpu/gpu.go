@@ -23,6 +23,7 @@ package gpu
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"hpe/internal/addrspace"
 	"hpe/internal/cache"
@@ -30,6 +31,7 @@ import (
 	"hpe/internal/hir"
 	"hpe/internal/hpe"
 	"hpe/internal/mem"
+	"hpe/internal/pagetable"
 	"hpe/internal/policy"
 	"hpe/internal/probe"
 	"hpe/internal/ptw"
@@ -210,7 +212,8 @@ type continuation struct {
 // scheduling an issue, walk-completion, or access-completion event costs no
 // heap allocation at all (the payload travels in the event's two integer
 // words). These three are the only events the simulator schedules; fault
-// service runs inside internal/uvm's driver.
+// service runs inside internal/uvm's driver, which resumes faulted accesses
+// through faultWaker the same way.
 
 // issueEvent runs the translation path: a0 = SM id, a1 = access sequence.
 type issueEvent Simulator
@@ -227,6 +230,14 @@ func (e *walkDoneEvent) OnEvent(a0, _ uint64) {
 	(*Simulator)(e).finishWalk(addrspace.PageID(a0))
 }
 
+// faultWaker resumes the accesses merged on a far-faulted walk: the token is
+// the walk's waiter-list index (uvm.Waker).
+type faultWaker Simulator
+
+func (w *faultWaker) Wake(page addrspace.PageID, token uint64) {
+	(*Simulator)(w).fillAndWake(page, int32(token))
+}
+
 // completeEvent retires one access and recycles its warp slot: a0 = SM id,
 // a1 = the access's compute gap (segment-dependent on annotated traces).
 type completeEvent Simulator
@@ -241,6 +252,7 @@ func (e *completeEvent) OnEvent(a0, a1 uint64) {
 
 type smState struct {
 	id        int
+	bit       uint64 // this SM's bit in a page's L1-sharer mask (id % 64)
 	l1        *tlb.TLB
 	l1d       *cache.Cache // nil unless ModelDataPath
 	nextIssue sim.Cycle
@@ -266,9 +278,19 @@ type Simulator struct {
 	hWalk     sim.HandlerID
 	hComplete sim.HandlerID
 
-	cursor       int
-	walkWaiters  map[addrspace.PageID][]continuation
-	contPool     [][]continuation // recycled waiter slices (capacity retained)
+	cursor int
+	// Walk MSHRs: mshrs maps a page with a walk in flight to its waiter
+	// list, an index into waiters. A list outlives the walk while its
+	// far-fault is serviced (the index is the fault's wake token) and returns
+	// to freeLists in fillAndWake; each list keeps its capacity across reuse.
+	mshrs     *pagetable.Table[int32]
+	waiters   [][]continuation
+	freeLists []int32
+	// sharers maps a page to the L1 TLBs that may hold it: bit id%64 of
+	// every SM that filled it since its last shootdown. Above 64 SMs bits
+	// alias, which only adds no-op invalidations.
+	sharers *pagetable.Table[uint64]
+
 	completed    uint64
 	instructions uint64
 	walkHits     uint64
@@ -341,13 +363,14 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 		panic("gpu: MemoryPages must be positive")
 	}
 	s := &Simulator{
-		cfg:         cfg,
-		tr:          tr,
-		pol:         pol,
-		engine:      sim.NewEngine(),
-		memory:      mem.NewDeviceMemory(cfg.MemoryPages),
-		l2:          tlb.New("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
-		walkWaiters: make(map[addrspace.PageID][]continuation),
+		cfg:     cfg,
+		tr:      tr,
+		pol:     pol,
+		engine:  sim.NewEngine(),
+		memory:  mem.NewDeviceMemory(cfg.MemoryPages),
+		l2:      tlb.New("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
+		mshrs:   pagetable.New[int32](),
+		sharers: pagetable.New[uint64](),
 	}
 	if cfg.UseHIR {
 		s.hirC = hir.New(cfg.HIR)
@@ -363,6 +386,7 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	s.hWalk = s.engine.Register((*walkDoneEvent)(s))
 	s.hComplete = s.engine.Register((*completeEvent)(s))
 	s.driver = uvm.New(cfg.Driver, s.engine, s.memory, pol, s.hirC, s.invalidate)
+	s.driver.SetWaker((*faultWaker)(s))
 	if len(tr.Segments) > 0 {
 		// A segment-annotated trace (phase schedule or colocation) overrides
 		// the uniform compute gap per segment.
@@ -378,8 +402,9 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	}
 	for i := 0; i < cfg.SMs; i++ {
 		sm := &smState{
-			id: i,
-			l1: tlb.New(fmt.Sprintf("L1-%d", i), cfg.L1TLBEntries, cfg.L1TLBWays),
+			id:  i,
+			bit: 1 << (i % 64),
+			l1:  tlb.New(fmt.Sprintf("L1-%d", i), cfg.L1TLBEntries, cfg.L1TLBWays),
 		}
 		if cfg.ModelDataPath {
 			sm.l1d = cache.New(cfg.DataL1)
@@ -396,18 +421,31 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 }
 
 // invalidate shoots down TLB entries (and, on the data path, cache lines)
-// for an evicted page.
+// for an evicted page. Only the L1 TLBs in the page's sharer mask can hold
+// it; every SM an aliased bit stands for is probed, which is a no-op for
+// those that do not. The data caches keep no sharer state and are scanned.
 func (s *Simulator) invalidate(p addrspace.PageID) {
 	s.l2.Invalidate(p)
-	for _, sm := range s.sms {
-		sm.l1.Invalidate(p)
-		if sm.l1d != nil {
-			sm.l1d.InvalidatePage(p)
+	if mask, ok := s.sharers.Get(p); ok {
+		s.sharers.Delete(p)
+		for ; mask != 0; mask &= mask - 1 {
+			for i := bits.TrailingZeros64(mask); i < len(s.sms); i += 64 {
+				s.sms[i].l1.Invalidate(p)
+			}
 		}
 	}
 	if s.l2d != nil {
+		for _, sm := range s.sms {
+			sm.l1d.InvalidatePage(p)
+		}
 		s.l2d.InvalidatePage(p)
 	}
+}
+
+// share records that the L1 TLBs in mask now hold page p.
+func (s *Simulator) share(p addrspace.PageID, mask uint64) {
+	old, _ := s.sharers.Get(p)
+	s.sharers.Put(p, old|mask)
 }
 
 // dataLatency runs one access through the data hierarchy, synthesising a
@@ -468,6 +506,7 @@ func (s *Simulator) issue(sm *smState, seq int) {
 	if s.pwalk == nil {
 		if s.l2.Lookup(page) {
 			sm.l1.Fill(page)
+			s.share(page, sm.bit)
 			s.finish(sm, page, seq, s.cfg.L1TLBLatency+s.cfg.L2TLBLatency)
 			return
 		}
@@ -477,22 +516,17 @@ func (s *Simulator) issue(sm *smState, seq int) {
 	}
 	// Page walk, with MSHR-style merging of concurrent walks.
 	cont := continuation{smID: sm.id, seq: seq}
-	if ws, ok := s.walkWaiters[page]; ok {
-		//lint:ignore hpelint/hotalloc waiter slices recycle through contPool, so growth amortizes across walks
-		s.walkWaiters[page] = append(ws, cont)
+	if li, ok := s.mshrs.Get(page); ok {
+		s.waiters[li] = append(s.waiters[li], cont)
 		s.walkMerges++
 		if s.probe != nil {
 			s.probe.Emit(probe.WalkMerge(s.engine.Now(), sm.id, page, seq))
 		}
 		return
 	}
-	var ws []continuation
-	if n := len(s.contPool); n > 0 {
-		ws = s.contPool[n-1]
-		s.contPool = s.contPool[:n-1]
-	}
-	//lint:ignore hpelint/hotalloc waiter slices recycle through contPool, so growth amortizes across walks
-	s.walkWaiters[page] = append(ws, cont)
+	li := s.newList()
+	s.waiters[li] = append(s.waiters[li], cont)
+	s.mshrs.Put(page, li)
 	s.walks++
 	var delay sim.Cycle
 	if s.pwalk != nil {
@@ -503,37 +537,53 @@ func (s *Simulator) issue(sm *smState, seq int) {
 	s.engine.ScheduleAfter(delay, s.hWalk, uint64(page), 0)
 }
 
+// newList returns an empty waiter list, recycled when one is free.
+func (s *Simulator) newList() int32 {
+	if n := len(s.freeLists); n > 0 {
+		li := s.freeLists[n-1]
+		s.freeLists = s.freeLists[:n-1]
+		return li
+	}
+	s.waiters = append(s.waiters, nil)
+	return int32(len(s.waiters) - 1)
+}
+
 // finishWalk resolves a completed page-table walk.
 func (s *Simulator) finishWalk(page addrspace.PageID) {
-	conts := s.walkWaiters[page]
-	delete(s.walkWaiters, page)
+	li, _ := s.mshrs.Get(page)
+	s.mshrs.Delete(page)
+	first := s.waiters[li][0]
 	if s.memory.Resident(page) {
 		s.walkHits++
 		if s.probe != nil {
-			s.probe.Emit(probe.WalkHit(s.engine.Now(), conts[0].smID, page, conts[0].seq))
+			s.probe.Emit(probe.WalkHit(s.engine.Now(), first.smID, page, first.seq))
 		}
-		s.driver.RecordWalkHit(page, conts[0].seq)
-		s.fillAndWake(page, conts)
+		s.driver.RecordWalkHit(page, first.seq)
+		s.fillAndWake(page, li)
 		return
 	}
-	// Far-fault: the waiting warps block until the driver maps the page.
-	//lint:ignore hpelint/hotalloc one continuation per far-fault; faults are the priced slow path, not the per-event path
-	s.driver.Fault(page, conts[0].seq, func() { s.fillAndWake(page, conts) })
+	// Far-fault: the waiting warps block until the driver maps the page and
+	// hands the list back through faultWaker.
+	s.driver.Fault(page, first.seq, uint64(li))
 }
 
-// fillAndWake installs the translation, completes every merged access, and
-// returns the waiter slice to the pool (fillAndWake is the single sink for
-// waiter slices on both the walk-hit and fault paths).
-func (s *Simulator) fillAndWake(page addrspace.PageID, conts []continuation) {
+// fillAndWake installs the translation, completes every access on waiter
+// list li, and frees the list (fillAndWake is the single sink for waiter
+// lists on both the walk-hit and fault paths).
+func (s *Simulator) fillAndWake(page addrspace.PageID, li int32) {
 	if s.pwalk == nil {
 		s.l2.Fill(page)
 	}
-	for _, c := range conts {
+	var mask uint64
+	for _, c := range s.waiters[li] {
 		sm := s.sms[c.smID]
 		sm.l1.Fill(page)
+		mask |= sm.bit
 		s.finish(sm, page, c.seq, 1)
 	}
-	s.contPool = append(s.contPool, conts[:0])
+	s.share(page, mask)
+	s.waiters[li] = s.waiters[li][:0]
+	s.freeLists = append(s.freeLists, li)
 }
 
 // finish completes one access after `extra` cycles (plus the data-path

@@ -120,3 +120,34 @@ func (r *seqRecorder) OnFault(p addrspace.PageID, seq int) {
 	r.seqs = append(r.seqs, seq)
 	r.Policy.OnFault(p, seq)
 }
+
+// TestShootdownOracle checks the L1-sharer masks against the definition of a
+// correct shootdown: after a thrashing run, no L1 or L2 TLB holds a page
+// that is not resident. With 80 SMs, SM i and SM i+64 share mask bit i, so
+// the run also exercises the aliased invalidations. Dropping either the
+// aliased SMs or the L2-hit fill's sharer bit leaves evicted pages behind.
+func TestShootdownOracle(t *testing.T) {
+	tr := thrashTrace(64, 6) // 1,024 pages
+	cfg := smallConfig(768)  // 75%: some pages survive a pass, so L2 hits fill L1s too
+	cfg.SMs = 80
+	s := New(cfg, tr, policy.NewLRU())
+	res := s.Run()
+	checkResultInvariants(t, res, tr.Len(), tr.Footprint(), cfg.MemoryPages, len(tr.Barriers))
+	if res.Evictions == 0 {
+		t.Fatal("no evictions: the oracle needs shootdowns to check")
+	}
+	// Lookup mutates TLB statistics; the run's Result is already taken.
+	for _, p := range tr.UniquePages() {
+		if s.memory.Resident(p) {
+			continue
+		}
+		if s.l2.Lookup(p) {
+			t.Errorf("L2 TLB holds evicted %v", p)
+		}
+		for _, sm := range s.sms {
+			if sm.l1.Lookup(p) {
+				t.Errorf("L1 TLB of SM %d holds evicted %v", sm.id, p)
+			}
+		}
+	}
+}

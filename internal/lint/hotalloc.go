@@ -46,7 +46,7 @@ var AnalyzerHotAlloc = &Analyzer{
 var hotPkgScope = []string{
 	"internal/sim", "internal/gpu", "internal/uvm", "internal/tlb",
 	"internal/hir", "internal/mem", "internal/dram", "internal/ptw",
-	"internal/addrspace", "internal/policy", "internal/trace",
+	"internal/addrspace", "internal/policy", "internal/trace", "internal/pagetable",
 }
 
 // hotRoots are the structural hot-path entry points: (package name,

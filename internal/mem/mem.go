@@ -5,7 +5,8 @@
 // latency; the GPU simulator (package gpu) charges that latency, or the
 // radix walker of package ptw in the translation study. Nothing reads
 // physical frame numbers, so this package keeps only residency: which
-// pages are mapped, and whether a free frame remains.
+// pages are mapped (a page table with a presence bit per page), and whether
+// a free frame remains (the table's count against the capacity).
 package mem
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 )
 
 // ErrFull is returned by Insert when no free frame exists; the caller (the
@@ -26,7 +28,7 @@ var ErrNotResident = errors.New("mem: page not resident")
 // capacity in frames.
 type DeviceMemory struct {
 	capacity int
-	resident map[addrspace.PageID]struct{}
+	resident *pagetable.Table[struct{}]
 }
 
 // NewDeviceMemory returns a memory with the given capacity in frames
@@ -37,16 +39,16 @@ func NewDeviceMemory(capacityFrames int) *DeviceMemory {
 	}
 	return &DeviceMemory{
 		capacity: capacityFrames,
-		resident: make(map[addrspace.PageID]struct{}, capacityFrames),
+		resident: pagetable.New[struct{}](),
 	}
 }
 
 // Full reports whether no free frame remains.
-func (m *DeviceMemory) Full() bool { return len(m.resident) == m.capacity }
+func (m *DeviceMemory) Full() bool { return m.resident.Len() == m.capacity }
 
 // Resident reports whether the page is mapped.
 func (m *DeviceMemory) Resident(p addrspace.PageID) bool {
-	_, ok := m.resident[p]
+	_, ok := m.resident.Get(p)
 	return ok
 }
 
@@ -54,21 +56,20 @@ func (m *DeviceMemory) Resident(p addrspace.PageID) bool {
 // is at capacity. Inserting an already-resident page is a programming error
 // and panics: the UVM driver must never double-map.
 func (m *DeviceMemory) Insert(p addrspace.PageID) error {
-	if _, ok := m.resident[p]; ok {
+	if m.Resident(p) {
 		panic(fmt.Sprintf("mem: double map of %v", p))
 	}
 	if m.Full() {
 		return ErrFull
 	}
-	m.resident[p] = struct{}{}
+	m.resident.Put(p, struct{}{})
 	return nil
 }
 
 // Evict unmaps a resident page, freeing its frame.
 func (m *DeviceMemory) Evict(p addrspace.PageID) error {
-	if _, ok := m.resident[p]; !ok {
+	if !m.resident.Delete(p) {
 		return ErrNotResident
 	}
-	delete(m.resident, p)
 	return nil
 }

@@ -8,9 +8,10 @@
 // visibility (which references reach the page walker) is what the paper's
 // mechanisms key off.
 //
-// Every operation is O(1): a page → entry index map answers presence, and
-// each set maintains an intrusive doubly-linked list ordered LRU → MRU with
-// invalid entries parked at the LRU end. This replaces the original
+// Every operation is O(1): a page → entry index map (pagetable.Map, the
+// open-addressing table the page tables use as their top level) answers
+// presence, and each set maintains an intrusive doubly-linked list ordered
+// LRU → MRU with invalid entries parked at the LRU end. This replaces the original
 // timestamp-per-entry scheme, which scanned the whole set on every Lookup,
 // Fill, and Invalidate — the dominant cost of eviction shootdowns, which
 // probe one L2 and every SM's L1. Because timestamps were unique (one tick
@@ -28,6 +29,7 @@ import (
 	"fmt"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 )
 
 // TLB is a set-associative, LRU-replaced translation cache.
@@ -35,10 +37,10 @@ type TLB struct {
 	name    string
 	sets    int
 	ways    int
-	entries []entry  // sets × ways, row-major
-	head    []int32  // per-set list head: invalid-first, then LRU
-	tail    []int32  // per-set list tail: MRU
-	index   *pageMap // valid pages → entry index
+	entries []entry        // sets × ways, row-major
+	head    []int32        // per-set list head: invalid-first, then LRU
+	tail    []int32        // per-set list tail: MRU
+	index   *pagetable.Map // valid pages → entry index
 
 	hits      uint64
 	misses    uint64
@@ -66,7 +68,7 @@ func New(name string, entries, ways int) *TLB {
 		entries: make([]entry, entries),
 		head:    make([]int32, entries/ways),
 		tail:    make([]int32, entries/ways),
-		index:   newPageMap(entries),
+		index:   pagetable.NewMap(entries),
 	}
 	t.resetLists()
 	return t
@@ -143,7 +145,7 @@ func (t *TLB) moveToHead(s int, i int32) {
 
 // Lookup probes the TLB. A hit refreshes the entry's LRU state.
 func (t *TLB) Lookup(p addrspace.PageID) bool {
-	if i := t.index.get(p); i >= 0 {
+	if i := t.index.Get(p); i >= 0 {
 		t.moveToTail(t.set(p), i)
 		t.hits++
 		return true
@@ -155,7 +157,7 @@ func (t *TLB) Lookup(p addrspace.PageID) bool {
 // Fill installs a translation, evicting the LRU way of the set if needed.
 // Filling an already-present page just refreshes it.
 func (t *TLB) Fill(p addrspace.PageID) {
-	if i := t.index.get(p); i >= 0 {
+	if i := t.index.Get(p); i >= 0 {
 		t.moveToTail(t.set(p), i)
 		return
 	}
@@ -163,22 +165,22 @@ func (t *TLB) Fill(p addrspace.PageID) {
 	v := t.head[s] // invalid entry if any exists, else the LRU way
 	e := &t.entries[v]
 	if e.valid {
-		t.index.del(e.page)
+		t.index.Delete(e.page)
 	}
 	e.page = p
 	e.valid = true
-	t.index.put(p, v)
+	t.index.Put(p, v)
 	t.moveToTail(s, v)
 	t.fills++
 }
 
 // Invalidate removes a translation if present (page eviction shootdown).
 func (t *TLB) Invalidate(p addrspace.PageID) bool {
-	i := t.index.get(p)
+	i := t.index.Get(p)
 	if i < 0 {
 		return false
 	}
-	t.index.del(p)
+	t.index.Delete(p)
 	t.entries[i].valid = false
 	t.moveToHead(t.set(p), i)
 	t.invalides++
@@ -188,7 +190,7 @@ func (t *TLB) Invalidate(p addrspace.PageID) bool {
 // Flush invalidates every entry.
 func (t *TLB) Flush() {
 	t.resetLists()
-	t.index.clear()
+	t.index.Clear()
 }
 
 // Stats returns cumulative hit/miss/fill/invalidate counts.
@@ -207,5 +209,5 @@ func (t *TLB) HitRate() float64 {
 
 // Occupancy returns the number of valid entries.
 func (t *TLB) Occupancy() int {
-	return t.index.len()
+	return t.index.Len()
 }

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 )
 
 // Trace is an ordered page reference string with a name for reporting. It is
@@ -136,11 +137,11 @@ func (t *Trace) Annotate(segs []Segment, tenants []TenantRange) *Trace {
 // New returns a trace over the given reference string. The slice is retained,
 // not copied, and must not be modified afterwards.
 func New(name string, refs []addrspace.PageID) *Trace {
-	seen := make(map[addrspace.PageID]struct{}, len(refs)/4+1)
+	seen := pagetable.New[struct{}]()
 	for _, p := range refs {
-		seen[p] = struct{}{}
+		seen.Put(p, struct{}{})
 	}
-	return &Trace{Name: name, Refs: refs, footprint: len(seen)}
+	return &Trace{Name: name, Refs: refs, footprint: seen.Len()}
 }
 
 // NewWithBarriers returns a trace with kernel boundaries. Barriers must be

@@ -20,6 +20,7 @@ import (
 	"hpe/internal/addrspace"
 	"hpe/internal/hir"
 	"hpe/internal/mem"
+	"hpe/internal/pagetable"
 	"hpe/internal/policy"
 	"hpe/internal/probe"
 	"hpe/internal/sim"
@@ -29,6 +30,16 @@ import (
 // HitBatchReceiver is implemented by policies (HPE) that consume HIR drains.
 type HitBatchReceiver interface {
 	OnHitBatch([]hir.Record)
+}
+
+// Waker resumes the accesses blocked on a far-fault. The GPU registers one
+// (SetWaker), the way components register an event handler with the
+// engine, and each Fault carries a token the driver hands back: a wakeup
+// costs no closure.
+type Waker interface {
+	// Wake reports that page p is resident, once per Fault call on p, with
+	// that call's token, in the order the calls arrived.
+	Wake(p addrspace.PageID, token uint64)
 }
 
 // Config parameterises the driver.
@@ -115,10 +126,13 @@ type TenantStats struct {
 }
 
 type pendingFault struct {
-	page      addrspace.PageID
-	seq       int
-	enq       sim.Cycle // enqueue time, for fault-latency events
-	wakeups   []func()
+	page addrspace.PageID
+	seq  int
+	enq  sim.Cycle // enqueue time, for fault-latency events
+	// tokens are the Fault calls' wake tokens in arrival order. The store
+	// slot keeps the slice's capacity across reuse, so coalescing
+	// allocates only while a slot first grows.
+	tokens    []uint64
 	inService bool // dispatched to a channel
 	done      bool // resolved early by a block prefetch
 }
@@ -154,18 +168,19 @@ type Driver struct {
 	// invalidate is called for every evicted page so the GPU can shoot down
 	// stale TLB entries.
 	invalidate func(addrspace.PageID)
+	waker      Waker // resumes faulted accesses (SetWaker)
 
 	// Faults live in a slice-backed store with a free list; the queue and
-	// the in-flight index refer to them by index. This keeps fault-heavy
-	// runs from allocating one node per fault and gives the GC nothing to
-	// chase once wakeup closures are recycled through wakePool.
+	// the in-flight page table refer to them by index. This keeps
+	// fault-heavy runs from allocating one node per fault and gives the GC
+	// nothing to chase.
 	faults    []pendingFault
 	faultFree []int32
-	queue     []int32                    // waiting, FIFO
-	inFlight  map[addrspace.PageID]int32 // waiting + in service
-	wakePool  [][]func()                 // recycled wakeup slices
-	hDone     sim.HandlerID              // serviceDoneEvent registration
-	busy      int                        // channels in use
+	queue     []int32                 // waiting, FIFO (enqueue)
+	qhead     int                     // index of the oldest waiting fault in queue
+	inFlight  *pagetable.Table[int32] // page → fault index, waiting + in service
+	hDone     sim.HandlerID           // serviceDoneEvent registration
+	busy      int                     // channels in use
 
 	// HIR drains in flight over PCIe, indexed by drainDoneEvent's a0 and
 	// recycled through batchFree.
@@ -200,7 +215,7 @@ func New(cfg Config, engine *sim.Engine, memory *mem.DeviceMemory, pol policy.Po
 		pol:        pol,
 		hirC:       hirCache,
 		invalidate: invalidate,
-		inFlight:   make(map[addrspace.PageID]int32),
+		inFlight:   pagetable.New[int32](),
 	}
 	d.hDone = engine.Register((*serviceDoneEvent)(d))
 	d.hDrain = engine.Register((*drainDoneEvent)(d))
@@ -209,6 +224,10 @@ func New(cfg Config, engine *sim.Engine, memory *mem.DeviceMemory, pol policy.Po
 	}
 	return d
 }
+
+// SetWaker registers the handler that resumes faulted accesses. Call it
+// before the first Fault.
+func (d *Driver) SetWaker(w Waker) { d.waker = w }
 
 // SetProbe attaches an instrumentation probe (nil detaches). Every emission
 // site is guarded by a nil check, so the unprobed driver keeps its exact
@@ -259,7 +278,7 @@ func (d *Driver) Stats() Stats {
 }
 
 // Pending returns the number of queued (not yet in service) faults.
-func (d *Driver) Pending() int { return len(d.queue) }
+func (d *Driver) Pending() int { return len(d.queue) - d.qhead }
 
 // RecordWalkHit forwards a page-walk hit to the policy (the baselines' ideal
 // feed and HPE's IdealHitFeed mode) and to the HIR cache when present.
@@ -270,18 +289,18 @@ func (d *Driver) RecordWalkHit(p addrspace.PageID, seq int) {
 	}
 }
 
-// Fault reports a far-fault on page p observed at trace position seq; wake
-// runs when the page becomes resident. Duplicate faults coalesce onto the
-// in-flight or queued fault for the same page.
-func (d *Driver) Fault(p addrspace.PageID, seq int, wake func()) {
+// Fault reports a far-fault on page p observed at trace position seq; the
+// Waker gets token back when the page becomes resident. Duplicate faults
+// coalesce onto the in-flight or queued fault for the same page.
+func (d *Driver) Fault(p addrspace.PageID, seq int, token uint64) {
 	if d.memory.Resident(p) {
 		// Raced with a completion: the page is already here.
-		wake()
+		d.waker.Wake(p, token)
 		return
 	}
-	if fi, ok := d.inFlight[p]; ok {
+	if fi, ok := d.inFlight.Get(p); ok {
 		f := &d.faults[fi]
-		f.wakeups = append(f.wakeups, wake)
+		f.tokens = append(f.tokens, token)
 		d.stats.Coalesced++
 		if d.probe != nil {
 			d.probe.Emit(probe.Coalesce(d.engine.Now(), p, seq))
@@ -290,16 +309,28 @@ func (d *Driver) Fault(p addrspace.PageID, seq int, wake func()) {
 	}
 	fi := d.allocFault()
 	f := &d.faults[fi]
-	*f = pendingFault{page: p, seq: seq, enq: d.engine.Now(), wakeups: d.allocWakeups(wake)}
-	d.queue = append(d.queue, fi)
-	d.inFlight[p] = fi
-	if len(d.queue) > d.stats.MaxQueueDepth {
-		d.stats.MaxQueueDepth = len(d.queue)
+	*f = pendingFault{page: p, seq: seq, enq: d.engine.Now(), tokens: append(f.tokens[:0], token)}
+	d.enqueue(fi)
+	d.inFlight.Put(p, fi)
+	if n := d.Pending(); n > d.stats.MaxQueueDepth {
+		d.stats.MaxQueueDepth = n
 	}
 	if d.probe != nil {
-		d.probe.Emit(probe.FaultBegin(f.enq, p, seq, len(d.queue)))
+		d.probe.Emit(probe.FaultBegin(f.enq, p, seq, d.Pending()))
 	}
 	d.pump()
+}
+
+// enqueue appends fault fi to the wait queue. When the backing array is
+// full and at least half of it lies before the head, the waiting entries
+// slide to the front first, so the queue reuses its storage as the head
+// advances and allocates only to grow past its deepest backlog.
+func (d *Driver) enqueue(fi int32) {
+	if len(d.queue) == cap(d.queue) && d.qhead >= len(d.queue)/2 {
+		n := copy(d.queue, d.queue[d.qhead:])
+		d.queue, d.qhead = d.queue[:n], 0
+	}
+	d.queue = append(d.queue, fi)
 }
 
 // allocFault returns a free fault-store index.
@@ -313,25 +344,13 @@ func (d *Driver) allocFault() int32 {
 	return int32(len(d.faults) - 1)
 }
 
-// allocWakeups returns a recycled wakeup slice seeded with wake.
-func (d *Driver) allocWakeups(wake func()) []func() {
-	if n := len(d.wakePool); n > 0 {
-		ws := d.wakePool[n-1]
-		d.wakePool = d.wakePool[:n-1]
-		//lint:ignore hpelint/hotalloc wakeup slices recycle through wakePool, so growth amortizes across faults
-		return append(ws, wake)
+// wake hands every token of fault fi back to the Waker. The slot must stay
+// allocated until it returns.
+func (d *Driver) wake(fi int32) {
+	f := &d.faults[fi]
+	for _, tok := range f.tokens {
+		d.waker.Wake(f.page, tok)
 	}
-	//lint:ignore hpelint/hotalloc pool-miss seed only; subsequent faults reuse the slice via wakePool
-	return append(make([]func(), 0, 4), wake)
-}
-
-// runWakeups fires and recycles a fault's wakeup slice.
-func (d *Driver) runWakeups(ws []func()) {
-	for i, wake := range ws {
-		ws[i] = nil // drop closure refs before pooling
-		wake()
-	}
-	d.wakePool = append(d.wakePool, ws[:0])
 }
 
 // pump dispatches queued faults onto free channels.
@@ -340,9 +359,9 @@ func (d *Driver) pump() {
 	if frac <= 0 || frac > 1 {
 		frac = 1
 	}
-	for d.busy < d.cfg.Channels && len(d.queue) > 0 {
-		fi := d.queue[0]
-		d.queue = d.queue[1:]
+	for d.busy < d.cfg.Channels && d.qhead < len(d.queue) {
+		fi := d.queue[d.qhead]
+		d.qhead++
 		f := &d.faults[fi]
 		if f.done {
 			d.faultFree = append(d.faultFree, fi) // resolved early by a block prefetch
@@ -370,17 +389,16 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 		if p == page || d.memory.Resident(p) {
 			continue
 		}
-		if fj, pending := d.inFlight[p]; pending {
+		if fj, pending := d.inFlight.Get(p); pending {
 			f := &d.faults[fj]
 			if f.inService {
 				// Its service channel owns it; resolving here would race.
 				continue
 			}
 			// A queued fault for the same block: the migration satisfies it
-			// now (fault batching, as real UVM runtimes do).
-			if d.evictIfFull(p) {
-				continue
-			}
+			// now (fault batching, as real UVM runtimes do). The slot stays
+			// queued until pump drops it, so waking from it is safe.
+			d.evictIfFull(p)
 			if err := d.memory.Insert(p); err != nil {
 				panic(fmt.Sprintf("uvm: prefetch insert failed: %v", err))
 			}
@@ -392,20 +410,16 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 				d.chargeFault(p)
 			}
 			f.done = true
-			delete(d.inFlight, p)
+			d.inFlight.Delete(p)
 			if d.probe != nil {
 				now := d.engine.Now()
 				d.probe.Emit(probe.FaultEnd(now, p, f.seq, now-f.enq, true))
 			}
-			ws := f.wakeups
-			f.wakeups = nil
-			d.runWakeups(ws)
+			d.wake(fj)
 			brought++
 			continue
 		}
-		if d.evictIfFull(p) {
-			continue
-		}
+		d.evictIfFull(p)
 		if err := d.memory.Insert(p); err != nil {
 			panic(fmt.Sprintf("uvm: prefetch insert failed: %v", err))
 		}
@@ -419,15 +433,15 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 }
 
 // evictIfFull frees one frame via the policy when memory is full, so that
-// `trigger` can be mapped. It returns true when eviction was needed but
-// impossible.
-func (d *Driver) evictIfFull(trigger addrspace.PageID) bool {
+// `trigger` can be mapped. A victim that is not resident breaks the Policy
+// contract and panics.
+func (d *Driver) evictIfFull(trigger addrspace.PageID) {
 	if !d.memory.Full() {
-		return false
+		return
 	}
 	victim := d.pol.SelectVictim()
 	if err := d.memory.Evict(victim); err != nil {
-		return true
+		panic(fmt.Sprintf("uvm: policy %s chose bad victim %v: %v", d.pol.Name(), victim, err))
 	}
 	d.pol.OnEvicted(victim)
 	if d.invalidate != nil {
@@ -440,7 +454,6 @@ func (d *Driver) evictIfFull(trigger addrspace.PageID) bool {
 	if d.probe != nil {
 		d.probe.Emit(probe.Eviction(d.engine.Now(), victim, trigger))
 	}
-	return false
 }
 
 // complete finishes one fault: evict if full, map the page, notify the
@@ -448,48 +461,27 @@ func (d *Driver) evictIfFull(trigger addrspace.PageID) bool {
 // HIR drain, hand it to the transfer, which frees it in drainDone.
 func (d *Driver) complete(fi int32) {
 	f := &d.faults[fi]
-	d.pol.OnFault(f.page, f.seq)
-	if d.memory.Full() {
-		victim := d.pol.SelectVictim()
-		if err := d.memory.Evict(victim); err != nil {
-			panic(fmt.Sprintf("uvm: policy %s chose bad victim %v: %v", d.pol.Name(), victim, err))
-		}
-		d.pol.OnEvicted(victim)
-		if d.invalidate != nil {
-			d.invalidate(victim)
-		}
-		d.stats.Evictions++
-		if d.tenants != nil {
-			d.chargeEviction(victim, f.page)
-		}
-		if d.probe != nil {
-			d.probe.Emit(probe.Eviction(d.engine.Now(), victim, f.page))
-		}
-	}
-	if err := d.memory.Insert(f.page); err != nil {
+	page, seq, enq := f.page, f.seq, f.enq
+	d.pol.OnFault(page, seq)
+	d.evictIfFull(page)
+	if err := d.memory.Insert(page); err != nil {
 		panic(fmt.Sprintf("uvm: insert after eviction failed: %v", err))
 	}
-	d.pol.OnMapped(f.page, f.seq)
+	d.pol.OnMapped(page, seq)
 	d.stats.FaultsServiced++
 	if d.tenants != nil {
-		d.chargeFault(f.page)
+		d.chargeFault(page)
 	}
-	delete(d.inFlight, f.page)
+	d.inFlight.Delete(page)
 	if d.probe != nil {
 		now := d.engine.Now()
-		d.probe.Emit(probe.FaultEnd(now, f.page, f.seq, now-f.enq, false))
+		d.probe.Emit(probe.FaultEnd(now, page, seq, now-enq, false))
 	}
-
-	// Copy out before prefetch/wakeups: both may allocate new faults and
-	// grow the store, invalidating f.
-	page, seq := f.page, f.seq
-	ws := f.wakeups
-	f.wakeups = nil
-	d.faultFree = append(d.faultFree, fi)
 
 	d.prefetch(page, seq)
 
-	d.runWakeups(ws)
+	d.wake(fi)
+	d.faultFree = append(d.faultFree, fi)
 
 	// Periodic HIR drain: every TransferInterval-th serviced fault the HIR
 	// contents cross PCIe; the transfer occupies this channel before it can

@@ -1,6 +1,8 @@
 package uvm
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hpe/internal/addrspace"
@@ -29,6 +31,22 @@ func (r *recordingPolicy) OnEvicted(p addrspace.PageID) {
 	r.LRU.OnEvicted(p)
 }
 
+// funcWaker runs the function registered under each wake token.
+type funcWaker []func()
+
+func (w *funcWaker) Wake(_ addrspace.PageID, token uint64) { (*w)[token]() }
+
+// fault raises a far-fault on page p whose wakeup runs fn.
+func fault(d *Driver, p addrspace.PageID, seq int, fn func()) {
+	w, ok := d.waker.(*funcWaker)
+	if !ok {
+		w = new(funcWaker)
+		d.SetWaker(w)
+	}
+	*w = append(*w, fn)
+	d.Fault(p, seq, uint64(len(*w)-1))
+}
+
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.FaultLatency = 100
@@ -40,7 +58,7 @@ func TestFaultServiceLatency(t *testing.T) {
 	m := mem.NewDeviceMemory(4)
 	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
 	woken := sim.Cycle(0)
-	d.Fault(1, 0, func() { woken = eng.Now() })
+	fault(d, 1, 0, func() { woken = eng.Now() })
 	eng.Run()
 	if woken != 100 {
 		t.Fatalf("fault completed at %d, want 100", woken)
@@ -60,7 +78,7 @@ func TestFaultsServiceSerially(t *testing.T) {
 	var times []sim.Cycle
 	for i := 1; i <= 3; i++ {
 		p := addrspace.PageID(i)
-		d.Fault(p, i, func() { times = append(times, eng.Now()) })
+		fault(d, p, i, func() { times = append(times, eng.Now()) })
 	}
 	eng.Run()
 	want := []sim.Cycle{100, 200, 300}
@@ -77,7 +95,7 @@ func TestDuplicateFaultsCoalesce(t *testing.T) {
 	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
 	woken := 0
 	for i := 0; i < 5; i++ {
-		d.Fault(7, i, func() { woken++ })
+		fault(d, 7, i, func() { woken++ })
 	}
 	eng.Run()
 	st := d.Stats()
@@ -93,10 +111,10 @@ func TestFaultOnResidentPageWakesImmediately(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(4)
 	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
-	d.Fault(1, 0, func() {})
+	fault(d, 1, 0, func() {})
 	eng.Run()
 	woken := false
-	d.Fault(1, 1, func() { woken = true })
+	fault(d, 1, 1, func() { woken = true })
 	if !woken {
 		t.Fatal("resident-page fault did not wake synchronously")
 	}
@@ -114,7 +132,7 @@ func TestEvictionOnFullMemory(t *testing.T) {
 		invalidated = append(invalidated, p)
 	})
 	for i := 1; i <= 3; i++ {
-		d.Fault(addrspace.PageID(i), i, func() {})
+		fault(d, addrspace.PageID(i), i, func() {})
 	}
 	eng.Run()
 	st := d.Stats()
@@ -140,7 +158,7 @@ func TestWalkHitForwarding(t *testing.T) {
 	h := hir.New(hir.DefaultConfig())
 	lru := policy.NewLRU()
 	d := New(testConfig(), eng, m, lru, h, nil)
-	d.Fault(1, 0, func() {})
+	fault(d, 1, 0, func() {})
 	eng.Run()
 	d.RecordWalkHit(1, 5)
 	if h.Touched() != 1 {
@@ -152,7 +170,7 @@ func TestWalkHitForwarding(t *testing.T) {
 	// (chain: 1 hit-refreshed then 2 mapped → LRU order 1,2). Refresh makes
 	// 1 MRU before 2 arrives; order stays 1 then 2, victim 1 either way, so
 	// probe differently: map 2, hit 1, victim must be 2.
-	d.Fault(2, 1, func() {})
+	fault(d, 2, 1, func() {})
 	eng.Run()
 	d.RecordWalkHit(1, 6)
 	if v := lru.SelectVictim(); v != 2 {
@@ -167,13 +185,13 @@ func TestHIRDrainEveryNthFault(t *testing.T) {
 	m := mem.NewDeviceMemory(64)
 	h := hir.New(hir.DefaultConfig())
 	d := New(cfg, eng, m, policy.NewLRU(), h, nil)
-	d.Fault(1, 0, func() {})
+	fault(d, 1, 0, func() {})
 	eng.Run()
 	d.RecordWalkHit(1, 1)
 	if h.Touched() != 1 {
 		t.Fatal("hit not pending")
 	}
-	d.Fault(2, 2, func() {}) // 2nd serviced fault → drain
+	fault(d, 2, 2, func() {}) // 2nd serviced fault → drain
 	eng.Run()
 	if h.Touched() != 0 {
 		t.Fatal("HIR not drained on 2nd fault")
@@ -208,13 +226,13 @@ func TestHIRDrainDeliveryTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	sink := &batchSink{LRU: policy.NewLRU(), eng: eng}
 	d := New(cfg, eng, mem.NewDeviceMemory(64), sink, hir.New(hir.DefaultConfig()), nil)
-	d.Fault(1, 0, func() {})
+	fault(d, 1, 0, func() {})
 	eng.Run()
 	d.RecordWalkHit(1, 1)
 
 	var drained, next sim.Cycle
-	d.Fault(2, 2, func() { drained = eng.Now() }) // 2nd serviced fault → drain
-	d.Fault(3, 3, func() { next = eng.Now() })    // queued behind the drain
+	fault(d, 2, 2, func() { drained = eng.Now() }) // 2nd serviced fault → drain
+	fault(d, 3, 3, func() { next = eng.Now() })    // queued behind the drain
 	eng.Run()
 
 	transfer := d.Stats().HIRTransferCycles
@@ -242,7 +260,7 @@ func TestQueueDepthTracking(t *testing.T) {
 	m := mem.NewDeviceMemory(16)
 	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
 	for i := 0; i < 10; i++ {
-		d.Fault(addrspace.PageID(i), i, func() {})
+		fault(d, addrspace.PageID(i), i, func() {})
 	}
 	// The first fault went straight into service; nine wait.
 	if d.Pending() != 9 {
@@ -265,7 +283,7 @@ func TestChannelsOverlapFaultService(t *testing.T) {
 	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
 	var times []sim.Cycle
 	for i := 0; i < 8; i++ {
-		d.Fault(addrspace.PageID(i), i, func() { times = append(times, eng.Now()) })
+		fault(d, addrspace.PageID(i), i, func() { times = append(times, eng.Now()) })
 	}
 	eng.Run()
 	// Two waves of four: completions at 100 (×4) and 200 (×4).
@@ -287,7 +305,7 @@ func TestZeroChannelsDefaultsToOne(t *testing.T) {
 	d := New(cfg, eng, mem.NewDeviceMemory(4), policy.NewLRU(), nil, nil)
 	var times []sim.Cycle
 	for i := 0; i < 2; i++ {
-		d.Fault(addrspace.PageID(i), i, func() { times = append(times, eng.Now()) })
+		fault(d, addrspace.PageID(i), i, func() { times = append(times, eng.Now()) })
 	}
 	eng.Run()
 	if times[0] != 100 || times[1] != 200 {
@@ -300,7 +318,7 @@ func TestBusyCyclesAccumulate(t *testing.T) {
 	m := mem.NewDeviceMemory(16)
 	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
 	for i := 0; i < 4; i++ {
-		d.Fault(addrspace.PageID(i), i, func() {})
+		fault(d, addrspace.PageID(i), i, func() {})
 	}
 	eng.Run()
 	// 4 faults × 100 cycles × the default 0.35 host-busy fraction.
@@ -324,7 +342,7 @@ func TestPrefetchMigratesBlockNeighbours(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(64)
 	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
-	d.Fault(32, 0, func() {}) // block 32..47
+	fault(d, 32, 0, func() {}) // block 32..47
 	eng.Run()
 	for p := addrspace.PageID(32); p < 48; p++ {
 		if !m.Resident(p) {
@@ -337,7 +355,7 @@ func TestPrefetchMigratesBlockNeighbours(t *testing.T) {
 	}
 	// A subsequent touch of a prefetched page is not a fault.
 	woken := false
-	d.Fault(33, 1, func() { woken = true })
+	fault(d, 33, 1, func() { woken = true })
 	if !woken || d.Stats().FaultsServiced != 1 {
 		t.Fatal("prefetched page refaulted")
 	}
@@ -349,7 +367,7 @@ func TestPrefetchEvictsWhenFull(t *testing.T) {
 	eng := sim.NewEngine()
 	m := mem.NewDeviceMemory(8)
 	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
-	d.Fault(0, 0, func() {})
+	fault(d, 0, 0, func() {})
 	eng.Run()
 	if !m.Full() {
 		t.Fatal("memory not full after the prefetch, want all 8 frames resident")
@@ -372,8 +390,8 @@ func TestPrefetchSkipsPendingFaults(t *testing.T) {
 	m := mem.NewDeviceMemory(64)
 	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
 	woken := 0
-	d.Fault(0, 0, func() { woken++ })
-	d.Fault(1, 1, func() { woken++ }) // queued behind page 0
+	fault(d, 0, 0, func() { woken++ })
+	fault(d, 1, 1, func() { woken++ }) // queued behind page 0
 	eng.Run()
 	if woken != 2 {
 		t.Fatalf("woken = %d, want both faults resolved", woken)
@@ -383,5 +401,46 @@ func TestPrefetchSkipsPendingFaults(t *testing.T) {
 	// 2 serviced faults, 14 prefetched pages.
 	if st.FaultsServiced != 2 || st.Prefetched != 14 {
 		t.Fatalf("faults=%d prefetched=%d, want 2/14", st.FaultsServiced, st.Prefetched)
+	}
+}
+
+// strayVictimPolicy is LRU except that SelectVictim names a page that was
+// never mapped, breaking the Policy contract.
+type strayVictimPolicy struct{ *policy.LRU }
+
+func (strayVictimPolicy) SelectVictim() addrspace.PageID { return 999 }
+
+// TestBadVictimPanics checks that both eviction sites, fault completion and
+// block prefetch, reject a non-resident victim instead of skipping the page.
+func TestBadVictimPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		frames   int
+		prefetch int
+	}{
+		// One frame: page 0 fills it, so page 1's completion must evict.
+		{"complete", 1, 0},
+		// Two frames: the fault maps page 0 and the prefetch page 1 without
+		// evicting, so the first eviction, for page 2, happens in prefetch.
+		{"prefetch", 2, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.PrefetchPages = tc.prefetch
+			eng := sim.NewEngine()
+			d := New(cfg, eng, mem.NewDeviceMemory(tc.frames), strayVictimPolicy{policy.NewLRU()}, nil, nil)
+			fault(d, 0, 0, func() {})
+			fault(d, 1, 1, func() {})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("a non-resident victim was accepted")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "bad victim") {
+					t.Fatalf("panic = %q, want the bad-victim contract violation", msg)
+				}
+			}()
+			eng.Run()
+		})
 	}
 }
