@@ -82,10 +82,11 @@ workload-check:
 # `go test -fuzz=FuzzCatalogGenerate ./internal/workload/` (catalog app ×
 # scale 1–64; the seeds cover every app at scales 1–4),
 # `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`,
-# `go test -fuzz=FuzzDecode ./internal/runspec/`, or
-# `go test -fuzz=FuzzPageTable ./internal/pagetable/` to explore).
+# `go test -fuzz=FuzzDecode ./internal/runspec/`,
+# `go test -fuzz=FuzzPageTable ./internal/pagetable/`, or
+# `go test -fuzz=FuzzPolicyEquivalence ./internal/policy/` to explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/ ./internal/pagetable/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/ ./internal/pagetable/ ./internal/policy/
 
 # Run every example end to end (each takes well under a second): they
 # exercise the public facade the way a library user does, so an API change

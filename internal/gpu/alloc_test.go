@@ -41,27 +41,52 @@ func TestPrepopulatedRunAllocBound(t *testing.T) {
 	}
 }
 
-// TestFaultPathAllocBound extends the bound to the demand-paging path: a
-// thrashing run under RRIP faults on most walks. Every fault resumes its
-// merged accesses through the driver's registered waker with a waiter-list
-// token, and the fault queue reuses its storage, so once the free lists and
-// page tables are warm the fault path allocates nothing per fault. Setup
-// and the free lists' growth amortize over the run's ~13k faults (about
-// 0.015 allocations per fault; a closure per fault would be 1).
+// TestFaultPathAllocBound extends the bound to the demand-paging path, for
+// every policy in internal/policy: a thrashing run faults on most walks.
+// Every fault resumes its merged accesses through the driver's registered
+// waker with a waiter-list token, the fault queue reuses its storage, and
+// each policy keeps its per-page state in page tables, slabs and value
+// heaps, so once those are warm the fault path allocates nothing per fault.
+// Setup and the growth of free lists, slabs and heaps amortize over the
+// run's ~13k faults (about 0.015 allocations per fault; a closure or a node
+// per fault would be 1).
 func TestFaultPathAllocBound(t *testing.T) {
 	tr := thrashTrace(64, 32) // 1,024 pages swept 32 times
-	cfg := smallConfig(768)   // 75% of the footprint
-
-	var res Result
-	total := testing.AllocsPerRun(1, func() {
-		res = Run(cfg, tr, policy.NewRRIP(policy.ThrashingRRIPConfig()))
-	})
-	if res.Evictions == 0 {
-		t.Fatalf("run took %d faults and no evictions; the trace must thrash", res.Faults)
+	const capacity = 768      // 75% of the footprint
+	cfg := smallConfig(capacity)
+	fi := trace.BuildFutureIndex(tr)
+	policies := []struct {
+		name string
+		mk   func() policy.Policy
+	}{
+		{"lru", func() policy.Policy { return policy.NewLRU() }},
+		{"random", func() policy.Policy { return policy.NewRandom(1) }},
+		{"rrip", func() policy.Policy { return policy.NewRRIP(policy.DefaultRRIPConfig()) }},
+		{"rrip-thrashing", func() policy.Policy { return policy.NewRRIP(policy.ThrashingRRIPConfig()) }},
+		{"clockpro", func() policy.Policy { return policy.NewClockPro(capacity, policy.DefaultColdTarget) }},
+		{"ideal", func() policy.Policy { return policy.NewIdeal(fi) }},
+		{"fifo", func() policy.Policy { return policy.NewFIFO() }},
+		{"lfu", func() policy.Policy { return policy.NewLFU() }},
+		{"clock", func() policy.Policy { return policy.NewClock() }},
+		{"nru", func() policy.Policy { return policy.NewNRU() }},
+		{"arc", func() policy.Policy { return policy.NewARC(capacity) }},
+		{"setlru", func() policy.Policy { return policy.NewSetLRU(addrspace.DefaultGeometry()) }},
 	}
-	perFault := total / float64(res.Faults)
-	if perFault >= 0.1 {
-		t.Errorf("thrashing run allocated %.0f objects over %d faults (%.3f per fault), want < 0.1 per fault",
-			total, res.Faults, perFault)
+	for _, pc := range policies {
+		t.Run(pc.name, func(t *testing.T) {
+			var res Result
+			total := testing.AllocsPerRun(1, func() {
+				res = Run(cfg, tr, pc.mk())
+			})
+			if res.Evictions == 0 {
+				t.Fatalf("run took %d faults and no evictions; the trace must thrash", res.Faults)
+			}
+			perFault := total / float64(res.Faults)
+			t.Logf("%.0f allocations over %d faults (%.4f per fault)", total, res.Faults, perFault)
+			if perFault >= 0.1 {
+				t.Errorf("thrashing run allocated %.0f objects over %d faults (%.3f per fault), want < 0.1 per fault",
+					total, res.Faults, perFault)
+			}
+		})
 	}
 }

@@ -32,7 +32,9 @@ type leaf[V any] struct {
 }
 
 // Table maps pages to values of type V. The zero Table is not usable;
-// construct one with New.
+// construct one with New. Get updates the last-leaf cache, so a Table is not
+// safe for concurrent use even when only read; shared read-only indexes use
+// a Map, whose Get writes nothing.
 type Table[V any] struct {
 	top    *Map      // leaf number → index into leaves
 	leaves []leaf[V] // one value slab: no per-leaf objects for the GC to trace

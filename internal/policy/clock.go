@@ -1,6 +1,9 @@
 package policy
 
-import "hpe/internal/addrspace"
+import (
+	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
+)
 
 // Clock is the classic CLOCK algorithm — the one-bit LRU approximation the
 // paper's related-work section names as what real kernels deploy instead of
@@ -9,8 +12,8 @@ import "hpe/internal/addrspace"
 // thrashing pathology, which is exactly why the paper discusses CLOCK-Pro.
 type Clock struct {
 	ring  []clockEntry
-	index map[addrspace.PageID]int
-	free  []int
+	index *pagetable.Table[int32] // page → ring slot
+	free  []int32
 	hand  int
 }
 
@@ -22,7 +25,7 @@ type clockEntry struct {
 
 // NewClock returns an empty CLOCK policy.
 func NewClock() *Clock {
-	return &Clock{index: make(map[addrspace.PageID]int)}
+	return &Clock{index: pagetable.New[int32]()}
 }
 
 // Name implements Policy.
@@ -30,7 +33,7 @@ func (c *Clock) Name() string { return "CLOCK" }
 
 // OnWalkHit implements Policy: set the reference bit.
 func (c *Clock) OnWalkHit(p addrspace.PageID, seq int) {
-	if i, ok := c.index[p]; ok {
+	if i, ok := c.index.Get(p); ok {
 		c.ring[i].ref = true
 	}
 }
@@ -46,16 +49,16 @@ func (c *Clock) OnMapped(p addrspace.PageID, seq int) {
 		i := c.free[n-1]
 		c.free = c.free[:n-1]
 		c.ring[i] = e
-		c.index[p] = i
+		c.index.Put(p, i)
 		return
 	}
-	c.index[p] = len(c.ring)
+	c.index.Put(p, int32(len(c.ring)))
 	c.ring = append(c.ring, e)
 }
 
 // SelectVictim implements Policy: sweep the hand, granting second chances.
 func (c *Clock) SelectVictim() addrspace.PageID {
-	if len(c.index) == 0 {
+	if c.index.Len() == 0 {
 		panic("policy: CLOCK.SelectVictim with no resident pages")
 	}
 	n := len(c.ring)
@@ -63,7 +66,6 @@ func (c *Clock) SelectVictim() addrspace.PageID {
 	// must find a victim.
 	for sweep := 0; sweep < 2*n+1; sweep++ {
 		e := &c.ring[c.hand%n]
-		i := c.hand % n
 		c.hand = (c.hand + 1) % n
 		if !e.valid {
 			continue
@@ -72,7 +74,6 @@ func (c *Clock) SelectVictim() addrspace.PageID {
 			e.ref = false
 			continue
 		}
-		_ = i
 		return e.page
 	}
 	panic("policy: CLOCK hand failed to find a victim")
@@ -80,15 +81,15 @@ func (c *Clock) SelectVictim() addrspace.PageID {
 
 // OnEvicted implements Policy.
 func (c *Clock) OnEvicted(p addrspace.PageID) {
-	if i, ok := c.index[p]; ok {
+	if i, ok := c.index.Get(p); ok {
 		c.ring[i].valid = false
 		c.free = append(c.free, i)
-		delete(c.index, p)
+		c.index.Delete(p)
 	}
 }
 
 // Len returns the number of tracked resident pages.
-func (c *Clock) Len() int { return len(c.index) }
+func (c *Clock) Len() int { return c.index.Len() }
 
 // NRU is Not-Recently-Used: evict any page whose reference bit is clear,
 // scanning in arrival order; when every page is referenced, clear all bits
@@ -97,12 +98,12 @@ func (c *Clock) Len() int { return len(c.index) }
 // variant.) Like CLOCK, it approximates LRU and shares its weaknesses.
 type NRU struct {
 	chain *recencyList // arrival order: head = oldest
-	ref   map[addrspace.PageID]bool
+	ref   []bool       // reference bit per chain node
 }
 
 // NewNRU returns an empty NRU policy.
 func NewNRU() *NRU {
-	return &NRU{chain: newRecencyList(), ref: make(map[addrspace.PageID]bool)}
+	return &NRU{chain: newRecencyList()}
 }
 
 // Name implements Policy.
@@ -110,8 +111,8 @@ func (n *NRU) Name() string { return "NRU" }
 
 // OnWalkHit implements Policy.
 func (n *NRU) OnWalkHit(p addrspace.PageID, seq int) {
-	if n.chain.contains(p) {
-		n.ref[p] = true
+	if i := n.chain.node(p); i != nilNode {
+		n.ref[i] = true
 	}
 }
 
@@ -120,8 +121,11 @@ func (n *NRU) OnFault(p addrspace.PageID, seq int) {}
 
 // OnMapped implements Policy.
 func (n *NRU) OnMapped(p addrspace.PageID, seq int) {
-	n.chain.pushMRU(p)
-	n.ref[p] = true
+	i := n.chain.pushMRU(p)
+	if int(i) == len(n.ref) {
+		n.ref = append(n.ref, false)
+	}
+	n.ref[i] = true
 }
 
 // SelectVictim implements Policy.
@@ -129,20 +133,19 @@ func (n *NRU) SelectVictim() addrspace.PageID {
 	if n.chain.len() == 0 {
 		panic("policy: NRU.SelectVictim with no resident pages")
 	}
-	for node := n.chain.head; node != nil; node = node.next {
-		if !n.ref[node.page] {
-			return node.page
+	for i := n.chain.front(); i != nilNode; i = n.chain.next(i) {
+		if !n.ref[i] {
+			return n.chain.page(i)
 		}
 	}
 	// Everyone was recently used: clear the epoch and take the oldest.
-	for node := n.chain.head; node != nil; node = node.next {
-		n.ref[node.page] = false
+	for i := n.chain.front(); i != nilNode; i = n.chain.next(i) {
+		n.ref[i] = false
 	}
-	return n.chain.head.page
+	return n.chain.page(n.chain.front())
 }
 
 // OnEvicted implements Policy.
 func (n *NRU) OnEvicted(p addrspace.PageID) {
 	n.chain.remove(p)
-	delete(n.ref, p)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 )
 
 // pageState classifies a CLOCK-Pro list entry.
@@ -15,12 +16,13 @@ const (
 	stateColdNonResident // evicted but still in its test period
 )
 
+// cpNode is one entry of the CLOCK-Pro ring, linked by slab index.
 type cpNode struct {
 	page       addrspace.PageID
 	state      pageState
 	ref        bool
 	inTest     bool
-	prev, next *cpNode
+	prev, next int32
 }
 
 // ClockPro implements the CLOCK-Pro replacement algorithm (Jiang, Chen,
@@ -33,16 +35,22 @@ type cpNode struct {
 // pages in their test period) lives on one circular list; three hands sweep
 // it: HAND_cold finds eviction victims, HAND_hot demotes hot pages, and
 // HAND_test expires test periods to bound non-resident metadata.
+//
+// The ring's nodes live in one slab (freed nodes are reused) and a page
+// table maps each page to its node; links and hands are slab indices, with
+// nilNode for none.
 type ClockPro struct {
 	capacity int // m: total resident pages
 	coldTgt  int // m_c: fixed target for resident cold pages
 
-	index  map[addrspace.PageID]*cpNode
-	oldest *cpNode // ring anchor: the oldest entry; .next walks old → new
+	nodes    []cpNode
+	freeNode int32                   // free nodes, linked through next
+	index    *pagetable.Table[int32] // page → node
+	oldest   int32                   // ring anchor: the oldest entry; .next walks old → new
 
-	handHot  *cpNode
-	handCold *cpNode
-	handTest *cpNode
+	handHot  int32
+	handCold int32
+	handTest int32
 
 	nHot     int
 	nColdRes int
@@ -68,7 +76,12 @@ func NewClockPro(capacityPages, coldTarget int) *ClockPro {
 	return &ClockPro{
 		capacity: capacityPages,
 		coldTgt:  coldTarget,
-		index:    make(map[addrspace.PageID]*cpNode),
+		freeNode: nilNode,
+		index:    pagetable.New[int32](),
+		oldest:   nilNode,
+		handHot:  nilNode,
+		handCold: nilNode,
+		handTest: nilNode,
 	}
 }
 
@@ -77,51 +90,67 @@ func (c *ClockPro) Name() string { return "CLOCK-Pro" }
 
 // --- circular list plumbing -------------------------------------------------
 
+// newNode allocates an unlinked node for p, indexed by the page table.
+func (c *ClockPro) newNode(p addrspace.PageID, state pageState, inTest bool) int32 {
+	n := cpNode{page: p, state: state, inTest: inTest, prev: nilNode, next: nilNode}
+	i := c.freeNode
+	if i != nilNode {
+		c.freeNode = c.nodes[i].next
+		c.nodes[i] = n
+	} else {
+		c.nodes = append(c.nodes, n)
+		i = int32(len(c.nodes) - 1)
+	}
+	c.index.Put(p, i)
+	return i
+}
+
 // insertNewest links n at the newest position (just before the oldest entry
 // in .next order, i.e. the CLOCK list head).
-func (c *ClockPro) insertNewest(n *cpNode) {
-	if c.oldest == nil {
-		n.prev, n.next = n, n
+func (c *ClockPro) insertNewest(n int32) {
+	nd := &c.nodes[n]
+	if c.oldest == nilNode {
+		nd.prev, nd.next = n, n
 		c.oldest = n
 		return
 	}
-	newest := c.oldest.prev
-	n.next = c.oldest
-	n.prev = newest
-	newest.next = n
-	c.oldest.prev = n
+	newest := c.nodes[c.oldest].prev
+	nd.next = c.oldest
+	nd.prev = newest
+	c.nodes[newest].next = n
+	c.nodes[c.oldest].prev = n
 }
 
 // unlinkNode removes n from the ring, repointing hands and head past it.
-func (c *ClockPro) unlinkNode(n *cpNode) {
+func (c *ClockPro) unlinkNode(n int32) {
 	c.repointPast(&c.handHot, n)
 	c.repointPast(&c.handCold, n)
 	c.repointPast(&c.handTest, n)
 	c.repointPast(&c.oldest, n)
-	if n.next == n {
-		// Last node.
-		n.prev, n.next = nil, nil
-		return
+	nd := &c.nodes[n]
+	if nd.next != n {
+		c.nodes[nd.prev].next = nd.next
+		c.nodes[nd.next].prev = nd.prev
 	}
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.prev, n.next = nil, nil
+	nd.prev, nd.next = nilNode, nilNode
 }
 
 // repointPast moves a hand (or the head) off n before it leaves the ring.
-func (c *ClockPro) repointPast(h **cpNode, n *cpNode) {
+func (c *ClockPro) repointPast(h *int32, n int32) {
 	if *h != n {
 		return
 	}
-	if n.next == n {
-		*h = nil
+	if next := c.nodes[n].next; next == n {
+		*h = nilNode
 	} else {
-		*h = n.next
+		*h = next
 	}
 }
 
-func (c *ClockPro) removeEntry(n *cpNode) {
-	switch n.state {
+// removeEntry unlinks n, drops its page from the index and frees the node.
+func (c *ClockPro) removeEntry(n int32) {
+	nd := &c.nodes[n]
+	switch nd.state {
 	case stateHot:
 		c.nHot--
 	case stateColdResident:
@@ -130,7 +159,9 @@ func (c *ClockPro) removeEntry(n *cpNode) {
 		c.nNonRes--
 	}
 	c.unlinkNode(n)
-	delete(c.index, n.page)
+	c.index.Delete(nd.page)
+	nd.next = c.freeNode
+	c.freeNode = n
 }
 
 // --- the three hands ---------------------------------------------------------
@@ -138,18 +169,19 @@ func (c *ClockPro) removeEntry(n *cpNode) {
 // runHandTest terminates the test period of the cold page under HAND_test,
 // removing non-resident entries, then advances.
 func (c *ClockPro) runHandTest() {
-	if c.handTest == nil {
+	if c.handTest == nilNode {
 		c.handTest = c.oldest
 	}
-	for sweep := 0; c.handTest != nil && sweep < 2*len(c.index)+2; sweep++ {
+	for sweep := 0; c.handTest != nilNode && sweep < 2*c.index.Len()+2; sweep++ {
 		n := c.handTest
-		c.handTest = n.next
-		if n.state == stateColdNonResident {
+		nd := &c.nodes[n]
+		c.handTest = nd.next
+		if nd.state == stateColdNonResident {
 			c.removeEntry(n)
 			return
 		}
-		if n.state == stateColdResident && n.inTest {
-			n.inTest = false
+		if nd.state == stateColdResident && nd.inTest {
+			nd.inTest = false
 			return
 		}
 	}
@@ -158,29 +190,30 @@ func (c *ClockPro) runHandTest() {
 // runHandHot demotes one hot page to cold (clearing referenced hot pages as
 // it passes) and expires test periods of cold pages it sweeps over.
 func (c *ClockPro) runHandHot() {
-	if c.handHot == nil {
+	if c.handHot == nilNode {
 		c.handHot = c.oldest
 	}
-	limit := 2*len(c.index) + 2
-	for sweep := 0; c.handHot != nil && sweep < limit; sweep++ {
+	limit := 2*c.index.Len() + 2
+	for sweep := 0; c.handHot != nilNode && sweep < limit; sweep++ {
 		n := c.handHot
-		c.handHot = n.next
-		switch n.state {
+		nd := &c.nodes[n]
+		c.handHot = nd.next
+		switch nd.state {
 		case stateHot:
-			if n.ref {
-				n.ref = false
+			if nd.ref {
+				nd.ref = false
 				continue
 			}
-			n.state = stateColdResident
-			n.inTest = false
+			nd.state = stateColdResident
+			nd.inTest = false
 			c.nHot--
 			c.nColdRes++
 			return
 		case stateColdNonResident:
 			c.removeEntry(n)
 		case stateColdResident:
-			if n.inTest {
-				n.inTest = false
+			if nd.inTest {
+				nd.inTest = false
 			}
 		}
 	}
@@ -189,27 +222,28 @@ func (c *ClockPro) runHandHot() {
 // victimSearch runs HAND_cold until it identifies a resident cold page with
 // a clear reference bit, performing promotions and rotations on the way.
 // It does not unmap the page — the driver does that and then calls OnEvicted.
-func (c *ClockPro) victimSearch() *cpNode {
+func (c *ClockPro) victimSearch() int32 {
 	// Ensure some resident cold page exists; demote hot pages if not.
 	for c.nColdRes == 0 && c.nHot > 0 {
 		c.runHandHot()
 	}
-	if c.handCold == nil {
+	if c.handCold == nilNode {
 		c.handCold = c.oldest
 	}
-	limit := 4*len(c.index) + 4
+	limit := 4*c.index.Len() + 4
 	for sweep := 0; sweep < limit; sweep++ {
 		n := c.handCold
-		c.handCold = n.next
-		if n.state != stateColdResident {
+		nd := &c.nodes[n]
+		c.handCold = nd.next
+		if nd.state != stateColdResident {
 			continue
 		}
-		if n.ref {
-			if n.inTest {
+		if nd.ref {
+			if nd.inTest {
 				// Re-referenced within its test period: promote to hot.
-				n.ref = false
-				n.inTest = false
-				n.state = stateHot
+				nd.ref = false
+				nd.inTest = false
+				nd.state = stateHot
 				c.nColdRes--
 				c.nHot++
 				if c.nHot > c.capacity-c.coldTgt {
@@ -217,8 +251,8 @@ func (c *ClockPro) victimSearch() *cpNode {
 				}
 			} else {
 				// Re-referenced after test expiry: stay cold, restart test.
-				n.ref = false
-				n.inTest = true
+				nd.ref = false
+				nd.inTest = true
 				c.unlinkNode(n)
 				c.insertNewest(n)
 			}
@@ -237,8 +271,8 @@ func (c *ClockPro) victimSearch() *cpNode {
 
 // OnWalkHit implements Policy: set the reference bit.
 func (c *ClockPro) OnWalkHit(p addrspace.PageID, seq int) {
-	if n, ok := c.index[p]; ok && n.state != stateColdNonResident {
-		n.ref = true
+	if n, ok := c.index.Get(p); ok && c.nodes[n].state != stateColdNonResident {
+		c.nodes[n].ref = true
 	}
 }
 
@@ -249,16 +283,13 @@ func (c *ClockPro) OnFault(p addrspace.PageID, seq int) {}
 // proves a short reuse distance — insert it hot; otherwise insert it cold
 // and start its test period.
 func (c *ClockPro) OnMapped(p addrspace.PageID, seq int) {
-	if n, ok := c.index[p]; ok {
-		if n.state != stateColdNonResident {
+	if n, ok := c.index.Get(p); ok {
+		if c.nodes[n].state != stateColdNonResident {
 			panic(fmt.Sprintf("policy: ClockPro mapping already-resident %v", p))
 		}
 		// Short reuse distance: promote.
 		c.removeEntry(n)
-		//lint:ignore hpelint/hotalloc one node per mapped page; mapping happens on the priced far-fault path
-		hot := &cpNode{page: p, state: stateHot}
-		c.insertNewest(hot)
-		c.index[p] = hot
+		c.insertNewest(c.newNode(p, stateHot, false))
 		c.nHot++
 		for c.nHot > c.capacity-c.coldTgt {
 			before := c.nHot
@@ -269,10 +300,7 @@ func (c *ClockPro) OnMapped(p addrspace.PageID, seq int) {
 		}
 		return
 	}
-	//lint:ignore hpelint/hotalloc one node per mapped page; mapping happens on the priced far-fault path
-	n := &cpNode{page: p, state: stateColdResident, inTest: true}
-	c.insertNewest(n)
-	c.index[p] = n
+	c.insertNewest(c.newNode(p, stateColdResident, true))
 	c.nColdRes++
 	// Bound non-resident metadata at the memory size.
 	for c.nNonRes > c.capacity {
@@ -289,16 +317,17 @@ func (c *ClockPro) SelectVictim() addrspace.PageID {
 	if c.nColdRes+c.nHot == 0 {
 		panic("policy: ClockPro.SelectVictim with no resident pages")
 	}
-	return c.victimSearch().page
+	return c.nodes[c.victimSearch()].page
 }
 
 // OnEvicted implements Policy: the page becomes non-resident; if its test
 // period is running, keep the metadata so a quick refault promotes it.
 func (c *ClockPro) OnEvicted(p addrspace.PageID) {
-	n, ok := c.index[p]
-	if !ok || n.state == stateColdNonResident {
+	i, ok := c.index.Get(p)
+	if !ok || c.nodes[i].state == stateColdNonResident {
 		return
 	}
+	n := &c.nodes[i]
 	if n.state == stateHot {
 		// The driver may evict a page the policy would not have chosen (it
 		// always honours SelectVictim, so this is defensive).
@@ -313,7 +342,7 @@ func (c *ClockPro) OnEvicted(p addrspace.PageID) {
 		c.nNonRes++
 		return
 	}
-	c.removeEntry(n)
+	c.removeEntry(i)
 }
 
 // Counts reports (hot, resident-cold, non-resident) entry counts, for tests.

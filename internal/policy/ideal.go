@@ -1,10 +1,10 @@
 package policy
 
 import (
-	"container/heap"
 	"math"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 	"hpe/internal/trace"
 )
 
@@ -26,7 +26,7 @@ import (
 type Ideal struct {
 	future *trace.FutureIndex
 	// nextUse holds the authoritative next-use position per resident page.
-	nextUse map[addrspace.PageID]int
+	nextUse *pagetable.Table[int]
 	victims idealHeap // max-heap: furthest next use on top
 	expiry  idealHeap // min-heap: soonest recorded next use on top
 	now     int
@@ -39,33 +39,64 @@ type idealHeapEntry struct {
 	next int
 }
 
+// idealHeap is a binary heap of entries by value. push and pop repeat
+// container/heap's sift steps exactly: many pages tie at neverUsedAgain,
+// and the heap's order among ties decides which of them is the victim.
 type idealHeap struct {
 	entries []idealHeapEntry
 	min     bool
 }
 
-func (h idealHeap) Len() int { return len(h.entries) }
-func (h idealHeap) Less(i, j int) bool {
+func (h *idealHeap) len() int { return len(h.entries) }
+
+func (h *idealHeap) less(i, j int) bool {
 	if h.min {
 		return h.entries[i].next < h.entries[j].next
 	}
 	return h.entries[i].next > h.entries[j].next
 }
-func (h idealHeap) Swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *idealHeap) Push(x any)   { h.entries = append(h.entries, x.(idealHeapEntry)) }
-func (h *idealHeap) Pop() any {
-	old := h.entries
-	n := len(old)
-	e := old[n-1]
-	h.entries = old[:n-1]
-	return e
+
+func (h *idealHeap) swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
+
+// push adds e and sifts it up.
+func (h *idealHeap) push(e idealHeapEntry) {
+	h.entries = append(h.entries, e)
+	for j := len(h.entries) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// pop removes the top entry: it swaps in the last entry and sifts it down.
+func (h *idealHeap) pop() {
+	n := len(h.entries) - 1
+	h.swap(0, n)
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	h.entries = h.entries[:n]
 }
 
 // NewIdeal returns an Ideal policy with future knowledge of the given trace.
 func NewIdeal(fi *trace.FutureIndex) *Ideal {
 	return &Ideal{
 		future:  fi,
-		nextUse: make(map[addrspace.PageID]int),
+		nextUse: pagetable.New[int](),
 		expiry:  idealHeap{min: true},
 	}
 }
@@ -78,19 +109,17 @@ func (b *Ideal) refresh(p addrspace.PageID, seq int) {
 	if !ok {
 		next = neverUsedAgain
 	}
-	b.nextUse[p] = next
+	b.nextUse.Put(p, next)
 	e := idealHeapEntry{page: p, next: next}
-	//lint:ignore hpelint/hotalloc container/heap's interface{} API boxes by design; ideal is the offline oracle baseline
-	heap.Push(&b.victims, e)
+	b.victims.push(e)
 	if next != neverUsedAgain {
-		//lint:ignore hpelint/hotalloc container/heap's interface{} API boxes by design; ideal is the offline oracle baseline
-		heap.Push(&b.expiry, e)
+		b.expiry.push(e)
 	}
 }
 
 // OnWalkHit implements Policy: recompute the page's next use.
 func (b *Ideal) OnWalkHit(p addrspace.PageID, seq int) {
-	if _, resident := b.nextUse[p]; resident {
+	if _, resident := b.nextUse.Get(p); resident {
 		b.refresh(p, seq)
 	}
 }
@@ -105,20 +134,24 @@ func (b *Ideal) OnFault(p addrspace.PageID, seq int) {
 // OnMapped implements Policy.
 func (b *Ideal) OnMapped(p addrspace.PageID, seq int) { b.refresh(p, seq) }
 
+// live reports whether e is p's current entry rather than a stale duplicate.
+func (b *Ideal) live(e idealHeapEntry) bool {
+	current, resident := b.nextUse.Get(e.page)
+	return resident && current == e.next
+}
+
 // expire recomputes every live entry whose recorded next use fell behind the
 // fault frontier (the touch happened, unseen, inside the TLBs).
 func (b *Ideal) expire() {
-	for b.expiry.Len() > 0 {
+	for b.expiry.len() > 0 {
 		top := b.expiry.entries[0]
 		if top.next >= b.now {
 			return
 		}
-		heap.Pop(&b.expiry)
-		current, resident := b.nextUse[top.page]
-		if !resident || current != top.next {
-			continue // stale duplicate
+		b.expiry.pop()
+		if b.live(top) {
+			b.refresh(top.page, b.now-1) // first use at or after now
 		}
-		b.refresh(top.page, b.now-1) // first use at or after now
 	}
 }
 
@@ -126,20 +159,18 @@ func (b *Ideal) expire() {
 // absent) next use.
 func (b *Ideal) SelectVictim() addrspace.PageID {
 	b.expire()
-	for b.victims.Len() > 0 {
+	for b.victims.len() > 0 {
 		top := b.victims.entries[0]
-		current, resident := b.nextUse[top.page]
-		if !resident || current != top.next {
-			heap.Pop(&b.victims) // stale duplicate
-			continue
+		if b.live(top) {
+			return top.page
 		}
-		return top.page
+		b.victims.pop() // stale duplicate
 	}
 	panic("policy: Ideal.SelectVictim with no resident pages")
 }
 
 // OnEvicted implements Policy.
-func (b *Ideal) OnEvicted(p addrspace.PageID) { delete(b.nextUse, p) }
+func (b *Ideal) OnEvicted(p addrspace.PageID) { b.nextUse.Delete(p) }
 
 // Len returns the number of tracked resident pages.
-func (b *Ideal) Len() int { return len(b.nextUse) }
+func (b *Ideal) Len() int { return b.nextUse.Len() }

@@ -4,98 +4,161 @@ import (
 	"fmt"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 )
 
-// lruNode is an intrusive doubly-linked-list node. The recency chain is
-// ordered head = LRU, tail = MRU.
-type lruNode struct {
+// nilNode is the empty link of an int32-linked list.
+const nilNode int32 = -1
+
+// listNode is one page on an int32-linked list. Nodes live in a nodeSlab,
+// so a list costs no per-page allocation and no pointers for the GC to trace.
+type listNode struct {
 	page       addrspace.PageID
-	prev, next *lruNode
+	prev, next int32
+}
+
+// nodeSlab owns list nodes; freed nodes go on a free list linked through
+// next and are reused before the slab grows.
+type nodeSlab struct {
+	nodes []listNode
+	free  int32
+}
+
+func newNodeSlab() nodeSlab { return nodeSlab{free: nilNode} }
+
+// alloc returns an unlinked node holding p.
+func (s *nodeSlab) alloc(p addrspace.PageID) int32 {
+	n := listNode{page: p, prev: nilNode, next: nilNode}
+	if i := s.free; i != nilNode {
+		s.free = s.nodes[i].next
+		s.nodes[i] = n
+		return i
+	}
+	s.nodes = append(s.nodes, n)
+	return int32(len(s.nodes) - 1)
+}
+
+// release puts an unlinked node on the free list.
+func (s *nodeSlab) release(i int32) {
+	s.nodes[i].next = s.free
+	s.free = i
+}
+
+// list is a doubly-linked list of slab nodes, head first.
+type list struct {
+	head, tail int32
+	n          int
+}
+
+func newList() list { return list{head: nilNode, tail: nilNode} }
+
+// pushBack links node i at the tail.
+func (l *list) pushBack(s *nodeSlab, i int32) {
+	n := &s.nodes[i]
+	n.prev, n.next = l.tail, nilNode
+	if l.tail == nilNode {
+		l.head = i
+	} else {
+		s.nodes[l.tail].next = i
+	}
+	l.tail = i
+	l.n++
+}
+
+// unlink removes node i from the list; the node stays allocated.
+func (l *list) unlink(s *nodeSlab, i int32) {
+	n := &s.nodes[i]
+	if n.prev != nilNode {
+		s.nodes[n.prev].next = n.next
+	} else {
+		l.head = n.next
+	}
+	if n.next != nilNode {
+		s.nodes[n.next].prev = n.prev
+	} else {
+		l.tail = n.prev
+	}
+	n.prev, n.next = nilNode, nilNode
+	l.n--
 }
 
 // recencyList is a doubly-linked list with O(1) move-to-tail, shared by LRU
-// and FIFO (and reused as a building block elsewhere).
+// and FIFO (and reused as a building block elsewhere). Head = LRU, tail =
+// MRU; a page table maps each page to its node.
 type recencyList struct {
-	head, tail *lruNode
-	index      map[addrspace.PageID]*lruNode
+	slab  nodeSlab
+	order list
+	index *pagetable.Table[int32]
 }
 
 func newRecencyList() *recencyList {
-	return &recencyList{index: make(map[addrspace.PageID]*lruNode)}
+	return &recencyList{slab: newNodeSlab(), order: newList(), index: pagetable.New[int32]()}
 }
 
-func (l *recencyList) len() int { return len(l.index) }
+func (l *recencyList) len() int { return l.order.n }
 
 func (l *recencyList) contains(p addrspace.PageID) bool {
-	_, ok := l.index[p]
+	_, ok := l.index.Get(p)
 	return ok
 }
 
-// pushMRU inserts p at the MRU (tail) position; p must not be present.
-func (l *recencyList) pushMRU(p addrspace.PageID) {
-	if _, ok := l.index[p]; ok {
+// node returns p's node, or nilNode if p is absent.
+func (l *recencyList) node(p addrspace.PageID) int32 {
+	if i, ok := l.index.Get(p); ok {
+		return i
+	}
+	return nilNode
+}
+
+// pushMRU inserts p at the MRU (tail) position and returns its node; p must
+// not be present.
+func (l *recencyList) pushMRU(p addrspace.PageID) int32 {
+	if l.contains(p) {
 		panic(fmt.Sprintf("policy: page %v already in recency list", p))
 	}
-	//lint:ignore hpelint/hotalloc one node per mapped page; mapping happens on the priced far-fault path
-	n := &lruNode{page: p}
-	l.index[p] = n
-	if l.tail == nil {
-		l.head, l.tail = n, n
-		return
-	}
-	n.prev = l.tail
-	l.tail.next = n
-	l.tail = n
+	i := l.slab.alloc(p)
+	l.index.Put(p, i)
+	l.order.pushBack(&l.slab, i)
+	return i
 }
 
 // touch moves p to the MRU position if present, reporting whether it was.
 func (l *recencyList) touch(p addrspace.PageID) bool {
-	n, ok := l.index[p]
-	if !ok {
+	i := l.node(p)
+	if i == nilNode {
 		return false
 	}
-	if l.tail == n {
-		return true
+	if l.order.tail != i {
+		l.order.unlink(&l.slab, i)
+		l.order.pushBack(&l.slab, i)
 	}
-	l.unlink(n)
-	n.prev, n.next = l.tail, nil
-	l.tail.next = n
-	l.tail = n
 	return true
-}
-
-func (l *recencyList) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		l.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		l.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
 }
 
 // remove deletes p, reporting whether it was present.
 func (l *recencyList) remove(p addrspace.PageID) bool {
-	n, ok := l.index[p]
-	if !ok {
+	i := l.node(p)
+	if i == nilNode {
 		return false
 	}
-	l.unlink(n)
-	delete(l.index, p)
+	l.order.unlink(&l.slab, i)
+	l.slab.release(i)
+	l.index.Delete(p)
 	return true
 }
 
 // lru returns the LRU (head) page; ok is false when empty.
 func (l *recencyList) lru() (addrspace.PageID, bool) {
-	if l.head == nil {
+	if l.order.head == nilNode {
 		return 0, false
 	}
-	return l.head.page, true
+	return l.slab.nodes[l.order.head].page, true
 }
+
+// front returns the LRU node, or nilNode; next walks towards the MRU end.
+func (l *recencyList) front() int32                  { return l.order.head }
+func (l *recencyList) next(i int32) int32            { return l.slab.nodes[i].next }
+func (l *recencyList) page(i int32) addrspace.PageID { return l.slab.nodes[i].page }
 
 // LRU is the classic least-recently-used page replacement policy, managed at
 // page granularity, under the paper's "ideal model": walk hits and faults

@@ -485,8 +485,8 @@ func TestRecencyListModelProperty(t *testing.T) {
 		}
 		// Full order check at the end.
 		i := 0
-		for n := l.head; n != nil; n = n.next {
-			if i >= len(model) || n.page != model[i] {
+		for n := l.front(); n != nilNode; n = l.next(n) {
+			if i >= len(model) || l.page(n) != model[i] {
 				return false
 			}
 			i++

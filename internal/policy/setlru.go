@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 )
 
 // SetLRU is an ablation policy, not part of the paper's comparison set: LRU
@@ -17,8 +18,8 @@ import (
 // recency, and how much from the old/middle/new machinery on top.
 type SetLRU struct {
 	geometry addrspace.Geometry
-	chain    *recencyList // of set-ids encoded as PageID keys; head = LRU
-	resident map[addrspace.SetID]uint32
+	chain    *recencyList             // of set-ids encoded as PageID keys; head = LRU
+	resident *pagetable.Table[uint32] // set (as a key) → resident-page mask
 }
 
 // NewSetLRU returns a set-granularity LRU over the given geometry.
@@ -26,7 +27,7 @@ func NewSetLRU(g addrspace.Geometry) *SetLRU {
 	return &SetLRU{
 		geometry: g,
 		chain:    newRecencyList(),
-		resident: make(map[addrspace.SetID]uint32),
+		resident: pagetable.New[uint32](),
 	}
 }
 
@@ -45,7 +46,7 @@ func (s *SetLRU) touch(id addrspace.SetID) {
 // OnWalkHit implements Policy: refresh the whole set.
 func (s *SetLRU) OnWalkHit(p addrspace.PageID, seq int) {
 	id := s.geometry.SetOf(p)
-	if _, ok := s.resident[id]; ok {
+	if _, ok := s.resident.Get(key(id)); ok {
 		s.touch(id)
 	}
 }
@@ -58,16 +59,17 @@ func (s *SetLRU) OnFault(p addrspace.PageID, seq int) {
 // OnMapped implements Policy: mark the page resident in its set.
 func (s *SetLRU) OnMapped(p addrspace.PageID, seq int) {
 	id := s.geometry.SetOf(p)
-	s.resident[id] |= 1 << uint(s.geometry.Offset(p))
+	mask, _ := s.resident.Get(key(id))
+	s.resident.Put(key(id), mask|1<<uint(s.geometry.Offset(p)))
 	s.touch(id)
 }
 
 // SelectVictim implements Policy: the LRU set's lowest resident page.
 func (s *SetLRU) SelectVictim() addrspace.PageID {
-	for n := s.chain.head; n != nil; n = n.next {
-		id := addrspace.SetID(n.page)
-		if mask := s.resident[id]; mask != 0 {
-			return s.geometry.PageAt(id, bits.TrailingZeros32(mask))
+	for i := s.chain.front(); i != nilNode; i = s.chain.next(i) {
+		k := s.chain.page(i)
+		if mask, _ := s.resident.Get(k); mask != 0 {
+			return s.geometry.PageAt(addrspace.SetID(k), bits.TrailingZeros32(mask))
 		}
 	}
 	panic("policy: SetLRU.SelectVictim with no resident pages")
@@ -76,18 +78,18 @@ func (s *SetLRU) SelectVictim() addrspace.PageID {
 // OnEvicted implements Policy: clear the page; drop the set when drained.
 func (s *SetLRU) OnEvicted(p addrspace.PageID) {
 	id := s.geometry.SetOf(p)
-	mask, ok := s.resident[id]
+	mask, ok := s.resident.Get(key(id))
 	if !ok {
 		return
 	}
 	mask &^= 1 << uint(s.geometry.Offset(p))
 	if mask == 0 {
-		delete(s.resident, id)
+		s.resident.Delete(key(id))
 		s.chain.remove(key(id))
 		return
 	}
-	s.resident[id] = mask
+	s.resident.Put(key(id), mask)
 }
 
 // Sets returns the number of tracked sets (for tests).
-func (s *SetLRU) Sets() int { return len(s.resident) }
+func (s *SetLRU) Sets() int { return s.resident.Len() }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 	"hpe/internal/probe"
 	"hpe/internal/sim"
 	"hpe/internal/trace"
@@ -70,7 +70,7 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 		panic(fmt.Sprintf("policy: Replay capacity %d must be positive", capacityPages))
 	}
 	done := ctx.Done()
-	resident := make(map[addrspace.PageID]struct{}, capacityPages)
+	resident := pagetable.New[struct{}]()
 	res := ReplayResult{Policy: p.Name(), Refs: tr.Len()}
 	// Per-tenant attribution, only for annotated traces: one nil check per
 	// site, same contract as the probe, so plain replays keep the fast path.
@@ -91,7 +91,7 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 			default:
 			}
 		}
-		if _, ok := resident[page]; ok {
+		if _, ok := resident.Get(page); ok {
 			res.Hits++
 			if tens != nil {
 				if i := tr.TenantOf(page); i >= 0 {
@@ -114,12 +114,11 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 		if pr != nil {
 			pr.Emit(probe.FaultBegin(sim.Cycle(seq), page, seq, 0))
 		}
-		if len(resident) >= capacityPages {
+		if resident.Len() >= capacityPages {
 			victim := p.SelectVictim()
-			if _, ok := resident[victim]; !ok {
+			if !resident.Delete(victim) {
 				panic(fmt.Sprintf("policy: %s selected non-resident victim %v", p.Name(), victim))
 			}
-			delete(resident, victim)
 			p.OnEvicted(victim)
 			res.Evictions++
 			if tens != nil {
@@ -131,7 +130,7 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 				pr.Emit(probe.Eviction(sim.Cycle(seq), victim, page))
 			}
 		}
-		resident[page] = struct{}{}
+		resident.Put(page, struct{}{})
 		p.OnMapped(page, seq)
 		if pr != nil {
 			pr.Emit(probe.FaultEnd(sim.Cycle(seq), page, seq, 0, false))

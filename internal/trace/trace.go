@@ -225,18 +225,44 @@ func (t *Trace) Counts() map[addrspace.PageID]int {
 // FutureIndex precomputes, for each page, the sorted list of positions at
 // which it is referenced in the canonical order. The Ideal policy queries it
 // to find each resident page's next use after a given position.
+//
+// The lists share one flat positions slice: runs maps each page to its run
+// number r, and run r is positions[offsets[r]:offsets[r+1]]. runs is a
+// pagetable.Map, whose Get writes nothing, because one index is shared by
+// every concurrent run over its trace.
 type FutureIndex struct {
-	positions map[addrspace.PageID][]int
+	runs      *pagetable.Map
+	offsets   []int
+	positions []int
 	length    int
 }
 
 // BuildFutureIndex indexes the trace for Belady-MIN queries.
 func BuildFutureIndex(t *Trace) *FutureIndex {
-	pos := make(map[addrspace.PageID][]int, t.Footprint())
-	for i, p := range t.Refs {
-		pos[p] = append(pos[p], i)
+	runs := pagetable.NewMap(t.Footprint())
+	counts := make([]int, 0, t.Footprint())
+	for _, p := range t.Refs {
+		r := runs.Get(p)
+		if r < 0 {
+			r = int32(len(counts))
+			runs.Put(p, r)
+			counts = append(counts, 0)
+		}
+		counts[r]++
 	}
-	return &FutureIndex{positions: pos, length: len(t.Refs)}
+	offsets := make([]int, len(counts)+1)
+	for r, c := range counts {
+		offsets[r+1] = offsets[r] + c
+	}
+	// counts becomes each run's fill cursor.
+	copy(counts, offsets)
+	positions := make([]int, len(t.Refs))
+	for i, p := range t.Refs {
+		r := runs.Get(p)
+		positions[counts[r]] = i
+		counts[r]++
+	}
+	return &FutureIndex{runs: runs, offsets: offsets, positions: positions, length: len(t.Refs)}
 }
 
 // Len returns the length of the indexed trace.
@@ -246,7 +272,11 @@ func (f *FutureIndex) Len() int { return f.length }
 // is referenced, or (0, false) if p is never referenced again. after = -1
 // asks for the first reference.
 func (f *FutureIndex) NextUse(p addrspace.PageID, after int) (int, bool) {
-	ps := f.positions[p]
+	r := f.runs.Get(p)
+	if r < 0 {
+		return 0, false
+	}
+	ps := f.positions[f.offsets[r]:f.offsets[r+1]]
 	i := sort.SearchInts(ps, after+1)
 	if i == len(ps) {
 		return 0, false

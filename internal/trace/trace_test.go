@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -121,6 +122,73 @@ func TestFutureIndexNextUse(t *testing.T) {
 		got, ok := fi.NextUse(addrspace.PageID(c.page), c.after)
 		if ok != c.ok || (ok && got != c.want) {
 			t.Errorf("NextUse(%d, %d) = (%d,%v), want (%d,%v)", c.page, c.after, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestFutureIndexMatchesScan checks NextUse against a linear scan of the
+// trace for every page and position, on random traces over sparse page IDs
+// (0, leaf-edge neighbours, IDs past 2^40 and the top of the ID space), so
+// the flat positions slice and its per-page runs agree with the definition.
+func TestFutureIndexMatchesScan(t *testing.T) {
+	pool := pages(0, 1, 63, 64, 65, 1<<40, 1<<40+1, 1<<52, 1<<63, 1<<64-1)
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 20; round++ {
+		refs := make([]addrspace.PageID, rng.Intn(60))
+		for i := range refs {
+			refs[i] = pool[rng.Intn(len(pool))]
+		}
+		fi := BuildFutureIndex(New("scan", refs))
+		for _, p := range pool {
+			for after := -1; after <= len(refs); after++ {
+				want, wantOK := 0, false
+				for i := after + 1; i < len(refs); i++ {
+					if refs[i] == p {
+						want, wantOK = i, true
+						break
+					}
+				}
+				if got, ok := fi.NextUse(p, after); ok != wantOK || got != want {
+					t.Fatalf("round %d: NextUse(%d, %d) = (%d,%v), want (%d,%v)",
+						round, p, after, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestFutureIndexConcurrentReaders shares one index between goroutines, as
+// runspec.Cache does between concurrent runs of one trace: under -race a
+// NextUse that writes shared state fails here, and every reader must see the
+// answers a lone reader sees.
+func TestFutureIndexConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	refs := make([]addrspace.PageID, 4000)
+	for i := range refs {
+		refs[i] = addrspace.PageID(rng.Intn(300)) << (rng.Intn(3) * 20)
+	}
+	fi := BuildFutureIndex(New("shared", refs))
+	lone := func() []int {
+		out := make([]int, len(refs))
+		for i, p := range refs {
+			out[i], _ = fi.NextUse(p, i)
+		}
+		return out
+	}
+	want := lone()
+	var wg sync.WaitGroup
+	got := make([][]int, 4)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = lone()
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("reader %d saw different next uses than a lone reader", g)
 		}
 	}
 }

@@ -40,7 +40,8 @@ type runDigestCell struct {
 }
 
 // runDigestCells is the matrix: every registry policy on one catalog app at
-// 75% oversubscription, one scale-4 cell, one phase preset and one tenant
+// 75% oversubscription, one scale-4 cell, the baseline policies on BFS at
+// 50%, one more thrashing-preset RRIP cell, one phase preset and one tenant
 // preset.
 func runDigestCells(t *testing.T) []runDigestCell {
 	var cells []runDigestCell
@@ -48,6 +49,14 @@ func runDigestCells(t *testing.T) []runDigestCell {
 		cells = append(cells, runDigestCell{"policy-" + name, hpe.RunSpec{App: "HSD", Policy: name, Rate: 75}})
 	}
 	cells = append(cells, runDigestCell{"scale4-hpe", hpe.RunSpec{App: "BFS", Policy: "hpe", Rate: 50, Scale: 4}})
+	// BFS at 50% reaches the victim-selection tie and aging paths (LFU count
+	// ties, NRU epoch resets, RRIP aging rounds, Ideal's never-used-again
+	// ties) far more often than the 75% cells do; SRD adds a second
+	// thrashing-preset RRIP cell.
+	for _, name := range []string{"rrip", "lfu", "nru", "ideal", "clock", "clockpro", "arc", "setlru"} {
+		cells = append(cells, runDigestCell{"bfs50-" + name, hpe.RunSpec{App: "BFS", Policy: name, Rate: 50}})
+	}
+	cells = append(cells, runDigestCell{"srd50-rrip", hpe.RunSpec{App: "SRD", Policy: "rrip", Rate: 50}})
 	for _, preset := range []string{"burst", "colo-mix"} {
 		sc, ok := hpe.ScenarioByName(preset)
 		if !ok {
