@@ -1,6 +1,6 @@
 # Developer entry points for the checks ROADMAP.md requires before merging.
-# `make check` is the full pre-merge gate: tier-1 (build + test), static
-# analysis (go vet + hpelint), the race-detector subsets over the suite's
+# `make check` is the full pre-merge gate: tier-1 (build + test), gofmt,
+# static analysis (go vet + hpelint), the race-detector subsets over the suite's
 # shared-cache paths, the probe hot path and the serving layer, the fuzz
 # seed corpus, the runnable examples, and the perfbench module (a separate module that root
 # `go build ./...` never compiles, but that drives the server and cluster
@@ -8,11 +8,11 @@
 
 GO ?= go
 
-.PHONY: all check build test vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe clean
+.PHONY: all check build test fmt vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe clean
 
 all: check
 
-check: build vet lint spec-goldens test race race-probe serve-check workload-check fuzz-seed examples perfbench-check
+check: build fmt vet lint spec-goldens test race race-probe serve-check workload-check fuzz-seed examples perfbench-check
 
 # Tier-1 verify (ROADMAP.md).
 build:
@@ -20,6 +20,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# gofmt over the whole tree. internal/lint/testdata/ is excluded: its
+# fixtures are analyzer inputs, some deliberately unformatted.
+fmt:
+	@out=$$(gofmt -l . | grep -v '^internal/lint/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt: the following files need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

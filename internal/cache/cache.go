@@ -2,13 +2,13 @@
 // per-SM 16-KB 4-way L1 data cache and the shared 1.5-MB 8-way L2, both
 // LRU-replaced, at 128-byte line granularity. The simulator's data path
 // (optional — the paper's results are fault-driven) sends every completed
-// translation through L1 → L2 → DRAM.
+// translation through L1 → L2 → DRAM. The tag array is tlb.TLB, keyed by
+// line ID.
 package cache
 
 import (
-	"fmt"
-
 	"hpe/internal/addrspace"
+	"hpe/internal/tlb"
 )
 
 // LineShift is log2 of the cache line size (128-byte lines, the GPU
@@ -38,64 +38,29 @@ func L1Config() Config { return Config{SizeBytes: 16 << 10, Ways: 4} }
 // L2Config returns Table I's shared L2: 1.5 MB, 8-way.
 func L2Config() Config { return Config{SizeBytes: 1536 << 10, Ways: 8} }
 
-type line struct {
-	valid bool
-	id    LineID
-	used  uint64
-}
-
 // Cache is a set-associative LRU cache over line IDs. Tags only — the
 // simulator needs hit/miss behaviour, not data.
 type Cache struct {
-	sets  int
-	ways  int
-	lines []line
-	tick  uint64
-
-	hits, misses uint64
+	tags *tlb.TLB
 }
 
-// New builds a cache from a config.
+// New builds a cache from a config. It panics unless the line count is a
+// positive multiple of the associativity.
 func New(cfg Config) *Cache {
-	total := cfg.SizeBytes / LineBytes
-	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || total < cfg.Ways || total%cfg.Ways != 0 {
-		panic(fmt.Sprintf("cache: bad geometry %d bytes / %d ways", cfg.SizeBytes, cfg.Ways))
-	}
-	return &Cache{
-		sets:  total / cfg.Ways,
-		ways:  cfg.Ways,
-		lines: make([]line, total),
-	}
+	return &Cache{tags: tlb.New("cache", cfg.SizeBytes/LineBytes, cfg.Ways)}
 }
 
-// Lines returns the total line capacity.
-func (c *Cache) Lines() int { return len(c.lines) }
-
-func (c *Cache) row(id LineID) []line {
-	idx := int(uint64(id) % uint64(c.sets))
-	return c.lines[idx*c.ways : (idx+1)*c.ways]
-}
+// tag is the array key of a line: the line ID itself, so the set index is
+// the line ID modulo the set count.
+func tag(id LineID) addrspace.PageID { return addrspace.PageID(id) }
 
 // Access probes the cache for a line, filling on miss (allocate-on-miss,
 // LRU victim). It reports whether the access hit.
 func (c *Cache) Access(id LineID) bool {
-	c.tick++
-	row := c.row(id)
-	victim := 0
-	for i := range row {
-		if row[i].valid && row[i].id == id {
-			row[i].used = c.tick
-			c.hits++
-			return true
-		}
-		if !row[i].valid {
-			victim = i
-		} else if row[victim].valid && row[i].used < row[victim].used {
-			victim = i
-		}
+	if c.tags.Lookup(tag(id)) {
+		return true
 	}
-	row[victim] = line{valid: true, id: id, used: c.tick}
-	c.misses++
+	c.tags.Fill(tag(id))
 	return false
 }
 
@@ -103,23 +68,12 @@ func (c *Cache) Access(id LineID) bool {
 func (c *Cache) InvalidatePage(p addrspace.PageID) {
 	base := LineOf(p.BaseAddr())
 	for l := base; l < base+(addrspace.PageBytes/LineBytes); l++ {
-		row := c.row(l)
-		for i := range row {
-			if row[i].valid && row[i].id == l {
-				row[i].valid = false
-			}
-		}
+		c.tags.Invalidate(tag(l))
 	}
 }
 
 // Stats returns (hits, misses).
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// HitRate returns hits/(hits+misses), 0 when unused.
-func (c *Cache) HitRate() float64 {
-	t := c.hits + c.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(t)
+func (c *Cache) Stats() (hits, misses uint64) {
+	hits, misses, _, _ = c.tags.Stats()
+	return hits, misses
 }

@@ -150,6 +150,9 @@ func (c Config) validate() error {
 	if c.IntervalFaults <= 0 {
 		return fmt.Errorf("hpe: interval length %d must be positive", c.IntervalFaults)
 	}
+	if c.Geometry.SetSize() > 32 {
+		return fmt.Errorf("hpe: set size %d above 32 (per-set page masks are 32-bit)", c.Geometry.SetSize())
+	}
 	if c.CounterCap < c.Geometry.SetSize() {
 		return fmt.Errorf("hpe: counter cap %d below set size %d", c.CounterCap, c.Geometry.SetSize())
 	}

@@ -452,6 +452,17 @@ func TestHPEConfigValidation(t *testing.T) {
 	New(bad)
 }
 
+// TestConfigRejectsWideSets: a set's fault and residency bits are 32-bit
+// masks, so a 64-page set would silently drop offsets 32..63.
+func TestConfigRejectsWideSets(t *testing.T) {
+	if err := ConfigForGeometry(addrspace.NewGeometry(5), 64).validate(); err != nil {
+		t.Fatalf("32-page sets rejected: %v", err)
+	}
+	if err := ConfigForGeometry(addrspace.NewGeometry(6), 64).validate(); err == nil {
+		t.Fatal("64-page sets accepted")
+	}
+}
+
 func TestConfigForGeometryScaling(t *testing.T) {
 	g := addrspace.NewGeometry(5) // 32-page sets
 	cfg := ConfigForGeometry(g, 128)

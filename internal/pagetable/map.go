@@ -138,13 +138,5 @@ func (m *Map) Delete(p addrspace.PageID) {
 	}
 }
 
-// Clear empties the map, keeping its size.
-func (m *Map) Clear() {
-	for i := range m.slots {
-		m.slots[i].idx = -1
-	}
-	m.n = 0
-}
-
 // Len returns the number of live entries.
 func (m *Map) Len() int { return m.n }

@@ -8,14 +8,14 @@
 //
 // Geometry follows x86-64 4-KB paging: a 48-bit virtual address walks four
 // radix levels of 9 bits each. A walk starts below whatever prefix the PWC
-// already holds; each remaining level costs one memory access.
+// already holds; each remaining level costs one memory access. The PWC is
+// a tlb.TLB keyed by (level, prefix).
 package ptw
 
 import (
-	"fmt"
-
 	"hpe/internal/addrspace"
 	"hpe/internal/sim"
+	"hpe/internal/tlb"
 )
 
 // Levels is the number of radix levels (PML4 → PDP → PD → PT).
@@ -41,47 +41,27 @@ func DefaultConfig() Config {
 	return Config{PWCEntries: 64, PWCWays: 8, MemAccessLatency: 20}
 }
 
-// pwcKey identifies a page-table subtree: the level and the virtual-address
-// prefix that indexes it.
-type pwcKey struct {
-	level  int // 1..Levels-1 (the leaf PTE itself is what the TLBs cache)
-	prefix uint64
-}
-
-type pwcEntry struct {
-	valid bool
-	key   pwcKey
-	used  uint64
-}
-
 // Walker is the page-table walker with its PWC. The actual translation
 // outcome (hit or fault) is decided by residency, exactly as in the
 // baseline design; the walker contributes latency.
 type Walker struct {
-	cfg  Config
-	rows int
-	pwc  []pwcEntry
-	tick uint64
+	latency sim.Cycle
+	pwc     *tlb.TLB
 
 	walks       uint64
 	levelsRead  uint64
-	pwcHits     uint64
-	pwcLookups  uint64
 	fullyCached uint64
 }
 
-// New returns a walker with an empty PWC.
+// New returns a walker with an empty PWC. It panics on a PWC geometry
+// tlb.New rejects.
 func New(cfg Config) *Walker {
-	if cfg.PWCEntries <= 0 || cfg.PWCWays <= 0 || cfg.PWCEntries%cfg.PWCWays != 0 {
-		panic(fmt.Sprintf("ptw: bad PWC geometry %d/%d", cfg.PWCEntries, cfg.PWCWays))
-	}
 	if cfg.MemAccessLatency == 0 {
 		panic("ptw: zero memory access latency")
 	}
 	return &Walker{
-		cfg:  cfg,
-		rows: cfg.PWCEntries / cfg.PWCWays,
-		pwc:  make([]pwcEntry, cfg.PWCEntries),
+		latency: cfg.MemAccessLatency,
+		pwc:     tlb.New("pwc", cfg.PWCEntries, cfg.PWCWays),
 	}
 }
 
@@ -92,44 +72,11 @@ func prefixFor(p addrspace.PageID, level int) uint64 {
 	return uint64(p) >> uint(bitsPerLevel*level)
 }
 
-func (w *Walker) row(k pwcKey) []pwcEntry {
-	h := k.prefix*uint64(Levels) + uint64(k.level)
-	idx := int(h % uint64(w.rows))
-	return w.pwc[idx*w.cfg.PWCWays : (idx+1)*w.cfg.PWCWays]
-}
-
-func (w *Walker) lookup(k pwcKey) bool {
-	w.tick++
-	w.pwcLookups++
-	row := w.row(k)
-	for i := range row {
-		if row[i].valid && row[i].key == k {
-			row[i].used = w.tick
-			w.pwcHits++
-			return true
-		}
-	}
-	return false
-}
-
-func (w *Walker) fill(k pwcKey) {
-	w.tick++
-	row := w.row(k)
-	victim := 0
-	for i := range row {
-		if row[i].valid && row[i].key == k {
-			row[i].used = w.tick
-			return
-		}
-		if !row[i].valid {
-			victim = i
-			break
-		}
-		if row[i].used < row[victim].used {
-			victim = i
-		}
-	}
-	row[victim] = pwcEntry{valid: true, key: k, used: w.tick}
+// pwcTag identifies the page-table subtree at a level (1..Levels-1; the
+// leaf PTE itself is what the TLBs cache) for page p: its prefix and level
+// packed into one PWC tag.
+func pwcTag(p addrspace.PageID, level int) addrspace.PageID {
+	return addrspace.PageID(prefixFor(p, level)*Levels + uint64(level))
 }
 
 // WalkLatency performs one radix walk for page p and returns its latency:
@@ -143,7 +90,7 @@ func (w *Walker) WalkLatency(p addrspace.PageID) sim.Cycle {
 	// l are implicitly covered.
 	start := Levels // walk from the root
 	for level := 1; level < Levels; level++ {
-		if w.lookup(pwcKey{level: level, prefix: prefixFor(p, level)}) {
+		if w.pwc.Lookup(pwcTag(p, level)) {
 			start = level
 			break
 		}
@@ -156,18 +103,10 @@ func (w *Walker) WalkLatency(p addrspace.PageID) sim.Cycle {
 	w.levelsRead += reads
 	// Install the newly traversed subtree entries.
 	for level := start - 1; level >= 1; level-- {
-		w.fill(pwcKey{level: level, prefix: prefixFor(p, level)})
+		w.pwc.Fill(pwcTag(p, level))
 	}
-	return sim.Cycle(reads) * w.cfg.MemAccessLatency
+	return sim.Cycle(reads) * w.latency
 }
-
-// Invalidate removes the leaf-covering PWC entry for an unmapped page's
-// subtree. Upper levels stay valid (the page table structure persists); only
-// the level-1 entry (the PT page covering this PTE) could go stale in a real
-// system when the PT page itself is freed — we keep it, as drivers do for
-// persistently allocated page tables, so this is a no-op retained for
-// interface symmetry.
-func (w *Walker) Invalidate(p addrspace.PageID) {}
 
 // Stats reports walker behaviour.
 type Stats struct {
@@ -183,11 +122,12 @@ type Stats struct {
 
 // Stats returns cumulative counters.
 func (w *Walker) Stats() Stats {
+	hits, misses, _, _ := w.pwc.Stats()
 	s := Stats{
 		Walks:       w.walks,
 		LevelsRead:  w.levelsRead,
-		PWCLookups:  w.pwcLookups,
-		PWCHits:     w.pwcHits,
+		PWCLookups:  hits + misses,
+		PWCHits:     hits,
 		FullyCached: w.fullyCached,
 	}
 	if w.walks > 0 {

@@ -12,7 +12,8 @@ import (
 // canonical — Canonicalize is idempotent on it — and must keep its content
 // address through a JSON round trip, so a spec relayed between processes
 // (client → coordinator → backend) can never drift onto another ID. The seed
-// corpus is the spec goldens: each fixture's raw spec and canonical form.
+// corpus is the spec goldens, each fixture's raw spec and canonical form,
+// plus tuning values on both sides of the bounds Canonicalize enforces.
 func FuzzDecode(f *testing.F) {
 	raw, err := os.ReadFile(goldensPath)
 	if err != nil {
@@ -29,6 +30,15 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(body)
 		f.Add([]byte(g.Canonical))
+	}
+	// Tuning values at and past the bounds the simulator can run.
+	for _, tuning := range []string{
+		`"hir_entries":12`, `"hir_entries":65536`, `"hir_entries":65544`,
+		`"hpe_interval":4096`, `"hpe_interval":4097`,
+		`"set_size_shift":5,"hpe_division_threshold":128`, `"set_size_shift":6`, `"set_size_shift":17`,
+		`"hpe_division_threshold":1000`, `"prepopulate":true`,
+	} {
+		f.Add([]byte(`{"app":"HSD","policy":"hpe","rate":75,"tuning":{` + tuning + `}}`))
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {

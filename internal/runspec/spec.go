@@ -24,6 +24,8 @@ import (
 	"io"
 	"strings"
 
+	"hpe/internal/addrspace"
+	"hpe/internal/hir"
 	"hpe/internal/registry"
 	"hpe/internal/workload"
 )
@@ -232,12 +234,26 @@ func (s Spec) Canonicalize() (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
+	if t.Prepopulate && s.Rate < 100 {
+		return Spec{}, fmt.Errorf("runspec: prepopulate maps the whole footprint, which needs rate 100, not %d", s.Rate)
+	}
 	s.Tuning = t
 	return s, nil
 }
 
+// Upper bounds on the tuning knobs that size allocations: the HIR entry
+// array, and HPE's wrong-eviction FIFOs (2× the interval). Both are 64× the
+// paper's value, far above anything the studies sweep.
+const (
+	maxHIREntries  = 1 << 16
+	maxHPEInterval = 1 << 12
+)
+
+// hirWays is the HIR's associativity: its entries must fill whole sets.
+var hirWays = hir.DefaultConfig().Ways
+
 // canonicalize folds explicit tuning defaults to zero and validates the
-// policy-scoped knobs.
+// knobs: the bounds the simulator can run, and the policy-scoped ones.
 func (t Tuning) canonicalize(policy string) (Tuning, error) {
 	if t.WalkLatency < 0 || t.TransferInterval < 0 || t.HIREntries < 0 ||
 		t.HPEInterval < 0 || t.HPEDivisionThreshold < 0 {
@@ -259,6 +275,27 @@ func (t Tuning) canonicalize(policy string) (Tuning, error) {
 	}
 	if t.HPEInterval == 64 {
 		t.HPEInterval = 0
+	}
+	if t.HIREntries != 0 && (t.HIREntries%hirWays != 0 || t.HIREntries > maxHIREntries) {
+		return Tuning{}, fmt.Errorf("runspec: hir_entries %d must be a multiple of %d in [%d,%d]",
+			t.HIREntries, hirWays, hirWays, maxHIREntries)
+	}
+	if t.HPEInterval > maxHPEInterval {
+		return Tuning{}, fmt.Errorf("runspec: hpe_interval %d above %d", t.HPEInterval, maxHPEInterval)
+	}
+	// HPE keeps a set's per-page bits in 32-bit masks: at most 32 pages, a
+	// shift of 5. The division threshold is a counter value, at most the
+	// counter cap of 4× the set size.
+	if t.SetSizeShift > 5 {
+		return Tuning{}, fmt.Errorf("runspec: set_size_shift %d above 5 (32-page sets)", t.SetSizeShift)
+	}
+	setSize := addrspace.DefaultSetSize
+	if t.SetSizeShift != 0 {
+		setSize = 1 << t.SetSizeShift
+	}
+	if t.HPEDivisionThreshold > 4*setSize {
+		return Tuning{}, fmt.Errorf("runspec: hpe_division_threshold %d above the counter cap %d",
+			t.HPEDivisionThreshold, 4*setSize)
 	}
 	if policy != "hpe" {
 		if t.SetSizeShift != 0 || t.HPEInterval != 0 || t.HPEDivisionThreshold != 0 ||

@@ -131,10 +131,45 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 			Tuning: Tuning{HPEInterval: 32}}},
 		{"sensitivity on baseline", Spec{App: "HSD", Policy: "lru", Rate: 50,
 			Tuning: Tuning{SensitivityHPE: true}}},
+		// Values the simulator cannot run: each one panicked or silently
+		// misbehaved in hpe.Run before canonicalization rejected it.
+		{"hir entries not a multiple of the ways", Spec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: Tuning{HIREntries: 12}}},
+		{"hir entries above the cap", Spec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: Tuning{HIREntries: maxHIREntries + hirWays}}},
+		{"prepopulate below rate 100", Spec{App: "HSD", Policy: "lru", Rate: 75,
+			Tuning: Tuning{Prepopulate: true}}},
+		{"division threshold above the counter cap", Spec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: Tuning{HPEDivisionThreshold: 1000}}},
+		{"division threshold above a small set's cap", Spec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: Tuning{SetSizeShift: 3, HPEDivisionThreshold: 33}}},
+		{"set size shift above 5", Spec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: Tuning{SetSizeShift: 6}}},
+		{"set size shift past the geometry", Spec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: Tuning{SetSizeShift: 17}}},
+		{"hpe interval above the cap", Spec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: Tuning{HPEInterval: maxHPEInterval + 1}}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.Canonicalize(); err == nil {
 			t.Errorf("%s: accepted %+v", tc.name, tc.spec)
+		}
+	}
+}
+
+// TestCanonicalizeAcceptsTuningBounds: the largest (and smallest) value
+// each bounded tuning knob allows stays valid.
+func TestCanonicalizeAcceptsTuningBounds(t *testing.T) {
+	for _, sp := range []Spec{
+		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HIREntries: hirWays}},
+		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HIREntries: maxHIREntries}},
+		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HPEInterval: maxHPEInterval}},
+		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{SetSizeShift: 5, HPEDivisionThreshold: 128}},
+		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HPEDivisionThreshold: 64}},
+		{App: "HSD", Policy: "lru", Rate: 100, Tuning: Tuning{Prepopulate: true}},
+	} {
+		if _, err := sp.Canonicalize(); err != nil {
+			t.Errorf("%+v rejected: %v", sp.Tuning, err)
 		}
 	}
 }

@@ -85,6 +85,28 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	assertRetryAfter(t, resp.Header)
 }
 
+// TestUnrunnableTuningIsBadSpec: tuning values the simulator cannot run are
+// the client's error (400 bad_spec), not a 500 internal that a coordinator
+// would charge to the backend's breaker.
+func TestUnrunnableTuningIsBadSpec(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, tuning := range []string{
+		`"hir_entries":12`, `"hir_entries":1048576`, `"hpe_interval":1000000`,
+		`"hpe_division_threshold":1000`, `"set_size_shift":6`, `"set_size_shift":17`,
+		`"prepopulate":true`,
+	} {
+		body := `{"app":"HSD","policy":"hpe","rate":75,"tuning":{` + tuning + `}}`
+		code, _, resp := postRun(t, ts.Client(), ts.URL, body)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", tuning, code, resp)
+			continue
+		}
+		if eb, ok := DecodeError(resp); !ok || eb.Code != ErrBadSpec {
+			t.Errorf("%s: envelope %+v (ok=%t), want code %q", tuning, eb, ok, ErrBadSpec)
+		}
+	}
+}
+
 // assertRetryAfter checks the Retry-After header is a usable number of
 // seconds — an integer in [1, 300] — not merely present.
 func assertRetryAfter(t *testing.T, h http.Header) {

@@ -1,28 +1,20 @@
-// Package tlb implements the set-associative translation lookaside buffers
-// of the paper's baseline architecture (Fig. 1 / Table I): per-SM private L1
-// TLBs backed by a shared L2 TLB, both LRU-replaced, with invalidation on
-// page eviction.
+// Package tlb implements the simulator's one set-associative, LRU-replaced
+// tag array. It models the translation lookaside buffers of the paper's
+// baseline architecture (Fig. 1 / Table I): per-SM private L1 TLBs backed
+// by a shared L2 TLB, with invalidation on page eviction. The Table I data
+// caches (internal/cache, keyed by line) and the page-walk cache of the
+// rejected translation design (internal/ptw, keyed by level and prefix)
+// are built on the same array.
 //
-// The TLB stores only page-number tags; the simulator does not need the
-// physical translation itself, just hit/miss behaviour, because policy
-// visibility (which references reach the page walker) is what the paper's
-// mechanisms key off.
+// The array stores only tags; the simulator needs hit/miss behaviour, not
+// the translation or the data, because policy visibility (which references
+// reach the page walker) is what the paper's mechanisms key off.
 //
-// Every operation is O(1): a page → entry index map (pagetable.Map, the
+// Every operation is O(1): a tag → entry index map (pagetable.Map, the
 // open-addressing table the page tables use as their top level) answers
-// presence, and each set maintains an intrusive doubly-linked list ordered
-// LRU → MRU with invalid entries parked at the LRU end. This replaces the original
-// timestamp-per-entry scheme, which scanned the whole set on every Lookup,
-// Fill, and Invalidate — the dominant cost of eviction shootdowns, which
-// probe one L2 and every SM's L1. Because timestamps were unique (one tick
-// per operation), list order reproduces timestamp order exactly and victim
-// selection is behaviourally identical; the list invariant (invalid entries
-// always form a prefix at the LRU end, valid entries follow in LRU → MRU
-// refresh order) is checked by the differential test against the retained
-// reference implementation. One latent quirk of the original is repaired
-// rather than reproduced: re-filling a resident page behind an invalid way
-// no longer installs a duplicate entry (TestOriginalFillDuplicateQuirk);
-// the root golden tests confirm headline results are unchanged.
+// presence, and each set keeps an intrusive doubly-linked list ordered
+// LRU → MRU with invalid entries parked at the LRU end. reference_test.go
+// keeps a timestamp-per-entry scan as the differential oracle.
 package tlb
 
 import (
@@ -32,9 +24,9 @@ import (
 	"hpe/internal/pagetable"
 )
 
-// TLB is a set-associative, LRU-replaced translation cache.
+// TLB is a set-associative, LRU-replaced tag array. Tags are PageIDs; the
+// data cache and the page-walk cache convert their own keys to them.
 type TLB struct {
-	name    string
 	sets    int
 	ways    int
 	entries []entry        // sets × ways, row-major
@@ -56,13 +48,12 @@ type entry struct {
 
 // New returns a TLB with the given total entry count and associativity.
 // entries must be divisible by ways; ways == entries gives a fully
-// associative TLB.
+// associative TLB. name labels the geometry panic.
 func New(name string, entries, ways int) *TLB {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
-		panic(fmt.Sprintf("tlb: bad geometry entries=%d ways=%d", entries, ways))
+		panic(fmt.Sprintf("tlb %s: bad geometry entries=%d ways=%d", name, entries, ways))
 	}
 	t := &TLB{
-		name:    name,
 		sets:    entries / ways,
 		ways:    ways,
 		entries: make([]entry, entries),
@@ -70,12 +61,7 @@ func New(name string, entries, ways int) *TLB {
 		tail:    make([]int32, entries/ways),
 		index:   pagetable.NewMap(entries),
 	}
-	t.resetLists()
-	return t
-}
-
-// resetLists chains each set's entries in row order, all invalid.
-func (t *TLB) resetLists() {
+	// Chain each set's entries in row order, all invalid.
 	for s := 0; s < t.sets; s++ {
 		first := int32(s * t.ways)
 		last := first + int32(t.ways) - 1
@@ -87,16 +73,8 @@ func (t *TLB) resetLists() {
 		t.entries[first].prev = -1
 		t.entries[last].next = -1
 	}
+	return t
 }
-
-// Name returns the TLB's label (for stats reporting).
-func (t *TLB) Name() string { return t.name }
-
-// Entries returns the total capacity.
-func (t *TLB) Entries() int { return len(t.entries) }
-
-// Ways returns the associativity.
-func (t *TLB) Ways() int { return t.ways }
 
 func (t *TLB) set(p addrspace.PageID) int {
 	return int(uint64(p) % uint64(t.sets))
@@ -187,27 +165,7 @@ func (t *TLB) Invalidate(p addrspace.PageID) bool {
 	return true
 }
 
-// Flush invalidates every entry.
-func (t *TLB) Flush() {
-	t.resetLists()
-	t.index.Clear()
-}
-
 // Stats returns cumulative hit/miss/fill/invalidate counts.
 func (t *TLB) Stats() (hits, misses, fills, invalidates uint64) {
 	return t.hits, t.misses, t.fills, t.invalides
-}
-
-// HitRate returns hits / (hits+misses), or 0 for an unused TLB.
-func (t *TLB) HitRate() float64 {
-	total := t.hits + t.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.hits) / float64(total)
-}
-
-// Occupancy returns the number of valid entries.
-func (t *TLB) Occupancy() int {
-	return t.index.Len()
 }

@@ -20,9 +20,6 @@ func TestLookupMissThenHit(t *testing.T) {
 	if hits != 1 || misses != 1 || fills != 1 {
 		t.Fatalf("stats = %d/%d/%d", hits, misses, fills)
 	}
-	if tl.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %f", tl.HitRate())
-	}
 }
 
 func TestLRUReplacementWithinSet(t *testing.T) {
@@ -68,20 +65,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	tl := New("t", 8, 4)
-	for i := 0; i < 8; i++ {
-		tl.Fill(addrspace.PageID(i))
-	}
-	if tl.Occupancy() != 8 {
-		t.Fatalf("occupancy = %d", tl.Occupancy())
-	}
-	tl.Flush()
-	if tl.Occupancy() != 0 {
-		t.Fatalf("occupancy after flush = %d", tl.Occupancy())
-	}
-}
-
 func TestFullyAssociative(t *testing.T) {
 	tl := New("fa", 4, 4)
 	for i := 0; i < 4; i++ {
@@ -114,10 +97,10 @@ func TestBadGeometryPanics(t *testing.T) {
 func TestPaperGeometries(t *testing.T) {
 	l1 := New("l1", 128, 128) // per-SM L1: 128-entry
 	l2 := New("l2", 512, 16)  // shared L2: 512-entry, 16-way
-	if l1.Entries() != 128 || l1.Ways() != 128 {
+	if len(l1.entries) != 128 || l1.ways != 128 {
 		t.Fatal("L1 geometry")
 	}
-	if l2.Entries() != 512 || l2.Ways() != 16 {
+	if len(l2.entries) != 512 || l2.ways != 16 {
 		t.Fatal("L2 geometry")
 	}
 }
@@ -133,7 +116,7 @@ func TestFillThenHitProperty(t *testing.T) {
 			if !tl.Lookup(p) {
 				return false
 			}
-			if tl.Occupancy() > 32 {
+			if tl.index.Len() > 32 {
 				return false
 			}
 		}

@@ -41,8 +41,8 @@ type runDigestCell struct {
 
 // runDigestCells is the matrix: every registry policy on one catalog app at
 // 75% oversubscription, one scale-4 cell, the baseline policies on BFS at
-// 50%, one more thrashing-preset RRIP cell, one phase preset and one tenant
-// preset.
+// 50%, one more thrashing-preset RRIP cell, three data-path and page-walk-
+// cache cells, one phase preset and one tenant preset.
 func runDigestCells(t *testing.T) []runDigestCell {
 	var cells []runDigestCell
 	for _, name := range hpe.PolicyNames() {
@@ -57,6 +57,13 @@ func runDigestCells(t *testing.T) []runDigestCell {
 		cells = append(cells, runDigestCell{"bfs50-" + name, hpe.RunSpec{App: "BFS", Policy: name, Rate: 50}})
 	}
 	cells = append(cells, runDigestCell{"srd50-rrip", hpe.RunSpec{App: "SRD", Policy: "rrip", Rate: 50}})
+	// The data path and the page-walk cache: HWL at 75% evicts while its
+	// lines sit in L1D/L2D, so page-wide line invalidation runs; BFS at
+	// scale 4 is the cell where the PWC replaces entries.
+	cells = append(cells,
+		runDigestCell{"datapath-hwl75-lru", hpe.RunSpec{App: "HWL", Policy: "lru", Rate: 75, DataPath: true}},
+		runDigestCell{"pwc-datapath-hwl50-hpe", hpe.RunSpec{App: "HWL", Policy: "hpe", Rate: 50, Design: "pwc", DataPath: true}},
+		runDigestCell{"pwc-bfs50-lru-scale4", hpe.RunSpec{App: "BFS", Policy: "lru", Rate: 50, Scale: 4, Design: "pwc"}})
 	for _, preset := range []string{"burst", "colo-mix"} {
 		sc, ok := hpe.ScenarioByName(preset)
 		if !ok {
