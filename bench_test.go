@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation.
-// One benchmark per artefact, in paper order; each runs the experiment over
-// the reduced (quick) application subset so a full `go test -bench=.` sweep
-// stays tractable, and reports the experiment's headline metric alongside
-// ns/op. Run the full-catalog versions with `cmd/hpebench`.
+// BenchmarkExperiments has one sub-benchmark per artefact, in paper order;
+// each renders the experiment over the reduced (quick) application subset so
+// a full `go test -bench=.` sweep stays tractable, and reports the
+// experiment's headline metrics alongside ns/op. Run the full-catalog
+// versions with `cmd/hpebench`.
 //
 // Additional ablation benches at the bottom quantify the design choices
 // DESIGN.md calls out: HIR batching vs an ideal hit feed, dynamic adjustment
@@ -19,10 +20,6 @@ import (
 	hpecore "hpe/internal/hpe"
 	"hpe/internal/runspec"
 )
-
-func quickSuite() *experiments.Suite {
-	return experiments.NewSuite(experiments.Options{Quick: true, Seed: 1})
-}
 
 // --- Concurrent suite runner ---------------------------------------------------
 
@@ -58,164 +55,52 @@ func reportMetric(b *testing.B, rep experiments.Report, key, unit string) {
 	}
 }
 
-// --- Table I & II -------------------------------------------------------------
+// --- Tables, figures, §V studies and extensions -----------------------------------
 
-func BenchmarkTable1Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Table1()
-		if i == b.N-1 {
-			reportMetric(b, rep, "faultCycles", "fault-cycles")
-		}
-	}
+// experimentBenches lists each benchmarked experiment with the headline
+// metrics (key, unit) it reports beside ns/op.
+var experimentBenches = []struct {
+	id      string
+	metrics [][2]string
+}{
+	{"table1", [][2]string{{"faultCycles", "fault-cycles"}}},
+	{"table2", [][2]string{{"meanMB", "mean-MB"}}},
+	{"fig3", [][2]string{{"lru/mean", "lru-vs-ideal"}, {"rrip/mean", "rrip-vs-ideal"}}},
+	{"fig7", [][2]string{{"maxSpread", "max-spread"}}},
+	{"fig8", [][2]string{{"maxSpread", "max-spread"}}},
+	{"fig9", [][2]string{{"ratio1/KMN", "kmn-ratio1"}}},
+	{"fig10", [][2]string{{"mean75", "speedup@75"}, {"mean50", "speedup@50"}}},
+	{"fig11", [][2]string{{"mean75", "ev-ratio@75"}, {"mean50", "ev-ratio@50"}}},
+	{"fig12", [][2]string{{"perf75/HPE", "hpe-vs-ideal@75"}, {"hpeSpeedup75/RRIP", "hpe-vs-rrip@75"}}},
+	{"fig13", [][2]string{{"switches75/BFS", "bfs-switches"}}},
+	{"fig14", [][2]string{{"mean", "mean-comparisons"}}},
+	{"fig15", [][2]string{{"mean/HSD", "hsd-entries"}}},
+	{"transfer", [][2]string{{"norm/1", "ipc-at-interval-1"}}},
+	{"walklat", [][2]string{{"delta/HPE", "hpe-delta"}}},
+	{"overhead", [][2]string{{"classifyUS", "classify-us"}, {"load75/HPE", "hpe-load@75"}}},
+	{"ext", [][2]string{{"mean/HPE", "hpe-vs-ideal"}, {"mean/ARC", "arc-vs-ideal"}}},
+	{"sweep", [][2]string{{"speedup/90", "hpe-speedup@90"}, {"speedup/40", "hpe-speedup@40"}}},
+	{"division", [][2]string{{"faults50/NW/off", "nw-faults-div-off"}}},
+	{"channels", [][2]string{{"HPE/8", "hpe-8ch-speedup"}}},
+	{"translation", [][2]string{{"geomean", "pwc-vs-l2tlb"}}},
+	{"prefetch", [][2]string{{"LRU/15", "lru-pf15-speedup"}, {"HPE/15", "hpe-pf15-speedup"}}},
 }
 
-func BenchmarkTable2Workloads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Table2()
-		if i == b.N-1 {
-			reportMetric(b, rep, "meanMB", "mean-MB")
-		}
-	}
-}
-
-// --- Figures ------------------------------------------------------------------
-
-func BenchmarkFig3EvictionsVsIdeal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig3()
-		if i == b.N-1 {
-			reportMetric(b, rep, "lru/mean", "lru-vs-ideal")
-			reportMetric(b, rep, "rrip/mean", "rrip-vs-ideal")
-		}
-	}
-}
-
-func BenchmarkFig7PageSetSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig7()
-		if i == b.N-1 {
-			reportMetric(b, rep, "maxSpread", "max-spread")
-		}
-	}
-}
-
-func BenchmarkFig8IntervalLength(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig8()
-		if i == b.N-1 {
-			reportMetric(b, rep, "maxSpread", "max-spread")
-		}
-	}
-}
-
-func BenchmarkFig9Ratios(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig9()
-		if i == b.N-1 {
-			reportMetric(b, rep, "ratio1/KMN", "kmn-ratio1")
-		}
-	}
-}
-
-func BenchmarkFig10SpeedupVsLRU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig10()
-		if i == b.N-1 {
-			reportMetric(b, rep, "mean75", "speedup@75")
-			reportMetric(b, rep, "mean50", "speedup@50")
-		}
-	}
-}
-
-func BenchmarkFig11EvictionsVsLRU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig11()
-		if i == b.N-1 {
-			reportMetric(b, rep, "mean75", "ev-ratio@75")
-			reportMetric(b, rep, "mean50", "ev-ratio@50")
-		}
-	}
-}
-
-func BenchmarkFig12AllPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig12()
-		if i == b.N-1 {
-			reportMetric(b, rep, "perf75/HPE", "hpe-vs-ideal@75")
-			reportMetric(b, rep, "hpeSpeedup75/RRIP", "hpe-vs-rrip@75")
-		}
-	}
-}
-
-func BenchmarkFig13AdjustmentBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig13()
-		if i == b.N-1 {
-			reportMetric(b, rep, "switches75/BFS", "bfs-switches")
-		}
-	}
-}
-
-func BenchmarkFig14SearchOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig14()
-		if i == b.N-1 {
-			reportMetric(b, rep, "mean", "mean-comparisons")
-		}
-	}
-}
-
-func BenchmarkFig15HIREntries(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Fig15()
-		if i == b.N-1 {
-			reportMetric(b, rep, "mean/HSD", "hsd-entries")
-		}
-	}
-}
-
-// --- Section V-A / V-B / V-C ---------------------------------------------------
-
-func BenchmarkTransferIntervalSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.TransferInterval()
-		if i == b.N-1 {
-			reportMetric(b, rep, "norm/1", "ipc-at-interval-1")
-		}
-	}
-}
-
-func BenchmarkWalkLatencySensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.WalkLatency()
-		if i == b.N-1 {
-			reportMetric(b, rep, "delta/HPE", "hpe-delta")
-		}
-	}
-}
-
-func BenchmarkOverheadAnalysis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.Overheads()
-		if i == b.N-1 {
-			reportMetric(b, rep, "classifyUS", "classify-us")
-			reportMetric(b, rep, "load75/HPE", "hpe-load@75")
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experimentBenches {
+		b.Run(e.id, func(b *testing.B) {
+			var rep experiments.Report
+			for i := 0; i < b.N; i++ {
+				reps, err := experiments.NewSuite(experiments.Options{Quick: true, Seed: 1}).Reports([]string{e.id})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep = reps[0]
+			}
+			for _, m := range e.metrics {
+				reportMetric(b, rep, m[0], m[1])
+			}
+		})
 	}
 }
 
@@ -353,71 +238,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		total += int(res.Accesses)
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "accesses/s")
-}
-
-// --- Extension experiments -------------------------------------------------------
-
-func BenchmarkExtExtendedPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.ExtendedPolicies()
-		if i == b.N-1 {
-			reportMetric(b, rep, "mean/HPE", "hpe-vs-ideal")
-			reportMetric(b, rep, "mean/ARC", "arc-vs-ideal")
-		}
-	}
-}
-
-func BenchmarkExtOversubscriptionSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.OversubscriptionSweep()
-		if i == b.N-1 {
-			reportMetric(b, rep, "speedup/90", "hpe-speedup@90")
-			reportMetric(b, rep, "speedup/40", "hpe-speedup@40")
-		}
-	}
-}
-
-func BenchmarkExtDivisionStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.DivisionStudy()
-		if i == b.N-1 {
-			reportMetric(b, rep, "faults50/NW/off", "nw-faults-div-off")
-		}
-	}
-}
-
-func BenchmarkExtChannelStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.ChannelStudy()
-		if i == b.N-1 {
-			reportMetric(b, rep, "HPE/8", "hpe-8ch-speedup")
-		}
-	}
-}
-
-func BenchmarkExtTranslationStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.TranslationStudy()
-		if i == b.N-1 {
-			reportMetric(b, rep, "geomean", "pwc-vs-l2tlb")
-		}
-	}
-}
-
-func BenchmarkExtPrefetchStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := quickSuite()
-		rep := s.PrefetchStudy()
-		if i == b.N-1 {
-			reportMetric(b, rep, "LRU/15", "lru-pf15-speedup")
-			reportMetric(b, rep, "HPE/15", "hpe-pf15-speedup")
-		}
-	}
 }
 
 // BenchmarkAblationSetGranularity separates HPE's two ingredients on the

@@ -104,6 +104,10 @@ func TestGoldenHeadlineResults(t *testing.T) {
 	for _, rep := range reps {
 		checkGolden(t, "", golden, rep)
 	}
+	// The union of every experiment's plan: each distinct cell once.
+	if n := s.CachedRuns(); n != 1314 {
+		t.Errorf("the full suite simulated %d cells, want 1314", n)
+	}
 }
 
 // TestGoldenProbedRuns pins the two invariants the probe layer and the

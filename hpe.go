@@ -17,12 +17,15 @@
 // ReplaySpec replays the same spec timing-free, and PolicyNames lists the
 // registry names a spec's Policy field accepts.
 //
-// The full evaluation (the run matrix shards across Workers goroutines;
-// reports are byte-identical at any worker count, and Workers: 1 is the
-// serial debugging path):
+// The full evaluation (Reports plans every requested experiment's cells,
+// shards their union across Workers goroutines, then renders; reports are
+// byte-identical at any worker count, and Workers: 1 is the serial
+// debugging path):
 //
 //	suite := hpe.NewSuite(hpe.SuiteOptions{Workers: runtime.GOMAXPROCS(0)})
-//	for _, rep := range suite.All() { fmt.Println(rep) }
+//	reps, err := suite.Reports(hpe.ExperimentIDs())
+//	if err != nil { log.Fatal(err) }
+//	for _, rep := range reps { fmt.Println(rep) }
 //
 // Architecture (bottom-up): internal/sim (event engine), internal/addrspace
 // (pages and page sets), internal/trace (reference strings + Belady oracle

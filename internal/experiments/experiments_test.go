@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hpe/internal/gpu"
 	"hpe/internal/hpe"
 	"hpe/internal/runspec"
 	"hpe/internal/trace"
@@ -36,49 +37,56 @@ func TestSuiteAppSelection(t *testing.T) {
 	}
 }
 
-func TestIDsAndByIDRoundTrip(t *testing.T) {
-	s := quick(t)
+// report renders one experiment through Reports.
+func report(t *testing.T, s *Suite, id string) Report {
+	t.Helper()
+	reps, err := s.Reports([]string{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps[0]
+}
+
+// runCell simulates one cell the way Reports' pool does, returning its
+// result (a Cancelled or failed one included) and the Runner's error.
+func runCell(s *Suite, sp runspec.Spec) (gpu.Result, error) {
+	c, id := canonical(sp)
+	return s.run(s.ctx(), c, id)
+}
+
+func TestIDsAndLookupRoundTrip(t *testing.T) {
 	ids := IDs()
 	if len(ids) != 25 {
 		t.Fatalf("IDs() = %d entries", len(ids))
 	}
-	// Cheap experiments resolve; the expensive ones are covered by the
-	// shape tests — here we just validate the dispatch table for a couple.
-	for _, id := range []string{"table1", "table2"} {
-		rep, ok := s.ByID(id)
-		if !ok {
-			t.Fatalf("ByID(%q) missing", id)
-		}
-		if rep.ID != id || rep.Text == "" {
-			t.Fatalf("ByID(%q) = %+v", id, rep)
-		}
-	}
-	if _, ok := s.ByID("nope"); ok {
-		t.Fatal("ByID accepted an unknown id")
-	}
-	// Every published ID resolves through the dispatch table (identity only;
-	// execution happens in the shape tests).
+	// Every published ID resolves through the table, to its own entry, once.
 	seen := map[string]bool{}
 	for _, id := range ids {
 		if seen[id] {
 			t.Fatalf("duplicate experiment id %q", id)
 		}
 		seen[id] = true
+		if e, ok := lookup(id); !ok || e.id != id || e.render == nil {
+			t.Fatalf("lookup(%q) = %+v, %v", id, e, ok)
+		}
+	}
+	if _, ok := lookup("nope"); ok {
+		t.Fatal("lookup accepted an unknown id")
 	}
 }
 
 func TestRunCachesResults(t *testing.T) {
 	s := quick(t)
 	app := s.Apps()[0]
-	a := s.Run(app, "lru", 75)
-	b := s.Run(app, "lru", 75)
+	a, _ := runCell(s, s.spec(app, "lru", 75))
+	b, _ := runCell(s, s.spec(app, "lru", 75))
 	if a.Cycles != b.Cycles || a.Faults != b.Faults {
 		t.Fatal("cached result differs")
 	}
 	if n := s.CachedRuns(); n != 1 {
 		t.Fatalf("cache has %d entries, want 1", n)
 	}
-	s.Run(app, "lru", 50)
+	runCell(s, s.spec(app, "lru", 50))
 	if n := s.CachedRuns(); n != 2 {
 		t.Fatal("different rate did not produce a new cache entry")
 	}
@@ -87,11 +95,11 @@ func TestRunCachesResults(t *testing.T) {
 func TestRunSpecVariantsCacheSeparately(t *testing.T) {
 	s := quick(t)
 	app := s.Apps()[0]
-	s.Run(app, "lru", 75)
+	runCell(s, s.spec(app, "lru", 75))
 	sp := s.spec(app, "lru", 75)
-	sp.Tuning = runspec.Tuning{WalkLatency: 20}
-	v1 := s.RunSpec(sp)
-	v2 := s.RunSpec(sp)
+	walk20(&sp)
+	v1, _ := runCell(s, sp)
+	v2, _ := runCell(s, sp)
 	if v1.Cycles != v2.Cycles {
 		t.Fatal("variant cache returned different results")
 	}
@@ -103,7 +111,7 @@ func TestRunSpecVariantsCacheSeparately(t *testing.T) {
 	explicit.Design = "l2tlb"
 	explicit.Channels = 1
 	explicit.Scale = 1
-	s.RunSpec(explicit)
+	runCell(s, explicit)
 	if n := s.CachedRuns(); n != 2 {
 		t.Fatalf("explicit-default spec created a new cache entry (%d cells)", n)
 	}
@@ -112,14 +120,14 @@ func TestRunSpecVariantsCacheSeparately(t *testing.T) {
 func TestCapacityForRates(t *testing.T) {
 	tr := workload.Catalog()[0].Generate()
 	fp := tr.Footprint()
-	if c := capacityFor(tr, 75); c < fp*3/4 || c > fp*3/4+1 {
+	if c := runspec.CapacityFor(tr, 75); c < fp*3/4 || c > fp*3/4+1 {
 		t.Fatalf("capacityFor 75%% = %d for fp %d", c, fp)
 	}
-	if c := capacityFor(tr, 100); c != fp {
+	if c := runspec.CapacityFor(tr, 100); c != fp {
 		t.Fatalf("capacityFor 100%% = %d, want %d", c, fp)
 	}
 	empty := trace.New("empty", nil)
-	if c := capacityFor(empty, 50); c != 1 {
+	if c := runspec.CapacityFor(empty, 50); c != 1 {
 		t.Fatalf("capacityFor on empty trace = %d, want floor 1", c)
 	}
 }
@@ -145,7 +153,7 @@ func TestMaterializedPolicyNames(t *testing.T) {
 			t.Error("unknown policy accepted")
 		}
 	}()
-	s.Run(app, "no-such-policy", 75)
+	runCell(s, s.spec(app, "no-such-policy", 75))
 }
 
 func TestRRIPConfiguredPerPattern(t *testing.T) {
@@ -205,15 +213,17 @@ func TestDisplayNames(t *testing.T) {
 }
 
 func TestTable1And2Content(t *testing.T) {
-	s := quick(t)
-	t1 := s.Table1()
+	reps, err := quick(t).Reports([]string{"table1", "table2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1, t2 := reps[0], reps[1]
 	if !strings.Contains(t1.Text, "GTX-480") || !strings.Contains(t1.Text, "20us") {
 		t.Fatalf("Table1 missing key rows:\n%s", t1.Text)
 	}
 	if t1.Metrics["faultCycles"] != 28000 {
 		t.Fatalf("fault cycles = %v", t1.Metrics["faultCycles"])
 	}
-	t2 := s.Table2()
 	for _, abbr := range []string{"HOT", "KMN"} {
 		if _, ok := t2.Metrics["pages/"+abbr]; !ok {
 			t.Fatalf("Table2 missing %s", abbr)
@@ -278,42 +288,13 @@ func TestReportJSONMetrics(t *testing.T) {
 func TestProgressCallback(t *testing.T) {
 	var lines []string
 	s := NewSuite(Options{Quick: true, Progress: func(l string) { lines = append(lines, l) }})
-	s.Run(s.Apps()[0], "lru", 75)
+	runCell(s, s.spec(s.Apps()[0], "lru", 75))
 	if len(lines) != 1 {
 		t.Fatalf("progress lines = %d, want 1", len(lines))
 	}
-	s.Run(s.Apps()[0], "lru", 75) // cached: no new line
+	runCell(s, s.spec(s.Apps()[0], "lru", 75)) // cached: no new line
 	if len(lines) != 1 {
 		t.Fatal("cached run emitted progress")
-	}
-}
-
-func TestPrewarmMatchesSerial(t *testing.T) {
-	serial := NewSuite(Options{Quick: true, Seed: 1})
-	warm := NewSuite(Options{Quick: true, Seed: 1})
-	warm.Prewarm(4)
-	app := warm.Apps()[2]
-	for _, pol := range ComparisonPolicies {
-		for _, rate := range Rates {
-			a := serial.Run(app, pol, rate)
-			b := warm.Run(app, pol, rate)
-			if a.Cycles != b.Cycles || a.Faults != b.Faults || a.Evictions != b.Evictions {
-				t.Fatalf("%s@%d: prewarmed result differs: %v vs %v", pol, rate, a, b)
-			}
-		}
-	}
-	// Every grid cell was cached by the prewarm.
-	want := len(warm.Apps()) * len(ComparisonPolicies) * len(Rates)
-	if n := warm.CachedRuns(); n != want {
-		t.Fatalf("prewarm cached %d results, want %d", n, want)
-	}
-}
-
-func TestPrewarmNoopForOneWorker(t *testing.T) {
-	s := NewSuite(Options{Quick: true})
-	s.Prewarm(1)
-	if s.results.Len() != 0 {
-		t.Fatal("Prewarm(1) ran simulations")
 	}
 }
 
@@ -325,13 +306,13 @@ func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment pass skipped in -short mode")
 	}
-	s := NewSuite(Options{Quick: true, Seed: 1})
-	s.Prewarm(4)
-	for _, id := range IDs() {
-		rep, ok := s.ByID(id)
-		if !ok {
-			t.Fatalf("experiment %q not dispatchable", id)
-		}
+	s := NewSuite(Options{Quick: true, Seed: 1, Workers: 4})
+	reps, err := s.Reports(IDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range IDs() {
+		rep := reps[i]
 		if rep.ID != id {
 			t.Errorf("%s: report carries id %q", id, rep.ID)
 		}

@@ -4,22 +4,23 @@ import (
 	"fmt"
 	"strings"
 
+	"hpe/internal/gpu"
 	"hpe/internal/stats"
 )
 
 // Rates are the paper's two oversubscription rates (Section V).
 var Rates = []int{75, 50}
 
-// Fig3 reproduces Fig. 3: evictions of LRU and RRIP normalised to the Ideal
+// fig3 reproduces Fig. 3: evictions of LRU and RRIP normalised to the Ideal
 // policy at 75% oversubscription.
-func (s *Suite) Fig3() Report {
+func fig3(s *Suite, res view) Report {
 	tb := stats.NewTable("app", "pattern", "LRU/Ideal", "RRIP/Ideal")
 	metrics := map[string]float64{}
 	var lruN, rripN []float64
 	for _, app := range s.apps {
-		ideal := s.Run(app, "ideal", 75)
-		lru := s.Run(app, "lru", 75)
-		rrip := s.Run(app, "rrip", 75)
+		ideal := res.Run(app, "ideal", 75)
+		lru := res.Run(app, "lru", 75)
+		rrip := res.Run(app, "rrip", 75)
 		ln := normalise(lru.Evictions, ideal.Evictions)
 		rn := normalise(rrip.Evictions, ideal.Evictions)
 		lruN = append(lruN, ln)
@@ -49,24 +50,33 @@ func normalise(a, b uint64) float64 {
 	return float64(a) / float64(b)
 }
 
-// Fig10 reproduces Fig. 10: HPE's IPC speedup over LRU at both
-// oversubscription rates, per application and averaged.
-func (s *Suite) Fig10() Report {
-	tb := stats.NewTable("app", "pattern", "speedup@75%", "speedup@50%")
-	metrics := map[string]float64{}
-	speedups := map[int][]float64{}
+// hpeVsLRU tabulates f(LRU's run, HPE's run) for every app at both rates,
+// recording each value as metric key<rate>/<app>, and returns the values per
+// rate.
+func hpeVsLRU(s *Suite, res view, tb *stats.Table, metrics map[string]float64, key string,
+	f func(lru, hpe gpu.Result) float64) map[int][]float64 {
+	cols := map[int][]float64{}
 	for _, app := range s.apps {
 		row := []any{app.Abbr, app.Pattern.String()}
 		for _, rate := range Rates {
-			lru := s.Run(app, "lru", rate)
-			hpe := s.Run(app, "hpe", rate)
-			sp := stats.Speedup(hpe.IPC, lru.IPC) // IPC ratio: HPE over LRU
-			speedups[rate] = append(speedups[rate], sp)
-			metrics[fmt.Sprintf("speedup%d/%s", rate, app.Abbr)] = sp
-			row = append(row, sp)
+			v := f(res.Run(app, "lru", rate), res.Run(app, "hpe", rate))
+			cols[rate] = append(cols[rate], v)
+			metrics[fmt.Sprintf("%s%d/%s", key, rate, app.Abbr)] = v
+			row = append(row, v)
 		}
 		tb.AddRowf(row...)
 	}
+	return cols
+}
+
+// fig10 reproduces Fig. 10: HPE's IPC speedup over LRU at both
+// oversubscription rates, per application and averaged.
+func fig10(s *Suite, res view) Report {
+	tb := stats.NewTable("app", "pattern", "speedup@75%", "speedup@50%")
+	metrics := map[string]float64{}
+	speedups := hpeVsLRU(s, res, tb, metrics, "speedup", func(lru, hpe gpu.Result) float64 {
+		return stats.Speedup(hpe.IPC, lru.IPC) // IPC ratio: HPE over LRU
+	})
 	for _, rate := range Rates {
 		metrics[fmt.Sprintf("mean%d", rate)] = stats.GeoMean(speedups[rate])
 		metrics[fmt.Sprintf("amean%d", rate)] = stats.Mean(speedups[rate])
@@ -79,23 +89,13 @@ func (s *Suite) Fig10() Report {
 	return Report{ID: "fig10", Title: "HPE performance vs LRU", Text: text, Metrics: metrics}
 }
 
-// Fig11 reproduces Fig. 11: HPE's evictions relative to LRU.
-func (s *Suite) Fig11() Report {
+// fig11 reproduces Fig. 11: HPE's evictions relative to LRU.
+func fig11(s *Suite, res view) Report {
 	tb := stats.NewTable("app", "pattern", "HPE/LRU@75%", "HPE/LRU@50%")
 	metrics := map[string]float64{}
-	ratios := map[int][]float64{}
-	for _, app := range s.apps {
-		row := []any{app.Abbr, app.Pattern.String()}
-		for _, rate := range Rates {
-			lru := s.Run(app, "lru", rate)
-			hpe := s.Run(app, "hpe", rate)
-			r := normalise(hpe.Evictions, lru.Evictions)
-			ratios[rate] = append(ratios[rate], r)
-			metrics[fmt.Sprintf("ratio%d/%s", rate, app.Abbr)] = r
-			row = append(row, r)
-		}
-		tb.AddRowf(row...)
-	}
+	ratios := hpeVsLRU(s, res, tb, metrics, "ratio", func(lru, hpe gpu.Result) float64 {
+		return normalise(hpe.Evictions, lru.Evictions)
+	})
 	for _, rate := range Rates {
 		metrics[fmt.Sprintf("mean%d", rate)] = stats.Mean(ratios[rate])
 	}
@@ -106,22 +106,26 @@ func (s *Suite) Fig11() Report {
 	return Report{ID: "fig11", Title: "HPE evictions vs LRU", Text: text, Metrics: metrics}
 }
 
-// Fig12 reproduces Fig. 12: every policy's IPC and evictions normalised to
+// fig12 reproduces Fig. 12: every policy's IPC and evictions normalised to
 // Ideal at both rates, plus HPE's speedup over each baseline.
-func (s *Suite) Fig12() Report {
+func fig12(s *Suite, res view) Report {
+	cols := ComparisonPolicies[:len(ComparisonPolicies)-1] // Ideal, the baseline, is last
+	header := []string{"app"}
+	for _, pol := range cols {
+		header = append(header, display(pol))
+	}
 	metrics := map[string]float64{}
 	var b strings.Builder
 	for _, rate := range Rates {
-		perfTb := stats.NewTable(append([]string{"app"}, policyNames()...)...)
-		evTb := stats.NewTable(append([]string{"app"}, policyNames()...)...)
+		perfTb, evTb := stats.NewTable(header...), stats.NewTable(header...)
 		perf := map[string][]float64{}
 		evs := map[string][]float64{}
 		for _, app := range s.apps {
-			ideal := s.Run(app, "ideal", rate)
+			ideal := res.Run(app, "ideal", rate)
 			prow := []any{app.Abbr}
 			erow := []any{app.Abbr}
-			for _, pol := range comparisonSet() {
-				r := s.Run(app, pol, rate)
+			for _, pol := range cols {
+				r := res.Run(app, pol, rate)
 				p := r.IPC / ideal.IPC
 				e := normalise(r.Evictions, ideal.Evictions)
 				perf[pol] = append(perf[pol], p)
@@ -139,7 +143,7 @@ func (s *Suite) Fig12() Report {
 		b.WriteString(evTb.Render())
 		hpeMean := stats.GeoMean(perf["hpe"])
 		fmt.Fprintf(&b, "means: ")
-		for _, pol := range comparisonSet() {
+		for _, pol := range cols {
 			pm := stats.GeoMean(perf[pol])
 			em := stats.Mean(evs[pol])
 			metrics[fmt.Sprintf("perf%d/%s", rate, display(pol))] = pm
@@ -161,18 +165,4 @@ func (s *Suite) Fig12() Report {
 	b.WriteString("  speedups 1.21x (random), 1.16x (RRIP), 1.15x (CLOCK-Pro)\n")
 	return Report{ID: "fig12", Title: "All policies vs Ideal (performance and evictions)",
 		Text: b.String(), Metrics: metrics}
-}
-
-// comparisonSet returns the policies shown in Fig. 12 (Ideal is the
-// normalisation baseline and excluded from its own columns).
-func comparisonSet() []string {
-	return []string{"lru", "random", "rrip", "clockpro", "hpe"}
-}
-
-func policyNames() []string {
-	var out []string
-	for _, p := range comparisonSet() {
-		out = append(out, display(p))
-	}
-	return out
 }

@@ -9,14 +9,14 @@ import (
 	"hpe/internal/stats"
 )
 
-// Fig9 reproduces Fig. 9: ratio₁ and ratio₂ of every application, computed
+// fig9 reproduces Fig. 9: ratio₁ and ratio₂ of every application, computed
 // by HPE when the GPU memory first fills at 75% oversubscription, together
 // with the resulting classification.
-func (s *Suite) Fig9() Report {
+func fig9(s *Suite, res view) Report {
 	tb := stats.NewTable("app", "pattern", "ratio1", "ratio2", "category", "strategy@start")
 	metrics := map[string]float64{}
 	for _, app := range s.apps {
-		r := s.Run(app, "hpe", 75)
+		r := res.Run(app, "hpe", 75)
 		if r.HPE == nil || !r.HPE.Classified {
 			tb.AddRow(app.Abbr, app.Pattern.String(), "-", "-", "never full", "-")
 			continue
@@ -48,15 +48,15 @@ func initialStrategyName(st *hpe.Stats) string {
 	return st.Timeline[0].Strategy.String()
 }
 
-// Fig13 reproduces Fig. 13: the per-application breakdown of which eviction
+// fig13 reproduces Fig. 13: the per-application breakdown of which eviction
 // strategy HPE used over time, at both oversubscription rates, including
 // search-point jumps.
-func (s *Suite) Fig13() Report {
+func fig13(s *Suite, res view) Report {
 	tb := stats.NewTable("app@rate", "category", "LRU share", "MRU-C share", "switches", "jumps", "timeline")
 	metrics := map[string]float64{}
 	for _, app := range s.apps {
 		for _, rate := range Rates {
-			r := s.Run(app, "hpe", rate)
+			r := res.Run(app, "hpe", rate)
 			label := fmt.Sprintf("%s@%d%%", app.Abbr, rate)
 			if r.HPE == nil || !r.HPE.Classified {
 				tb.AddRow(label, "never full", "-", "-", "-", "-", "-")
@@ -91,16 +91,16 @@ func timelineString(st *hpe.Stats) string {
 	return out
 }
 
-// Fig14 reproduces Fig. 14: the average number of chain comparisons per
+// fig14 reproduces Fig. 14: the average number of chain comparisons per
 // MRU-C victim search. Applications that used LRU for their entire
 // execution are omitted, as in the paper.
-func (s *Suite) Fig14() Report {
+func fig14(s *Suite, res view) Report {
 	tb := stats.NewTable("app@rate", "searches", "avg comparisons")
 	metrics := map[string]float64{}
 	var all []float64
 	for _, app := range s.apps {
 		for _, rate := range Rates {
-			r := s.Run(app, "hpe", rate)
+			r := res.Run(app, "hpe", rate)
 			if r.HPE == nil || r.HPE.Searches == 0 {
 				continue // pure-LRU app: omitted like the paper
 			}
@@ -119,13 +119,13 @@ func (s *Suite) Fig14() Report {
 	return Report{ID: "fig14", Title: "Average MRU-C search overhead", Text: text, Metrics: metrics}
 }
 
-// Fig15 reproduces Fig. 15: the average number of HIR entries transferred
+// fig15 reproduces Fig. 15: the average number of HIR entries transferred
 // per drain, per application.
-func (s *Suite) Fig15() Report {
+func fig15(s *Suite, res view) Report {
 	tb := stats.NewTable("app", "drains", "avg entries/transfer", "max entries", "conflicts")
 	metrics := map[string]float64{}
 	for _, app := range s.apps {
-		r := s.Run(app, "hpe", 75)
+		r := res.Run(app, "hpe", 75)
 		if r.HIR == nil {
 			continue
 		}

@@ -11,11 +11,11 @@ import (
 	"hpe/internal/stats"
 )
 
-// Overheads reproduces the §V-C overhead analysis: HIR storage cost, the
+// overhead reproduces the §V-C overhead analysis: HIR storage cost, the
 // wall-clock cost of classification and chain updates (measured on the host
 // running this reproduction, mirroring the paper's own wall-clock
 // methodology), and the host-CPU core-load estimate per policy.
-func (s *Suite) Overheads() Report {
+func overhead(s *Suite, res view) Report {
 	var b strings.Builder
 	metrics := map[string]float64{}
 
@@ -45,12 +45,12 @@ func (s *Suite) Overheads() Report {
 
 	// --- Host core load: driver busy time / total runtime.
 	tb := stats.NewTable("policy", "core load @75%", "core load @50%")
-	for _, pol := range []string{"lru", "rrip", "clockpro", "hpe"} {
+	for _, pol := range overheadPolicies {
 		row := []string{display(pol)}
 		for _, rate := range Rates {
 			var loads []float64
 			for _, app := range s.apps {
-				r := s.Run(app, pol, rate)
+				r := res.Run(app, pol, rate)
 				if r.Cycles > 0 {
 					loads = append(loads, float64(r.Driver.BusyCycles)/float64(r.Cycles))
 				}
@@ -68,20 +68,10 @@ func (s *Suite) Overheads() Report {
 	return Report{ID: "overhead", Title: "Overhead analysis (§V-C)", Text: b.String(), Metrics: metrics}
 }
 
-// HostTimed reports whether metric key of experiment id times the host
-// rather than the model: the overhead experiment's measured classification
-// and chain-update microseconds. They vary from run to run, yet results.json
-// and /v1/suite bodies carry them, so golden and determinism comparisons
-// skip exactly these keys.
-func HostTimed(id, key string) bool {
-	return id == "overhead" && (key == "classifyUS" || key == "updateUS")
-}
-
 // measureClassification times HPE's statistics classification over a chain
-// of `sets` page sets, in microseconds (median of several trials).
+// of `sets` page sets, in microseconds (the fastest of five trials).
 func measureClassification(sets int) float64 {
-	best := time.Duration(1 << 62)
-	for trial := 0; trial < 5; trial++ {
+	return fastestUS(5, func() func() {
 		h := hpe.New(hpe.DefaultConfig())
 		g := addrspace.DefaultGeometry()
 		for i := 0; i < sets; i++ {
@@ -93,19 +83,13 @@ func measureClassification(sets int) float64 {
 				h.OnMapped(p, 0)
 			}
 		}
-		//lint:ignore hpelint/determinism Table VI measures real wall-clock software overhead, best-of-N; results.json and /v1/suite bodies carry it, so golden comparisons skip it (HostTimed)
-		start := time.Now()
-		h.SelectVictim() // triggers the one-time classification
-		//lint:ignore hpelint/determinism wall-clock pairing for the host-timed Table VI measurement above (HostTimed)
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return float64(best.Nanoseconds()) / 1e3
+		return func() { h.SelectVictim() } // triggers the one-time classification
+	})
 }
 
 // measureChainUpdate times the application of an HIR drain of `records`
-// records to a chain of `sets` sets, in microseconds.
+// records to a chain of `sets` sets, in microseconds (the fastest of seven
+// trials).
 func measureChainUpdate(sets, records int) float64 {
 	h := hpe.New(hpe.DefaultConfig())
 	g := addrspace.DefaultGeometry()
@@ -122,95 +106,22 @@ func measureChainUpdate(sets, records int) float64 {
 		counts[i%16] = uint8(1 + i%3)
 		recs[i] = hir.Record{Set: addrspace.SetID(i % sets), Counts: counts}
 	}
+	return fastestUS(7, func() func() { return func() { h.OnHitBatch(recs) } })
+}
+
+// fastestUS calls prepare and times the operation it returns, trials times,
+// and reports the fastest in microseconds.
+func fastestUS(trials int, prepare func() func()) float64 {
 	best := time.Duration(1 << 62)
-	for trial := 0; trial < 7; trial++ {
+	for trial := 0; trial < trials; trial++ {
+		op := prepare()
 		//lint:ignore hpelint/determinism Table VI measures real wall-clock software overhead, best-of-N; results.json and /v1/suite bodies carry it, so golden comparisons skip it (HostTimed)
 		start := time.Now()
-		h.OnHitBatch(recs)
+		op()
 		//lint:ignore hpelint/determinism wall-clock pairing for the host-timed Table VI measurement above (HostTimed)
 		if d := time.Since(start); d < best {
 			best = d
 		}
 	}
 	return float64(best.Nanoseconds()) / 1e3
-}
-
-// table lists every experiment once, in report order: the paper's own
-// tables and figures (paper true) in paper order, then the studies beyond
-// the paper.
-var table = []struct {
-	id    string
-	paper bool
-	fn    func(*Suite) Report
-}{
-	{"table1", true, (*Suite).Table1},
-	{"table2", true, (*Suite).Table2},
-	{"fig3", true, (*Suite).Fig3},
-	{"fig7", true, (*Suite).Fig7},
-	{"fig8", true, (*Suite).Fig8},
-	{"fig9", true, (*Suite).Fig9},
-	{"fig10", true, (*Suite).Fig10},
-	{"fig11", true, (*Suite).Fig11},
-	{"fig12", true, (*Suite).Fig12},
-	{"fig13", true, (*Suite).Fig13},
-	{"fig14", true, (*Suite).Fig14},
-	{"fig15", true, (*Suite).Fig15},
-	{"transfer", true, (*Suite).TransferInterval},
-	{"walklat", true, (*Suite).WalkLatency},
-	{"overhead", true, (*Suite).Overheads},
-	{"ext", false, (*Suite).ExtendedPolicies},
-	{"sweep", false, (*Suite).OversubscriptionSweep},
-	{"division", false, (*Suite).DivisionStudy},
-	{"channels", false, (*Suite).ChannelStudy},
-	{"translation", false, (*Suite).TranslationStudy},
-	{"prefetch", false, (*Suite).PrefetchStudy},
-	{"datapath", false, (*Suite).DataPathStudy},
-	{"hirsize", false, (*Suite).HIRSizeStudy},
-	{"temporal", false, (*Suite).TemporalStudy},
-	{"colocation", false, (*Suite).ColocationStudy},
-}
-
-// All runs every paper experiment in paper order (concurrently when
-// Options.Workers > 1; output is identical either way).
-func (s *Suite) All() []Report {
-	var ids []string
-	for _, e := range table {
-		if e.paper {
-			ids = append(ids, e.id)
-		}
-	}
-	reps, err := s.Reports(ids)
-	if err != nil {
-		panic(err) // every table ID resolves; unreachable
-	}
-	return reps
-}
-
-// experiment resolves an ID to its (unexecuted) experiment function.
-func (s *Suite) experiment(id string) (func() Report, bool) {
-	for _, e := range table {
-		if e.id == id {
-			return func() Report { return e.fn(s) }, true
-		}
-	}
-	return nil, false
-}
-
-// ByID returns the experiment with the given ID, or false.
-func (s *Suite) ByID(id string) (Report, bool) {
-	fn, ok := s.experiment(id)
-	if !ok {
-		return Report{}, false
-	}
-	return fn(), true
-}
-
-// IDs lists all experiment identifiers: the paper's set in paper order,
-// then the extensions.
-func IDs() []string {
-	out := make([]string, len(table))
-	for i, e := range table {
-		out[i] = e.id
-	}
-	return out
 }

@@ -1,27 +1,16 @@
 package experiments
 
-// Concurrent suite runner: a worker-pool scheduler that shards the
-// (app, policy, rate, variant) run matrix across Options.Workers goroutines.
-// Every simulation is deterministic and keyed, and report aggregation walks
-// the caches in canonical order, so parallel execution is byte-identical to
-// serial execution (TestParallelMatchesSerial is the contract). Workers == 1
-// bypasses every goroutine and channel — the debugging path.
+// The suite's one scheduler. TestParallelMatchesSerial is its contract:
+// reports are byte-identical at any worker count.
 
 import (
 	"context"
 	"fmt"
 	"sync"
 
+	"hpe/internal/gpu"
 	"hpe/internal/runspec"
 )
-
-// workers normalizes Options.Workers: anything below 1 means serial.
-func (s *Suite) workers() int {
-	if s.opts.Workers < 1 {
-		return 1
-	}
-	return s.opts.Workers
-}
 
 // runPool executes fn(0..n-1) across at most `workers` goroutines. With one
 // worker (or one job) it degenerates to a plain loop on the calling
@@ -103,62 +92,73 @@ feed:
 	return ctx.Err()
 }
 
-// grid enumerates the standard matrix every figure draws from: the Fig. 12
-// comparison policies at both oversubscription rates, over the suite's
-// catalog, in canonical order.
-func (s *Suite) grid() []runspec.Spec {
-	specs := make([]runspec.Spec, 0, len(s.apps)*len(ComparisonPolicies)*len(Rates))
-	for _, app := range s.apps {
-		for _, policy := range ComparisonPolicies {
-			for _, rate := range Rates {
-				specs = append(specs, s.spec(app, policy, rate))
-			}
-		}
-	}
-	return specs
-}
-
-// Prewarm fills the standard run grid concurrently with the given worker
-// count, so subsequent experiment functions hit the cache. Each simulation
-// is independent and deterministic and lands in the singleflight-guarded
-// cache, so the merged results are identical to a serial run. workers ≤ 1
-// is a no-op (the experiments will compute runs on demand instead).
-func (s *Suite) Prewarm(workers int) {
-	if workers <= 1 {
-		return
-	}
-	specs := s.grid()
-	_ = runPool(s.ctx(), workers, len(specs), func(i int) {
-		s.RunSpec(specs[i])
-	})
-}
-
-// Reports runs the experiments with the given IDs and returns their reports
-// in the same order. Unknown IDs fail before anything runs. With
-// Options.Workers > 1 the standard run matrix is sharded across a worker
-// pool first (the bulk of the simulation work), then the experiment
-// functions themselves execute concurrently — their variant runs deduplicate
-// through the singleflight cache, so shared cells are still simulated once.
-// Aggregation order is the ids slice, and each report is assembled from
-// cached results in canonical catalog order, so output is byte-identical to
-// Workers == 1. When Options.Context is cancelled mid-run the pool drains
-// deterministically and Reports returns the context's error with no reports
-// (partial aggregates are never surfaced).
+// Reports renders the experiments with the given IDs, in that order. Unknown
+// IDs fail before anything runs. It takes the union of their plans, deduped
+// by content address in order of first appearance, simulates the cells the
+// Suite has not memoized through one pool of Options.Workers goroutines
+// (Workers ≤ 1 is a plain loop: the debugging path), then renders from the
+// results alone. The first Runner error or a cancelled Options.Context
+// drains the pool and fails Reports: partial aggregates never surface.
 func (s *Suite) Reports(ids []string) ([]Report, error) {
-	fns := make([]func() Report, len(ids))
+	exps := make([]experiment, len(ids))
 	for i, id := range ids {
-		fn, ok := s.experiment(id)
+		e, ok := lookup(id)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 		}
-		fns[i] = fn
+		exps[i] = e
 	}
-	if w := s.workers(); w > 1 {
-		s.Prewarm(w)
+	var specs []runspec.Spec
+	var cellIDs []string
+	seen := map[string]bool{}
+	for _, e := range exps {
+		if e.plan == nil {
+			continue
+		}
+		for _, sp := range e.plan(s) {
+			if c, id := canonical(sp); !seen[id] {
+				seen[id] = true
+				specs, cellIDs = append(specs, c), append(cellIDs, id)
+			}
+		}
 	}
-	out := make([]Report, len(ids))
-	if err := runPool(s.ctx(), s.workers(), len(ids), func(i int) { out[i] = fns[i]() }); err != nil {
+
+	// Only a Runner can fail a cell; without one the context stays exactly
+	// Options.Context, so an unset one keeps the unpolled fast path.
+	ctx, cancel := s.ctx(), context.CancelFunc(func() {})
+	if s.opts.Runner != nil {
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
+	var failOnce sync.Once
+	var failed error
+	err := runPool(ctx, max(s.opts.Workers, 1), len(specs), func(i int) {
+		if _, err := s.run(ctx, specs[i], cellIDs[i]); err != nil {
+			failOnce.Do(func() {
+				failed = fmt.Errorf("experiments: cell %s: %w", specs[i].Slug(), err)
+				cancel()
+			})
+		}
+	})
+	if failed != nil {
+		err = failed
+	}
+	if err != nil {
 		return nil, err
+	}
+
+	memo := s.results.Snapshot()
+	res := view{s: s, cells: make(map[string]gpu.Result, len(specs))}
+	for i, id := range cellIDs {
+		r, ok := memo[id]
+		if !ok {
+			return nil, fmt.Errorf("experiments: cell %s (%s) has no result", specs[i].Slug(), id)
+		}
+		res.cells[id] = r
+	}
+	out := make([]Report, len(exps))
+	for i, e := range exps {
+		out[i] = e.render(s, res)
 	}
 	return out, nil
 }

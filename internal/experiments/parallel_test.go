@@ -11,6 +11,7 @@ import (
 
 	"hpe/internal/probe"
 	"hpe/internal/runspec"
+	"hpe/internal/workload"
 )
 
 // --- worker pool ---------------------------------------------------------------
@@ -97,7 +98,7 @@ func TestSuitePanickingRunDrains(t *testing.T) {
 			}
 			return nil
 		}})
-	app, _ := byAbbr(s.apps, "HOT")
+	app, _ := workload.ByAbbr("HOT")
 	specs := make([]runspec.Spec, 4)
 	for i := range specs {
 		specs[i] = s.spec(app, "lru", 75)
@@ -111,13 +112,13 @@ func TestSuitePanickingRunDrains(t *testing.T) {
 			}
 		}()
 		_ = runPool(context.Background(), 4, 4, func(i int) {
-			s.RunSpec(specs[i])
+			runCell(s, specs[i])
 		})
 	}()
 	waitForGoroutines(t, before)
 	// The cells are reclaimable: a well-behaved retry of the same key works.
 	failing.Store(false)
-	r := s.RunSpec(specs[0])
+	r, _ := runCell(s, specs[0])
 	if r.Accesses == 0 {
 		t.Fatal("retry after panicked flight produced an empty result")
 	}
@@ -167,8 +168,8 @@ func TestCancelledRunNeverCached(t *testing.T) {
 			factoryCalls++
 			return &cancellingProbe{cancel: cancel, after: 100}
 		}})
-	app, _ := byAbbr(s.apps, "HOT")
-	r := s.RunSpec(s.spec(app, "lru", 75))
+	app, _ := workload.ByAbbr("HOT")
+	r, _ := runCell(s, s.spec(app, "lru", 75))
 	if !r.Cancelled {
 		t.Fatal("probe-triggered cancel did not mark the result cancelled")
 	}
@@ -176,7 +177,7 @@ func TestCancelledRunNeverCached(t *testing.T) {
 		t.Fatalf("cancelled run left %d cached results", n)
 	}
 	// The same spec recomputes instead of serving the partial result.
-	r2 := s.RunSpec(s.spec(app, "lru", 75))
+	r2, _ := runCell(s, s.spec(app, "lru", 75))
 	if factoryCalls != 2 {
 		t.Fatalf("second request ran %d simulations in total, want 2 (no cache hit)", factoryCalls)
 	}
@@ -207,13 +208,13 @@ func TestConcurrentSuiteRace(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < len(apps); i++ {
-				app, _ := byAbbr(s.apps, apps[(w+i)%len(apps)])
+				app, _ := workload.ByAbbr(apps[(w+i)%len(apps)])
 				s.Trace(app)
-				s.Run(app, "lru", 75)
-				s.Run(app, "ideal", 75) // exercises the future-index singleflight
+				runCell(s, s.spec(app, "lru", 75))
+				runCell(s, s.spec(app, "ideal", 75)) // exercises the future-index singleflight
 				sp := s.spec(app, "lru", 75)
-				sp.Tuning = runspec.Tuning{WalkLatency: 20}
-				s.RunSpec(sp)
+				walk20(&sp)
+				runCell(s, sp)
 			}
 		}(w)
 	}
@@ -228,7 +229,7 @@ func TestConcurrentSuiteRace(t *testing.T) {
 	}
 	// All goroutines must have shared one trace instance per app.
 	for _, abbr := range apps {
-		app, _ := byAbbr(s.apps, abbr)
+		app, _ := workload.ByAbbr(abbr)
 		if s.Trace(app) != s.Trace(app) {
 			t.Errorf("%s: Trace not memoized", abbr)
 		}
@@ -310,7 +311,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	// Overheads: the wall-clock fields are excluded, everything simulated is
 	// compared bit for bit.
-	sOv, pOv := serial.Overheads(), par.Overheads()
+	sOvs, err := serial.Reports([]string{"overhead"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pOvs, err := par.Reports([]string{"overhead"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sOv, pOv := sOvs[0], pOvs[0]
 	for k, sv := range sOv.Metrics {
 		if HostTimed("overhead", k) {
 			continue

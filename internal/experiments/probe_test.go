@@ -83,8 +83,8 @@ func TestProbeFactoryMayReturnNil(t *testing.T) {
 		Probe: func(RunInfo) probe.Probe { return nil }})
 	base := NewSuite(Options{Quick: true, Seed: 1})
 	app := s.Apps()[0]
-	a := s.Run(app, "lru", 75)
-	b := base.Run(app, "lru", 75)
+	a, _ := runCell(s, s.spec(app, "lru", 75))
+	b, _ := runCell(base, base.spec(app, "lru", 75))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("nil-probe run diverged")
 	}
@@ -96,7 +96,7 @@ func TestProbeSurfacesMetricsSnapshot(t *testing.T) {
 	s := NewSuite(Options{Quick: true, Seed: 1,
 		Probe: func(RunInfo) probe.Probe { return probe.NewMetrics() }})
 	app := s.Apps()[0]
-	res := s.Run(app, "lru", 75)
+	res, _ := runCell(s, s.spec(app, "lru", 75))
 	if res.Probe == nil {
 		t.Fatal("Result.Probe nil with a metrics factory attached")
 	}

@@ -10,6 +10,7 @@ import (
 
 	"hpe/internal/gpu"
 	"hpe/internal/runspec"
+	"hpe/internal/workload"
 )
 
 // TestRunnerDelegationByteIdentical is the contract the cluster coordinator
@@ -30,7 +31,7 @@ func TestRunnerDelegationByteIdentical(t *testing.T) {
 			if got := mustID(t, sp); got != id {
 				return gpu.Result{}, errors.New("runner handed a non-canonical spec: " + got + " != " + id)
 			}
-			r := backend.RunSpec(sp)
+			r, _ := runCell(backend, sp)
 			raw, err := json.Marshal(r)
 			if err != nil {
 				return gpu.Result{}, err
@@ -80,8 +81,8 @@ func TestRunnerDelegationByteIdentical(t *testing.T) {
 }
 
 // TestRunnerErrorNeverCached pins the failure semantics: a Runner error
-// yields a Cancelled placeholder that is handed to this round's waiters but
-// never published, so a later request recomputes (and can succeed).
+// reaches the caller that ran the cell and is never published, so a later
+// request recomputes (and can succeed).
 func TestRunnerErrorNeverCached(t *testing.T) {
 	var fail atomic.Bool
 	fail.Store(true)
@@ -91,21 +92,20 @@ func TestRunnerErrorNeverCached(t *testing.T) {
 			if fail.Load() {
 				return gpu.Result{}, errors.New("backend unavailable")
 			}
-			return inner.RunSpec(sp), nil
+			return runCell(inner, sp)
 		}})
-	app, _ := byAbbr(s.apps, "HOT")
+	app, _ := workload.ByAbbr("HOT")
 
-	r := s.RunSpec(s.spec(app, "lru", 75))
-	if !r.Cancelled {
-		t.Fatal("runner error did not yield a Cancelled placeholder")
+	if _, err := runCell(s, s.spec(app, "lru", 75)); err == nil {
+		t.Fatal("runner error did not surface")
 	}
 	if n := s.CachedRuns(); n != 0 {
 		t.Fatalf("failed delegation left %d cached results", n)
 	}
 
 	fail.Store(false)
-	r = s.RunSpec(s.spec(app, "lru", 75))
-	if r.Cancelled || r.Accesses == 0 {
+	r, err := runCell(s, s.spec(app, "lru", 75))
+	if err != nil || r.Cancelled || r.Accesses == 0 {
 		t.Fatalf("retry after runner failure did not produce a real result: %+v", r)
 	}
 	if n := s.CachedRuns(); n != 1 {

@@ -26,11 +26,44 @@ var temporalSchedules = []struct{ name, phases string }{
 // baseline, the strongest classical contender, and the paper's policy.
 var temporalPolicies = []string{"lru", "clockpro", "hpe"}
 
-// TemporalStudy measures how the policies weather phase changes (experiment
-// id "temporal"): each schedule switches the access pattern mid-run, so a
-// policy's learned state is either an asset or a liability at the boundary.
-// Evictions are normalised to LRU per schedule.
-func (s *Suite) TemporalStudy() Report {
+// phased and colocated build the scenario studies' cells at 75%
+// oversubscription: a phase schedule, or two tenants at an interleave
+// quantum (0 means the default).
+func (s *Suite) phased(phases, policy string) runspec.Spec {
+	return runspec.Spec{Phases: phases, Policy: policy, Rate: 75, Seed: s.opts.Seed + 1}
+}
+
+func (s *Suite) colocated(policy string, interleave int) runspec.Spec {
+	return runspec.Spec{Tenants: "HSD,BFS", Interleave: interleave, Policy: policy, Rate: 75, Seed: s.opts.Seed + 1}
+}
+
+// interleaves are the colocation study's HPE interleave quanta.
+var interleaves = []int{256, workload.DefaultInterleave, 4096}
+
+func temporalPlan(s *Suite) (out []runspec.Spec) {
+	for _, sched := range temporalSchedules {
+		for _, pol := range temporalPolicies {
+			out = append(out, s.phased(sched.phases, pol))
+		}
+	}
+	return out
+}
+
+func colocationPlan(s *Suite) (out []runspec.Spec) {
+	for _, pol := range temporalPolicies {
+		out = append(out, s.colocated(pol, 0))
+	}
+	for _, iv := range interleaves {
+		out = append(out, s.colocated("hpe", iv))
+	}
+	return out
+}
+
+// temporal measures how the policies weather phase changes: each schedule
+// switches the access pattern mid-run, so a policy's learned state is
+// either an asset or a liability at the boundary. Evictions are normalised
+// to LRU per schedule.
+func temporal(s *Suite, res view) Report {
 	header := []string{"schedule", "LRU"}
 	for _, p := range temporalPolicies[1:] {
 		header = append(header, display(p))
@@ -38,10 +71,10 @@ func (s *Suite) TemporalStudy() Report {
 	tb := stats.NewTable(header...)
 	metrics := map[string]float64{}
 	for _, sched := range temporalSchedules {
-		lru := s.RunSpec(runspec.Spec{Phases: sched.phases, Policy: "lru", Rate: 75, Seed: s.opts.Seed + 1})
+		lru := res.Spec(s.phased(sched.phases, "lru"))
 		row := []any{sched.name}
 		for _, pol := range temporalPolicies {
-			r := s.RunSpec(runspec.Spec{Phases: sched.phases, Policy: pol, Rate: 75, Seed: s.opts.Seed + 1})
+			r := res.Spec(s.phased(sched.phases, pol))
 			norm := normalise(r.Evictions, lru.Evictions)
 			metrics[fmt.Sprintf("%s/%s", sched.name, display(pol))] = norm
 			if pol != "lru" {
@@ -56,20 +89,18 @@ func (s *Suite) TemporalStudy() Report {
 		"\nevictions vs LRU per schedule; each schedule re-seeds its pattern at every\n" +
 		"phase boundary, so policies that classify (HPE) or track reuse epochs\n" +
 		"(CLOCK-Pro) must re-learn while the stale state still votes on victims.\n"
-	return Report{ID: "temporal", Title: "Temporal phase-schedule study (workload v2)",
-		Text: text, Metrics: metrics}
+	return Report{ID: "temporal", Title: "Temporal phase-schedule study (workload v2)", Text: text, Metrics: metrics}
 }
 
-// ColocationStudy measures two-tenant contention (experiment id
-// "colocation"): tenants "HSD,BFS" interleaved at the default quantum, with
-// per-tenant fault/eviction attribution from the driver. CrossEvictions —
-// evictions of one tenant's page triggered by the other tenant's fault — is
-// the headline contention signal.
-func (s *Suite) ColocationStudy() Report {
+// colocation measures two-tenant contention: tenants "HSD,BFS" interleaved
+// at the default quantum, with per-tenant fault/eviction attribution from
+// the driver. CrossEvictions — evictions of one tenant's page triggered by
+// the other tenant's fault — is the headline contention signal.
+func colocation(s *Suite, res view) Report {
 	tb := stats.NewTable("policy", "tenant", "faults", "evictions", "cross", "cross share")
 	metrics := map[string]float64{}
 	for _, pol := range temporalPolicies {
-		r := s.RunSpec(runspec.Spec{Tenants: "HSD,BFS", Policy: pol, Rate: 75, Seed: s.opts.Seed + 1})
+		r := res.Spec(s.colocated(pol, 0))
 		for _, ts := range r.Driver.Tenants {
 			share := 0.0
 			if ts.Evictions > 0 {
@@ -84,8 +115,8 @@ func (s *Suite) ColocationStudy() Report {
 	// Interleave sensitivity: a finer quantum mixes the tenants' reuse
 	// windows more tightly, raising cross-tenant pressure for the same pages.
 	tb2 := stats.NewTable("interleave", "evictions", "cross (both tenants)")
-	for _, iv := range []int{256, workload.DefaultInterleave, 4096} {
-		r := s.RunSpec(runspec.Spec{Tenants: "HSD,BFS", Interleave: iv, Policy: "hpe", Rate: 75, Seed: s.opts.Seed + 1})
+	for _, iv := range interleaves {
+		r := res.Spec(s.colocated("hpe", iv))
 		var cross uint64
 		for _, ts := range r.Driver.Tenants {
 			cross += ts.CrossEvictions
@@ -97,6 +128,5 @@ func (s *Suite) ColocationStudy() Report {
 		"\nevictions are charged to the victim's owner; \"cross\" counts those whose\n" +
 		"triggering fault came from the other tenant. The thrashing tenant (HSD)\n" +
 		"exports pressure onto the frontier tenant's working set.\n"
-	return Report{ID: "colocation", Title: "Multi-tenant colocation study (workload v2)",
-		Text: text, Metrics: metrics}
+	return Report{ID: "colocation", Title: "Multi-tenant colocation study (workload v2)", Text: text, Metrics: metrics}
 }

@@ -6,8 +6,7 @@ import (
 )
 
 func TestTemporalStudyShape(t *testing.T) {
-	s := NewSuite(Options{Quick: true, Seed: 1})
-	rep := s.TemporalStudy()
+	rep := report(t, NewSuite(Options{Quick: true, Seed: 1}), "temporal")
 	if rep.ID != "temporal" {
 		t.Fatalf("report id %q", rep.ID)
 	}
@@ -25,8 +24,7 @@ func TestTemporalStudyShape(t *testing.T) {
 }
 
 func TestColocationStudyShape(t *testing.T) {
-	s := NewSuite(Options{Quick: true, Seed: 1})
-	rep := s.ColocationStudy()
+	rep := report(t, NewSuite(Options{Quick: true, Seed: 1}), "colocation")
 	if rep.ID != "colocation" {
 		t.Fatalf("report id %q", rep.ID)
 	}

@@ -2,78 +2,54 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"math"
 
-	"hpe/internal/gpu"
-	"hpe/internal/runspec"
 	"hpe/internal/stats"
 	"hpe/internal/workload"
 )
 
-// sensitivitySpec builds the Figs. 7–8 HPE variant spec: dynamic adjustment
-// off, manual per-app strategy, ideal (HIR-free) hit feed — all expressed as
-// Tuning knobs so the runs are content-addressed like everything else.
-// Canonicalization folds paper-default knobs away, so e.g. the Fig. 7
-// size-16 cell and the Fig. 8 interval-64 cell hash to the same ID and
-// share one simulation.
-func (s *Suite) sensitivitySpec(app workload.App, shift uint, interval int) runspec.Spec {
-	sp := s.spec(app, "hpe", 75)
-	sp.Tuning = runspec.Tuning{SensitivityHPE: true, SetSizeShift: shift, HPEInterval: interval}
-	return sp
+// fig7 reproduces Fig. 7: HPE's sensitivity to the page-set size, reported
+// as the average IPC per pattern type normalised to size 8, at 75%
+// oversubscription.
+func fig7(s *Suite, res view) Report {
+	return sensitivityReport(s, res, "fig7", "Sensitivity to page-set size (normalised to size 8)",
+		[]string{"size 8", "size 16", "size 32"}, fig7Variants)
 }
 
-// Fig7 reproduces Fig. 7: HPE's sensitivity to the page-set size (8/16/32
-// pages) at interval length 64, reported as the average IPC per pattern
-// type normalised to size 8, at 75% oversubscription.
-func (s *Suite) Fig7() Report {
-	sizes := []uint{3, 4, 5} // set-size shifts: 8, 16, 32 pages
-	return s.sensitivityReport("fig7", "Sensitivity to page-set size (normalised to size 8)",
-		[]string{"size 8", "size 16", "size 32"},
-		func(app workload.App, variant int) gpu.Result {
-			return s.RunSpec(s.sensitivitySpec(app, sizes[variant], 64))
-		})
+// fig8 reproduces Fig. 8: sensitivity to the interval length, normalised to
+// interval 32.
+func fig8(s *Suite, res view) Report {
+	return sensitivityReport(s, res, "fig8", "Sensitivity to interval length (normalised to 32)",
+		[]string{"interval 32", "interval 64", "interval 128"}, fig8Variants)
 }
 
-// Fig8 reproduces Fig. 8: sensitivity to the interval length (32/64/128
-// faults) at page-set size 16, normalised to interval 32.
-func (s *Suite) Fig8() Report {
-	intervals := []int{32, 64, 128}
-	return s.sensitivityReport("fig8", "Sensitivity to interval length (normalised to 32)",
-		[]string{"interval 32", "interval 64", "interval 128"},
-		func(app workload.App, variant int) gpu.Result {
-			return s.RunSpec(s.sensitivitySpec(app, 4, intervals[variant]))
-		})
-}
-
-// sensitivityReport runs three configuration variants over every app and
+// sensitivityReport reads three HPE variants at 75% over every app and
 // reports average IPC per pattern type, normalised to the first variant.
-func (s *Suite) sensitivityReport(id, title string, labels []string,
-	run func(app workload.App, variant int) gpu.Result) Report {
+func sensitivityReport(s *Suite, res view, id, title string, labels []string, variants []tweak) Report {
 	tb := stats.NewTable(append([]string{"pattern"}, labels...)...)
 	metrics := map[string]float64{}
 	byType := map[workload.PatternType][][]float64{} // pattern → variant → IPCs
 	for _, app := range s.apps {
-		for v := range labels {
-			r := run(app, v)
-			for len(byType[app.Pattern]) <= v {
-				byType[app.Pattern] = append(byType[app.Pattern], nil)
-			}
-			byType[app.Pattern][v] = append(byType[app.Pattern][v], r.IPC)
+		if byType[app.Pattern] == nil {
+			byType[app.Pattern] = make([][]float64, len(variants))
+		}
+		for v, tw := range variants {
+			byType[app.Pattern][v] = append(byType[app.Pattern][v], res.Run(app, "hpe", 75, tw).IPC)
 		}
 	}
 	var spreadMax float64
 	for _, pt := range workload.PatternTypes() {
-		variants, ok := byType[pt]
+		ipcs, ok := byType[pt]
 		if !ok {
 			continue
 		}
-		base := stats.Mean(variants[0])
+		base := stats.Mean(ipcs[0])
 		row := []any{pt.String()}
-		for v := range variants {
-			norm := stats.Mean(variants[v]) / base
+		for v := range ipcs {
+			norm := stats.Mean(ipcs[v]) / base
 			row = append(row, norm)
 			metrics[fmt.Sprintf("%s/v%d", pt, v)] = norm
-			if d := absf(norm - 1); d > spreadMax {
+			if d := math.Abs(norm - 1); d > spreadMax {
 				spreadMax = d
 			}
 		}
@@ -85,35 +61,18 @@ func (s *Suite) sensitivityReport(id, title string, labels []string,
 	return Report{ID: id, Title: title, Text: text, Metrics: metrics}
 }
 
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// TransferInterval reproduces the §V-A transfer-interval sensitivity test:
-// full HPE (HIR + adjustment) with the hit-information transfer every 1, 8,
-// 16, 32 and 64 page faults; mean IPC normalised to the paper's choice (16).
-func (s *Suite) TransferInterval() Report {
-	intervals := []int{1, 8, 16, 32, 64}
+// transfer reproduces the §V-A transfer-interval sensitivity test: full HPE
+// (HIR + adjustment) with the hit-information transfer every 1, 8, 16, 32
+// and 64 page faults; mean IPC normalised to the paper's choice (16).
+func transfer(s *Suite, res view) Report {
 	tb := stats.NewTable("transfer interval", "geomean IPC vs t=16", "mean HIR cycles/run")
 	metrics := map[string]float64{}
-	base := map[string]float64{}
-	for _, app := range s.apps {
-		r := s.Run(app, "hpe", 75) // default: interval 16
-		base[app.Abbr] = r.IPC
-	}
-	for _, iv := range intervals {
+	for _, iv := range transferIntervals {
 		var norms []float64
 		var hirCycles []float64
 		for _, app := range s.apps {
-			// Interval 16 is the paper default; canonicalization folds it
-			// away, so that cell shares the plain HPE run's ID and cache.
-			sp := s.spec(app, "hpe", 75)
-			sp.Tuning = runspec.Tuning{TransferInterval: iv}
-			r := s.RunSpec(sp)
-			norms = append(norms, r.IPC/base[app.Abbr])
+			r := res.Run(app, "hpe", 75, transferEvery(iv))
+			norms = append(norms, r.IPC/res.Run(app, "hpe", 75).IPC)
 			hirCycles = append(hirCycles, float64(r.Driver.HIRTransferCycles))
 		}
 		g := stats.GeoMean(norms)
@@ -124,21 +83,16 @@ func (s *Suite) TransferInterval() Report {
 	return Report{ID: "transfer", Title: "Transfer-interval sensitivity (§V-A)", Text: text, Metrics: metrics}
 }
 
-// WalkLatency reproduces the §V-B page-walk-latency study: LRU and HPE at
-// walk latencies of 8 and 20 cycles.
-func (s *Suite) WalkLatency() Report {
+// walklat reproduces the §V-B page-walk-latency study: LRU and HPE at walk
+// latencies of 8 and 20 cycles.
+func walklat(s *Suite, res view) Report {
 	tb := stats.NewTable("policy", "geomean IPC walk=8", "geomean IPC walk=20", "delta")
 	metrics := map[string]float64{}
-	var b strings.Builder
-	for _, pol := range []string{"lru", "hpe"} {
+	for _, pol := range lruHPE {
 		var ipc8, ipc20 []float64
 		for _, app := range s.apps {
-			r8 := s.Run(app, pol, 75)
-			sp := s.spec(app, pol, 75)
-			sp.Tuning = runspec.Tuning{WalkLatency: 20}
-			r20 := s.RunSpec(sp)
-			ipc8 = append(ipc8, r8.IPC)
-			ipc20 = append(ipc20, r20.IPC)
+			ipc8 = append(ipc8, res.Run(app, pol, 75).IPC)
+			ipc20 = append(ipc20, res.Run(app, pol, 75, walk20).IPC)
 		}
 		g8, g20 := stats.GeoMean(ipc8), stats.GeoMean(ipc20)
 		delta := (g20 - g8) / g8
@@ -146,7 +100,6 @@ func (s *Suite) WalkLatency() Report {
 		tb.AddRow(display(pol), fmt.Sprintf("%.4f", g8), fmt.Sprintf("%.4f", g20),
 			fmt.Sprintf("%+.2f%%", delta*100))
 	}
-	b.WriteString(tb.Render())
-	b.WriteString("\npaper: minimal performance difference between 8 and 20 cycles\n")
-	return Report{ID: "walklat", Title: "Page-walk-latency sensitivity (§V-B)", Text: b.String(), Metrics: metrics}
+	text := tb.Render() + "\npaper: minimal performance difference between 8 and 20 cycles\n"
+	return Report{ID: "walklat", Title: "Page-walk-latency sensitivity (§V-B)", Text: text, Metrics: metrics}
 }

@@ -1,35 +1,31 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section V). Each experiment is a function on a Suite; the
-// Suite caches generated traces and simulation results so that figures
-// sharing runs (e.g. Figs. 10–15 all reuse the HPE runs) pay for them once.
+// evaluation (Section V). Each experiment is an entry of one ordered table
+// with a plan, listing every simulation cell it reads, and a render, which
+// builds its report from those cells' results alone. Suite.Reports
+// simulates the union of the requested plans once, through one worker pool,
+// then renders — so figures sharing runs (e.g. Figs. 10–15 all reuse the
+// HPE runs) pay for them once.
 //
 // DESIGN.md §5 maps each experiment to its paper counterpart; EXPERIMENTS.md
 // records paper-reported vs measured values.
 //
 // # Run identity
 //
-// Every simulation is described by a runspec.Spec and keyed by its
-// content-addressed Spec.ID() — the same canonical identity hped and the
-// CLIs use, so a run cached here is the same run everywhere. Experiment
-// functions build Specs (plain cells via Run, customised cells via RunSpec)
-// and never touch gpu.Config directly; the spec materializer owns every
-// knob.
+// Every cell is a runspec.Spec keyed by its content-addressed Spec.ID() —
+// the identity hped and the CLIs use, so a run cached here is the same run
+// everywhere. Plans never touch gpu.Config; the spec materializer owns
+// every knob.
 //
 // # Concurrency contract
 //
-// A Suite is safe for concurrent use by multiple goroutines. Every memoized
-// cache (traces and Belady future indexes in a runspec.Cache, simulation
-// results in a flight.Memo) deduplicates in flight: when two goroutines ask
-// for the same run, one computes it while the other blocks and receives the
-// same value, so each spec is simulated exactly once per Suite regardless of
-// interleaving. Cached values are immutable once published — a trace is
-// immutable from construction — so readers never observe partial state.
-// Options.Workers sets the parallelism of Prewarm and Reports; because every
-// simulation is deterministic and aggregation walks the caches in canonical
-// (catalog × paper) order, a parallel run renders byte-identical reports to
-// a serial one. The Progress callback is serialized: it is never invoked
-// concurrently, though line order under Workers > 1 follows completion
-// order, not canonical order.
+// A Suite is safe for concurrent use. Every memoized cache (traces and
+// Belady future indexes in a runspec.Cache, results in a flight.Memo)
+// deduplicates in flight, so each spec is simulated exactly once per Suite
+// regardless of interleaving, and published values are immutable. Every
+// simulation is deterministic and rendering reads results in canonical
+// (catalog × paper) order, so reports are byte-identical at any
+// Options.Workers. Progress is serialized; its lines arrive in plan-union
+// order under Workers: 1 and in completion order otherwise.
 package experiments
 
 import (
@@ -58,11 +54,12 @@ type Options struct {
 	// Seed feeds the Random policy.
 	Seed int64
 	// Progress, when non-nil, receives a line per completed simulation.
-	// Invocations are serialized but, under Workers > 1, arrive in
-	// completion order.
+	// Invocations are serialized. Under Workers: 1 they arrive in plan-union
+	// order (the requested experiments' plans, first appearance first);
+	// under Workers > 1, in completion order.
 	Progress func(string)
-	// Workers is the number of goroutines Prewarm and Reports spread the
-	// run matrix across. 0 and 1 both mean fully serial execution (the
+	// Workers is the number of goroutines Reports spreads the union of the
+	// requested plans across. 0 and 1 both mean fully serial execution (the
 	// debugging path); typical callers pass runtime.GOMAXPROCS(0). Results
 	// are byte-identical either way.
 	Workers int
@@ -78,17 +75,14 @@ type Options struct {
 	// are never cached. nil means context.Background() — no polling, the
 	// exact pre-context fast path.
 	Context context.Context
-	// Runner, when non-nil, replaces local simulation: every cell of the run
-	// matrix is delegated to it instead of being materialized and simulated
-	// in-process. The spec is already canonical and id is its content
-	// address, so a Runner can route the cell anywhere that speaks the
-	// runspec wire form — the cluster coordinator consistent-hashes id to a
-	// backend and POSTs the spec. Determinism makes the substitution exact:
-	// a remote result is byte-for-byte the result local simulation would
-	// have produced. On error the Runner should cancel Options.Context
-	// (Reports then returns that error); the failed cell yields a Cancelled
-	// placeholder that is never cached. Options.Probe is not invoked for
-	// delegated cells — instrumentation belongs to the executing side.
+	// Runner, when non-nil, replaces local simulation: every planned cell is
+	// delegated to it. The spec is canonical and id is its content address,
+	// so a Runner can route the cell anywhere that speaks the runspec wire
+	// form — the cluster coordinator consistent-hashes id to a backend.
+	// Determinism makes the substitution exact. The first Runner error
+	// cancels the rest of the pool and is Reports' error, wrapped so
+	// errors.As still finds the Runner's type; a failed cell is never
+	// cached. Options.Probe is not invoked for delegated cells.
 	Runner func(ctx context.Context, sp runspec.Spec, id string) (gpu.Result, error)
 }
 
@@ -152,67 +146,37 @@ func (s *Suite) Trace(app workload.App) *trace.Trace { return s.cache.Trace(app)
 // CachedRuns reports how many simulation results the Suite has memoized.
 func (s *Suite) CachedRuns() int { return s.results.Len() }
 
-// capacityFor translates an oversubscription rate into a device-memory size.
-func capacityFor(tr *trace.Trace, ratePct int) int {
-	return runspec.CapacityFor(tr, ratePct)
-}
-
-// spec builds the suite's base spec for one (app, policy, rate) cell. The
-// suite's policy seed is Options.Seed+1 (the historical suite seeding; the
-// golden results.json pins it).
-func (s *Suite) spec(app workload.App, policy string, ratePct int) runspec.Spec {
-	return runspec.Spec{App: app.Abbr, Policy: policy, Rate: ratePct, Seed: s.opts.Seed + 1}
-}
-
-// Run returns the cached or freshly simulated result for the plain
-// (app, policy, rate) cell. Concurrent callers for the same cell share one
-// simulation.
-func (s *Suite) Run(app workload.App, policy string, ratePct int) gpu.Result {
-	return s.RunSpec(s.spec(app, policy, ratePct))
-}
-
-// RunSpec returns the cached or freshly simulated result for an arbitrary
-// spec, keyed by its content address: two specs meaning the same run —
-// however they were spelled — share one cache cell. Invalid specs panic;
-// experiment code builds its specs from the catalog, so an invalid spec is
-// a programming error, not input.
-func (s *Suite) RunSpec(sp runspec.Spec) gpu.Result {
-	c, err := sp.Canonicalize()
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	id := c.ID()
+// run returns the memoized result of the canonical spec c (id is c.ID()),
+// simulating it on a miss; concurrent callers for one cell share one
+// simulation. The error is the Runner's, reported to the caller that ran
+// the cell.
+func (s *Suite) run(ctx context.Context, c runspec.Spec, id string) (gpu.Result, error) {
+	var err error
 	r, computed := s.results.Do(id, func() (gpu.Result, bool) {
-		r := s.simulate(c, id)
-		// A cancelled (partial) result must never be published under the
-		// spec's ID: a later identical request would mistake it for the
-		// complete run. Waiters of this flight still receive the value —
-		// they share the cancelled context and their aggregation is about
-		// to be abandoned anyway.
-		return r, !r.Cancelled
+		var r gpu.Result
+		r, err = s.simulate(ctx, c, id)
+		// A failed or cancelled (partial) result must never be published
+		// under the spec's ID: a later identical request would mistake it
+		// for the complete run. Waiters of this flight still receive the
+		// value; Reports finds their cell missing from the memo.
+		return r, err == nil && !r.Cancelled
 	})
-	if computed {
-		disp := registry.DisplayName(c.Policy)
-		if v := c.VariantLabel(); v != "" {
-			s.progress(fmt.Sprintf("%-5s %-9s @%d%% [%s]: %v", c.App, disp, c.Rate, v, r))
-		} else {
-			s.progress(fmt.Sprintf("%-5s %-9s @%d%%: %v", c.App, disp, c.Rate, r))
+	if computed && err == nil {
+		variant := c.VariantLabel()
+		if variant != "" {
+			variant = " [" + variant + "]"
 		}
+		s.progress(fmt.Sprintf("%-5s %-9s @%d%%%s: %v", c.App, display(c.Policy), c.Rate, variant, r))
 	}
-	return r
+	return r, err
 }
 
 // simulate materializes and runs one spec, attaching (and flushing) the
 // caller's probe when an Options.Probe factory is set. When Options.Runner
-// is set the cell is delegated instead; a Runner error yields a Cancelled
-// placeholder, which RunSpec's cacheable verdict keeps out of the memo.
-func (s *Suite) simulate(sp runspec.Spec, id string) gpu.Result {
+// is set the cell is delegated instead.
+func (s *Suite) simulate(ctx context.Context, sp runspec.Spec, id string) (gpu.Result, error) {
 	if s.opts.Runner != nil {
-		r, err := s.opts.Runner(s.ctx(), sp, id)
-		if err != nil {
-			return gpu.Result{Cancelled: true}
-		}
-		return r
+		return s.opts.Runner(ctx, sp, id)
 	}
 	m, err := sp.Materialize(s.env)
 	if err != nil {
@@ -220,7 +184,7 @@ func (s *Suite) simulate(sp runspec.Spec, id string) gpu.Result {
 	}
 	var opts []gpu.Option
 	if s.opts.Context != nil {
-		opts = append(opts, gpu.WithContext(s.opts.Context))
+		opts = append(opts, gpu.WithContext(ctx))
 	}
 	var pr probe.Probe
 	if s.opts.Probe != nil {
@@ -235,7 +199,7 @@ func (s *Suite) simulate(sp runspec.Spec, id string) gpu.Result {
 			s.progress(fmt.Sprintf("probe flush %s/%s@%d%%: %v", sp.App, sp.Policy, sp.Rate, err))
 		}
 	}
-	return r
+	return r, nil
 }
 
 // display renders a registry policy name the way the paper does.

@@ -10,8 +10,8 @@ import (
 	"hpe/internal/workload"
 )
 
-// Table1 renders the simulated-system configuration (Table I).
-func (s *Suite) Table1() Report {
+// table1 renders the simulated-system configuration (Table I).
+func table1(*Suite, view) Report {
 	//lint:ignore hpelint/specsource Table I documents the default configuration itself; no simulation runs on this config
 	cfg := gpu.DefaultConfig(1)
 	tb := stats.NewTable("component", "configuration")
@@ -32,9 +32,9 @@ func (s *Suite) Table1() Report {
 		Metrics: map[string]float64{"faultCycles": float64(cfg.Driver.FaultLatency)}}
 }
 
-// Table2 renders the workload characteristics (Table II), extended with the
+// table2 renders the workload characteristics (Table II), extended with the
 // generated traces' measured footprints and lengths.
-func (s *Suite) Table2() Report {
+func table2(s *Suite, _ view) Report {
 	tb := stats.NewTable("pattern", "suite", "app", "abbr", "pages", "MB", "refs", "refs/page")
 	metrics := map[string]float64{}
 	var totalMB float64

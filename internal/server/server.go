@@ -42,12 +42,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"hpe"
+	"hpe/internal/experiments"
 	"hpe/internal/flight"
 	"hpe/internal/promtext"
 	"hpe/internal/respcache"
@@ -266,7 +268,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		s.writeBody(w, route, http.StatusOK, "cache", body)
 		return
 	}
-	s.serveComputed(w, r, route, id, specSummary(sp), false, func(ctx context.Context) ([]byte, error) {
+	s.serveComputed(w, r, route, id, specSummary(sp), false, true, func(ctx context.Context) ([]byte, error) {
 		return s.x.Run(ctx, sp, id)
 	})
 }
@@ -286,8 +288,10 @@ func (s *Server) cached(id string) ([]byte, bool) {
 // serveComputed is the shared coalesce → admit → compute → cache path for
 // runs and suite sweeps on a cache miss. summary labels the computation in
 // GET /v1/runs for exactly as long as the coalescer or the cache holds it.
+// A body that is not a pure function of id (cacheable false) is coalesced
+// but never cached: the cache serves old bytes as the truth of an ID.
 func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id, summary string,
-	suite bool, compute func(context.Context) ([]byte, error)) {
+	suite, cacheable bool, compute func(context.Context) ([]byte, error)) {
 	body, coalesced, err := s.co.Do(r.Context(), s.baseCtx, id, summary, func(ctx context.Context) ([]byte, error) {
 		release, err := s.x.Admit(ctx, id)
 		if err != nil {
@@ -301,7 +305,9 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, route, id
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Put(id, body, summary)
+		if cacheable {
+			s.cache.Put(id, body, summary)
+		}
 		return body, nil
 	})
 	source := s.sf.Source
@@ -411,43 +417,23 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	hint := req.Workers
 	req.Workers = 0 // scheduling hint: kept out of the cached body
 	summary := fmt.Sprintf("%d experiments, quick=%t, seed=%d", len(req.IDs), req.Quick, req.Seed)
-	s.serveComputed(w, r, route, id, summary, true, func(ctx context.Context) ([]byte, error) {
+	// A host-timed experiment (overhead's measured microseconds) makes the
+	// body differ run to run, so it must not be served as the ID's bytes.
+	cacheable := !slices.ContainsFunc(req.IDs, func(id string) bool { return !experiments.Deterministic(id) })
+	s.serveComputed(w, r, route, id, summary, true, cacheable, func(ctx context.Context) ([]byte, error) {
 		return s.sweepSuite(ctx, req, id, hint)
 	})
 }
 
 // sweepSuite runs a whole-matrix sweep through the experiment harness under
 // the request's context, with the executor's per-cell runner and worker
-// count. The first runner error cancels the rest of the matrix and is the
-// sweep's error: a partial sweep is never rendered.
+// count. The suite plans the union of the requested experiments' cells and
+// hands it to the runner in one pool; the first runner error cancels the
+// rest and is the sweep's error, so a partial sweep is never rendered.
 func (s *Server) sweepSuite(ctx context.Context, req SuiteRequest, id string, hint int) ([]byte, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	runner, workers := s.x.Sweep(id, hint)
-	opts := hpe.SuiteOptions{Quick: req.Quick, Seed: req.Seed, Workers: workers, Context: ctx}
-
-	var errMu sync.Mutex
-	var cellErr error // guarded by errMu
-	if runner != nil {
-		opts.Runner = func(rctx context.Context, sp runspec.Spec, rid string) (hpe.Result, error) {
-			res, err := runner(rctx, sp, rid)
-			if err != nil {
-				errMu.Lock()
-				if cellErr == nil {
-					cellErr = err
-				}
-				errMu.Unlock()
-				cancel()
-			}
-			return res, err
-		}
-	}
-	reports, err := hpe.NewSuite(opts).Reports(req.IDs)
-	errMu.Lock()
-	if cellErr != nil {
-		err = cellErr
-	}
-	errMu.Unlock()
+	reports, err := hpe.NewSuite(hpe.SuiteOptions{Quick: req.Quick, Seed: req.Seed, Workers: workers,
+		Context: ctx, Runner: runner}).Reports(req.IDs)
 	if err != nil {
 		return nil, err
 	}

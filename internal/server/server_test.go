@@ -14,7 +14,6 @@ import (
 
 	"hpe"
 	"hpe/internal/experiments"
-	"hpe/internal/probe"
 	"hpe/internal/runspec"
 )
 
@@ -151,22 +150,23 @@ func TestSpecIDAgreesAcrossLayers(t *testing.T) {
 	}
 	serverID := sp.ID()
 
-	// Suite path: the suite's own spec for (KMN, lru, 50), observed through
-	// the probe factory's RunInfo. Options.Seed 0 is the suite's historical
-	// seeding offset away from the canonical default seed 1.
+	// Suite path: the suite's own spec for (KMN, lru, 50), observed as the
+	// content address Fig. 11's plan hands the Runner. Options.Seed 0 is the
+	// suite's historical seeding offset away from the canonical default seed
+	// 1. The stand-in results are all equal, which Fig. 11 renders happily.
 	var suiteID string
 	suite := experiments.NewSuite(experiments.Options{
 		Quick: true,
-		Probe: func(info experiments.RunInfo) probe.Probe {
-			suiteID = info.ID
-			return nil
+		Runner: func(_ context.Context, sp runspec.Spec, id string) (hpe.Result, error) {
+			if sp.App == "KMN" && sp.Policy == "lru" && sp.Rate == 50 {
+				suiteID = id
+			}
+			return hpe.Result{IPC: 1, Cycles: 1}, nil
 		},
 	})
-	app, ok := hpe.WorkloadByAbbr("KMN")
-	if !ok {
-		t.Fatal("KMN missing from the catalog")
+	if _, err := suite.Reports([]string{"fig11"}); err != nil {
+		t.Fatal(err)
 	}
-	suite.Run(app, "lru", 50)
 
 	if cliID != serverID || serverID != suiteID {
 		t.Errorf("layers disagree on the run identity:\n cli    %s\n server %s\n suite  %s",
@@ -413,16 +413,7 @@ func TestSuiteEndpointCachesAcrossWorkerHints(t *testing.T) {
 		t.Skip("runs real simulations")
 	}
 	_, ts := newTestServer(t, Config{Workers: 4})
-
-	post := func(body string) (int, string, []byte) {
-		resp, err := ts.Client().Post(ts.URL+"/v1/suite", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST /v1/suite: %v", err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, resp.Header.Get("X-Hped-Source"), b
-	}
+	post := func(body string) (int, string, []byte) { return postSuite(t, ts, body) }
 
 	code, source, first := post(`{"ids":["table2"],"quick":true,"workers":1}`)
 	if code != http.StatusOK || source != "simulate" {
@@ -447,6 +438,39 @@ func TestSuiteEndpointCachesAcrossWorkerHints(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Errorf("sweep bodies differ across worker hints:\n%s\n%s", first, second)
+	}
+}
+
+// postSuite submits a sweep and returns (status, X-Hped-Source, body).
+func postSuite(t *testing.T, ts *httptest.Server, body string) (int, string, []byte) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+"/v1/suite", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/suite: %v", err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header.Get("X-Hped-Source"), b
+}
+
+// TestSuiteHostTimedNeverCached: a sweep whose body carries host-timed
+// metrics (overhead's measured microseconds) differs from run to run, so it
+// is never stored under its content address — every request simulates —
+// while a deterministic sweep is served from the cache the second time.
+func TestSuiteHostTimedNeverCached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, c := range []struct{ body, second string }{
+		{`{"ids":["overhead"],"quick":true}`, "simulate"},
+		{`{"ids":["table2"],"quick":true}`, "cache"},
+	} {
+		for i, want := range []string{"simulate", c.second} {
+			if code, source, b := postSuite(t, ts, c.body); code != http.StatusOK || source != want {
+				t.Errorf("%s request %d: %d %q, want 200 %q: %s", c.body, i+1, code, source, want, b)
+			}
+		}
 	}
 }
 

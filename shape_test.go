@@ -15,6 +15,16 @@ import (
 // sharedSuite is reused across shape tests (the Suite caches runs).
 var sharedSuite = experiments.NewSuite(experiments.Options{Quick: true, Seed: 1})
 
+// report renders one experiment on the shared suite.
+func report(t *testing.T, id string) experiments.Report {
+	t.Helper()
+	reps, err := sharedSuite.Reports([]string{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps[0]
+}
+
 func metric(t *testing.T, rep experiments.Report, key string) float64 {
 	t.Helper()
 	v, ok := rep.Metrics[key]
@@ -25,7 +35,7 @@ func metric(t *testing.T, rep experiments.Report, key string) float64 {
 }
 
 func TestShapeFig10HPEBeatsLRUOnAverage(t *testing.T) {
-	rep := sharedSuite.Fig10()
+	rep := report(t, "fig10")
 	m75, m50 := metric(t, rep, "mean75"), metric(t, rep, "mean50")
 	// Paper: 1.34x @75%, 1.16x @50%. Band: clearly above parity, below 2x.
 	if m75 < 1.10 || m75 > 2.0 {
@@ -45,7 +55,7 @@ func TestShapeFig10HPEBeatsLRUOnAverage(t *testing.T) {
 }
 
 func TestShapeFig10PerPattern(t *testing.T) {
-	rep := sharedSuite.Fig10()
+	rep := report(t, "fig10")
 	// Type I parity: HOT within 2% of LRU.
 	if v := metric(t, rep, "speedup75/HOT"); v < 0.98 || v > 1.02 {
 		t.Errorf("HOT speedup = %.3f, want parity with LRU on streaming", v)
@@ -68,7 +78,7 @@ func TestShapeFig10PerPattern(t *testing.T) {
 }
 
 func TestShapeFig11EvictionReduction(t *testing.T) {
-	rep := sharedSuite.Fig11()
+	rep := report(t, "fig11")
 	// Paper: 18% fewer evictions @75%, 12% @50%. Band: 5–40% fewer.
 	for _, rate := range []string{"75", "50"} {
 		m := metric(t, rep, "mean"+rate)
@@ -79,7 +89,7 @@ func TestShapeFig11EvictionReduction(t *testing.T) {
 }
 
 func TestShapeFig12HPEBeatsEveryBaseline(t *testing.T) {
-	rep := sharedSuite.Fig12()
+	rep := report(t, "fig12")
 	for _, rate := range []string{"75", "50"} {
 		hpePerf := metric(t, rep, "perf"+rate+"/HPE")
 		for _, base := range []string{"LRU", "Random", "RRIP", "CLOCK-Pro"} {
@@ -102,7 +112,7 @@ func TestShapeFig12HPEBeatsEveryBaseline(t *testing.T) {
 }
 
 func TestShapeFig3RRIPAndLRUWeaknesses(t *testing.T) {
-	rep := sharedSuite.Fig3()
+	rep := report(t, "fig3")
 	// LRU thrashes on Type II: well above Ideal.
 	for _, abbr := range []string{"HSD", "STN"} {
 		if v := metric(t, rep, "lru/"+abbr); v < 2.0 {
@@ -122,7 +132,7 @@ func TestShapeFig3RRIPAndLRUWeaknesses(t *testing.T) {
 }
 
 func TestShapeFig9Classifications(t *testing.T) {
-	rep := sharedSuite.Fig9()
+	rep := report(t, "fig9")
 	want := map[string]float64{
 		"HOT": 1, "HSD": 1, "STN": 1, "PAT": 1, "SGM": 1, // regular
 		"KMN": 3, "NW": 3, // irregular#2
@@ -140,7 +150,7 @@ func TestShapeFig9Classifications(t *testing.T) {
 }
 
 func TestShapeFig13AdjustmentStories(t *testing.T) {
-	rep := sharedSuite.Fig13()
+	rep := report(t, "fig13")
 	// BFS: starts LRU, switches to MRU-C (the paper's misclassification
 	// rescue story) — at least one switch, and MRU-C share dominant later.
 	if v := metric(t, rep, "switches75/BFS"); v < 1 {
@@ -157,16 +167,16 @@ func TestShapeFig13AdjustmentStories(t *testing.T) {
 
 func TestShapeSensitivityFlatness(t *testing.T) {
 	// Figs. 7–8: parameter variants stay within a modest band.
-	if v := metric(t, sharedSuite.Fig7(), "maxSpread"); v > 0.15 {
+	if v := metric(t, report(t, "fig7"), "maxSpread"); v > 0.15 {
 		t.Errorf("page-set-size spread = %.1f%%, want <= 15%% (paper ~10%%)", v*100)
 	}
-	if v := metric(t, sharedSuite.Fig8(), "maxSpread"); v > 0.25 {
+	if v := metric(t, report(t, "fig8"), "maxSpread"); v > 0.25 {
 		t.Errorf("interval-length spread = %.1f%%, want <= 25%% (paper ~12%%)", v*100)
 	}
 }
 
 func TestShapeOverheads(t *testing.T) {
-	rep := sharedSuite.Overheads()
+	rep := report(t, "overhead")
 	// HIR storage is exactly the paper's 10 KB.
 	if v := metric(t, rep, "hirBytes"); v != 10240 {
 		t.Errorf("HIR storage = %v bytes, want 10240", v)
