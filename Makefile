@@ -89,10 +89,12 @@ workload-check:
 # scale 1–64; the seeds cover every app at scales 1–4),
 # `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`,
 # `go test -fuzz=FuzzDecode ./internal/runspec/`,
-# `go test -fuzz=FuzzPageTable ./internal/pagetable/`, or
-# `go test -fuzz=FuzzPolicyEquivalence ./internal/policy/` to explore).
+# `go test -fuzz=FuzzPageTable ./internal/pagetable/`,
+# `go test -fuzz=FuzzPolicyEquivalence ./internal/policy/`, or
+# `go test -fuzz=FuzzSubmitRun ./internal/server/` (POST /v1/runs bodies
+# through the handler: 200 or a 4xx envelope, never a 5xx) to explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/ ./internal/pagetable/ ./internal/policy/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/ ./internal/pagetable/ ./internal/policy/ ./internal/server/
 
 # Run every example end to end (each takes well under a second): they
 # exercise the public facade the way a library user does, so an API change

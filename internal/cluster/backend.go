@@ -8,7 +8,8 @@ import (
 
 // backend is the coordinator's view of one hped instance: liveness and
 // capacity learned from /healthz, a circuit breaker fed by dispatch
-// outcomes, a dispatch window bounding in-flight shards, and the EWMA
+// outcomes, a dispatch window bounding in-flight shards, a count of the
+// shards in flight that idle-first placement reads, and the EWMA
 // service-time estimate the saturation analyzer builds on. All mutable state
 // sits behind one mutex; every hold is a few loads and stores, never I/O.
 type backend struct {
@@ -24,6 +25,11 @@ type backend struct {
 	// acquired by sending and released by receiving from the captured
 	// channel, so a window resize (rare) strands at most the old channel.
 	sem chan struct{} // guarded by mu; replaced when the reported window changes
+
+	// inflight counts this coordinator's shards in flight here. It is kept
+	// apart from len(sem), which a window resize resets while the old
+	// window's shards still run.
+	inflight int // guarded by mu
 
 	fails     int       // guarded by mu; consecutive dispatch failures
 	openUntil time.Time // guarded by mu; breaker open until this instant
@@ -114,26 +120,60 @@ func (b *backend) isAlive() bool {
 func (b *backend) usable(now time.Time, breakerThreshold int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.usableLocked(now, breakerThreshold)
+}
+
+func (b *backend) usableLocked(now time.Time, breakerThreshold int) bool {
 	if !b.alive {
 		return false
 	}
 	return b.fails < breakerThreshold || now.After(b.openUntil)
 }
 
+// claimIdle counts one shard in flight here if the backend is usable and
+// has an idle worker: fewer of this coordinator's shards in flight than the
+// workers its /healthz reports. Check and claim share one hold of mu, so two
+// shards never claim the same idle worker. A claim is handed to acquire.
+func (b *backend) claimIdle(now time.Time, breakerThreshold int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.usableLocked(now, breakerThreshold) || b.inflight >= b.workers {
+		return false
+	}
+	b.inflight++
+	return true
+}
+
 // acquire takes one dispatch-window slot, blocking until a slot frees, the
-// context is cancelled, or the coordinator shuts down. The release closure
-// returns the slot to the window the acquisition came from, so a concurrent
-// resize cannot double-fill the new window.
-func (b *backend) acquire(ctx context.Context) (release func(), err error) {
+// context is cancelled, or the coordinator shuts down, and counts the shard
+// in flight here unless claimIdle already has (claimed). The release
+// closure returns the slot to the window the acquisition came from, so a
+// concurrent resize cannot double-fill the new window.
+func (b *backend) acquire(ctx context.Context, claimed bool) (release func(), err error) {
 	b.mu.Lock()
 	sem := b.sem
 	b.mu.Unlock()
 	select {
 	case sem <- struct{}{}:
-		return func() { <-sem }, nil
 	case <-ctx.Done():
+		if claimed {
+			b.leave()
+		}
 		return nil, ctx.Err()
 	}
+	if !claimed {
+		b.mu.Lock()
+		b.inflight++
+		b.mu.Unlock()
+	}
+	return func() { b.leave(); <-sem }, nil
+}
+
+// leave ends one shard in flight here.
+func (b *backend) leave() {
+	b.mu.Lock()
+	b.inflight--
+	b.mu.Unlock()
 }
 
 // recordSuccess folds one completed shard into the breaker (reset) and the
@@ -194,7 +234,7 @@ func (b *backend) snapshot(now time.Time, breakerThreshold int) backendSnapshot 
 		BreakerOpen:  b.fails >= breakerThreshold && now.Before(b.openUntil),
 		Workers:      b.workers,
 		Queue:        b.queue,
-		Inflight:     len(b.sem),
+		Inflight:     b.inflight,
 		EWMAService:  b.ewmaService,
 		Dispatched:   b.dispatched,
 		Failures:     b.failures,

@@ -3,8 +3,9 @@
 // consistent-hashing each run's content address. The coordinator is not a
 // dumb proxy — it runs the experiment harness locally (aggregation, report
 // rendering, canonical ordering) and delegates only the simulations, each
-// shard travelling to the backend owning its Spec.ID() over the exact wire
-// forms a single hped speaks. Determinism is what makes the architecture
+// shard travelling to the backend owning its Spec.ID() — or, while that
+// owner is busy, to an idle backend — over the exact wire forms a single
+// hped speaks. Determinism is what makes the architecture
 // sound: any backend's answer for a shard is THE answer, so a merged sweep
 // is byte-identical to a single-node run, a restarted backend re-owns its
 // old shards, and a dead backend's shards fall through to the next backend
@@ -15,7 +16,7 @@
 // coalescer, enumeration, drain and error envelope are the backend's own
 // code. The executor contributes ring dispatch, health checking and circuit
 // breaking, and cluster-level /metrics: per-backend liveness, breaker state,
-// shard and re-dispatch counters, and the saturation analyzer's
+// shard, spill and re-dispatch counters, and the saturation analyzer's
 // max-sustainable-rate estimates. See DESIGN.md §13.
 package cluster
 
@@ -235,13 +236,14 @@ func (x *executor) Admit(ctx context.Context, id string) (func(), error) {
 	return func() {}, nil
 }
 
-// Run dispatches one run spec to the backend owning its content address and
-// returns that backend's RunResponse body verbatim.
+// Run dispatches one run spec along its content address's ring sequence
+// (idle-first, then owner-first) and returns the answering backend's
+// RunResponse body verbatim.
 func (x *executor) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, error) {
 	return x.dispatch(ctx, sp, id, id)
 }
 
-// dispatch runs shard on its owning backend for the request reqID (the run
+// dispatch runs shard on the cluster for the request reqID (the run
 // itself, or the sweep it is a cell of). A backend's own 4xx comes back as
 // its relayed envelope; exhausting the ring is backend_unavailable.
 func (x *executor) dispatch(ctx context.Context, sp runspec.Spec, shard, reqID string) ([]byte, error) {
@@ -366,8 +368,8 @@ func (x *executor) Shutdown() string {
 	c.baseCancel()
 	<-c.healthDone
 	sat := c.Saturation()
-	return fmt.Sprintf("%d/%d backends live, %.2f rps capacity, redispatched %d",
-		sat.Live, len(c.order), sat.ClusterRPS, c.met.redispatchCount())
+	return fmt.Sprintf("%d/%d backends live, %.2f rps capacity, spilled %d, redispatched %d",
+		sat.Live, len(c.order), sat.ClusterRPS, c.met.spillCount(), c.met.redispatchCount())
 }
 
 // proxyGet performs one GET against one backend and returns status + body.

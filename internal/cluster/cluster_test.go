@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hpe/internal/runspec"
 	"hpe/internal/server"
 )
 
@@ -22,7 +23,8 @@ import (
 // simulate the two loss modes the coordinator must survive: a kill
 // (connections reset, every new connection refused — a crashed process) and
 // a pause (every request, including /healthz, blocks — a SIGSTOPped process
-// or dead NIC). The coordinator under test talks to the gates over real
+// or dead NIC). A hold blocks run POSTs only: the backend stays healthy but
+// busy, which pins the coordinator's placement for the idle-first tests. The coordinator under test talks to the gates over real
 // HTTP, so what the tests exercise is the exact production path: transport
 // errors, health-probe timeouts, death-watch cancellation, ring-walk
 // re-dispatch.
@@ -38,6 +40,7 @@ type chaosGate struct {
 
 	killed atomic.Bool
 	paused atomic.Pointer[chan struct{}] // non-nil while paused; closed to resume
+	held   atomic.Pointer[chan struct{}] // non-nil while run POSTs are held; closed to release
 
 	runPosts atomic.Int64 // POST /v1/runs requests seen
 	// killAt / pauseAt, when positive, trigger the matching failure upon
@@ -56,6 +59,9 @@ func (g *chaosGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		if at := g.pauseAt.Load(); at > 0 && n == at {
 			g.pauserun()
+		}
+		if ch := g.held.Load(); ch != nil {
+			<-*ch // a busy worker: /healthz still answers
 		}
 	}
 	if g.killed.Load() {
@@ -88,6 +94,7 @@ func newChaosBackend(t *testing.T, workers int) *chaosBackend {
 	gate.pauserun = cb.pause
 	t.Cleanup(func() {
 		cb.resume() // never leave handler goroutines blocked on the pause gate
+		cb.release()
 		cb.ts.Close()
 		cb.srv.Close()
 	})
@@ -113,6 +120,18 @@ func (cb *chaosBackend) resume() {
 	}
 }
 
+// hold blocks every run POST at the gate until release.
+func (cb *chaosBackend) hold() {
+	ch := make(chan struct{})
+	cb.gate.held.Store(&ch)
+}
+
+func (cb *chaosBackend) release() {
+	if ch := cb.gate.held.Swap(nil); ch != nil {
+		close(*ch)
+	}
+}
+
 // testCluster is N chaos backends plus a coordinator over them.
 type testCluster struct {
 	backends []*chaosBackend
@@ -122,10 +141,17 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
+	return newTestClusterWorkers(t, n, 2)
+}
+
+// newTestClusterWorkers is newTestCluster with workers simulation workers
+// per backend.
+func newTestClusterWorkers(t *testing.T, n, workers int) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		cb := newChaosBackend(t, 2)
+		cb := newChaosBackend(t, workers)
 		tc.backends = append(tc.backends, cb)
 		urls[i] = cb.ts.URL
 	}
@@ -423,6 +449,214 @@ func TestBackendRecovery(t *testing.T) {
 	}
 }
 
+// --- idle-first placement -------------------------------------------------
+
+// sameOwnerSpecs returns n run bodies whose content addresses one backend
+// owns, and that backend's index in tc.backends.
+func sameOwnerSpecs(t *testing.T, tc *testCluster, n int) ([]string, int) {
+	t.Helper()
+	byOwner := map[string][]string{}
+	for _, app := range []string{"HOT", "HSD", "STN", "SGM", "NW", "BFS"} {
+		for _, pol := range []string{"lru", "hpe", "fifo"} {
+			sp := runspec.Spec{App: app, Policy: pol, Rate: 75}
+			owner := tc.coord.ring.owner(sp.ID())
+			byOwner[owner] = append(byOwner[owner],
+				fmt.Sprintf(`{"app":%q,"policy":%q,"rate":75}`, app, pol))
+			if len(byOwner[owner]) < n {
+				continue
+			}
+			for i, cb := range tc.backends {
+				if cb.ts.URL == owner {
+					return byOwner[owner], i
+				}
+			}
+		}
+	}
+	t.Fatalf("no backend owns %d of the candidate specs", n)
+	return nil, 0
+}
+
+// singleNodeRun computes spec on a fresh one-worker hped: the single-node
+// truth a coordinator's body must equal.
+func singleNodeRun(t *testing.T, spec string) []byte {
+	t.Helper()
+	srv := server.New(server.Config{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	code, body, _ := post(t, ts.URL, "/v1/runs", spec)
+	if code != http.StatusOK {
+		t.Fatalf("single-node run: status %d: %s", code, body)
+	}
+	return body
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// postAsync posts spec to the coordinator in the background; the returned
+// function waits for the answer and checks it is a 200.
+func postAsync(t *testing.T, tc *testCluster, spec string) (wait func() []byte) {
+	t.Helper()
+	type answer struct {
+		code int
+		body []byte
+		err  error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(tc.front.URL+"/v1/runs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			done <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		done <- answer{resp.StatusCode, body, err}
+	}()
+	return func() []byte {
+		t.Helper()
+		a := <-done
+		if a.err != nil || a.code != http.StatusOK {
+			t.Fatalf("run %s: status %d, err %v: %s", spec, a.code, a.err, a.body)
+		}
+		return a.body
+	}
+}
+
+// TestIdleFirstSpillsPastBusyOwner holds the owner of spec X while X runs:
+// a spec Y with the same owner lands on the other, idle backend, answers a
+// body byte-identical to a single-node run, and counts as a spill, not a
+// re-dispatch.
+func TestIdleFirstSpillsPastBusyOwner(t *testing.T) {
+	tc := newTestClusterWorkers(t, 2, 1)
+	specs, o := sameOwnerSpecs(t, tc, 2)
+	owner, other := tc.backends[o], tc.backends[1-o]
+
+	owner.hold()
+	t.Cleanup(owner.release) // before the front closes: it waits for held requests
+	waitX := postAsync(t, tc, specs[0])
+	waitFor(t, "X to reach its owner", func() bool { return owner.gate.runPosts.Load() == 1 })
+
+	// Y is posted in the background so that, were it queued behind the
+	// held owner, the wait below fails instead of hanging.
+	waitY := postAsync(t, tc, specs[1])
+	waitFor(t, "Y to land on the idle backend", func() bool { return other.gate.runPosts.Load() == 1 })
+	y := waitY()
+	if !bytes.Equal(y, singleNodeRun(t, specs[1])) {
+		t.Fatal("spilled run body differs from the single-node body")
+	}
+	if s, r := tc.coord.met.spillCount(), tc.coord.met.redispatchCount(); s != 1 || r != 0 {
+		t.Fatalf("spilled %d, redispatched %d; want 1 and 0", s, r)
+	}
+
+	owner.release()
+	if !bytes.Equal(waitX(), singleNodeRun(t, specs[0])) {
+		t.Fatal("owner's run body differs from the single-node body")
+	}
+	if n := owner.gate.runPosts.Load(); n != 1 {
+		t.Fatalf("the owner saw %d run posts, want 1 (X)", n)
+	}
+	// A spilled run stays findable: GET walks every live backend.
+	var rr server.RunResponse
+	if err := json.Unmarshal(y, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if code, got := get(t, tc.front.URL, "/v1/runs/"+rr.ID); code != http.StatusOK || !bytes.Equal(got, y) {
+		t.Fatalf("GET spilled run: status %d, bytes equal %t", code, bytes.Equal(got, y))
+	}
+}
+
+// TestIdleFirstQueuesAtOwnerWhenAllBusy: with every backend's worker held,
+// the next shard has no idle backend to spill to and queues at its owner,
+// exactly as owner-first placement would.
+func TestIdleFirstQueuesAtOwnerWhenAllBusy(t *testing.T) {
+	tc := newTestClusterWorkers(t, 2, 1)
+	specs, o := sameOwnerSpecs(t, tc, 3)
+	owner, other := tc.backends[o], tc.backends[1-o]
+	owner.hold()
+	other.hold()
+	t.Cleanup(owner.release) // before the front closes: it waits for held requests
+	t.Cleanup(other.release)
+
+	waitX := postAsync(t, tc, specs[0])
+	waitFor(t, "X to reach its owner", func() bool { return owner.gate.runPosts.Load() == 1 })
+	waitY := postAsync(t, tc, specs[1])
+	waitFor(t, "Y to spill", func() bool { return other.gate.runPosts.Load() == 1 })
+	waitZ := postAsync(t, tc, specs[2])
+	waitFor(t, "Z to queue at its owner", func() bool { return owner.gate.runPosts.Load() == 2 })
+
+	owner.release()
+	other.release()
+	for i, wait := range []func() []byte{waitX, waitY, waitZ} {
+		if !bytes.Equal(wait(), singleNodeRun(t, specs[i])) {
+			t.Fatalf("run %d body differs from the single-node body", i)
+		}
+	}
+	if n := other.gate.runPosts.Load(); n != 1 {
+		t.Fatalf("the spill backend saw %d run posts, want 1 (Y)", n)
+	}
+	if s, r := tc.coord.met.spillCount(), tc.coord.met.redispatchCount(); s != 1 || r != 0 {
+		t.Fatalf("spilled %d, redispatched %d; want 1 and 0", s, r)
+	}
+}
+
+// TestDeadOwnerIsRedispatch: a shard whose owner is dead lands on the next
+// backend and counts as a re-dispatch, not a spill.
+func TestDeadOwnerIsRedispatch(t *testing.T) {
+	tc := newTestClusterWorkers(t, 2, 1)
+	specs, o := sameOwnerSpecs(t, tc, 1)
+	tc.backends[o].kill()
+	tc.coord.CheckHealth(tc.coord.baseCtx)
+
+	code, body, _ := post(t, tc.front.URL, "/v1/runs", specs[0])
+	if code != http.StatusOK {
+		t.Fatalf("run past a dead owner: status %d: %s", code, body)
+	}
+	if !bytes.Equal(body, singleNodeRun(t, specs[0])) {
+		t.Fatal("re-dispatched run body differs from the single-node body")
+	}
+	if s, r := tc.coord.met.spillCount(), tc.coord.met.redispatchCount(); s != 0 || r != 1 {
+		t.Fatalf("spilled %d, redispatched %d; want 0 and 1", s, r)
+	}
+}
+
+// TestHostileSpecOpensNoBreaker: a spec whose walk latency overflowed the
+// engine clock made every backend answer 500, which the coordinator charged
+// to each breaker in its ring walk. It is now a 400 bad_spec, on the
+// coordinator as on a backend, and every breaker stays closed.
+func TestHostileSpecOpensNoBreaker(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	const hostile = `{"app":"HOT","policy":"lru","rate":75,"tuning":{"walk_latency":9223372036854775807}}`
+	for attempt := 0; attempt < 3; attempt++ {
+		code, body, _ := post(t, tc.front.URL, "/v1/runs", hostile)
+		if eb, ok := server.DecodeError(body); code != http.StatusBadRequest || !ok || eb.Code != server.ErrBadSpec {
+			t.Fatalf("hostile spec: status %d, envelope %+v (ok=%t), want 400 bad_spec", code, eb, ok)
+		}
+	}
+	code, direct, _ := post(t, tc.backends[0].ts.URL, "/v1/runs", hostile)
+	if eb, ok := server.DecodeError(direct); code != http.StatusBadRequest || !ok || eb.Code != server.ErrBadSpec {
+		t.Fatalf("hostile spec on a backend: status %d, envelope %+v (ok=%t)", code, eb, ok)
+	}
+	for _, s := range tc.coord.snapshots() {
+		if s.BreakerOpen || s.Failures != 0 {
+			t.Fatalf("backend %s: breaker open %t after %d failures", s.Name, s.BreakerOpen, s.Failures)
+		}
+	}
+	if code, body, _ := post(t, tc.front.URL, "/v1/runs", `{"app":"HOT","policy":"lru","rate":75}`); code != http.StatusOK {
+		t.Fatalf("valid run after the hostile one: status %d: %s", code, body)
+	}
+}
+
 // --- enumeration ---------------------------------------------------------
 
 func TestMergedEnumeration(t *testing.T) {
@@ -601,6 +835,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	text := string(metrics)
 	for _, want := range []string{
 		"hped_cluster_shards_total",
+		"hped_cluster_spilled_total",
 		"hped_cluster_redispatched_total",
 		"hped_cluster_backend_up",
 		"hped_cluster_backend_capacity_rps",
@@ -671,5 +906,12 @@ func TestCoordinatorSoak(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	// Every idle claim and window slot came back: with no request open,
+	// no shard is in flight anywhere.
+	for _, s := range tc.coord.snapshots() {
+		if s.Inflight != 0 {
+			t.Errorf("backend %s: %d shards in flight after the soak", s.Name, s.Inflight)
+		}
 	}
 }

@@ -15,18 +15,23 @@ import (
 	"hpe/internal/server"
 )
 
-// Shard dispatch: one run spec travels to the backend owning its content
-// address, with bounded retry and re-dispatch when the owner is dead, broken,
-// or saturated. The walk order is the ring's preference sequence, filtered to
-// usable backends at attempt time — so "handle backend loss" is not a special
-// code path: a dead owner is simply skipped and the shard lands on the next
-// backend clockwise, exactly where consistent hashing says it belongs.
+// Shard dispatch: one run spec travels to a backend chosen from its content
+// address's ring sequence, with bounded retry and re-dispatch when a backend
+// is dead, broken, or failing. Each attempt round is idle-first: the first
+// usable backend in ring order with an idle worker is claimed and tried
+// first — the owner when it has one, so a shard spills past its owner only
+// while the owner is busy and another backend idles (the bounded-load
+// variant of consistent hashing, with a backend's capacity set to its
+// reported workers). With no idle worker anywhere the walk is the ring's
+// preference sequence, owner first, filtered to usable backends at attempt
+// time — so "handle backend loss" is not a special code path: a dead owner
+// is simply skipped and the shard lands on the next backend clockwise.
 
 // errNoBackends reports a shard that exhausted every attempt without finding
 // a backend able to run it.
 var errNoBackends = errors.New("no usable backend")
 
-// dispatchRun executes one run spec on the cluster and returns the owning
+// dispatchRun executes one run spec on the cluster and returns the answering
 // backend's response body verbatim (a server.RunResponse). Determinism makes
 // any backend's bytes THE bytes, so the coordinator can cache and serve them
 // unmodified.
@@ -51,16 +56,24 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 			}
 		}
 		tried := 0
-		for ownerIdx, name := range seq {
+		order, claimed := c.idleFirst(seq)
+		for i, name := range order {
 			b := c.backends[name]
-			if !b.usable(time.Now(), c.cfg.BreakerThreshold) {
+			idle := claimed && i == 0
+			if !idle && !b.usable(time.Now(), c.cfg.BreakerThreshold) {
 				continue
 			}
-			tried++
-			if ownerIdx > 0 || attempt > 0 {
-				c.met.redispatch()
+			switch {
+			case attempt > 0 || tried > 0:
+				c.met.redispatch() // an earlier attempt failed
+			case name == seq[0]: // the owner, first try: neither
+			case c.backends[seq[0]].usable(time.Now(), c.cfg.BreakerThreshold):
+				c.met.spill() // the owner is busy, this backend idle
+			default:
+				c.met.redispatch() // the owner is dead or its breaker open
 			}
-			body, retryAfter, err := c.tryBackend(ctx, b, specBody, id)
+			tried++
+			body, retryAfter, err := c.tryBackend(ctx, b, specBody, id, idle)
 			if err == nil {
 				return body, nil
 			}
@@ -95,15 +108,35 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 	return nil, fmt.Errorf("shard %s: %w", id, lastErr)
 }
 
-// tryBackend runs one attempt against one backend. A positive retryAfter
+// idleFirst claims the first usable backend in seq with an idle worker and
+// returns seq with that backend moved to the front; claimed reports whether
+// there was one. The claim is the caller's to pass to tryBackend.
+func (c *Coordinator) idleFirst(seq []string) (order []string, claimed bool) {
+	now := time.Now()
+	for i, name := range seq {
+		if !c.backends[name].claimIdle(now, c.cfg.BreakerThreshold) {
+			continue
+		}
+		if i == 0 {
+			return seq, true
+		}
+		order = make([]string, 0, len(seq))
+		order = append(append(append(order, name), seq[:i]...), seq[i+1:]...)
+		return order, true
+	}
+	return seq, false
+}
+
+// tryBackend runs one attempt against one backend; claimed reports that
+// idleFirst already counted the shard in flight there. A positive retryAfter
 // reports backpressure (429/503 with a Retry-After hint); err then describes
 // the rejection. A 4xx is permanent — the request itself is wrong — and
 // comes back as a *server.Error carrying the backend's own status and
 // envelope, which the handler set relays verbatim. Transport failures and
 // 5xx responses are charged to the breaker; backpressure and 4xx rejections
 // are not (the backend is healthy — it is full, or the request is wrong).
-func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byte, id string) (body []byte, retryAfter time.Duration, err error) {
-	release, err := b.acquire(ctx)
+func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byte, id string, claimed bool) (body []byte, retryAfter time.Duration, err error) {
+	release, err := b.acquire(ctx, claimed)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // clusterMetrics aggregates the coordinator-only counters: shard dispatch
-// outcomes per backend, re-dispatches, and the shard service-latency
+// outcomes per backend, spills, re-dispatches, and the shard service-latency
 // histogram the saturation analyzer cross-checks. The serving series every
 // role shares (requests, cache, coalescing) belong to the handler set.
 type clusterMetrics struct {
@@ -18,7 +18,8 @@ type clusterMetrics struct {
 
 	shards map[string]uint64 // guarded by mu; backend → shards completed
 
-	redispatched uint64          // guarded by mu; shards tried off their primary owner or re-tried
+	spilled      uint64          // guarded by mu; shards placed past a usable but busy owner
+	redispatched uint64          // guarded by mu; attempts past an unusable owner, or after a failed attempt
 	shardLat     stats.Histogram // guarded by mu; shard round-trip, µs
 }
 
@@ -34,8 +35,24 @@ func (m *clusterMetrics) shardDone(backend string, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// redispatch counts one shard attempt landing somewhere other than its
-// first-choice owner on the first try — the ring-walk fallback in action.
+// spill counts one shard sent past its usable but busy owner to a backend
+// with an idle worker — idle-first placement in action.
+func (m *clusterMetrics) spill() {
+	m.mu.Lock()
+	m.spilled++
+	m.mu.Unlock()
+}
+
+// spillCount returns the spill counter (tests).
+func (m *clusterMetrics) spillCount() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.spilled
+}
+
+// redispatch counts one shard attempt that is not its first-choice
+// placement: past a dead or broken owner, or after a failed attempt — the
+// ring-walk fallback in action.
 func (m *clusterMetrics) redispatch() {
 	m.mu.Lock()
 	m.redispatched++
@@ -58,14 +75,17 @@ func (m *clusterMetrics) render(p *promtext.Writer, snaps []backendSnapshot, sat
 	// behind the socket write (hpelint/lockorder).
 	m.mu.Lock()
 	shards := maps.Clone(m.shards)
-	redispatched := m.redispatched
+	spilled, redispatched := m.spilled, m.redispatched
 	shardLat := m.shardLat
 	m.mu.Unlock()
 
 	p.LabelledCounter("hped_cluster_shards_total",
 		"Shards completed, by owning backend.", shards, "backend")
+	p.Counter("hped_cluster_spilled_total",
+		"Shards placed past a usable but busy owner on a backend with an idle worker.",
+		spilled)
 	p.Counter("hped_cluster_redispatched_total",
-		"Shard attempts routed past their primary owner (dead, broken, or saturated).",
+		"Shard attempts routed past a dead or breaker-open owner, or retried after a failed attempt.",
 		redispatched)
 
 	up := make(map[string]float64, len(snaps))

@@ -34,6 +34,8 @@ func TestClusterRenderReleasesLockBeforeWriting(t *testing.T) {
 	m := newClusterMetrics()
 	m.shardDone("b1", 5*time.Millisecond)
 	m.redispatch()
+	m.spill()
+	m.spill()
 
 	pw := &lockProbeWriter{mu: &m.mu}
 	m.render(promtext.New(pw), nil, Saturation{})
@@ -47,6 +49,7 @@ func TestClusterRenderReleasesLockBeforeWriting(t *testing.T) {
 	for _, want := range []string{
 		`hped_cluster_shards_total{backend="b1"} 1`,
 		"hped_cluster_redispatched_total 1",
+		"hped_cluster_spilled_total 2",
 	} {
 		if !strings.Contains(pw.out.String(), want) {
 			t.Errorf("render output missing %q", want)

@@ -37,8 +37,13 @@ func FuzzDecode(f *testing.F) {
 		`"hpe_interval":4096`, `"hpe_interval":4097`,
 		`"set_size_shift":5,"hpe_division_threshold":128`, `"set_size_shift":6`, `"set_size_shift":17`,
 		`"hpe_division_threshold":1000`, `"prepopulate":true`,
+		`"walk_latency":512`, `"walk_latency":513`, `"walk_latency":9223372036854775807`,
+		`"transfer_interval":1024`, `"transfer_interval":1025`,
 	} {
 		f.Add([]byte(`{"app":"HSD","policy":"hpe","rate":75,"tuning":{` + tuning + `}}`))
+	}
+	for _, knob := range []string{`"channels":64`, `"channels":65`, `"prefetch_pages":15`, `"prefetch_pages":16`} {
+		f.Add([]byte(`{"app":"HSD","policy":"lru","rate":75,` + knob + `}`))
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -55,10 +55,10 @@ type Spec struct {
 	// Design selects the translation design: "l2tlb" (default) or "pwc".
 	Design string `json:"design"`
 	// Prefetch is the number of extra pages migrated per fault from the
-	// same 64-KB block.
+	// same 64-KB block: at most 15, the rest of the block.
 	Prefetch int `json:"prefetch_pages"`
-	// Channels is the number of parallel fault-service channels; 0 means
-	// the paper's serial driver (1).
+	// Channels is the number of parallel fault-service channels, at most
+	// 64; 0 means the paper's serial driver (1).
 	Channels int `json:"channels"`
 	// DataPath turns on the Table I data-hierarchy model.
 	DataPath bool `json:"datapath"`
@@ -94,10 +94,10 @@ type Spec struct {
 // defaults back to zero), so Tuning's canonical JSON only carries deviations.
 type Tuning struct {
 	// WalkLatency overrides the page-table-walk latency in cycles
-	// (default 8; the §V-B study uses 20).
+	// (default 8, at most 512; the §V-B study uses 20).
 	WalkLatency int `json:"walk_latency,omitempty"`
 	// TransferInterval overrides the HIR drain interval in faults
-	// (default 16).
+	// (default 16, at most 1024).
 	TransferInterval int `json:"transfer_interval,omitempty"`
 	// Prepopulate maps the footprint before the first access (translation
 	// and data-path studies: no demand-paging faults).
@@ -198,11 +198,14 @@ func (s Spec) Canonicalize() (Spec, error) {
 	default:
 		return Spec{}, fmt.Errorf("runspec: unknown translation design %q (l2tlb or pwc)", s.Design)
 	}
-	if s.Prefetch < 0 {
-		return Spec{}, fmt.Errorf("runspec: prefetch_pages %d must be non-negative", s.Prefetch)
+	if s.Prefetch < 0 || s.Prefetch > maxPrefetch {
+		return Spec{}, fmt.Errorf("runspec: prefetch_pages %d out of [0,%d]", s.Prefetch, maxPrefetch)
 	}
 	if s.Channels <= 0 {
 		s.Channels = 1
+	}
+	if s.Channels > maxChannels {
+		return Spec{}, fmt.Errorf("runspec: channels %d above %d", s.Channels, maxChannels)
 	}
 	if s.Scale == 0 {
 		s.Scale = 1
@@ -241,12 +244,20 @@ func (s Spec) Canonicalize() (Spec, error) {
 	return s, nil
 }
 
-// Upper bounds on the tuning knobs that size allocations: the HIR entry
-// array, and HPE's wrong-eviction FIFOs (2× the interval). Both are 64× the
-// paper's value, far above anything the studies sweep.
+// Upper bounds on the knobs. hir_entries and hpe_interval size allocations
+// (the HIR entry array, HPE's wrong-eviction FIFOs at 2× the interval);
+// walk_latency, transfer_interval and channels scale simulated time or work,
+// and an unbounded walk latency overflows the engine clock. Each is 64× the
+// paper's value, far above anything the studies sweep. prefetch_pages stops
+// at the 15 other pages of the faulting page's 16-page block: a larger value
+// would run the same simulation under another ID.
 const (
-	maxHIREntries  = 1 << 16
-	maxHPEInterval = 1 << 12
+	maxHIREntries       = 1 << 16
+	maxHPEInterval      = 1 << 12
+	maxWalkLatency      = 512
+	maxTransferInterval = 1024
+	maxChannels         = 64
+	maxPrefetch         = 15
 )
 
 // hirWays is the HIR's associativity: its entries must fill whole sets.
@@ -279,6 +290,12 @@ func (t Tuning) canonicalize(policy string) (Tuning, error) {
 	if t.HIREntries != 0 && (t.HIREntries%hirWays != 0 || t.HIREntries > maxHIREntries) {
 		return Tuning{}, fmt.Errorf("runspec: hir_entries %d must be a multiple of %d in [%d,%d]",
 			t.HIREntries, hirWays, hirWays, maxHIREntries)
+	}
+	if t.WalkLatency > maxWalkLatency {
+		return Tuning{}, fmt.Errorf("runspec: walk_latency %d above %d", t.WalkLatency, maxWalkLatency)
+	}
+	if t.TransferInterval > maxTransferInterval {
+		return Tuning{}, fmt.Errorf("runspec: transfer_interval %d above %d", t.TransferInterval, maxTransferInterval)
 	}
 	if t.HPEInterval > maxHPEInterval {
 		return Tuning{}, fmt.Errorf("runspec: hpe_interval %d above %d", t.HPEInterval, maxHPEInterval)

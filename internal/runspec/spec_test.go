@@ -2,8 +2,11 @@ package runspec
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+
+	"hpe/internal/gpu"
 )
 
 // TestCanonicalizeDefaultsExplicit pins the canonicalization rules: aliases
@@ -149,6 +152,15 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 			Tuning: Tuning{SetSizeShift: 17}}},
 		{"hpe interval above the cap", Spec{App: "HSD", Policy: "hpe", Rate: 75,
 			Tuning: Tuning{HPEInterval: maxHPEInterval + 1}}},
+		{"walk latency above the cap", Spec{App: "HSD", Policy: "lru", Rate: 75,
+			Tuning: Tuning{WalkLatency: maxWalkLatency + 1}}},
+		// The engine clock overflowed on this one and the simulator panicked.
+		{"walk latency at the int64 limit", Spec{App: "HOT", Policy: "lru", Rate: 75,
+			Tuning: Tuning{WalkLatency: math.MaxInt64}}},
+		{"transfer interval above the cap", Spec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: Tuning{TransferInterval: maxTransferInterval + 1}}},
+		{"channels above the cap", Spec{App: "HSD", Policy: "lru", Rate: 75, Channels: maxChannels + 1}},
+		{"prefetch past the block", Spec{App: "HSD", Policy: "lru", Rate: 75, Prefetch: maxPrefetch + 1}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.spec.Canonicalize(); err == nil {
@@ -158,7 +170,8 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 }
 
 // TestCanonicalizeAcceptsTuningBounds: the largest (and smallest) value
-// each bounded tuning knob allows stays valid.
+// each bounded knob allows stays valid, and the simulator runs it (hpe.Run's
+// path: Materialize, then gpu.Run) without a panic.
 func TestCanonicalizeAcceptsTuningBounds(t *testing.T) {
 	for _, sp := range []Spec{
 		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HIREntries: hirWays}},
@@ -167,9 +180,22 @@ func TestCanonicalizeAcceptsTuningBounds(t *testing.T) {
 		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{SetSizeShift: 5, HPEDivisionThreshold: 128}},
 		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HPEDivisionThreshold: 64}},
 		{App: "HSD", Policy: "lru", Rate: 100, Tuning: Tuning{Prepopulate: true}},
+		{App: "HOT", Policy: "lru", Rate: 75, Tuning: Tuning{WalkLatency: maxWalkLatency}},
+		{App: "HOT", Policy: "hpe", Rate: 75, Tuning: Tuning{TransferInterval: maxTransferInterval}},
+		{App: "HOT", Policy: "lru", Rate: 75, Channels: maxChannels},
+		{App: "HOT", Policy: "lru", Rate: 75, Prefetch: maxPrefetch},
 	} {
 		if _, err := sp.Canonicalize(); err != nil {
-			t.Errorf("%+v rejected: %v", sp.Tuning, err)
+			t.Errorf("%+v rejected: %v", sp, err)
+			continue
+		}
+		m, err := sp.Materialize(Env{})
+		if err != nil {
+			t.Errorf("%+v: materialize: %v", sp, err)
+			continue
+		}
+		if r := gpu.Run(m.Config, m.Trace, m.Policy); r.Accesses == 0 {
+			t.Errorf("%+v: the run simulated no accesses", sp)
 		}
 	}
 }

@@ -93,17 +93,26 @@ func TestUnrunnableTuningIsBadSpec(t *testing.T) {
 	for _, tuning := range []string{
 		`"hir_entries":12`, `"hir_entries":1048576`, `"hpe_interval":1000000`,
 		`"hpe_division_threshold":1000`, `"set_size_shift":6`, `"set_size_shift":17`,
-		`"prepopulate":true`,
+		`"prepopulate":true`, `"walk_latency":513`, `"walk_latency":9223372036854775807`,
+		`"transfer_interval":1025`,
 	} {
-		body := `{"app":"HSD","policy":"hpe","rate":75,"tuning":{` + tuning + `}}`
-		code, _, resp := postRun(t, ts.Client(), ts.URL, body)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400: %s", tuning, code, resp)
-			continue
-		}
-		if eb, ok := DecodeError(resp); !ok || eb.Code != ErrBadSpec {
-			t.Errorf("%s: envelope %+v (ok=%t), want code %q", tuning, eb, ok, ErrBadSpec)
-		}
+		assertBadSpec(t, ts, `{"app":"HSD","policy":"hpe","rate":75,"tuning":{`+tuning+`}}`)
+	}
+	for _, knob := range []string{`"channels":65`, `"prefetch_pages":16`} {
+		assertBadSpec(t, ts, `{"app":"HSD","policy":"lru","rate":75,`+knob+`}`)
+	}
+}
+
+// assertBadSpec posts body as a run and checks the answer is 400 bad_spec.
+func assertBadSpec(t *testing.T, ts *httptest.Server, body string) {
+	t.Helper()
+	code, _, resp := postRun(t, ts.Client(), ts.URL, body)
+	if code != http.StatusBadRequest {
+		t.Errorf("%s: status %d, want 400: %s", body, code, resp)
+		return
+	}
+	if eb, ok := DecodeError(resp); !ok || eb.Code != ErrBadSpec {
+		t.Errorf("%s: envelope %+v (ok=%t), want code %q", body, eb, ok, ErrBadSpec)
 	}
 }
 
