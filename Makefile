@@ -90,11 +90,12 @@ workload-check:
 # `go test -fuzz=FuzzPhaseSchedule ./internal/workload/`,
 # `go test -fuzz=FuzzDecode ./internal/runspec/`,
 # `go test -fuzz=FuzzPageTable ./internal/pagetable/`,
-# `go test -fuzz=FuzzPolicyEquivalence ./internal/policy/`, or
+# `go test -fuzz=FuzzPolicyEquivalence ./internal/policy/`,
+# `go test -fuzz=FuzzHPEEquivalence ./internal/hpe/`, or
 # `go test -fuzz=FuzzSubmitRun ./internal/server/` (POST /v1/runs bodies
 # through the handler: 200 or a 4xx envelope, never a 5xx) to explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/ ./internal/pagetable/ ./internal/policy/ ./internal/server/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/ ./internal/pagetable/ ./internal/policy/ ./internal/hpe/ ./internal/server/
 
 # Run every example end to end (each takes well under a second): they
 # exercise the public facade the way a library user does, so an API change

@@ -39,9 +39,6 @@ const NoPage = PageID(^uint64(0))
 // VAddr is a virtual byte address.
 type VAddr uint64
 
-// PageOf returns the virtual page containing a byte address.
-func PageOf(a VAddr) PageID { return PageID(a >> PageShift) }
-
 // BaseAddr returns the first byte address of a page.
 func (p PageID) BaseAddr() VAddr { return VAddr(p) << PageShift }
 
@@ -70,9 +67,6 @@ func NewGeometry(setShift uint) Geometry {
 // DefaultGeometry returns the paper's default geometry (16-page sets).
 func DefaultGeometry() Geometry { return NewGeometry(DefaultSetShift) }
 
-// SetShift returns log2 of the set size in pages.
-func (g Geometry) SetShift() uint { return g.setShift }
-
 // SetSize returns the number of pages in a page set.
 func (g Geometry) SetSize() int { return 1 << g.setShift }
 
@@ -94,9 +88,3 @@ func (g Geometry) PageAt(s SetID, offset int) PageID {
 	}
 	return PageID(uint64(s)<<g.setShift | uint64(offset))
 }
-
-// PagesPerMB returns how many pages fit in the given number of mebibytes.
-func PagesPerMB(mb int) int { return mb << 20 >> PageShift }
-
-// BytesToPages converts a byte count to a page count, rounding up.
-func BytesToPages(b uint64) int { return int((b + PageBytes - 1) >> PageShift) }

@@ -5,24 +5,20 @@ import (
 	"testing/quick"
 )
 
-func TestPageOfAndBaseAddrRoundTrip(t *testing.T) {
+func TestBaseAddr(t *testing.T) {
 	cases := []struct {
-		addr VAddr
 		page PageID
+		addr VAddr
 	}{
-		{0x0, 0},
-		{0xfff, 0},
-		{0x1000, 1},
-		{0x80000000, 0x80000},
-		{0x80000fff, 0x80000},
+		{0, 0x0},
+		{1, 0x1000},
+		{5, 0x5000},
+		{0x80000, 0x80000000},
 	}
 	for _, c := range cases {
-		if got := PageOf(c.addr); got != c.page {
-			t.Errorf("PageOf(%#x) = %v, want %v", c.addr, got, c.page)
+		if got := c.page.BaseAddr(); got != c.addr {
+			t.Errorf("BaseAddr(%v) = %#x, want %#x", c.page, got, c.addr)
 		}
-	}
-	if PageID(5).BaseAddr() != 0x5000 {
-		t.Errorf("BaseAddr(5) = %#x, want 0x5000", PageID(5).BaseAddr())
 	}
 }
 
@@ -56,9 +52,6 @@ func TestGeometrySizes(t *testing.T) {
 		if g.SetSize() != 1<<shift {
 			t.Errorf("shift %d: size = %d, want %d", shift, g.SetSize(), 1<<shift)
 		}
-		if g.SetShift() != shift {
-			t.Errorf("shift getter = %d, want %d", g.SetShift(), shift)
-		}
 	}
 }
 
@@ -79,33 +72,6 @@ func TestPageAtOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	g.PageAt(0, 16)
-}
-
-func TestPagesPerMB(t *testing.T) {
-	if got := PagesPerMB(1); got != 256 {
-		t.Errorf("PagesPerMB(1) = %d, want 256", got)
-	}
-	// Paper: footprints 3 MB..130 MB.
-	if got := PagesPerMB(3); got != 768 {
-		t.Errorf("PagesPerMB(3) = %d, want 768", got)
-	}
-	if got := PagesPerMB(130); got != 33280 {
-		t.Errorf("PagesPerMB(130) = %d, want 33280", got)
-	}
-}
-
-func TestBytesToPagesRoundsUp(t *testing.T) {
-	cases := []struct {
-		bytes uint64
-		pages int
-	}{
-		{0, 0}, {1, 1}, {4095, 1}, {4096, 1}, {4097, 2}, {8192, 2},
-	}
-	for _, c := range cases {
-		if got := BytesToPages(c.bytes); got != c.pages {
-			t.Errorf("BytesToPages(%d) = %d, want %d", c.bytes, got, c.pages)
-		}
-	}
 }
 
 // Property: for every geometry and page, SetOf/Offset decompose the page and

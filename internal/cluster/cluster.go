@@ -240,22 +240,24 @@ func (x *executor) Admit(ctx context.Context, id string) (func(), error) {
 // (idle-first, then owner-first) and returns the answering backend's
 // RunResponse body verbatim.
 func (x *executor) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, error) {
-	return x.dispatch(ctx, sp, id, id)
+	body, _, err := x.dispatch(ctx, sp, id, id)
+	return body, err
 }
 
 // dispatch runs shard on the cluster for the request reqID (the run
-// itself, or the sweep it is a cell of). A backend's own 4xx comes back as
-// its relayed envelope; exhausting the ring is backend_unavailable.
-func (x *executor) dispatch(ctx context.Context, sp runspec.Spec, shard, reqID string) ([]byte, error) {
+// itself, or the sweep it is a cell of) and returns the RunResponse body and
+// its decoded Result. A backend's own 4xx comes back as its relayed
+// envelope; exhausting the ring is backend_unavailable.
+func (x *executor) dispatch(ctx context.Context, sp runspec.Spec, shard, reqID string) ([]byte, hpe.Result, error) {
 	c := (*Coordinator)(x)
-	body, err := c.dispatchRun(ctx, sp, shard)
+	body, res, err := c.dispatchRun(ctx, sp, shard)
 	var xe *server.Error
 	switch {
 	case err == nil, errors.As(err, &xe),
 		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return body, err
+		return body, res, err
 	}
-	return nil, x.unavailable(reqID, err)
+	return nil, hpe.Result{}, x.unavailable(reqID, err)
 }
 
 func (x *executor) unavailable(reqID string, err error) error {
@@ -279,15 +281,8 @@ func (x *executor) Sweep(id string, _ int) (func(context.Context, runspec.Spec, 
 	}
 	workers = max(workers, 4)
 	return func(ctx context.Context, sp runspec.Spec, rid string) (hpe.Result, error) {
-		body, err := x.dispatch(ctx, sp, rid, id)
-		if err != nil {
-			return hpe.Result{}, err
-		}
-		var rr server.RunResponse
-		if err := json.Unmarshal(body, &rr); err != nil {
-			return hpe.Result{}, x.unavailable(id, fmt.Errorf("shard %s: malformed run response: %w", rid, err))
-		}
-		return rr.Result, nil
+		_, res, err := x.dispatch(ctx, sp, rid, id)
+		return res, err
 	}, workers
 }
 

@@ -41,6 +41,9 @@ type chaosGate struct {
 	killed atomic.Bool
 	paused atomic.Pointer[chan struct{}] // non-nil while paused; closed to resume
 	held   atomic.Pointer[chan struct{}] // non-nil while run POSTs are held; closed to release
+	// corrupt, when set, is the body every run POST gets with a 200 in
+	// place of the backend's answer — a backend that answers but lies.
+	corrupt atomic.Pointer[string]
 
 	runPosts atomic.Int64 // POST /v1/runs requests seen
 	// killAt / pauseAt, when positive, trigger the matching failure upon
@@ -62,6 +65,11 @@ func (g *chaosGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		if ch := g.held.Load(); ch != nil {
 			<-*ch // a busy worker: /healthz still answers
+		}
+		if body := g.corrupt.Load(); body != nil {
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, *body)
+			return
 		}
 	}
 	if g.killed.Load() {
@@ -627,6 +635,48 @@ func TestDeadOwnerIsRedispatch(t *testing.T) {
 	}
 	if s, r := tc.coord.met.spillCount(), tc.coord.met.redispatchCount(); s != 0 || r != 1 {
 		t.Fatalf("spilled %d, redispatched %d; want 0 and 1", s, r)
+	}
+}
+
+// TestCorruptRunBodyRedispatched: a backend that answers a run POST with
+// 200 but a body for another run, or a body that does not decode, is
+// charged a failure, and the shard lands on the other backend; the merged
+// sweep is still the single-node body byte for byte.
+func TestCorruptRunBodyRedispatched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick-subset sweeps skipped in -short mode")
+	}
+	bodies := map[string]string{
+		"wrong-id":    `{"id":"0000000000000000","request":{},"result":{}}`,
+		"undecodable": `{"id":`,
+		"wrong-shape": `{"id":"x","result":[]}`,
+	}
+	for _, name := range []string{"wrong-id", "undecodable", "wrong-shape"} {
+		t.Run(name, func(t *testing.T) {
+			tc := newTestCluster(t, 2)
+			body := bodies[name]
+			tc.backends[0].gate.corrupt.Store(&body)
+			code, merged, _ := post(t, tc.front.URL, "/v1/suite", quickSuiteBody)
+			if code != http.StatusOK {
+				t.Fatalf("coordinator suite: status %d: %s", code, merged)
+			}
+			if golden := singleNodeSuiteGolden(t, tc.backends[1]); !bytes.Equal(merged, golden) {
+				t.Fatalf("merged sweep differs from single-node run: merged %d bytes, single %d bytes",
+					len(merged), len(golden))
+			}
+			if tc.backends[0].gate.runPosts.Load() == 0 {
+				t.Fatal("no shard reached the corrupt backend")
+			}
+			for _, s := range tc.coord.snapshots() {
+				if s.Name == tc.backends[0].ts.URL && s.Failures == 0 {
+					t.Fatalf("corrupt backend answered %d run POSTs with no failure charged",
+						tc.backends[0].gate.runPosts.Load())
+				}
+				if s.Name == tc.backends[1].ts.URL && s.Failures != 0 {
+					t.Fatalf("healthy backend charged %d failures", s.Failures)
+				}
+			}
+		})
 	}
 }
 

@@ -32,13 +32,13 @@ import (
 var errNoBackends = errors.New("no usable backend")
 
 // dispatchRun executes one run spec on the cluster and returns the answering
-// backend's response body verbatim (a server.RunResponse). Determinism makes
-// any backend's bytes THE bytes, so the coordinator can cache and serve them
-// unmodified.
-func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string) ([]byte, error) {
+// backend's response body verbatim (a server.RunResponse) along with the
+// Result decoded from it. Determinism makes any backend's bytes THE bytes,
+// so the coordinator can cache and serve them unmodified.
+func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string) ([]byte, hpe.Result, error) {
 	specBody, err := json.Marshal(sp)
 	if err != nil {
-		return nil, fmt.Errorf("encode spec: %w", err)
+		return nil, hpe.Result{}, fmt.Errorf("encode spec: %w", err)
 	}
 	seq := c.ring.sequence(id)
 	backoff := c.cfg.BackoffBase
@@ -49,7 +49,7 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 			// windows already smear concurrent shards, so no jitter source
 			// (and no RNG) is needed.
 			if err := sleepCtx(ctx, backoff); err != nil {
-				return nil, err
+				return nil, hpe.Result{}, err
 			}
 			if backoff *= 2; backoff > c.cfg.BackoffMax {
 				backoff = c.cfg.BackoffMax
@@ -73,16 +73,16 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 				c.met.redispatch() // the owner is dead or its breaker open
 			}
 			tried++
-			body, retryAfter, err := c.tryBackend(ctx, b, specBody, id, idle)
+			body, res, retryAfter, err := c.tryBackend(ctx, b, specBody, id, idle)
 			if err == nil {
-				return body, nil
+				return body, res, nil
 			}
 			var perm *server.Error
 			if errors.As(err, &perm) {
-				return nil, err
+				return nil, hpe.Result{}, err
 			}
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return nil, hpe.Result{}, ctx.Err()
 			}
 			lastErr = fmt.Errorf("%s: %w", b.name, err)
 			if retryAfter > 0 {
@@ -94,7 +94,7 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 					retryAfter = c.cfg.BackoffMax
 				}
 				if err := sleepCtx(ctx, retryAfter); err != nil {
-					return nil, err
+					return nil, hpe.Result{}, err
 				}
 			}
 		}
@@ -105,7 +105,7 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 	if lastErr == nil {
 		lastErr = errNoBackends
 	}
-	return nil, fmt.Errorf("shard %s: %w", id, lastErr)
+	return nil, hpe.Result{}, fmt.Errorf("shard %s: %w", id, lastErr)
 }
 
 // idleFirst claims the first usable backend in seq with an idle worker and
@@ -128,17 +128,21 @@ func (c *Coordinator) idleFirst(seq []string) (order []string, claimed bool) {
 }
 
 // tryBackend runs one attempt against one backend; claimed reports that
-// idleFirst already counted the shard in flight there. A positive retryAfter
+// idleFirst already counted the shard in flight there. A 200 body is outside
+// input, so it is decoded in full and its ID checked against the shard's
+// before it counts; a body that fails either check is charged to the
+// breaker like a 5xx, and its decoded Result is returned with the raw bytes
+// so no caller decodes them again. A positive retryAfter
 // reports backpressure (429/503 with a Retry-After hint); err then describes
 // the rejection. A 4xx is permanent — the request itself is wrong — and
 // comes back as a *server.Error carrying the backend's own status and
 // envelope, which the handler set relays verbatim. Transport failures and
 // 5xx responses are charged to the breaker; backpressure and 4xx rejections
 // are not (the backend is healthy — it is full, or the request is wrong).
-func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byte, id string, claimed bool) (body []byte, retryAfter time.Duration, err error) {
+func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byte, id string, claimed bool) (body []byte, res hpe.Result, retryAfter time.Duration, err error) {
 	release, err := b.acquire(ctx, claimed)
 	if err != nil {
-		return nil, 0, err
+		return nil, res, 0, err
 	}
 	defer release()
 
@@ -152,20 +156,20 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, b.name+"/v1/runs", bytes.NewReader(specBody))
 	if err != nil {
-		return nil, 0, err
+		return nil, res, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	start := time.Now()
 	resp, err := c.client.Do(req)
 	if err != nil {
 		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
-		return nil, 0, err
+		return nil, res, 0, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
-		return nil, 0, err
+		return nil, res, 0, err
 	}
 
 	switch {
@@ -173,16 +177,16 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 		var rr server.RunResponse
 		if err := json.Unmarshal(raw, &rr); err != nil {
 			b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
-			return nil, 0, fmt.Errorf("malformed run response: %w", err)
+			return nil, res, 0, fmt.Errorf("malformed run response: %w", err)
 		}
 		if rr.ID != id {
 			b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
-			return nil, 0, fmt.Errorf("backend answered run %s for shard %s", rr.ID, id)
+			return nil, res, 0, fmt.Errorf("backend answered run %s for shard %s", rr.ID, id)
 		}
 		d := time.Since(start)
 		b.recordSuccess(d)
 		c.met.shardDone(b.name, d)
-		return raw, 0, nil
+		return raw, rr.Result, 0, nil
 
 	case resp.StatusCode == http.StatusTooManyRequests ||
 		resp.StatusCode == http.StatusServiceUnavailable:
@@ -190,18 +194,18 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
 			hint = time.Duration(s) * time.Second
 		}
-		return nil, hint, fmt.Errorf("backend backpressure (%d)", resp.StatusCode)
+		return nil, res, hint, fmt.Errorf("backend backpressure (%d)", resp.StatusCode)
 
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		eb, ok := server.DecodeError(raw)
 		if !ok {
 			eb = server.ErrorBody{Code: server.ErrInternal, Message: string(raw)}
 		}
-		return nil, 0, &server.Error{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Message, RunID: eb.RunID}
+		return nil, res, 0, &server.Error{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Message, RunID: eb.RunID}
 
 	default:
 		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
-		return nil, 0, fmt.Errorf("backend status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
+		return nil, res, 0, fmt.Errorf("backend status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/hpe"
 	"hpe/internal/policy"
 	"hpe/internal/trace"
 )
@@ -42,7 +43,8 @@ func TestPrepopulatedRunAllocBound(t *testing.T) {
 }
 
 // TestFaultPathAllocBound extends the bound to the demand-paging path, for
-// every policy in internal/policy: a thrashing run faults on most walks.
+// every policy in internal/policy and for HPE: a thrashing run faults on
+// most walks.
 // Every fault resumes its merged accesses through the driver's registered
 // waker with a waiter-list token, the fault queue reuses its storage, and
 // each policy keeps its per-page state in page tables, slabs and value
@@ -71,6 +73,7 @@ func TestFaultPathAllocBound(t *testing.T) {
 		{"nru", func() policy.Policy { return policy.NewNRU() }},
 		{"arc", func() policy.Policy { return policy.NewARC(capacity) }},
 		{"setlru", func() policy.Policy { return policy.NewSetLRU(addrspace.DefaultGeometry()) }},
+		{"hpe", func() policy.Policy { return hpe.New(hpe.DefaultConfig()) }},
 	}
 	for _, pc := range policies {
 		t.Run(pc.name, func(t *testing.T) {

@@ -4,50 +4,47 @@ import (
 	"math"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 )
 
 // evictionFIFO is one of the per-strategy FIFO buffers of §IV-E: it holds
 // the virtual page addresses evicted by that strategy over (at most) the
 // last two intervals; a page fault that hits the buffer is a wrong eviction.
 type evictionFIFO struct {
-	depth   int
-	buf     []addrspace.PageID
-	next    int
-	full    bool
-	members map[addrspace.PageID]int // page → occurrences in buf
+	buf    []addrspace.PageID
+	next   int
+	full   bool
+	counts *pagetable.Table[int32] // page → occurrences in buf
 }
 
 func newEvictionFIFO(depth int) *evictionFIFO {
 	return &evictionFIFO{
-		depth:   depth,
-		buf:     make([]addrspace.PageID, depth),
-		members: make(map[addrspace.PageID]int),
+		buf:    make([]addrspace.PageID, depth),
+		counts: pagetable.New[int32](),
 	}
 }
 
 func (f *evictionFIFO) push(p addrspace.PageID) {
 	if f.full {
-		old := f.buf[f.next]
-		if n := f.members[old]; n <= 1 {
-			delete(f.members, old)
-		} else {
-			f.members[old] = n - 1
-		}
+		*f.counts.Ref(f.buf[f.next])--
 	}
 	f.buf[f.next] = p
-	f.members[p]++
+	*f.counts.Ref(p)++
 	f.next++
-	if f.next == f.depth {
+	if f.next == len(f.buf) {
 		f.next = 0
 		f.full = true
 	}
 }
 
-func (f *evictionFIFO) contains(p addrspace.PageID) bool { return f.members[p] > 0 }
+func (f *evictionFIFO) contains(p addrspace.PageID) bool {
+	n, _ := f.counts.Get(p)
+	return n > 0
+}
 
 func (f *evictionFIFO) len() int {
 	if f.full {
-		return f.depth
+		return len(f.buf)
 	}
 	return f.next
 }
@@ -93,8 +90,8 @@ type adjuster struct {
 
 func newAdjuster(cfg Config) *adjuster {
 	a := &adjuster{cfg: cfg}
-	a.fifos[StrategyLRU] = newEvictionFIFO(cfg.FIFODepth)
-	a.fifos[StrategyMRUC] = newEvictionFIFO(cfg.FIFODepth)
+	a.fifos[StrategyLRU] = newEvictionFIFO(cfg.fifoDepth())
+	a.fifos[StrategyMRUC] = newEvictionFIFO(cfg.fifoDepth())
 	a.failRun[StrategyLRU] = math.Inf(1)
 	a.failRun[StrategyMRUC] = math.Inf(1)
 	return a
@@ -107,7 +104,7 @@ func (a *adjuster) start(cat Category, strat Strategy, oldSets int, interval, fa
 	a.category = cat
 	a.active = strat
 	a.oldSetsAtFirstFull = oldSets
-	a.jumpAllowed = oldSets >= a.cfg.MinOldSetsForJump
+	a.jumpAllowed = oldSets >= a.cfg.jumpFloor()
 	a.runStart = interval
 	a.spanStart = fault
 }
@@ -123,11 +120,11 @@ func (a *adjuster) recordEviction(p addrspace.PageID) {
 // maybeAdjust).
 func (a *adjuster) onFault(p addrspace.PageID) bool {
 	triggered := false
-	for _, s := range []Strategy{StrategyLRU, StrategyMRUC} {
-		if a.fifos[s].contains(p) {
+	for s, fifo := range a.fifos {
+		if fifo.contains(p) {
 			a.wrong[s]++
 			a.wrongTotal[s]++
-			if s == a.active && a.wrong[s] >= a.cfg.WrongEvictionThreshold {
+			if Strategy(s) == a.active && a.wrong[s] >= a.cfg.wrongEvictionThreshold() {
 				triggered = true
 			}
 		}
@@ -149,8 +146,7 @@ func (a *adjuster) maybeAdjust(interval, fault uint64) bool {
 	if !a.cfg.DynamicAdjustment {
 		return false
 	}
-	triggered := a.active
-	defer func() { a.wrong[triggered] = 0 }()
+	a.wrong[a.active] = 0 // the trigger is consumed whatever Algorithm 1 decides
 	switch a.category {
 	case CategoryRegular:
 		// Regular applications stay on MRU-C; with a large enough footprint
@@ -160,7 +156,7 @@ func (a *adjuster) maybeAdjust(interval, fault uint64) bool {
 		}
 		// The jump distance is fixed ("jumps the search point forward by
 		// 16"); repeated triggers re-confirm it rather than compounding.
-		a.searchJump = a.cfg.SearchJumpDistance
+		a.searchJump = searchJumpDistance
 		a.jumps = append(a.jumps, fault)
 		return true
 	default:

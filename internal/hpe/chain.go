@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/pagetable"
 )
 
 // Partition identifies one of the page-set chain's three recency partitions
@@ -34,41 +35,49 @@ func (p Partition) String() string {
 	}
 }
 
-// entryKey identifies a chain entry: the page-set address plus whether this
-// is the secondary half of a divided set (primary and secondary "have
-// different tags", §IV-C).
-type entryKey struct {
-	set       addrspace.SetID
-	secondary bool
+// The halves of a page set: every set has a primary; a divided set also has
+// a secondary, with a different tag (§IV-C).
+const (
+	primary   = 0
+	secondary = 1
+)
+
+// setRecord is HPE's one record per page set: the chain entries of its two
+// halves and its division history. The history doubles as the paper's
+// history buffer: it outlives the set's entries, and because the first
+// division's result is reused for every later life of the set, primaryMask
+// is immutable once divided is set.
+type setRecord struct {
+	entry       [2]int32 // chain entry of each half, or nilEntry
+	divided     bool
+	primaryMask uint32 // offsets that belong to the primary half
 }
 
-// packed interns the key into one word (set<<1 | secondary) so the chain
-// index uses the runtime's uint64 fast path instead of hashing a struct.
-func (k entryKey) packed() uint64 {
-	v := uint64(k.set) << 1
-	if k.secondary {
-		v |= 1
+// half returns the half a page offset routes to (Fig. 6): every page of an
+// undivided set, and the pages of a divided set inside the recorded primary
+// mask, go to the primary; the rest go to the secondary.
+func (r *setRecord) half(off int) int {
+	if r.divided && r.primaryMask&(1<<uint(off)) == 0 {
+		return secondary
 	}
-	return v
+	return primary
 }
 
-func (k entryKey) String() string {
-	if k.secondary {
-		return fmt.Sprintf("%v/secondary", k.set)
-	}
-	return k.set.String()
-}
+// nilEntry is the empty chain link and record slot: entries[0] is never
+// used, so a zero setRecord holds no entries.
+const nilEntry int32 = 0
 
-// chainEntry is one page-set chain entry: tag, saturating counter, bit
-// vector, divided flag (Fig. 5), plus the residency mask HPE needs to drain
-// victims page by page and the interval stamp that encodes partition
-// membership.
+// chainEntry is one page-set chain entry: tag (set and half), saturating
+// counter, bit vector, divided flag (Fig. 5), plus the residency mask HPE
+// needs to drain victims page by page and the interval stamp that encodes
+// partition membership.
 type chainEntry struct {
-	key          entryKey
+	set          addrspace.SetID
+	secondary    bool
+	divided      bool
 	counter      int
 	bitVector    uint32 // offsets that have page-faulted (faults only, §IV-C)
 	residentMask uint32 // offsets currently resident in device memory
-	divided      bool
 
 	// movedInterval is the interval in which the entry was last inserted or
 	// moved into the new partition. Because every (re)insertion appends at
@@ -77,30 +86,48 @@ type chainEntry struct {
 	// equivalent to stamp thresholds, which is how we implement them.
 	movedInterval uint64
 
-	prev, next *chainEntry
+	prev, next int32 // slab indices
 }
 
 // setChain is the page-set chain of Fig. 5: a doubly-linked list ordered
 // head = LRU ... tail = MRU, with the three partitions derived from interval
-// stamps.
+// stamps. Entries live in one slab linked by index; an entry that leaves the
+// chain goes on a free list and is reused by the next new one. The set
+// records live in a page table keyed by set.
 type setChain struct {
-	geometry    addrspace.Geometry
 	counterCap  int
-	head, tail  *chainEntry
-	index       map[uint64]*chainEntry // packed entryKey → entry
+	sets        *pagetable.Table[setRecord]
+	entries     []chainEntry // entries[nilEntry] is unused
+	free        int32        // free entries, linked through next
+	head, tail  int32
+	n           int
 	curInterval uint64
 }
 
-func newSetChain(g addrspace.Geometry, counterCap int) *setChain {
+func newSetChain(counterCap int) *setChain {
 	return &setChain{
-		geometry:   g,
 		counterCap: counterCap,
-		index:      make(map[uint64]*chainEntry),
+		sets:       pagetable.New[setRecord](),
+		entries:    make([]chainEntry, 1),
 	}
 }
 
+// record returns the set's record, creating an empty one on first use. The
+// pointer is valid until the next record call.
+func (c *setChain) record(s addrspace.SetID) *setRecord {
+	return c.sets.Ref(addrspace.PageID(s))
+}
+
+// at returns the entry at slab index i, or nil for nilEntry.
+func (c *setChain) at(i int32) *chainEntry {
+	if i == nilEntry {
+		return nil
+	}
+	return &c.entries[i]
+}
+
 // Len returns the number of chain entries.
-func (c *setChain) Len() int { return len(c.index) }
+func (c *setChain) Len() int { return c.n }
 
 // partitionOf derives the entry's partition from its stamp.
 func (c *setChain) partitionOf(e *chainEntry) Partition {
@@ -118,59 +145,71 @@ func (c *setChain) partitionOf(e *chainEntry) Partition {
 // middle joins the old (the paper's P1 ← P2, P2 ← tail pointer update).
 func (c *setChain) rollover() { c.curInterval++ }
 
-func (c *setChain) get(k entryKey) *chainEntry { return c.index[k.packed()] }
-
-// appendTail links e at the MRU position.
-func (c *setChain) appendTail(e *chainEntry) {
-	e.prev, e.next = c.tail, nil
-	if c.tail != nil {
-		c.tail.next = e
+// appendTail links entry i at the MRU position.
+func (c *setChain) appendTail(i int32) {
+	e := &c.entries[i]
+	e.prev, e.next = c.tail, nilEntry
+	if c.tail != nilEntry {
+		c.entries[c.tail].next = i
 	} else {
-		c.head = e
+		c.head = i
 	}
-	c.tail = e
+	c.tail = i
 }
 
-func (c *setChain) unlink(e *chainEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (c *setChain) unlink(i int32) {
+	e := &c.entries[i]
+	if e.prev != nilEntry {
+		c.entries[e.prev].next = e.next
 	} else {
 		c.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != nilEntry {
+		c.entries[e.next].prev = e.prev
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-// remove deletes the entry from the chain entirely (all its pages evicted).
-func (c *setChain) remove(e *chainEntry) {
-	c.unlink(e)
-	delete(c.index, e.key.packed())
+// remove deletes half h of the set's entries from the chain entirely (all
+// its pages evicted) and frees the entry for reuse.
+func (c *setChain) remove(r *setRecord, h int) {
+	i := r.entry[h]
+	c.unlink(i)
+	r.entry[h] = nilEntry
+	c.entries[i].next = c.free
+	c.free = i
+	c.n--
 }
 
-// touch applies one reference event to the chain (Fig. 6): find or create
-// the entry for k, bump its counter by inc (saturating), set the bit vector
+// touch applies one reference event to half h of set s (Fig. 6): find or
+// create its entry, bump the counter by inc (saturating), set the bit vector
 // on faults, and move the entry to the MRU position of the new partition —
 // unless it is already in the new partition, in which case it stays put
 // ("within an interval, once a page set has been placed into the new
 // partition ... following touches will not trigger its movement").
 // faultOffset is the faulting page's offset within the set, or -1 for a
-// hit-batch update. Returns the entry.
-func (c *setChain) touch(k entryKey, inc, faultOffset int) *chainEntry {
-	pk := k.packed()
-	e := c.index[pk]
-	if e == nil {
-		e = &chainEntry{key: k, movedInterval: c.curInterval}
-		c.index[pk] = e
-		c.appendTail(e)
-	} else if c.partitionOf(e) != PartitionNew {
-		c.unlink(e)
-		e.movedInterval = c.curInterval
-		c.appendTail(e)
+// hit-batch update. Returns the entry, valid until the next touch.
+func (c *setChain) touch(s addrspace.SetID, r *setRecord, h, inc, faultOffset int) *chainEntry {
+	i := r.entry[h]
+	if i == nilEntry {
+		if c.free != nilEntry {
+			i = c.free
+			c.free = c.entries[i].next
+		} else {
+			c.entries = append(c.entries, chainEntry{})
+			i = int32(len(c.entries) - 1)
+		}
+		c.entries[i] = chainEntry{set: s, secondary: h == secondary, movedInterval: c.curInterval}
+		r.entry[h] = i
+		c.n++
+		c.appendTail(i)
+	} else if c.partitionOf(&c.entries[i]) != PartitionNew {
+		c.unlink(i)
+		c.entries[i].movedInterval = c.curInterval
+		c.appendTail(i)
 	}
+	e := &c.entries[i]
 	e.counter += inc
 	if e.counter > c.counterCap {
 		e.counter = c.counterCap
@@ -184,18 +223,18 @@ func (c *setChain) touch(k entryKey, inc, faultOffset int) *chainEntry {
 // updateExisting is the hit-batch variant of touch: it updates and moves the
 // entry only if it already exists (hit information for sets evicted before
 // the drain is dropped, mirroring the HIR's lossy nature).
-func (c *setChain) updateExisting(k entryKey, inc int) *chainEntry {
-	if c.index[k.packed()] == nil {
+func (c *setChain) updateExisting(s addrspace.SetID, r *setRecord, h, inc int) *chainEntry {
+	if r.entry[h] == nilEntry {
 		return nil
 	}
-	return c.touch(k, inc, -1)
+	return c.touch(s, r, h, inc, -1)
 }
 
 // oldMRU returns the MRU-most entry of the old partition, or nil when the
 // old partition is empty. Because the chain is stamp-ordered, this is found
 // by walking backward from the tail past the new and middle partitions.
 func (c *setChain) oldMRU() *chainEntry {
-	for e := c.tail; e != nil; e = e.prev {
+	for e := c.at(c.tail); e != nil; e = c.at(e.prev) {
 		if c.partitionOf(e) == PartitionOld {
 			return e
 		}
@@ -206,7 +245,7 @@ func (c *setChain) oldMRU() *chainEntry {
 // partitionLens counts entries per partition (O(n); used for stats and the
 // first-full old-partition census).
 func (c *setChain) partitionLens() (old, middle, new int) {
-	for e := c.head; e != nil; e = e.next {
+	for e := c.at(c.head); e != nil; e = c.at(e.next) {
 		switch c.partitionOf(e) {
 		case PartitionOld:
 			old++
@@ -229,9 +268,4 @@ func (e *chainEntry) lowestResident() int {
 		return -1
 	}
 	return bits.TrailingZeros32(e.residentMask)
-}
-
-// populated reports whether every page of the set has faulted at least once.
-func (e *chainEntry) populated(setSize int) bool {
-	return bits.OnesCount32(e.bitVector) >= setSize
 }

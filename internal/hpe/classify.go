@@ -117,10 +117,9 @@ func ratio(num, den int) float64 {
 // computeRatios traverses the chain and buckets every entry's counter:
 // regular counters are divisible by the page-set size; small-and-regular
 // equal 1× or 2× the set size; large-and-regular equal 3× or 4×.
-func computeRatios(c *setChain) RatioStats {
-	setSize := c.geometry.SetSize()
+func computeRatios(c *setChain, setSize int) RatioStats {
 	var s RatioStats
-	for e := c.head; e != nil; e = e.next {
+	for e := c.at(c.head); e != nil; e = c.at(e.next) {
 		cnt := e.counter
 		if cnt%setSize == 0 && cnt > 0 {
 			s.Regular++
@@ -141,10 +140,10 @@ func computeRatios(c *setChain) RatioStats {
 
 // Classify applies Table III to the ratio statistics:
 //
-//	regular      ratio₁ ≤ threshold, ratio₂ < 2
-//	irregular#1  ratio₁ ≤ threshold, ratio₂ ≥ 2
-//	irregular#2  ratio₁ > threshold
-func Classify(s RatioStats, ratio1Threshold, ratio2Threshold float64) Category {
+//	regular      ratio₁ ≤ 0.3, ratio₂ < 2
+//	irregular#1  ratio₁ ≤ 0.3, ratio₂ ≥ 2
+//	irregular#2  ratio₁ > 0.3
+func Classify(s RatioStats) Category {
 	if s.Ratio1 > ratio1Threshold {
 		return CategoryIrregular2
 	}

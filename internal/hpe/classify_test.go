@@ -26,7 +26,7 @@ func TestClassifyTableIII(t *testing.T) {
 		{"infinite ratio2", 0.1, math.Inf(1), CategoryIrregular1},
 	}
 	for _, c := range cases {
-		got := Classify(RatioStats{Ratio1: c.ratio1, Ratio2: c.ratio2}, 0.3, 2.0)
+		got := Classify(RatioStats{Ratio1: c.ratio1, Ratio2: c.ratio2})
 		if got != c.want {
 			t.Errorf("%s: Classify = %v, want %v", c.name, got, c.want)
 		}
@@ -38,9 +38,9 @@ func TestComputeRatiosCensus(t *testing.T) {
 	// Counters: 16 (small reg), 32 (small reg), 48 (large reg), 64 (large
 	// reg), 5 (irregular), 20 (irregular: not divisible by 16).
 	for i, cnt := range []int{16, 32, 48, 64, 5, 20} {
-		c.touch(entryKey{set: addrspace.SetID(i)}, cnt, 0)
+		touchSet(c, addrspace.SetID(i), cnt, 0)
 	}
-	s := computeRatios(c)
+	s := computeRatios(c, 16)
 	if s.Regular != 4 || s.Irregular != 2 {
 		t.Fatalf("regular=%d irregular=%d", s.Regular, s.Irregular)
 	}
@@ -53,23 +53,23 @@ func TestComputeRatiosCensus(t *testing.T) {
 }
 
 func TestComputeRatiosEmptyChain(t *testing.T) {
-	s := computeRatios(testChain())
+	s := computeRatios(testChain(), 16)
 	if s.Ratio1 != 0 || s.Ratio2 != 0 {
 		t.Fatalf("empty chain ratios = %f, %f", s.Ratio1, s.Ratio2)
 	}
-	if Classify(s, 0.3, 2) != CategoryRegular {
+	if Classify(s) != CategoryRegular {
 		t.Fatal("empty chain should classify regular (degenerate)")
 	}
 }
 
 func TestComputeRatiosAllIrregular(t *testing.T) {
 	c := testChain()
-	c.touch(entryKey{set: 1}, 7, 0)
-	s := computeRatios(c)
+	touchSet(c, 1, 7, 0)
+	s := computeRatios(c, 16)
 	if !math.IsInf(s.Ratio1, 1) {
 		t.Fatalf("ratio1 = %f, want +Inf", s.Ratio1)
 	}
-	if Classify(s, 0.3, 2) != CategoryIrregular2 {
+	if Classify(s) != CategoryIrregular2 {
 		t.Fatal("all-irregular should classify irregular#2")
 	}
 }

@@ -69,32 +69,14 @@ func (c Category) String() string {
 }
 
 // Config parameterises HPE. DefaultConfig returns the paper's defaults; the
-// sensitivity studies (Figs. 7–8, §V-A) vary individual fields.
+// sensitivity studies (Figs. 7–8, §V-A) vary individual fields. Every other
+// parameter follows from the page-set size and the interval length, the way
+// the paper derives it (see the derived-parameter methods below).
 type Config struct {
 	// Geometry defines the page-set size (default 16 pages).
 	Geometry addrspace.Geometry
 	// IntervalFaults is the interval length in page faults (default 64).
 	IntervalFaults int
-	// CounterCap is the page-set saturating counter limit (default 64,
-	// i.e. 4× the page-set size).
-	CounterCap int
-	// Ratio1Threshold is the classification threshold on ratio₁ (default 0.3).
-	Ratio1Threshold float64
-	// Ratio2Threshold is the classification threshold on ratio₂ (default 2).
-	Ratio2Threshold float64
-	// FIFODepth is the per-strategy wrong-eviction buffer depth (default
-	// 128 = two intervals of evictions).
-	FIFODepth int
-	// WrongEvictionThreshold triggers dynamic adjustment (default 16 = the
-	// page-set size).
-	WrongEvictionThreshold int
-	// SearchJumpDistance is how far the MRU-C search point jumps on a
-	// regular-application adjustment (default 16 page sets).
-	SearchJumpDistance int
-	// MinOldSetsForJump: regular applications whose old partition held fewer
-	// sets than this when memory first filled never jump (default 64 = 4×
-	// the page-set size).
-	MinOldSetsForJump int
 	// DynamicAdjustment enables Algorithm 1 (default true; the sensitivity
 	// studies of Figs. 7–8 run with it off).
 	DynamicAdjustment bool
@@ -119,32 +101,41 @@ type Config struct {
 	IdealHitFeed bool
 }
 
+// The parameters the paper fixes outright: the classification thresholds
+// of Table III and the MRU-C search-point jump of Algorithm 1.
+const (
+	ratio1Threshold    = 0.3
+	ratio2Threshold    = 2.0
+	searchJumpDistance = 16 // page sets
+)
+
 // DefaultConfig returns the paper's published parameter set (§V-A summary):
-// page-set size 16, interval 64, ratio₁ threshold 0.3, FIFO depth 128,
+// page-set size 16, interval 64, so counter cap 64, FIFO depth 128 and
 // wrong-eviction threshold 16.
 func DefaultConfig() Config {
 	return ConfigForGeometry(addrspace.DefaultGeometry(), 64)
 }
 
-// ConfigForGeometry derives a config from a page-set geometry and interval
-// length, scaling the dependent parameters the way the paper derives them:
-// counter cap = 4× set size, FIFO depth = 2× interval, wrong-eviction
-// threshold = set size, jump distance = 16, jump floor = 4× set size.
+// ConfigForGeometry returns the paper configuration for a page-set geometry
+// and interval length, with dynamic adjustment on.
 func ConfigForGeometry(g addrspace.Geometry, intervalFaults int) Config {
-	setSize := g.SetSize()
-	return Config{
-		Geometry:               g,
-		IntervalFaults:         intervalFaults,
-		CounterCap:             4 * setSize,
-		Ratio1Threshold:        0.3,
-		Ratio2Threshold:        2.0,
-		FIFODepth:              2 * intervalFaults,
-		WrongEvictionThreshold: setSize,
-		SearchJumpDistance:     16,
-		MinOldSetsForJump:      4 * setSize,
-		DynamicAdjustment:      true,
-	}
+	return Config{Geometry: g, IntervalFaults: intervalFaults, DynamicAdjustment: true}
 }
+
+// counterCap is the page-set saturating counter limit: 4× the set size.
+func (c Config) counterCap() int { return 4 * c.Geometry.SetSize() }
+
+// fifoDepth is the per-strategy wrong-eviction buffer depth: two intervals
+// of evictions.
+func (c Config) fifoDepth() int { return 2 * c.IntervalFaults }
+
+// wrongEvictionThreshold is the wrong-eviction count that triggers dynamic
+// adjustment: the set size.
+func (c Config) wrongEvictionThreshold() int { return c.Geometry.SetSize() }
+
+// jumpFloor is the old-partition census below which a regular application
+// never jumps its search point: 4× the set size.
+func (c Config) jumpFloor() int { return 4 * c.Geometry.SetSize() }
 
 func (c Config) validate() error {
 	if c.IntervalFaults <= 0 {
@@ -153,19 +144,9 @@ func (c Config) validate() error {
 	if c.Geometry.SetSize() > 32 {
 		return fmt.Errorf("hpe: set size %d above 32 (per-set page masks are 32-bit)", c.Geometry.SetSize())
 	}
-	if c.CounterCap < c.Geometry.SetSize() {
-		return fmt.Errorf("hpe: counter cap %d below set size %d", c.CounterCap, c.Geometry.SetSize())
-	}
-	if c.FIFODepth <= 0 || c.WrongEvictionThreshold <= 0 {
-		return fmt.Errorf("hpe: FIFO depth %d and wrong-eviction threshold %d must be positive",
-			c.FIFODepth, c.WrongEvictionThreshold)
-	}
-	if c.SearchJumpDistance < 0 || c.MinOldSetsForJump < 0 {
-		return fmt.Errorf("hpe: negative jump parameters")
-	}
-	if c.DivisionCounterThreshold < 0 || c.DivisionCounterThreshold > c.CounterCap {
+	if c.DivisionCounterThreshold < 0 || c.DivisionCounterThreshold > c.counterCap() {
 		return fmt.Errorf("hpe: division threshold %d out of [0, %d]",
-			c.DivisionCounterThreshold, c.CounterCap)
+			c.DivisionCounterThreshold, c.counterCap())
 	}
 	return nil
 }
@@ -175,5 +156,5 @@ func (c Config) divisionThreshold() int {
 	if c.DivisionCounterThreshold > 0 {
 		return c.DivisionCounterThreshold
 	}
-	return c.CounterCap
+	return c.counterCap()
 }

@@ -7,23 +7,13 @@ import (
 	"hpe/internal/hir"
 )
 
-// divisionInfo is the persistent per-set division record. It doubles as the
-// paper's history buffer: it survives the primary's removal from the chain,
-// and because the first division's result is reused for every later life of
-// the set, the recorded mask is immutable once set.
-type divisionInfo struct {
-	divided     bool
-	primaryMask uint32 // offsets that belong to the primary page set
-}
-
 // HPE is the hierarchical page eviction policy (Section IV). It implements
 // policy.Policy; the UVM driver additionally feeds it HIR drains through
 // OnHitBatch.
 type HPE struct {
-	cfg       Config
-	chain     *setChain
-	divisions map[addrspace.SetID]divisionInfo
-	adj       *adjuster
+	cfg   Config
+	chain *setChain
+	adj   *adjuster
 
 	classified bool
 	ratios     RatioStats
@@ -46,47 +36,33 @@ func New(cfg Config) *HPE {
 		panic(err)
 	}
 	return &HPE{
-		cfg:       cfg,
-		chain:     newSetChain(cfg.Geometry, cfg.CounterCap),
-		divisions: make(map[addrspace.SetID]divisionInfo),
-		adj:       newAdjuster(cfg),
+		cfg:   cfg,
+		chain: newSetChain(cfg.counterCap()),
+		adj:   newAdjuster(cfg),
 	}
 }
 
 // Name implements policy.Policy.
 func (h *HPE) Name() string { return "HPE" }
 
-// Config returns the policy's configuration.
-func (h *HPE) Config() Config { return h.cfg }
-
-// route resolves a page to its chain entry key, consulting the division
-// history (Fig. 6): pages of an undivided set, and divided-set pages inside
-// the recorded primary mask, use the primary tag; the rest use the secondary
-// tag.
-func (h *HPE) route(p addrspace.PageID) (entryKey, int) {
-	set := h.cfg.Geometry.SetOf(p)
-	off := h.cfg.Geometry.Offset(p)
-	d := h.divisions[set]
-	if d.divided && d.primaryMask&(1<<uint(off)) == 0 {
-		return entryKey{set: set, secondary: true}, off
-	}
-	return entryKey{set: set, secondary: false}, off
+// locate returns a page's set, its offset, and the set's record.
+func (h *HPE) locate(p addrspace.PageID) (addrspace.SetID, int, *setRecord) {
+	s := h.cfg.Geometry.SetOf(p)
+	return s, h.cfg.Geometry.Offset(p), h.chain.record(s)
 }
 
 // checkDivision applies §IV-C: the first time an undivided primary's counter
 // reaches the cap with an incomplete bit vector, the set is divided and the
 // bit vector becomes the immutable primary mask.
-func (h *HPE) checkDivision(e *chainEntry) {
-	if h.cfg.DisableDivision || e.key.secondary || e.divided ||
+func (h *HPE) checkDivision(r *setRecord, e *chainEntry) {
+	if h.cfg.DisableDivision || e.secondary || e.divided ||
 		e.counter < h.cfg.divisionThreshold() {
 		return
 	}
-	d := h.divisions[e.key.set]
-	if d.divided {
-		e.divided = true // first-division result reused
-		return
-	}
 	e.divided = true // the check runs once per entry life
+	if r.divided {
+		return // first-division result reused
+	}
 	// The primary keeps the pages that have been touched — plus any page the
 	// driver migrated speculatively (prefetch): those are resident under this
 	// entry and must not route to a secondary that doesn't track them.
@@ -94,7 +70,7 @@ func (h *HPE) checkDivision(e *chainEntry) {
 	if bits.OnesCount32(mask) >= h.cfg.Geometry.SetSize() {
 		return // fully populated: stays one page set
 	}
-	h.divisions[e.key.set] = divisionInfo{divided: true, primaryMask: mask}
+	r.divided, r.primaryMask = true, mask
 	h.divisionCount++
 }
 
@@ -105,9 +81,9 @@ func (h *HPE) OnWalkHit(p addrspace.PageID, seq int) {
 	if !h.cfg.IdealHitFeed {
 		return
 	}
-	k, _ := h.route(p)
-	if e := h.chain.updateExisting(k, 1); e != nil {
-		h.checkDivision(e)
+	s, off, r := h.locate(p)
+	if e := h.chain.updateExisting(s, r, r.half(off), 1); e != nil {
+		h.checkDivision(r, e)
 	}
 }
 
@@ -118,30 +94,23 @@ func (h *HPE) OnWalkHit(p addrspace.PageID, seq int) {
 // accepts for its lossy HIR channel).
 func (h *HPE) OnHitBatch(recs []hir.Record) {
 	h.hitBatchCount++
-	for _, r := range recs {
-		d := h.divisions[r.Set]
-		var primarySum, secondarySum int
-		for off, c := range r.Counts {
-			if c == 0 {
-				continue
-			}
-			if d.divided && d.primaryMask&(1<<uint(off)) == 0 {
-				secondarySum += int(c)
-			} else {
-				primarySum += int(c)
+	for _, rec := range recs {
+		r := h.chain.record(rec.Set)
+		var sums [2]int
+		for off, c := range rec.Counts {
+			if c != 0 {
+				sums[r.half(off)] += int(c)
 			}
 		}
-		if primarySum > 0 {
-			if e := h.chain.updateExisting(entryKey{set: r.Set}, primarySum); e != nil {
-				h.checkDivision(e)
+		if sums[primary] > 0 {
+			if e := h.chain.updateExisting(rec.Set, r, primary, sums[primary]); e != nil {
+				h.checkDivision(r, e)
 			} else {
 				h.hitBatchDrops++
 			}
 		}
-		if secondarySum > 0 {
-			if e := h.chain.updateExisting(entryKey{set: r.Set, secondary: true}, secondarySum); e == nil {
-				h.hitBatchDrops++
-			}
+		if sums[secondary] > 0 && h.chain.updateExisting(rec.Set, r, secondary, sums[secondary]) == nil {
+			h.hitBatchDrops++
 		}
 	}
 }
@@ -154,9 +123,8 @@ func (h *HPE) OnFault(p addrspace.PageID, seq int) {
 		h.adj.maybeAdjust(h.chain.curInterval, h.faultCount)
 	}
 	h.faultCount++
-	k, off := h.route(p)
-	e := h.chain.touch(k, 1, off)
-	h.checkDivision(e)
+	s, off, r := h.locate(p)
+	h.checkDivision(r, h.chain.touch(s, r, r.half(off), 1, off))
 	if h.faultCount%uint64(h.cfg.IntervalFaults) == 0 {
 		h.adj.onIntervalEnd()
 		h.chain.rollover()
@@ -165,12 +133,13 @@ func (h *HPE) OnFault(p addrspace.PageID, seq int) {
 
 // OnMapped implements policy.Policy: mark the page resident in its entry.
 func (h *HPE) OnMapped(p addrspace.PageID, seq int) {
-	k, off := h.route(p)
-	e := h.chain.get(k)
+	s, off, r := h.locate(p)
+	hf := r.half(off)
+	e := h.chain.at(r.entry[hf])
 	if e == nil {
-		// Defensive: the entry vanished between fault and map (only possible
-		// if the driver evicted the whole set in between).
-		e = h.chain.touch(k, 0, off)
+		// No fault created the entry: a prefetch reached an untouched half,
+		// or the driver evicted the whole half between fault and map.
+		e = h.chain.touch(s, r, hf, 0, off)
 	}
 	e.residentMask |= 1 << uint(off)
 }
@@ -178,8 +147,8 @@ func (h *HPE) OnMapped(p addrspace.PageID, seq int) {
 // classify runs the one-time statistics classification at the first
 // memory-full moment (the first SelectVictim call).
 func (h *HPE) classify() {
-	h.ratios = computeRatios(h.chain)
-	cat := Classify(h.ratios, h.cfg.Ratio1Threshold, h.cfg.Ratio2Threshold)
+	h.ratios = computeRatios(h.chain, h.cfg.Geometry.SetSize())
+	cat := Classify(h.ratios)
 	strat := initialStrategy(cat)
 	if h.cfg.ManualStrategy != nil {
 		strat = *h.cfg.ManualStrategy
@@ -209,14 +178,14 @@ func (h *HPE) SelectVictim() addrspace.PageID {
 		h.middleOrNewEv++
 	}
 	off := e.lowestResident()
-	return h.cfg.Geometry.PageAt(e.key.set, off)
+	return h.cfg.Geometry.PageAt(e.set, off)
 }
 
 // selectLRU walks from the chain head (globally least recent) to the first
 // entry with a resident page. Selecting from the old partition first is
 // automatic: the head is in the oldest non-empty partition.
 func (h *HPE) selectLRU() *chainEntry {
-	for e := h.chain.head; e != nil; e = e.next {
+	for e := h.chain.at(h.chain.head); e != nil; e = h.chain.at(e.next) {
 		if e.evictable() {
 			return e
 		}
@@ -236,13 +205,13 @@ func (h *HPE) selectMRUC() *chainEntry {
 		h.lruFallbacks++
 		return nil
 	}
-	for i := 0; i < h.adj.searchJump && start.prev != nil; i++ {
-		start = start.prev
+	for i := 0; i < h.adj.searchJump && start.prev != nilEntry; i++ {
+		start = h.chain.at(start.prev)
 	}
 	h.searches++
 	setSize := h.cfg.Geometry.SetSize()
 	// Pass 1: a set whose counter equals the page-set size.
-	for e := start; e != nil; e = e.prev {
+	for e := start; e != nil; e = h.chain.at(e.prev) {
 		h.comparisons++
 		if e.counter == setSize && e.evictable() {
 			return e
@@ -250,7 +219,7 @@ func (h *HPE) selectMRUC() *chainEntry {
 	}
 	// Pass 2: the minimum-counter set (ties resolved toward the MRU side).
 	var best *chainEntry
-	for e := start; e != nil; e = e.prev {
+	for e := start; e != nil; e = h.chain.at(e.prev) {
 		h.comparisons++
 		if !e.evictable() {
 			continue
@@ -270,13 +239,14 @@ func (h *HPE) selectMRUC() *chainEntry {
 // of its pages are gone.
 func (h *HPE) OnEvicted(p addrspace.PageID) {
 	h.adj.recordEviction(p)
-	k, off := h.route(p)
-	e := h.chain.get(k)
+	_, off, r := h.locate(p)
+	hf := r.half(off)
+	e := h.chain.at(r.entry[hf])
 	if e == nil {
 		return
 	}
 	e.residentMask &^= 1 << uint(off)
 	if e.residentMask == 0 {
-		h.chain.remove(e)
+		h.chain.remove(r, hf)
 	}
 }

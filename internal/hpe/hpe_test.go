@@ -181,12 +181,11 @@ func TestHPEDivisionOnEvenOddSet(t *testing.T) {
 	// Odd pages must now route to the secondary entry.
 	h.OnFault(pageOf(5, 1), 100)
 	h.OnMapped(pageOf(5, 1), 100)
-	if h.chain.get(entryKey{set: 5, secondary: true}) == nil {
+	if h.chain.record(5).entry[secondary] == nilEntry {
 		t.Fatal("odd page did not create the secondary entry")
 	}
 	// Even pages still route to the primary.
-	k, _ := h.route(pageOf(5, 2))
-	if k.secondary {
+	if h.chain.record(5).half(2) != primary {
 		t.Fatal("even page routed to secondary")
 	}
 }
@@ -221,12 +220,10 @@ func TestHPEDivisionHistoryReused(t *testing.T) {
 		t.Fatalf("chain len = %d after draining", h.chain.Len())
 	}
 	// Refault an even page: history routes it to the primary tag again.
-	k, _ := h.route(pageOf(5, 0))
-	if k.secondary {
+	if h.chain.record(5).half(0) != primary {
 		t.Fatal("history lost: even page routed to secondary")
 	}
-	k, _ = h.route(pageOf(5, 3))
-	if !k.secondary {
+	if h.chain.record(5).half(3) != secondary {
 		t.Fatal("history lost: odd page routed to primary")
 	}
 	if h.Stats().Divisions != 1 {
@@ -238,7 +235,7 @@ func TestHPEOnHitBatch(t *testing.T) {
 	cfg := DefaultConfig() // production config: hits only via batches
 	h := New(cfg)
 	faultSet(h, 3, 0)
-	e := h.chain.get(entryKey{set: 3})
+	e := primaryOf(h.chain, 3)
 	if e.counter != 16 {
 		t.Fatalf("counter = %d", e.counter)
 	}
@@ -254,7 +251,7 @@ func TestHPEOnHitBatch(t *testing.T) {
 	if st.HitBatches != 2 || st.HitBatchDrops != 1 {
 		t.Fatalf("batch stats = %d/%d", st.HitBatches, st.HitBatchDrops)
 	}
-	if h.chain.get(entryKey{set: 99}) != nil {
+	if primaryOf(h.chain, 99) != nil {
 		t.Fatal("batch created an entry for an evicted set")
 	}
 }
@@ -262,7 +259,7 @@ func TestHPEOnHitBatch(t *testing.T) {
 func TestHPEWalkHitIgnoredWithoutIdealFeed(t *testing.T) {
 	h := New(DefaultConfig())
 	faultSet(h, 3, 0)
-	e := h.chain.get(entryKey{set: 3})
+	e := primaryOf(h.chain, 3)
 	h.OnWalkHit(pageOf(3, 0), 1)
 	if e.counter != 16 {
 		t.Fatalf("walk hit leaked into chain: counter = %d", e.counter)
@@ -285,10 +282,9 @@ func TestHPEIntervalRollover(t *testing.T) {
 
 func TestHPEDynamicSwitchOnWrongEvictions(t *testing.T) {
 	cfg := idealFeedConfig()
-	cfg.IntervalFaults = 64
-	cfg.WrongEvictionThreshold = 4
+	cfg.Geometry = addrspace.NewGeometry(2) // 4-page sets: the wrong-eviction threshold is 4
 	h := New(cfg)
-	// Force irregular#2: sets with 3 touched pages.
+	// Force irregular#2: 4-page sets with 3 touched pages.
 	for s := 0; s < 30; s++ {
 		for off := 0; off < 3; off++ {
 			p := pageOf(addrspace.SetID(s), off)
@@ -328,15 +324,16 @@ func TestHPEDynamicSwitchOnWrongEvictions(t *testing.T) {
 }
 
 func TestHPERegularJumpGatedByFootprint(t *testing.T) {
+	// 2-page sets: the wrong-eviction threshold is 2 and the jump floor is
+	// 8 sets. faultSet's 16 pages fill eight of them.
 	cfg := idealFeedConfig()
+	cfg.Geometry = addrspace.NewGeometry(1)
 	cfg.IntervalFaults = 16
-	cfg.WrongEvictionThreshold = 2
-	cfg.MinOldSetsForJump = 2 // tiny so the jump is allowed
 	h := New(cfg)
 	for s := 1; s <= 4; s++ {
 		faultSet(h, addrspace.SetID(s), 0)
 	}
-	h.SelectVictim() // classify regular (all counters 16), old partition = 2 sets
+	h.SelectVictim() // classify regular (all counters 2), old partition = 24 sets
 	st := h.Stats()
 	if st.Category != CategoryRegular {
 		t.Fatalf("category = %v", st.Category)
@@ -356,12 +353,10 @@ func TestHPERegularJumpGatedByFootprint(t *testing.T) {
 		t.Fatal("regular app must stay on MRU-C")
 	}
 
-	// Same scenario with a high footprint floor: no jump.
-	cfg.MinOldSetsForJump = 1000
+	// Same scenario with a footprint below the floor: one interval of
+	// faults leaves the old partition empty, so no jump.
 	h2 := New(cfg)
-	for s := 1; s <= 4; s++ {
-		faultSet(h2, addrspace.SetID(s), 0)
-	}
+	faultSet(h2, 1, 0)
 	h2.SelectVictim()
 	for i := 0; i < 4; i++ {
 		v := h2.SelectVictim()
@@ -377,7 +372,6 @@ func TestHPERegularJumpGatedByFootprint(t *testing.T) {
 func TestHPEAdjustmentDisabled(t *testing.T) {
 	cfg := idealFeedConfig()
 	cfg.DynamicAdjustment = false
-	cfg.WrongEvictionThreshold = 1
 	h := New(cfg)
 	for s := 0; s < 30; s++ {
 		for off := 0; off < 3; off++ {
@@ -387,13 +381,18 @@ func TestHPEAdjustmentDisabled(t *testing.T) {
 		}
 	}
 	h.SelectVictim()
-	for i := 0; i < 8; i++ {
+	// 32 refaults within one interval: twice the wrong-eviction threshold.
+	for i := 0; i < 32; i++ {
 		v := h.SelectVictim()
 		h.OnEvicted(v)
 		h.OnFault(v, 0)
 		h.OnMapped(v, 0)
 	}
-	if h.Stats().Switches != 0 {
+	st := h.Stats()
+	if st.WrongEvictions[StrategyLRU] < cfg.wrongEvictionThreshold() {
+		t.Fatalf("wrong evictions = %v, never reached the trigger", st.WrongEvictions)
+	}
+	if st.Switches != 0 {
 		t.Fatal("adjustment ran while disabled")
 	}
 }
@@ -466,9 +465,10 @@ func TestConfigRejectsWideSets(t *testing.T) {
 func TestConfigForGeometryScaling(t *testing.T) {
 	g := addrspace.NewGeometry(5) // 32-page sets
 	cfg := ConfigForGeometry(g, 128)
-	if cfg.CounterCap != 128 || cfg.FIFODepth != 256 ||
-		cfg.WrongEvictionThreshold != 32 || cfg.MinOldSetsForJump != 128 {
-		t.Fatalf("derived config = %+v", cfg)
+	if cfg.counterCap() != 128 || cfg.fifoDepth() != 256 ||
+		cfg.wrongEvictionThreshold() != 32 || cfg.jumpFloor() != 128 {
+		t.Fatalf("derived parameters = %d/%d/%d/%d", cfg.counterCap(), cfg.fifoDepth(),
+			cfg.wrongEvictionThreshold(), cfg.jumpFloor())
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // checkChainInvariants validates the structural invariants the HPE design
 // relies on:
 //  1. the chain is sorted by movedInterval (partition derivation),
-//  2. every entry is reachable from the index and vice versa,
+//  2. every entry is the one its set's record names for its half, and every
+//     slab entry is either on the chain or on the free list,
 //  3. resident pages imply bit-vector pages for primaries (a page must fault
 //     before it can be resident),
 //  4. counters are within [0, cap],
@@ -23,34 +24,47 @@ func checkChainInvariants(t *testing.T, h *HPE) {
 	c := h.chain
 	prev := uint64(0)
 	count := 0
-	for e := c.head; e != nil; e = e.next {
+	for i := c.head; i != nilEntry; i = c.entries[i].next {
+		e := &c.entries[i]
 		count++
 		if e.movedInterval < prev {
 			t.Fatal("chain not stamp-sorted")
 		}
 		prev = e.movedInterval
-		if c.index[e.key.packed()] != e {
-			t.Fatalf("entry %v not indexed", e.key)
+		hf := primary
+		if e.secondary {
+			hf = secondary
 		}
-		if e.counter < 0 || e.counter > h.cfg.CounterCap {
+		r := c.record(e.set)
+		if r.entry[hf] != i {
+			t.Fatalf("entry %d of %v not in its record %+v", i, e.set, *r)
+		}
+		if e.counter < 0 || e.counter > h.cfg.counterCap() {
 			t.Fatalf("counter %d out of range", e.counter)
 		}
-		if !e.key.secondary && e.residentMask&^e.bitVector != 0 {
+		if !e.secondary && e.residentMask&^e.bitVector != 0 {
 			t.Fatalf("entry %v resident pages %b outside faulted set %b",
-				e.key, e.residentMask, e.bitVector)
+				e.set, e.residentMask, e.bitVector)
 		}
-		if d := h.divisions[e.key.set]; d.divided {
+		if r.divided {
 			setMask := uint32(1<<uint(h.cfg.Geometry.SetSize())) - 1
-			if e.key.secondary && e.residentMask&d.primaryMask != 0 {
-				t.Fatalf("secondary %v holds primary pages", e.key)
+			if e.secondary && e.residentMask&r.primaryMask != 0 {
+				t.Fatalf("secondary %v holds primary pages", e.set)
 			}
-			if !e.key.secondary && e.residentMask&^d.primaryMask&setMask != 0 {
-				t.Fatalf("primary %v holds secondary pages", e.key)
+			if !e.secondary && e.residentMask&^r.primaryMask&setMask != 0 {
+				t.Fatalf("primary %v holds secondary pages", e.set)
 			}
 		}
 	}
-	if count != len(c.index) {
-		t.Fatalf("chain length %d != index size %d", count, len(c.index))
+	if count != c.Len() {
+		t.Fatalf("chain length %d != Len %d", count, c.Len())
+	}
+	free := 0
+	for i := c.free; i != nilEntry; i = c.entries[i].next {
+		free++
+	}
+	if count+free != len(c.entries)-1 {
+		t.Fatalf("%d chained + %d free entries, slab holds %d", count, free, len(c.entries)-1)
 	}
 }
 
@@ -74,7 +88,8 @@ func TestHPEInvariantsUnderRandomReplay(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.IdealHitFeed = true
 		cfg.IntervalFaults = 16 + rng.Intn(64)
-		cfg.WrongEvictionThreshold = 4 + rng.Intn(16)
+		// 4- to 32-page sets: the wrong-eviction threshold is the set size.
+		cfg.Geometry = addrspace.NewGeometry(uint(2 + rng.Intn(4)))
 		h := New(cfg)
 		capacity := 1 + sets*16*(40+rng.Intn(40))/100
 		res := policy.Replay(trace.New("rnd", refs), h, capacity)
@@ -124,7 +139,7 @@ func TestHPEResidencyMatchesDriver(t *testing.T) {
 	}
 	// Sum of resident bits across entries == ground-truth residency.
 	total := 0
-	for e := h.chain.head; e != nil; e = e.next {
+	for e := h.chain.at(h.chain.head); e != nil; e = h.chain.at(e.next) {
 		total += bits.OnesCount32(e.residentMask)
 	}
 	if total != len(resident) {

@@ -74,7 +74,12 @@ func (t *Table[V]) Get(p addrspace.PageID) (V, bool) {
 }
 
 // Put stores v for p, allocating p's leaf on first touch of its span.
-func (t *Table[V]) Put(p addrspace.PageID, v V) {
+func (t *Table[V]) Put(p addrspace.PageID, v V) { *t.Ref(p) = v }
+
+// Ref returns a pointer to p's value, storing the zero value first if p has
+// none, so a caller can read and update a record with one lookup. The
+// pointer is valid until the next Put or Ref that allocates a leaf.
+func (t *Table[V]) Ref(p addrspace.PageID) *V {
 	l := t.find(p)
 	if l == nil {
 		l = t.addLeaf(p >> leafBits)
@@ -83,7 +88,7 @@ func (t *Table[V]) Put(p addrspace.PageID, v V) {
 		l.used |= bit
 		t.n++
 	}
-	l.vals[p&leafMask] = v
+	return &l.vals[p&leafMask]
 }
 
 // addLeaf appends an empty leaf for leaf number k and caches it.

@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzPageTable drives a Table and a builtin map through the same
-// Put/Get/Delete sequence and requires the same answers and lengths. Each op
+// Put/Ref/Get/Delete sequence and requires the same answers and lengths. Each op
 // byte picks the operation (low two bits) and one of 64 pages base +
 // k·stride (high six bits), with wrapping arithmetic, so a corpus entry
 // chooses whether its pages share leaves, sit far apart or straddle 0 and
@@ -30,9 +30,16 @@ func FuzzPageTable(f *testing.F) {
 		for i, op := range ops {
 			p := addrspace.PageID(base + uint64(op>>2)*stride)
 			switch op & 3 {
-			case 0, 1:
+			case 0:
 				tab.Put(p, int32(i))
 				oracle[p] = int32(i)
+			case 1:
+				v := tab.Ref(p)
+				if want := oracle[p]; *v != want {
+					t.Fatalf("op %d: Ref(%#x) = %d, want %d", i, uint64(p), *v, want)
+				}
+				*v += int32(i)
+				oracle[p] += int32(i)
 			case 2:
 				_, want := oracle[p]
 				if got := tab.Delete(p); got != want {

@@ -12,7 +12,6 @@ package registry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hpe/internal/addrspace"
@@ -147,17 +146,6 @@ func Infos() []Info {
 	for i, e := range entries {
 		out[i] = e.info
 	}
-	return out
-}
-
-// AllNames returns canonical names plus aliases, sorted — the full accepted
-// vocabulary (for shell completion and tests).
-func AllNames() []string {
-	out := make([]string, 0, len(byName))
-	for n := range byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -167,8 +167,4 @@ func TestInfosMatchNames(t *testing.T) {
 	if !NeedsHIR("hpe") || NeedsHIR("lru") {
 		t.Error("NeedsHIR wrong for hpe/lru")
 	}
-	all := AllNames()
-	if len(all) <= len(names) {
-		t.Error("AllNames should include aliases")
-	}
 }

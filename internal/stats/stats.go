@@ -143,16 +143,3 @@ func (t *Table) Render() string {
 	}
 	return b.String()
 }
-
-// Bar renders value as a text bar scaled so that maxValue maps to width
-// characters — a terminal stand-in for the paper's bar charts.
-func Bar(value, maxValue float64, width int) string {
-	if maxValue <= 0 || value <= 0 || width <= 0 {
-		return ""
-	}
-	n := int(math.Round(value / maxValue * float64(width)))
-	if n > width {
-		n = width
-	}
-	return strings.Repeat("#", n)
-}

@@ -87,15 +87,3 @@ func TestTableRender(t *testing.T) {
 		t.Fatalf("Len = %d", tb.Len())
 	}
 }
-
-func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); got != "#####" {
-		t.Fatalf("Bar = %q", got)
-	}
-	if Bar(20, 10, 10) != "##########" {
-		t.Fatal("Bar did not clamp")
-	}
-	if Bar(-1, 10, 10) != "" || Bar(1, 0, 10) != "" {
-		t.Fatal("degenerate bars not empty")
-	}
-}

@@ -189,30 +189,6 @@ func (t *Trace) UniquePages() []addrspace.PageID {
 	return out
 }
 
-// Chunks splits the trace into n contiguous chunks of near-equal length,
-// preserving order within each chunk. It mirrors how a grid of thread blocks
-// partitions its input: warp w processes the w-th contiguous slice. Chunks
-// may be empty when n exceeds the trace length.
-func (t *Trace) Chunks(n int) [][]addrspace.PageID {
-	if n <= 0 {
-		panic(fmt.Sprintf("trace: Chunks(%d): n must be positive", n))
-	}
-	out := make([][]addrspace.PageID, n)
-	total := len(t.Refs)
-	base := total / n
-	rem := total % n
-	start := 0
-	for i := 0; i < n; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = t.Refs[start : start+size]
-		start += size
-	}
-	return out
-}
-
 // Counts returns the reference count of each page.
 func (t *Trace) Counts() map[addrspace.PageID]int {
 	m := make(map[addrspace.PageID]int, len(t.Refs)/4+1)

@@ -48,48 +48,6 @@ func TestUniquePagesSorted(t *testing.T) {
 	}
 }
 
-func TestChunksPartitionWithoutLossOrReorder(t *testing.T) {
-	tr := New("t", pages(0, 1, 2, 3, 4, 5, 6))
-	chunks := tr.Chunks(3)
-	if len(chunks) != 3 {
-		t.Fatalf("got %d chunks, want 3", len(chunks))
-	}
-	var recombined []addrspace.PageID
-	for _, c := range chunks {
-		recombined = append(recombined, c...)
-	}
-	if !reflect.DeepEqual(recombined, tr.Refs) {
-		t.Fatalf("chunks recombine to %v, want %v", recombined, tr.Refs)
-	}
-	// Near-equal: lengths 3,2,2.
-	if len(chunks[0]) != 3 || len(chunks[1]) != 2 || len(chunks[2]) != 2 {
-		t.Fatalf("chunk lengths %d,%d,%d, want 3,2,2", len(chunks[0]), len(chunks[1]), len(chunks[2]))
-	}
-}
-
-func TestChunksMoreChunksThanRefs(t *testing.T) {
-	tr := New("t", pages(1, 2))
-	chunks := tr.Chunks(5)
-	nonEmpty := 0
-	for _, c := range chunks {
-		if len(c) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != 2 {
-		t.Fatalf("nonEmpty chunks = %d, want 2", nonEmpty)
-	}
-}
-
-func TestChunksZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Chunks(0) did not panic")
-		}
-	}()
-	New("t", nil).Chunks(0)
-}
-
 func TestCounts(t *testing.T) {
 	tr := New("t", pages(7, 7, 8, 7))
 	c := tr.Counts()

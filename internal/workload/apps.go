@@ -265,15 +265,6 @@ func ByPattern(p PatternType) []App {
 	return out
 }
 
-// Abbrs returns all catalog abbreviations in catalog order.
-func Abbrs() []string {
-	var out []string
-	for _, a := range Catalog() {
-		out = append(out, a.Abbr)
-	}
-	return out
-}
-
 // PatternTypes returns the pattern types present in the catalog, ascending.
 func PatternTypes() []PatternType {
 	seen := map[PatternType]bool{}

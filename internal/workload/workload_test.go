@@ -60,8 +60,8 @@ func TestByAbbr(t *testing.T) {
 }
 
 func TestAbbrsAndPatternTypes(t *testing.T) {
-	if len(Abbrs()) != 23 {
-		t.Fatalf("Abbrs() len = %d", len(Abbrs()))
+	if len(Catalog()) != 23 {
+		t.Fatalf("catalog holds %d applications, want 23", len(Catalog()))
 	}
 	pts := PatternTypes()
 	if len(pts) != 6 {

@@ -42,7 +42,8 @@ type runDigestCell struct {
 // runDigestCells is the matrix: every registry policy on one catalog app at
 // 75% oversubscription, one scale-4 cell, the baseline policies on BFS at
 // 50%, one more thrashing-preset RRIP cell, three data-path and page-walk-
-// cache cells, one phase preset and one tenant preset.
+// cache cells, six cells on HPE's division, switching, jump, sensitivity
+// and tuning paths, one phase preset and one tenant preset.
 func runDigestCells(t *testing.T) []runDigestCell {
 	var cells []runDigestCell
 	for _, name := range hpe.PolicyNames() {
@@ -64,6 +65,22 @@ func runDigestCells(t *testing.T) []runDigestCell {
 		runDigestCell{"datapath-hwl75-lru", hpe.RunSpec{App: "HWL", Policy: "lru", Rate: 75, DataPath: true}},
 		runDigestCell{"pwc-datapath-hwl50-hpe", hpe.RunSpec{App: "HWL", Policy: "hpe", Rate: 50, Design: "pwc", DataPath: true}},
 		runDigestCell{"pwc-bfs50-lru-scale4", hpe.RunSpec{App: "BFS", Policy: "lru", Rate: 50, Scale: 4, Design: "pwc"}})
+	// HPE's own paths: NW divides its page sets, BFS at 75% is the
+	// irregular#1 application whose strategy switches (Fig. 13), GEM at
+	// 75% is the regular one whose MRU-C search point jumps, the
+	// sensitivity methodology feeds hits ideally under a manual strategy,
+	// and two cells move the set size, interval and division threshold off
+	// the paper's values.
+	cells = append(cells,
+		runDigestCell{"nw50-hpe", hpe.RunSpec{App: "NW", Policy: "hpe", Rate: 50}},
+		runDigestCell{"bfs75-hpe", hpe.RunSpec{App: "BFS", Policy: "hpe", Rate: 75}},
+		runDigestCell{"gem75-hpe", hpe.RunSpec{App: "GEM", Policy: "hpe", Rate: 75}},
+		runDigestCell{"sensitivity-hsd75-hpe", hpe.RunSpec{App: "HSD", Policy: "hpe", Rate: 75,
+			Tuning: hpe.RunTuning{SensitivityHPE: true}}},
+		runDigestCell{"kmn75-hpe-set8-interval32", hpe.RunSpec{App: "KMN", Policy: "hpe", Rate: 75,
+			Tuning: hpe.RunTuning{SetSizeShift: 3, HPEInterval: 32}}},
+		runDigestCell{"nw50-hpe-division32", hpe.RunSpec{App: "NW", Policy: "hpe", Rate: 50,
+			Tuning: hpe.RunTuning{HPEDivisionThreshold: 32}}})
 	for _, preset := range []string{"burst", "colo-mix"} {
 		sc, ok := hpe.ScenarioByName(preset)
 		if !ok {
