@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all check build test fmt vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe clean
+.PHONY: all check build test fmt vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe profile clean
 
 all: check
 
@@ -122,6 +122,18 @@ bench:
 bench-probe:
 	$(GO) test -run '^$$' -bench 'BenchmarkNilProbe|BenchmarkMetricsProbe' -benchtime=5x -count=3 .
 
+# CPU profile of one serial full-suite run (every experiment, Workers 1):
+# where the simulator's time goes, layer by layer. The profile and the test
+# binary stay in .profile/ (git-ignored); inspect further with
+# `go tool pprof .profile/hpe.test .profile/cpu.pprof`.
+PROFILE_DIR := .profile
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkSuiteFullSerial$$' -benchtime 1x \
+		-cpuprofile $(PROFILE_DIR)/cpu.pprof -o $(PROFILE_DIR)/hpe.test .
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/hpe.test $(PROFILE_DIR)/cpu.pprof
+
 clean:
 	rm -f hpelint
+	rm -rf $(PROFILE_DIR)
 	$(GO) clean ./...

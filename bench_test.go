@@ -49,6 +49,18 @@ func BenchmarkSuiteReportsParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkSuiteFullSerial runs the whole suite (every experiment ID, full
+// catalog) on one worker: the serial sweep a researcher waits on, and the
+// run `make profile` CPU-profiles to attribute time to layers.
+func BenchmarkSuiteFullSerial(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuite(experiments.Options{Seed: 1, Workers: 1})
+		if _, err := s.Reports(experiments.IDs()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func reportMetric(b *testing.B, rep experiments.Report, key, unit string) {
 	if v, ok := rep.Metrics[key]; ok {
 		b.ReportMetric(v, unit)

@@ -44,6 +44,10 @@ type chaosGate struct {
 	// corrupt, when set, is the body every run POST gets with a 200 in
 	// place of the backend's answer — a backend that answers but lies.
 	corrupt atomic.Pointer[string]
+	// specFail, when set, makes every run POST answer 500 `internal` naming
+	// the posted spec's run ID: the envelope a backend sends when the
+	// simulation of that spec fails.
+	specFail atomic.Bool
 
 	runPosts atomic.Int64 // POST /v1/runs requests seen
 	// killAt / pauseAt, when positive, trigger the matching failure upon
@@ -70,6 +74,13 @@ func (g *chaosGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			io.WriteString(w, *body)
 			return
+		}
+		if g.specFail.Load() {
+			if sp, err := runspec.Decode(r.Body); err == nil {
+				server.WriteError(w, http.StatusInternalServerError, server.ErrInternal,
+					"computation failed: simulator panic", sp.ID())
+				return
+			}
 		}
 	}
 	if g.killed.Load() {
@@ -704,6 +715,70 @@ func TestHostileSpecOpensNoBreaker(t *testing.T) {
 	}
 	if code, body, _ := post(t, tc.front.URL, "/v1/runs", `{"app":"HOT","policy":"lru","rate":75}`); code != http.StatusOK {
 		t.Fatalf("valid run after the hostile one: status %d: %s", code, body)
+	}
+}
+
+// TestSpecFailureOpensNoBreaker: a spec whose simulation fails on every
+// backend comes back as the backends' own 500 `internal` envelope, and as
+// many such POSTs as the breaker threshold leave every breaker closed and
+// uncharged: two backends failing the same run the same way blame the spec.
+func TestSpecFailureOpensNoBreaker(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	for _, cb := range tc.backends {
+		cb.gate.specFail.Store(true)
+	}
+	for i := 0; i < tc.coord.cfg.BreakerThreshold; i++ {
+		sp := runspec.Spec{App: "HOT", Policy: "lru", Rate: 60 + i}
+		code, body, _ := post(t, tc.front.URL, "/v1/runs", fmt.Sprintf(`{"app":"HOT","policy":"lru","rate":%d}`, sp.Rate))
+		eb, ok := server.DecodeError(body)
+		if code != http.StatusInternalServerError || !ok || eb.Code != server.ErrInternal || eb.RunID != sp.ID() {
+			t.Fatalf("failing spec: status %d, envelope %+v (ok=%t), want 500 internal for %s", code, eb, ok, sp.ID())
+		}
+	}
+	for _, s := range tc.coord.snapshots() {
+		if s.BreakerOpen || s.Failures != 0 {
+			t.Fatalf("backend %s: breaker open %t after %d failures", s.Name, s.BreakerOpen, s.Failures)
+		}
+	}
+	for _, cb := range tc.backends {
+		cb.gate.specFail.Store(false)
+	}
+	if code, body, _ := post(t, tc.front.URL, "/v1/runs", `{"app":"HOT","policy":"lru","rate":75}`); code != http.StatusOK {
+		t.Fatalf("valid run after the failing ones: status %d: %s", code, body)
+	}
+}
+
+// TestSickBackendStillOpens: a backend that answers 500 `internal` for
+// every spec while its peer answers the same specs is sick, not unlucky.
+// Each such 500 is charged once the peer succeeds, so as many shards as the
+// breaker threshold, each owned by the sick backend, open its breaker, and
+// every client still gets the peer's 200.
+func TestSickBackendStillOpens(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	sick := tc.backends[0]
+	sick.gate.specFail.Store(true)
+	posted := 0
+	for rate := 1; rate <= 100 && posted < tc.coord.cfg.BreakerThreshold; rate++ {
+		sp := runspec.Spec{App: "HOT", Policy: "lru", Rate: rate}
+		if tc.coord.ring.sequence(sp.ID())[0] != sick.ts.URL {
+			continue // owned by the healthy peer: the sick backend is never asked
+		}
+		code, body, _ := post(t, tc.front.URL, "/v1/runs", fmt.Sprintf(`{"app":"HOT","policy":"lru","rate":%d}`, rate))
+		if code != http.StatusOK {
+			t.Fatalf("rate %d: status %d: %s", rate, code, body)
+		}
+		posted++
+	}
+	if posted < tc.coord.cfg.BreakerThreshold {
+		t.Fatalf("found only %d specs owned by the sick backend", posted)
+	}
+	for _, s := range tc.coord.snapshots() {
+		switch {
+		case s.Name == sick.ts.URL && s.BreakerOpens == 0:
+			t.Errorf("sick backend: breaker never opened after %d failures", s.Failures)
+		case s.Name != sick.ts.URL && s.Failures != 0:
+			t.Errorf("healthy backend %s charged %d failures", s.Name, s.Failures)
+		}
 	}
 }
 

@@ -31,6 +31,15 @@ import (
 // a backend able to run it.
 var errNoBackends = errors.New("no usable backend")
 
+// specFailure is a backend's 500 `internal` envelope naming the shard's own
+// run ID: the simulation of that spec failed. A spec that fails the same
+// way everywhere (a simulator panic it reaches) says nothing about the
+// backend, so dispatchRun holds the breaker charge until a second backend
+// has answered the same spec.
+type specFailure struct{ env *server.Error }
+
+func (f *specFailure) Error() string { return f.env.Error() }
+
 // dispatchRun executes one run spec on the cluster and returns the answering
 // backend's response body verbatim (a server.RunResponse) along with the
 // Result decoded from it. Determinism makes any backend's bytes THE bytes,
@@ -43,6 +52,15 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 	seq := c.ring.sequence(id)
 	backoff := c.cfg.BackoffBase
 	var lastErr error
+	// held is the backend whose spec failure awaits a second opinion. It is
+	// charged when the shard's dispatch ends any other way than with the
+	// same failure from another backend.
+	var held *backend
+	defer func() {
+		if held != nil {
+			held.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+		}
+	}()
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			// Deterministic exponential backoff between rounds; per-backend
@@ -80,6 +98,20 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 			var perm *server.Error
 			if errors.As(err, &perm) {
 				return nil, hpe.Result{}, err
+			}
+			var sf *specFailure
+			if errors.As(err, &sf) {
+				switch {
+				case held == nil:
+					held = b
+				case held != b:
+					// Two backends failed the same spec the same way: the
+					// spec is at fault, neither backend is.
+					held = nil
+					return nil, hpe.Result{}, sf.env
+				default: // the same backend again is no second opinion
+					b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+				}
 			}
 			if ctx.Err() != nil {
 				return nil, hpe.Result{}, ctx.Err()
@@ -139,6 +171,8 @@ func (c *Coordinator) idleFirst(seq []string) (order []string, claimed bool) {
 // envelope, which the handler set relays verbatim. Transport failures and
 // 5xx responses are charged to the breaker; backpressure and 4xx rejections
 // are not (the backend is healthy — it is full, or the request is wrong).
+// A 500 `internal` envelope naming the shard's run ID is not charged here
+// either: it comes back as a *specFailure for dispatchRun to judge.
 func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byte, id string, claimed bool) (body []byte, res hpe.Result, retryAfter time.Duration, err error) {
 	release, err := b.acquire(ctx, claimed)
 	if err != nil {
@@ -204,6 +238,10 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 		return nil, res, 0, &server.Error{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Message, RunID: eb.RunID}
 
 	default:
+		if eb, ok := server.DecodeError(raw); ok && resp.StatusCode == http.StatusInternalServerError &&
+			eb.Code == server.ErrInternal && eb.RunID == id {
+			return nil, res, 0, &specFailure{&server.Error{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Message, RunID: eb.RunID}}
+		}
 		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
 		return nil, res, 0, fmt.Errorf("backend status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 	}

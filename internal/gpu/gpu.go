@@ -10,9 +10,13 @@
 //     grid marching through its input.
 //   - Translation: per-SM L1 TLB (1 cycle) → shared L2 TLB (10 cycles) →
 //     page-table walk (8 cycles). Concurrent walks for the same page merge
-//     (walker MSHRs). Walk hits are reported to the driver (feeding the
-//     baselines' ideal model and HPE's HIR); walk misses raise replayable
-//     far-faults: the faulting warp blocks, everything else keeps going.
+//     (walker MSHRs). Each page has one record holding its walk MSHR and
+//     its slot in the L2 TLB and in every SM's L1 TLB, so a lookup, a fill
+//     and an eviction's shootdown each read that record, and a shootdown
+//     clears exactly the TLBs that hold the page. Walk hits are reported
+//     to the driver (feeding the baselines' ideal model and HPE's HIR);
+//     walk misses raise replayable far-faults: the faulting warp blocks,
+//     everything else keeps going.
 //   - Far-faults queue at the UVM driver (internal/uvm): 20 µs each,
 //     serviced in order with duplicate coalescing, evicting via the active
 //     policy when device memory is full. Evictions shoot down TLB entries.
@@ -23,7 +27,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"hpe/internal/addrspace"
 	"hpe/internal/cache"
@@ -202,6 +205,22 @@ func (r Result) String() string {
 		r.Workload, r.Policy, r.Cycles, r.IPC, r.Faults, r.Evictions, r.WalkHits)
 }
 
+// A page's record is one row of Simulator.pages: the cell at recMSHR holds
+// the waiter list of its walk in flight, recL2 its L2 TLB slot, and
+// recL1+i its slot in SM i's L1 TLB. Each cell holds the index plus one, so
+// a zero cell (every cell of a page never touched) means none. Cells are 16
+// bits, which keeps a 15-SM record within 34 bytes: New rejects TLBs of
+// 2¹⁶−1 entries or more, and more warp slots than that (live waiter lists
+// never outnumber the warps, each of which waits on at most one).
+const (
+	recMSHR = iota
+	recL2
+	recL1
+)
+
+// maxCell bounds the indexes a record cell holds (index + 1 fits 16 bits).
+const maxCell = 1<<16 - 1
+
 type continuation struct {
 	smID int
 	seq  int
@@ -252,8 +271,7 @@ func (e *completeEvent) OnEvent(a0, a1 uint64) {
 
 type smState struct {
 	id        int
-	bit       uint64 // this SM's bit in a page's L1-sharer mask (id % 64)
-	l1        *tlb.TLB
+	l1        *tlb.Slots   // indexed by page records (recL1 + id)
 	l1d       *cache.Cache // nil unless ModelDataPath
 	nextIssue sim.Cycle
 }
@@ -266,7 +284,7 @@ type Simulator struct {
 	engine *sim.Engine
 	memory *mem.DeviceMemory
 	driver *uvm.Driver
-	l2     *tlb.TLB
+	l2     *tlb.Slots   // indexed by page records (recL2); unused under DesignPWC
 	pwalk  *ptw.Walker  // non-nil under DesignPWC
 	l2d    *cache.Cache // nil unless ModelDataPath
 	dramC  *dram.DRAM   // nil unless ModelDataPath
@@ -279,17 +297,13 @@ type Simulator struct {
 	hComplete sim.HandlerID
 
 	cursor int
-	// Walk MSHRs: mshrs maps a page with a walk in flight to its waiter
-	// list, an index into waiters. A list outlives the walk while its
-	// far-fault is serviced (the index is the fault's wake token) and returns
-	// to freeLists in fillAndWake; each list keeps its capacity across reuse.
-	mshrs     *pagetable.Table[int32]
+	// pages holds one record per page (see recMSHR). A walk's waiter list
+	// is an index into waiters; it outlives the walk while its far-fault is
+	// serviced (the index is the fault's wake token) and returns to
+	// freeLists in fillAndWake; each list keeps its capacity across reuse.
+	pages     *pagetable.Rows
 	waiters   [][]continuation
 	freeLists []int32
-	// sharers maps a page to the L1 TLBs that may hold it: bit id%64 of
-	// every SM that filled it since its last shootdown. Above 64 SMs bits
-	// alias, which only adds no-op invalidations.
-	sharers *pagetable.Table[uint64]
 
 	completed    uint64
 	instructions uint64
@@ -362,15 +376,18 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	if cfg.MemoryPages <= 0 {
 		panic("gpu: MemoryPages must be positive")
 	}
+	if cfg.L1TLBEntries >= maxCell || cfg.L2TLBEntries >= maxCell || cfg.SMs*cfg.WarpsPerSM >= maxCell {
+		panic(fmt.Sprintf("gpu: page records hold 16-bit cells: TLBs of %d and %d entries and %d warps must each stay under %d",
+			cfg.L1TLBEntries, cfg.L2TLBEntries, cfg.SMs*cfg.WarpsPerSM, maxCell))
+	}
 	s := &Simulator{
-		cfg:     cfg,
-		tr:      tr,
-		pol:     pol,
-		engine:  sim.NewEngine(),
-		memory:  mem.NewDeviceMemory(cfg.MemoryPages),
-		l2:      tlb.New("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
-		mshrs:   pagetable.New[int32](),
-		sharers: pagetable.New[uint64](),
+		cfg:    cfg,
+		tr:     tr,
+		pol:    pol,
+		engine: sim.NewEngine(),
+		memory: mem.NewDeviceMemory(cfg.MemoryPages),
+		l2:     tlb.NewSlots("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
+		pages:  pagetable.NewRows(recL1+cfg.SMs, tr.Footprint()),
 	}
 	if cfg.UseHIR {
 		s.hirC = hir.New(cfg.HIR)
@@ -402,9 +419,8 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	}
 	for i := 0; i < cfg.SMs; i++ {
 		sm := &smState{
-			id:  i,
-			bit: 1 << (i % 64),
-			l1:  tlb.New(fmt.Sprintf("L1-%d", i), cfg.L1TLBEntries, cfg.L1TLBWays),
+			id: i,
+			l1: tlb.NewSlots(fmt.Sprintf("L1-%d", i), cfg.L1TLBEntries, cfg.L1TLBWays),
 		}
 		if cfg.ModelDataPath {
 			sm.l1d = cache.New(cfg.DataL1)
@@ -421,16 +437,19 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 }
 
 // invalidate shoots down TLB entries (and, on the data path, cache lines)
-// for an evicted page. Only the L1 TLBs in the page's sharer mask can hold
-// it; every SM an aliased bit stands for is probed, which is a no-op for
-// those that do not. The data caches keep no sharer state and are scanned.
+// for an evicted page. The page's record names every TLB slot it holds, so
+// exactly those are invalidated. The data caches keep no per-page state
+// and are scanned.
 func (s *Simulator) invalidate(p addrspace.PageID) {
-	s.l2.Invalidate(p)
-	if mask, ok := s.sharers.Get(p); ok {
-		s.sharers.Delete(p)
-		for ; mask != 0; mask &= mask - 1 {
-			for i := bits.TrailingZeros64(mask); i < len(s.sms); i += 64 {
-				s.sms[i].l1.Invalidate(p)
+	if rec := s.pages.Lookup(p); rec != nil {
+		if slot := rec[recL2]; slot != 0 {
+			s.l2.Invalidate(int32(slot) - 1)
+			rec[recL2] = 0
+		}
+		for i, slot := range rec[recL1:] {
+			if slot != 0 {
+				s.sms[i].l1.Invalidate(int32(slot) - 1)
+				rec[recL1+i] = 0
 			}
 		}
 	}
@@ -442,10 +461,19 @@ func (s *Simulator) invalidate(p addrspace.PageID) {
 	}
 }
 
-// share records that the L1 TLBs in mask now hold page p.
-func (s *Simulator) share(p addrspace.PageID, mask uint64) {
-	old, _ := s.sharers.Get(p)
-	s.sharers.Put(p, old|mask)
+// fill installs page p in TLB a, whose slot for p is cell c of p's record
+// rec: a present page is refreshed, otherwise p takes its set's
+// reuse-first slot and the page it replaces loses its cell.
+func (s *Simulator) fill(a *tlb.Slots, p addrspace.PageID, rec []uint16, c int) {
+	if slot := rec[c]; slot != 0 {
+		a.Touch(int32(slot) - 1)
+		return
+	}
+	slot, old, replaced := a.Insert(p)
+	if replaced {
+		s.pages.Lookup(old)[c] = 0
+	}
+	rec[c] = uint16(slot + 1)
 }
 
 // dataLatency runs one access through the data hierarchy, synthesising a
@@ -496,27 +524,33 @@ func (s *Simulator) dispatch(sm *smState) {
 // issue runs the translation path for access seq on SM sm.
 func (s *Simulator) issue(sm *smState, seq int) {
 	page := s.tr.Refs[seq]
-	if sm.l1.Lookup(page) {
+	// rec stays valid through this call: the fills below look records up
+	// without allocating.
+	rec := s.pages.Row(page)
+	if slot := rec[recL1+sm.id]; slot != 0 {
+		sm.l1.Hit(int32(slot) - 1)
 		s.finish(sm, page, seq, s.cfg.L1TLBLatency)
 		return
 	}
+	sm.l1.Miss()
 	if s.probe != nil {
 		s.probe.Emit(probe.TLBMiss(s.engine.Now(), sm.id, page, seq, 1))
 	}
 	if s.pwalk == nil {
-		if s.l2.Lookup(page) {
-			sm.l1.Fill(page)
-			s.share(page, sm.bit)
+		if slot := rec[recL2]; slot != 0 {
+			s.l2.Hit(int32(slot) - 1)
+			s.fill(sm.l1, page, rec, recL1+sm.id)
 			s.finish(sm, page, seq, s.cfg.L1TLBLatency+s.cfg.L2TLBLatency)
 			return
 		}
+		s.l2.Miss()
 		if s.probe != nil {
 			s.probe.Emit(probe.TLBMiss(s.engine.Now(), sm.id, page, seq, 2))
 		}
 	}
 	// Page walk, with MSHR-style merging of concurrent walks.
 	cont := continuation{smID: sm.id, seq: seq}
-	if li, ok := s.mshrs.Get(page); ok {
+	if li := int32(rec[recMSHR]) - 1; li >= 0 {
 		s.waiters[li] = append(s.waiters[li], cont)
 		s.walkMerges++
 		if s.probe != nil {
@@ -526,7 +560,7 @@ func (s *Simulator) issue(sm *smState, seq int) {
 	}
 	li := s.newList()
 	s.waiters[li] = append(s.waiters[li], cont)
-	s.mshrs.Put(page, li)
+	rec[recMSHR] = uint16(li + 1)
 	s.walks++
 	var delay sim.Cycle
 	if s.pwalk != nil {
@@ -550,8 +584,9 @@ func (s *Simulator) newList() int32 {
 
 // finishWalk resolves a completed page-table walk.
 func (s *Simulator) finishWalk(page addrspace.PageID) {
-	li, _ := s.mshrs.Get(page)
-	s.mshrs.Delete(page)
+	rec := s.pages.Lookup(page)
+	li := int32(rec[recMSHR]) - 1
+	rec[recMSHR] = 0
 	first := s.waiters[li][0]
 	if s.memory.Resident(page) {
 		s.walkHits++
@@ -571,17 +606,15 @@ func (s *Simulator) finishWalk(page addrspace.PageID) {
 // list li, and frees the list (fillAndWake is the single sink for waiter
 // lists on both the walk-hit and fault paths).
 func (s *Simulator) fillAndWake(page addrspace.PageID, li int32) {
+	rec := s.pages.Lookup(page)
 	if s.pwalk == nil {
-		s.l2.Fill(page)
+		s.fill(s.l2, page, rec, recL2)
 	}
-	var mask uint64
 	for _, c := range s.waiters[li] {
 		sm := s.sms[c.smID]
-		sm.l1.Fill(page)
-		mask |= sm.bit
+		s.fill(sm.l1, page, rec, recL1+sm.id)
 		s.finish(sm, page, c.seq, 1)
 	}
-	s.share(page, mask)
 	s.waiters[li] = s.waiters[li][:0]
 	s.freeLists = append(s.freeLists, li)
 }

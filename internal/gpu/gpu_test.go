@@ -187,6 +187,16 @@ func TestBadConfigPanics(t *testing.T) {
 			cfg.MemoryPages = 0
 			New(cfg, streamTrace(1), policy.NewLRU())
 		},
+		func() { // a slot number past a page record's 16-bit cells
+			cfg := smallConfig(16)
+			cfg.L1TLBEntries, cfg.L1TLBWays = 1<<16, 1<<16
+			New(cfg, streamTrace(1), policy.NewLRU())
+		},
+		func() { // more warps than a record's MSHR cell can name lists for
+			cfg := smallConfig(16)
+			cfg.SMs, cfg.WarpsPerSM = 1<<10, 1<<6
+			New(cfg, streamTrace(1), policy.NewLRU())
+		},
 	} {
 		func() {
 			defer func() {

@@ -1,10 +1,12 @@
 package gpu
 
 import (
+	"fmt"
 	"testing"
 
 	"hpe/internal/addrspace"
 	"hpe/internal/policy"
+	"hpe/internal/tlb"
 	"hpe/internal/workload"
 )
 
@@ -121,11 +123,14 @@ func (r *seqRecorder) OnFault(p addrspace.PageID, seq int) {
 	r.Policy.OnFault(p, seq)
 }
 
-// TestShootdownOracle checks the L1-sharer masks against the definition of a
-// correct shootdown: after a thrashing run, no L1 or L2 TLB holds a page
-// that is not resident. With 80 SMs, SM i and SM i+64 share mask bit i, so
-// the run also exercises the aliased invalidations. Dropping either the
-// aliased SMs or the L2-hit fill's sharer bit leaves evicted pages behind.
+// TestShootdownOracle checks the page records against the definition of a
+// correct shootdown: after a thrashing run, no L1 or L2 TLB slot holds a
+// page that is not resident, and every valid slot is the one its page's
+// record names (and no record names a slot its page lost). It reads the
+// tag arrays slot by slot, independently of the records the simulator
+// looks pages up in. 80 SMs exceed one 64-bit word of SMs, which the
+// records do not care about. Dropping the L2-hit fill's record update or
+// a shootdown of any SM leaves evicted pages behind.
 func TestShootdownOracle(t *testing.T) {
 	tr := thrashTrace(64, 6) // 1,024 pages
 	cfg := smallConfig(768)  // 75%: some pages survive a pass, so L2 hits fill L1s too
@@ -136,18 +141,33 @@ func TestShootdownOracle(t *testing.T) {
 	if res.Evictions == 0 {
 		t.Fatal("no evictions: the oracle needs shootdowns to check")
 	}
-	// Lookup mutates TLB statistics; the run's Result is already taken.
-	for _, p := range tr.UniquePages() {
-		if s.memory.Resident(p) {
-			continue
-		}
-		if s.l2.Lookup(p) {
-			t.Errorf("L2 TLB holds evicted %v", p)
-		}
-		for _, sm := range s.sms {
-			if sm.l1.Lookup(p) {
-				t.Errorf("L1 TLB of SM %d holds evicted %v", sm.id, p)
+	check := func(name string, a *tlb.Slots, cell int) {
+		held := 0
+		for i := int32(0); i < int32(a.Len()); i++ {
+			p, ok := a.Page(i)
+			if !ok {
+				continue
+			}
+			held++
+			if !s.memory.Resident(p) {
+				t.Errorf("%s holds evicted %v", name, p)
+			}
+			if rec := s.pages.Lookup(p); rec == nil || int32(rec[cell]) != i+1 {
+				t.Errorf("%s slot %d holds %v, but its record names another slot", name, i, p)
 			}
 		}
+		named := 0
+		for _, p := range tr.UniquePages() {
+			if rec := s.pages.Lookup(p); rec != nil && rec[cell] != 0 {
+				named++
+			}
+		}
+		if named != held {
+			t.Errorf("%s: %d records name a slot, %d slots are valid", name, named, held)
+		}
+	}
+	check("L2 TLB", s.l2, recL2)
+	for _, sm := range s.sms {
+		check(fmt.Sprintf("L1 TLB of SM %d", sm.id), sm.l1, recL1+sm.id)
 	}
 }

@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -103,5 +104,74 @@ func TestSparseMemoryBound(t *testing.T) {
 		t.Errorf("%d sparse pages hold %.1f MiB of heap, want at most %d MiB", pages, mib, limitMiB)
 	} else {
 		t.Logf("%d sparse pages hold %.1f MiB of heap", pages, mib)
+	}
+}
+
+// TestRowsAgainstMap writes and reads random cells of a Rows table against a
+// builtin map, over page orders that grow the directory's window upward,
+// downward, and past its density bound into the Map: ascending, descending,
+// random within a dense range, and sparse.
+func TestRowsAgainstMap(t *testing.T) {
+	orders := map[string]func(i int) addrspace.PageID{
+		"ascending":  func(i int) addrspace.PageID { return addrspace.PageID(1<<20 + i) },
+		"descending": func(i int) addrspace.PageID { return addrspace.PageID(1<<20 - i) },
+		"dense":      func(i int) addrspace.PageID { return addrspace.PageID(1<<20 + (i*7919)%20000) },
+		"sparse":     func(i int) addrspace.PageID { return addrspace.PageID(uint64(i%97) * 1e6) },
+	}
+	for name, page := range orders {
+		const width = 5
+		r := NewRows(width, 64)
+		oracle := make(map[addrspace.PageID][width]uint16)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 20000; i++ {
+			p := page(i)
+			if rng.Intn(4) == 0 {
+				want := oracle[p]
+				got := r.Lookup(p)
+				for j := 0; j < width; j++ {
+					var g uint16
+					if got != nil {
+						g = got[j]
+					}
+					if g != want[j] {
+						t.Fatalf("%s op %d: Lookup(%d)[%d] = %d, want %d", name, i, p, j, g, want[j])
+					}
+				}
+				continue
+			}
+			j, v := rng.Intn(width), uint16(rng.Intn(1000)+1)
+			r.Row(p)[j] = v
+			cells := oracle[p]
+			cells[j] = v
+			oracle[p] = cells
+		}
+		for p, want := range oracle {
+			if got := r.Lookup(p); got == nil || [width]uint16(got) != want {
+				t.Fatalf("%s: final Lookup(%d) = %v, want %v", name, p, got, want)
+			}
+		}
+	}
+}
+
+// TestWindowStaysDense checks that the directory's window never holds more
+// than about twice as many entries as leaves: leaves too far from it go to
+// the Map instead of stretching it.
+func TestWindowStaysDense(t *testing.T) {
+	tab := New[int32]()
+	for i := 0; i < 1000; i++ {
+		tab.Put(addrspace.PageID(i*leafSize*3), int32(i)) // every third leaf
+	}
+	tab.Put(addrspace.PageID(1)<<40, 1) // far above
+	d := &tab.dir
+	if n := len(d.window); n > 2*d.windowed+windowSlack {
+		t.Fatalf("window holds %d entries for %d leaves", n, d.windowed)
+	}
+	if d.far.Len() == 0 {
+		t.Fatal("no leaf went to the Map")
+	}
+	for i := 0; i < 1000; i++ {
+		if v, ok := tab.Get(addrspace.PageID(i * leafSize * 3)); !ok || v != int32(i) {
+			t.Fatalf("Get(leaf %d) = %d, %v", 3*i, v, ok)
+		}
 	}
 }

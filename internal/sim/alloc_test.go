@@ -11,7 +11,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	h := &noopHandler{}
 	hid := e.Register(h)
-	// Warm the heap past the 1024-slot floor so Step never grows it.
+	// Warm the node pool so Step never grows it.
 	for j := 0; j < 2048; j++ {
 		e.Schedule(Cycle(j), hid, 0, 0)
 	}

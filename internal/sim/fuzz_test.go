@@ -30,7 +30,7 @@ func decodeProgram(data []byte) []fuzzOp {
 	const maxOps = 256
 	var ops []fuzzOp
 	for i := 0; i+1 < len(data) && len(ops) < maxOps; i += 2 {
-		ops = append(ops, fuzzOp{kind: data[i] % 8, param: data[i+1]})
+		ops = append(ops, fuzzOp{kind: data[i] % 10, param: data[i+1]})
 	}
 	return ops
 }
@@ -74,6 +74,22 @@ type fuzzHandler struct{ r *fuzzRun }
 
 func (h fuzzHandler) OnEvent(a0, a1 uint64) { h.r.fire(a0, Cycle(a1)) }
 
+// farDelay maps a parameter onto the delays around the wheel's edge:
+// wheelSpan−1, wheelSpan and wheelSpan+1 cycles, or a fault-service-sized
+// 28,000 cycles and more. Together they reach the far heap, its migration
+// into the wheel, and the boundary between the two.
+func farDelay(param byte) Cycle {
+	switch param % 4 {
+	case 0:
+		return wheelSpan - 1
+	case 1:
+		return wheelSpan
+	case 2:
+		return wheelSpan + 1
+	}
+	return 28000 + Cycle(param)
+}
+
 // runProgram executes the decoded program through r and returns the fire
 // log and the number of cancellation polls.
 func runProgram(r *fuzzRun, ops []fuzzOp) ([]uint64, int) {
@@ -109,6 +125,10 @@ func runProgram(r *fuzzRun, ops []fuzzOp) ([]uint64, int) {
 			})
 		case 7:
 			s.SetCancel(0, nil)
+		case 8: // an event at the wheel's edge or far beyond it
+			r.emit(s.Now()+farDelay(op.param), 0)
+		case 9: // a near event whose firing schedules a far follow-up
+			r.emit(s.Now()+d, farDelay(op.param))
 		}
 	}
 	s.SetLimit(0)
@@ -121,7 +141,8 @@ func runProgram(r *fuzzRun, ops []fuzzOp) ([]uint64, int) {
 // events on the Engine, closures on the Reference, cascades, SetLimit, RunUntil, partial Steps, and
 // cancellation at random event boundaries — and requires identical fire
 // order, clocks, fired counts, pending counts, poll counts and cancellation
-// status. This is the differential proof that the hot-path rewrite preserved
+// status. Ops 8 and 9 schedule around and far past the timing wheel's span,
+// so the far heap and its migration into the wheel are on the checked path. This is the differential proof that the hot-path rewrite preserved
 // the determinism contract. The seed corpus runs on every plain `go test`
 // (and through `make fuzz-seed`).
 func FuzzEngineEquivalence(f *testing.F) {
@@ -132,6 +153,16 @@ func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{4, 16, 0, 3, 4, 1, 2, 63, 7, 0, 5, 1})           // RunUntil interleaving
 	f.Add([]byte{6, 2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 3, 1}) // tight cancel + limit
 	f.Add([]byte{2, 255, 2, 254, 2, 253, 4, 255, 6, 128, 0, 0})   // deep cascades
+	// Far path: events at span−1, span and span+1 cycles and 28,000+
+	// cycles out, interleaved with near ones, so far events migrate into
+	// slots that near events scheduled later also fill.
+	f.Add([]byte{8, 0, 8, 1, 8, 2, 8, 3, 0, 63, 0, 0, 5, 1, 0, 62, 9, 1, 5, 2, 9, 3, 0, 1})
+	f.Add([]byte{9, 0, 9, 1, 9, 2, 2, 70, 8, 7, 5, 8, 8, 4, 8, 5, 8, 6, 5, 8, 0, 3})
+	// RunUntil past a limit-parked event moves Now beyond it without
+	// firing; the wheel's origin stays at the last fired event, so the
+	// parked event and the ones scheduled after the jump keep their order.
+	f.Add([]byte{0, 50, 3, 2, 4, 40, 8, 0, 8, 1, 8, 2, 0, 5, 3, 0, 8, 3, 5, 2, 0, 0})
+	f.Add([]byte{0, 10, 5, 1, 0, 40, 3, 3, 4, 200, 0, 0, 8, 0, 9, 5, 8, 2, 3, 0, 4, 100, 8, 1, 0, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeProgram(data)
 

@@ -100,11 +100,23 @@ func (t *referenceTLB) Occupancy() int {
 	return n
 }
 
+// occupancy counts the valid entries of a slot array.
+func occupancy(a *Slots) int {
+	n := 0
+	for i := range a.entries {
+		if a.entries[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
 // TestDifferentialAgainstTimestampLRU drives the list-based TLB and the
 // original timestamp implementation with identical randomized operation
 // streams across the paper's geometries and asserts identical observable
-// behaviour: every Lookup result, every Invalidate result, occupancy, and
-// all stats counters. Unique timestamps mean the reference has no LRU ties,
+// behaviour: every Lookup result, every Invalidate result, occupancy (the
+// slot array's valid entries, and its page index's size), and all stats
+// counters. Unique timestamps mean the reference has no LRU ties,
 // so any divergence is a real behaviour change in the rewrite.
 func TestDifferentialAgainstTimestampLRU(t *testing.T) {
 	geometries := []struct{ entries, ways int }{
@@ -134,9 +146,9 @@ func TestDifferentialAgainstTimestampLRU(t *testing.T) {
 					t.Fatalf("%dx%d op %d: Invalidate(%d) diverges", g.entries, g.ways, op, p)
 				}
 			}
-			if fast.index.Len() != ref.Occupancy() {
-				t.Fatalf("%dx%d op %d: occupancy diverges: %d vs %d",
-					g.entries, g.ways, op, fast.index.Len(), ref.Occupancy())
+			if n, want := occupancy(fast.slots), ref.Occupancy(); n != want || fast.index.Len() != want {
+				t.Fatalf("%dx%d op %d: occupancy diverges: slots %d, index %d, reference %d",
+					g.entries, g.ways, op, n, fast.index.Len(), want)
 			}
 		}
 		h, m, f, inv := fast.Stats()

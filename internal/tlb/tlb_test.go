@@ -97,10 +97,10 @@ func TestBadGeometryPanics(t *testing.T) {
 func TestPaperGeometries(t *testing.T) {
 	l1 := New("l1", 128, 128) // per-SM L1: 128-entry
 	l2 := New("l2", 512, 16)  // shared L2: 512-entry, 16-way
-	if len(l1.entries) != 128 || l1.ways != 128 {
+	if len(l1.slots.entries) != 128 || l1.slots.sets != 1 || !l1.slots.pow2 {
 		t.Fatal("L1 geometry")
 	}
-	if len(l2.entries) != 512 || l2.ways != 16 {
+	if len(l2.slots.entries) != 512 || l2.slots.sets != 32 || !l2.slots.pow2 {
 		t.Fatal("L2 geometry")
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"hpe/internal/addrspace"
@@ -90,8 +91,17 @@ func (a App) Scaled(scale int) App {
 // Catalog returns the 23 applications of Table II, in suite/pattern order.
 // Footprints are scaled versions of the paper's 3–130 MB range (long
 // simulation times forced the authors to cap footprints too); KMN keeps the
-// largest footprint, as the paper notes when costing classification.
-func Catalog() []App {
+// largest footprint, as the paper notes when costing classification. The
+// slice is a fresh copy of the catalog built once at package init, so the
+// caller owns it.
+func Catalog() []App { return slices.Clone(catalog) }
+
+// catalog is built once: every spec canonicalization looks its app up by
+// abbreviation, and rebuilding 23 Apps with their generator closures per
+// lookup was a sixth of a sweep's set-up CPU.
+var catalog = buildCatalog()
+
+func buildCatalog() []App {
 	return []App{
 		// ---- Type I: streaming --------------------------------------------
 		{Name: "hotspot", Abbr: "HOT", Suite: "Rodinia", Pattern: PatternStreaming, Sets: 128, ComputeGap: 4,
@@ -245,7 +255,7 @@ func genNW(b *Builder, sets int) {
 
 // ByAbbr returns the catalog application with the given abbreviation.
 func ByAbbr(abbr string) (App, bool) {
-	for _, a := range Catalog() {
+	for _, a := range catalog {
 		if a.Abbr == abbr {
 			return a, true
 		}
@@ -257,7 +267,7 @@ func ByAbbr(abbr string) (App, bool) {
 // preserving catalog order.
 func ByPattern(p PatternType) []App {
 	var out []App
-	for _, a := range Catalog() {
+	for _, a := range catalog {
 		if a.Pattern == p {
 			out = append(out, a)
 		}
@@ -268,7 +278,7 @@ func ByPattern(p PatternType) []App {
 // PatternTypes returns the pattern types present in the catalog, ascending.
 func PatternTypes() []PatternType {
 	seen := map[PatternType]bool{}
-	for _, a := range Catalog() {
+	for _, a := range catalog {
 		seen[a.Pattern] = true
 	}
 	var out []PatternType

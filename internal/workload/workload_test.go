@@ -426,3 +426,19 @@ func TestBarrierDeduplication(t *testing.T) {
 		t.Fatalf("trace barriers = %v, want only the interior one", tr.Barriers)
 	}
 }
+
+// TestCatalogReturnsCallerOwnedCopy checks that the catalog built at init
+// is not aliased by Catalog's result: a caller that edits its slice changes
+// neither later Catalog calls nor ByAbbr lookups.
+func TestCatalogReturnsCallerOwnedCopy(t *testing.T) {
+	cat := Catalog()
+	want := cat[0]
+	cat[0].Sets = -1
+	cat[0].Abbr = "XXX"
+	if got := Catalog()[0]; got.Abbr != want.Abbr || got.Sets != want.Sets {
+		t.Fatalf("Catalog()[0] = %s/%d after a caller's edit, want %s/%d", got.Abbr, got.Sets, want.Abbr, want.Sets)
+	}
+	if got, ok := ByAbbr(want.Abbr); !ok || got.Sets != want.Sets {
+		t.Fatalf("ByAbbr(%s) = %d, %v after a caller's edit, want %d, true", want.Abbr, got.Sets, ok, want.Sets)
+	}
+}
