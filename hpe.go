@@ -30,10 +30,10 @@
 // Architecture (bottom-up): internal/sim (event engine), internal/addrspace
 // (pages and page sets), internal/trace (reference strings + Belady oracle
 // index), internal/workload (Fig. 2 pattern generators, Table II catalog),
-// internal/tlb + internal/mem + internal/hir (GPU-side state), internal/uvm
-// (host driver: fault queue, HIR drains), internal/policy (baselines),
-// internal/hpe (the contribution), internal/gpu (the simulator),
-// internal/experiments (the per-figure harness). See DESIGN.md.
+// internal/tlb + internal/hir (GPU-side state), internal/uvm (host driver:
+// device-memory residency, fault queue, HIR drains), internal/policy
+// (baselines), internal/hpe (the contribution), internal/gpu (the
+// simulator), internal/experiments (the per-figure harness). See DESIGN.md.
 package hpe
 
 import (

@@ -45,8 +45,9 @@ func TestPrepopulatedRunAllocBound(t *testing.T) {
 // TestFaultPathAllocBound extends the bound to the demand-paging path, for
 // every policy in internal/policy and for HPE: a thrashing run faults on
 // most walks.
-// Every fault resumes its merged accesses through the driver's registered
-// waker with a waiter-list token, the fault queue reuses its storage, and
+// Every fault resumes its blocked accesses through the driver's registered
+// waker, which finds their waiter list in the page's record, the fault
+// queue reuses its storage, and
 // each policy keeps its per-page state in page tables, slabs and value
 // heaps, so once those are warm the fault path allocates nothing per fault.
 // Setup and the growth of free lists, slabs and heaps amortize over the

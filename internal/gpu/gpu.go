@@ -33,7 +33,6 @@ import (
 	"hpe/internal/dram"
 	"hpe/internal/hir"
 	"hpe/internal/hpe"
-	"hpe/internal/mem"
 	"hpe/internal/pagetable"
 	"hpe/internal/policy"
 	"hpe/internal/probe"
@@ -206,14 +205,16 @@ func (r Result) String() string {
 }
 
 // A page's record is one row of Simulator.pages: the cell at recMSHR holds
-// the waiter list of its walk in flight, recL2 its L2 TLB slot, and
-// recL1+i its slot in SM i's L1 TLB. Each cell holds the index plus one, so
-// a zero cell (every cell of a page never touched) means none. Cells are 16
-// bits, which keeps a 15-SM record within 34 bytes: New rejects TLBs of
-// 2¹⁶−1 entries or more, and more warp slots than that (live waiter lists
-// never outnumber the warps, each of which waits on at most one).
+// the waiter list of its walk in flight, recFault the waiter list of the
+// accesses blocked on its far-fault, recL2 its L2 TLB slot, and recL1+i its
+// slot in SM i's L1 TLB. Each cell holds the index plus one, so a zero cell
+// (every cell of a page never touched) means none. Cells are 16 bits, which
+// keeps a 15-SM record within 36 bytes: New rejects TLBs of 2¹⁶−1 entries
+// or more, and more warp slots than that (live waiter lists never
+// outnumber the warps, each of which waits on at most one).
 const (
 	recMSHR = iota
+	recFault
 	recL2
 	recL1
 )
@@ -249,12 +250,16 @@ func (e *walkDoneEvent) OnEvent(a0, _ uint64) {
 	(*Simulator)(e).finishWalk(addrspace.PageID(a0))
 }
 
-// faultWaker resumes the accesses merged on a far-faulted walk: the token is
-// the walk's waiter-list index (uvm.Waker).
+// faultWaker resumes the accesses blocked on a resolved far-fault: the
+// waiter list in the page record's recFault cell (uvm.Waker).
 type faultWaker Simulator
 
-func (w *faultWaker) Wake(page addrspace.PageID, token uint64) {
-	(*Simulator)(w).fillAndWake(page, int32(token))
+func (w *faultWaker) Wake(page addrspace.PageID) {
+	s := (*Simulator)(w)
+	rec := s.pages.Lookup(page)
+	li := int32(rec[recFault]) - 1
+	rec[recFault] = 0
+	s.fillAndWake(page, li)
 }
 
 // completeEvent retires one access and recycles its warp slot: a0 = SM id,
@@ -282,7 +287,6 @@ type Simulator struct {
 	tr     *trace.Trace
 	pol    policy.Policy
 	engine *sim.Engine
-	memory *mem.DeviceMemory
 	driver *uvm.Driver
 	l2     *tlb.Slots   // indexed by page records (recL2); unused under DesignPWC
 	pwalk  *ptw.Walker  // non-nil under DesignPWC
@@ -298,8 +302,8 @@ type Simulator struct {
 
 	cursor int
 	// pages holds one record per page (see recMSHR). A walk's waiter list
-	// is an index into waiters; it outlives the walk while its far-fault is
-	// serviced (the index is the fault's wake token) and returns to
+	// is an index into waiters; on a far-fault it becomes, or joins, the
+	// page's fault list until the driver wakes the page, and it returns to
 	// freeLists in fillAndWake; each list keeps its capacity across reuse.
 	pages     *pagetable.Rows
 	waiters   [][]continuation
@@ -373,9 +377,6 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	if cfg.SMs <= 0 || cfg.WarpsPerSM <= 0 {
 		panic(fmt.Sprintf("gpu: bad SM configuration %d×%d", cfg.SMs, cfg.WarpsPerSM))
 	}
-	if cfg.MemoryPages <= 0 {
-		panic("gpu: MemoryPages must be positive")
-	}
 	if cfg.L1TLBEntries >= maxCell || cfg.L2TLBEntries >= maxCell || cfg.SMs*cfg.WarpsPerSM >= maxCell {
 		panic(fmt.Sprintf("gpu: page records hold 16-bit cells: TLBs of %d and %d entries and %d warps must each stay under %d",
 			cfg.L1TLBEntries, cfg.L2TLBEntries, cfg.SMs*cfg.WarpsPerSM, maxCell))
@@ -385,7 +386,6 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 		tr:     tr,
 		pol:    pol,
 		engine: sim.NewEngine(),
-		memory: mem.NewDeviceMemory(cfg.MemoryPages),
 		l2:     tlb.NewSlots("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
 		pages:  pagetable.NewRows(recL1+cfg.SMs, tr.Footprint()),
 	}
@@ -402,7 +402,7 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	s.hIssue = s.engine.Register((*issueEvent)(s))
 	s.hWalk = s.engine.Register((*walkDoneEvent)(s))
 	s.hComplete = s.engine.Register((*completeEvent)(s))
-	s.driver = uvm.New(cfg.Driver, s.engine, s.memory, pol, s.hirC, s.invalidate)
+	s.driver = uvm.New(cfg.Driver, s.engine, cfg.MemoryPages, pol, s.hirC, s.invalidate)
 	s.driver.SetWaker((*faultWaker)(s))
 	if len(tr.Segments) > 0 {
 		// A segment-annotated trace (phase schedule or colocation) overrides
@@ -588,7 +588,7 @@ func (s *Simulator) finishWalk(page addrspace.PageID) {
 	li := int32(rec[recMSHR]) - 1
 	rec[recMSHR] = 0
 	first := s.waiters[li][0]
-	if s.memory.Resident(page) {
+	if s.driver.Resident(page) {
 		s.walkHits++
 		if s.probe != nil {
 			s.probe.Emit(probe.WalkHit(s.engine.Now(), first.smID, page, first.seq))
@@ -597,9 +597,17 @@ func (s *Simulator) finishWalk(page addrspace.PageID) {
 		s.fillAndWake(page, li)
 		return
 	}
-	// Far-fault: the waiting warps block until the driver maps the page and
-	// hands the list back through faultWaker.
-	s.driver.Fault(page, first.seq, uint64(li))
+	// Far-fault: the waiting warps block until the driver wakes the page
+	// through faultWaker. A walk that ends on a page whose fault is pending
+	// appends its waiters to that fault's list, so the earlier walk's
+	// accesses complete first.
+	if fl := int32(rec[recFault]) - 1; fl >= 0 {
+		s.waiters[fl] = append(s.waiters[fl], s.waiters[li]...)
+		s.freeList(li)
+	} else {
+		rec[recFault] = uint16(li + 1)
+	}
+	s.driver.Fault(page, first.seq)
 }
 
 // fillAndWake installs the translation, completes every access on waiter
@@ -615,6 +623,11 @@ func (s *Simulator) fillAndWake(page addrspace.PageID, li int32) {
 		s.fill(sm.l1, page, rec, recL1+sm.id)
 		s.finish(sm, page, c.seq, 1)
 	}
+	s.freeList(li)
+}
+
+// freeList empties waiter list li and returns it to the free lists.
+func (s *Simulator) freeList(li int32) {
 	s.waiters[li] = s.waiters[li][:0]
 	s.freeLists = append(s.freeLists, li)
 }
@@ -666,17 +679,7 @@ func (s *Simulator) releaseBarrier() {
 // Run executes the simulation to completion and returns the result.
 func (s *Simulator) Run() Result {
 	if s.cfg.Prepopulate {
-		pages := s.tr.UniquePages()
-		if len(pages) > s.cfg.MemoryPages {
-			panic(fmt.Sprintf("gpu: Prepopulate needs %d pages, memory holds %d",
-				len(pages), s.cfg.MemoryPages))
-		}
-		for _, p := range pages {
-			if err := s.memory.Insert(p); err != nil {
-				panic(fmt.Sprintf("gpu: prepopulate: %v", err))
-			}
-			s.pol.OnMapped(p, 0)
-		}
+		s.driver.Prepopulate(s.tr.UniquePages())
 	}
 	// Prime every warp slot.
 	for _, sm := range s.sms {

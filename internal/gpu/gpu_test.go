@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 
 	"hpe/internal/addrspace"
@@ -389,5 +390,55 @@ func TestDataPathPageInvalidation(t *testing.T) {
 	if a.DataL2Hits >= b.DataL2Hits {
 		t.Fatalf("thrashing run kept more L2D hits (%d) than resident run (%d); invalidation broken?",
 			a.DataL2Hits, b.DataL2Hits)
+	}
+}
+
+// wakeLog wraps the simulator's faultWaker and records, for each wake, the
+// page and the trace positions of the accesses on its fault's waiter list.
+type wakeLog struct {
+	s     *Simulator
+	pages []addrspace.PageID
+	seqs  [][]int
+}
+
+func (w *wakeLog) Wake(p addrspace.PageID) {
+	var seqs []int
+	for _, c := range w.s.waiters[w.s.pages.Lookup(p)[recFault]-1] {
+		seqs = append(seqs, c.seq)
+	}
+	w.pages = append(w.pages, p)
+	w.seqs = append(w.seqs, seqs)
+	(*faultWaker)(w.s).Wake(p)
+}
+
+// TestCoalescedWalksWakeOnce checks the wake contract end to end: a walk
+// that ends while its page's fault is pending joins that fault, the driver
+// wakes the page once, and the accesses resume in arrival order, the first
+// walk's waiters first. One SM issues an access per cycle. Access 0 walks
+// page 0 and faults; accesses 1–19 share one walk of page 100 and queue its
+// fault; access 20 issues after the first walk ended, so it walks page 0
+// again, access 21 merges into that walk, and the walk coalesces onto the
+// pending fault.
+func TestCoalescedWalksWakeOnce(t *testing.T) {
+	refs := []addrspace.PageID{0}
+	for range 19 {
+		refs = append(refs, 100)
+	}
+	refs = append(refs, 0, 0)
+	cfg := smallConfig(16)
+	cfg.SMs, cfg.WarpsPerSM = 1, len(refs)
+	s := New(cfg, trace.New("coalesce", refs), policy.NewLRU())
+	w := &wakeLog{s: s}
+	s.driver.SetWaker(w)
+	res := s.Run()
+	if res.Accesses != uint64(len(refs)) || res.Faults != 2 || res.Coalesced != 1 || res.Walks != 3 {
+		t.Fatalf("accesses=%d faults=%d coalesced=%d walks=%d, want %d/2/1/3",
+			res.Accesses, res.Faults, res.Coalesced, res.Walks, len(refs))
+	}
+	if !slices.Equal(w.pages, []addrspace.PageID{0, 100}) {
+		t.Fatalf("woken pages %v, want each faulted page once: [0 100]", w.pages)
+	}
+	if !slices.Equal(w.seqs[0], []int{0, 20, 21}) {
+		t.Fatalf("page 0 woke accesses %v, want [0 20 21]: the first walk's, then the coalesced walk's in arrival order", w.seqs[0])
 	}
 }

@@ -149,7 +149,7 @@ func TestShootdownOracle(t *testing.T) {
 				continue
 			}
 			held++
-			if !s.memory.Resident(p) {
+			if !s.driver.Resident(p) {
 				t.Errorf("%s holds evicted %v", name, p)
 			}
 			if rec := s.pages.Lookup(p); rec == nil || int32(rec[cell]) != i+1 {

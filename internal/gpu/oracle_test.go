@@ -2,16 +2,22 @@ package gpu_test
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"hpe/internal/addrspace"
 	"hpe/internal/gpu"
+	"hpe/internal/hir"
 	"hpe/internal/hpe"
+	"hpe/internal/pagetable"
 	"hpe/internal/policy"
 	"hpe/internal/probe"
 	"hpe/internal/registry"
 	"hpe/internal/runspec"
 	"hpe/internal/trace"
+	"hpe/internal/uvm"
 	"hpe/internal/workload"
 )
 
@@ -135,4 +141,255 @@ func TestOneWarpReducesToReplay(t *testing.T) {
 	if want := (len(workload.Catalog()) + len(workload.Scenarios())) * len(registry.Names()); cells != want && !t.Failed() {
 		t.Fatalf("checked %d cells, want %d", cells, want)
 	}
+}
+
+// refHIR is the HIR of §IV-B written out plainly, independent of hir.Cache:
+// rows of 8 ways keyed by page set, a 2-bit saturating count per page of
+// the set, a hit dropped when its row already holds 8 other sets, and a
+// drain that returns the held sets in first-touch order and empties the
+// cache. TestRefHIRMatchesCache checks it against hir.Cache;
+// TestOneWarpProductionPath uses it as the replay's HIR.
+type refHIR struct {
+	geo    addrspace.Geometry
+	rows   int
+	used   []int // sets held per row
+	counts map[addrspace.SetID][]uint8
+	order  []addrspace.SetID
+}
+
+const refHIRWays, refHIRMaxCount = 8, 3
+
+func newRefHIR(cfg hir.Config) *refHIR {
+	rows := cfg.Entries / refHIRWays
+	return &refHIR{geo: cfg.Geometry, rows: rows, used: make([]int, rows), counts: map[addrspace.SetID][]uint8{}}
+}
+
+func (h *refHIR) hit(p addrspace.PageID) {
+	set := h.geo.SetOf(p)
+	c, ok := h.counts[set]
+	if !ok {
+		row := int(uint64(set) % uint64(h.rows))
+		if h.used[row] == refHIRWays {
+			return
+		}
+		h.used[row]++
+		c = make([]uint8, h.geo.SetSize())
+		h.counts[set] = c
+		h.order = append(h.order, set)
+	}
+	if off := h.geo.Offset(p); c[off] < refHIRMaxCount {
+		c[off]++
+	}
+}
+
+func (h *refHIR) drain() []hir.Record {
+	var out []hir.Record
+	for _, set := range h.order {
+		out = append(out, hir.Record{Set: set, Counts: h.counts[set]})
+	}
+	h.used = make([]int, h.rows)
+	h.counts = map[addrspace.SetID][]uint8{}
+	h.order = nil
+	return out
+}
+
+// TestRefHIRMatchesCache drives refHIR and hir.Cache with the same random
+// hits and drains, over page ranges that overflow some rows, and requires
+// every drain to return the same records in the same order.
+func TestRefHIRMatchesCache(t *testing.T) {
+	for _, entries := range []int{16, 64, 1024} {
+		cfg := hir.DefaultConfig()
+		cfg.Entries = entries
+		if cfg.Ways != refHIRWays || cfg.CounterBits != 2 {
+			t.Fatalf("refHIR models 8-way rows of 2-bit counts, hir.DefaultConfig is %d-way, %d-bit", cfg.Ways, cfg.CounterBits)
+		}
+		got, want := hir.New(cfg), newRefHIR(cfg)
+		rng := rand.New(rand.NewSource(int64(entries)))
+		pages := entries * 3 * cfg.Geometry.SetSize() // three times the sets the cache holds
+		conflicts := uint64(0)
+		for op := 0; op < 50000; op++ {
+			if rng.Intn(2*entries) > 0 { // about two hits per entry between drains
+				p := addrspace.PageID(rng.Intn(pages))
+				got.RecordHit(p)
+				want.hit(p)
+				continue
+			}
+			g, w := got.Drain(), want.drain()
+			if len(g) != len(w) {
+				t.Fatalf("%d entries, op %d: hir.Cache drained %d records, refHIR %d", entries, op, len(g), len(w))
+			}
+			for i := range w {
+				if g[i].Set != w[i].Set || !slices.Equal(g[i].Counts, w[i].Counts) {
+					t.Fatalf("%d entries, op %d: record %d is %+v, refHIR %+v", entries, op, i, g[i], w[i])
+				}
+			}
+			conflicts = got.Stats().Conflicts
+		}
+		if conflicts == 0 {
+			t.Fatalf("%d entries: no way conflict was exercised", entries)
+		}
+	}
+}
+
+// replayStats is what replayProduction reports.
+type replayStats struct {
+	faults, prefetched, drains int
+	victims                    []addrspace.PageID
+}
+
+// replayProduction replays tr through pol the way one warp drives the
+// production driver. A reference that repeats the one before it is absorbed
+// by the one-entry TLB and skipped; the rest carry their position in tr, as
+// the walks of gpu.Run do. A reference to a resident page is a walk hit: the
+// policy sees OnWalkHit and the reference HIR records it. A fault maps the
+// page (evicting first when memory is full), then maps up to prefetch
+// non-resident pages of its aligned 16-page block, evicting as needed, with
+// OnMapped only. After every interval-th fault the HIR drains and a
+// non-empty batch goes straight to the policy's OnHitBatch.
+func replayProduction(tr *trace.Trace, pol policy.Policy, capacity, prefetch, interval int, hc hir.Config) replayStats {
+	var st replayStats
+	resident := pagetable.New[struct{}]()
+	isResident := func(p addrspace.PageID) bool { _, ok := resident.Get(p); return ok }
+	h := newRefHIR(hc)
+	mapPage := func(p addrspace.PageID) {
+		if resident.Len() == capacity {
+			v := pol.SelectVictim()
+			if !resident.Delete(v) {
+				panic(fmt.Sprintf("replay: %s chose non-resident victim %v", pol.Name(), v))
+			}
+			pol.OnEvicted(v)
+			st.victims = append(st.victims, v)
+		}
+		resident.Put(p, struct{}{})
+	}
+	for seq, p := range tr.Refs {
+		if seq > 0 && p == tr.Refs[seq-1] {
+			continue
+		}
+		if isResident(p) {
+			pol.OnWalkHit(p, seq)
+			h.hit(p)
+			continue
+		}
+		st.faults++
+		pol.OnFault(p, seq)
+		mapPage(p)
+		pol.OnMapped(p, seq)
+		base := p &^ 15
+		for off, brought := addrspace.PageID(0), 0; off < 16 && brought < prefetch; off++ {
+			if q := base + off; q != p && !isResident(q) {
+				mapPage(q)
+				pol.OnMapped(q, seq)
+				brought++
+				st.prefetched++
+			}
+		}
+		if st.faults%interval == 0 {
+			st.drains++
+			if recs := h.drain(); len(recs) > 0 {
+				if sink, ok := pol.(uvm.HitBatchReceiver); ok {
+					sink.OnHitBatch(recs)
+				}
+			}
+		}
+	}
+	return st
+}
+
+// TestOneWarpProductionPath extends TestOneWarpReducesToReplay to the path
+// every paper figure runs: the HIR on, HPE learning walk hits only from its
+// drains (no IdealHitFeed), and block prefetch of 0, 1, 4 and 15 pages. It
+// covers every catalog app and workload-v2 preset at 75% and 50% under
+// every registry policy. With one SM, one warp and one-entry TLBs, gpu.Run
+// must evict the same pages, in the same order, as replayProduction, and
+// take as many faults, prefetches and HIR drains. Both sides give the
+// policy positions in the full trace, so Ideal, whose Belady index is over
+// the full trace on both sides, must match exactly too.
+//
+// One warp cannot reach what needs concurrent accesses: multi-warp
+// interleaving, walk-MSHR merges, fault coalescing, and a prefetch that
+// resolves a queued fault (uvm.Stats.Batched). The run digests and
+// TestShootdownOracle cover those.
+func TestOneWarpProductionPath(t *testing.T) {
+	var specs []runspec.Spec
+	for _, app := range workload.Catalog() {
+		specs = append(specs, runspec.Spec{App: app.Abbr})
+	}
+	for _, sc := range workload.Scenarios() {
+		specs = append(specs, runspec.Spec{Phases: sc.Phases, Tenants: sc.Tenants, Interleave: sc.Interleave})
+	}
+	prefetches := []int{0, 1, 4, 15}
+	rates := []int{75, 50}
+	var cells atomic.Int64
+	t.Run("cells", func(t *testing.T) {
+		for _, sp := range specs {
+			for _, rate := range rates {
+				sp.Policy, sp.Rate = "lru", rate
+				t.Run("", func(t *testing.T) {
+					t.Parallel()
+					cells.Add(int64(checkProductionPath(t, sp, prefetches)))
+				})
+			}
+		}
+	})
+	if want := len(specs) * len(rates) * len(prefetches) * len(registry.Names()); int(cells.Load()) != want && !t.Failed() {
+		t.Fatalf("checked %d cells, want %d", cells.Load(), want)
+	}
+}
+
+// checkProductionPath runs TestOneWarpProductionPath's cells for one spec
+// and rate and returns how many it checked.
+func checkProductionPath(t *testing.T, sp runspec.Spec, prefetches []int) int {
+	m, err := sp.Materialize(runspec.Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := m.Trace
+	cfg := m.Config
+	cfg.SMs, cfg.WarpsPerSM = 1, 1
+	cfg.L1TLBEntries, cfg.L1TLBWays = 1, 1
+	cfg.L2TLBEntries, cfg.L2TLBWays = 1, 1
+	cfg.UseHIR = true
+	cells := 0
+	for _, prefetch := range prefetches {
+		cfg.Driver.PrefetchPages = prefetch
+		for _, name := range registry.Names() {
+			want := replayProduction(tr, productionPolicy(t, name, m.App, tr, m.Capacity),
+				m.Capacity, prefetch, cfg.Driver.TransferInterval, cfg.HIR)
+			got := make(victimLog, 0, len(want.victims))
+			res := gpu.Run(cfg, tr, productionPolicy(t, name, m.App, tr, m.Capacity), gpu.WithProbe(&got))
+			cell := fmt.Sprintf("%s@%d/prefetch%d/%s", tr.Name, sp.Rate, prefetch, name)
+			if int(res.Faults) != want.faults || int(res.Evictions) != len(want.victims) ||
+				int(res.Driver.Prefetched) != want.prefetched || int(res.HIR.Drains) != want.drains {
+				t.Errorf("%s: gpu.Run faults/evictions/prefetched/drains %d/%d/%d/%d, replay %d/%d/%d/%d",
+					cell, res.Faults, res.Evictions, res.Driver.Prefetched, res.HIR.Drains,
+					want.faults, len(want.victims), want.prefetched, want.drains)
+				continue
+			}
+			for i, w := range want.victims {
+				if g := got[i].Page; g != w {
+					t.Errorf("%s: eviction %d of %d: gpu.Run evicted %v, replay %v", cell, i, len(want.victims), g, w)
+					break
+				}
+			}
+			cells++
+		}
+	}
+	return cells
+}
+
+// productionPolicy builds a fresh registry policy for the run over tr as
+// Materialize does for a default spec: HPE in its production configuration.
+func productionPolicy(t *testing.T, name string, app workload.App, tr *trace.Trace, capacity int) policy.Policy {
+	t.Helper()
+	pol, err := registry.New(name, registry.Options{
+		Seed:          1,
+		Capacity:      capacity,
+		Future:        func() *trace.FutureIndex { return trace.BuildFutureIndex(tr) },
+		ThrashingRRIP: app.Pattern == workload.PatternThrashing,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pol
 }

@@ -45,7 +45,7 @@ var AnalyzerHotAlloc = &Analyzer{
 // hotPkgScope bounds the reachability walk: the per-event simulator core.
 var hotPkgScope = []string{
 	"internal/sim", "internal/gpu", "internal/uvm", "internal/tlb", "internal/cache",
-	"internal/hir", "internal/mem", "internal/dram", "internal/ptw",
+	"internal/hir", "internal/dram", "internal/ptw",
 	"internal/addrspace", "internal/policy", "internal/trace", "internal/pagetable", "internal/hpe",
 }
 

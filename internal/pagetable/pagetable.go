@@ -1,8 +1,8 @@
 // Package pagetable holds the simulator's per-page state, the way a GMMU
-// page table does: residency (internal/mem), in-flight far-faults
-// (internal/uvm) and the policies' indexes are each a Table keyed by
+// page table does: the UVM driver's device-memory state (resident, or the
+// pending fault) and the policies' indexes are each a Table keyed by
 // addrspace.PageID, and internal/gpu keeps one Rows record per page (its
-// walk MSHR and its slot in every TLB).
+// walk MSHR, its fault's waiters and its slot in every TLB).
 //
 // Both are two-level radix tables. The low leafBits bits of a page pick a
 // slot in a 64-entry leaf; the remaining bits, the leaf number, index the

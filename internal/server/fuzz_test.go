@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"hpe"
 	"hpe/internal/runspec"
 )
 
@@ -66,6 +70,62 @@ func FuzzSubmitRun(f *testing.F) {
 			}
 		default:
 			t.Fatalf("status %d for %q: %s", code, body, rec.Body.Bytes())
+		}
+	})
+}
+
+// failingSweeps is an Executor whose sweep runner fails every cell, so a
+// fuzzed suite body never simulates: an experiment with cells answers 500
+// internal, and one without (table1's static configuration) renders for
+// real.
+type failingSweeps struct{ Executor }
+
+var errStubCell = errors.New("stub runner: no simulation under fuzzing")
+
+func (failingSweeps) Sweep(string, int) (func(context.Context, runspec.Spec, string) (hpe.Result, error), int) {
+	return func(context.Context, runspec.Spec, string) (hpe.Result, error) { return hpe.Result{}, errStubCell }, 1
+}
+
+// FuzzSubmitSuite fuzzes POST /v1/suite bodies through the handler set.
+// Every answer must be a 2xx or an error envelope with a vocabulary code.
+// The seeds cover malformed JSON, unknown fields, unknown and duplicate
+// experiment IDs, a negative worker hint and a body past the 1 MiB limit.
+func FuzzSubmitSuite(f *testing.F) {
+	for _, body := range []string{
+		`{"ids":["table1"]}`,
+		`{"ids":["table1","table2"],"quick":true,"seed":7}`,
+		`{"ids":["fig10"],"quick":true}`,
+		`{"ids":["table1","table1"]}`,
+		`{"ids":["nope"]}`,
+		`{"ids":[" table1 "],"workers":-3}`,
+		`{"ids":[],"workers":2}`,
+		`{"ids":["table1"],"bogus":1}`,
+		`{"ids":"table1"}`,
+		`{"ids":["table1"]`,
+		`[]`,
+		``,
+		`{"ids":["` + strings.Repeat("x", 1<<20) + `"]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	vocabulary := map[ErrorCode]bool{
+		ErrBadSpec: true, ErrQueueFull: true, ErrDraining: true, ErrNotFound: true,
+		ErrBackendUnavailable: true, ErrCancelled: true, ErrClientGone: true, ErrInternal: true,
+	}
+	base := New(Config{Workers: 1})
+	f.Cleanup(func() { base.Close() })
+	srv := Mount(failingSweeps{base.x}, Surface{Name: "server", Source: "simulate"})
+	f.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/suite", bytes.NewReader(body)))
+		if code := rec.Code; code < 200 || code >= 300 {
+			eb, ok := DecodeError(rec.Body.Bytes())
+			if !ok || !vocabulary[eb.Code] {
+				t.Fatalf("status %d with a body that is no vocabulary envelope: %.200s", code, rec.Body.Bytes())
+			}
 		}
 	})
 }

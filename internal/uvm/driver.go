@@ -7,6 +7,11 @@
 // PCIe transfer latency of the drained records to simulated time, exactly as
 // the paper's evaluation does.
 //
+// The driver owns each page's device-memory state in one page table: a page
+// is resident, has a fault pending, or (no entry) is on the host. Nothing
+// reads physical frame numbers, so residency is that table plus a count of
+// mapped pages against the capacity in frames.
+//
 // The paper's runtime services faults one at a time (Channels = 1, the
 // default). The Channels knob generalises this to a pipelined driver for the
 // extension study in internal/experiments: how much of the oversubscription
@@ -19,7 +24,6 @@ import (
 
 	"hpe/internal/addrspace"
 	"hpe/internal/hir"
-	"hpe/internal/mem"
 	"hpe/internal/pagetable"
 	"hpe/internal/policy"
 	"hpe/internal/probe"
@@ -34,12 +38,12 @@ type HitBatchReceiver interface {
 
 // Waker resumes the accesses blocked on a far-fault. The GPU registers one
 // (SetWaker), the way components register an event handler with the
-// engine, and each Fault carries a token the driver hands back: a wakeup
-// costs no closure.
+// engine, and keeps the blocked accesses itself: a wakeup costs no closure.
 type Waker interface {
-	// Wake reports that page p is resident, once per Fault call on p, with
-	// that call's token, in the order the calls arrived.
-	Wake(p addrspace.PageID, token uint64)
+	// Wake reports that page p is resident: once per resolved fault,
+	// however many Fault calls coalesced onto it, whether its service
+	// completed or a block prefetch resolved it early.
+	Wake(p addrspace.PageID)
 }
 
 // Config parameterises the driver.
@@ -126,16 +130,16 @@ type TenantStats struct {
 }
 
 type pendingFault struct {
-	page addrspace.PageID
-	seq  int
-	enq  sim.Cycle // enqueue time, for fault-latency events
-	// tokens are the Fault calls' wake tokens in arrival order. The store
-	// slot keeps the slice's capacity across reuse, so coalescing
-	// allocates only while a slot first grows.
-	tokens    []uint64
-	inService bool // dispatched to a channel
-	done      bool // resolved early by a block prefetch
+	page      addrspace.PageID
+	seq       int
+	enq       sim.Cycle // enqueue time, for fault-latency events
+	inService bool      // dispatched to a channel
+	done      bool      // resolved early by a block prefetch
 }
+
+// resident is the page-table value of a mapped page. A page with a fault
+// pending holds its fault-store index (≥ 0) instead.
+const resident int32 = -1
 
 // serviceDoneEvent fires when a channel finishes servicing a fault:
 // a0 = index into Driver.faults. Scheduling by registered handler keeps the
@@ -160,7 +164,6 @@ func (e *drainDoneEvent) OnEvent(a0, _ uint64) {
 type Driver struct {
 	cfg    Config
 	engine *sim.Engine
-	memory *mem.DeviceMemory
 	pol    policy.Policy
 	hirC   *hir.Cache // nil when the active policy does not use HIR
 	sink   HitBatchReceiver
@@ -170,17 +173,21 @@ type Driver struct {
 	invalidate func(addrspace.PageID)
 	waker      Waker // resumes faulted accesses (SetWaker)
 
+	// pages maps a page to resident or to its pending fault's index;
+	// mapped counts the resident pages against frames, the capacity.
+	pages  *pagetable.Table[int32]
+	mapped int
+	frames int
+
 	// Faults live in a slice-backed store with a free list; the queue and
-	// the in-flight page table refer to them by index. This keeps
-	// fault-heavy runs from allocating one node per fault and gives the GC
-	// nothing to chase.
+	// the page table refer to them by index. This keeps fault-heavy runs
+	// from allocating one node per fault and gives the GC nothing to chase.
 	faults    []pendingFault
 	faultFree []int32
-	queue     []int32                 // waiting, FIFO (enqueue)
-	qhead     int                     // index of the oldest waiting fault in queue
-	inFlight  *pagetable.Table[int32] // page → fault index, waiting + in service
-	hDone     sim.HandlerID           // serviceDoneEvent registration
-	busy      int                     // channels in use
+	queue     []int32       // waiting, FIFO (enqueue)
+	qhead     int           // index of the oldest waiting fault in queue
+	hDone     sim.HandlerID // serviceDoneEvent registration
+	busy      int           // channels in use
 
 	// HIR drains in flight over PCIe, indexed by drainDoneEvent's a0 and
 	// recycled through batchFree.
@@ -197,13 +204,16 @@ type Driver struct {
 	tenants []trace.TenantRange
 }
 
-// New wires a driver. invalidate may be nil (no TLB shootdown — used by
-// unit tests). If the policy implements HitBatchReceiver and hirCache is
-// non-nil, drains are delivered to it.
-func New(cfg Config, engine *sim.Engine, memory *mem.DeviceMemory, pol policy.Policy,
+// New wires a driver for a device memory of frames pages. invalidate may be
+// nil (no TLB shootdown — used by unit tests). If the policy implements
+// HitBatchReceiver and hirCache is non-nil, drains are delivered to it.
+func New(cfg Config, engine *sim.Engine, frames int, pol policy.Policy,
 	hirCache *hir.Cache, invalidate func(addrspace.PageID)) *Driver {
 	if cfg.FaultLatency == 0 {
 		panic("uvm: zero fault latency")
+	}
+	if frames <= 0 {
+		panic(fmt.Sprintf("uvm: device memory of %d frames must be positive", frames))
 	}
 	if cfg.Channels <= 0 {
 		cfg.Channels = 1
@@ -211,11 +221,11 @@ func New(cfg Config, engine *sim.Engine, memory *mem.DeviceMemory, pol policy.Po
 	d := &Driver{
 		cfg:        cfg,
 		engine:     engine,
-		memory:     memory,
 		pol:        pol,
 		hirC:       hirCache,
 		invalidate: invalidate,
-		inFlight:   pagetable.New[int32](),
+		pages:      pagetable.New[int32](),
+		frames:     frames,
 	}
 	d.hDone = engine.Register((*serviceDoneEvent)(d))
 	d.hDrain = engine.Register((*drainDoneEvent)(d))
@@ -280,6 +290,37 @@ func (d *Driver) Stats() Stats {
 // Pending returns the number of queued (not yet in service) faults.
 func (d *Driver) Pending() int { return len(d.queue) - d.qhead }
 
+// Resident reports whether page p is mapped in device memory.
+func (d *Driver) Resident(p addrspace.PageID) bool {
+	v, ok := d.pages.Get(p)
+	return ok && v == resident
+}
+
+// Full reports whether no free frame remains.
+func (d *Driver) Full() bool { return d.mapped == d.frames }
+
+// Prepopulate maps pages before the run starts, without faults, and reports
+// each to the policy as mapped. They must fit in device memory.
+func (d *Driver) Prepopulate(pages []addrspace.PageID) {
+	for _, p := range pages {
+		d.mapPage(p)
+		d.pol.OnMapped(p, 0)
+	}
+}
+
+// mapPage marks p resident in a free frame. Mapping a resident page, or
+// mapping into full memory, is a driver bug and panics.
+func (d *Driver) mapPage(p addrspace.PageID) {
+	if d.Resident(p) {
+		panic(fmt.Sprintf("uvm: double map of %v", p))
+	}
+	if d.Full() {
+		panic(fmt.Sprintf("uvm: map of %v into full memory", p))
+	}
+	d.pages.Put(p, resident)
+	d.mapped++
+}
+
 // RecordWalkHit forwards a page-walk hit to the policy (the baselines' ideal
 // feed and HPE's IdealHitFeed mode) and to the HIR cache when present.
 func (d *Driver) RecordWalkHit(p addrspace.PageID, seq int) {
@@ -290,17 +331,15 @@ func (d *Driver) RecordWalkHit(p addrspace.PageID, seq int) {
 }
 
 // Fault reports a far-fault on page p observed at trace position seq; the
-// Waker gets token back when the page becomes resident. Duplicate faults
-// coalesce onto the in-flight or queued fault for the same page.
-func (d *Driver) Fault(p addrspace.PageID, seq int, token uint64) {
-	if d.memory.Resident(p) {
-		// Raced with a completion: the page is already here.
-		d.waker.Wake(p, token)
-		return
-	}
-	if fi, ok := d.inFlight.Get(p); ok {
-		f := &d.faults[fi]
-		f.tokens = append(f.tokens, token)
+// Waker hears of p once it is resident. Duplicate faults coalesce onto the
+// in-flight or queued fault for the same page.
+func (d *Driver) Fault(p addrspace.PageID, seq int) {
+	if fi, ok := d.pages.Get(p); ok {
+		if fi == resident {
+			// Raced with a completion: the page is already here.
+			d.waker.Wake(p)
+			return
+		}
 		d.stats.Coalesced++
 		if d.probe != nil {
 			d.probe.Emit(probe.Coalesce(d.engine.Now(), p, seq))
@@ -309,9 +348,9 @@ func (d *Driver) Fault(p addrspace.PageID, seq int, token uint64) {
 	}
 	fi := d.allocFault()
 	f := &d.faults[fi]
-	*f = pendingFault{page: p, seq: seq, enq: d.engine.Now(), tokens: append(f.tokens[:0], token)}
+	*f = pendingFault{page: p, seq: seq, enq: d.engine.Now()}
 	d.enqueue(fi)
-	d.inFlight.Put(p, fi)
+	d.pages.Put(p, fi)
 	if n := d.Pending(); n > d.stats.MaxQueueDepth {
 		d.stats.MaxQueueDepth = n
 	}
@@ -342,15 +381,6 @@ func (d *Driver) allocFault() int32 {
 	}
 	d.faults = append(d.faults, pendingFault{})
 	return int32(len(d.faults) - 1)
-}
-
-// wake hands every token of fault fi back to the Waker. The slot must stay
-// allocated until it returns.
-func (d *Driver) wake(fi int32) {
-	f := &d.faults[fi]
-	for _, tok := range f.tokens {
-		d.waker.Wake(f.page, tok)
-	}
 }
 
 // pump dispatches queued faults onto free channels.
@@ -386,10 +416,11 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 	brought := 0
 	for off := addrspace.PageID(0); off < block && brought < d.cfg.PrefetchPages; off++ {
 		p := base + off
-		if p == page || d.memory.Resident(p) {
+		fj, ok := d.pages.Get(p)
+		if p == page || ok && fj == resident {
 			continue
 		}
-		if fj, pending := d.inFlight.Get(p); pending {
+		if ok {
 			f := &d.faults[fj]
 			if f.inService {
 				// Its service channel owns it; resolving here would race.
@@ -397,11 +428,9 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 			}
 			// A queued fault for the same block: the migration satisfies it
 			// now (fault batching, as real UVM runtimes do). The slot stays
-			// queued until pump drops it, so waking from it is safe.
+			// queued until pump drops it.
 			d.evictIfFull(p)
-			if err := d.memory.Insert(p); err != nil {
-				panic(fmt.Sprintf("uvm: prefetch insert failed: %v", err))
-			}
+			d.mapPage(p)
 			d.pol.OnFault(p, f.seq)
 			d.pol.OnMapped(p, f.seq)
 			d.stats.FaultsServiced++
@@ -410,19 +439,16 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 				d.chargeFault(p)
 			}
 			f.done = true
-			d.inFlight.Delete(p)
 			if d.probe != nil {
 				now := d.engine.Now()
 				d.probe.Emit(probe.FaultEnd(now, p, f.seq, now-f.enq, true))
 			}
-			d.wake(fj)
+			d.waker.Wake(p)
 			brought++
 			continue
 		}
 		d.evictIfFull(p)
-		if err := d.memory.Insert(p); err != nil {
-			panic(fmt.Sprintf("uvm: prefetch insert failed: %v", err))
-		}
+		d.mapPage(p)
 		d.pol.OnMapped(p, seq)
 		d.stats.Prefetched++
 		if d.probe != nil {
@@ -436,13 +462,15 @@ func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 // `trigger` can be mapped. A victim that is not resident breaks the Policy
 // contract and panics.
 func (d *Driver) evictIfFull(trigger addrspace.PageID) {
-	if !d.memory.Full() {
+	if !d.Full() {
 		return
 	}
 	victim := d.pol.SelectVictim()
-	if err := d.memory.Evict(victim); err != nil {
-		panic(fmt.Sprintf("uvm: policy %s chose bad victim %v: %v", d.pol.Name(), victim, err))
+	if !d.Resident(victim) {
+		panic(fmt.Sprintf("uvm: policy %s chose bad victim %v: page not resident", d.pol.Name(), victim))
 	}
+	d.pages.Delete(victim)
+	d.mapped--
 	d.pol.OnEvicted(victim)
 	if d.invalidate != nil {
 		d.invalidate(victim)
@@ -462,17 +490,15 @@ func (d *Driver) evictIfFull(trigger addrspace.PageID) {
 func (d *Driver) complete(fi int32) {
 	f := &d.faults[fi]
 	page, seq, enq := f.page, f.seq, f.enq
+	serviced := d.stats.FaultsServiced
 	d.pol.OnFault(page, seq)
 	d.evictIfFull(page)
-	if err := d.memory.Insert(page); err != nil {
-		panic(fmt.Sprintf("uvm: insert after eviction failed: %v", err))
-	}
+	d.mapPage(page)
 	d.pol.OnMapped(page, seq)
 	d.stats.FaultsServiced++
 	if d.tenants != nil {
 		d.chargeFault(page)
 	}
-	d.inFlight.Delete(page)
 	if d.probe != nil {
 		now := d.engine.Now()
 		d.probe.Emit(probe.FaultEnd(now, page, seq, now-enq, false))
@@ -480,14 +506,17 @@ func (d *Driver) complete(fi int32) {
 
 	d.prefetch(page, seq)
 
-	d.wake(fi)
+	d.waker.Wake(page)
 	d.faultFree = append(d.faultFree, fi)
 
 	// Periodic HIR drain: every TransferInterval-th serviced fault the HIR
 	// contents cross PCIe; the transfer occupies this channel before it can
-	// take the next fault, and the sink sees the records when it lands.
-	if d.hirC != nil && d.cfg.TransferInterval > 0 &&
-		d.stats.FaultsServiced%uint64(d.cfg.TransferInterval) == 0 {
+	// take the next fault, and the sink sees the records when it lands. The
+	// queued faults a block prefetch resolved count too, so the drain is due
+	// when this completion carried the count past a multiple of the
+	// interval.
+	if n := uint64(d.cfg.TransferInterval); d.hirC != nil && n > 0 &&
+		d.stats.FaultsServiced/n > serviced/n {
 		if recs := d.hirC.Drain(); len(recs) > 0 {
 			bytes := d.hirC.TransferBytes(len(recs))
 			transfer := sim.Cycle(math.Ceil(float64(bytes) / d.cfg.PCIeBytesPerCycle))

@@ -2,12 +2,13 @@ package uvm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"hpe/internal/addrspace"
 	"hpe/internal/hir"
-	"hpe/internal/mem"
 	"hpe/internal/policy"
 	"hpe/internal/sim"
 )
@@ -31,20 +32,37 @@ func (r *recordingPolicy) OnEvicted(p addrspace.PageID) {
 	r.LRU.OnEvicted(p)
 }
 
-// funcWaker runs the function registered under each wake token.
-type funcWaker []func()
+// funcWaker keeps the functions blocked on each page, in arrival order, and
+// runs and forgets them when the page is woken; wakes counts Wake calls.
+type funcWaker struct {
+	blocked map[addrspace.PageID][]func()
+	wakes   int
+}
 
-func (w *funcWaker) Wake(_ addrspace.PageID, token uint64) { (*w)[token]() }
+func (w *funcWaker) Wake(p addrspace.PageID) {
+	w.wakes++
+	fns := w.blocked[p]
+	delete(w.blocked, p)
+	for _, fn := range fns {
+		fn()
+	}
+}
+
+// waker returns d's funcWaker, registering one on first use.
+func waker(d *Driver) *funcWaker {
+	w, ok := d.waker.(*funcWaker)
+	if !ok {
+		w = &funcWaker{blocked: map[addrspace.PageID][]func(){}}
+		d.SetWaker(w)
+	}
+	return w
+}
 
 // fault raises a far-fault on page p whose wakeup runs fn.
 func fault(d *Driver, p addrspace.PageID, seq int, fn func()) {
-	w, ok := d.waker.(*funcWaker)
-	if !ok {
-		w = new(funcWaker)
-		d.SetWaker(w)
-	}
-	*w = append(*w, fn)
-	d.Fault(p, seq, uint64(len(*w)-1))
+	w := waker(d)
+	w.blocked[p] = append(w.blocked[p], fn)
+	d.Fault(p, seq)
 }
 
 func testConfig() Config {
@@ -55,15 +73,14 @@ func testConfig() Config {
 
 func TestFaultServiceLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(4)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
+	d := New(testConfig(), eng, 4, policy.NewLRU(), nil, nil)
 	woken := sim.Cycle(0)
 	fault(d, 1, 0, func() { woken = eng.Now() })
 	eng.Run()
 	if woken != 100 {
 		t.Fatalf("fault completed at %d, want 100", woken)
 	}
-	if !m.Resident(1) {
+	if !d.Resident(1) {
 		t.Fatal("page not mapped after fault")
 	}
 	if d.Stats().FaultsServiced != 1 {
@@ -73,8 +90,7 @@ func TestFaultServiceLatency(t *testing.T) {
 
 func TestFaultsServiceSerially(t *testing.T) {
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(4)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
+	d := New(testConfig(), eng, 4, policy.NewLRU(), nil, nil)
 	var times []sim.Cycle
 	for i := 1; i <= 3; i++ {
 		p := addrspace.PageID(i)
@@ -91,8 +107,7 @@ func TestFaultsServiceSerially(t *testing.T) {
 
 func TestDuplicateFaultsCoalesce(t *testing.T) {
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(4)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
+	d := New(testConfig(), eng, 4, policy.NewLRU(), nil, nil)
 	woken := 0
 	for i := 0; i < 5; i++ {
 		fault(d, 7, i, func() { woken++ })
@@ -109,8 +124,7 @@ func TestDuplicateFaultsCoalesce(t *testing.T) {
 
 func TestFaultOnResidentPageWakesImmediately(t *testing.T) {
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(4)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
+	d := New(testConfig(), eng, 4, policy.NewLRU(), nil, nil)
 	fault(d, 1, 0, func() {})
 	eng.Run()
 	woken := false
@@ -125,10 +139,9 @@ func TestFaultOnResidentPageWakesImmediately(t *testing.T) {
 
 func TestEvictionOnFullMemory(t *testing.T) {
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(2)
 	rec := &recordingPolicy{LRU: policy.NewLRU()}
 	invalidated := []addrspace.PageID{}
-	d := New(testConfig(), eng, m, rec, nil, func(p addrspace.PageID) {
+	d := New(testConfig(), eng, 2, rec, nil, func(p addrspace.PageID) {
 		invalidated = append(invalidated, p)
 	})
 	for i := 1; i <= 3; i++ {
@@ -142,7 +155,7 @@ func TestEvictionOnFullMemory(t *testing.T) {
 	if len(invalidated) != 1 || invalidated[0] != 1 {
 		t.Fatalf("invalidated = %v, want [1] (LRU victim)", invalidated)
 	}
-	if m.Resident(1) || !m.Resident(2) || !m.Resident(3) {
+	if d.Resident(1) || !d.Resident(2) || !d.Resident(3) {
 		t.Fatal("wrong residency after eviction")
 	}
 	// Callback ordering for the third fault: fault, evicted, mapped.
@@ -154,10 +167,9 @@ func TestEvictionOnFullMemory(t *testing.T) {
 
 func TestWalkHitForwarding(t *testing.T) {
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(4)
 	h := hir.New(hir.DefaultConfig())
 	lru := policy.NewLRU()
-	d := New(testConfig(), eng, m, lru, h, nil)
+	d := New(testConfig(), eng, 4, lru, h, nil)
 	fault(d, 1, 0, func() {})
 	eng.Run()
 	d.RecordWalkHit(1, 5)
@@ -182,9 +194,8 @@ func TestHIRDrainEveryNthFault(t *testing.T) {
 	cfg := testConfig()
 	cfg.TransferInterval = 2
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(64)
 	h := hir.New(hir.DefaultConfig())
-	d := New(cfg, eng, m, policy.NewLRU(), h, nil)
+	d := New(cfg, eng, 64, policy.NewLRU(), h, nil)
 	fault(d, 1, 0, func() {})
 	eng.Run()
 	d.RecordWalkHit(1, 1)
@@ -225,7 +236,7 @@ func TestHIRDrainDeliveryTiming(t *testing.T) {
 	cfg.TransferInterval = 2
 	eng := sim.NewEngine()
 	sink := &batchSink{LRU: policy.NewLRU(), eng: eng}
-	d := New(cfg, eng, mem.NewDeviceMemory(64), sink, hir.New(hir.DefaultConfig()), nil)
+	d := New(cfg, eng, 64, sink, hir.New(hir.DefaultConfig()), nil)
 	fault(d, 1, 0, func() {})
 	eng.Run()
 	d.RecordWalkHit(1, 1)
@@ -257,8 +268,7 @@ func TestHIRDrainDeliveryTiming(t *testing.T) {
 
 func TestQueueDepthTracking(t *testing.T) {
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(16)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
+	d := New(testConfig(), eng, 16, policy.NewLRU(), nil, nil)
 	for i := 0; i < 10; i++ {
 		fault(d, addrspace.PageID(i), i, func() {})
 	}
@@ -279,8 +289,7 @@ func TestChannelsOverlapFaultService(t *testing.T) {
 	cfg := testConfig()
 	cfg.Channels = 4
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(16)
-	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
+	d := New(cfg, eng, 16, policy.NewLRU(), nil, nil)
 	var times []sim.Cycle
 	for i := 0; i < 8; i++ {
 		fault(d, addrspace.PageID(i), i, func() { times = append(times, eng.Now()) })
@@ -302,7 +311,7 @@ func TestZeroChannelsDefaultsToOne(t *testing.T) {
 	cfg := testConfig()
 	cfg.Channels = 0
 	eng := sim.NewEngine()
-	d := New(cfg, eng, mem.NewDeviceMemory(4), policy.NewLRU(), nil, nil)
+	d := New(cfg, eng, 4, policy.NewLRU(), nil, nil)
 	var times []sim.Cycle
 	for i := 0; i < 2; i++ {
 		fault(d, addrspace.PageID(i), i, func() { times = append(times, eng.Now()) })
@@ -315,8 +324,7 @@ func TestZeroChannelsDefaultsToOne(t *testing.T) {
 
 func TestBusyCyclesAccumulate(t *testing.T) {
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(16)
-	d := New(testConfig(), eng, m, policy.NewLRU(), nil, nil)
+	d := New(testConfig(), eng, 16, policy.NewLRU(), nil, nil)
 	for i := 0; i < 4; i++ {
 		fault(d, addrspace.PageID(i), i, func() {})
 	}
@@ -333,19 +341,18 @@ func TestZeroFaultLatencyPanics(t *testing.T) {
 			t.Error("zero fault latency accepted")
 		}
 	}()
-	New(Config{}, sim.NewEngine(), mem.NewDeviceMemory(1), policy.NewLRU(), nil, nil)
+	New(Config{}, sim.NewEngine(), 1, policy.NewLRU(), nil, nil)
 }
 
 func TestPrefetchMigratesBlockNeighbours(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchPages = 15
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(64)
-	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
+	d := New(cfg, eng, 64, policy.NewLRU(), nil, nil)
 	fault(d, 32, 0, func() {}) // block 32..47
 	eng.Run()
 	for p := addrspace.PageID(32); p < 48; p++ {
-		if !m.Resident(p) {
+		if !d.Resident(p) {
 			t.Fatalf("page %v not prefetched", p)
 		}
 	}
@@ -365,11 +372,10 @@ func TestPrefetchEvictsWhenFull(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchPages = 15
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(8)
-	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
+	d := New(cfg, eng, 8, policy.NewLRU(), nil, nil)
 	fault(d, 0, 0, func() {})
 	eng.Run()
-	if !m.Full() {
+	if !d.Full() {
 		t.Fatal("memory not full after the prefetch, want all 8 frames resident")
 	}
 	st := d.Stats()
@@ -387,8 +393,7 @@ func TestPrefetchSkipsPendingFaults(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchPages = 15
 	eng := sim.NewEngine()
-	m := mem.NewDeviceMemory(64)
-	d := New(cfg, eng, m, policy.NewLRU(), nil, nil)
+	d := New(cfg, eng, 64, policy.NewLRU(), nil, nil)
 	woken := 0
 	fault(d, 0, 0, func() { woken++ })
 	fault(d, 1, 1, func() { woken++ }) // queued behind page 0
@@ -428,7 +433,7 @@ func TestBadVictimPanics(t *testing.T) {
 			cfg := testConfig()
 			cfg.PrefetchPages = tc.prefetch
 			eng := sim.NewEngine()
-			d := New(cfg, eng, mem.NewDeviceMemory(tc.frames), strayVictimPolicy{policy.NewLRU()}, nil, nil)
+			d := New(cfg, eng, tc.frames, strayVictimPolicy{policy.NewLRU()}, nil, nil)
 			fault(d, 0, 0, func() {})
 			fault(d, 1, 1, func() {})
 			defer func() {
@@ -442,5 +447,201 @@ func TestBadVictimPanics(t *testing.T) {
 			}()
 			eng.Run()
 		})
+	}
+}
+
+// TestEvictNotResident checks that evicting a page that is not resident
+// panics before any residency state changes: the mapped page stays, memory
+// stays full and no eviction is counted.
+func TestEvictNotResident(t *testing.T) {
+	d := New(testConfig(), sim.NewEngine(), 1, strayVictimPolicy{policy.NewLRU()}, nil, nil)
+	d.Prepopulate([]addrspace.PageID{0})
+	mustPanic(t, "page not resident", func() { d.evictIfFull(1) })
+	if !d.Full() || !d.Resident(0) || d.Resident(999) {
+		t.Fatalf("after the rejected eviction: full=%v resident(0)=%v resident(999)=%v", d.Full(), d.Resident(0), d.Resident(999))
+	}
+	if st := d.Stats(); st.Evictions != 0 {
+		t.Fatalf("evictions = %d, want 0", st.Evictions)
+	}
+}
+
+// TestInsertEvictLifecycle follows residency through the driver's one page
+// table: pages map on fault completion until memory is full, and the next
+// fault evicts the policy's victim into the freed frame.
+func TestInsertEvictLifecycle(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(testConfig(), eng, 2, policy.NewLRU(), nil, nil)
+	if d.Full() || d.Resident(10) {
+		t.Fatal("fresh memory is full or has a resident page")
+	}
+	fault(d, 10, 0, func() {})
+	if d.Resident(10) {
+		t.Fatal("page resident while its fault is pending")
+	}
+	fault(d, 20, 1, func() {})
+	eng.Run()
+	if !d.Full() || !d.Resident(10) || !d.Resident(20) {
+		t.Fatalf("after two faults: full=%v resident(10)=%v resident(20)=%v", d.Full(), d.Resident(10), d.Resident(20))
+	}
+	fault(d, 30, 2, func() {})
+	eng.Run()
+	if d.Resident(10) || !d.Resident(20) || !d.Resident(30) || !d.Full() {
+		t.Fatalf("after the evicting fault: resident(10)=%v resident(20)=%v resident(30)=%v full=%v",
+			d.Resident(10), d.Resident(20), d.Resident(30), d.Full())
+	}
+	if st := d.Stats(); st.FaultsServiced != 3 || st.Evictions != 1 {
+		t.Fatalf("serviced=%d evictions=%d, want 3/1", st.FaultsServiced, st.Evictions)
+	}
+}
+
+// mustPanic runs f and requires a panic whose message contains want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one containing %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic = %q, want one containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
+func TestDoubleMapPanics(t *testing.T) {
+	d := New(testConfig(), sim.NewEngine(), 4, policy.NewLRU(), nil, nil)
+	d.Prepopulate([]addrspace.PageID{1})
+	mustPanic(t, "double map", func() { d.Prepopulate([]addrspace.PageID{1}) })
+}
+
+func TestMapIntoFullPanics(t *testing.T) {
+	d := New(testConfig(), sim.NewEngine(), 2, policy.NewLRU(), nil, nil)
+	mustPanic(t, "map of page:0x3 into full memory", func() { d.Prepopulate([]addrspace.PageID{1, 2, 3}) })
+	if !d.Full() || !d.Resident(1) || !d.Resident(2) {
+		t.Fatal("the pages that fit were not mapped")
+	}
+}
+
+func TestZeroCapacityPanics(t *testing.T) {
+	mustPanic(t, "must be positive", func() { New(testConfig(), sim.NewEngine(), 0, policy.NewLRU(), nil, nil) })
+}
+
+// residencyModel is LRU that keeps a model of device memory from the
+// policy callbacks alone: OnMapped adds a page, OnEvicted removes it.
+type residencyModel struct {
+	*policy.LRU
+	resident map[addrspace.PageID]bool
+}
+
+func (r *residencyModel) OnMapped(p addrspace.PageID, seq int) {
+	r.resident[p] = true
+	r.LRU.OnMapped(p, seq)
+}
+
+func (r *residencyModel) OnEvicted(p addrspace.PageID) {
+	delete(r.resident, p)
+	r.LRU.OnEvicted(p)
+}
+
+// Property: over any sequence of faults and event steps (fault completions,
+// with evictions whenever memory is full, and block prefetches that map
+// pages and resolve queued faults), Resident agrees with the model the
+// policy callbacks build, the model never exceeds the capacity, Full holds
+// exactly at capacity, a pending fault's page is not resident, and a woken
+// page is.
+func TestFrameConservationProperty(t *testing.T) {
+	const capacity, pages = 8, 40
+	f := func(prefetch uint8, ops []uint8) bool {
+		cfg := testConfig()
+		cfg.PrefetchPages = int(prefetch % 4)
+		eng := sim.NewEngine()
+		model := &residencyModel{LRU: policy.NewLRU(), resident: map[addrspace.PageID]bool{}}
+		d := New(cfg, eng, capacity, model, nil, nil)
+		pending := map[addrspace.PageID]bool{}
+		ok := true
+		for _, op := range ops {
+			if op%4 == 0 {
+				eng.Step()
+			} else {
+				p := addrspace.PageID(op % pages)
+				if !d.Resident(p) {
+					pending[p] = true
+				}
+				fault(d, p, int(op), func() {
+					delete(pending, p)
+					ok = ok && d.Resident(p)
+				})
+			}
+			if !ok || len(model.resident) > capacity || d.Full() != (len(model.resident) == capacity) {
+				return false
+			}
+			for q := addrspace.PageID(0); q < pages; q++ {
+				if d.Resident(q) != model.resident[q] || pending[q] && d.Resident(q) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCoalescedFaultWakesOnce checks the Waker contract: however many Fault
+// calls coalesce onto one fault, the page is woken once, and the waiters a
+// caller keeps resume in arrival order.
+func TestCoalescedFaultWakesOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(testConfig(), eng, 4, policy.NewLRU(), nil, nil)
+	var order []int
+	for i := 0; i < 3; i++ {
+		fault(d, 7, i, func() { order = append(order, i) })
+	}
+	eng.Run()
+	if w := waker(d); w.wakes != 1 {
+		t.Fatalf("page woken %d times for one fault, want 1", w.wakes)
+	}
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("waiters resumed in order %v, want arrival order [0 1 2]", order)
+	}
+	if st := d.Stats(); st.FaultsServiced != 1 || st.Coalesced != 2 {
+		t.Fatalf("serviced=%d coalesced=%d, want 1/2", st.FaultsServiced, st.Coalesced)
+	}
+}
+
+// TestHIRDrainWhenPrefetchCrossesInterval pins the drain to the fault count
+// crossing a multiple of TransferInterval: a completion whose block
+// prefetch resolves queued faults can carry the count past the multiple
+// without landing on it, and the drain is due all the same.
+func TestHIRDrainWhenPrefetchCrossesInterval(t *testing.T) {
+	cfg := testConfig()
+	cfg.TransferInterval = 4
+	cfg.PrefetchPages = 15
+	eng := sim.NewEngine()
+	h := hir.New(hir.DefaultConfig())
+	sink := &batchSink{LRU: policy.NewLRU(), eng: eng}
+	d := New(cfg, eng, 64, sink, h, nil)
+	fault(d, 16, 0, func() {}) // serviced 1, prefetching the rest of block 16..31
+	eng.Run()
+	fault(d, 32, 1, func() {}) // serviced 2
+	eng.Run()
+	d.RecordWalkHit(16, 2)
+	// Page 0 goes into service; pages 1 and 2 of its block queue behind it.
+	for p := addrspace.PageID(0); p < 3; p++ {
+		fault(d, p, int(p)+3, func() {})
+	}
+	eng.Run() // serviced 2 → 5: the prefetch resolves 1 and 2 and crosses 4
+	st := d.Stats()
+	if st.FaultsServiced != 5 || st.Batched != 2 {
+		t.Fatalf("serviced=%d batched=%d, want 5/2", st.FaultsServiced, st.Batched)
+	}
+	if got := h.Stats().Drains; got != 1 {
+		t.Fatalf("HIR drained %d times, want 1 when the count crossed 4", got)
+	}
+	if len(sink.batches) != 1 || len(sink.batches[0]) != 1 || sink.batches[0][0].Set != addrspace.DefaultGeometry().SetOf(16) {
+		t.Fatalf("batches = %+v, want the one record of page 16's set", sink.batches)
 	}
 }
