@@ -125,16 +125,20 @@ bench:
 bench-probe:
 	$(GO) test -run '^$$' -bench 'BenchmarkNilProbe|BenchmarkMetricsProbe' -benchtime=5x -count=3 .
 
-# CPU profile of one serial full-suite run (every experiment, Workers 1):
-# where the simulator's time goes, layer by layer. The profile and the test
-# binary stay in .profile/ (git-ignored); inspect further with
-# `go tool pprof .profile/hpe.test .profile/cpu.pprof`.
+# CPU and memory profiles of one serial full-suite run (every experiment,
+# Workers 1): where the simulator's time goes, layer by layer, the suite's
+# total allocations and bytes (-benchmem), and the top allocation sites by
+# count (sampled). The profiles and the test binary stay in .profile/
+# (git-ignored); inspect further with
+# `go tool pprof .profile/hpe.test .profile/cpu.pprof` (or mem.pprof).
 PROFILE_DIR := .profile
 profile:
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench '^BenchmarkSuiteFullSerial$$' -benchtime 1x \
-		-cpuprofile $(PROFILE_DIR)/cpu.pprof -o $(PROFILE_DIR)/hpe.test .
+	$(GO) test -run '^$$' -bench '^BenchmarkSuiteFullSerial$$' -benchtime 1x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/mem.pprof \
+		-o $(PROFILE_DIR)/hpe.test .
 	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/hpe.test $(PROFILE_DIR)/cpu.pprof
+	$(GO) tool pprof -top -nodecount 20 -sample_index=alloc_objects $(PROFILE_DIR)/hpe.test $(PROFILE_DIR)/mem.pprof
 
 clean:
 	rm -f hpelint

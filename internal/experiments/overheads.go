@@ -102,9 +102,8 @@ func measureChainUpdate(sets, records int) float64 {
 	}
 	recs := make([]hir.Record, records)
 	for i := range recs {
-		counts := make([]uint8, 16)
-		counts[i%16] = uint8(1 + i%3)
-		recs[i] = hir.Record{Set: addrspace.SetID(i % sets), Counts: counts}
+		count := uint64(1 + i%3)
+		recs[i] = hir.Record{Set: addrspace.SetID(i % sets), Counts: count << (i % 16 * hir.CounterBits)}
 	}
 	return fastestUS(7, func() func() { return func() { h.OnHitBatch(recs) } })
 }

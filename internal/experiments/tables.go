@@ -5,6 +5,7 @@ import (
 
 	"hpe/internal/addrspace"
 	"hpe/internal/gpu"
+	"hpe/internal/hir"
 	"hpe/internal/stats"
 	"hpe/internal/trace"
 	"hpe/internal/workload"
@@ -27,7 +28,7 @@ func table1(*Suite, view) Report {
 	tb.AddRow("CPU-GPU interconnect", fmt.Sprintf("16GB/s, 20us page fault service time (%d cycles)",
 		cfg.Driver.FaultLatency))
 	tb.AddRow("HIR cache", fmt.Sprintf("%d-entry, %d-way, %d-bit counters, drain every %d faults",
-		cfg.HIR.Entries, cfg.HIR.Ways, cfg.HIR.CounterBits, cfg.Driver.TransferInterval))
+		cfg.HIR.Entries, cfg.HIR.Ways, hir.CounterBits, cfg.Driver.TransferInterval))
 	return Report{ID: "table1", Title: "Configuration of the simulated system", Text: tb.Render(),
 		Metrics: map[string]float64{"faultCycles": float64(cfg.Driver.FaultLatency)}}
 }

@@ -46,13 +46,13 @@ func TestPrepopulatedRunAllocBound(t *testing.T) {
 // every policy in internal/policy and for HPE: a thrashing run faults on
 // most walks.
 // Every fault resumes its blocked accesses through the driver's registered
-// waker, which finds their waiter list in the page's record, the fault
-// queue reuses its storage, and
-// each policy keeps its per-page state in page tables, slabs and value
-// heaps, so once those are warm the fault path allocates nothing per fault.
-// Setup and the growth of free lists, slabs and heaps amortize over the
-// run's ~13k faults (about 0.015 allocations per fault; a closure or a node
-// per fault would be 1).
+// waker, which follows their waiter chain through the warp slots from the
+// page's record, the fault queue reuses its storage, an HIR drain is one
+// batch of one-word records, and each policy keeps its per-page state in
+// page tables, slabs and value heaps, so once those are warm the fault
+// path allocates nothing per fault. Setup and the growth of free lists,
+// slabs and heaps amortize over the run's ~13k faults (about 0.015
+// allocations per fault; a closure or a node per fault would be 1).
 func TestFaultPathAllocBound(t *testing.T) {
 	tr := thrashTrace(64, 32) // 1,024 pages swept 32 times
 	const capacity = 768      // 75% of the footprint
@@ -92,5 +92,25 @@ func TestFaultPathAllocBound(t *testing.T) {
 					total, res.Faults, perFault)
 			}
 		})
+	}
+}
+
+// TestRunAllocsIndependentOfWarps requires a run's allocation count not to
+// grow with the warp slots in flight: the waiter chains are threaded
+// through one slot array allocated with the run, so six times the warps on
+// the same thrashing trace may add only the few doublings of the event
+// queue that holds their events. Per-walk or per-fault waiter slices would
+// add hundreds.
+func TestRunAllocsIndependentOfWarps(t *testing.T) {
+	tr := thrashTrace(64, 8)
+	allocs := func(warps int) float64 {
+		cfg := smallConfig(768)
+		cfg.SMs, cfg.WarpsPerSM = 15, warps
+		return testing.AllocsPerRun(1, func() { Run(cfg, tr, policy.NewLRU()) })
+	}
+	few, many := allocs(8), allocs(48)
+	t.Logf("8 warps per SM: %.0f allocations; 48: %.0f", few, many)
+	if many-few > 32 {
+		t.Errorf("48 warps per SM allocated %.0f objects, 8 warps %.0f: want a difference of at most 32", many, few)
 	}
 }

@@ -205,13 +205,12 @@ func (r Result) String() string {
 }
 
 // A page's record is one row of Simulator.pages: the cell at recMSHR holds
-// the waiter list of its walk in flight, recFault the waiter list of the
-// accesses blocked on its far-fault, recL2 its L2 TLB slot, and recL1+i its
-// slot in SM i's L1 TLB. Each cell holds the index plus one, so a zero cell
-// (every cell of a page never touched) means none. Cells are 16 bits, which
-// keeps a 15-SM record within 36 bytes: New rejects TLBs of 2¹⁶−1 entries
-// or more, and more warp slots than that (live waiter lists never
-// outnumber the warps, each of which waits on at most one).
+// the head warp slot of the chain of accesses waiting on its walk in
+// flight, recFault the head of the chain blocked on its far-fault, recL2
+// its L2 TLB slot, and recL1+i its slot in SM i's L1 TLB. Each cell holds
+// the index plus one, so a zero cell (every cell of a page never touched)
+// means none. Cells are 16 bits, which keeps a 15-SM record within 36
+// bytes: New rejects TLBs of 2¹⁶−1 entries or more, and as many warp slots.
 const (
 	recMSHR = iota
 	recFault
@@ -222,10 +221,19 @@ const (
 // maxCell bounds the indexes a record cell holds (index + 1 fits 16 bits).
 const maxCell = 1<<16 - 1
 
-type continuation struct {
-	smID int
+// A warpSlot is one warp slot: its SM, the access it runs, and its link in
+// the waiter chain of at most one walk or fault. A chain runs through next
+// to noSlot, and its head also names its tail, so joining two keeps
+// arrival order in O(1).
+type warpSlot struct {
+	sm   int32
+	next int32
+	tail int32
 	seq  int
 }
+
+// noSlot ends a waiter chain.
+const noSlot = -1
 
 // The three hot-path event kinds are named handler types over the Simulator
 // itself — `(*issueEvent)(s)` is a zero-allocation pointer conversion, so
@@ -235,12 +243,11 @@ type continuation struct {
 // service runs inside internal/uvm's driver, which resumes faulted accesses
 // through faultWaker the same way.
 
-// issueEvent runs the translation path: a0 = SM id, a1 = access sequence.
+// issueEvent runs the translation path for the access of warp slot a0.
 type issueEvent Simulator
 
-func (e *issueEvent) OnEvent(a0, a1 uint64) {
-	s := (*Simulator)(e)
-	s.issue(s.sms[a0], int(a1))
+func (e *issueEvent) OnEvent(a0, _ uint64) {
+	(*Simulator)(e).issue(int32(a0))
 }
 
 // walkDoneEvent resolves a completed page-table walk: a0 = page.
@@ -251,18 +258,20 @@ func (e *walkDoneEvent) OnEvent(a0, _ uint64) {
 }
 
 // faultWaker resumes the accesses blocked on a resolved far-fault: the
-// waiter list in the page record's recFault cell (uvm.Waker).
+// waiter chain in the page record's recFault cell (uvm.Waker). The fault's
+// own block prefetch may have evicted the page again before the wake; the
+// accesses then complete without installing its translation.
 type faultWaker Simulator
 
 func (w *faultWaker) Wake(page addrspace.PageID) {
 	s := (*Simulator)(w)
 	rec := s.pages.Lookup(page)
-	li := int32(rec[recFault]) - 1
+	head := int32(rec[recFault]) - 1
 	rec[recFault] = 0
-	s.fillAndWake(page, li)
+	s.fillAndWake(page, head, s.driver.Resident(page))
 }
 
-// completeEvent retires one access and recycles its warp slot: a0 = SM id,
+// completeEvent retires one access and recycles its warp slot: a0 = slot,
 // a1 = the access's compute gap (segment-dependent on annotated traces).
 type completeEvent Simulator
 
@@ -270,7 +279,7 @@ func (e *completeEvent) OnEvent(a0, a1 uint64) {
 	s := (*Simulator)(e)
 	s.completed++
 	s.instructions += 1 + a1
-	s.dispatch(s.sms[a0])
+	s.dispatch(int32(a0))
 	s.releaseBarrier()
 }
 
@@ -301,13 +310,12 @@ type Simulator struct {
 	hComplete sim.HandlerID
 
 	cursor int
-	// pages holds one record per page (see recMSHR). A walk's waiter list
-	// is an index into waiters; on a far-fault it becomes, or joins, the
-	// page's fault list until the driver wakes the page, and it returns to
-	// freeLists in fillAndWake; each list keeps its capacity across reuse.
-	pages     *pagetable.Rows
-	waiters   [][]continuation
-	freeLists []int32
+	// pages holds one record per page (see recMSHR). A walk's waiter chain
+	// starts at the slot that issued it; on a far-fault it becomes, or
+	// joins, the page's fault chain until the driver wakes the page.
+	pages *pagetable.Rows
+	// slots holds SMs × WarpsPerSM warp slots, SM by SM.
+	slots []warpSlot
 
 	completed    uint64
 	instructions uint64
@@ -323,7 +331,7 @@ type Simulator struct {
 	// Kernel-boundary handling: slots that reached the next barrier park in
 	// stalled until every access before the barrier completes.
 	barrierIdx int
-	stalled    []*smState
+	stalled    []int32
 	barriers   uint64 // crossed, for stats
 }
 
@@ -388,6 +396,10 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 		engine: sim.NewEngine(),
 		l2:     tlb.NewSlots("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
 		pages:  pagetable.NewRows(recL1+cfg.SMs, tr.Footprint()),
+		slots:  make([]warpSlot, cfg.SMs*cfg.WarpsPerSM),
+	}
+	for i := range s.slots {
+		s.slots[i].sm = int32(i / cfg.WarpsPerSM)
 	}
 	if cfg.UseHIR {
 		s.hirC = hir.New(cfg.HIR)
@@ -494,15 +506,17 @@ func (s *Simulator) dataLatency(sm *smState, page addrspace.PageID, seq int) sim
 	return done - now
 }
 
-// dispatch hands the next trace access to a freed warp slot of SM sm. At a
-// kernel boundary the slot parks until the preceding kernel drains.
-func (s *Simulator) dispatch(sm *smState) {
+// dispatch hands the next trace access to the freed warp slot. At a kernel
+// boundary the slot parks until the preceding kernel drains.
+func (s *Simulator) dispatch(warp int32) {
 	if s.cursor >= s.tr.Len() {
 		return
 	}
+	w := &s.slots[warp]
+	sm := s.sms[w.sm]
 	if s.barrierIdx < len(s.tr.Barriers) && s.cursor == s.tr.Barriers[s.barrierIdx] {
 		if int(s.completed) < s.cursor {
-			s.stalled = append(s.stalled, sm)
+			s.stalled = append(s.stalled, warp)
 			return
 		}
 		if s.probe != nil {
@@ -511,25 +525,27 @@ func (s *Simulator) dispatch(sm *smState) {
 		s.barrierIdx++
 		s.barriers++
 	}
-	seq := s.cursor
+	w.seq = s.cursor
 	s.cursor++
 	issueAt := s.engine.Now()
 	if sm.nextIssue >= issueAt {
 		issueAt = sm.nextIssue + 1
 	}
 	sm.nextIssue = issueAt
-	s.engine.Schedule(issueAt, s.hIssue, uint64(sm.id), uint64(seq))
+	s.engine.Schedule(issueAt, s.hIssue, uint64(warp), 0)
 }
 
-// issue runs the translation path for access seq on SM sm.
-func (s *Simulator) issue(sm *smState, seq int) {
+// issue runs the translation path for the access of warp slot warp.
+func (s *Simulator) issue(warp int32) {
+	w := &s.slots[warp]
+	sm, seq := s.sms[w.sm], w.seq
 	page := s.tr.Refs[seq]
 	// rec stays valid through this call: the fills below look records up
 	// without allocating.
 	rec := s.pages.Row(page)
 	if slot := rec[recL1+sm.id]; slot != 0 {
 		sm.l1.Hit(int32(slot) - 1)
-		s.finish(sm, page, seq, s.cfg.L1TLBLatency)
+		s.finish(warp, page, s.cfg.L1TLBLatency)
 		return
 	}
 	sm.l1.Miss()
@@ -540,7 +556,7 @@ func (s *Simulator) issue(sm *smState, seq int) {
 		if slot := rec[recL2]; slot != 0 {
 			s.l2.Hit(int32(slot) - 1)
 			s.fill(sm.l1, page, rec, recL1+sm.id)
-			s.finish(sm, page, seq, s.cfg.L1TLBLatency+s.cfg.L2TLBLatency)
+			s.finish(warp, page, s.cfg.L1TLBLatency+s.cfg.L2TLBLatency)
 			return
 		}
 		s.l2.Miss()
@@ -549,18 +565,16 @@ func (s *Simulator) issue(sm *smState, seq int) {
 		}
 	}
 	// Page walk, with MSHR-style merging of concurrent walks.
-	cont := continuation{smID: sm.id, seq: seq}
-	if li := int32(rec[recMSHR]) - 1; li >= 0 {
-		s.waiters[li] = append(s.waiters[li], cont)
+	w.next, w.tail = noSlot, warp
+	if head := int32(rec[recMSHR]) - 1; head >= 0 {
+		s.join(head, warp)
 		s.walkMerges++
 		if s.probe != nil {
 			s.probe.Emit(probe.WalkMerge(s.engine.Now(), sm.id, page, seq))
 		}
 		return
 	}
-	li := s.newList()
-	s.waiters[li] = append(s.waiters[li], cont)
-	rec[recMSHR] = uint16(li + 1)
+	rec[recMSHR] = uint16(warp + 1)
 	s.walks++
 	var delay sim.Cycle
 	if s.pwalk != nil {
@@ -571,79 +585,70 @@ func (s *Simulator) issue(sm *smState, seq int) {
 	s.engine.ScheduleAfter(delay, s.hWalk, uint64(page), 0)
 }
 
-// newList returns an empty waiter list, recycled when one is free.
-func (s *Simulator) newList() int32 {
-	if n := len(s.freeLists); n > 0 {
-		li := s.freeLists[n-1]
-		s.freeLists = s.freeLists[:n-1]
-		return li
-	}
-	s.waiters = append(s.waiters, nil)
-	return int32(len(s.waiters) - 1)
+// join appends the waiter chain headed by b to the one headed by a.
+func (s *Simulator) join(a, b int32) {
+	s.slots[s.slots[a].tail].next = b
+	s.slots[a].tail = s.slots[b].tail
 }
 
 // finishWalk resolves a completed page-table walk.
 func (s *Simulator) finishWalk(page addrspace.PageID) {
 	rec := s.pages.Lookup(page)
-	li := int32(rec[recMSHR]) - 1
+	head := int32(rec[recMSHR]) - 1
 	rec[recMSHR] = 0
-	first := s.waiters[li][0]
+	first := &s.slots[head]
 	if s.driver.Resident(page) {
 		s.walkHits++
 		if s.probe != nil {
-			s.probe.Emit(probe.WalkHit(s.engine.Now(), first.smID, page, first.seq))
+			s.probe.Emit(probe.WalkHit(s.engine.Now(), int(first.sm), page, first.seq))
 		}
 		s.driver.RecordWalkHit(page, first.seq)
-		s.fillAndWake(page, li)
+		s.fillAndWake(page, head, true)
 		return
 	}
 	// Far-fault: the waiting warps block until the driver wakes the page
 	// through faultWaker. A walk that ends on a page whose fault is pending
-	// appends its waiters to that fault's list, so the earlier walk's
-	// accesses complete first.
-	if fl := int32(rec[recFault]) - 1; fl >= 0 {
-		s.waiters[fl] = append(s.waiters[fl], s.waiters[li]...)
-		s.freeList(li)
+	// appends its chain to that fault's, so the earlier walk's accesses
+	// complete first.
+	if fh := int32(rec[recFault]) - 1; fh >= 0 {
+		s.join(fh, head)
 	} else {
-		rec[recFault] = uint16(li + 1)
+		rec[recFault] = uint16(head + 1)
 	}
 	s.driver.Fault(page, first.seq)
 }
 
-// fillAndWake installs the translation, completes every access on waiter
-// list li, and frees the list (fillAndWake is the single sink for waiter
-// lists on both the walk-hit and fault paths).
-func (s *Simulator) fillAndWake(page addrspace.PageID, li int32) {
+// fillAndWake completes every access on the waiter chain from head and,
+// while the page is resident, installs its translation in the L2 TLB and
+// in each waiter's L1 TLB (fillAndWake is the single sink for waiter
+// chains on both the walk-hit and fault paths).
+func (s *Simulator) fillAndWake(page addrspace.PageID, head int32, resident bool) {
 	rec := s.pages.Lookup(page)
-	if s.pwalk == nil {
+	if resident && s.pwalk == nil {
 		s.fill(s.l2, page, rec, recL2)
 	}
-	for _, c := range s.waiters[li] {
-		sm := s.sms[c.smID]
-		s.fill(sm.l1, page, rec, recL1+sm.id)
-		s.finish(sm, page, c.seq, 1)
+	for warp := head; warp != noSlot; warp = s.slots[warp].next {
+		if resident {
+			sm := s.slots[warp].sm
+			s.fill(s.sms[sm].l1, page, rec, recL1+int(sm))
+		}
+		s.finish(warp, page, 1)
 	}
-	s.freeList(li)
 }
 
-// freeList empties waiter list li and returns it to the free lists.
-func (s *Simulator) freeList(li int32) {
-	s.waiters[li] = s.waiters[li][:0]
-	s.freeLists = append(s.freeLists, li)
-}
-
-// finish completes one access after `extra` cycles (plus the data-path
+// finish completes warp's access after `extra` cycles (plus the data-path
 // latency when modelled) and recycles the slot after the compute gap — the
 // uniform cfg.ComputeGap, or the access's segment gap on annotated traces.
-func (s *Simulator) finish(sm *smState, page addrspace.PageID, seq int, extra sim.Cycle) {
-	if sm.l1d != nil {
-		extra += s.dataLatency(sm, page, seq)
+func (s *Simulator) finish(warp int32, page addrspace.PageID, extra sim.Cycle) {
+	w := &s.slots[warp]
+	if sm := s.sms[w.sm]; sm.l1d != nil {
+		extra += s.dataLatency(sm, page, w.seq)
 	}
 	gap := s.cfg.ComputeGap
 	if s.segStarts != nil {
-		gap = s.gapAt(seq)
+		gap = s.gapAt(w.seq)
 	}
-	s.engine.ScheduleAfter(extra+gap, s.hComplete, uint64(sm.id), uint64(gap))
+	s.engine.ScheduleAfter(extra+gap, s.hComplete, uint64(warp), uint64(gap))
 }
 
 // gapAt returns the compute gap of the segment containing trace position seq
@@ -671,8 +676,8 @@ func (s *Simulator) releaseBarrier() {
 	}
 	parked := s.stalled
 	s.stalled = nil
-	for _, sm := range parked {
-		s.dispatch(sm)
+	for _, warp := range parked {
+		s.dispatch(warp)
 	}
 }
 
@@ -682,10 +687,8 @@ func (s *Simulator) Run() Result {
 		s.driver.Prepopulate(s.tr.UniquePages())
 	}
 	// Prime every warp slot.
-	for _, sm := range s.sms {
-		for w := 0; w < s.cfg.WarpsPerSM; w++ {
-			s.dispatch(sm)
-		}
+	for warp := range s.slots {
+		s.dispatch(int32(warp))
 	}
 	s.engine.Run()
 

@@ -394,7 +394,7 @@ func TestDataPathPageInvalidation(t *testing.T) {
 }
 
 // wakeLog wraps the simulator's faultWaker and records, for each wake, the
-// page and the trace positions of the accesses on its fault's waiter list.
+// page and the trace positions of the accesses on its fault's waiter chain.
 type wakeLog struct {
 	s     *Simulator
 	pages []addrspace.PageID
@@ -403,8 +403,8 @@ type wakeLog struct {
 
 func (w *wakeLog) Wake(p addrspace.PageID) {
 	var seqs []int
-	for _, c := range w.s.waiters[w.s.pages.Lookup(p)[recFault]-1] {
-		seqs = append(seqs, c.seq)
+	for warp := int32(w.s.pages.Lookup(p)[recFault]) - 1; warp != noSlot; warp = w.s.slots[warp].next {
+		seqs = append(seqs, w.s.slots[warp].seq)
 	}
 	w.pages = append(w.pages, p)
 	w.seqs = append(w.seqs, seqs)

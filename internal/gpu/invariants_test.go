@@ -130,44 +130,61 @@ func (r *seqRecorder) OnFault(p addrspace.PageID, seq int) {
 // tag arrays slot by slot, independently of the records the simulator
 // looks pages up in. 80 SMs exceed one 64-bit word of SMs, which the
 // records do not care about. Dropping the L2-hit fill's record update or
-// a shootdown of any SM leaves evicted pages behind.
+// a shootdown of any SM leaves evicted pages behind. The prefetch row has
+// a 15-page block prefetch evict, now and then, the page its own fault
+// just brought in: the wake must then install no translation for it.
 func TestShootdownOracle(t *testing.T) {
 	tr := thrashTrace(64, 6) // 1,024 pages
-	cfg := smallConfig(768)  // 75%: some pages survive a pass, so L2 hits fill L1s too
-	cfg.SMs = 80
-	s := New(cfg, tr, policy.NewLRU())
-	res := s.Run()
-	checkResultInvariants(t, res, tr.Len(), tr.Footprint(), cfg.MemoryPages, len(tr.Barriers))
-	if res.Evictions == 0 {
-		t.Fatal("no evictions: the oracle needs shootdowns to check")
-	}
-	check := func(name string, a *tlb.Slots, cell int) {
-		held := 0
-		for i := int32(0); i < int32(a.Len()); i++ {
-			p, ok := a.Page(i)
-			if !ok {
-				continue
+	for _, row := range []struct {
+		name                  string
+		frames, sms, prefetch int
+		pol                   policy.Policy
+	}{
+		// 75%: some pages survive a pass, so L2 hits fill L1s too.
+		{"lru-80sm", 768, 80, 0, policy.NewLRU()},
+		{"random-prefetch15", 64, 4, 15, policy.NewRandom(1)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := smallConfig(row.frames)
+			cfg.SMs = row.sms
+			cfg.Driver.PrefetchPages = row.prefetch
+			s := New(cfg, tr, row.pol)
+			res := s.Run()
+			if row.prefetch == 0 { // the identities count demand faults only
+				checkResultInvariants(t, res, tr.Len(), tr.Footprint(), cfg.MemoryPages, len(tr.Barriers))
 			}
-			held++
-			if !s.driver.Resident(p) {
-				t.Errorf("%s holds evicted %v", name, p)
+			if res.Evictions == 0 {
+				t.Fatal("no evictions: the oracle needs shootdowns to check")
 			}
-			if rec := s.pages.Lookup(p); rec == nil || int32(rec[cell]) != i+1 {
-				t.Errorf("%s slot %d holds %v, but its record names another slot", name, i, p)
+			check := func(name string, a *tlb.Slots, cell int) {
+				held := 0
+				for i := int32(0); i < int32(a.Len()); i++ {
+					p, ok := a.Page(i)
+					if !ok {
+						continue
+					}
+					held++
+					if !s.driver.Resident(p) {
+						t.Errorf("%s holds evicted %v", name, p)
+					}
+					if rec := s.pages.Lookup(p); rec == nil || int32(rec[cell]) != i+1 {
+						t.Errorf("%s slot %d holds %v, but its record names another slot", name, i, p)
+					}
+				}
+				named := 0
+				for _, p := range tr.UniquePages() {
+					if rec := s.pages.Lookup(p); rec != nil && rec[cell] != 0 {
+						named++
+					}
+				}
+				if named != held {
+					t.Errorf("%s: %d records name a slot, %d slots are valid", name, named, held)
+				}
 			}
-		}
-		named := 0
-		for _, p := range tr.UniquePages() {
-			if rec := s.pages.Lookup(p); rec != nil && rec[cell] != 0 {
-				named++
+			check("L2 TLB", s.l2, recL2)
+			for _, sm := range s.sms {
+				check(fmt.Sprintf("L1 TLB of SM %d", sm.id), sm.l1, recL1+sm.id)
 			}
-		}
-		if named != held {
-			t.Errorf("%s: %d records name a slot, %d slots are valid", name, named, held)
-		}
-	}
-	check("L2 TLB", s.l2, recL2)
-	for _, sm := range s.sms {
-		check(fmt.Sprintf("L1 TLB of SM %d", sm.id), sm.l1, recL1+sm.id)
+		})
 	}
 }

@@ -3,7 +3,6 @@ package gpu_test
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -146,8 +145,9 @@ func TestOneWarpReducesToReplay(t *testing.T) {
 // refHIR is the HIR of §IV-B written out plainly, independent of hir.Cache:
 // rows of 8 ways keyed by page set, a 2-bit saturating count per page of
 // the set, a hit dropped when its row already holds 8 other sets, and a
-// drain that returns the held sets in first-touch order and empties the
-// cache. TestRefHIRMatchesCache checks it against hir.Cache;
+// drain that returns the held sets in first-touch order, each count packed
+// into its record's word at its offset, and empties the cache.
+// TestRefHIRMatchesCache checks it against hir.Cache;
 // TestOneWarpProductionPath uses it as the replay's HIR.
 type refHIR struct {
 	geo    addrspace.Geometry
@@ -185,7 +185,11 @@ func (h *refHIR) hit(p addrspace.PageID) {
 func (h *refHIR) drain() []hir.Record {
 	var out []hir.Record
 	for _, set := range h.order {
-		out = append(out, hir.Record{Set: set, Counts: h.counts[set]})
+		var word uint64
+		for off, c := range h.counts[set] {
+			word |= uint64(c) << (off * hir.CounterBits)
+		}
+		out = append(out, hir.Record{Set: set, Counts: word})
 	}
 	h.used = make([]int, h.rows)
 	h.counts = map[addrspace.SetID][]uint8{}
@@ -195,13 +199,14 @@ func (h *refHIR) drain() []hir.Record {
 
 // TestRefHIRMatchesCache drives refHIR and hir.Cache with the same random
 // hits and drains, over page ranges that overflow some rows, and requires
-// every drain to return the same records in the same order.
+// every drain to return the same records, count words included, in the
+// same order.
 func TestRefHIRMatchesCache(t *testing.T) {
 	for _, entries := range []int{16, 64, 1024} {
 		cfg := hir.DefaultConfig()
 		cfg.Entries = entries
-		if cfg.Ways != refHIRWays || cfg.CounterBits != 2 {
-			t.Fatalf("refHIR models 8-way rows of 2-bit counts, hir.DefaultConfig is %d-way, %d-bit", cfg.Ways, cfg.CounterBits)
+		if cfg.Ways != refHIRWays || hir.CounterBits != 2 {
+			t.Fatalf("refHIR models 8-way rows of 2-bit counts, hir.DefaultConfig is %d-way, %d-bit", cfg.Ways, hir.CounterBits)
 		}
 		got, want := hir.New(cfg), newRefHIR(cfg)
 		rng := rand.New(rand.NewSource(int64(entries)))
@@ -219,7 +224,7 @@ func TestRefHIRMatchesCache(t *testing.T) {
 				t.Fatalf("%d entries, op %d: hir.Cache drained %d records, refHIR %d", entries, op, len(g), len(w))
 			}
 			for i := range w {
-				if g[i].Set != w[i].Set || !slices.Equal(g[i].Counts, w[i].Counts) {
+				if g[i] != w[i] {
 					t.Fatalf("%d entries, op %d: record %d is %+v, refHIR %+v", entries, op, i, g[i], w[i])
 				}
 			}
@@ -238,19 +243,24 @@ type replayStats struct {
 }
 
 // replayProduction replays tr through pol the way one warp drives the
-// production driver. A reference that repeats the one before it is absorbed
-// by the one-entry TLB and skipped; the rest carry their position in tr, as
-// the walks of gpu.Run do. A reference to a resident page is a walk hit: the
-// policy sees OnWalkHit and the reference HIR records it. A fault maps the
-// page (evicting first when memory is full), then maps up to prefetch
-// non-resident pages of its aligned 16-page block, evicting as needed, with
-// OnMapped only. After every interval-th fault the HIR drains and a
-// non-empty batch goes straight to the policy's OnHitBatch.
+// production driver. It models the one-entry TLB's content: a reference to
+// the page it holds is absorbed and skipped; the rest carry their position
+// in tr, as the walks of gpu.Run do. A reference to a resident page is a
+// walk hit: the policy sees OnWalkHit, the reference HIR records it, and
+// the TLB takes the page. A fault maps the page (evicting first when memory
+// is full), then maps up to prefetch non-resident pages of its aligned
+// 16-page block, evicting as needed, with OnMapped only; the TLB takes the
+// page only if that prefetch left it resident, and otherwise keeps what it
+// held. An eviction of the page the TLB holds empties it. After every
+// interval-th fault the HIR drains and a non-empty batch goes straight to
+// the policy's OnHitBatch.
 func replayProduction(tr *trace.Trace, pol policy.Policy, capacity, prefetch, interval int, hc hir.Config) replayStats {
 	var st replayStats
 	resident := pagetable.New[struct{}]()
 	isResident := func(p addrspace.PageID) bool { _, ok := resident.Get(p); return ok }
 	h := newRefHIR(hc)
+	var tlbPage addrspace.PageID
+	tlbHeld := false
 	mapPage := func(p addrspace.PageID) {
 		if resident.Len() == capacity {
 			v := pol.SelectVictim()
@@ -259,16 +269,20 @@ func replayProduction(tr *trace.Trace, pol policy.Policy, capacity, prefetch, in
 			}
 			pol.OnEvicted(v)
 			st.victims = append(st.victims, v)
+			if v == tlbPage {
+				tlbHeld = false
+			}
 		}
 		resident.Put(p, struct{}{})
 	}
 	for seq, p := range tr.Refs {
-		if seq > 0 && p == tr.Refs[seq-1] {
+		if tlbHeld && p == tlbPage {
 			continue
 		}
 		if isResident(p) {
 			pol.OnWalkHit(p, seq)
 			h.hit(p)
+			tlbPage, tlbHeld = p, true
 			continue
 		}
 		st.faults++
@@ -283,6 +297,9 @@ func replayProduction(tr *trace.Trace, pol policy.Policy, capacity, prefetch, in
 				brought++
 				st.prefetched++
 			}
+		}
+		if isResident(p) {
+			tlbPage, tlbHeld = p, true
 		}
 		if st.faults%interval == 0 {
 			st.drains++
@@ -322,8 +339,9 @@ func TestOneWarpProductionPath(t *testing.T) {
 	rates := []int{75, 50}
 	var cells atomic.Int64
 	t.Run("cells", func(t *testing.T) {
-		for _, sp := range specs {
+		for _, spec := range specs {
 			for _, rate := range rates {
+				sp := spec // each parallel subtest keeps its own rate
 				sp.Policy, sp.Rate = "lru", rate
 				t.Run("", func(t *testing.T) {
 					t.Parallel()

@@ -5,11 +5,12 @@
 // set chain; between drains it is the only channel through which HPE learns
 // about hits, in contrast to the baselines' "ideal model" feed.
 //
-// Each entry holds the page-set tag plus one small saturating counter per
-// page of the set (2 bits in the paper's costing: a 16-page set needs 32
-// bits of data, so an entry is 80 bits and the default 1024-entry HIR costs
-// 10 KB). A first-touch order vector preserves a relaxed reference order
-// across the drain.
+// Each entry holds the page-set tag plus one 2-bit saturating counter per
+// page of the set, as in the paper's costing: a 16-page set needs 32 bits
+// of data, so an entry is 80 bits and the default 1024-entry HIR costs
+// 10 KB. The counters of an entry, and of a drained Record, are packed in
+// one 64-bit word, so sets of up to 32 pages fit. A first-touch order
+// vector preserves a relaxed reference order across the drain.
 package hir
 
 import (
@@ -26,29 +27,39 @@ type Config struct {
 	Entries int
 	// Ways is the associativity (paper default: 8).
 	Ways int
-	// CounterBits is the per-page counter width (paper default: 2).
-	CounterBits uint
 	// Geometry supplies the page-set arithmetic.
 	Geometry addrspace.Geometry
 }
 
+// CounterBits is the per-page counter width (the paper's 2 bits); a
+// counter saturates at maxCount.
+const (
+	CounterBits = 2
+	maxCount    = 1<<CounterBits - 1
+)
+
 // DefaultConfig returns the paper's HIR configuration: 1024 entries, 8-way,
-// 2-bit counters over 16-page sets.
+// over 16-page sets.
 func DefaultConfig() Config {
-	return Config{Entries: 1024, Ways: 8, CounterBits: 2, Geometry: addrspace.DefaultGeometry()}
+	return Config{Entries: 1024, Ways: 8, Geometry: addrspace.DefaultGeometry()}
 }
 
 // Record is one drained HIR entry: the page set and the per-page hit counts
-// accumulated since the previous drain, in first-touch order.
+// accumulated since the previous drain. Counts packs them CounterBits per
+// page offset, offset 0 in the low bits; read one with Count.
 type Record struct {
 	Set    addrspace.SetID
-	Counts []uint8 // len == Geometry.SetSize()
+	Counts uint64
 }
 
+// Count returns the hit count of page offset off.
+func (r Record) Count(off int) int { return int(r.Counts >> (off * CounterBits) & maxCount) }
+
+// A hirEntry is valid while its counts are nonzero: a set enters the
+// cache with its first hit counted.
 type hirEntry struct {
-	valid  bool
 	tag    addrspace.SetID
-	counts []uint8
+	counts uint64 // as Record.Counts
 }
 
 // Cache is the HIR cache. Not safe for concurrent use; the simulator is
@@ -56,7 +67,6 @@ type hirEntry struct {
 type Cache struct {
 	cfg     Config
 	rows    int
-	maxCnt  uint8
 	entries []hirEntry
 
 	// touchOrder records (row, way) pairs in first-touch order since the
@@ -83,13 +93,12 @@ func New(cfg Config) *Cache {
 	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 		panic(fmt.Sprintf("hir: bad geometry entries=%d ways=%d", cfg.Entries, cfg.Ways))
 	}
-	if cfg.CounterBits == 0 || cfg.CounterBits > 8 {
-		panic(fmt.Sprintf("hir: counter bits %d out of range [1,8]", cfg.CounterBits))
+	if n := cfg.Geometry.SetSize(); n*CounterBits > 64 {
+		panic(fmt.Sprintf("hir: %d-page sets need %d counter bits, an entry holds 64", n, n*CounterBits))
 	}
 	return &Cache{
 		cfg:     cfg,
 		rows:    cfg.Entries / cfg.Ways,
-		maxCnt:  uint8(1<<cfg.CounterBits - 1),
 		entries: make([]hirEntry, cfg.Entries),
 	}
 }
@@ -109,20 +118,20 @@ func (c *Cache) SetProbe(p probe.Probe, now func() sim.Cycle) {
 // "some pages' information may be lost".
 func (c *Cache) RecordHit(p addrspace.PageID) {
 	set := c.cfg.Geometry.SetOf(p)
-	off := c.cfg.Geometry.Offset(p)
+	shift := c.cfg.Geometry.Offset(p) * CounterBits
 	row := int(uint64(set) % uint64(c.rows))
 	base := row * c.cfg.Ways
 	free := -1
 	for w := 0; w < c.cfg.Ways; w++ {
 		e := &c.entries[base+w]
-		if e.valid && e.tag == set {
-			if e.counts[off] < c.maxCnt {
-				e.counts[off]++
+		if e.counts != 0 && e.tag == set {
+			if e.counts>>shift&maxCount < maxCount {
+				e.counts += 1 << shift
 			}
 			c.hitsRecorded++
 			return
 		}
-		if !e.valid && free < 0 {
+		if e.counts == 0 && free < 0 {
 			free = base + w
 		}
 	}
@@ -133,14 +142,7 @@ func (c *Cache) RecordHit(p addrspace.PageID) {
 		}
 		return
 	}
-	e := &c.entries[free]
-	if e.counts == nil {
-		//lint:ignore hpelint/hotalloc nil-guarded lazy init: each entry's count slice is allocated once and reused across drains
-		e.counts = make([]uint8, c.cfg.Geometry.SetSize())
-	}
-	e.valid = true
-	e.tag = set
-	e.counts[off] = 1
+	c.entries[free] = hirEntry{tag: set, counts: 1 << shift}
 	c.touchOrder = append(c.touchOrder, free)
 	c.hitsRecorded++
 }
@@ -156,17 +158,8 @@ func (c *Cache) Drain() []Record {
 	out := make([]Record, 0, len(c.touchOrder))
 	for _, idx := range c.touchOrder {
 		e := &c.entries[idx]
-		if !e.valid {
-			continue
-		}
-		//lint:ignore hpelint/hotalloc per-drain-epoch transfer buffer modelling the PCIe copy, not a per-event allocation
-		counts := make([]uint8, len(e.counts))
-		copy(counts, e.counts)
-		out = append(out, Record{Set: e.tag, Counts: counts})
-		e.valid = false
-		for i := range e.counts {
-			e.counts[i] = 0
-		}
+		out = append(out, Record{Set: e.tag, Counts: e.counts})
+		e.counts = 0
 	}
 	c.touchOrder = c.touchOrder[:0]
 	c.drains++
@@ -185,7 +178,7 @@ func (c *Cache) Drain() []Record {
 // entry is tag (48 bits in the paper's 64-bit costing) plus the counter
 // vector, rounded up to whole bytes.
 func (c *Cache) TransferBytes(n int) int {
-	entryBits := 48 + c.cfg.Geometry.SetSize()*int(c.cfg.CounterBits)
+	entryBits := 48 + c.cfg.Geometry.SetSize()*CounterBits
 	return n * ((entryBits + 7) / 8)
 }
 

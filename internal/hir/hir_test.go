@@ -27,11 +27,11 @@ func TestRecordAndDrain(t *testing.T) {
 	if recs[0].Set != 5 || recs[1].Set != 9 {
 		t.Fatalf("drain order = %v, %v; want sets 5 then 9", recs[0].Set, recs[1].Set)
 	}
-	if recs[0].Counts[0] != 2 || recs[0].Counts[3] != 1 {
-		t.Fatalf("set 5 counts = %v", recs[0].Counts)
+	if recs[0].Counts != 2|1<<(3*CounterBits) {
+		t.Fatalf("set 5 counts = %#x, want 2 at offset 0 and 1 at offset 3", recs[0].Counts)
 	}
-	if recs[1].Counts[7] != 1 {
-		t.Fatalf("set 9 counts = %v", recs[1].Counts)
+	if recs[1].Count(7) != 1 || recs[1].Counts != 1<<(7*CounterBits) {
+		t.Fatalf("set 9 counts = %#x, want 1 at offset 7", recs[1].Counts)
 	}
 	// Cache flushed.
 	if c.Touched() != 0 {
@@ -49,8 +49,49 @@ func TestCounterSaturatesAtMax(t *testing.T) {
 		c.RecordHit(g.PageAt(1, 0))
 	}
 	recs := c.Drain()
-	if recs[0].Counts[0] != 3 {
-		t.Fatalf("saturating counter = %d, want 3", recs[0].Counts[0])
+	if recs[0].Count(0) != 3 || recs[0].Counts != 3 {
+		t.Fatalf("saturating counter = %d (word %#x), want 3", recs[0].Count(0), recs[0].Counts)
+	}
+}
+
+// TestTopOffsetSaturatesWithoutCarry fills a 32-page set's word: the
+// counter of offset 31 occupies its top two bits and must saturate at 3
+// rather than carry out of the word, and its neighbour must stay apart.
+func TestTopOffsetSaturatesWithoutCarry(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Geometry = addrspace.NewGeometry(5)
+	c := New(cfg)
+	for i := 0; i < 10; i++ {
+		c.RecordHit(cfg.Geometry.PageAt(4, 31))
+	}
+	c.RecordHit(cfg.Geometry.PageAt(4, 30))
+	recs := c.Drain()
+	if len(recs) != 1 {
+		t.Fatalf("drained %d records, want 1", len(recs))
+	}
+	r := recs[0]
+	if r.Count(31) != 3 || r.Count(30) != 1 || r.Counts != 3<<62|1<<60 {
+		t.Fatalf("offsets 31/30 = %d/%d (word %#x), want 3/1", r.Count(31), r.Count(30), r.Counts)
+	}
+}
+
+// TestDrainAllocatesOneBatch requires one Drain to allocate at most the
+// batch slice it returns, however many records it carries.
+func TestDrainAllocatesOneBatch(t *testing.T) {
+	c := defaultCache()
+	g := addrspace.DefaultGeometry()
+	for _, sets := range []int{1, 16, 512} {
+		allocs := testing.AllocsPerRun(10, func() {
+			for s := 0; s < sets; s++ {
+				c.RecordHit(g.PageAt(addrspace.SetID(s), s%16))
+			}
+			if got := c.Drain(); len(got) != sets {
+				t.Fatalf("drained %d records, want %d", len(got), sets)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("a drain of %d records allocated %.0f objects, want at most 1", sets, allocs)
+		}
 	}
 }
 
@@ -89,8 +130,8 @@ func TestMVTStrideWastesEntrySpace(t *testing.T) {
 	}
 	for _, r := range c.Drain() {
 		used := 0
-		for _, cnt := range r.Counts {
-			if cnt > 0 {
+		for off := 0; off < g.SetSize(); off++ {
+			if r.Count(off) > 0 {
 				used++
 			}
 		}
@@ -144,7 +185,7 @@ func TestEntryReusedAfterDrain(t *testing.T) {
 	// After the flush the row must accept new sets again.
 	c.RecordHit(g.PageAt(2, 5))
 	recs := c.Drain()
-	if len(recs) != 1 || recs[0].Set != 2 || recs[0].Counts[5] != 1 {
+	if len(recs) != 1 || recs[0].Set != 2 || recs[0].Counts != 1<<(5*CounterBits) {
 		t.Fatalf("post-drain record = %+v", recs)
 	}
 	if c.Stats().Conflicts != 0 {
@@ -154,9 +195,9 @@ func TestEntryReusedAfterDrain(t *testing.T) {
 
 func TestBadConfigPanics(t *testing.T) {
 	for _, cfg := range []Config{
-		{Entries: 0, Ways: 1, CounterBits: 2, Geometry: addrspace.DefaultGeometry()},
-		{Entries: 8, Ways: 3, CounterBits: 2, Geometry: addrspace.DefaultGeometry()},
-		{Entries: 8, Ways: 2, CounterBits: 0, Geometry: addrspace.DefaultGeometry()},
+		{Entries: 0, Ways: 1, Geometry: addrspace.DefaultGeometry()},
+		{Entries: 8, Ways: 3, Geometry: addrspace.DefaultGeometry()},
+		{Entries: 8, Ways: 2, Geometry: addrspace.NewGeometry(6)}, // 64 pages × 2 bits overflow the word
 	} {
 		func() {
 			defer func() {

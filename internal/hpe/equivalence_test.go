@@ -107,15 +107,13 @@ func (d *hpePair) hit(p addrspace.PageID, seq int) {
 	set, off := d.g.SetOf(p), d.g.Offset(p)
 	for i := range d.pending {
 		if r := &d.pending[i]; r.Set == set {
-			if r.Counts[off] < 255 {
-				r.Counts[off]++
+			if r.Count(off) < 1<<hir.CounterBits-1 { // saturate as the HIR does
+				r.Counts += 1 << (off * hir.CounterBits)
 			}
 			return
 		}
 	}
-	counts := make([]uint8, d.g.SetSize())
-	counts[off] = 1
-	d.pending = append(d.pending, hir.Record{Set: set, Counts: counts})
+	d.pending = append(d.pending, hir.Record{Set: set, Counts: 1 << (off * hir.CounterBits)})
 }
 
 func (d *hpePair) checkStats(where int) {
@@ -190,9 +188,8 @@ func replayEquivalence(t *testing.T, shift, interval, mode, capacity uint8, ops 
 			d.makeRoom()
 			d.mapPage(p, i)
 		case op < 0xc0: // HIR drain, plus a record for the arg set
-			counts := make([]uint8, setSize)
-			counts[int(op)%setSize] = 1 + op%3
-			recs := append(d.pending, hir.Record{Set: set, Counts: counts})
+			count := uint64(1 + op%3)
+			recs := append(d.pending, hir.Record{Set: set, Counts: count << (int(op) % setSize * hir.CounterBits)})
 			d.got.OnHitBatch(recs)
 			d.want.OnHitBatch(recs)
 			d.pending = nil

@@ -97,10 +97,10 @@ func (h *HPE) OnHitBatch(recs []hir.Record) {
 	for _, rec := range recs {
 		r := h.chain.record(rec.Set)
 		var sums [2]int
-		for off, c := range rec.Counts {
-			if c != 0 {
-				sums[r.half(off)] += int(c)
-			}
+		for w := rec.Counts; w != 0; { // each nonzero counter, lowest offset first
+			off := bits.TrailingZeros64(w) / hir.CounterBits
+			sums[r.half(off)] += rec.Count(off)
+			w &^= (1<<hir.CounterBits - 1) << (off * hir.CounterBits)
 		}
 		if sums[primary] > 0 {
 			if e := h.chain.updateExisting(rec.Set, r, primary, sums[primary]); e != nil {

@@ -239,8 +239,7 @@ func TestHPEOnHitBatch(t *testing.T) {
 	if e.counter != 16 {
 		t.Fatalf("counter = %d", e.counter)
 	}
-	counts := make([]uint8, 16)
-	counts[0], counts[5] = 3, 2
+	counts := uint64(3 | 2<<(5*hir.CounterBits)) // 3 hits at offset 0, 2 at offset 5
 	h.OnHitBatch([]hir.Record{{Set: 3, Counts: counts}})
 	if e.counter != 21 {
 		t.Fatalf("counter after batch = %d, want 21", e.counter)

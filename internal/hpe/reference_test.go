@@ -244,7 +244,8 @@ func (h *refHPE) OnHitBatch(recs []hir.Record) {
 	for _, r := range recs {
 		d := h.divisions[r.Set]
 		var primarySum, secondarySum int
-		for off, c := range r.Counts {
+		for off := 0; off < 64/hir.CounterBits; off++ {
+			c := r.Count(off)
 			if c == 0 {
 				continue
 			}

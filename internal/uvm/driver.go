@@ -40,9 +40,10 @@ type HitBatchReceiver interface {
 // (SetWaker), the way components register an event handler with the
 // engine, and keeps the blocked accesses itself: a wakeup costs no closure.
 type Waker interface {
-	// Wake reports that page p is resident: once per resolved fault,
+	// Wake reports that page p's fault is resolved: once per fault,
 	// however many Fault calls coalesced onto it, whether its service
-	// completed or a block prefetch resolved it early.
+	// completed or a block prefetch resolved it early. p is resident
+	// unless the fault's own block prefetch evicted it again.
 	Wake(p addrspace.PageID)
 }
 
