@@ -114,3 +114,30 @@ func TestRunAllocsIndependentOfWarps(t *testing.T) {
 		t.Errorf("48 warps per SM allocated %.0f objects, 8 warps %.0f: want a difference of at most 32", many, few)
 	}
 }
+
+// TestRunAllocsIndependentOfBarriers requires a run's allocation count not
+// to grow with the kernel barriers it crosses: slots that reach a barrier
+// park on a chain through the warp slots, so a hundred times the barriers
+// on the same references may add only a few doublings of the event queue.
+func TestRunAllocsIndependentOfBarriers(t *testing.T) {
+	refs := thrashTrace(64, 8).Refs
+	allocs := func(barriers int) (float64, Result) {
+		at := make([]int, barriers)
+		for i := range at {
+			at[i] = (i + 1) * len(refs) / (barriers + 1)
+		}
+		tr := trace.NewWithBarriers("barriers", refs, at)
+		var res Result
+		n := testing.AllocsPerRun(1, func() { res = Run(smallConfig(768), tr, policy.NewLRU()) })
+		return n, res
+	}
+	few, fewRes := allocs(4)
+	many, manyRes := allocs(400)
+	t.Logf("4 barriers: %.0f allocations; 400: %.0f", few, many)
+	if fewRes.BarriersCrossed != 4 || manyRes.BarriersCrossed != 400 {
+		t.Fatalf("crossed %d and %d barriers, want 4 and 400", fewRes.BarriersCrossed, manyRes.BarriersCrossed)
+	}
+	if many-few > 32 {
+		t.Errorf("400 barriers allocated %.0f objects, 4 barriers %.0f: want a difference of at most 32", many, few)
+	}
+}

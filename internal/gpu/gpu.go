@@ -222,9 +222,9 @@ const (
 const maxCell = 1<<16 - 1
 
 // A warpSlot is one warp slot: its SM, the access it runs, and its link in
-// the waiter chain of at most one walk or fault. A chain runs through next
-// to noSlot, and its head also names its tail, so joining two keeps
-// arrival order in O(1).
+// at most one chain: the waiters of a walk or fault, or the slots parked at
+// a kernel barrier. A chain runs through next to noSlot, and its head also
+// names its tail, so joining two keeps arrival order in O(1).
 type warpSlot struct {
 	sm   int32
 	next int32
@@ -232,7 +232,7 @@ type warpSlot struct {
 	seq  int
 }
 
-// noSlot ends a waiter chain.
+// noSlot ends a chain.
 const noSlot = -1
 
 // The three hot-path event kinds are named handler types over the Simulator
@@ -285,7 +285,7 @@ func (e *completeEvent) OnEvent(a0, a1 uint64) {
 
 type smState struct {
 	id        int
-	l1        *tlb.Slots   // indexed by page records (recL1 + id)
+	l1        *tlb.TLB     // indexed by page records (recL1 + id)
 	l1d       *cache.Cache // nil unless ModelDataPath
 	nextIssue sim.Cycle
 }
@@ -297,7 +297,7 @@ type Simulator struct {
 	pol    policy.Policy
 	engine *sim.Engine
 	driver *uvm.Driver
-	l2     *tlb.Slots   // indexed by page records (recL2); unused under DesignPWC
+	l2     *tlb.TLB     // indexed by page records (recL2); unused under DesignPWC
 	pwalk  *ptw.Walker  // non-nil under DesignPWC
 	l2d    *cache.Cache // nil unless ModelDataPath
 	dramC  *dram.DRAM   // nil unless ModelDataPath
@@ -328,10 +328,11 @@ type Simulator struct {
 	segStarts []int
 	segGaps   []sim.Cycle
 
-	// Kernel-boundary handling: slots that reached the next barrier park in
-	// stalled until every access before the barrier completes.
+	// Kernel-boundary handling: slots that reached the next barrier park on
+	// the chain headed by parked (noSlot when empty) until every access
+	// before the barrier completes.
 	barrierIdx int
-	stalled    []int32
+	parked     int32
 	barriers   uint64 // crossed, for stats
 }
 
@@ -394,9 +395,10 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 		tr:     tr,
 		pol:    pol,
 		engine: sim.NewEngine(),
-		l2:     tlb.NewSlots("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
+		l2:     tlb.New("L2", cfg.L2TLBEntries, cfg.L2TLBWays),
 		pages:  pagetable.NewRows(recL1+cfg.SMs, tr.Footprint()),
 		slots:  make([]warpSlot, cfg.SMs*cfg.WarpsPerSM),
+		parked: noSlot,
 	}
 	for i := range s.slots {
 		s.slots[i].sm = int32(i / cfg.WarpsPerSM)
@@ -432,7 +434,7 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	for i := 0; i < cfg.SMs; i++ {
 		sm := &smState{
 			id: i,
-			l1: tlb.NewSlots(fmt.Sprintf("L1-%d", i), cfg.L1TLBEntries, cfg.L1TLBWays),
+			l1: tlb.New(fmt.Sprintf("L1-%d", i), cfg.L1TLBEntries, cfg.L1TLBWays),
 		}
 		if cfg.ModelDataPath {
 			sm.l1d = cache.New(cfg.DataL1)
@@ -455,12 +457,12 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 func (s *Simulator) invalidate(p addrspace.PageID) {
 	if rec := s.pages.Lookup(p); rec != nil {
 		if slot := rec[recL2]; slot != 0 {
-			s.l2.Invalidate(int32(slot) - 1)
+			s.l2.InvalidateSlot(int32(slot) - 1)
 			rec[recL2] = 0
 		}
 		for i, slot := range rec[recL1:] {
 			if slot != 0 {
-				s.sms[i].l1.Invalidate(int32(slot) - 1)
+				s.sms[i].l1.InvalidateSlot(int32(slot) - 1)
 				rec[recL1+i] = 0
 			}
 		}
@@ -476,7 +478,7 @@ func (s *Simulator) invalidate(p addrspace.PageID) {
 // fill installs page p in TLB a, whose slot for p is cell c of p's record
 // rec: a present page is refreshed, otherwise p takes its set's
 // reuse-first slot and the page it replaces loses its cell.
-func (s *Simulator) fill(a *tlb.Slots, p addrspace.PageID, rec []uint16, c int) {
+func (s *Simulator) fill(a *tlb.TLB, p addrspace.PageID, rec []uint16, c int) {
 	if slot := rec[c]; slot != 0 {
 		a.Touch(int32(slot) - 1)
 		return
@@ -516,7 +518,12 @@ func (s *Simulator) dispatch(warp int32) {
 	sm := s.sms[w.sm]
 	if s.barrierIdx < len(s.tr.Barriers) && s.cursor == s.tr.Barriers[s.barrierIdx] {
 		if int(s.completed) < s.cursor {
-			s.stalled = append(s.stalled, warp)
+			w.next, w.tail = noSlot, warp
+			if s.parked == noSlot {
+				s.parked = warp
+			} else {
+				s.join(s.parked, warp)
+			}
 			return
 		}
 		if s.probe != nil {
@@ -665,19 +672,23 @@ func (s *Simulator) gapAt(seq int) sim.Cycle {
 	return s.segGaps[lo]
 }
 
-// releaseBarrier re-dispatches parked slots once the kernel before the
-// pending barrier has fully drained.
+// releaseBarrier re-dispatches parked slots, in the order they parked, once
+// the kernel before the pending barrier has fully drained. The chain is
+// detached first and each slot's successor read before its dispatch,
+// because a slot can park again at the next barrier.
 func (s *Simulator) releaseBarrier() {
-	if len(s.stalled) == 0 ||
+	if s.parked == noSlot ||
 		s.barrierIdx >= len(s.tr.Barriers) ||
 		s.cursor != s.tr.Barriers[s.barrierIdx] ||
 		int(s.completed) < s.cursor {
 		return
 	}
-	parked := s.stalled
-	s.stalled = nil
-	for _, warp := range parked {
+	warp := s.parked
+	s.parked = noSlot
+	for warp != noSlot {
+		next := s.slots[warp].next
 		s.dispatch(warp)
+		warp = next
 	}
 }
 

@@ -156,7 +156,7 @@ func TestShootdownOracle(t *testing.T) {
 			if res.Evictions == 0 {
 				t.Fatal("no evictions: the oracle needs shootdowns to check")
 			}
-			check := func(name string, a *tlb.Slots, cell int) {
+			check := func(name string, a *tlb.TLB, cell int) {
 				held := 0
 				for i := int32(0); i < int32(a.Len()); i++ {
 					p, ok := a.Page(i)

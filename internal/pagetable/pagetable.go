@@ -14,7 +14,7 @@
 //
 // The directory is a dense window — a flat slice of leaf indexes over a
 // contiguous range of leaf numbers, kept at least about half full — with a
-// Map for the leaves outside it. A dense trace's leaves all land in the
+// Go map for the leaves outside it. A dense trace's leaves all land in the
 // window, so finding a page's leaf is a subtraction, a bounds check and one
 // load; only leaves that would leave the window too sparse pay the hash.
 package pagetable
@@ -44,10 +44,13 @@ type directory struct {
 	base     addrspace.PageID // leaf number of window[0]
 	window   []int32          // leaf index, -1 where the leaf is absent or in far
 	windowed int              // leaves in the window
-	far      *Map
+
+	// far holds the leaves outside the window. It is never iterated, so
+	// map order cannot leak.
+	far map[addrspace.PageID]int32
 }
 
-func newDirectory() directory { return directory{far: NewMap(0)} }
+func newDirectory() directory { return directory{far: make(map[addrspace.PageID]int32)} }
 
 // get returns the index of leaf k, or -1.
 func (d *directory) get(k addrspace.PageID) int32 {
@@ -56,7 +59,10 @@ func (d *directory) get(k addrspace.PageID) int32 {
 			return i
 		}
 	}
-	return d.far.Get(k)
+	if i, ok := d.far[k]; ok {
+		return i
+	}
+	return -1
 }
 
 // add records leaf k (absent so far) at index i: in the window when it
@@ -67,7 +73,7 @@ func (d *directory) add(k addrspace.PageID, i int32) {
 		d.windowed++
 		return
 	}
-	d.far.Put(k, i)
+	d.far[k] = i
 }
 
 // cover grows the window to include leaf number k unless that would leave

@@ -109,7 +109,7 @@ func TestSparseMemoryBound(t *testing.T) {
 
 // TestRowsAgainstMap writes and reads random cells of a Rows table against a
 // builtin map, over page orders that grow the directory's window upward,
-// downward, and past its density bound into the Map: ascending, descending,
+// downward, and past its density bound into the far map: ascending, descending,
 // random within a dense range, and sparse.
 func TestRowsAgainstMap(t *testing.T) {
 	orders := map[string]func(i int) addrspace.PageID{
@@ -155,7 +155,7 @@ func TestRowsAgainstMap(t *testing.T) {
 
 // TestWindowStaysDense checks that the directory's window never holds more
 // than about twice as many entries as leaves: leaves too far from it go to
-// the Map instead of stretching it.
+// the far map instead of stretching it.
 func TestWindowStaysDense(t *testing.T) {
 	tab := New[int32]()
 	for i := 0; i < 1000; i++ {
@@ -166,8 +166,8 @@ func TestWindowStaysDense(t *testing.T) {
 	if n := len(d.window); n > 2*d.windowed+windowSlack {
 		t.Fatalf("window holds %d entries for %d leaves", n, d.windowed)
 	}
-	if d.far.Len() == 0 {
-		t.Fatal("no leaf went to the Map")
+	if len(d.far) == 0 {
+		t.Fatal("no leaf went to the far map")
 	}
 	for i := 0; i < 1000; i++ {
 		if v, ok := tab.Get(addrspace.PageID(i * leafSize * 3)); !ok || v != int32(i) {

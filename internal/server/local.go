@@ -15,6 +15,8 @@ import (
 	"hpe/internal/probe"
 	"hpe/internal/promtext"
 	"hpe/internal/runspec"
+	"hpe/internal/trace"
+	"hpe/internal/workload"
 )
 
 // Config sizes the daemon.
@@ -69,8 +71,9 @@ type local struct {
 	adm *admission
 	met *serverMetrics // the handler set's; prices Retry-After
 
-	// traces serves only its Trace hook: a future index per app, kept for
-	// the process lifetime, would grow the daemon's resident set.
+	// traces memoizes the catalog apps at their paper geometry for the
+	// process lifetime (see trace); a future index per app would grow the
+	// daemon's resident set, so only the Trace hook is served.
 	traces runspec.Cache
 
 	simMu     sync.Mutex
@@ -105,7 +108,7 @@ func (l *local) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, er
 	res, err := hpe.Run(sp,
 		hpe.WithContext(ctx),
 		hpe.WithProbe(m),
-		hpe.WithRunEnv(hpe.RunEnv{Trace: l.traces.Trace}))
+		hpe.WithRunEnv(hpe.RunEnv{Trace: l.trace}))
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +124,18 @@ func (l *local) Run(ctx context.Context, sp runspec.Spec, id string) ([]byte, er
 		return nil, fmt.Errorf("render result: %w", err)
 	}
 	return append(body, '\n'), nil
+}
+
+// trace is the runs' Trace hook. It memoizes only the 23 catalog apps at
+// their paper geometry, the traces that sweeps and repeated runs share;
+// every other source (a scaled app, a phase schedule, a colocation) is
+// generated per run, so distinct requests cannot grow the memo without
+// bound.
+func (l *local) trace(app workload.App) *trace.Trace {
+	if c, ok := workload.ByAbbr(app.Abbr); ok && c.Sets == app.Sets {
+		return l.traces.Trace(app)
+	}
+	return app.Generate()
 }
 
 // mergeProbe folds one run's probe snapshot into the per-kind event totals.

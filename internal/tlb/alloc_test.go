@@ -8,10 +8,10 @@ import (
 
 // TestLookupFillSteadyStateZeroAlloc pins the hotalloc root tlb.TLB.Lookup
 // (and the Fill/Invalidate churn around it) with a runtime measurement:
-// the pagetable.Map index is sized once at construction and never grows,
-// so hits, misses and replacement fills are all allocation-free. The
-// working set is twice the capacity, so the loop exercises eviction and
-// backward-shift deletion, not just warm hits.
+// every operation scans one set of the array built at construction, so
+// hits, misses and replacement fills are all allocation-free. The working
+// set is twice the capacity, so the loop exercises eviction and
+// invalidation, not just warm hits.
 func TestLookupFillSteadyStateZeroAlloc(t *testing.T) {
 	tl := New("l1", 64, 4)
 	for p := 0; p < 128; p++ {

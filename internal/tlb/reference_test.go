@@ -51,10 +51,11 @@ func (t *referenceTLB) Lookup(p addrspace.PageID) bool {
 // Fill is the original algorithm with one repair: the original interleaved
 // the presence check with the victim scan and broke out at the first invalid
 // way, so Fill(p) with p already resident *after* an invalid way installed a
-// duplicate entry (see TestOriginalFillDuplicateQuirk). The rewrite cannot
-// duplicate (one map slot per page), and the root golden tests confirm the
-// quirk never reaches observable results in the paper's workloads, so the
-// oracle here checks presence first — otherwise identical.
+// duplicate entry (see TestOriginalFillDuplicateQuirk). The rewrite scans
+// the whole set before it inserts, so it cannot duplicate, and the root
+// golden tests confirm the quirk never reaches observable results in the
+// paper's workloads, so the oracle here checks presence first — otherwise
+// identical.
 func (t *referenceTLB) Fill(p addrspace.PageID) {
 	t.tick++
 	row := t.row(p)
@@ -100,11 +101,11 @@ func (t *referenceTLB) Occupancy() int {
 	return n
 }
 
-// occupancy counts the valid entries of a slot array.
-func occupancy(a *Slots) int {
+// occupancy counts the valid entries of a tag array.
+func occupancy(t *TLB) int {
 	n := 0
-	for i := range a.entries {
-		if a.entries[i].valid {
+	for i := range t.entries {
+		if t.entries[i].valid {
 			n++
 		}
 	}
@@ -115,13 +116,15 @@ func occupancy(a *Slots) int {
 // original timestamp implementation with identical randomized operation
 // streams across the paper's geometries and asserts identical observable
 // behaviour: every Lookup result, every Invalidate result, occupancy (the
-// slot array's valid entries, and its page index's size), and all stats
-// counters. Unique timestamps mean the reference has no LRU ties,
-// so any divergence is a real behaviour change in the rewrite.
+// array's valid entries), and all stats counters. Unique timestamps mean
+// the reference has no LRU ties, so any divergence is a real behaviour
+// change in the rewrite.
 func TestDifferentialAgainstTimestampLRU(t *testing.T) {
 	geometries := []struct{ entries, ways int }{
 		{128, 128}, // paper L1: fully associative
 		{512, 16},  // paper L2: 16-way
+		{64, 8},    // page-walk cache: 8-way
+		{24, 8},    // 3 sets: the set index divides instead of masking
 		{16, 1},    // direct mapped
 		{8, 2},     // tiny, high conflict
 	}
@@ -146,9 +149,9 @@ func TestDifferentialAgainstTimestampLRU(t *testing.T) {
 					t.Fatalf("%dx%d op %d: Invalidate(%d) diverges", g.entries, g.ways, op, p)
 				}
 			}
-			if n, want := occupancy(fast.slots), ref.Occupancy(); n != want || fast.index.Len() != want {
-				t.Fatalf("%dx%d op %d: occupancy diverges: slots %d, index %d, reference %d",
-					g.entries, g.ways, op, n, fast.index.Len(), want)
+			if n, want := occupancy(fast), ref.Occupancy(); n != want {
+				t.Fatalf("%dx%d op %d: occupancy diverges: %d, reference %d",
+					g.entries, g.ways, op, n, want)
 			}
 		}
 		h, m, f, inv := fast.Stats()
@@ -160,18 +163,19 @@ func TestDifferentialAgainstTimestampLRU(t *testing.T) {
 }
 
 // TestOriginalFillDuplicateQuirk pins the one intentional behaviour change
-// of the O(1) rewrite: re-filling a resident page whose row has an earlier
-// invalid way no longer creates a duplicate entry. The original scan broke
-// at the first invalid way before discovering the page was already resident,
-// leaving two copies — and after a shootdown of the first copy, the stale
-// second copy could still hit. The rewrite keeps exactly one entry per page.
+// of the list-based rewrite: re-filling a resident page whose row has an
+// earlier invalid way no longer creates a duplicate entry. The original scan
+// broke at the first invalid way before discovering the page was already
+// resident, leaving two copies — and after a shootdown of the first copy,
+// the stale second copy could still hit. The rewrite compares every way
+// before it inserts, so it keeps exactly one entry per page.
 func TestOriginalFillDuplicateQuirk(t *testing.T) {
 	tl := New("t", 4, 4)
 	tl.Fill(0)
 	tl.Fill(1)
 	tl.Invalidate(0) // way 0 invalid, page 1 still resident at way 1
 	tl.Fill(1)       // original duplicated page 1 into way 0; rewrite refreshes
-	if got := tl.index.Len(); got != 1 {
+	if got := occupancy(tl); got != 1 {
 		t.Fatalf("occupancy after re-fill = %d, want 1 (no duplicate)", got)
 	}
 	if !tl.Invalidate(1) {
@@ -186,20 +190,30 @@ func TestOriginalFillDuplicateQuirk(t *testing.T) {
 	}
 }
 
-// BenchmarkInvalidateShootdown measures the eviction-shootdown pattern that
-// dominated pre-rewrite profiles: probing for pages mostly absent from the
-// TLB (an eviction invalidates one L2 and all 15 SM L1s, and most L1s do not
-// hold the page).
+// BenchmarkInvalidateShootdown measures the data caches' eviction
+// shootdown: cache.InvalidatePage invalidates the 32 lines of an evicted
+// page in each SM's L1 and in the shared L2, and most of those lines are
+// absent. The arrays hold a random mix of lines from a working set twice
+// their capacity before the timer starts.
 func BenchmarkInvalidateShootdown(b *testing.B) {
-	tl := New("bench", 128, 128)
-	for i := 0; i < 64; i++ {
-		tl.Fill(addrspace.PageID(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := addrspace.PageID(i % 4096)
-		if tl.Invalidate(p) {
-			tl.Fill(p)
-		}
+	const linesPerPage = 32
+	for _, g := range dataGeometries {
+		b.Run(g.name, func(b *testing.B) {
+			tl := New(g.name, g.entries, g.ways)
+			stream := benchStream(g.entries)
+			for _, p := range stream {
+				tl.Fill(p)
+			}
+			pages := len(stream) / linesPerPage
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				base := addrspace.PageID(i%pages) * linesPerPage
+				for l := base; l < base+linesPerPage; l++ {
+					if tl.Invalidate(l) {
+						tl.Fill(l)
+					}
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -97,10 +98,10 @@ func TestBadGeometryPanics(t *testing.T) {
 func TestPaperGeometries(t *testing.T) {
 	l1 := New("l1", 128, 128) // per-SM L1: 128-entry
 	l2 := New("l2", 512, 16)  // shared L2: 512-entry, 16-way
-	if len(l1.slots.entries) != 128 || l1.slots.sets != 1 || !l1.slots.pow2 {
+	if len(l1.entries) != 128 || l1.sets != 1 || !l1.pow2 {
 		t.Fatal("L1 geometry")
 	}
-	if len(l2.slots.entries) != 512 || l2.slots.sets != 32 || !l2.slots.pow2 {
+	if len(l2.entries) != 512 || l2.sets != 32 || !l2.pow2 {
 		t.Fatal("L2 geometry")
 	}
 }
@@ -116,7 +117,7 @@ func TestFillThenHitProperty(t *testing.T) {
 			if !tl.Lookup(p) {
 				return false
 			}
-			if tl.index.Len() > 32 {
+			if occupancy(tl) > 32 {
 				return false
 			}
 		}
@@ -141,12 +142,46 @@ func TestNoConflictNoEviction(t *testing.T) {
 	}
 }
 
+// geometry names a tag array's shape for the benchmarks.
+type geometry struct {
+	name          string
+	entries, ways int
+}
+
+// Table I's data caches in lines, the arrays that cache.InvalidatePage
+// shoots down. The L2's 1,536 sets are not a power of two, so its set index
+// divides.
+var dataGeometries = []geometry{
+	{"L1D-128x4", 128, 4},
+	{"L2D-12288x8", 12288, 8},
+}
+
+// benchStream is a fixed random stream of 4×entries tags drawn from a
+// working set twice the array's capacity, so about half the lookups hit.
+func benchStream(entries int) []addrspace.PageID {
+	rng := rand.New(rand.NewSource(int64(entries)))
+	s := make([]addrspace.PageID, 4*entries)
+	for i := range s {
+		s[i] = addrspace.PageID(rng.Intn(2 * entries))
+	}
+	return s
+}
+
+// BenchmarkLookupFill times the probe-then-fill-on-miss access that the
+// data caches (cache.Access) and the page-walk cache make per reference:
+// the arrays that Lookup and Fill scan in a simulation.
 func BenchmarkLookupFill(b *testing.B) {
-	tl := New("bench", 512, 16)
-	for i := 0; i < b.N; i++ {
-		p := addrspace.PageID(i % 2048)
-		if !tl.Lookup(p) {
-			tl.Fill(p)
-		}
+	for _, g := range append(dataGeometries, geometry{"PWC-64x8", 64, 8}) {
+		b.Run(g.name, func(b *testing.B) {
+			tl := New(g.name, g.entries, g.ways)
+			stream := benchStream(g.entries)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := stream[i%len(stream)]
+				if !tl.Lookup(p) {
+					tl.Fill(p)
+				}
+			}
+		})
 	}
 }

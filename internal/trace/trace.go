@@ -204,10 +204,10 @@ func (t *Trace) Counts() map[addrspace.PageID]int {
 //
 // The lists share one flat positions slice: runs maps each page to its run
 // number r, and run r is positions[offsets[r]:offsets[r+1]]. runs is a
-// pagetable.Map, whose Get writes nothing, because one index is shared by
+// pagetable.Table, whose Get writes nothing, because one index is shared by
 // every concurrent run over its trace.
 type FutureIndex struct {
-	runs      *pagetable.Map
+	runs      *pagetable.Table[int32]
 	offsets   []int
 	positions []int
 	length    int
@@ -215,11 +215,11 @@ type FutureIndex struct {
 
 // BuildFutureIndex indexes the trace for Belady-MIN queries.
 func BuildFutureIndex(t *Trace) *FutureIndex {
-	runs := pagetable.NewMap(t.Footprint())
+	runs := pagetable.New[int32]()
 	counts := make([]int, 0, t.Footprint())
 	for _, p := range t.Refs {
-		r := runs.Get(p)
-		if r < 0 {
+		r, ok := runs.Get(p)
+		if !ok {
 			r = int32(len(counts))
 			runs.Put(p, r)
 			counts = append(counts, 0)
@@ -234,7 +234,7 @@ func BuildFutureIndex(t *Trace) *FutureIndex {
 	copy(counts, offsets)
 	positions := make([]int, len(t.Refs))
 	for i, p := range t.Refs {
-		r := runs.Get(p)
+		r, _ := runs.Get(p)
 		positions[counts[r]] = i
 		counts[r]++
 	}
@@ -248,8 +248,8 @@ func (f *FutureIndex) Len() int { return f.length }
 // is referenced, or (0, false) if p is never referenced again. after = -1
 // asks for the first reference.
 func (f *FutureIndex) NextUse(p addrspace.PageID, after int) (int, bool) {
-	r := f.runs.Get(p)
-	if r < 0 {
+	r, ok := f.runs.Get(p)
+	if !ok {
 		return 0, false
 	}
 	ps := f.positions[f.offsets[r]:f.offsets[r+1]]

@@ -85,30 +85,41 @@ func TestFutureIndexNextUse(t *testing.T) {
 }
 
 // TestFutureIndexMatchesScan checks NextUse against a linear scan of the
-// trace for every page and position, on random traces over sparse page IDs
-// (0, leaf-edge neighbours, IDs past 2^40 and the top of the ID space), so
-// the flat positions slice and its per-page runs agree with the definition.
+// trace for every page and position, on random traces over two page pools:
+// sparse IDs (0, leaf-edge neighbours, IDs past 2^40 and the top of the ID
+// space), and a universe of pages 1e6 apart, whose leaves are too far apart
+// for the page table's dense window, so its far map serves NextUse. The flat
+// positions slice and its per-page runs must agree with the definition.
 func TestFutureIndexMatchesScan(t *testing.T) {
-	pool := pages(0, 1, 63, 64, 65, 1<<40, 1<<40+1, 1<<52, 1<<63, 1<<64-1)
+	spread := make([]addrspace.PageID, 16)
+	for i := range spread {
+		spread[i] = addrspace.PageID(i * 1_000_000)
+	}
+	pools := [][]addrspace.PageID{
+		pages(0, 1, 63, 64, 65, 1<<40, 1<<40+1, 1<<52, 1<<63, 1<<64-1),
+		spread,
+	}
 	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 20; round++ {
-		refs := make([]addrspace.PageID, rng.Intn(60))
-		for i := range refs {
-			refs[i] = pool[rng.Intn(len(pool))]
-		}
-		fi := BuildFutureIndex(New("scan", refs))
-		for _, p := range pool {
-			for after := -1; after <= len(refs); after++ {
-				want, wantOK := 0, false
-				for i := after + 1; i < len(refs); i++ {
-					if refs[i] == p {
-						want, wantOK = i, true
-						break
+	for _, pool := range pools {
+		for round := 0; round < 20; round++ {
+			refs := make([]addrspace.PageID, rng.Intn(60))
+			for i := range refs {
+				refs[i] = pool[rng.Intn(len(pool))]
+			}
+			fi := BuildFutureIndex(New("scan", refs))
+			for _, p := range pool {
+				for after := -1; after <= len(refs); after++ {
+					want, wantOK := 0, false
+					for i := after + 1; i < len(refs); i++ {
+						if refs[i] == p {
+							want, wantOK = i, true
+							break
+						}
 					}
-				}
-				if got, ok := fi.NextUse(p, after); ok != wantOK || got != want {
-					t.Fatalf("round %d: NextUse(%d, %d) = (%d,%v), want (%d,%v)",
-						round, p, after, got, ok, want, wantOK)
+					if got, ok := fi.NextUse(p, after); ok != wantOK || got != want {
+						t.Fatalf("pool of %d, round %d: NextUse(%d, %d) = (%d,%v), want (%d,%v)",
+							len(pool), round, p, after, got, ok, want, wantOK)
+					}
 				}
 			}
 		}
