@@ -119,7 +119,7 @@ func report(res hpe.Result, m *hpe.MetricsProbe, verbose bool) {
 }
 
 func printDetails(r hpe.Result) {
-	fmt.Printf("  cycles=%d instructions=%d runtime=%.2fms\n", r.Cycles, r.Instructions, r.Runtime(1400)*1e3)
+	fmt.Printf("  cycles=%d instructions=%d runtime=%.2fms\n", r.Cycles, r.Instructions, r.Runtime()*1e3)
 	fmt.Printf("  L1 TLB %d/%d hits, L2 TLB %d/%d hits, walks=%d (merged %d), walk hits=%d\n",
 		r.L1Hits, r.L1Hits+r.L1Misses, r.L2Hits, r.L2Hits+r.L2Misses, r.Walks, r.WalkMerges, r.WalkHits)
 	fmt.Printf("  faults=%d (coalesced %d) evictions=%d barriers=%d queue depth max=%d\n",

@@ -6,31 +6,33 @@ import (
 	"hpe/internal/addrspace"
 	"hpe/internal/gpu"
 	"hpe/internal/hir"
+	"hpe/internal/sim"
 	"hpe/internal/stats"
 	"hpe/internal/trace"
+	"hpe/internal/uvm"
 	"hpe/internal/workload"
 )
 
-// table1 renders the simulated-system configuration (Table I).
+// table1 renders the simulated-system configuration (Table I) from the
+// constants that define it.
 func table1(*Suite, view) Report {
-	//lint:ignore hpelint/specsource Table I documents the default configuration itself; no simulation runs on this config
-	cfg := gpu.DefaultConfig(1)
+	faultCycles := uvm.DefaultConfig().FaultLatency
 	tb := stats.NewTable("component", "configuration")
 	tb.AddRow("GPU Arch.", "NVIDIA GTX-480 Fermi-like")
-	tb.AddRow("GPU Cores", fmt.Sprintf("%d cores, %.1fGHz", cfg.SMs, cfg.CoreMHz/1000))
-	tb.AddRow("Warp slots", fmt.Sprintf("%d per SM", cfg.WarpsPerSM))
+	tb.AddRow("GPU Cores", fmt.Sprintf("%d cores, %.1fGHz", gpu.DefaultSMs, sim.CoreMHz/1000.0))
+	tb.AddRow("Warp slots", fmt.Sprintf("%d per SM", gpu.DefaultWarpsPerSM))
 	tb.AddRow("Private L1 TLB", fmt.Sprintf("%d-entry per SM, %d-cycle latency, LRU, hit under miss",
-		cfg.L1TLBEntries, cfg.L1TLBLatency))
+		gpu.DefaultL1TLBEntries, gpu.L1TLBLatency))
 	tb.AddRow("Shared L2 TLB", fmt.Sprintf("%d-entry, %d-associative, LRU, %d-cycle latency",
-		cfg.L2TLBEntries, cfg.L2TLBWays, cfg.L2TLBLatency))
-	tb.AddRow("Page table walk", fmt.Sprintf("single level, %d cycles, MSHR merging", cfg.WalkLatency))
-	tb.AddRow("Page size", "4 KB OS pages")
-	tb.AddRow("CPU-GPU interconnect", fmt.Sprintf("16GB/s, 20us page fault service time (%d cycles)",
-		cfg.Driver.FaultLatency))
+		gpu.DefaultL2TLBEntries, gpu.DefaultL2TLBWays, gpu.L2TLBLatency))
+	tb.AddRow("Page table walk", fmt.Sprintf("single level, %d cycles, MSHR merging", gpu.DefaultWalkLatency))
+	tb.AddRow("Page size", fmt.Sprintf("%d KB OS pages", addrspace.PageBytes>>10))
+	tb.AddRow("CPU-GPU interconnect", fmt.Sprintf("%dGB/s, %dus page fault service time (%d cycles)",
+		uvm.PCIeGBPerSecond, uvm.FaultMicroseconds, faultCycles))
 	tb.AddRow("HIR cache", fmt.Sprintf("%d-entry, %d-way, %d-bit counters, drain every %d faults",
-		cfg.HIR.Entries, cfg.HIR.Ways, hir.CounterBits, cfg.Driver.TransferInterval))
+		hir.DefaultEntries, hir.Ways, hir.CounterBits, uvm.DefaultTransferInterval))
 	return Report{ID: "table1", Title: "Configuration of the simulated system", Text: tb.Render(),
-		Metrics: map[string]float64{"faultCycles": float64(cfg.Driver.FaultLatency)}}
+		Metrics: map[string]float64{"faultCycles": float64(faultCycles)}}
 }
 
 // table2 renders the workload characteristics (Table II), extended with the

@@ -66,27 +66,46 @@ func (d TranslationDesign) String() string {
 	return "L2TLB"
 }
 
-// Config is the full simulated-system configuration (Table I defaults).
+// The Table I system. The TLB hit latencies and the data-cache hit
+// latencies are fixed; the other values seed DefaultConfig's knobs. The core
+// clock is sim.CoreMHz, and the radix walker, the data caches and the DRAM
+// channels take ptw.DefaultConfig, cache.L1Config/L2Config and
+// dram.DefaultConfig.
+const (
+	// DefaultSMs is the SM count and DefaultWarpsPerSM each SM's warp slots.
+	DefaultSMs, DefaultWarpsPerSM = 15, 48
+	// DefaultL1TLBEntries is the per-SM L1 TLB (fully associative).
+	DefaultL1TLBEntries = 128
+	// DefaultL2TLBEntries and DefaultL2TLBWays shape the shared L2 TLB.
+	DefaultL2TLBEntries, DefaultL2TLBWays = 512, 16
+	// DefaultWalkLatency is the single-level page-table walk in cycles
+	// (the §V-B study uses 20).
+	DefaultWalkLatency = 8
+	// L1TLBLatency and L2TLBLatency are the TLB hit latencies in cycles.
+	L1TLBLatency, L2TLBLatency sim.Cycle = 1, 10
+	// dataL1Latency and dataL2Latency are the data-cache hit latencies in
+	// cycles (ModelDataPath runs only).
+	dataL1Latency, dataL2Latency sim.Cycle = 4, 30
+)
+
+// Config holds the knobs of the simulated system that a run spec or a test
+// oracle sets; DefaultConfig fills them with Table I.
 type Config struct {
-	// SMs is the number of streaming multiprocessors (15).
+	// SMs is the number of streaming multiprocessors.
 	SMs int
 	// WarpsPerSM is the number of concurrently resident warp slots per SM.
 	WarpsPerSM int
-	// CoreMHz is the core clock (1400).
-	CoreMHz float64
 
-	// L1TLBEntries/Ways: per-SM private L1 TLB (128-entry, fully assoc.).
+	// L1TLBEntries/Ways: per-SM private L1 TLB.
 	L1TLBEntries, L1TLBWays int
-	// L2TLBEntries/Ways: shared L2 TLB (512-entry, 16-way).
+	// L2TLBEntries/Ways: shared L2 TLB.
 	L2TLBEntries, L2TLBWays int
-	// L1TLBLatency, L2TLBLatency, WalkLatency in cycles (1, 10, 8).
-	L1TLBLatency, L2TLBLatency, WalkLatency sim.Cycle
+	// WalkLatency is the page-table walk in cycles (DesignL2TLB).
+	WalkLatency sim.Cycle
 
 	// Translation selects the address-translation design (default: the
 	// paper's shared L2 TLB).
 	Translation TranslationDesign
-	// PTW configures the radix walker used by DesignPWC.
-	PTW ptw.Config
 
 	// MemoryPages is the device-memory capacity in pages; the experiment
 	// harness sets it to 75% or 50% of the workload footprint.
@@ -100,7 +119,7 @@ type Config struct {
 	// UseHIR attaches a HIR cache and routes walk hits through it (HPE's
 	// production configuration).
 	UseHIR bool
-	// HIR is the HIR cache geometry (used when UseHIR).
+	// HIR is the HIR cache size and page-set geometry (used when UseHIR).
 	HIR hir.Config
 
 	// ModelDataPath sends every access through the Table I data hierarchy
@@ -109,12 +128,6 @@ type Config struct {
 	// reproduction numbers are measured without data microtiming. The
 	// "datapath" extension study turns it on.
 	ModelDataPath bool
-	// DataL1 and DataL2 size the data caches (Table I defaults).
-	DataL1, DataL2 cache.Config
-	// DataL1Latency and DataL2Latency are the hit latencies in cycles.
-	DataL1Latency, DataL2Latency sim.Cycle
-	// DRAM configures the channel model.
-	DRAM dram.Config
 
 	// Prepopulate maps the workload's entire footprint before the first
 	// access (requires MemoryPages >= footprint). No demand faults occur, so
@@ -131,17 +144,11 @@ type Config struct {
 // capacity in pages.
 func DefaultConfig(memoryPages int) Config {
 	return Config{
-		SMs:          15,
-		WarpsPerSM:   48,
-		CoreMHz:      1400,
-		L1TLBEntries: 128, L1TLBWays: 128,
-		L2TLBEntries: 512, L2TLBWays: 16,
-		L1TLBLatency: 1, L2TLBLatency: 10, WalkLatency: 8,
-		PTW:           ptw.DefaultConfig(),
-		DataL1:        cache.L1Config(),
-		DataL2:        cache.L2Config(),
-		DataL1Latency: 4, DataL2Latency: 30,
-		DRAM:        dram.DefaultConfig(),
+		SMs:          DefaultSMs,
+		WarpsPerSM:   DefaultWarpsPerSM,
+		L1TLBEntries: DefaultL1TLBEntries, L1TLBWays: DefaultL1TLBEntries,
+		L2TLBEntries: DefaultL2TLBEntries, L2TLBWays: DefaultL2TLBWays,
+		WalkLatency: DefaultWalkLatency,
 		MemoryPages: memoryPages,
 		ComputeGap:  4,
 		Driver:      uvm.DefaultConfig(),
@@ -194,8 +201,8 @@ type Result struct {
 }
 
 // Runtime returns the simulated wall-clock time in seconds.
-func (r Result) Runtime(coreMHz float64) float64 {
-	return float64(r.Cycles) / (coreMHz * 1e6)
+func (r Result) Runtime() float64 {
+	return float64(r.Cycles) / (sim.CoreMHz * 1e6)
 }
 
 // String renders a one-line summary.
@@ -284,8 +291,7 @@ func (e *completeEvent) OnEvent(a0, a1 uint64) {
 }
 
 type smState struct {
-	id        int
-	l1        *tlb.TLB     // indexed by page records (recL1 + id)
+	l1        *tlb.TLB     // indexed by page records (recL1 + its index)
 	l1d       *cache.Cache // nil unless ModelDataPath
 	nextIssue sim.Cycle
 }
@@ -301,7 +307,7 @@ type Simulator struct {
 	pwalk  *ptw.Walker  // non-nil under DesignPWC
 	l2d    *cache.Cache // nil unless ModelDataPath
 	dramC  *dram.DRAM   // nil unless ModelDataPath
-	sms    []*smState
+	sms    []smState
 	hirC   *hir.Cache
 	probe  probe.Probe // nil unless instrumented (WithProbe)
 
@@ -407,11 +413,11 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 		s.hirC = hir.New(cfg.HIR)
 	}
 	if cfg.Translation == DesignPWC {
-		s.pwalk = ptw.New(cfg.PTW)
+		s.pwalk = ptw.New(ptw.DefaultConfig())
 	}
 	if cfg.ModelDataPath {
-		s.l2d = cache.New(cfg.DataL2)
-		s.dramC = dram.New(cfg.DRAM)
+		s.l2d = cache.New(cache.L2Config())
+		s.dramC = dram.New(dram.DefaultConfig())
 	}
 	s.hIssue = s.engine.Register((*issueEvent)(s))
 	s.hWalk = s.engine.Register((*walkDoneEvent)(s))
@@ -431,15 +437,12 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 	if len(tr.Tenants) > 0 {
 		s.driver.SetTenants(tr.Tenants)
 	}
-	for i := 0; i < cfg.SMs; i++ {
-		sm := &smState{
-			id: i,
-			l1: tlb.New(fmt.Sprintf("L1-%d", i), cfg.L1TLBEntries, cfg.L1TLBWays),
-		}
+	s.sms = make([]smState, cfg.SMs)
+	for i := range s.sms {
+		s.sms[i].l1 = tlb.New("L1", cfg.L1TLBEntries, cfg.L1TLBWays)
 		if cfg.ModelDataPath {
-			sm.l1d = cache.New(cfg.DataL1)
+			s.sms[i].l1d = cache.New(cache.L1Config())
 		}
-		s.sms = append(s.sms, sm)
 	}
 	if cfg.MaxCycles > 0 {
 		s.engine.SetLimit(cfg.MaxCycles)
@@ -468,8 +471,8 @@ func (s *Simulator) invalidate(p addrspace.PageID) {
 		}
 	}
 	if s.l2d != nil {
-		for _, sm := range s.sms {
-			sm.l1d.InvalidatePage(p)
+		for i := range s.sms {
+			s.sms[i].l1d.InvalidatePage(p)
 		}
 		s.l2d.InvalidatePage(p)
 	}
@@ -498,13 +501,13 @@ func (s *Simulator) dataLatency(sm *smState, page addrspace.PageID, seq int) sim
 	const linesPerPage = addrspace.PageBytes / cache.LineBytes
 	l := cache.LineOf(page.BaseAddr()) + cache.LineID(seq%linesPerPage)
 	if sm.l1d.Access(l) {
-		return s.cfg.DataL1Latency
+		return dataL1Latency
 	}
 	if s.l2d.Access(l) {
-		return s.cfg.DataL1Latency + s.cfg.DataL2Latency
+		return dataL1Latency + dataL2Latency
 	}
 	now := s.engine.Now()
-	done := s.dramC.Access(now+s.cfg.DataL1Latency+s.cfg.DataL2Latency, l)
+	done := s.dramC.Access(now+dataL1Latency+dataL2Latency, l)
 	return done - now
 }
 
@@ -515,7 +518,7 @@ func (s *Simulator) dispatch(warp int32) {
 		return
 	}
 	w := &s.slots[warp]
-	sm := s.sms[w.sm]
+	sm := &s.sms[w.sm]
 	if s.barrierIdx < len(s.tr.Barriers) && s.cursor == s.tr.Barriers[s.barrierIdx] {
 		if int(s.completed) < s.cursor {
 			w.next, w.tail = noSlot, warp
@@ -527,7 +530,7 @@ func (s *Simulator) dispatch(warp int32) {
 			return
 		}
 		if s.probe != nil {
-			s.probe.Emit(probe.KernelBarrier(s.engine.Now(), sm.id, s.barrierIdx, s.cursor))
+			s.probe.Emit(probe.KernelBarrier(s.engine.Now(), int(w.sm), s.barrierIdx, s.cursor))
 		}
 		s.barrierIdx++
 		s.barriers++
@@ -545,30 +548,31 @@ func (s *Simulator) dispatch(warp int32) {
 // issue runs the translation path for the access of warp slot warp.
 func (s *Simulator) issue(warp int32) {
 	w := &s.slots[warp]
-	sm, seq := s.sms[w.sm], w.seq
+	id, seq := int(w.sm), w.seq
+	sm := &s.sms[id]
 	page := s.tr.Refs[seq]
 	// rec stays valid through this call: the fills below look records up
 	// without allocating.
 	rec := s.pages.Row(page)
-	if slot := rec[recL1+sm.id]; slot != 0 {
+	if slot := rec[recL1+id]; slot != 0 {
 		sm.l1.Hit(int32(slot) - 1)
-		s.finish(warp, page, s.cfg.L1TLBLatency)
+		s.finish(warp, page, L1TLBLatency)
 		return
 	}
 	sm.l1.Miss()
 	if s.probe != nil {
-		s.probe.Emit(probe.TLBMiss(s.engine.Now(), sm.id, page, seq, 1))
+		s.probe.Emit(probe.TLBMiss(s.engine.Now(), id, page, seq, 1))
 	}
 	if s.pwalk == nil {
 		if slot := rec[recL2]; slot != 0 {
 			s.l2.Hit(int32(slot) - 1)
-			s.fill(sm.l1, page, rec, recL1+sm.id)
-			s.finish(warp, page, s.cfg.L1TLBLatency+s.cfg.L2TLBLatency)
+			s.fill(sm.l1, page, rec, recL1+id)
+			s.finish(warp, page, L1TLBLatency+L2TLBLatency)
 			return
 		}
 		s.l2.Miss()
 		if s.probe != nil {
-			s.probe.Emit(probe.TLBMiss(s.engine.Now(), sm.id, page, seq, 2))
+			s.probe.Emit(probe.TLBMiss(s.engine.Now(), id, page, seq, 2))
 		}
 	}
 	// Page walk, with MSHR-style merging of concurrent walks.
@@ -577,7 +581,7 @@ func (s *Simulator) issue(warp int32) {
 		s.join(head, warp)
 		s.walkMerges++
 		if s.probe != nil {
-			s.probe.Emit(probe.WalkMerge(s.engine.Now(), sm.id, page, seq))
+			s.probe.Emit(probe.WalkMerge(s.engine.Now(), id, page, seq))
 		}
 		return
 	}
@@ -585,9 +589,9 @@ func (s *Simulator) issue(warp int32) {
 	s.walks++
 	var delay sim.Cycle
 	if s.pwalk != nil {
-		delay = s.cfg.L1TLBLatency + s.pwalk.WalkLatency(page)
+		delay = L1TLBLatency + s.pwalk.WalkLatency(page)
 	} else {
-		delay = s.cfg.L1TLBLatency + s.cfg.L2TLBLatency + s.cfg.WalkLatency
+		delay = L1TLBLatency + L2TLBLatency + s.cfg.WalkLatency
 	}
 	s.engine.ScheduleAfter(delay, s.hWalk, uint64(page), 0)
 }
@@ -648,7 +652,7 @@ func (s *Simulator) fillAndWake(page addrspace.PageID, head int32, resident bool
 // uniform cfg.ComputeGap, or the access's segment gap on annotated traces.
 func (s *Simulator) finish(warp int32, page addrspace.PageID, extra sim.Cycle) {
 	w := &s.slots[warp]
-	if sm := s.sms[w.sm]; sm.l1d != nil {
+	if sm := &s.sms[w.sm]; sm.l1d != nil {
 		extra += s.dataLatency(sm, page, w.seq)
 	}
 	gap := s.cfg.ComputeGap
@@ -724,8 +728,8 @@ func (s *Simulator) Run() Result {
 		res.IPC = float64(res.Instructions) / float64(res.Cycles)
 	}
 	var l1h, l1m uint64
-	for _, sm := range s.sms {
-		h, m, _, _ := sm.l1.Stats()
+	for i := range s.sms {
+		h, m, _, _ := s.sms[i].l1.Stats()
 		l1h += h
 		l1m += m
 	}
@@ -745,8 +749,8 @@ func (s *Simulator) Run() Result {
 		res.PTW = &st
 	}
 	if s.l2d != nil {
-		for _, sm := range s.sms {
-			h, m := sm.l1d.Stats()
+		for i := range s.sms {
+			h, m := s.sms[i].l1d.Stats()
 			res.DataL1Hits += h
 			res.DataL1Misses += m
 		}

@@ -182,8 +182,8 @@ func TestShootdownOracle(t *testing.T) {
 				}
 			}
 			check("L2 TLB", s.l2, recL2)
-			for _, sm := range s.sms {
-				check(fmt.Sprintf("L1 TLB of SM %d", sm.id), sm.l1, recL1+sm.id)
+			for i := range s.sms {
+				check(fmt.Sprintf("L1 TLB of SM %d", i), s.sms[i].l1, recL1+i)
 			}
 		})
 	}

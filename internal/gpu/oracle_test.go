@@ -205,8 +205,8 @@ func TestRefHIRMatchesCache(t *testing.T) {
 	for _, entries := range []int{16, 64, 1024} {
 		cfg := hir.DefaultConfig()
 		cfg.Entries = entries
-		if cfg.Ways != refHIRWays || hir.CounterBits != 2 {
-			t.Fatalf("refHIR models 8-way rows of 2-bit counts, hir.DefaultConfig is %d-way, %d-bit", cfg.Ways, hir.CounterBits)
+		if hir.Ways != refHIRWays || hir.CounterBits != 2 {
+			t.Fatalf("refHIR models 8-way rows of 2-bit counts, hir.Cache is %d-way, %d-bit", hir.Ways, hir.CounterBits)
 		}
 		got, want := hir.New(cfg), newRefHIR(cfg)
 		rng := rand.New(rand.NewSource(int64(entries)))

@@ -162,7 +162,7 @@ func TestChromeTraceFromSimulation(t *testing.T) {
 	cfg := smallConfig(64)
 	var buf bytes.Buffer
 	ct := probe.NewChromeTrace(&buf, probe.ChromeTraceConfig{
-		CoreMHz: cfg.CoreMHz, SMs: cfg.SMs, Process: "probe_test",
+		CoreMHz: sim.CoreMHz, SMs: cfg.SMs, Process: "probe_test",
 	})
 	Run(cfg, tr, policy.NewLRU(), WithProbe(ct))
 	if err := ct.Flush(); err != nil {

@@ -23,13 +23,17 @@ import (
 
 // Config sizes the HIR cache.
 type Config struct {
-	// Entries is the total entry count (paper default: 1024).
+	// Entries is the total entry count, a multiple of Ways.
 	Entries int
-	// Ways is the associativity (paper default: 8).
-	Ways int
 	// Geometry supplies the page-set arithmetic.
 	Geometry addrspace.Geometry
 }
+
+// Ways is the associativity, and DefaultEntries the paper's entry count.
+const (
+	Ways           = 8
+	DefaultEntries = 1024
+)
 
 // CounterBits is the per-page counter width (the paper's 2 bits); a
 // counter saturates at maxCount.
@@ -41,7 +45,7 @@ const (
 // DefaultConfig returns the paper's HIR configuration: 1024 entries, 8-way,
 // over 16-page sets.
 func DefaultConfig() Config {
-	return Config{Entries: 1024, Ways: 8, Geometry: addrspace.DefaultGeometry()}
+	return Config{Entries: DefaultEntries, Geometry: addrspace.DefaultGeometry()}
 }
 
 // Record is one drained HIR entry: the page set and the per-page hit counts
@@ -90,15 +94,15 @@ type Cache struct {
 
 // New returns an empty HIR cache.
 func New(cfg Config) *Cache {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic(fmt.Sprintf("hir: bad geometry entries=%d ways=%d", cfg.Entries, cfg.Ways))
+	if cfg.Entries <= 0 || cfg.Entries%Ways != 0 {
+		panic(fmt.Sprintf("hir: %d entries do not fill %d-way rows", cfg.Entries, Ways))
 	}
 	if n := cfg.Geometry.SetSize(); n*CounterBits > 64 {
 		panic(fmt.Sprintf("hir: %d-page sets need %d counter bits, an entry holds 64", n, n*CounterBits))
 	}
 	return &Cache{
 		cfg:     cfg,
-		rows:    cfg.Entries / cfg.Ways,
+		rows:    cfg.Entries / Ways,
 		entries: make([]hirEntry, cfg.Entries),
 	}
 }
@@ -120,9 +124,9 @@ func (c *Cache) RecordHit(p addrspace.PageID) {
 	set := c.cfg.Geometry.SetOf(p)
 	shift := c.cfg.Geometry.Offset(p) * CounterBits
 	row := int(uint64(set) % uint64(c.rows))
-	base := row * c.cfg.Ways
+	base := row * Ways
 	free := -1
-	for w := 0; w < c.cfg.Ways; w++ {
+	for w := 0; w < Ways; w++ {
 		e := &c.entries[base+w]
 		if e.counts != 0 && e.tag == set {
 			if e.counts>>shift&maxCount < maxCount {

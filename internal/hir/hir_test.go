@@ -97,23 +97,23 @@ func TestDrainAllocatesOneBatch(t *testing.T) {
 
 func TestWayConflictDropsHit(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Entries, cfg.Ways = 2, 2 // a single row with 2 ways
+	cfg.Entries = Ways // a single row
 	c := New(cfg)
 	g := cfg.Geometry
-	c.RecordHit(g.PageAt(0, 0))
-	c.RecordHit(g.PageAt(1, 0))
-	c.RecordHit(g.PageAt(2, 0)) // third distinct set: conflict, dropped
+	for s := 0; s <= Ways; s++ { // one distinct set more than the row holds
+		c.RecordHit(g.PageAt(addrspace.SetID(s), 0))
+	}
 	st := c.Stats()
 	if st.Conflicts != 1 {
 		t.Fatalf("conflicts = %d, want 1", st.Conflicts)
 	}
 	recs := c.Drain()
-	if len(recs) != 2 {
-		t.Fatalf("drained %d, want 2 (conflicting set lost)", len(recs))
+	if len(recs) != Ways {
+		t.Fatalf("drained %d, want %d (conflicting set lost)", len(recs), Ways)
 	}
 	for _, r := range recs {
-		if r.Set == 2 {
-			t.Fatal("conflicting set 2 was recorded")
+		if r.Set == Ways {
+			t.Fatalf("conflicting set %d was recorded", Ways)
 		}
 	}
 }
@@ -176,16 +176,17 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestEntryReusedAfterDrain(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Entries, cfg.Ways = 2, 2
+	cfg.Entries = Ways // a single row
 	c := New(cfg)
 	g := cfg.Geometry
-	c.RecordHit(g.PageAt(0, 0))
-	c.RecordHit(g.PageAt(1, 0))
+	for s := 0; s < Ways; s++ {
+		c.RecordHit(g.PageAt(addrspace.SetID(s), 0))
+	}
 	c.Drain()
 	// After the flush the row must accept new sets again.
-	c.RecordHit(g.PageAt(2, 5))
+	c.RecordHit(g.PageAt(Ways, 5))
 	recs := c.Drain()
-	if len(recs) != 1 || recs[0].Set != 2 || recs[0].Counts != 1<<(5*CounterBits) {
+	if len(recs) != 1 || recs[0].Set != Ways || recs[0].Counts != 1<<(5*CounterBits) {
 		t.Fatalf("post-drain record = %+v", recs)
 	}
 	if c.Stats().Conflicts != 0 {
@@ -195,9 +196,9 @@ func TestEntryReusedAfterDrain(t *testing.T) {
 
 func TestBadConfigPanics(t *testing.T) {
 	for _, cfg := range []Config{
-		{Entries: 0, Ways: 1, Geometry: addrspace.DefaultGeometry()},
-		{Entries: 8, Ways: 3, Geometry: addrspace.DefaultGeometry()},
-		{Entries: 8, Ways: 2, Geometry: addrspace.NewGeometry(6)}, // 64 pages × 2 bits overflow the word
+		{Entries: 0, Geometry: addrspace.DefaultGeometry()},
+		{Entries: Ways + 1, Geometry: addrspace.DefaultGeometry()}, // a partial row
+		{Entries: Ways, Geometry: addrspace.NewGeometry(6)},        // 64 pages × 2 bits overflow the word
 	} {
 		func() {
 			defer func() {

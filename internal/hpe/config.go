@@ -75,7 +75,8 @@ func (c Category) String() string {
 type Config struct {
 	// Geometry defines the page-set size (default 16 pages).
 	Geometry addrspace.Geometry
-	// IntervalFaults is the interval length in page faults (default 64).
+	// IntervalFaults is the interval length in page faults
+	// (DefaultIntervalFaults).
 	IntervalFaults int
 	// DynamicAdjustment enables Algorithm 1 (default true; the sensitivity
 	// studies of Figs. 7–8 run with it off).
@@ -109,11 +110,14 @@ const (
 	searchJumpDistance = 16 // page sets
 )
 
+// DefaultIntervalFaults is the paper's interval length in page faults.
+const DefaultIntervalFaults = 64
+
 // DefaultConfig returns the paper's published parameter set (§V-A summary):
 // page-set size 16, interval 64, so counter cap 64, FIFO depth 128 and
 // wrong-eviction threshold 16.
 func DefaultConfig() Config {
-	return ConfigForGeometry(addrspace.DefaultGeometry(), 64)
+	return ConfigForGeometry(addrspace.DefaultGeometry(), DefaultIntervalFaults)
 }
 
 // ConfigForGeometry returns the paper configuration for a page-set geometry

@@ -11,7 +11,7 @@ import (
 // ChromeTraceConfig parameterises a ChromeTrace probe.
 type ChromeTraceConfig struct {
 	// CoreMHz converts simulated cycles to trace microseconds (the Chrome
-	// trace_event time unit). Default: 1400, the Table I core clock.
+	// trace_event time unit). Default: sim.CoreMHz, the Table I core clock.
 	CoreMHz float64
 	// SMs is the number of SM lanes to name; the driver lane is tid SMs.
 	// Default: 15 (Table I).
@@ -47,7 +47,7 @@ type ChromeTrace struct {
 // metadata are written immediately.
 func NewChromeTrace(w io.Writer, cfg ChromeTraceConfig) *ChromeTrace {
 	if cfg.CoreMHz <= 0 {
-		cfg.CoreMHz = 1400
+		cfg.CoreMHz = sim.CoreMHz
 	}
 	if cfg.SMs <= 0 {
 		cfg.SMs = 15

@@ -25,8 +25,11 @@ import (
 	"strings"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/gpu"
 	"hpe/internal/hir"
+	"hpe/internal/hpe"
 	"hpe/internal/registry"
+	"hpe/internal/uvm"
 	"hpe/internal/workload"
 )
 
@@ -252,16 +255,13 @@ func (s Spec) Canonicalize() (Spec, error) {
 // at the 15 other pages of the faulting page's 16-page block: a larger value
 // would run the same simulation under another ID.
 const (
-	maxHIREntries       = 1 << 16
-	maxHPEInterval      = 1 << 12
-	maxWalkLatency      = 512
-	maxTransferInterval = 1024
+	maxHIREntries       = 64 * hir.DefaultEntries
+	maxHPEInterval      = 64 * hpe.DefaultIntervalFaults
+	maxWalkLatency      = 64 * gpu.DefaultWalkLatency
+	maxTransferInterval = 64 * uvm.DefaultTransferInterval
 	maxChannels         = 64
 	maxPrefetch         = 15
 )
-
-// hirWays is the HIR's associativity: its entries must fill whole sets.
-var hirWays = hir.DefaultConfig().Ways
 
 // canonicalize folds explicit tuning defaults to zero and validates the
 // knobs: the bounds the simulator can run, and the policy-scoped ones.
@@ -272,24 +272,24 @@ func (t Tuning) canonicalize(policy string) (Tuning, error) {
 	}
 	// Explicit paper defaults fold back to the zero value, so "the default,
 	// spelled out" and "the default, omitted" share one canonical form.
-	if t.WalkLatency == 8 {
+	if t.WalkLatency == gpu.DefaultWalkLatency {
 		t.WalkLatency = 0
 	}
-	if t.TransferInterval == 16 {
+	if t.TransferInterval == uvm.DefaultTransferInterval {
 		t.TransferInterval = 0
 	}
-	if t.HIREntries == 1024 {
+	if t.HIREntries == hir.DefaultEntries {
 		t.HIREntries = 0
 	}
-	if t.SetSizeShift == 4 {
+	if t.SetSizeShift == addrspace.DefaultSetShift {
 		t.SetSizeShift = 0
 	}
-	if t.HPEInterval == 64 {
+	if t.HPEInterval == hpe.DefaultIntervalFaults {
 		t.HPEInterval = 0
 	}
-	if t.HIREntries != 0 && (t.HIREntries%hirWays != 0 || t.HIREntries > maxHIREntries) {
+	if t.HIREntries != 0 && (t.HIREntries%hir.Ways != 0 || t.HIREntries > maxHIREntries) {
 		return Tuning{}, fmt.Errorf("runspec: hir_entries %d must be a multiple of %d in [%d,%d]",
-			t.HIREntries, hirWays, hirWays, maxHIREntries)
+			t.HIREntries, hir.Ways, hir.Ways, maxHIREntries)
 	}
 	if t.WalkLatency > maxWalkLatency {
 		return Tuning{}, fmt.Errorf("runspec: walk_latency %d above %d", t.WalkLatency, maxWalkLatency)

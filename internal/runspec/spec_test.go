@@ -6,7 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"hpe/internal/addrspace"
 	"hpe/internal/gpu"
+	"hpe/internal/hir"
+	"hpe/internal/hpe"
+	"hpe/internal/uvm"
 )
 
 // TestCanonicalizeDefaultsExplicit pins the canonicalization rules: aliases
@@ -39,8 +43,9 @@ func TestOmittedAndExplicitDefaultsShareID(t *testing.T) {
 	bare := Spec{App: "HSD", Policy: "hpe", Rate: 75}
 	spelled := Spec{App: "hsd", Policy: "HPE", Rate: 75, Seed: 1,
 		Design: "L2TLB", Channels: 1, HIR: "auto", Scale: 1,
-		Tuning: Tuning{WalkLatency: 8, TransferInterval: 16, HIREntries: 1024,
-			SetSizeShift: 4, HPEInterval: 64}}
+		Tuning: Tuning{WalkLatency: gpu.DefaultWalkLatency, TransferInterval: uvm.DefaultTransferInterval,
+			HIREntries: hir.DefaultEntries, SetSizeShift: addrspace.DefaultSetShift,
+			HPEInterval: hpe.DefaultIntervalFaults}}
 	if bare.ID() != spelled.ID() {
 		t.Errorf("omitted vs explicit defaults hashed differently:\n %s\n %s",
 			bare.ID(), spelled.ID())
@@ -139,7 +144,7 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 		{"hir entries not a multiple of the ways", Spec{App: "HSD", Policy: "hpe", Rate: 75,
 			Tuning: Tuning{HIREntries: 12}}},
 		{"hir entries above the cap", Spec{App: "HSD", Policy: "hpe", Rate: 75,
-			Tuning: Tuning{HIREntries: maxHIREntries + hirWays}}},
+			Tuning: Tuning{HIREntries: maxHIREntries + hir.Ways}}},
 		{"prepopulate below rate 100", Spec{App: "HSD", Policy: "lru", Rate: 75,
 			Tuning: Tuning{Prepopulate: true}}},
 		{"division threshold above the counter cap", Spec{App: "HSD", Policy: "hpe", Rate: 75,
@@ -174,7 +179,7 @@ func TestCanonicalizeRejectsInvalid(t *testing.T) {
 // path: Materialize, then gpu.Run) without a panic.
 func TestCanonicalizeAcceptsTuningBounds(t *testing.T) {
 	for _, sp := range []Spec{
-		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HIREntries: hirWays}},
+		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HIREntries: hir.Ways}},
 		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HIREntries: maxHIREntries}},
 		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{HPEInterval: maxHPEInterval}},
 		{App: "HSD", Policy: "hpe", Rate: 75, Tuning: Tuning{SetSizeShift: 5, HPEDivisionThreshold: 128}},

@@ -11,14 +11,14 @@
 //
 // The queue is two value-typed stores, neither of which the garbage
 // collector scans. Near events, due less than wheelSpan (64) cycles after
-// the origin (the timestamp of the last fired event), sit in a timing wheel
+// Now (the timestamp of the last fired event), sit in a timing wheel
 // (Varghese & Lauck, SOSP 1987): one slot per cycle of the span, each a FIFO
 // of pooled wheelNodes linked by index, and a 64-bit occupancy mask whose
 // rotated trailing-zero count finds the next non-empty slot. Far events — a
 // 28,000-cycle fault completion, a HIR drain — wait in a 4-ary heap of
-// all-scalar heapNodes ordered by (at, seq). Whenever the origin advances,
+// all-scalar heapNodes ordered by (at, seq). Whenever the clock advances,
 // every far event now inside the span moves to the tail of its slot before
-// any handler runs at the new origin. An event that went to the heap for
+// any handler runs at the new time. An event that went to the heap for
 // cycle c was scheduled while c lay beyond the span, so it precedes every
 // event scheduled straight into c's slot, and the heap hands same-cycle far
 // events over in seq order: each slot is in (at, seq) order without storing
@@ -42,11 +42,13 @@ import (
 // Cycle is a point in simulated time, in GPU core clock cycles.
 type Cycle uint64
 
-// CyclesPerMicrosecond converts wall-clock microseconds into cycles at the
-// given core frequency in MHz (e.g. 1400 MHz for the paper's GTX-480-like
-// configuration: 20 µs becomes 28,000 cycles).
-func CyclesPerMicrosecond(us float64, coreMHz float64) Cycle {
-	return Cycle(us * coreMHz)
+// CoreMHz is the simulated core clock (Table I: the GTX-480-like 1.4 GHz).
+const CoreMHz = 1400
+
+// CyclesPerMicrosecond converts wall-clock microseconds into cycles at
+// CoreMHz (20 µs becomes 28,000 cycles).
+func CyclesPerMicrosecond(us float64) Cycle {
+	return Cycle(us * CoreMHz)
 }
 
 // Handler receives typed events. Registering a handler once and scheduling
@@ -90,12 +92,10 @@ type heapNode struct {
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
 type Engine struct {
+	// now is the timestamp of the last fired event. Every pending event
+	// lies at or after it; those before now+wheelSpan are in the wheel, the
+	// rest in the heap.
 	now Cycle
-	// origin is the timestamp of the last fired event. Every pending event
-	// lies at or after it; those before origin+wheelSpan are in the wheel,
-	// the rest in the heap. It differs from now only after RunUntil moved
-	// the clock without firing.
-	origin Cycle
 
 	occupied   uint64           // bit s set when wheel slot s holds events
 	head, tail [wheelSpan]int32 // per-slot FIFO ends, valid while occupied
@@ -176,7 +176,7 @@ func (e *Engine) push(at Cycle, a0, a1 uint64, kind int32) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d before now (%d)", at, e.now))
 	}
-	if at-e.origin < wheelSpan {
+	if at-e.now < wheelSpan {
 		e.pushNear(at, a0, a1, kind)
 		return
 	}
@@ -195,7 +195,7 @@ func (e *Engine) push(at Cycle, a0, a1 uint64, kind int32) {
 }
 
 // pushNear appends an event to the FIFO of slot at&wheelMask; the caller
-// guarantees at lies in [origin, origin+wheelSpan).
+// guarantees at lies in [now, now+wheelSpan).
 func (e *Engine) pushNear(at Cycle, a0, a1 uint64, kind int32) {
 	i := e.free
 	if i < 0 {
@@ -218,10 +218,10 @@ func (e *Engine) pushNear(at Cycle, a0, a1 uint64, kind int32) {
 }
 
 // migrate moves every far event now inside the span into its slot, in
-// (at, seq) order. It runs whenever the origin advances, before any handler
-// runs at the new origin.
+// (at, seq) order. It runs whenever the clock advances, before any handler
+// runs at the new time.
 func (e *Engine) migrate() {
-	for len(e.heap) > 0 && e.heap[0].at-e.origin < wheelSpan {
+	for len(e.heap) > 0 && e.heap[0].at-e.now < wheelSpan {
 		h := &e.heap[0]
 		e.pushNear(h.at, h.a0, h.a1, h.kind)
 		e.popFar()
@@ -316,12 +316,12 @@ func (e *Engine) ScheduleAfter(delay Cycle, h HandlerID, a0, a1 uint64) {
 }
 
 // next returns the timestamp of the earliest pending event: the first
-// occupied slot from the origin, or the heap's minimum when the wheel is
+// occupied slot from now, or the heap's minimum when the wheel is
 // empty (every far event lies beyond every near one).
 func (e *Engine) next() (Cycle, bool) {
 	if e.occupied != 0 {
-		r := bits.RotateLeft64(e.occupied, -int(e.origin&wheelMask))
-		return e.origin + Cycle(bits.TrailingZeros64(r)), true
+		r := bits.RotateLeft64(e.occupied, -int(e.now&wheelMask))
+		return e.now + Cycle(bits.TrailingZeros64(r)), true
 	}
 	if len(e.heap) > 0 {
 		return e.heap[0].at, true
@@ -352,8 +352,8 @@ func (e *Engine) Step() bool {
 			}
 		}
 	}
-	if at != e.origin {
-		e.origin = at
+	if at != e.now {
+		e.now = at
 		e.migrate()
 	}
 	s := at & wheelMask
@@ -368,7 +368,6 @@ func (e *Engine) Step() bool {
 	n.next = e.free
 	e.free = i
 	e.near--
-	e.now = at
 	e.fired++
 	e.handlers[kind].OnEvent(a0, a1)
 	return true
@@ -380,18 +379,4 @@ func (e *Engine) Run() Cycle {
 	for e.Step() {
 	}
 	return e.now
-}
-
-// RunUntil fires events with timestamps <= until, advancing the clock to
-// exactly until when the queue drains earlier.
-func (e *Engine) RunUntil(until Cycle) {
-	for {
-		at, ok := e.next()
-		if !ok || at > until || !e.Step() {
-			break
-		}
-	}
-	if e.now < until {
-		e.now = until
-	}
 }

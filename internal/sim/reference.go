@@ -139,16 +139,3 @@ func (e *Reference) Run() Cycle {
 	}
 	return e.now
 }
-
-// RunUntil fires events with timestamps <= until, advancing the clock to
-// exactly until when the queue drains earlier.
-func (e *Reference) RunUntil(until Cycle) {
-	for len(e.queue) > 0 && e.queue[0].at <= until {
-		if !e.Step() {
-			break
-		}
-	}
-	if e.now < until {
-		e.now = until
-	}
-}

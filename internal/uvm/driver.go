@@ -47,26 +47,39 @@ type Waker interface {
 	Wake(p addrspace.PageID)
 }
 
+// The Table I runtime. The interconnect bandwidth and the host-busy share
+// are fixed; the fault service time and the transfer interval seed
+// DefaultConfig's knobs.
+const (
+	// FaultMicroseconds is the per-fault service time.
+	FaultMicroseconds = 20
+	// PCIeGBPerSecond is the CPU-GPU interconnect bandwidth that HIR
+	// payloads cross.
+	PCIeGBPerSecond = 16
+	// DefaultTransferInterval drains the HIR every 16th serviced fault.
+	DefaultTransferInterval = 16
+
+	// pcieBytesPerCycle converts HIR payload bytes into transfer cycles
+	// (16 GB/s at 1.4 GHz ≈ 11.43 bytes/cycle).
+	pcieBytesPerCycle = PCIeGBPerSecond * 1e9 / (sim.CoreMHz * 1e6)
+	// hostBusyFraction is the share of the fault-service latency during
+	// which the host CPU core is actually busy (page-table lookup, unmap/
+	// map, policy update); the remainder is PCIe round trips and GPU-side
+	// work. Feeds the §V-C core-load estimate.
+	hostBusyFraction = 0.35
+)
+
 // Config parameterises the driver.
 type Config struct {
-	// FaultLatency is the per-fault service time (paper: 20 µs = 28,000
-	// cycles at 1.4 GHz).
+	// FaultLatency is the per-fault service time in cycles.
 	FaultLatency sim.Cycle
 	// Channels is the number of faults the driver services concurrently.
 	// The paper's runtime is serial (1, the default); higher values model a
 	// pipelined driver for the extension study.
 	Channels int
-	// TransferInterval drains the HIR every n serviced faults (paper: 16).
-	// Ignored when HIR is nil.
+	// TransferInterval drains the HIR every n serviced faults. Ignored
+	// when HIR is nil.
 	TransferInterval int
-	// PCIeBytesPerCycle converts HIR payload bytes into transfer cycles
-	// (16 GB/s at 1.4 GHz ≈ 11.43 bytes/cycle).
-	PCIeBytesPerCycle float64
-	// HostBusyFraction is the share of the fault-service latency during
-	// which the host CPU core is actually busy (page-table lookup, unmap/
-	// map, policy update); the remainder is PCIe round trips and GPU-side
-	// work. Feeds the §V-C core-load estimate.
-	HostBusyFraction float64
 	// PrefetchPages makes each serviced fault also migrate up to this many
 	// additional non-resident pages from the same 16-page aligned block
 	// (NVIDIA's UVM migrates whole 64-KB basic blocks this way). 0 disables
@@ -75,14 +88,12 @@ type Config struct {
 	PrefetchPages int
 }
 
-// DefaultConfig returns the paper's driver parameters at 1.4 GHz.
+// DefaultConfig returns the paper's driver parameters.
 func DefaultConfig() Config {
 	return Config{
-		FaultLatency:      sim.CyclesPerMicrosecond(20, 1400),
-		Channels:          1,
-		TransferInterval:  16,
-		PCIeBytesPerCycle: 16e9 / 1.4e9,
-		HostBusyFraction:  0.35,
+		FaultLatency:     sim.CyclesPerMicrosecond(FaultMicroseconds),
+		Channels:         1,
+		TransferInterval: DefaultTransferInterval,
 	}
 }
 
@@ -386,10 +397,6 @@ func (d *Driver) allocFault() int32 {
 
 // pump dispatches queued faults onto free channels.
 func (d *Driver) pump() {
-	frac := d.cfg.HostBusyFraction
-	if frac <= 0 || frac > 1 {
-		frac = 1
-	}
 	for d.busy < d.cfg.Channels && d.qhead < len(d.queue) {
 		fi := d.queue[d.qhead]
 		d.qhead++
@@ -400,7 +407,7 @@ func (d *Driver) pump() {
 		}
 		f.inService = true
 		d.busy++
-		d.stats.BusyCycles += sim.Cycle(float64(d.cfg.FaultLatency) * frac)
+		d.stats.BusyCycles += sim.Cycle(float64(d.cfg.FaultLatency) * hostBusyFraction)
 		d.engine.ScheduleAfter(d.cfg.FaultLatency, d.hDone, uint64(fi), 0)
 	}
 }
@@ -520,7 +527,7 @@ func (d *Driver) complete(fi int32) {
 		d.stats.FaultsServiced/n > serviced/n {
 		if recs := d.hirC.Drain(); len(recs) > 0 {
 			bytes := d.hirC.TransferBytes(len(recs))
-			transfer := sim.Cycle(math.Ceil(float64(bytes) / d.cfg.PCIeBytesPerCycle))
+			transfer := sim.Cycle(math.Ceil(float64(bytes) / pcieBytesPerCycle))
 			d.stats.HIRTransferBytes += uint64(bytes)
 			d.stats.HIRTransferCycles += transfer
 			d.stats.BusyCycles += transfer
