@@ -100,8 +100,8 @@ func TestWriteReloadRoundTrip(t *testing.T) {
 }
 
 // TestCapturedTraceReplayReproducesFaults: a tracegen-captured v2 trace,
-// read back from disk, replays through hpe.ReplaySpec reproducing the
-// originating run's fault count — including the per-tenant attribution.
+// read back from disk, runs through hpe.Run reproducing the originating
+// run's fault count — including the driver's per-tenant attribution.
 func TestCapturedTraceReplayReproducesFaults(t *testing.T) {
 	app, err := resolveApp("", "", "HSD,BFS", "", 512)
 	if err != nil {
@@ -111,10 +111,10 @@ func TestCapturedTraceReplayReproducesFaults(t *testing.T) {
 	if !tr.Annotated() {
 		t.Fatal("colocated trace should carry v2 annotations")
 	}
-	// The originating run replays the in-memory trace; the captured run
+	// The originating run simulates the in-memory trace; the captured run
 	// below reads the written file, both through the same spec.
 	spec := hpe.RunSpec{App: "trace:origin", Policy: "lru", Rate: 50}
-	origin, err := hpe.ReplaySpec(spec, hpe.WithRunEnv(hpe.RunEnv{
+	origin, err := hpe.Run(spec, hpe.WithRunEnv(hpe.RunEnv{
 		ReadTrace: func(string) (*hpe.Trace, error) { return tr, nil },
 	}))
 	if err != nil {
@@ -123,8 +123,8 @@ func TestCapturedTraceReplayReproducesFaults(t *testing.T) {
 	if origin.Faults == 0 {
 		t.Fatal("originating run produced no faults")
 	}
-	if len(origin.Tenants) != 2 {
-		t.Fatalf("originating run: %d tenant rows, want 2", len(origin.Tenants))
+	if len(origin.Driver.Tenants) != 2 {
+		t.Fatalf("originating run: %d tenant rows, want 2", len(origin.Driver.Tenants))
 	}
 
 	path := filepath.Join(t.TempDir(), "colo.hpet")
@@ -132,14 +132,14 @@ func TestCapturedTraceReplayReproducesFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.App = "trace:" + path
-	replayed, err := hpe.ReplaySpec(spec)
+	replayed, err := hpe.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replayed.Faults != origin.Faults {
 		t.Fatalf("captured replay faults %d != originating %d", replayed.Faults, origin.Faults)
 	}
-	if !reflect.DeepEqual(replayed.Tenants, origin.Tenants) {
-		t.Fatalf("captured replay tenants %+v != originating %+v", replayed.Tenants, origin.Tenants)
+	if !reflect.DeepEqual(replayed.Driver.Tenants, origin.Driver.Tenants) {
+		t.Fatalf("captured replay tenants %+v != originating %+v", replayed.Driver.Tenants, origin.Driver.Tenants)
 	}
 }

@@ -15,6 +15,12 @@ import (
 type backend struct {
 	name string // base URL, immutable
 
+	// threshold is the consecutive-failure count that opens the breaker,
+	// and cooldown how long it then stays open (Config.BreakerThreshold
+	// and BreakerCooldown); both immutable.
+	threshold int
+	cooldown  time.Duration
+
 	mu      sync.Mutex
 	alive   bool // guarded by mu; last health probe succeeded
 	workers int  // guarded by mu; backend-reported simulation workers
@@ -59,11 +65,13 @@ const (
 	ewmaAlpha = 0.2
 )
 
-func newBackend(name string) *backend {
+func newBackend(name string, threshold int, cooldown time.Duration) *backend {
 	return &backend{
-		name:     name,
-		sem:      make(chan struct{}, defaultWindow),
-		watchers: make(map[int]context.CancelFunc),
+		name:      name,
+		threshold: threshold,
+		cooldown:  cooldown,
+		sem:       make(chan struct{}, defaultWindow),
+		watchers:  make(map[int]context.CancelFunc),
 	}
 }
 
@@ -117,27 +125,27 @@ func (b *backend) isAlive() bool {
 // health probe succeeded and the breaker is not open. An expired breaker
 // deadline is the half-open state — the next shard probes the backend, and
 // its outcome re-closes or re-opens the breaker.
-func (b *backend) usable(now time.Time, breakerThreshold int) bool {
+func (b *backend) usable(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.usableLocked(now, breakerThreshold)
+	return b.usableLocked(now)
 }
 
-func (b *backend) usableLocked(now time.Time, breakerThreshold int) bool {
+func (b *backend) usableLocked(now time.Time) bool {
 	if !b.alive {
 		return false
 	}
-	return b.fails < breakerThreshold || now.After(b.openUntil)
+	return b.fails < b.threshold || now.After(b.openUntil)
 }
 
 // claimIdle counts one shard in flight here if the backend is usable and
 // has an idle worker: fewer of this coordinator's shards in flight than the
 // workers its /healthz reports. Check and claim share one hold of mu, so two
 // shards never claim the same idle worker. A claim is handed to acquire.
-func (b *backend) claimIdle(now time.Time, breakerThreshold int) bool {
+func (b *backend) claimIdle(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.usableLocked(now, breakerThreshold) || b.inflight >= b.workers {
+	if !b.usableLocked(now) || b.inflight >= b.workers {
 		return false
 	}
 	b.inflight++
@@ -194,17 +202,17 @@ func (b *backend) recordSuccess(d time.Duration) {
 
 // recordFailure charges one dispatch failure; crossing the threshold opens
 // the breaker for cooldown.
-func (b *backend) recordFailure(now time.Time, threshold int, cooldown time.Duration) {
+func (b *backend) recordFailure(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures++
 	b.fails++
-	if b.fails == threshold {
-		b.openUntil = now.Add(cooldown)
+	if b.fails == b.threshold {
+		b.openUntil = now.Add(b.cooldown)
 		b.breakerOpens++
-	} else if b.fails > threshold {
+	} else if b.fails > b.threshold {
 		// Half-open probe failed: re-open for another cooldown.
-		b.openUntil = now.Add(cooldown)
+		b.openUntil = now.Add(b.cooldown)
 	}
 }
 
@@ -225,13 +233,13 @@ type backendSnapshot struct {
 }
 
 // snapshot captures the backend's state at one instant.
-func (b *backend) snapshot(now time.Time, breakerThreshold int) backendSnapshot {
+func (b *backend) snapshot(now time.Time) backendSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := backendSnapshot{
 		Name:         b.name,
 		Alive:        b.alive,
-		BreakerOpen:  b.fails >= breakerThreshold && now.Before(b.openUntil),
+		BreakerOpen:  b.fails >= b.threshold && now.Before(b.openUntil),
 		Workers:      b.workers,
 		Queue:        b.queue,
 		Inflight:     b.inflight,

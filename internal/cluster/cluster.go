@@ -140,7 +140,7 @@ func New(cfg Config) (*Coordinator, error) {
 		healthDone: make(chan struct{}),
 	}
 	for _, name := range cfg.Backends {
-		c.backends[name] = newBackend(name)
+		c.backends[name] = newBackend(name, cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
 	c.Server = server.Mount((*executor)(c), server.Surface{
 		Name: "coordinator", Source: "dispatch", CacheBytes: cfg.CacheBytes, Logf: cfg.Logf})
@@ -297,7 +297,7 @@ func (x *executor) Lookup(ctx context.Context, id string) (int, []byte, string, 
 			continue
 		}
 		tried[name] = true
-		if !c.backends[name].usable(time.Now(), c.cfg.BreakerThreshold) {
+		if !c.backends[name].usable(time.Now()) {
 			continue
 		}
 		status, body, err := c.proxyGet(ctx, name, "/v1/runs/"+id)

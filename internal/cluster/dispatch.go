@@ -58,7 +58,7 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 	var held *backend
 	defer func() {
 		if held != nil {
-			held.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+			held.recordFailure(time.Now())
 		}
 	}()
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -78,14 +78,14 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 		for i, name := range order {
 			b := c.backends[name]
 			idle := claimed && i == 0
-			if !idle && !b.usable(time.Now(), c.cfg.BreakerThreshold) {
+			if !idle && !b.usable(time.Now()) {
 				continue
 			}
 			switch {
 			case attempt > 0 || tried > 0:
 				c.met.redispatch() // an earlier attempt failed
 			case name == seq[0]: // the owner, first try: neither
-			case c.backends[seq[0]].usable(time.Now(), c.cfg.BreakerThreshold):
+			case c.backends[seq[0]].usable(time.Now()):
 				c.met.spill() // the owner is busy, this backend idle
 			default:
 				c.met.redispatch() // the owner is dead or its breaker open
@@ -110,7 +110,7 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 					held = nil
 					return nil, hpe.Result{}, sf.env
 				default: // the same backend again is no second opinion
-					b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+					b.recordFailure(time.Now())
 				}
 			}
 			if ctx.Err() != nil {
@@ -146,7 +146,7 @@ func (c *Coordinator) dispatchRun(ctx context.Context, sp hpe.RunSpec, id string
 func (c *Coordinator) idleFirst(seq []string) (order []string, claimed bool) {
 	now := time.Now()
 	for i, name := range seq {
-		if !c.backends[name].claimIdle(now, c.cfg.BreakerThreshold) {
+		if !c.backends[name].claimIdle(now) {
 			continue
 		}
 		if i == 0 {
@@ -196,13 +196,13 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 	start := time.Now()
 	resp, err := c.client.Do(req)
 	if err != nil {
-		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+		b.recordFailure(time.Now())
 		return nil, res, 0, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
-		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+		b.recordFailure(time.Now())
 		return nil, res, 0, err
 	}
 
@@ -210,11 +210,11 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 	case resp.StatusCode == http.StatusOK:
 		var rr server.RunResponse
 		if err := json.Unmarshal(raw, &rr); err != nil {
-			b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+			b.recordFailure(time.Now())
 			return nil, res, 0, fmt.Errorf("malformed run response: %w", err)
 		}
 		if rr.ID != id {
-			b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+			b.recordFailure(time.Now())
 			return nil, res, 0, fmt.Errorf("backend answered run %s for shard %s", rr.ID, id)
 		}
 		d := time.Since(start)
@@ -242,7 +242,7 @@ func (c *Coordinator) tryBackend(ctx context.Context, b *backend, specBody []byt
 			eb.Code == server.ErrInternal && eb.RunID == id {
 			return nil, res, 0, &specFailure{&server.Error{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Message, RunID: eb.RunID}}
 		}
-		b.recordFailure(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+		b.recordFailure(time.Now())
 		return nil, res, 0, fmt.Errorf("backend status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 	}
 }

@@ -30,7 +30,7 @@ func (c *Coordinator) Saturation() Saturation {
 	now := time.Now()
 	sat := Saturation{PerBackend: make(map[string]float64, len(c.order))}
 	for _, name := range c.order {
-		s := c.backends[name].snapshot(now, c.cfg.BreakerThreshold)
+		s := c.backends[name].snapshot(now)
 		sat.PerBackend[name] = s.CapacityRPS
 		if s.Alive {
 			sat.Live++
@@ -45,7 +45,7 @@ func (c *Coordinator) snapshots() []backendSnapshot {
 	now := time.Now()
 	out := make([]backendSnapshot, 0, len(c.order))
 	for _, name := range c.order {
-		out = append(out, c.backends[name].snapshot(now, c.cfg.BreakerThreshold))
+		out = append(out, c.backends[name].snapshot(now))
 	}
 	return out
 }

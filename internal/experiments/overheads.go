@@ -21,7 +21,7 @@ func overhead(s *Suite, res view) Report {
 
 	// --- HIR storage (paper: 80-bit entries, 10 KB total, 4.2% of 240 KB
 	// of L1 data cache across SMs).
-	h := hir.New(hir.DefaultConfig())
+	h := hir.New(hir.DefaultEntries, addrspace.DefaultGeometry())
 	storage := h.StorageBytes()
 	l1DataTotal := 15 * 16 * 1024 // Table I: 16 KB L1 per SM × 15 SMs
 	metrics["hirBytes"] = float64(storage)

@@ -119,8 +119,9 @@ type Config struct {
 	// UseHIR attaches a HIR cache and routes walk hits through it (HPE's
 	// production configuration).
 	UseHIR bool
-	// HIR is the HIR cache size and page-set geometry (used when UseHIR).
-	HIR hir.Config
+	// HIREntries is the HIR cache's entry count (used when UseHIR). Its
+	// page sets are those of the policy it drains to.
+	HIREntries int
 
 	// ModelDataPath sends every access through the Table I data hierarchy
 	// (per-SM L1D → shared L2 → GDDR5 channels) after translation. Off by
@@ -152,7 +153,7 @@ func DefaultConfig(memoryPages int) Config {
 		MemoryPages: memoryPages,
 		ComputeGap:  4,
 		Driver:      uvm.DefaultConfig(),
-		HIR:         hir.DefaultConfig(),
+		HIREntries:  hir.DefaultEntries,
 	}
 }
 
@@ -410,7 +411,13 @@ func New(cfg Config, tr *trace.Trace, pol policy.Policy, opts ...Option) *Simula
 		s.slots[i].sm = int32(i / cfg.WarpsPerSM)
 	}
 	if cfg.UseHIR {
-		s.hirC = hir.New(cfg.HIR)
+		// The HIR keys entries by the page sets of the HPE instance it
+		// drains to; any other policy gets the default 16-page sets.
+		geo := addrspace.DefaultGeometry()
+		if hp, ok := pol.(*hpe.HPE); ok {
+			geo = hp.Geometry()
+		}
+		s.hirC = hir.New(cfg.HIREntries, geo)
 	}
 	if cfg.Translation == DesignPWC {
 		s.pwalk = ptw.New(ptw.DefaultConfig())

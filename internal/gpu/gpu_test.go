@@ -442,3 +442,24 @@ func TestCoalescedWalksWakeOnce(t *testing.T) {
 		t.Fatalf("page 0 woke accesses %v, want [0 20 21]: the first walk's, then the coalesced walk's in arrival order", w.seqs[0])
 	}
 }
+
+// TestHIRTakesPolicyGeometry: the HIR keys its entries by the page sets of
+// the HPE instance it drains to, so a hand-built configuration with a
+// non-default set size loses no drained record. An HIR on 16-page sets
+// makes HPE drop 505 of HSD@75's records at 8-page sets and 501 at 32.
+func TestHIRTakesPolicyGeometry(t *testing.T) {
+	app, _ := workload.ByAbbr("HSD")
+	tr := app.Generate()
+	for _, shift := range []uint{3, 5} {
+		cfg := DefaultConfig((tr.Footprint()*3 + 3) / 4)
+		cfg.UseHIR = true
+		pol := hpe.New(hpe.ConfigForGeometry(addrspace.NewGeometry(shift), hpe.DefaultIntervalFaults))
+		res := Run(cfg, tr, pol)
+		if res.HPE == nil || res.HPE.HitBatches == 0 {
+			t.Fatalf("shift %d: HPE received no HIR drains", shift)
+		}
+		if res.HPE.HitBatchDrops != 0 {
+			t.Errorf("shift %d: HPE dropped %d of the HIR's drained records", shift, res.HPE.HitBatchDrops)
+		}
+	}
+}

@@ -159,9 +159,9 @@ type refHIR struct {
 
 const refHIRWays, refHIRMaxCount = 8, 3
 
-func newRefHIR(cfg hir.Config) *refHIR {
-	rows := cfg.Entries / refHIRWays
-	return &refHIR{geo: cfg.Geometry, rows: rows, used: make([]int, rows), counts: map[addrspace.SetID][]uint8{}}
+func newRefHIR(entries int, geo addrspace.Geometry) *refHIR {
+	rows := entries / refHIRWays
+	return &refHIR{geo: geo, rows: rows, used: make([]int, rows), counts: map[addrspace.SetID][]uint8{}}
 }
 
 func (h *refHIR) hit(p addrspace.PageID) {
@@ -203,14 +203,13 @@ func (h *refHIR) drain() []hir.Record {
 // same order.
 func TestRefHIRMatchesCache(t *testing.T) {
 	for _, entries := range []int{16, 64, 1024} {
-		cfg := hir.DefaultConfig()
-		cfg.Entries = entries
+		geo := addrspace.DefaultGeometry()
 		if hir.Ways != refHIRWays || hir.CounterBits != 2 {
 			t.Fatalf("refHIR models 8-way rows of 2-bit counts, hir.Cache is %d-way, %d-bit", hir.Ways, hir.CounterBits)
 		}
-		got, want := hir.New(cfg), newRefHIR(cfg)
+		got, want := hir.New(entries, geo), newRefHIR(entries, geo)
 		rng := rand.New(rand.NewSource(int64(entries)))
-		pages := entries * 3 * cfg.Geometry.SetSize() // three times the sets the cache holds
+		pages := entries * 3 * geo.SetSize() // three times the sets the cache holds
 		conflicts := uint64(0)
 		for op := 0; op < 50000; op++ {
 			if rng.Intn(2*entries) > 0 { // about two hits per entry between drains
@@ -254,11 +253,11 @@ type replayStats struct {
 // held. An eviction of the page the TLB holds empties it. After every
 // interval-th fault the HIR drains and a non-empty batch goes straight to
 // the policy's OnHitBatch.
-func replayProduction(tr *trace.Trace, pol policy.Policy, capacity, prefetch, interval int, hc hir.Config) replayStats {
+func replayProduction(tr *trace.Trace, pol policy.Policy, capacity, prefetch, interval, hirEntries int, geo addrspace.Geometry) replayStats {
 	var st replayStats
 	resident := pagetable.New[struct{}]()
 	isResident := func(p addrspace.PageID) bool { _, ok := resident.Get(p); return ok }
-	h := newRefHIR(hc)
+	h := newRefHIR(hirEntries, geo)
 	var tlbPage addrspace.PageID
 	tlbHeld := false
 	mapPage := func(p addrspace.PageID) {
@@ -373,7 +372,7 @@ func checkProductionPath(t *testing.T, sp runspec.Spec, prefetches []int) int {
 		cfg.Driver.PrefetchPages = prefetch
 		for _, name := range registry.Names() {
 			want := replayProduction(tr, productionPolicy(t, name, m.App, tr, m.Capacity),
-				m.Capacity, prefetch, cfg.Driver.TransferInterval, cfg.HIR)
+				m.Capacity, prefetch, cfg.Driver.TransferInterval, cfg.HIREntries, addrspace.DefaultGeometry())
 			got := make(victimLog, 0, len(want.victims))
 			res := gpu.Run(cfg, tr, productionPolicy(t, name, m.App, tr, m.Capacity), gpu.WithProbe(&got))
 			cell := fmt.Sprintf("%s@%d/prefetch%d/%s", tr.Name, sp.Rate, prefetch, name)

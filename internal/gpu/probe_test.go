@@ -103,19 +103,14 @@ func TestProbeHIREvents(t *testing.T) {
 	cfg := smallConfig(576)  // 75%
 	cfg.UseHIR = true
 	m := probe.NewMetrics()
-	s := New(cfg, tr, hpe.New(hpe.DefaultConfig()), WithProbe(m))
-	res := s.Run()
+	res := Run(cfg, tr, hpe.New(hpe.DefaultConfig()), WithProbe(m))
 	if res.HIR == nil || res.HIR.HitsRecorded == 0 {
 		t.Fatalf("no HIR activity: %+v", res.HIR)
 	}
 	// One hir_drain event per drain that actually moved entries (empty
-	// drains transfer nothing and emit nothing).
-	nonEmpty := uint64(0)
-	for _, n := range s.hirC.DrainSizes() {
-		if n > 0 {
-			nonEmpty++
-		}
-	}
+	// drains transfer nothing and emit nothing); HPE receives each such
+	// batch once.
+	nonEmpty := res.HPE.HitBatches
 	if nonEmpty == 0 {
 		t.Fatal("no non-empty drains; workload does not exercise the path")
 	}

@@ -21,14 +21,6 @@ import (
 	"hpe/internal/sim"
 )
 
-// Config sizes the HIR cache.
-type Config struct {
-	// Entries is the total entry count, a multiple of Ways.
-	Entries int
-	// Geometry supplies the page-set arithmetic.
-	Geometry addrspace.Geometry
-}
-
 // Ways is the associativity, and DefaultEntries the paper's entry count.
 const (
 	Ways           = 8
@@ -41,12 +33,6 @@ const (
 	CounterBits = 2
 	maxCount    = 1<<CounterBits - 1
 )
-
-// DefaultConfig returns the paper's HIR configuration: 1024 entries, 8-way,
-// over 16-page sets.
-func DefaultConfig() Config {
-	return Config{Entries: DefaultEntries, Geometry: addrspace.DefaultGeometry()}
-}
 
 // Record is one drained HIR entry: the page set and the per-page hit counts
 // accumulated since the previous drain. Counts packs them CounterBits per
@@ -69,7 +55,7 @@ type hirEntry struct {
 // Cache is the HIR cache. Not safe for concurrent use; the simulator is
 // single-threaded per run.
 type Cache struct {
-	cfg     Config
+	geo     addrspace.Geometry
 	rows    int
 	entries []hirEntry
 
@@ -83,32 +69,29 @@ type Cache struct {
 	now   func() sim.Cycle
 
 	// Stats.
-	hitsRecorded  uint64
-	conflicts     uint64 // hits dropped because the row was full
-	drains        uint64
-	drainedTotal  uint64 // sum of entries transferred across drains
-	nonEmpty      uint64 // drains that moved at least one entry
-	drainedMax    int
-	drainedCounts []int // per-drain entry counts (Fig. 15 data)
+	hitsRecorded uint64
+	conflicts    uint64 // hits dropped because the row was full
+	drains       uint64
+	drainedTotal uint64 // sum of entries transferred across drains
+	nonEmpty     uint64 // drains that moved at least one entry
+	drainedMax   int
 }
 
-// New returns an empty HIR cache.
-func New(cfg Config) *Cache {
-	if cfg.Entries <= 0 || cfg.Entries%Ways != 0 {
-		panic(fmt.Sprintf("hir: %d entries do not fill %d-way rows", cfg.Entries, Ways))
+// New returns an empty HIR cache of the given entry count, a multiple of
+// Ways, keyed by the page sets of geo — those of the policy it drains to.
+func New(entries int, geo addrspace.Geometry) *Cache {
+	if entries <= 0 || entries%Ways != 0 {
+		panic(fmt.Sprintf("hir: %d entries do not fill %d-way rows", entries, Ways))
 	}
-	if n := cfg.Geometry.SetSize(); n*CounterBits > 64 {
+	if n := geo.SetSize(); n*CounterBits > 64 {
 		panic(fmt.Sprintf("hir: %d-page sets need %d counter bits, an entry holds 64", n, n*CounterBits))
 	}
 	return &Cache{
-		cfg:     cfg,
-		rows:    cfg.Entries / Ways,
-		entries: make([]hirEntry, cfg.Entries),
+		geo:     geo,
+		rows:    entries / Ways,
+		entries: make([]hirEntry, entries),
 	}
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // SetProbe attaches an instrumentation probe with its time source (the
 // simulation engine's clock). Passing a nil probe detaches.
@@ -121,8 +104,8 @@ func (c *Cache) SetProbe(p probe.Probe, now func() sim.Cycle) {
 // is full of other tags) the hit is dropped and counted — the paper's
 // "some pages' information may be lost".
 func (c *Cache) RecordHit(p addrspace.PageID) {
-	set := c.cfg.Geometry.SetOf(p)
-	shift := c.cfg.Geometry.Offset(p) * CounterBits
+	set := c.geo.SetOf(p)
+	shift := c.geo.Offset(p) * CounterBits
 	row := int(uint64(set) % uint64(c.rows))
 	base := row * Ways
 	free := -1
@@ -174,7 +157,6 @@ func (c *Cache) Drain() []Record {
 	if len(out) > c.drainedMax {
 		c.drainedMax = len(out)
 	}
-	c.drainedCounts = append(c.drainedCounts, len(out))
 	return out
 }
 
@@ -182,13 +164,13 @@ func (c *Cache) Drain() []Record {
 // entry is tag (48 bits in the paper's 64-bit costing) plus the counter
 // vector, rounded up to whole bytes.
 func (c *Cache) TransferBytes(n int) int {
-	entryBits := 48 + c.cfg.Geometry.SetSize()*CounterBits
+	entryBits := 48 + c.geo.SetSize()*CounterBits
 	return n * ((entryBits + 7) / 8)
 }
 
 // StorageBytes returns the on-GPU storage cost of the whole cache — the
 // paper's 10 KB for the default configuration.
-func (c *Cache) StorageBytes() int { return c.TransferBytes(c.cfg.Entries) }
+func (c *Cache) StorageBytes() int { return c.TransferBytes(len(c.entries)) }
 
 // Stats reports cumulative behaviour.
 type Stats struct {
@@ -219,6 +201,3 @@ func (c *Cache) Stats() Stats {
 	}
 	return s
 }
-
-// DrainSizes returns the per-drain transferred-entry counts.
-func (c *Cache) DrainSizes() []int { return c.drainedCounts }

@@ -6,7 +6,7 @@ import (
 	"hpe/internal/addrspace"
 )
 
-func defaultCache() *Cache { return New(DefaultConfig()) }
+func defaultCache() *Cache { return New(DefaultEntries, addrspace.DefaultGeometry()) }
 
 func TestRecordAndDrain(t *testing.T) {
 	c := defaultCache()
@@ -58,13 +58,12 @@ func TestCounterSaturatesAtMax(t *testing.T) {
 // counter of offset 31 occupies its top two bits and must saturate at 3
 // rather than carry out of the word, and its neighbour must stay apart.
 func TestTopOffsetSaturatesWithoutCarry(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Geometry = addrspace.NewGeometry(5)
-	c := New(cfg)
+	g := addrspace.NewGeometry(5)
+	c := New(DefaultEntries, g)
 	for i := 0; i < 10; i++ {
-		c.RecordHit(cfg.Geometry.PageAt(4, 31))
+		c.RecordHit(g.PageAt(4, 31))
 	}
-	c.RecordHit(cfg.Geometry.PageAt(4, 30))
+	c.RecordHit(g.PageAt(4, 30))
 	recs := c.Drain()
 	if len(recs) != 1 {
 		t.Fatalf("drained %d records, want 1", len(recs))
@@ -96,10 +95,8 @@ func TestDrainAllocatesOneBatch(t *testing.T) {
 }
 
 func TestWayConflictDropsHit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Entries = Ways // a single row
-	c := New(cfg)
-	g := cfg.Geometry
+	g := addrspace.DefaultGeometry()
+	c := New(Ways, g)            // a single row
 	for s := 0; s <= Ways; s++ { // one distinct set more than the row holds
 		c.RecordHit(g.PageAt(addrspace.SetID(s), 0))
 	}
@@ -168,17 +165,11 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.MeanDrained != 1.5 || st.MaxDrained != 2 {
 		t.Fatalf("drain stats mean=%f max=%d, want 1.5, 2", st.MeanDrained, st.MaxDrained)
 	}
-	sizes := c.DrainSizes()
-	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 2 {
-		t.Fatalf("DrainSizes = %v", sizes)
-	}
 }
 
 func TestEntryReusedAfterDrain(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Entries = Ways // a single row
-	c := New(cfg)
-	g := cfg.Geometry
+	g := addrspace.DefaultGeometry()
+	c := New(Ways, g) // a single row
 	for s := 0; s < Ways; s++ {
 		c.RecordHit(g.PageAt(addrspace.SetID(s), 0))
 	}
@@ -195,18 +186,21 @@ func TestEntryReusedAfterDrain(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	for _, cfg := range []Config{
-		{Entries: 0, Geometry: addrspace.DefaultGeometry()},
-		{Entries: Ways + 1, Geometry: addrspace.DefaultGeometry()}, // a partial row
-		{Entries: Ways, Geometry: addrspace.NewGeometry(6)},        // 64 pages × 2 bits overflow the word
+	for _, c := range []struct {
+		entries int
+		shift   uint
+	}{
+		{0, addrspace.DefaultSetShift},
+		{Ways + 1, addrspace.DefaultSetShift}, // a partial row
+		{Ways, 6},                             // 64 pages × 2 bits overflow the word
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%+v) did not panic", cfg)
+					t.Errorf("New(%d, %d-page sets) did not panic", c.entries, 1<<c.shift)
 				}
 			}()
-			New(cfg)
+			New(c.entries, addrspace.NewGeometry(c.shift))
 		}()
 	}
 }

@@ -45,6 +45,10 @@ func New(cfg Config) *HPE {
 // Name implements policy.Policy.
 func (h *HPE) Name() string { return "HPE" }
 
+// Geometry returns the page-set geometry HPE keeps its chain in; a HIR that
+// drains to it must key its entries by the same sets.
+func (h *HPE) Geometry() addrspace.Geometry { return h.cfg.Geometry }
+
 // locate returns a page's set, its offset, and the set's record.
 func (h *HPE) locate(p addrspace.PageID) (addrspace.SetID, int, *setRecord) {
 	s := h.cfg.Geometry.SetOf(p)

@@ -21,21 +21,9 @@ type ReplayResult struct {
 	Faults    uint64
 	Evictions uint64
 	Hits      uint64
-	// Tenants attributes the counters per tenant when the trace carries
-	// tenant annotations (a colocated workload-v2 capture); nil otherwise.
-	Tenants []TenantReplay `json:",omitempty"`
 	// Cancelled reports that the replay's context was cancelled before the
 	// reference string drained; counters cover the replayed prefix only.
 	Cancelled bool
-}
-
-// TenantReplay is the per-tenant slice of a ReplayResult: activity on the
-// tenant's page range, with evictions charged to the victim's owner.
-type TenantReplay struct {
-	Name      string
-	Faults    uint64
-	Evictions uint64
-	Hits      uint64
 }
 
 // String renders the result as a one-line report.
@@ -72,16 +60,6 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 	done := ctx.Done()
 	resident := pagetable.New[struct{}]()
 	res := ReplayResult{Policy: p.Name(), Refs: tr.Len()}
-	// Per-tenant attribution, only for annotated traces: one nil check per
-	// site, same contract as the probe, so plain replays keep the fast path.
-	var tens []TenantReplay
-	if len(tr.Tenants) > 0 {
-		tens = make([]TenantReplay, len(tr.Tenants))
-		for i, t := range tr.Tenants {
-			tens[i].Name = t.Name
-		}
-		res.Tenants = tens
-	}
 	for seq, page := range tr.Refs {
 		if done != nil && seq%cancelPollRefs == cancelPollRefs-1 {
 			select {
@@ -93,11 +71,6 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 		}
 		if _, ok := resident.Get(page); ok {
 			res.Hits++
-			if tens != nil {
-				if i := tr.TenantOf(page); i >= 0 {
-					tens[i].Hits++
-				}
-			}
 			p.OnWalkHit(page, seq)
 			if pr != nil {
 				pr.Emit(probe.WalkHit(sim.Cycle(seq), 0, page, seq))
@@ -105,11 +78,6 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 			continue
 		}
 		res.Faults++
-		if tens != nil {
-			if i := tr.TenantOf(page); i >= 0 {
-				tens[i].Faults++
-			}
-		}
 		p.OnFault(page, seq)
 		if pr != nil {
 			pr.Emit(probe.FaultBegin(sim.Cycle(seq), page, seq, 0))
@@ -121,11 +89,6 @@ func ReplayContext(ctx context.Context, tr *trace.Trace, p Policy, capacityPages
 			}
 			p.OnEvicted(victim)
 			res.Evictions++
-			if tens != nil {
-				if i := tr.TenantOf(victim); i >= 0 {
-					tens[i].Evictions++
-				}
-			}
 			if pr != nil {
 				pr.Emit(probe.Eviction(sim.Cycle(seq), victim, page))
 			}

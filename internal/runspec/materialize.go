@@ -115,7 +115,7 @@ func (s Spec) Materialize(env Env) (Materialized, error) {
 		cfg.Driver.TransferInterval = c.Tuning.TransferInterval
 	}
 	if c.Tuning.HIREntries != 0 {
-		cfg.HIR.Entries = c.Tuning.HIREntries
+		cfg.HIREntries = c.Tuning.HIREntries
 	}
 
 	future := func() *trace.FutureIndex { return trace.BuildFutureIndex(tr) }
@@ -131,7 +131,6 @@ func (s Spec) Materialize(env Env) (Materialized, error) {
 	if c.Policy == "hpe" {
 		hc := hpeConfigFor(app, c.Tuning)
 		ropts.HPE = &hc
-		cfg.HIR.Geometry = hc.Geometry
 	}
 	pol, err := registry.New(c.Policy, ropts)
 	if err != nil {

@@ -260,7 +260,7 @@ const (
 	maxWalkLatency      = 64 * gpu.DefaultWalkLatency
 	maxTransferInterval = 64 * uvm.DefaultTransferInterval
 	maxChannels         = 64
-	maxPrefetch         = 15
+	maxPrefetch         = uvm.PrefetchBlock - 1
 )
 
 // canonicalize folds explicit tuning defaults to zero and validates the

@@ -90,8 +90,8 @@ func TestTenantOf(t *testing.T) {
 		want int
 	}{{100, 0}, {149, 0}, {150, -1}, {200, 1}, {259, 1}, {260, -1}, {0, -1}}
 	for _, c := range cases {
-		if got := tr.TenantOf(c.p); got != c.want {
-			t.Errorf("TenantOf(%d) = %d, want %d", c.p, got, c.want)
+		if got := TenantIndex(tr.Tenants, c.p); got != c.want {
+			t.Errorf("TenantIndex(%d) = %d, want %d", c.p, got, c.want)
 		}
 	}
 }
@@ -110,8 +110,8 @@ func TestConcurrentReadersOfFreshTrace(t *testing.T) {
 				t.Errorf("Footprint = %d, want 6", fp)
 			}
 			for i, p := range tr.Refs {
-				if want := i % 2; tr.TenantOf(p) != want {
-					t.Errorf("TenantOf(%d) = %d, want %d", p, tr.TenantOf(p), want)
+				if got, want := TenantIndex(tr.Tenants, p), i%2; got != want {
+					t.Errorf("TenantIndex(%d) = %d, want %d", p, got, want)
 				}
 			}
 		}()

@@ -74,10 +74,6 @@ func (t *Trace) Annotated() bool {
 	return len(t.Segments) > 0 || len(t.Tenants) > 0
 }
 
-// TenantOf returns the index of the tenant range containing page p, or -1
-// when p falls outside every range.
-func (t *Trace) TenantOf(p addrspace.PageID) int { return TenantIndex(t.Tenants, p) }
-
 // TenantIndex returns the index of the range in tens containing page p, or
 // -1 when p falls outside every range. A linear scan: a colocation has at
 // most a handful of tenants.

@@ -58,6 +58,9 @@ const (
 	PCIeGBPerSecond = 16
 	// DefaultTransferInterval drains the HIR every 16th serviced fault.
 	DefaultTransferInterval = 16
+	// PrefetchBlock is the page count of the aligned block a fault's
+	// prefetch migrates from: NVIDIA's 64-KB basic block of 4-KB pages.
+	PrefetchBlock = 16
 
 	// pcieBytesPerCycle converts HIR payload bytes into transfer cycles
 	// (16 GB/s at 1.4 GHz ≈ 11.43 bytes/cycle).
@@ -81,7 +84,7 @@ type Config struct {
 	// when HIR is nil.
 	TransferInterval int
 	// PrefetchPages makes each serviced fault also migrate up to this many
-	// additional non-resident pages from the same 16-page aligned block
+	// additional non-resident pages from the same aligned PrefetchBlock
 	// (NVIDIA's UVM migrates whole 64-KB basic blocks this way). 0 disables
 	// prefetching — the paper's configuration. Prefetched pages are mapped
 	// (and may trigger evictions) but are not counted as faults.
@@ -413,16 +416,15 @@ func (d *Driver) pump() {
 }
 
 // prefetch migrates up to PrefetchPages additional non-resident pages from
-// the faulted page's 16-page aligned block, evicting as needed. Prefetched
+// the faulted page's aligned PrefetchBlock, evicting as needed. Prefetched
 // pages are reported to the policy via OnMapped only.
 func (d *Driver) prefetch(page addrspace.PageID, seq int) {
 	if d.cfg.PrefetchPages <= 0 {
 		return
 	}
-	const block = 16
-	base := page &^ (block - 1)
+	base := page &^ (PrefetchBlock - 1)
 	brought := 0
-	for off := addrspace.PageID(0); off < block && brought < d.cfg.PrefetchPages; off++ {
+	for off := addrspace.PageID(0); off < PrefetchBlock && brought < d.cfg.PrefetchPages; off++ {
 		p := base + off
 		fj, ok := d.pages.Get(p)
 		if p == page || ok && fj == resident {

@@ -167,7 +167,7 @@ func TestEvictionOnFullMemory(t *testing.T) {
 
 func TestWalkHitForwarding(t *testing.T) {
 	eng := sim.NewEngine()
-	h := hir.New(hir.DefaultConfig())
+	h := hir.New(hir.DefaultEntries, addrspace.DefaultGeometry())
 	lru := policy.NewLRU()
 	d := New(testConfig(), eng, 4, lru, h, nil)
 	fault(d, 1, 0, func() {})
@@ -194,7 +194,7 @@ func TestHIRDrainEveryNthFault(t *testing.T) {
 	cfg := testConfig()
 	cfg.TransferInterval = 2
 	eng := sim.NewEngine()
-	h := hir.New(hir.DefaultConfig())
+	h := hir.New(hir.DefaultEntries, addrspace.DefaultGeometry())
 	d := New(cfg, eng, 64, policy.NewLRU(), h, nil)
 	fault(d, 1, 0, func() {})
 	eng.Run()
@@ -236,7 +236,7 @@ func TestHIRDrainDeliveryTiming(t *testing.T) {
 	cfg.TransferInterval = 2
 	eng := sim.NewEngine()
 	sink := &batchSink{LRU: policy.NewLRU(), eng: eng}
-	d := New(cfg, eng, 64, sink, hir.New(hir.DefaultConfig()), nil)
+	d := New(cfg, eng, 64, sink, hir.New(hir.DefaultEntries, addrspace.DefaultGeometry()), nil)
 	fault(d, 1, 0, func() {})
 	eng.Run()
 	d.RecordWalkHit(1, 1)
@@ -621,7 +621,7 @@ func TestHIRDrainWhenPrefetchCrossesInterval(t *testing.T) {
 	cfg.TransferInterval = 4
 	cfg.PrefetchPages = 15
 	eng := sim.NewEngine()
-	h := hir.New(hir.DefaultConfig())
+	h := hir.New(hir.DefaultEntries, addrspace.DefaultGeometry())
 	sink := &batchSink{LRU: policy.NewLRU(), eng: eng}
 	d := New(cfg, eng, 64, sink, h, nil)
 	fault(d, 16, 0, func() {}) // serviced 1, prefetching the rest of block 16..31

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/trace"
 )
 
 func TestParsePhasesCanonical(t *testing.T) {
@@ -156,7 +157,7 @@ func TestColocationGenerate(t *testing.T) {
 	}
 	counts := make([]int, 2)
 	for i, p := range tr.Refs {
-		ten := tr.TenantOf(p)
+		ten := trace.TenantIndex(tr.Tenants, p)
 		if ten < 0 {
 			t.Fatalf("ref %d = %v outside every tenant range", i, p)
 		}
@@ -174,7 +175,7 @@ func TestColocationGenerate(t *testing.T) {
 			end = tr.Segments[si+1].Start
 		}
 		for _, p := range tr.Refs[seg.Start:end] {
-			if tr.TenantOf(p) != seg.Phase {
+			if trace.TenantIndex(tr.Tenants, p) != seg.Phase {
 				t.Fatalf("segment %d (tenant %d) contains foreign ref", si, seg.Phase)
 			}
 		}
