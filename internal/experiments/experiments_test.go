@@ -126,7 +126,10 @@ func TestCapacityForRates(t *testing.T) {
 	if c := runspec.CapacityFor(tr, 100); c != fp {
 		t.Fatalf("capacityFor 100%% = %d, want %d", c, fp)
 	}
-	empty := trace.New("empty", nil)
+	empty, err := trace.New("empty", nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c := runspec.CapacityFor(empty, 50); c != 1 {
 		t.Fatalf("capacityFor on empty trace = %d, want floor 1", c)
 	}

@@ -22,7 +22,7 @@ func TestPrepopulatedRunAllocBound(t *testing.T) {
 	for i := range refs {
 		refs[i] = addrspace.PageID(i % 512)
 	}
-	tr := trace.New("alloc-bound", refs)
+	tr := plainTrace("alloc-bound", refs)
 	cfg := smallConfig(1024)
 	cfg.Prepopulate = true
 
@@ -126,7 +126,10 @@ func TestRunAllocsIndependentOfBarriers(t *testing.T) {
 		for i := range at {
 			at[i] = (i + 1) * len(refs) / (barriers + 1)
 		}
-		tr := trace.NewWithBarriers("barriers", refs, at)
+		tr, err := trace.New("barriers", refs, at, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var res Result
 		n := testing.AllocsPerRun(1, func() { res = Run(smallConfig(768), tr, policy.NewLRU()) })
 		return n, res

@@ -11,6 +11,15 @@ import (
 	"hpe/internal/workload"
 )
 
+// plainTrace returns the trace over refs with no barriers or annotations.
+func plainTrace(name string, refs []addrspace.PageID) *trace.Trace {
+	tr, err := trace.New(name, refs, nil, nil, nil)
+	if err != nil {
+		panic(err) // unreachable: a plain trace breaks no rule of trace.New
+	}
+	return tr
+}
+
 // smallConfig scales the system down so unit tests run in microseconds of
 // simulated time.
 func smallConfig(memoryPages int) Config {
@@ -24,13 +33,13 @@ func smallConfig(memoryPages int) Config {
 func streamTrace(sets int) *trace.Trace {
 	b := workload.NewBuilder(addrspace.DefaultGeometry(), 0, 1)
 	workload.Streaming(b, sets, 2)
-	return trace.New("stream", b.Refs())
+	return b.Build("stream")
 }
 
 func thrashTrace(sets, passes int) *trace.Trace {
 	b := workload.NewBuilder(addrspace.DefaultGeometry(), 0, 1)
 	workload.Thrashing(b, sets, passes, 2)
-	return trace.New("thrash", b.Refs())
+	return plainTrace("thrash", b.Build("thrash").Refs) // without its kernel barriers
 }
 
 func TestCompulsoryFaultsOnly(t *testing.T) {
@@ -213,7 +222,7 @@ func TestBadConfigPanics(t *testing.T) {
 func TestWalkCoalescing(t *testing.T) {
 	// Many simultaneous accesses to one page: one walk, one fault.
 	refs := make([]addrspace.PageID, 64)
-	tr := trace.New("samepage", refs) // all page 0
+	tr := plainTrace("samepage", refs) // all page 0
 	res := Run(smallConfig(4), tr, policy.NewLRU())
 	if res.Faults != 1 {
 		t.Fatalf("faults = %d, want 1 for a single page", res.Faults)
@@ -427,7 +436,7 @@ func TestCoalescedWalksWakeOnce(t *testing.T) {
 	refs = append(refs, 0, 0)
 	cfg := smallConfig(16)
 	cfg.SMs, cfg.WarpsPerSM = 1, len(refs)
-	s := New(cfg, trace.New("coalesce", refs), policy.NewLRU())
+	s := New(cfg, plainTrace("coalesce", refs), policy.NewLRU())
 	w := &wakeLog{s: s}
 	s.driver.SetWaker(w)
 	res := s.Run()

@@ -40,7 +40,11 @@ func collapse(tr *trace.Trace) *trace.Trace {
 			refs = append(refs, p)
 		}
 	}
-	return trace.New(tr.Name+"-collapsed", refs)
+	short, err := trace.New(tr.Name+"-collapsed", refs, nil, nil, nil)
+	if err != nil {
+		panic(err) // unreachable: a plain trace breaks no rule of trace.New
+	}
+	return short
 }
 
 // oneWarpPolicy builds a fresh registry policy for the run over tr (whose

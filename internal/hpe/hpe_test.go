@@ -10,6 +10,15 @@ import (
 	"hpe/internal/trace"
 )
 
+// plainTrace returns the trace over refs with no barriers or annotations.
+func plainTrace(name string, refs []addrspace.PageID) *trace.Trace {
+	tr, err := trace.New(name, refs, nil, nil, nil)
+	if err != nil {
+		panic(err) // unreachable: a plain trace breaks no rule of trace.New
+	}
+	return tr
+}
+
 // The compile-time check that HPE satisfies the driver contract.
 var _ policy.Policy = (*HPE)(nil)
 
@@ -409,7 +418,7 @@ func TestHPEBeatsLRUOnThrashing(t *testing.T) {
 			}
 		}
 	}
-	tr := trace.New("thrash", refs)
+	tr := plainTrace("thrash", refs)
 	capacity := 30 * 16
 	lru := policy.Replay(tr, policy.NewLRU(), capacity)
 	hpe := policy.Replay(tr, New(idealFeedConfig()), capacity)
@@ -429,7 +438,7 @@ func TestHPEMatchesLRUOnStreaming(t *testing.T) {
 			refs = append(refs, g.PageAt(addrspace.SetID(s), off))
 		}
 	}
-	tr := trace.New("stream", refs)
+	tr := plainTrace("stream", refs)
 	capacity := 45 * 16
 	lru := policy.Replay(tr, policy.NewLRU(), capacity)
 	hpe := policy.Replay(tr, New(idealFeedConfig()), capacity)
@@ -523,7 +532,7 @@ func BenchmarkHPEReplayThrashing(b *testing.B) {
 			}
 		}
 	}
-	tr := trace.New("bench", refs)
+	tr := plainTrace("bench", refs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		policy.Replay(tr, New(idealFeedConfig()), 75*16)

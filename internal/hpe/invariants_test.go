@@ -7,7 +7,6 @@ import (
 
 	"hpe/internal/addrspace"
 	"hpe/internal/policy"
-	"hpe/internal/trace"
 )
 
 // checkChainInvariants validates the structural invariants the HPE design
@@ -92,7 +91,7 @@ func TestHPEInvariantsUnderRandomReplay(t *testing.T) {
 		cfg.Geometry = addrspace.NewGeometry(uint(2 + rng.Intn(4)))
 		h := New(cfg)
 		capacity := 1 + sets*16*(40+rng.Intn(40))/100
-		res := policy.Replay(trace.New("rnd", refs), h, capacity)
+		res := policy.Replay(plainTrace("rnd", refs), h, capacity)
 		if res.Faults == 0 {
 			t.Fatalf("trial %d: no faults", trial)
 		}
@@ -116,7 +115,7 @@ func TestHPEResidencyMatchesDriver(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IdealHitFeed = true
 	h := New(cfg)
-	tr := trace.New("resi", refs)
+	tr := plainTrace("resi", refs)
 	capacity := 300
 
 	resident := make(map[addrspace.PageID]struct{})

@@ -96,7 +96,7 @@ func FuzzPolicyEquivalence(f *testing.F) {
 				refs = append(refs, op.page)
 			}
 		}
-		fi := trace.BuildFutureIndex(trace.New("equivalence", refs))
+		fi := trace.BuildFutureIndex(plainTrace("equivalence", refs))
 		geom := addrspace.DefaultGeometry()
 		pairs := []policyPair{
 			{"lru", NewLRU(), newRefLRU()},

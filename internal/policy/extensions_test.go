@@ -214,7 +214,7 @@ func TestARCAdaptsOnMixedWorkload(t *testing.T) {
 			refs = append(refs, addrspace.PageID(1000+rep*25+i))
 		}
 	}
-	tr := trace.New("mixed", refs)
+	tr := plainTrace("mixed", refs)
 	capacity := 40
 	arc := Replay(tr, NewARC(capacity), capacity)
 	lru := Replay(tr, NewLRU(), capacity)

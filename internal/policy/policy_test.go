@@ -9,6 +9,15 @@ import (
 	"hpe/internal/trace"
 )
 
+// plainTrace returns the trace over refs with no barriers or annotations.
+func plainTrace(name string, refs []addrspace.PageID) *trace.Trace {
+	tr, err := trace.New(name, refs, nil, nil, nil)
+	if err != nil {
+		panic(err) // unreachable: a plain trace breaks no rule of trace.New
+	}
+	return tr
+}
+
 func refs(ids ...uint64) []addrspace.PageID {
 	out := make([]addrspace.PageID, len(ids))
 	for i, id := range ids {
@@ -24,7 +33,7 @@ func cyclicTrace(pages, passes int) *trace.Trace {
 			r = append(r, addrspace.PageID(i))
 		}
 	}
-	return trace.New("cyclic", r)
+	return plainTrace("cyclic", r)
 }
 
 func randomTrace(n, footprint int, seed int64) *trace.Trace {
@@ -33,7 +42,7 @@ func randomTrace(n, footprint int, seed int64) *trace.Trace {
 	for i := range r {
 		r[i] = addrspace.PageID(rng.Intn(footprint))
 	}
-	return trace.New("random", r)
+	return plainTrace("random", r)
 }
 
 // --- LRU ---------------------------------------------------------------------
@@ -304,7 +313,7 @@ func TestClockProSurvivesWorkloads(t *testing.T) {
 	}{
 		{"cyclic", cyclicTrace(40, 10), 20},
 		{"random", randomTrace(30000, 300, 9), 100},
-		{"single", trace.New("one", refs(1, 1, 1, 1, 1)), 4},
+		{"single", plainTrace("one", refs(1, 1, 1, 1, 1)), 4},
 	} {
 		c := NewClockPro(tc.cap, DefaultColdTarget)
 		res := Replay(tc.tr, c, tc.cap)
@@ -319,7 +328,7 @@ func TestClockProSurvivesWorkloads(t *testing.T) {
 func TestIdealOnKnownString(t *testing.T) {
 	// Classic example: with capacity 3, MIN on a,b,c,d,a,b,e,a,b,c,d,e
 	// faults 7 times (a,b,c,d compulsory + e, c, d).
-	tr := trace.New("belady", refs(1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5))
+	tr := plainTrace("belady", refs(1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5))
 	res := Replay(tr, NewIdeal(trace.BuildFutureIndex(tr)), 3)
 	if res.Faults != 7 {
 		t.Fatalf("Ideal faults = %d, want 7", res.Faults)
@@ -332,7 +341,7 @@ func TestIdealBeatsOrMatchesEveryPolicyOnEvictions(t *testing.T) {
 	traces := []*trace.Trace{
 		cyclicTrace(50, 6),
 		randomTrace(20000, 200, 11),
-		trace.New("mixed", append(cyclicTrace(30, 4).Refs, randomTrace(5000, 120, 5).Refs...)),
+		plainTrace("mixed", append(cyclicTrace(30, 4).Refs, randomTrace(5000, 120, 5).Refs...)),
 	}
 	for _, tr := range traces {
 		cap := tr.Footprint() * 3 / 4

@@ -16,7 +16,11 @@ func tinyTrace() *trace.Trace {
 			refs = append(refs, p)
 		}
 	}
-	return trace.New("tiny", refs)
+	tr, err := trace.New("tiny", refs, nil, nil, nil)
+	if err != nil {
+		panic(err) // unreachable: a plain trace breaks no rule of trace.New
+	}
+	return tr
 }
 
 // tinyFuture lazily builds the Belady index over tinyTrace.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,8 +11,7 @@ import (
 )
 
 func annotated() *Trace {
-	tr := NewWithBarriers("colo", []addrspace.PageID{100, 200, 101, 201, 102, 202}, []int{3})
-	return tr.Annotate(
+	return mustAnnotated("colo", []addrspace.PageID{100, 200, 101, 201, 102, 202}, []int{3},
 		[]Segment{{Start: 0, Phase: 0, Gap: 2}, {Start: 3, Phase: 1, Gap: 5}},
 		[]TenantRange{{Name: "HSD", Lo: 100, Hi: 150}, {Name: "BFS", Lo: 200, Hi: 260}},
 	)
@@ -55,7 +55,7 @@ func TestAnnotatedCodecRoundTrip(t *testing.T) {
 // trace serializes byte-identically to the pre-annotation encoder (version
 // byte 2, no trailing tables), so existing .hpet files never change.
 func TestUnannotatedWritesV1Bytes(t *testing.T) {
-	tr := NewWithBarriers("plain", []addrspace.PageID{7, 8, 9, 7}, []int{2})
+	tr := mustNew("plain", []addrspace.PageID{7, 8, 9, 7}, 2)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -119,38 +119,56 @@ func TestConcurrentReadersOfFreshTrace(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAnnotateRejectsBadSegments checks that New refuses every segment table
+// that breaks a rule, with an error rather than a panic.
 func TestAnnotateRejectsBadSegments(t *testing.T) {
 	for name, segs := range map[string][]Segment{
-		"nonzero-first":  {{Start: 1, Gap: 1}},
-		"not-ascending":  {{Start: 0}, {Start: 0}},
-		"past-end":       {{Start: 0}, {Start: 99}},
-		"negative-gap":   {{Start: 0, Gap: -1}},
-		"negative-phase": {{Start: 0, Phase: -1}},
+		"nonzero-first":   {{Start: 1, Gap: 1}},
+		"not-ascending":   {{Start: 0}, {Start: 0}},
+		"past-end":        {{Start: 0}, {Start: 99}},
+		"negative-gap":    {{Start: 0, Gap: -1}},
+		"negative-phase":  {{Start: 0, Phase: -1}},
+		"gap-too-large":   {{Start: 0, Gap: maxSegmentField + 1}},
+		"phase-too-large": {{Start: 0, Phase: maxSegmentField + 1}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Annotate accepted %v", segs)
-				}
-			}()
-			New("x", []addrspace.PageID{1, 2, 3}).Annotate(segs, nil)
+			if _, err := New("x", []addrspace.PageID{1, 2, 3}, nil, segs, nil); err == nil {
+				t.Fatalf("New accepted segments %v", segs)
+			}
 		})
 	}
 }
 
+// TestAnnotateRejectsBadTenants checks that New refuses empty and
+// overlapping tenant ranges.
 func TestAnnotateRejectsBadTenants(t *testing.T) {
 	for name, tens := range map[string][]TenantRange{
 		"empty-range": {{Name: "A", Lo: 5, Hi: 5}},
 		"overlap":     {{Name: "A", Lo: 0, Hi: 10}, {Name: "B", Lo: 9, Hi: 20}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Annotate accepted %v", tens)
-				}
-			}()
-			New("x", []addrspace.PageID{1}).Annotate(nil, tens)
+			if _, err := New("x", []addrspace.PageID{1}, nil, nil, tens); err == nil {
+				t.Fatalf("New accepted tenants %v", tens)
+			}
 		})
+	}
+}
+
+// TestNewCleansBarriers checks that New drops duplicate and end-of-trace
+// barriers and refuses descending or negative ones.
+func TestNewCleansBarriers(t *testing.T) {
+	refs := []addrspace.PageID{1, 2, 3, 4}
+	tr, err := New("b", refs, []int{0, 1, 1, 3, 4, 9}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tr.Barriers, []int{1, 3}) {
+		t.Fatalf("barriers = %v, want [1 3]", tr.Barriers)
+	}
+	for _, bad := range [][]int{{2, 1}, {-1}} {
+		if _, err := New("b", refs, bad, nil, nil); err == nil {
+			t.Errorf("New accepted barriers %v", bad)
+		}
 	}
 }
 
@@ -168,7 +186,7 @@ func TestReadRejectsMalformedAnnotations(t *testing.T) {
 		}
 	}
 	// A v2 version byte on a v1 body must error on the missing tables.
-	plain := NewWithBarriers("p", []addrspace.PageID{1, 2}, nil)
+	plain := mustNew("p", []addrspace.PageID{1, 2})
 	buf.Reset()
 	if err := plain.Write(&buf); err != nil {
 		t.Fatal(err)

@@ -2,10 +2,55 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 
 	"hpe/internal/addrspace"
 )
+
+// ruleBreakingStream is a well-framed .hpet stream whose decoded contents
+// break one rule that New checks.
+type ruleBreakingStream struct {
+	rule string
+	raw  []byte
+}
+
+// ruleBreakingStreams returns one stream per rule New checks on decoded
+// input. Each header is magic, version, name length 0, two references of
+// page 0, then the barrier table and, in v2, the annotation tables.
+func ruleBreakingStreams() []ruleBreakingStream {
+	stream := func(version byte, fields ...uint64) []byte {
+		b := append([]byte("HPET"), version)
+		b = binary.AppendUvarint(b, 0) // name length
+		b = append(b, 2, 0, 0)         // two refs, zero deltas
+		for _, v := range fields {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	return []ruleBreakingStream{
+		// The second barrier delta wraps the position from 1 back to 0.
+		{"descending barriers", stream(traceVersionV1, 2, 1, math.MaxUint64)},
+		{"first segment not at 0", stream(traceVersionV2, 0, 1, 1, 0, 0, 0)},
+		{"non-ascending segments", stream(traceVersionV2, 0, 2, 0, 0, 0, 0, 1, 0, 0)},
+		// Tenant B's low-page delta wraps below tenant A's high page.
+		{"overlapping tenants", stream(traceVersionV2, 0, 0, 2, 1, 'A', 0, 10, 1, 'B', math.MaxUint64-4, 3)},
+		{"phase out of range", stream(traceVersionV2, 0, 1, 0, maxSegmentField+1, 0, 0)},
+		{"gap out of range", stream(traceVersionV2, 0, 1, 0, 0, maxSegmentField+1, 0)},
+	}
+}
+
+// TestReadRejectsBrokenRules checks that Read turns every rule New enforces
+// into ErrBadTrace, never a panic.
+func TestReadRejectsBrokenRules(t *testing.T) {
+	for _, c := range ruleBreakingStreams() {
+		if _, err := Read(bytes.NewReader(c.raw)); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: Read error %v, want ErrBadTrace", c.rule, err)
+		}
+	}
+}
 
 // FuzzRead ensures the binary codec never panics or over-allocates on
 // arbitrary input, and that anything it accepts round-trips identically.
@@ -13,7 +58,7 @@ func FuzzRead(f *testing.F) {
 	// Seed corpus: valid traces of several shapes plus truncations.
 	seed := func(name string, refs []addrspace.PageID, barriers []int) {
 		var buf bytes.Buffer
-		if err := NewWithBarriers(name, refs, barriers).Write(&buf); err != nil {
+		if err := mustNew(name, refs, barriers...).Write(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -29,7 +74,7 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("HPET\x03\x00\x00\x00\x00")) // v2 header, empty body
 	{
 		// An annotated (v2) trace plus a truncation inside its tables.
-		tr := NewWithBarriers("anno", []addrspace.PageID{10, 20, 11, 21}, []int{2}).Annotate(
+		tr := mustAnnotated("anno", []addrspace.PageID{10, 20, 11, 21}, []int{2},
 			[]Segment{{Start: 0, Phase: 0, Gap: 1}, {Start: 2, Phase: 1, Gap: 3}},
 			[]TenantRange{{Name: "A", Lo: 10, Hi: 15}, {Name: "B", Lo: 20, Hi: 25}},
 		)
@@ -39,6 +84,9 @@ func FuzzRead(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()-3])
+	}
+	for _, c := range ruleBreakingStreams() {
+		f.Add(c.raw)
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -5,6 +5,10 @@
 // applications, reduced to virtual page numbers). The GPU simulator carves a
 // Trace into per-warp chunks; the Ideal (Belady MIN) policy uses the
 // canonical order as its oracle of the future.
+//
+// Every trace is made by New, the one constructor, which checks the barrier,
+// segment and tenant rules once and counts the footprint. Generators reach it
+// through workload.Builder; Read reaches it after decoding a .hpet stream.
 package trace
 
 import (
@@ -20,19 +24,19 @@ import (
 )
 
 // Trace is an ordered page reference string with a name for reporting. It is
-// immutable once constructed: New and NewWithBarriers count its footprint
-// once, and nothing writes to a trace afterwards, so any number of
+// immutable once constructed: New checks its annotations and counts its
+// footprint once, and nothing writes to a trace afterwards, so any number of
 // goroutines may share one without synchronisation.
 type Trace struct {
 	// Name identifies the workload that produced the trace.
 	Name string
 	// Refs is the canonical global reference order.
 	Refs []addrspace.PageID
-	// Barriers holds kernel-boundary positions, ascending: references at or
-	// after Barriers[i] may not issue until every reference before it has
-	// completed. They model the implicit synchronisation between kernel
-	// launches, which bounds how far a GPU can run ahead of its page-fault
-	// frontier.
+	// Barriers holds kernel-boundary positions, strictly ascending and
+	// strictly inside the trace: references at or after Barriers[i] may not
+	// issue until every reference before it has completed. They model the
+	// implicit synchronisation between kernel launches, which bounds how far
+	// a GPU can run ahead of its page-fault frontier.
 	Barriers []int
 	// Segments annotates contiguous reference ranges with the temporal phase
 	// (or tenant quantum) that produced them and its compute gap. Empty for
@@ -60,6 +64,9 @@ type Segment struct {
 	Gap int
 }
 
+// maxSegmentField bounds a segment's Phase and Gap.
+const maxSegmentField = 1 << 20
+
 // TenantRange names one co-located application's page range [Lo, Hi).
 type TenantRange struct {
 	// Name identifies the tenant for reporting (its app abbreviation).
@@ -86,78 +93,54 @@ func TenantIndex(tens []TenantRange, p addrspace.PageID) int {
 	return -1
 }
 
-// validateSegments panics unless segments are sorted, start at 0, stay within
-// the reference string, and carry non-negative phases and gaps.
-func validateSegments(segs []Segment, refs int) {
-	for i, s := range segs {
-		if s.Start < 0 || s.Start > refs {
-			panic(fmt.Sprintf("trace: segment %d start %d outside [0,%d]", i, s.Start, refs))
-		}
-		if i == 0 && s.Start != 0 {
-			panic(fmt.Sprintf("trace: first segment starts at %d, want 0", s.Start))
-		}
-		if i > 0 && s.Start <= segs[i-1].Start {
-			panic(fmt.Sprintf("trace: segment %d start %d not ascending", i, s.Start))
-		}
-		if s.Phase < 0 || s.Gap < 0 {
-			panic(fmt.Sprintf("trace: segment %d has negative phase/gap", i))
-		}
-	}
-}
-
-// validateTenants panics unless tenant ranges are non-empty, sorted by Lo,
-// and pairwise disjoint.
-func validateTenants(tens []TenantRange) {
-	for i, r := range tens {
-		if r.Hi <= r.Lo {
-			panic(fmt.Sprintf("trace: tenant %d range [%d,%d) empty", i, r.Lo, r.Hi))
-		}
-		if i > 0 && r.Lo < tens[i-1].Hi {
-			panic(fmt.Sprintf("trace: tenant %d range [%d,%d) overlaps previous", i, r.Lo, r.Hi))
-		}
-	}
-}
-
-// Annotate attaches phase segments and tenant ranges to the trace and
-// returns it. Invalid annotations panic: annotations are produced by
-// generators, so a bad one is a programming error. The slices are retained.
-// Call it only on a trace that has not been shared yet.
-func (t *Trace) Annotate(segs []Segment, tenants []TenantRange) *Trace {
-	validateSegments(segs, len(t.Refs))
-	validateTenants(tenants)
-	t.Segments = segs
-	t.Tenants = tenants
-	return t
-}
-
-// New returns a trace over the given reference string. The slice is retained,
-// not copied, and must not be modified afterwards.
-func New(name string, refs []addrspace.PageID) *Trace {
-	seen := pagetable.New[struct{}]()
-	for _, p := range refs {
-		seen.Put(p, struct{}{})
-	}
-	return &Trace{Name: name, Refs: refs, footprint: seen.Len()}
-}
-
-// NewWithBarriers returns a trace with kernel boundaries. Barriers must be
-// ascending and within [0, len(refs)]; duplicates and boundary values are
-// dropped.
-func NewWithBarriers(name string, refs []addrspace.PageID, barriers []int) *Trace {
+// New returns the trace over refs with the given kernel barriers, phase
+// segments and tenant ranges, or an error naming the first rule they break:
+//   - barriers are non-negative and ascending; duplicates and positions at
+//     either end of the trace (0 and len(refs) or beyond) are dropped;
+//   - segments start at 0, their starts ascend strictly and stay within
+//     [0, len(refs)], and each Phase and Gap lies in [0, 1<<20];
+//   - tenant ranges are non-empty, sorted by Lo and pairwise disjoint.
+//
+// It is the only constructor: generators build through workload.Builder,
+// which panics on an error, and Read wraps one in ErrBadTrace. The slices are
+// retained, not copied, and must not be modified afterwards.
+func New(name string, refs []addrspace.PageID, barriers []int, segs []Segment, tens []TenantRange) (*Trace, error) {
 	clean := make([]int, 0, len(barriers))
-	prev := -1
-	for _, b := range barriers {
+	prev := 0
+	for i, b := range barriers {
 		if b < prev {
-			panic(fmt.Sprintf("trace: barriers not ascending at %d", b))
+			return nil, fmt.Errorf("trace: barrier %d at %d not ascending", i, b)
 		}
-		if b > 0 && b < len(refs) && b != prev {
+		if b > prev && b < len(refs) {
 			clean = append(clean, b)
 		}
 		prev = b
 	}
-	t := New(name, refs)
-	t.Barriers = clean
-	return t
+	for i, s := range segs {
+		switch {
+		case i == 0 && s.Start != 0:
+			return nil, fmt.Errorf("trace: first segment starts at %d, want 0", s.Start)
+		case i > 0 && s.Start <= segs[i-1].Start:
+			return nil, fmt.Errorf("trace: segment %d start %d not ascending", i, s.Start)
+		case s.Start > len(refs):
+			return nil, fmt.Errorf("trace: segment %d start %d past the %d references", i, s.Start, len(refs))
+		case s.Phase < 0 || s.Phase > maxSegmentField || s.Gap < 0 || s.Gap > maxSegmentField:
+			return nil, fmt.Errorf("trace: segment %d phase %d or gap %d outside [0,%d]", i, s.Phase, s.Gap, maxSegmentField)
+		}
+	}
+	for i, r := range tens {
+		if r.Hi <= r.Lo {
+			return nil, fmt.Errorf("trace: tenant %d range [%d,%d) empty", i, r.Lo, r.Hi)
+		}
+		if i > 0 && r.Lo < tens[i-1].Hi {
+			return nil, fmt.Errorf("trace: tenant %d range [%d,%d) overlaps previous", i, r.Lo, r.Hi)
+		}
+	}
+	seen := pagetable.New[struct{}]()
+	for _, p := range refs {
+		seen.Put(p, struct{}{})
+	}
+	return &Trace{Name: name, Refs: refs, Barriers: clean, Segments: segs, Tenants: tens, footprint: seen.Len()}, nil
 }
 
 // Len returns the number of references.
@@ -389,7 +372,8 @@ func (t *Trace) writeAnnotations(bw *bufio.Writer, buf []byte) error {
 	return nil
 }
 
-// Read decodes a trace from r.
+// Read decodes a trace from r. A malformed stream, or one whose annotations
+// New rejects, returns an error wrapping ErrBadTrace.
 func Read(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -456,90 +440,78 @@ func Read(r io.Reader) (*Trace, error) {
 		acc += int(d)
 		barriers = append(barriers, acc)
 	}
-	t := NewWithBarriers(string(nameBytes), refs, barriers)
+	var segs []Segment
+	var tens []TenantRange
 	if ver == traceVersionV2 {
-		if err := readAnnotations(br, t); err != nil {
+		if segs, tens, err = readAnnotations(br, len(refs)); err != nil {
 			return nil, err
 		}
+	}
+	t, err := New(string(nameBytes), refs, barriers, segs, tens)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
 	return t, nil
 }
 
-// readAnnotations decodes the v2 segment and tenant tables, rejecting (not
-// panicking on) malformed annotations: Read handles untrusted input.
-func readAnnotations(br *bufio.Reader, t *Trace) error {
+// readAnnotations decodes the v2 segment and tenant tables of a trace with
+// nRefs references. It enforces only the decode limits that bound what a
+// forged stream can allocate; New checks the annotation rules.
+func readAnnotations(br *bufio.Reader, nRefs int) ([]Segment, []TenantRange, error) {
 	nSegs, err := binary.ReadUvarint(br)
 	if err != nil {
-		return fmt.Errorf("%w: segment count: %v", ErrBadTrace, err)
+		return nil, nil, fmt.Errorf("%w: segment count: %v", ErrBadTrace, err)
 	}
-	if nSegs > uint64(len(t.Refs)) {
-		return fmt.Errorf("%w: %d segments for %d refs", ErrBadTrace, nSegs, len(t.Refs))
+	if nSegs > uint64(nRefs) {
+		return nil, nil, fmt.Errorf("%w: %d segments for %d refs", ErrBadTrace, nSegs, nRefs)
 	}
-	segs := make([]Segment, 0, min(nSegs, 1<<16))
+	var segs []Segment
 	start := 0
 	for i := uint64(0); i < nSegs; i++ {
-		d, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("%w: segment %d start: %v", ErrBadTrace, i, err)
+		var f [3]uint64 // start delta, phase, gap
+		for j, field := range []string{"start", "phase", "gap"} {
+			if f[j], err = binary.ReadUvarint(br); err != nil {
+				return nil, nil, fmt.Errorf("%w: segment %d %s: %v", ErrBadTrace, i, field, err)
+			}
 		}
-		phase, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("%w: segment %d phase: %v", ErrBadTrace, i, err)
-		}
-		gap, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("%w: segment %d gap: %v", ErrBadTrace, i, err)
-		}
-		if i > 0 && d == 0 {
-			return fmt.Errorf("%w: segment %d start not ascending", ErrBadTrace, i)
-		}
-		start += int(d)
-		if i == 0 && start != 0 {
-			return fmt.Errorf("%w: first segment starts at %d", ErrBadTrace, start)
-		}
-		if start > len(t.Refs) || phase > 1<<20 || gap > 1<<20 {
-			return fmt.Errorf("%w: segment %d out of range", ErrBadTrace, i)
-		}
-		segs = append(segs, Segment{Start: start, Phase: int(phase), Gap: int(gap)})
+		start += int(f[0])
+		segs = append(segs, Segment{Start: start, Phase: int(f[1]), Gap: int(f[2])})
 	}
 	nTen, err := binary.ReadUvarint(br)
 	if err != nil {
-		return fmt.Errorf("%w: tenant count: %v", ErrBadTrace, err)
+		return nil, nil, fmt.Errorf("%w: tenant count: %v", ErrBadTrace, err)
 	}
 	if nTen > 1<<10 {
-		return fmt.Errorf("%w: tenant count %d too large", ErrBadTrace, nTen)
+		return nil, nil, fmt.Errorf("%w: tenant count %d too large", ErrBadTrace, nTen)
 	}
-	tens := make([]TenantRange, 0, nTen)
+	var tens []TenantRange
 	prevHi := uint64(0)
 	for i := uint64(0); i < nTen; i++ {
 		nameLen, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fmt.Errorf("%w: tenant %d name length: %v", ErrBadTrace, i, err)
+			return nil, nil, fmt.Errorf("%w: tenant %d name length: %v", ErrBadTrace, i, err)
 		}
 		if nameLen > 1<<10 {
-			return fmt.Errorf("%w: tenant %d name length %d too large", ErrBadTrace, i, nameLen)
+			return nil, nil, fmt.Errorf("%w: tenant %d name length %d too large", ErrBadTrace, i, nameLen)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(br, name); err != nil {
-			return fmt.Errorf("%w: tenant %d name: %v", ErrBadTrace, i, err)
+			return nil, nil, fmt.Errorf("%w: tenant %d name: %v", ErrBadTrace, i, err)
 		}
 		loD, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fmt.Errorf("%w: tenant %d lo: %v", ErrBadTrace, i, err)
+			return nil, nil, fmt.Errorf("%w: tenant %d lo: %v", ErrBadTrace, i, err)
 		}
 		span, err := binary.ReadUvarint(br)
 		if err != nil {
-			return fmt.Errorf("%w: tenant %d span: %v", ErrBadTrace, i, err)
+			return nil, nil, fmt.Errorf("%w: tenant %d span: %v", ErrBadTrace, i, err)
 		}
 		lo := prevHi + loD
-		if span == 0 || lo+span < lo || lo+span > 1<<62 {
-			return fmt.Errorf("%w: tenant %d range invalid", ErrBadTrace, i)
+		if lo+span > 1<<62 {
+			return nil, nil, fmt.Errorf("%w: tenant %d range beyond page 1<<62", ErrBadTrace, i)
 		}
 		tens = append(tens, TenantRange{Name: string(name), Lo: addrspace.PageID(lo), Hi: addrspace.PageID(lo + span)})
 		prevHi = lo + span
 	}
-	if len(segs) > 0 || len(tens) > 0 {
-		t.Annotate(segs, tens)
-	}
-	return nil
+	return segs, tens, nil
 }

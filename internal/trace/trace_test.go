@@ -11,6 +11,21 @@ import (
 	"hpe/internal/addrspace"
 )
 
+// mustNew returns New's trace over refs with any barriers and annotations,
+// panicking on an error: every test input here is well-formed.
+func mustNew(name string, refs []addrspace.PageID, barriers ...int) *Trace {
+	return mustAnnotated(name, refs, barriers, nil, nil)
+}
+
+// mustAnnotated is mustNew with phase segments and tenant ranges.
+func mustAnnotated(name string, refs []addrspace.PageID, barriers []int, segs []Segment, tens []TenantRange) *Trace {
+	t, err := New(name, refs, barriers, segs, tens)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func pages(ids ...uint64) []addrspace.PageID {
 	out := make([]addrspace.PageID, len(ids))
 	for i, id := range ids {
@@ -20,7 +35,7 @@ func pages(ids ...uint64) []addrspace.PageID {
 }
 
 func TestFootprintCountsUniquePages(t *testing.T) {
-	tr := New("t", pages(1, 2, 3, 2, 1, 1))
+	tr := mustNew("t", pages(1, 2, 3, 2, 1, 1))
 	if tr.Len() != 6 {
 		t.Fatalf("Len = %d, want 6", tr.Len())
 	}
@@ -33,14 +48,14 @@ func TestFootprintCountsUniquePages(t *testing.T) {
 }
 
 func TestFootprintEmptyTrace(t *testing.T) {
-	tr := New("empty", nil)
+	tr := mustNew("empty", nil)
 	if tr.Footprint() != 0 {
 		t.Fatalf("empty footprint = %d", tr.Footprint())
 	}
 }
 
 func TestUniquePagesSorted(t *testing.T) {
-	tr := New("t", pages(9, 1, 5, 1, 9))
+	tr := mustNew("t", pages(9, 1, 5, 1, 9))
 	got := tr.UniquePages()
 	want := pages(1, 5, 9)
 	if !reflect.DeepEqual(got, want) {
@@ -49,7 +64,7 @@ func TestUniquePagesSorted(t *testing.T) {
 }
 
 func TestCounts(t *testing.T) {
-	tr := New("t", pages(7, 7, 8, 7))
+	tr := mustNew("t", pages(7, 7, 8, 7))
 	c := tr.Counts()
 	if c[7] != 3 || c[8] != 1 {
 		t.Fatalf("Counts = %v", c)
@@ -57,7 +72,7 @@ func TestCounts(t *testing.T) {
 }
 
 func TestFutureIndexNextUse(t *testing.T) {
-	tr := New("t", pages(10, 20, 10, 30, 20, 10))
+	tr := mustNew("t", pages(10, 20, 10, 30, 20, 10))
 	fi := BuildFutureIndex(tr)
 	if fi.Len() != 6 {
 		t.Fatalf("Len = %d", fi.Len())
@@ -106,7 +121,7 @@ func TestFutureIndexMatchesScan(t *testing.T) {
 			for i := range refs {
 				refs[i] = pool[rng.Intn(len(pool))]
 			}
-			fi := BuildFutureIndex(New("scan", refs))
+			fi := BuildFutureIndex(mustNew("scan", refs))
 			for _, p := range pool {
 				for after := -1; after <= len(refs); after++ {
 					want, wantOK := 0, false
@@ -136,7 +151,7 @@ func TestFutureIndexConcurrentReaders(t *testing.T) {
 	for i := range refs {
 		refs[i] = addrspace.PageID(rng.Intn(300)) << (rng.Intn(3) * 20)
 	}
-	fi := BuildFutureIndex(New("shared", refs))
+	fi := BuildFutureIndex(mustNew("shared", refs))
 	lone := func() []int {
 		out := make([]int, len(refs))
 		for i, p := range refs {
@@ -163,7 +178,7 @@ func TestFutureIndexConcurrentReaders(t *testing.T) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	tr := New("myworkload", pages(0, 1, 100, 50, 1<<40, 3))
+	tr := mustNew("myworkload", pages(0, 1, 100, 50, 1<<40, 3))
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -178,7 +193,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecEmptyTrace(t *testing.T) {
-	tr := New("", nil)
+	tr := mustNew("", nil)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -214,7 +229,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		for i, r := range raw {
 			refs[i] = addrspace.PageID(r)
 		}
-		tr := New(name, refs)
+		tr := mustNew(name, refs)
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {
 			return false
@@ -245,7 +260,7 @@ func TestProfilerBasics(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		refs = append(refs, addrspace.PageID(i))
 	}
-	p := Profiler(New("one-set", refs), g)
+	p := Profiler(mustNew("one-set", refs), g)
 	if p.Footprint != 16 || p.SetFootprint != 1 {
 		t.Fatalf("footprint=%d sets=%d, want 16 and 1", p.Footprint, p.SetFootprint)
 	}
@@ -265,7 +280,7 @@ func TestProfilerCapsSetCounters(t *testing.T) {
 	g := addrspace.DefaultGeometry()
 	// One page referenced 1000 times: set counter caps at 64 (=4×16).
 	refs := make([]addrspace.PageID, 1000)
-	p := Profiler(New("hot", refs), g)
+	p := Profiler(mustNew("hot", refs), g)
 	if p.SetCounterHistogram[64] != 1 {
 		t.Fatalf("histogram = %v, want cap at 64", p.SetCounterHistogram)
 	}
@@ -276,7 +291,7 @@ func TestProfilerCapsSetCounters(t *testing.T) {
 }
 
 func TestProfilerEmpty(t *testing.T) {
-	p := Profiler(New("e", nil), addrspace.DefaultGeometry())
+	p := Profiler(mustNew("e", nil), addrspace.DefaultGeometry())
 	if p.Footprint != 0 || p.Refs != 0 {
 		t.Fatalf("empty profile = %+v", p)
 	}
@@ -287,7 +302,7 @@ func TestCounterClassesIrregular(t *testing.T) {
 	g := addrspace.DefaultGeometry()
 	// 5 references to one set: irregular (5 % 16 != 0).
 	refs := pages(0, 1, 2, 3, 4)
-	p := Profiler(New("irr", refs), g)
+	p := Profiler(mustNew("irr", refs), g)
 	reg, irr, _, _ := p.CounterClasses(16)
 	if reg != 0 || irr != 1 {
 		t.Fatalf("classes = reg %d irr %d, want 0,1", reg, irr)
@@ -296,17 +311,17 @@ func TestCounterClassesIrregular(t *testing.T) {
 
 func TestReuseDistances(t *testing.T) {
 	// a b c a : reuse distance of the second a is 2 (b and c in between).
-	d := ReuseDistances(New("t", pages(1, 2, 3, 1)))
+	d := ReuseDistances(mustNew("t", pages(1, 2, 3, 1)))
 	if len(d) != 1 || d[0] != 2 {
 		t.Fatalf("ReuseDistances = %v, want [2]", d)
 	}
 	// a a : distance 0.
-	d = ReuseDistances(New("t", pages(1, 1)))
+	d = ReuseDistances(mustNew("t", pages(1, 1)))
 	if len(d) != 1 || d[0] != 0 {
 		t.Fatalf("ReuseDistances = %v, want [0]", d)
 	}
 	// No reuse.
-	d = ReuseDistances(New("t", pages(1, 2, 3)))
+	d = ReuseDistances(mustNew("t", pages(1, 2, 3)))
 	if len(d) != 0 {
 		t.Fatalf("ReuseDistances = %v, want empty", d)
 	}
@@ -321,7 +336,7 @@ func TestReuseDistancesCyclic(t *testing.T) {
 			refs = append(refs, addrspace.PageID(i))
 		}
 	}
-	d := ReuseDistances(New("cyclic", refs))
+	d := ReuseDistances(mustNew("cyclic", refs))
 	if len(d) != 2*k {
 		t.Fatalf("got %d distances, want %d", len(d), 2*k)
 	}
@@ -341,7 +356,7 @@ func TestReuseDistanceCountProperty(t *testing.T) {
 		for i := range refs {
 			refs[i] = addrspace.PageID(rng.Intn(50))
 		}
-		tr := New("rnd", refs)
+		tr := mustNew("rnd", refs)
 		d := ReuseDistances(tr)
 		if len(d) != tr.Len()-tr.Footprint() {
 			t.Fatalf("trial %d: %d distances, want %d", trial, len(d), tr.Len()-tr.Footprint())
@@ -360,7 +375,7 @@ func BenchmarkFutureIndexBuild(b *testing.B) {
 	for i := range refs {
 		refs[i] = addrspace.PageID(rng.Intn(4096))
 	}
-	tr := New("bench", refs)
+	tr := mustNew("bench", refs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildFutureIndex(tr)
@@ -372,7 +387,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	for i := range refs {
 		refs[i] = addrspace.PageID(i % 1024)
 	}
-	tr := New("bench", refs)
+	tr := mustNew("bench", refs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer

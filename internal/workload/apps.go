@@ -28,12 +28,13 @@ type App struct {
 	// memory accesses — the knob modelling arithmetic intensity.
 	ComputeGap int
 
+	// gen writes the reference string for a footprint of sets page sets
+	// into b; scenario apps compose their phases or tenants the same way,
+	// so Scaled applies to every generated app.
 	gen func(b *Builder, sets int)
-	// build, when non-nil, replaces the builder-based gen entirely: scenario
-	// apps (phase schedules, co-located tenants, trace replays) assemble
-	// their traces from multiple builders or a pre-loaded file. sets is the
-	// current footprint in page sets, so Scaled composes.
-	build func(sets int) *trace.Trace
+	// replay, when non-nil, is the pre-loaded trace of a trace-replay app,
+	// returned as is in place of generation.
+	replay *trace.Trace
 }
 
 // Pages returns the nominal footprint in pages.
@@ -67,8 +68,8 @@ const baseSet = addrspace.SetID(0x8000)
 
 // Generate builds the app's canonical reference string.
 func (a App) Generate() *trace.Trace {
-	if a.build != nil {
-		return a.build(a.Sets)
+	if a.replay != nil {
+		return a.replay
 	}
 	b := NewBuilder(addrspace.DefaultGeometry(), baseSet, genSeed(a.Abbr))
 	a.gen(b, a.Sets)
@@ -240,7 +241,7 @@ func genNW(b *Builder, sets int) {
 			for s := 0; s < matrix; s++ {
 				b.TouchSetOffsets(s, offsets, 1)
 				if s%(matrix/max(1, perRound)+1) == 0 && scratchBase < sets {
-					b.TouchSetOffsets(scratchBase, b.Shuffled(b.g.SetSize())[:partial], 1)
+					b.TouchSubset(scratchBase, partial, 1)
 					scratchBase++
 				}
 			}

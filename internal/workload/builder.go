@@ -10,6 +10,11 @@
 // KMN/SAD's irregular counters, SGM's small ratio₁, BFS's embedded thrashing
 // phase). The eviction-policy study depends only on these properties of the
 // reference string, so preserving them preserves the paper's comparisons.
+//
+// Every generated trace — a catalog app, a phase schedule or a colocation —
+// is assembled by one Builder, and Builder.Build is generation's only call
+// into trace.New. Seeds enter generation only through NewBuilder and, for
+// the phases of a schedule, the builder's reseed.
 package workload
 
 import (
@@ -19,46 +24,85 @@ import (
 	"hpe/internal/trace"
 )
 
-// Builder accumulates a reference string set by set. All randomness flows
+// Builder assembles every generated trace: it accumulates a reference
+// string set by set, with its kernel barriers, phase segments and tenant
+// ranges, and Build hands them to trace.New in one call. All randomness flows
 // through the seeded rng so generation is deterministic.
+//
+// References are stored in fixed-size chunks and copied once, at Build, into
+// an exact-length slice, so a trace costs about twice its reference bytes to
+// build instead of the repeated copies of a slice grown by append.
 type Builder struct {
 	g        addrspace.Geometry
 	rng      *rand.Rand
-	refs     []addrspace.PageID
+	full     [][]addrspace.PageID // filled chunks, chunkRefs references each
+	tail     []addrspace.PageID   // the chunk being filled
 	barriers []int
+	segments []trace.Segment
+	tenants  []trace.TenantRange
 	base     addrspace.SetID // first set of the current allocation
+	subset   []int           // TouchSubset's permutation scratch
 }
+
+// chunkRefs is the number of references per storage chunk (16 KiB).
+const chunkRefs = 2048
 
 // NewBuilder returns a builder over the given geometry, with the virtual
 // address space of the workload starting at baseSet.
 func NewBuilder(g addrspace.Geometry, baseSet addrspace.SetID, seed int64) *Builder {
-	return &Builder{g: g, rng: rand.New(rand.NewSource(seed)), base: baseSet}
+	return &Builder{
+		g:    g,
+		rng:  rand.New(rand.NewSource(seed)),
+		tail: make([]addrspace.PageID, 0, chunkRefs),
+		base: baseSet,
+	}
 }
 
-// Refs returns the reference string built so far. The returned slice aliases
-// the builder's storage.
-func (b *Builder) Refs() []addrspace.PageID { return b.refs }
+// reseed restarts the builder's random stream from seed, exactly as a fresh
+// builder with that seed would draw it.
+func (b *Builder) reseed(seed int64) { b.rng.Seed(seed) }
 
 // Len returns the number of references emitted so far.
-func (b *Builder) Len() int { return len(b.refs) }
+func (b *Builder) Len() int { return len(b.full)*chunkRefs + len(b.tail) }
+
+// at returns the i-th reference emitted.
+func (b *Builder) at(i int) addrspace.PageID {
+	if c := i / chunkRefs; c < len(b.full) {
+		return b.full[c][i%chunkRefs]
+	}
+	return b.tail[i%chunkRefs]
+}
 
 // Barrier marks a kernel boundary at the current position: later references
 // wait until everything before them completes. Generators place one between
 // passes, phases, and rounds — the implicit synchronisation of consecutive
-// kernel launches.
-func (b *Builder) Barrier() {
-	if n := len(b.barriers); n > 0 && b.barriers[n-1] == len(b.refs) {
-		return // collapse double barriers
-	}
-	b.barriers = append(b.barriers, len(b.refs))
+// kernel launches. trace.New drops repeats and boundaries at either end.
+func (b *Builder) Barrier() { b.barriers = append(b.barriers, b.Len()) }
+
+// segment marks the references from start on as emitted by the given phase
+// (or tenant) at the given compute gap.
+func (b *Builder) segment(start, phase, gap int) {
+	b.segments = append(b.segments, trace.Segment{Start: start, Phase: phase, Gap: gap})
 }
 
-// Barriers returns the kernel boundaries recorded so far.
-func (b *Builder) Barriers() []int { return b.barriers }
+// tenant records a co-located application's page range.
+func (b *Builder) tenant(r trace.TenantRange) { b.tenants = append(b.tenants, r) }
 
-// Build packages the reference string and barriers into a named trace.
+// Build packages everything recorded into a named trace. It panics if the
+// recorded barriers or annotations break a trace rule: generators produce
+// them, so that is a programming error.
 func (b *Builder) Build(name string) *trace.Trace {
-	return trace.NewWithBarriers(name, b.refs, b.barriers)
+	refs := make([]addrspace.PageID, b.Len())
+	n := 0
+	for _, c := range b.full {
+		n += copy(refs[n:], c)
+	}
+	copy(refs[n:], b.tail)
+	tr, err := trace.New(name, refs, b.barriers, b.segments, b.tenants)
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 // set translates a workload-local set index to a global SetID.
@@ -71,8 +115,12 @@ func (b *Builder) set(idx int) addrspace.SetID {
 // the first, so they generate TLB traffic without inflating walk-level
 // counters.
 func (b *Builder) Touch(p addrspace.PageID, dups int) {
-	for i := 0; i < max(1, dups); i++ {
-		b.refs = append(b.refs, p)
+	for range max(1, dups) {
+		if len(b.tail) == chunkRefs {
+			b.full = append(b.full, b.tail)
+			b.tail = make([]addrspace.PageID, 0, chunkRefs)
+		}
+		b.tail = append(b.tail, p)
 	}
 }
 
@@ -92,6 +140,20 @@ func (b *Builder) TouchSetOffsets(idx int, offsets []int, dups int) {
 	for _, off := range offsets {
 		b.Touch(b.g.PageAt(s, off), dups)
 	}
+}
+
+// TouchSubset references n distinct pages of workload-local set idx, chosen
+// and ordered at random, each dups times. It draws exactly as
+// TouchSetOffsets(idx, b.Shuffled(SetSize)[:n], dups) would, without
+// allocating the permutation.
+func (b *Builder) TouchSubset(idx, n, dups int) {
+	perm := b.subset[:0]
+	for off := range b.g.SetSize() {
+		perm = append(perm, off)
+	}
+	b.rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	b.subset = perm
+	b.TouchSetOffsets(idx, perm[:n], dups)
 }
 
 // Sweep references sets [from, from+count) in ascending order, every page

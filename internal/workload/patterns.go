@@ -121,9 +121,7 @@ func PartRepetitiveIrregular(b *Builder, sets int, revisitProb float64, delaySet
 		b.TouchSet(i, dups)
 		for len(queue) > 0 && queue[0].due <= i {
 			// Revisit a random, non-empty, strict subset of pages.
-			n := 1 + b.rng.Intn(b.g.SetSize()-1)
-			offsets := b.Shuffled(b.g.SetSize())[:n]
-			b.TouchSetOffsets(queue[0].set, offsets, dups)
+			b.TouchSubset(queue[0].set, 1+b.rng.Intn(b.g.SetSize()-1), dups)
 			queue = queue[1:]
 		}
 		if b.rng.Float64() < revisitProb {
@@ -186,8 +184,7 @@ func RepetitiveThrashingIrregular(b *Builder, sets, passes, delaySets, dups int)
 		for s := 0; s < sets; s++ {
 			b.TouchSet(s, dups)
 			if back := s - delaySets; back >= 0 {
-				n := 1 + b.rng.Intn(b.g.SetSize()-1)
-				b.TouchSetOffsets(back, b.Shuffled(b.g.SetSize())[:n], dups)
+				b.TouchSubset(back, 1+b.rng.Intn(b.g.SetSize()-1), dups)
 			}
 		}
 		b.Barrier()
@@ -312,12 +309,12 @@ func RegionMovingHot(b *Builder, sets, hotSets, regions, visits, dups int) {
 				// Spread header touches evenly across the round so the
 				// header is never much older than the youngest region set.
 				for h < len(hot) && h*count <= n*hotSets {
-					b.TouchSetOffsets(hot[h], b.Shuffled(b.g.SetSize())[:headerPages], dups)
+					b.TouchSubset(hot[h], headerPages, dups)
 					h++
 				}
 			}
 			for ; h < len(hot); h++ {
-				b.TouchSetOffsets(hot[h], b.Shuffled(b.g.SetSize())[:headerPages], dups)
+				b.TouchSubset(hot[h], headerPages, dups)
 			}
 			b.Barrier()
 		}

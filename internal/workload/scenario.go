@@ -202,40 +202,30 @@ func phaseFloor(a App) int {
 	return 1
 }
 
-// generate builds one phase's reference string in its own seeded builder —
-// each phase draws from an independent RNG stream, so a phase's contribution
-// is invariant to what ran before it (the FuzzPhaseSchedule sum oracle).
-func (p Phase) generate(seed int64, factor int) *Builder {
-	b := NewBuilder(addrspace.DefaultGeometry(), baseSet, seed)
+// write emits the phase into b: Repeat runs of its app's generator over
+// Sets×factor sets, each run ending in a kernel barrier.
+func (p Phase) write(b *Builder, factor int) {
 	for r := 0; r < p.Repeat; r++ {
 		p.App.gen(b, p.Sets*factor)
 		b.Barrier()
 	}
-	return b
 }
 
-// generate assembles the schedule's trace: phase reference strings
-// concatenated over the shared region, kernel barriers preserved (plus one at
-// each phase boundary), and one trace segment per phase carrying its compute
-// gap.
-func (s PhaseSchedule) generate(factor int) *trace.Trace {
-	var refs []addrspace.PageID
-	var barriers []int
-	var segs []trace.Segment
+// write emits the schedule into b: the phases in order over the shared
+// region, kernel barriers preserved (plus one at each phase boundary), and
+// one trace segment per non-empty phase carrying its compute gap. b reseeds
+// at every phase, so each phase draws from its own RNG stream and its
+// references do not depend on what ran before it (the FuzzPhaseSchedule sum
+// oracle).
+func (s PhaseSchedule) write(b *Builder, factor int) {
 	for i, p := range s.phases {
-		b := p.generate(scenarioSeed(s.canon, i), factor)
-		if b.Len() == 0 {
-			continue
+		start := b.Len()
+		b.reseed(scenarioSeed(s.canon, i))
+		p.write(b, factor)
+		if b.Len() > start {
+			b.segment(start, i, p.Gap)
 		}
-		off := len(refs)
-		segs = append(segs, trace.Segment{Start: off, Phase: i, Gap: p.Gap})
-		for _, br := range b.Barriers() {
-			barriers = append(barriers, off+br)
-		}
-		refs = append(refs, b.Refs()...)
 	}
-	tr := trace.NewWithBarriers("phases:"+s.canon, refs, barriers)
-	return tr.Annotate(segs, nil)
 }
 
 // App wraps the schedule as a synthesized application: Generate produces the
@@ -251,13 +241,7 @@ func (s PhaseSchedule) App() App {
 		Pattern:    PatternTemporal,
 		Sets:       nominal,
 		ComputeGap: s.phases[0].Gap,
-		build: func(sets int) *trace.Trace {
-			factor := 1
-			if sets > nominal {
-				factor = sets / nominal
-			}
-			return s.generate(factor)
-		},
+		gen:        func(b *Builder, sets int) { s.write(b, max(1, sets/nominal)) },
 	}
 }
 
@@ -336,59 +320,46 @@ func (c Colocation) totalSets() int {
 	return total
 }
 
-// generate interleaves the tenants' reference strings in quanta of
+// write interleaves the tenants' reference strings into b in quanta of
 // `interleave` references. Each tenant's string is generated independently
 // over its own address range; per-tenant kernel barriers are dropped —
 // co-located processes do not synchronise with each other — and each quantum
 // becomes a trace segment carrying the tenant's compute gap, with the tenant
 // page ranges recorded for fault/eviction attribution.
-func (c Colocation) generate(interleave, factor int) *trace.Trace {
-	type stream struct {
-		refs []addrspace.PageID
-		pos  int
-		gap  int
-	}
+func (c Colocation) write(b *Builder, interleave, factor int) {
 	g := addrspace.DefaultGeometry()
-	streams := make([]stream, len(c.tenants))
-	tens := make([]trace.TenantRange, len(c.tenants))
+	streams := make([]*Builder, len(c.tenants))
 	base := baseSet
-	total := 0
+	remaining := 0
 	for i, t := range c.tenants {
 		sets := t.App.Sets * t.Scale * factor
-		b := NewBuilder(g, base, scenarioSeed(c.canon, i))
-		t.App.gen(b, sets)
-		streams[i] = stream{refs: b.Refs(), gap: t.App.ComputeGap}
+		streams[i] = NewBuilder(g, base, scenarioSeed(c.canon, i))
+		t.App.gen(streams[i], sets)
 		lo := g.FirstPage(base)
-		tens[i] = trace.TenantRange{
-			Name: tenantToken(t),
-			Lo:   lo,
-			Hi:   lo + addrspace.PageID(sets*g.SetSize()),
-		}
+		b.tenant(trace.TenantRange{Name: tenantToken(t), Lo: lo, Hi: lo + addrspace.PageID(sets*g.SetSize())})
 		base += addrspace.SetID(sets)
-		total += len(b.Refs())
+		remaining += streams[i].Len()
 	}
-	refs := make([]addrspace.PageID, 0, total)
-	var segs []trace.Segment
+	pos := make([]int, len(streams))
 	lastPhase := -1
-	for len(refs) < total {
-		for i := range streams {
-			st := &streams[i]
-			if st.pos >= len(st.refs) {
+	for remaining > 0 {
+		for i, st := range streams {
+			n := min(interleave, st.Len()-pos[i])
+			if n == 0 {
 				continue
 			}
-			n := min(interleave, len(st.refs)-st.pos)
 			if i != lastPhase {
 				// Adjacent quanta of the same tenant (everyone else drained)
 				// coalesce into one segment.
-				segs = append(segs, trace.Segment{Start: len(refs), Phase: i, Gap: st.gap})
+				b.segment(b.Len(), i, c.tenants[i].App.ComputeGap)
 				lastPhase = i
 			}
-			refs = append(refs, st.refs[st.pos:st.pos+n]...)
-			st.pos += n
+			for end := pos[i] + n; pos[i] < end; pos[i]++ {
+				b.Touch(st.at(pos[i]), 1)
+			}
+			remaining -= n
 		}
 	}
-	name := "tenants:" + c.canon + "@" + strconv.Itoa(interleave)
-	return trace.New(name, refs).Annotate(segs, tens)
 }
 
 // App wraps the colocation as a synthesized application for the given
@@ -407,13 +378,7 @@ func (c Colocation) App(interleave int) App {
 		Pattern:    PatternColocated,
 		Sets:       nominal,
 		ComputeGap: c.tenants[0].App.ComputeGap,
-		build: func(sets int) *trace.Trace {
-			factor := 1
-			if sets > nominal {
-				factor = sets / nominal
-			}
-			return c.generate(interleave, factor)
-		},
+		gen:        func(b *Builder, sets int) { c.write(b, interleave, max(1, sets/nominal)) },
 	}
 }
 
@@ -436,7 +401,7 @@ func FromTrace(source string, tr *trace.Trace) App {
 		// traces override this per segment, v1 traces run at the simulator
 		// default.
 		ComputeGap: 4,
-		build:      func(int) *trace.Trace { return tr },
+		replay:     tr,
 	}
 }
 

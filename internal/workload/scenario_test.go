@@ -245,6 +245,14 @@ func TestScenarioPresetsParse(t *testing.T) {
 	}
 }
 
+// generate writes the phase alone into a fresh builder seeded as its
+// schedule seeds it: the standalone generation FuzzPhaseSchedule sums.
+func (p Phase) generate(seed int64, factor int) *Builder {
+	b := NewBuilder(addrspace.DefaultGeometry(), baseSet, seed)
+	p.write(b, factor)
+	return b
+}
+
 // FuzzPhaseSchedule fuzzes the schedule grammar end to end: parsing and
 // canonicalization never panic, the canonical form is a fixed point, and —
 // for schedules small enough to generate — the assembled trace's reference

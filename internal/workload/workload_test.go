@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hpe/internal/addrspace"
@@ -108,7 +109,7 @@ func TestGenerateFootprints(t *testing.T) {
 func TestStreamingPatternCounts(t *testing.T) {
 	b := NewBuilder(addrspace.DefaultGeometry(), 100, 1)
 	Streaming(b, 4, 2)
-	tr := trace.New("s", b.Refs())
+	tr := b.Build("s")
 	if tr.Footprint() != 4*16 {
 		t.Fatalf("footprint = %d, want 64", tr.Footprint())
 	}
@@ -130,7 +131,7 @@ func TestStreamingPatternCounts(t *testing.T) {
 func TestThrashingPatternCounts(t *testing.T) {
 	b := NewBuilder(addrspace.DefaultGeometry(), 0, 1)
 	Thrashing(b, 3, 4, 1)
-	tr := trace.New("t", b.Refs())
+	tr := b.Build("t")
 	for p, c := range tr.Counts() {
 		if c != 4 {
 			t.Fatalf("page %v count %d, want 4 (passes)", p, c)
@@ -145,7 +146,7 @@ func TestPartRepetitiveRevisitsWholeSets(t *testing.T) {
 	g := addrspace.DefaultGeometry()
 	b := NewBuilder(g, 0, 42)
 	PartRepetitive(b, 50, 0.5, 5, 1)
-	tr := trace.New("p", b.Refs())
+	tr := b.Build("p")
 	// Per-set counts must be multiples of 16 (whole-set revisits keep
 	// counters regular).
 	setCounts := map[addrspace.SetID]int{}
@@ -170,7 +171,7 @@ func TestPartRepetitiveIrregularProducesIrregularCounters(t *testing.T) {
 	g := addrspace.DefaultGeometry()
 	b := NewBuilder(g, 0, 42)
 	PartRepetitiveIrregular(b, 80, 0.6, 6, 1)
-	p := trace.Profiler(trace.New("k", b.Refs()), g)
+	p := trace.Profiler(b.Build("k"), g)
 	_, irregular, _, _ := p.CounterClasses(16)
 	if irregular == 0 {
 		t.Fatal("irregular variant produced no irregular set counters")
@@ -181,12 +182,12 @@ func TestStridedRepetitiveTouchesOnlyStridePages(t *testing.T) {
 	g := addrspace.DefaultGeometry()
 	b := NewBuilder(g, 0, 1)
 	StridedRepetitive(b, 4, 4, 3, 1)
-	for _, p := range b.Refs() {
+	tr := b.Build("mvt")
+	for _, p := range tr.Refs {
 		if g.Offset(p)%4 != 0 {
 			t.Fatalf("page %v at offset %d, want stride-4 offsets only", p, g.Offset(p))
 		}
 	}
-	tr := trace.New("mvt", b.Refs())
 	if tr.Footprint() != 4*4 {
 		t.Fatalf("footprint = %d, want 16 (4 pages × 4 sets)", tr.Footprint())
 	}
@@ -207,7 +208,7 @@ func TestRegionMovingLocality(t *testing.T) {
 	// reappear after a later one starts.
 	per := sets / regions
 	maxRegion := -1
-	for i, p := range b.Refs() {
+	for i, p := range b.Build("region").Refs {
 		r := int(g.SetOf(p)) / per
 		if r > maxRegion {
 			maxRegion = r
@@ -355,7 +356,8 @@ func TestRegionMovingHotHeaderSpread(t *testing.T) {
 	g := addrspace.DefaultGeometry()
 	b := NewBuilder(g, 0, 9)
 	RegionMovingHot(b, 80, 16, 2, 3, 1)
-	refs := b.Refs()
+	tr := b.Build("t")
+	refs := tr.Refs
 	// Header sets (0..15) must be interleaved through each round, not
 	// clustered: between consecutive header touches there should never be
 	// more than ~a quarter of a round of region touches.
@@ -376,7 +378,7 @@ func TestRegionMovingHotHeaderSpread(t *testing.T) {
 	// Each round touches a random 12-of-16 subset of a header set, so
 	// per-page counts end up uneven — the source of the irregular counters
 	// that classify these apps onto LRU.
-	counts := trace.New("t", refs).Counts()
+	counts := tr.Counts()
 	first := counts[g.PageAt(0, 0)]
 	uneven := false
 	for off := 1; off < 16; off++ {
@@ -417,13 +419,34 @@ func TestBarrierDeduplication(t *testing.T) {
 	b.Barrier() // collapses
 	b.TouchSet(1, 1)
 	b.Barrier()
-	if got := len(b.Barriers()); got != 2 {
-		t.Fatalf("barriers = %d, want 2 (double collapsed)", got)
+	// The double barrier collapses, and trace.New drops the trailing one.
+	if tr := b.Build("t"); !reflect.DeepEqual(tr.Barriers, []int{16}) {
+		t.Fatalf("trace barriers = %v, want only the interior one at 16", tr.Barriers)
 	}
-	tr := b.Build("t")
-	// Trailing barrier at the very end is dropped by NewWithBarriers.
-	if len(tr.Barriers) != 1 {
-		t.Fatalf("trace barriers = %v, want only the interior one", tr.Barriers)
+}
+
+// TestGenerateAllocationBound bounds what one generation allocates: each
+// catalog app at scale 4 builds its trace for at most 2.5× its final
+// reference bytes (a slice grown by append cost 3.8–6.0×), and the trace's
+// Refs carries no spare capacity.
+func TestGenerateAllocationBound(t *testing.T) {
+	const (
+		bound       = 2.5
+		pageIDBytes = 8 // addrspace.PageID is a uint64
+	)
+	for _, a := range Catalog() {
+		app := a.Scaled(4)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr := app.Generate()
+		runtime.ReadMemStats(&after)
+		kept := float64(len(tr.Refs) * pageIDBytes)
+		if ratio := float64(after.TotalAlloc-before.TotalAlloc) / kept; ratio > bound {
+			t.Errorf("%s at scale 4: allocated %.2f× its %.0f reference bytes, bound %.1f×", a.Abbr, ratio, kept, bound)
+		}
+		if len(tr.Refs) != cap(tr.Refs) {
+			t.Errorf("%s at scale 4: len(Refs) %d, cap %d", a.Abbr, len(tr.Refs), cap(tr.Refs))
+		}
 	}
 }
 
