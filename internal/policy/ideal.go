@@ -93,11 +93,15 @@ func (h *idealHeap) pop() {
 }
 
 // NewIdeal returns an Ideal policy with future knowledge of the given trace.
+// Both heaps start with room for one entry per page of the trace, which
+// skips their early regrowth: each page pushes a victims entry when it is
+// first mapped.
 func NewIdeal(fi *trace.FutureIndex) *Ideal {
 	return &Ideal{
 		future:  fi,
 		nextUse: pagetable.New[int](),
-		expiry:  idealHeap{min: true},
+		victims: idealHeap{entries: make([]idealHeapEntry, 0, fi.Pages())},
+		expiry:  idealHeap{entries: make([]idealHeapEntry, 0, fi.Pages()), min: true},
 	}
 }
 

@@ -223,6 +223,9 @@ func BuildFutureIndex(t *Trace) *FutureIndex {
 // Len returns the length of the indexed trace.
 func (f *FutureIndex) Len() int { return f.length }
 
+// Pages returns the number of distinct pages indexed: the trace's footprint.
+func (f *FutureIndex) Pages() int { return len(f.offsets) - 1 }
+
 // NextUse returns the first position strictly after `after` at which page p
 // is referenced, or (0, false) if p is never referenced again. after = -1
 // asks for the first reference.
