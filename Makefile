@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all check build test fmt vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe profile clean
+.PHONY: all check build test fmt vet lint lint-bench spec-goldens race race-probe serve-check workload-check fuzz-seed examples perfbench-check bench bench-probe profile profile-run clean
 
 all: check
 
@@ -132,13 +132,30 @@ bench-probe:
 # (git-ignored); inspect further with
 # `go tool pprof .profile/hpe.test .profile/cpu.pprof` (or mem.pprof).
 PROFILE_DIR := .profile
-profile:
+
+# $(call profile-bench,BENCHMARK,FILE-PREFIX,ITERATIONS): run one root
+# benchmark with -benchmem, then print its CPU profile and top allocation
+# sites.
+define profile-bench
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench '^BenchmarkSuiteFullSerial$$' -benchtime 1x -benchmem \
-		-cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/mem.pprof \
+	$(GO) test -run '^$$' -bench '^$(1)$$' -benchtime $(3)x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/$(2)cpu.pprof -memprofile $(PROFILE_DIR)/$(2)mem.pprof \
 		-o $(PROFILE_DIR)/hpe.test .
-	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/hpe.test $(PROFILE_DIR)/cpu.pprof
-	$(GO) tool pprof -top -nodecount 20 -sample_index=alloc_objects $(PROFILE_DIR)/hpe.test $(PROFILE_DIR)/mem.pprof
+	$(GO) tool pprof -top -nodecount 40 $(PROFILE_DIR)/hpe.test $(PROFILE_DIR)/$(2)cpu.pprof
+	$(GO) tool pprof -top -nodecount 20 -sample_index=alloc_objects $(PROFILE_DIR)/hpe.test $(PROFILE_DIR)/$(2)mem.pprof
+endef
+
+profile:
+	$(call profile-bench,BenchmarkSuiteFullSerial,,1)
+
+# The same for hpe.Run over the catalog at scales 1 and 4 under LRU with the
+# zero RunEnv (BenchmarkRunCatalog): every run generates its own trace, as in
+# perfbench's `sim` workload, which the suite's memoized traces hide from
+# `make profile`. Ten passes (about 5 s) give the CPU profile enough samples;
+# -benchmem reports per pass. Profiles: .profile/run-cpu.pprof and
+# run-mem.pprof.
+profile-run:
+	$(call profile-bench,BenchmarkRunCatalog,run-,10)
 
 clean:
 	rm -f hpelint

@@ -61,6 +61,23 @@ func BenchmarkSuiteFullSerial(b *testing.B) {
 	}
 }
 
+// BenchmarkRunCatalog runs hpe.Run with the zero RunEnv on every catalog app
+// at scales 1 and 4 under LRU at 75%: nothing is shared between runs, so each
+// one generates, materializes and simulates its own trace. It is the run
+// `make profile-run` profiles; the suite `make profile` profiles memoizes
+// traces and so never shows generation.
+func BenchmarkRunCatalog(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, app := range hpe.Workloads() {
+			for _, scale := range []int{1, 4} {
+				if _, err := hpe.Run(hpe.RunSpec{App: app.Abbr, Policy: "lru", Rate: 75, Scale: scale}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 func reportMetric(b *testing.B, rep experiments.Report, key, unit string) {
 	if v, ok := rep.Metrics[key]; ok {
 		b.ReportMetric(v, unit)
