@@ -30,8 +30,8 @@ import (
 // through the seeded rng so generation is deterministic.
 //
 // References are stored in fixed-size chunks and copied once, at Build, into
-// an exact-length slice, so a trace costs about twice its reference bytes to
-// build instead of the repeated copies of a slice grown by append.
+// an exact-length slice: no chunk is ever regrown, so a trace costs about
+// twice its reference bytes to build.
 type Builder struct {
 	g        addrspace.Geometry
 	rng      *rand.Rand

@@ -427,8 +427,8 @@ func TestBarrierDeduplication(t *testing.T) {
 
 // TestGenerateAllocationBound bounds what one generation allocates: each
 // catalog app at scale 4 builds its trace for at most 2.5× its final
-// reference bytes (a slice grown by append cost 3.8–6.0×), and the trace's
-// Refs carries no spare capacity.
+// reference bytes (chunks plus the one exact copy come to about 2×), and
+// the trace's Refs carries no spare capacity.
 func TestGenerateAllocationBound(t *testing.T) {
 	const (
 		bound       = 2.5
