@@ -468,17 +468,23 @@ func readAnnotations(br *bufio.Reader, nRefs int) ([]Segment, []TenantRange, err
 	if nSegs > uint64(nRefs) {
 		return nil, nil, fmt.Errorf("%w: %d segments for %d refs", ErrBadTrace, nSegs, nRefs)
 	}
-	var segs []Segment
+	segs := make([]Segment, 0, min(nSegs, 1<<16))
 	start := 0
 	for i := uint64(0); i < nSegs; i++ {
-		var f [3]uint64 // start delta, phase, gap
-		for j, field := range []string{"start", "phase", "gap"} {
-			if f[j], err = binary.ReadUvarint(br); err != nil {
-				return nil, nil, fmt.Errorf("%w: segment %d %s: %v", ErrBadTrace, i, field, err)
-			}
+		d, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: segment %d start: %v", ErrBadTrace, i, err)
 		}
-		start += int(f[0])
-		segs = append(segs, Segment{Start: start, Phase: int(f[1]), Gap: int(f[2])})
+		phase, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: segment %d phase: %v", ErrBadTrace, i, err)
+		}
+		gap, err := binary.ReadUvarint(br)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: segment %d gap: %v", ErrBadTrace, i, err)
+		}
+		start += int(d)
+		segs = append(segs, Segment{Start: start, Phase: int(phase), Gap: int(gap)})
 	}
 	nTen, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -487,7 +493,7 @@ func readAnnotations(br *bufio.Reader, nRefs int) ([]Segment, []TenantRange, err
 	if nTen > 1<<10 {
 		return nil, nil, fmt.Errorf("%w: tenant count %d too large", ErrBadTrace, nTen)
 	}
-	var tens []TenantRange
+	tens := make([]TenantRange, 0, nTen)
 	prevHi := uint64(0)
 	for i := uint64(0); i < nTen; i++ {
 		nameLen, err := binary.ReadUvarint(br)
