@@ -92,13 +92,15 @@ workload-check:
 # `go test -fuzz=FuzzPageTable ./internal/pagetable/`,
 # `go test -fuzz=FuzzPolicyEquivalence ./internal/policy/`,
 # `go test -fuzz=FuzzHPEEquivalence ./internal/hpe/`,
+# `go test -fuzz=FuzzStore ./internal/slab/` (the linked-node store against
+# container/list),
 # `go test -fuzz=FuzzSubmitRun ./internal/server/` (POST /v1/runs bodies
 # through the handler: 200 or a 4xx envelope, never a 5xx), or
 # `go test -fuzz=FuzzSubmitSuite ./internal/server/` (POST /v1/suite bodies
 # over a runner that fails every cell: 2xx or a vocabulary envelope) to
 # explore).
 fuzz-seed:
-	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/ ./internal/pagetable/ ./internal/policy/ ./internal/hpe/ ./internal/server/
+	$(GO) test -run 'Fuzz' ./internal/workload/ ./internal/sim/ ./internal/trace/ ./internal/runspec/ ./internal/pagetable/ ./internal/slab/ ./internal/policy/ ./internal/hpe/ ./internal/server/
 
 # Run every example end to end (each takes well under a second): they
 # exercise the public facade the way a library user does, so an API change

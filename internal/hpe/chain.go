@@ -6,6 +6,7 @@ import (
 
 	"hpe/internal/addrspace"
 	"hpe/internal/pagetable"
+	"hpe/internal/slab"
 )
 
 // Partition identifies one of the page-set chain's three recency partitions
@@ -48,7 +49,7 @@ const (
 // division's result is reused for every later life of the set, primaryMask
 // is immutable once divided is set.
 type setRecord struct {
-	entry       [2]int32 // chain entry of each half, or nilEntry
+	entry       [2]int32 // chain entry of each half, or slab.Nil
 	divided     bool
 	primaryMask uint32 // offsets that belong to the primary half
 }
@@ -62,10 +63,6 @@ func (r *setRecord) half(off int) int {
 	}
 	return primary
 }
-
-// nilEntry is the empty chain link and record slot: entries[0] is never
-// used, so a zero setRecord holds no entries.
-const nilEntry int32 = 0
 
 // chainEntry is one page-set chain entry: tag (set and half), saturating
 // counter, bit vector, divided flag (Fig. 5), plus the residency mask HPE
@@ -85,31 +82,23 @@ type chainEntry struct {
 	// ordered by this stamp — so the paper's P1/P2 partition pointers are
 	// equivalent to stamp thresholds, which is how we implement them.
 	movedInterval uint64
-
-	prev, next int32 // slab indices
 }
 
-// setChain is the page-set chain of Fig. 5: a doubly-linked list ordered
+// setChain is the page-set chain of Fig. 5: a list of slab nodes ordered
 // head = LRU ... tail = MRU, with the three partitions derived from interval
-// stamps. Entries live in one slab linked by index; an entry that leaves the
-// chain goes on a free list and is reused by the next new one. The set
-// records live in a page table keyed by set.
+// stamps. An entry that leaves the chain is reused by the next new one. The
+// set records live in a page table keyed by set; slab.Nil is never a node,
+// so a zero setRecord holds no entries.
 type setChain struct {
 	counterCap  int
 	sets        *pagetable.Table[setRecord]
-	entries     []chainEntry // entries[nilEntry] is unused
-	free        int32        // free entries, linked through next
-	head, tail  int32
-	n           int
+	entries     slab.Store[chainEntry]
+	order       slab.List
 	curInterval uint64
 }
 
 func newSetChain(counterCap int) *setChain {
-	return &setChain{
-		counterCap: counterCap,
-		sets:       pagetable.New[setRecord](),
-		entries:    make([]chainEntry, 1),
-	}
+	return &setChain{counterCap: counterCap, sets: pagetable.New[setRecord]()}
 }
 
 // record returns the set's record, creating an empty one on first use. The
@@ -118,16 +107,16 @@ func (c *setChain) record(s addrspace.SetID) *setRecord {
 	return c.sets.Ref(addrspace.PageID(s))
 }
 
-// at returns the entry at slab index i, or nil for nilEntry.
+// at returns entry i, or nil for slab.Nil.
 func (c *setChain) at(i int32) *chainEntry {
-	if i == nilEntry {
+	if i == slab.Nil {
 		return nil
 	}
-	return &c.entries[i]
+	return c.entries.At(i)
 }
 
 // Len returns the number of chain entries.
-func (c *setChain) Len() int { return c.n }
+func (c *setChain) Len() int { return c.order.Len() }
 
 // partitionOf derives the entry's partition from its stamp.
 func (c *setChain) partitionOf(e *chainEntry) Partition {
@@ -145,41 +134,11 @@ func (c *setChain) partitionOf(e *chainEntry) Partition {
 // middle joins the old (the paper's P1 ← P2, P2 ← tail pointer update).
 func (c *setChain) rollover() { c.curInterval++ }
 
-// appendTail links entry i at the MRU position.
-func (c *setChain) appendTail(i int32) {
-	e := &c.entries[i]
-	e.prev, e.next = c.tail, nilEntry
-	if c.tail != nilEntry {
-		c.entries[c.tail].next = i
-	} else {
-		c.head = i
-	}
-	c.tail = i
-}
-
-func (c *setChain) unlink(i int32) {
-	e := &c.entries[i]
-	if e.prev != nilEntry {
-		c.entries[e.prev].next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nilEntry {
-		c.entries[e.next].prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-}
-
 // remove deletes half h of the set's entries from the chain entirely (all
 // its pages evicted) and frees the entry for reuse.
 func (c *setChain) remove(r *setRecord, h int) {
-	i := r.entry[h]
-	c.unlink(i)
-	r.entry[h] = nilEntry
-	c.entries[i].next = c.free
-	c.free = i
-	c.n--
+	c.entries.Remove(&c.order, r.entry[h])
+	r.entry[h] = slab.Nil
 }
 
 // touch applies one reference event to half h of set s (Fig. 6): find or
@@ -192,24 +151,16 @@ func (c *setChain) remove(r *setRecord, h int) {
 // hit-batch update. Returns the entry, valid until the next touch.
 func (c *setChain) touch(s addrspace.SetID, r *setRecord, h, inc, faultOffset int) *chainEntry {
 	i := r.entry[h]
-	if i == nilEntry {
-		if c.free != nilEntry {
-			i = c.free
-			c.free = c.entries[i].next
-		} else {
-			c.entries = append(c.entries, chainEntry{})
-			i = int32(len(c.entries) - 1)
-		}
-		c.entries[i] = chainEntry{set: s, secondary: h == secondary, movedInterval: c.curInterval}
+	if i == slab.Nil {
+		i = c.entries.Alloc(chainEntry{set: s, secondary: h == secondary, movedInterval: c.curInterval})
 		r.entry[h] = i
-		c.n++
-		c.appendTail(i)
-	} else if c.partitionOf(&c.entries[i]) != PartitionNew {
-		c.unlink(i)
-		c.entries[i].movedInterval = c.curInterval
-		c.appendTail(i)
+		c.entries.PushBack(&c.order, i)
+	} else if c.partitionOf(c.entries.At(i)) != PartitionNew {
+		c.entries.Unlink(&c.order, i)
+		c.entries.At(i).movedInterval = c.curInterval
+		c.entries.PushBack(&c.order, i)
 	}
-	e := &c.entries[i]
+	e := c.entries.At(i)
 	e.counter += inc
 	if e.counter > c.counterCap {
 		e.counter = c.counterCap
@@ -224,29 +175,30 @@ func (c *setChain) touch(s addrspace.SetID, r *setRecord, h, inc, faultOffset in
 // entry only if it already exists (hit information for sets evicted before
 // the drain is dropped, mirroring the HIR's lossy nature).
 func (c *setChain) updateExisting(s addrspace.SetID, r *setRecord, h, inc int) *chainEntry {
-	if r.entry[h] == nilEntry {
+	if r.entry[h] == slab.Nil {
 		return nil
 	}
 	return c.touch(s, r, h, inc, -1)
 }
 
-// oldMRU returns the MRU-most entry of the old partition, or nil when the
-// old partition is empty. Because the chain is stamp-ordered, this is found
-// by walking backward from the tail past the new and middle partitions.
-func (c *setChain) oldMRU() *chainEntry {
-	for e := c.at(c.tail); e != nil; e = c.at(e.prev) {
-		if c.partitionOf(e) == PartitionOld {
-			return e
+// oldMRU returns the MRU-most entry of the old partition, or slab.Nil when
+// the old partition is empty. Because the chain is stamp-ordered, this is
+// found by walking backward from the tail past the new and middle
+// partitions.
+func (c *setChain) oldMRU() int32 {
+	for i := c.order.Tail(); i != slab.Nil; i = c.entries.Prev(i) {
+		if c.partitionOf(c.entries.At(i)) == PartitionOld {
+			return i
 		}
 	}
-	return nil
+	return slab.Nil
 }
 
 // partitionLens counts entries per partition (O(n); used for stats and the
 // first-full old-partition census).
 func (c *setChain) partitionLens() (old, middle, new int) {
-	for e := c.at(c.head); e != nil; e = c.at(e.next) {
-		switch c.partitionOf(e) {
+	for i := c.order.Head(); i != slab.Nil; i = c.entries.Next(i) {
+		switch c.partitionOf(c.entries.At(i)) {
 		case PartitionOld:
 			old++
 		case PartitionMiddle:

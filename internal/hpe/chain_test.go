@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/slab"
 )
 
 func testChain() *setChain {
@@ -20,10 +21,19 @@ func primaryOf(c *setChain, s addrspace.SetID) *chainEntry {
 	return c.at(c.record(s).entry[primary])
 }
 
+// entries lists the chain's entries from head to tail.
+func entries(c *setChain) []*chainEntry {
+	var out []*chainEntry
+	for i := c.order.Head(); i != slab.Nil; i = c.entries.Next(i) {
+		out = append(out, c.entries.At(i))
+	}
+	return out
+}
+
 // order lists the chain's sets from head to tail.
 func order(c *setChain) []addrspace.SetID {
 	var out []addrspace.SetID
-	for e := c.at(c.head); e != nil; e = c.at(e.next) {
+	for _, e := range entries(c) {
 		out = append(out, e.set)
 	}
 	return out
@@ -37,7 +47,7 @@ func TestTouchInsertsAtNewPartitionMRU(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("chain order = %v", got)
 	}
-	for e := c.at(c.head); e != nil; e = c.at(e.next) {
+	for _, e := range entries(c) {
 		if c.partitionOf(e) != PartitionNew {
 			t.Fatalf("%v in %v, want new", e.set, c.partitionOf(e))
 		}
@@ -139,7 +149,7 @@ func TestOldMRUFindsBoundary(t *testing.T) {
 	c.rollover()
 	touchSet(c, 5, 1, 0)
 	// Old partition: sets 1,2,3 (MRU of old = 3). Middle: 4. New: 5.
-	if got := c.oldMRU(); got == nil || got.set != 3 {
+	if got := c.at(c.oldMRU()); got == nil || got.set != 3 {
 		t.Fatalf("oldMRU = %v, want set 3", got)
 	}
 }
@@ -147,11 +157,11 @@ func TestOldMRUFindsBoundary(t *testing.T) {
 func TestOldMRUEmptyOldPartition(t *testing.T) {
 	c := testChain()
 	touchSet(c, 1, 1, 0)
-	if c.oldMRU() != nil {
+	if c.oldMRU() != slab.Nil {
 		t.Fatal("oldMRU found an entry with no old partition")
 	}
 	c.rollover()
-	if c.oldMRU() != nil {
+	if c.oldMRU() != slab.Nil {
 		t.Fatal("middle-partition entry reported as old")
 	}
 }
@@ -168,7 +178,7 @@ func TestRemoveMaintainsLinks(t *testing.T) {
 	}
 	c.remove(c.record(1), primary)
 	c.remove(c.record(3), primary)
-	if c.head != nilEntry || c.tail != nilEntry || c.Len() != 0 {
+	if c.order.Head() != slab.Nil || c.order.Tail() != slab.Nil || c.Len() != 0 {
 		t.Fatal("chain not empty after removing everything")
 	}
 }
@@ -180,12 +190,12 @@ func TestRemovedEntriesAreReused(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		touchSet(c, addrspace.SetID(i), 5, i)
 	}
-	slab := len(c.entries)
+	size := c.entries.Size()
 	c.remove(c.record(2), primary)
 	c.remove(c.record(1), primary)
 	e := touchSet(c, 7, 1, 0)
-	if len(c.entries) != slab {
-		t.Fatalf("slab grew from %d to %d with free entries", slab, len(c.entries))
+	if c.entries.Size() != size {
+		t.Fatalf("slab grew from %d to %d with free entries", size, c.entries.Size())
 	}
 	if e.set != 7 || e.counter != 1 || e.bitVector != 1 || e.residentMask != 0 || e.divided {
 		t.Fatalf("reused entry not reset: %+v", *e)
@@ -198,8 +208,8 @@ func TestRemovedEntriesAreReused(t *testing.T) {
 	}
 	touchSet(c, 8, 1, 0)
 	touchSet(c, 9, 1, 0)
-	if len(c.entries) != slab+1 {
-		t.Fatalf("slab = %d entries after the free list ran out, want %d", len(c.entries), slab+1)
+	if c.entries.Size() != size+1 {
+		t.Fatalf("slab = %d entries after the free list ran out, want %d", c.entries.Size(), size+1)
 	}
 }
 
@@ -214,7 +224,7 @@ func TestStampOrderingInvariant(t *testing.T) {
 			c.rollover()
 		}
 		prev := uint64(0)
-		for e := c.at(c.head); e != nil; e = c.at(e.next) {
+		for _, e := range entries(c) {
 			if e.movedInterval < prev {
 				t.Fatalf("step %d: chain not stamp-sorted", step)
 			}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"hpe/internal/slab"
 )
 
 // RatioStats carries the classification statistics of §IV-D, computed over
@@ -119,8 +121,8 @@ func ratio(num, den int) float64 {
 // equal 1× or 2× the set size; large-and-regular equal 3× or 4×.
 func computeRatios(c *setChain, setSize int) RatioStats {
 	var s RatioStats
-	for e := c.at(c.head); e != nil; e = c.at(e.next) {
-		cnt := e.counter
+	for i := c.order.Head(); i != slab.Nil; i = c.entries.Next(i) {
+		cnt := c.entries.At(i).counter
 		if cnt%setSize == 0 && cnt > 0 {
 			s.Regular++
 			switch cnt {

@@ -5,6 +5,7 @@ import (
 
 	"hpe/internal/addrspace"
 	"hpe/internal/hir"
+	"hpe/internal/slab"
 )
 
 // HPE is the hierarchical page eviction policy (Section IV). It implements
@@ -189,8 +190,9 @@ func (h *HPE) SelectVictim() addrspace.PageID {
 // entry with a resident page. Selecting from the old partition first is
 // automatic: the head is in the oldest non-empty partition.
 func (h *HPE) selectLRU() *chainEntry {
-	for e := h.chain.at(h.chain.head); e != nil; e = h.chain.at(e.next) {
-		if e.evictable() {
+	c := h.chain
+	for i := c.order.Head(); i != slab.Nil; i = c.entries.Next(i) {
+		if e := c.entries.At(i); e.evictable() {
 			return e
 		}
 	}
@@ -204,26 +206,28 @@ func (h *HPE) selectLRU() *chainEntry {
 // evictable entry, in which case the caller falls back to LRU over the
 // middle/new partitions.
 func (h *HPE) selectMRUC() *chainEntry {
-	start := h.chain.oldMRU()
-	if start == nil {
+	c := h.chain
+	start := c.oldMRU()
+	if start == slab.Nil {
 		h.lruFallbacks++
 		return nil
 	}
-	for i := 0; i < h.adj.searchJump && start.prev != nilEntry; i++ {
-		start = h.chain.at(start.prev)
+	for i := 0; i < h.adj.searchJump && c.entries.Prev(start) != slab.Nil; i++ {
+		start = c.entries.Prev(start)
 	}
 	h.searches++
 	setSize := h.cfg.Geometry.SetSize()
 	// Pass 1: a set whose counter equals the page-set size.
-	for e := start; e != nil; e = h.chain.at(e.prev) {
+	for i := start; i != slab.Nil; i = c.entries.Prev(i) {
 		h.comparisons++
-		if e.counter == setSize && e.evictable() {
+		if e := c.entries.At(i); e.counter == setSize && e.evictable() {
 			return e
 		}
 	}
 	// Pass 2: the minimum-counter set (ties resolved toward the MRU side).
 	var best *chainEntry
-	for e := start; e != nil; e = h.chain.at(e.prev) {
+	for i := start; i != slab.Nil; i = c.entries.Prev(i) {
+		e := c.entries.At(i)
 		h.comparisons++
 		if !e.evictable() {
 			continue

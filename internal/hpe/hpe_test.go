@@ -7,6 +7,7 @@ import (
 	"hpe/internal/addrspace"
 	"hpe/internal/hir"
 	"hpe/internal/policy"
+	"hpe/internal/slab"
 	"hpe/internal/trace"
 )
 
@@ -190,7 +191,7 @@ func TestHPEDivisionOnEvenOddSet(t *testing.T) {
 	// Odd pages must now route to the secondary entry.
 	h.OnFault(pageOf(5, 1), 100)
 	h.OnMapped(pageOf(5, 1), 100)
-	if h.chain.record(5).entry[secondary] == nilEntry {
+	if h.chain.record(5).entry[secondary] == slab.Nil {
 		t.Fatal("odd page did not create the secondary entry")
 	}
 	// Even pages still route to the primary.

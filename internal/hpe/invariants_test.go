@@ -7,6 +7,7 @@ import (
 
 	"hpe/internal/addrspace"
 	"hpe/internal/policy"
+	"hpe/internal/slab"
 )
 
 // checkChainInvariants validates the structural invariants the HPE design
@@ -23,8 +24,8 @@ func checkChainInvariants(t *testing.T, h *HPE) {
 	c := h.chain
 	prev := uint64(0)
 	count := 0
-	for i := c.head; i != nilEntry; i = c.entries[i].next {
-		e := &c.entries[i]
+	for i := c.order.Head(); i != slab.Nil; i = c.entries.Next(i) {
+		e := c.entries.At(i)
 		count++
 		if e.movedInterval < prev {
 			t.Fatal("chain not stamp-sorted")
@@ -58,12 +59,8 @@ func checkChainInvariants(t *testing.T, h *HPE) {
 	if count != c.Len() {
 		t.Fatalf("chain length %d != Len %d", count, c.Len())
 	}
-	free := 0
-	for i := c.free; i != nilEntry; i = c.entries[i].next {
-		free++
-	}
-	if count+free != len(c.entries)-1 {
-		t.Fatalf("%d chained + %d free entries, slab holds %d", count, free, len(c.entries)-1)
+	if free := c.entries.Removed(); count+free != c.entries.Size() {
+		t.Fatalf("%d chained + %d free entries, slab holds %d", count, free, c.entries.Size())
 	}
 }
 
@@ -138,7 +135,7 @@ func TestHPEResidencyMatchesDriver(t *testing.T) {
 	}
 	// Sum of resident bits across entries == ground-truth residency.
 	total := 0
-	for e := h.chain.at(h.chain.head); e != nil; e = h.chain.at(e.next) {
+	for _, e := range entries(h.chain) {
 		total += bits.OnesCount32(e.residentMask)
 	}
 	if total != len(resident) {

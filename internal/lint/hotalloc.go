@@ -47,6 +47,7 @@ var hotPkgScope = []string{
 	"internal/sim", "internal/gpu", "internal/uvm", "internal/tlb", "internal/cache",
 	"internal/hir", "internal/dram", "internal/ptw",
 	"internal/addrspace", "internal/policy", "internal/trace", "internal/pagetable", "internal/hpe",
+	"internal/slab",
 }
 
 // hotRoots are the structural hot-path entry points: (package name,

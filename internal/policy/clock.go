@@ -3,6 +3,7 @@ package policy
 import (
 	"hpe/internal/addrspace"
 	"hpe/internal/pagetable"
+	"hpe/internal/slab"
 )
 
 // Clock is the classic CLOCK algorithm — the one-bit LRU approximation the
@@ -97,13 +98,18 @@ func (c *Clock) Len() int { return c.index.Len() }
 // simulator has no write tracking, so this is the reference-bit-only
 // variant.) Like CLOCK, it approximates LRU and shares its weaknesses.
 type NRU struct {
-	chain *recencyList // arrival order: head = oldest
-	ref   []bool       // reference bit per chain node
+	chain *recencyList[nruPage] // arrival order: head = oldest
+}
+
+// nruPage is one NRU chain node: the page and its reference bit.
+type nruPage struct {
+	page addrspace.PageID
+	ref  bool
 }
 
 // NewNRU returns an empty NRU policy.
 func NewNRU() *NRU {
-	return &NRU{chain: newRecencyList()}
+	return &NRU{chain: newRecencyList[nruPage]()}
 }
 
 // Name implements Policy.
@@ -111,8 +117,8 @@ func (n *NRU) Name() string { return "NRU" }
 
 // OnWalkHit implements Policy.
 func (n *NRU) OnWalkHit(p addrspace.PageID, seq int) {
-	if i := n.chain.node(p); i != nilNode {
-		n.ref[i] = true
+	if e := n.chain.get(p); e != nil {
+		e.ref = true
 	}
 }
 
@@ -121,11 +127,7 @@ func (n *NRU) OnFault(p addrspace.PageID, seq int) {}
 
 // OnMapped implements Policy.
 func (n *NRU) OnMapped(p addrspace.PageID, seq int) {
-	i := n.chain.pushMRU(p)
-	if int(i) == len(n.ref) {
-		n.ref = append(n.ref, false)
-	}
-	n.ref[i] = true
+	n.chain.pushMRU(p, nruPage{page: p, ref: true})
 }
 
 // SelectVictim implements Policy.
@@ -133,16 +135,17 @@ func (n *NRU) SelectVictim() addrspace.PageID {
 	if n.chain.len() == 0 {
 		panic("policy: NRU.SelectVictim with no resident pages")
 	}
-	for i := n.chain.front(); i != nilNode; i = n.chain.next(i) {
-		if !n.ref[i] {
-			return n.chain.page(i)
+	c := n.chain
+	for i := c.order.Head(); i != slab.Nil; i = c.nodes.Next(i) {
+		if e := c.nodes.At(i); !e.ref {
+			return e.page
 		}
 	}
 	// Everyone was recently used: clear the epoch and take the oldest.
-	for i := n.chain.front(); i != nilNode; i = n.chain.next(i) {
-		n.ref[i] = false
+	for i := c.order.Head(); i != slab.Nil; i = c.nodes.Next(i) {
+		c.nodes.At(i).ref = false
 	}
-	return n.chain.page(n.chain.front())
+	return c.lru().page
 }
 
 // OnEvicted implements Policy.

@@ -5,6 +5,7 @@ import (
 
 	"hpe/internal/addrspace"
 	"hpe/internal/pagetable"
+	"hpe/internal/slab"
 )
 
 // pageState classifies a CLOCK-Pro list entry.
@@ -16,13 +17,12 @@ const (
 	stateColdNonResident // evicted but still in its test period
 )
 
-// cpNode is one entry of the CLOCK-Pro ring, linked by slab index.
+// cpNode is one entry of the CLOCK-Pro ring.
 type cpNode struct {
-	page       addrspace.PageID
-	state      pageState
-	ref        bool
-	inTest     bool
-	prev, next int32
+	page   addrspace.PageID
+	state  pageState
+	ref    bool
+	inTest bool
 }
 
 // ClockPro implements the CLOCK-Pro replacement algorithm (Jiang, Chen,
@@ -36,17 +36,16 @@ type cpNode struct {
 // it: HAND_cold finds eviction victims, HAND_hot demotes hot pages, and
 // HAND_test expires test periods to bound non-resident metadata.
 //
-// The ring's nodes live in one slab (freed nodes are reused) and a page
-// table maps each page to its node; links and hands are slab indices, with
-// nilNode for none.
+// The ring is a slab list from the oldest entry (head) to the newest
+// (tail), and the hands wrap from its tail to its head; a page table maps
+// each page to its node. Hands are node indices, with slab.Nil for none.
 type ClockPro struct {
 	capacity int // m: total resident pages
 	coldTgt  int // m_c: fixed target for resident cold pages
 
-	nodes    []cpNode
-	freeNode int32                   // free nodes, linked through next
-	index    *pagetable.Table[int32] // page → node
-	oldest   int32                   // ring anchor: the oldest entry; .next walks old → new
+	nodes slab.Store[cpNode]
+	ring  slab.List
+	index *pagetable.Table[int32] // page → node
 
 	handHot  int32
 	handCold int32
@@ -73,16 +72,7 @@ func NewClockPro(capacityPages, coldTarget int) *ClockPro {
 	if coldTarget > capacityPages {
 		coldTarget = capacityPages
 	}
-	return &ClockPro{
-		capacity: capacityPages,
-		coldTgt:  coldTarget,
-		freeNode: nilNode,
-		index:    pagetable.New[int32](),
-		oldest:   nilNode,
-		handHot:  nilNode,
-		handCold: nilNode,
-		handTest: nilNode,
-	}
+	return &ClockPro{capacity: capacityPages, coldTgt: coldTarget, index: pagetable.New[int32]()}
 }
 
 // Name implements Policy.
@@ -90,66 +80,37 @@ func (c *ClockPro) Name() string { return "CLOCK-Pro" }
 
 // --- circular list plumbing -------------------------------------------------
 
-// newNode allocates an unlinked node for p, indexed by the page table.
-func (c *ClockPro) newNode(p addrspace.PageID, state pageState, inTest bool) int32 {
-	n := cpNode{page: p, state: state, inTest: inTest, prev: nilNode, next: nilNode}
-	i := c.freeNode
-	if i != nilNode {
-		c.freeNode = c.nodes[i].next
-		c.nodes[i] = n
-	} else {
-		c.nodes = append(c.nodes, n)
-		i = int32(len(c.nodes) - 1)
-	}
-	c.index.Put(p, i)
-	return i
+// insertNewest adds p at the newest position (the ring's tail).
+func (c *ClockPro) insertNewest(p addrspace.PageID, state pageState, inTest bool) {
+	n := c.nodes.Alloc(cpNode{page: p, state: state, inTest: inTest})
+	c.index.Put(p, n)
+	c.nodes.PushBack(&c.ring, n)
 }
 
-// insertNewest links n at the newest position (just before the oldest entry
-// in .next order, i.e. the CLOCK list head).
-func (c *ClockPro) insertNewest(n int32) {
-	nd := &c.nodes[n]
-	if c.oldest == nilNode {
-		nd.prev, nd.next = n, n
-		c.oldest = n
-		return
+// next returns the entry after n, wrapping from the newest to the oldest.
+func (c *ClockPro) next(n int32) int32 {
+	if nx := c.nodes.Next(n); nx != slab.Nil {
+		return nx
 	}
-	newest := c.nodes[c.oldest].prev
-	nd.next = c.oldest
-	nd.prev = newest
-	c.nodes[newest].next = n
-	c.nodes[c.oldest].prev = n
+	return c.ring.Head()
 }
 
-// unlinkNode removes n from the ring, repointing hands and head past it.
-func (c *ClockPro) unlinkNode(n int32) {
-	c.repointPast(&c.handHot, n)
-	c.repointPast(&c.handCold, n)
-	c.repointPast(&c.handTest, n)
-	c.repointPast(&c.oldest, n)
-	nd := &c.nodes[n]
-	if nd.next != n {
-		c.nodes[nd.prev].next = nd.next
-		c.nodes[nd.next].prev = nd.prev
-	}
-	nd.prev, nd.next = nilNode, nilNode
-}
-
-// repointPast moves a hand (or the head) off n before it leaves the ring.
-func (c *ClockPro) repointPast(h *int32, n int32) {
-	if *h != n {
-		return
-	}
-	if next := c.nodes[n].next; next == n {
-		*h = nilNode
-	} else {
-		*h = next
+// repointHands moves every hand off n before n leaves the ring.
+func (c *ClockPro) repointHands(n int32) {
+	for _, h := range [...]*int32{&c.handHot, &c.handCold, &c.handTest} {
+		if *h != n {
+			continue
+		}
+		if *h = c.next(n); *h == n {
+			*h = slab.Nil
+		}
 	}
 }
 
-// removeEntry unlinks n, drops its page from the index and frees the node.
+// removeEntry takes n off the ring, drops its page from the index and frees
+// the node.
 func (c *ClockPro) removeEntry(n int32) {
-	nd := &c.nodes[n]
+	nd := c.nodes.At(n)
 	switch nd.state {
 	case stateHot:
 		c.nHot--
@@ -158,10 +119,9 @@ func (c *ClockPro) removeEntry(n int32) {
 	case stateColdNonResident:
 		c.nNonRes--
 	}
-	c.unlinkNode(n)
+	c.repointHands(n)
 	c.index.Delete(nd.page)
-	nd.next = c.freeNode
-	c.freeNode = n
+	c.nodes.Remove(&c.ring, n)
 }
 
 // --- the three hands ---------------------------------------------------------
@@ -169,13 +129,13 @@ func (c *ClockPro) removeEntry(n int32) {
 // runHandTest terminates the test period of the cold page under HAND_test,
 // removing non-resident entries, then advances.
 func (c *ClockPro) runHandTest() {
-	if c.handTest == nilNode {
-		c.handTest = c.oldest
+	if c.handTest == slab.Nil {
+		c.handTest = c.ring.Head()
 	}
-	for sweep := 0; c.handTest != nilNode && sweep < 2*c.index.Len()+2; sweep++ {
+	for sweep := 0; c.handTest != slab.Nil && sweep < 2*c.ring.Len()+2; sweep++ {
 		n := c.handTest
-		nd := &c.nodes[n]
-		c.handTest = nd.next
+		nd := c.nodes.At(n)
+		c.handTest = c.next(n)
 		if nd.state == stateColdNonResident {
 			c.removeEntry(n)
 			return
@@ -190,14 +150,14 @@ func (c *ClockPro) runHandTest() {
 // runHandHot demotes one hot page to cold (clearing referenced hot pages as
 // it passes) and expires test periods of cold pages it sweeps over.
 func (c *ClockPro) runHandHot() {
-	if c.handHot == nilNode {
-		c.handHot = c.oldest
+	if c.handHot == slab.Nil {
+		c.handHot = c.ring.Head()
 	}
-	limit := 2*c.index.Len() + 2
-	for sweep := 0; c.handHot != nilNode && sweep < limit; sweep++ {
+	limit := 2*c.ring.Len() + 2
+	for sweep := 0; c.handHot != slab.Nil && sweep < limit; sweep++ {
 		n := c.handHot
-		nd := &c.nodes[n]
-		c.handHot = nd.next
+		nd := c.nodes.At(n)
+		c.handHot = c.next(n)
 		switch nd.state {
 		case stateHot:
 			if nd.ref {
@@ -227,14 +187,14 @@ func (c *ClockPro) victimSearch() int32 {
 	for c.nColdRes == 0 && c.nHot > 0 {
 		c.runHandHot()
 	}
-	if c.handCold == nilNode {
-		c.handCold = c.oldest
+	if c.handCold == slab.Nil {
+		c.handCold = c.ring.Head()
 	}
-	limit := 4*c.index.Len() + 4
+	limit := 4*c.ring.Len() + 4
 	for sweep := 0; sweep < limit; sweep++ {
 		n := c.handCold
-		nd := &c.nodes[n]
-		c.handCold = nd.next
+		nd := c.nodes.At(n)
+		c.handCold = c.next(n)
 		if nd.state != stateColdResident {
 			continue
 		}
@@ -253,8 +213,9 @@ func (c *ClockPro) victimSearch() int32 {
 				// Re-referenced after test expiry: stay cold, restart test.
 				nd.ref = false
 				nd.inTest = true
-				c.unlinkNode(n)
-				c.insertNewest(n)
+				c.repointHands(n)
+				c.nodes.Unlink(&c.ring, n)
+				c.nodes.PushBack(&c.ring, n)
 			}
 			// Promotion may have emptied the cold set.
 			for c.nColdRes == 0 && c.nHot > 0 {
@@ -271,8 +232,8 @@ func (c *ClockPro) victimSearch() int32 {
 
 // OnWalkHit implements Policy: set the reference bit.
 func (c *ClockPro) OnWalkHit(p addrspace.PageID, seq int) {
-	if n, ok := c.index.Get(p); ok && c.nodes[n].state != stateColdNonResident {
-		c.nodes[n].ref = true
+	if n, _ := c.index.Get(p); n != slab.Nil && c.nodes.At(n).state != stateColdNonResident {
+		c.nodes.At(n).ref = true
 	}
 }
 
@@ -283,13 +244,13 @@ func (c *ClockPro) OnFault(p addrspace.PageID, seq int) {}
 // proves a short reuse distance — insert it hot; otherwise insert it cold
 // and start its test period.
 func (c *ClockPro) OnMapped(p addrspace.PageID, seq int) {
-	if n, ok := c.index.Get(p); ok {
-		if c.nodes[n].state != stateColdNonResident {
+	if n, _ := c.index.Get(p); n != slab.Nil {
+		if c.nodes.At(n).state != stateColdNonResident {
 			panic(fmt.Sprintf("policy: ClockPro mapping already-resident %v", p))
 		}
 		// Short reuse distance: promote.
 		c.removeEntry(n)
-		c.insertNewest(c.newNode(p, stateHot, false))
+		c.insertNewest(p, stateHot, false)
 		c.nHot++
 		for c.nHot > c.capacity-c.coldTgt {
 			before := c.nHot
@@ -300,7 +261,7 @@ func (c *ClockPro) OnMapped(p addrspace.PageID, seq int) {
 		}
 		return
 	}
-	c.insertNewest(c.newNode(p, stateColdResident, true))
+	c.insertNewest(p, stateColdResident, true)
 	c.nColdRes++
 	// Bound non-resident metadata at the memory size.
 	for c.nNonRes > c.capacity {
@@ -317,17 +278,17 @@ func (c *ClockPro) SelectVictim() addrspace.PageID {
 	if c.nColdRes+c.nHot == 0 {
 		panic("policy: ClockPro.SelectVictim with no resident pages")
 	}
-	return c.nodes[c.victimSearch()].page
+	return c.nodes.At(c.victimSearch()).page
 }
 
 // OnEvicted implements Policy: the page becomes non-resident; if its test
 // period is running, keep the metadata so a quick refault promotes it.
 func (c *ClockPro) OnEvicted(p addrspace.PageID) {
-	i, ok := c.index.Get(p)
-	if !ok || c.nodes[i].state == stateColdNonResident {
+	i, _ := c.index.Get(p)
+	if i == slab.Nil || c.nodes.At(i).state == stateColdNonResident {
 		return
 	}
-	n := &c.nodes[i]
+	n := c.nodes.At(i)
 	if n.state == stateHot {
 		// The driver may evict a page the policy would not have chosen (it
 		// always honours SelectVictim, so this is defensive).

@@ -1,8 +1,10 @@
 // Package policy defines the eviction-policy contract of the UVM driver and
 // implements the paper's comparison policies: LRU, Random, RRIP (with the
 // paper's delay-field enhancement), CLOCK-Pro (fixed m_c), and the offline
-// "Ideal" policy modelled on Belady's MIN. FIFO and LFU are included as
-// additional reference points (the paper discusses LFU in related work).
+// "Ideal" policy modelled on Belady's MIN. FIFO, LFU, CLOCK, NRU, ARC and
+// SetLRU are included as additional reference points: the paper's related
+// work discusses LFU, CLOCK and ARC, and SetLRU is LRU at HPE's page-set
+// granularity. Their linked chains are lists over internal/slab's store.
 //
 // Visibility model (paper §IV-A): an eviction policy lives in the GPU driver
 // and observes the page-walk-level reference stream — page faults and, for

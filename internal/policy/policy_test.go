@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hpe/internal/addrspace"
+	"hpe/internal/slab"
 	"hpe/internal/trace"
 )
 
@@ -436,7 +437,7 @@ func BenchmarkReplayClockPro(b *testing.B) {
 // same membership, same length, and lru() always returns the front.
 func TestRecencyListModelProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		l := newRecencyList()
+		l := newRecencyList[addrspace.PageID]()
 		var model []addrspace.PageID // front = LRU
 		contains := func(p addrspace.PageID) int {
 			for i, q := range model {
@@ -456,7 +457,7 @@ func TestRecencyListModelProperty(t *testing.T) {
 					}
 					model = append(append(model[:i:i], model[i+1:]...), p)
 				} else {
-					l.pushMRU(p)
+					l.pushMRU(p, p)
 					model = append(model, p)
 				}
 			case 1: // touch only
@@ -484,18 +485,18 @@ func TestRecencyListModelProperty(t *testing.T) {
 				return false
 			}
 			if len(model) > 0 {
-				front, ok := l.lru()
-				if !ok || front != model[0] {
+				front := l.lru()
+				if front == nil || *front != model[0] {
 					return false
 				}
-			} else if _, ok := l.lru(); ok {
+			} else if l.lru() != nil {
 				return false
 			}
 		}
 		// Full order check at the end.
 		i := 0
-		for n := l.front(); n != nilNode; n = l.next(n) {
-			if i >= len(model) || l.page(n) != model[i] {
+		for n := l.order.Head(); n != slab.Nil; n = l.nodes.Next(n) {
+			if i >= len(model) || *l.nodes.At(n) != model[i] {
 				return false
 			}
 			i++

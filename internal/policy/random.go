@@ -5,6 +5,7 @@ import (
 
 	"hpe/internal/addrspace"
 	"hpe/internal/pagetable"
+	"hpe/internal/slab"
 )
 
 // Random evicts a uniformly random resident page. Zheng et al. showed random
@@ -74,95 +75,63 @@ func (r *Random) Len() int { return len(r.pages) }
 // order and the head of the first bucket is the minimum-count, least-recent
 // page. Every operation is O(1).
 type LFU struct {
-	slab       nodeSlab                // one node per resident page
-	index      *pagetable.Table[int32] // page → node
-	bucketOf   []int32                 // node → its bucket
-	buckets    []lfuBucket
-	freeBucket int32 // free buckets, linked through next
-	first      int32 // the lowest-count bucket, or nilNode
+	pages   slab.Store[lfuPage]     // one node per resident page
+	index   *pagetable.Table[int32] // page → node
+	buckets slab.Store[lfuBucket]
+	counts  slab.List // the buckets in ascending count order
+}
+
+// lfuPage is one resident page and the bucket it sits in.
+type lfuPage struct {
+	page   addrspace.PageID
+	bucket int32
 }
 
 // lfuBucket holds the pages with one reference count, least recent first.
 type lfuBucket struct {
-	count      uint64
-	pages      list
-	prev, next int32 // neighbouring buckets in ascending count order
+	count uint64
+	pages slab.List
 }
 
 // NewLFU returns an empty LFU policy.
-func NewLFU() *LFU {
-	return &LFU{slab: newNodeSlab(), index: pagetable.New[int32](), freeBucket: nilNode, first: nilNode}
-}
+func NewLFU() *LFU { return &LFU{index: pagetable.New[int32]()} }
 
 // Name implements Policy.
 func (l *LFU) Name() string { return "LFU" }
 
-// insertBucket links an empty bucket for count after bucket prev (nilNode
-// puts it first) and returns it.
-func (l *LFU) insertBucket(count uint64, prev int32) int32 {
-	b := lfuBucket{count: count, pages: newList(), prev: prev, next: l.first}
-	if prev != nilNode {
-		b.next = l.buckets[prev].next
+// join appends page node i to the bucket for count, which follows bucket
+// prev (slab.Nil: the first bucket); the bucket is made if absent.
+func (l *LFU) join(i int32, count uint64, prev int32) {
+	b := l.counts.Head()
+	if prev != slab.Nil {
+		b = l.buckets.Next(prev)
 	}
-	i := l.freeBucket
-	if i != nilNode {
-		l.freeBucket = l.buckets[i].next
-		l.buckets[i] = b
-	} else {
-		l.buckets = append(l.buckets, b)
-		i = int32(len(l.buckets) - 1)
+	if b == slab.Nil || l.buckets.At(b).count != count {
+		b = l.buckets.Alloc(lfuBucket{count: count})
+		l.buckets.InsertAfter(&l.counts, prev, b)
 	}
-	if prev != nilNode {
-		l.buckets[prev].next = i
-	} else {
-		l.first = i
-	}
-	if b.next != nilNode {
-		l.buckets[b.next].prev = i
-	}
-	return i
+	l.pages.PushBack(&l.buckets.At(b).pages, i)
+	l.pages.At(i).bucket = b
 }
 
-// join appends node i to bucket b.
-func (l *LFU) join(b, i int32) {
-	l.buckets[b].pages.pushBack(&l.slab, i)
-	l.bucketOf[i] = b
-}
-
-// leave unlinks node i from its bucket, freeing the bucket if it empties.
-func (l *LFU) leave(i int32) {
-	b := l.bucketOf[i]
-	bk := &l.buckets[b]
-	bk.pages.unlink(&l.slab, i)
-	if bk.pages.n > 0 {
-		return
+// dropIfEmpty frees bucket b once its last page has left.
+func (l *LFU) dropIfEmpty(b int32) {
+	if l.buckets.At(b).pages.Len() == 0 {
+		l.buckets.Remove(&l.counts, b)
 	}
-	if bk.prev != nilNode {
-		l.buckets[bk.prev].next = bk.next
-	} else {
-		l.first = bk.next
-	}
-	if bk.next != nilNode {
-		l.buckets[bk.next].prev = bk.prev
-	}
-	bk.next = l.freeBucket
-	l.freeBucket = b
 }
 
 // OnWalkHit implements Policy: move the page to the next count's bucket.
 func (l *LFU) OnWalkHit(p addrspace.PageID, seq int) {
-	i, ok := l.index.Get(p)
-	if !ok {
+	i, _ := l.index.Get(p)
+	if i == slab.Nil {
 		return
 	}
-	b := l.bucketOf[i]
-	count := l.buckets[b].count + 1
-	next := l.buckets[b].next
-	if next == nilNode || l.buckets[next].count != count {
-		next = l.insertBucket(count, b)
-	}
-	l.leave(i)
-	l.join(next, i)
+	b := l.pages.At(i).bucket
+	bk := l.buckets.At(b)
+	l.pages.Unlink(&bk.pages, i)
+	l.join(i, bk.count+1, b)
+	l.dropIfEmpty(b)
 }
 
 // OnFault implements Policy.
@@ -170,33 +139,28 @@ func (l *LFU) OnFault(p addrspace.PageID, seq int) {}
 
 // OnMapped implements Policy: the page enters the count-1 bucket.
 func (l *LFU) OnMapped(p addrspace.PageID, seq int) {
-	i := l.slab.alloc(p)
+	i := l.pages.Alloc(lfuPage{page: p})
 	l.index.Put(p, i)
-	if int(i) == len(l.bucketOf) {
-		l.bucketOf = append(l.bucketOf, nilNode)
-	}
-	b := l.first
-	if b == nilNode || l.buckets[b].count != 1 {
-		b = l.insertBucket(1, nilNode)
-	}
-	l.join(b, i)
+	l.join(i, 1, slab.Nil)
 }
 
 // SelectVictim implements Policy: minimum count, least recent among ties.
 func (l *LFU) SelectVictim() addrspace.PageID {
-	if l.first == nilNode {
+	first := l.counts.Head()
+	if first == slab.Nil {
 		panic("policy: LFU.SelectVictim with no resident pages")
 	}
-	return l.slab.nodes[l.buckets[l.first].pages.head].page
+	return l.pages.At(l.buckets.At(first).pages.Head()).page
 }
 
 // OnEvicted implements Policy.
 func (l *LFU) OnEvicted(p addrspace.PageID) {
-	i, ok := l.index.Get(p)
-	if !ok {
+	i, _ := l.index.Get(p)
+	if i == slab.Nil {
 		return
 	}
-	l.leave(i)
-	l.slab.release(i)
+	b := l.pages.At(i).bucket
+	l.pages.Remove(&l.buckets.At(b).pages, i)
 	l.index.Delete(p)
+	l.dropIfEmpty(b)
 }
