@@ -55,10 +55,11 @@ spec-goldens:
 	$(GO) test -run SpecGoldens -count=1 ./internal/runspec/
 
 # The shared-cache paths under the race detector: the singleflight memo
-# (internal/flight), the workload cache over it (internal/runspec), and the
-# experiment suite that runs through both.
+# (internal/flight), the workload cache over it (internal/runspec), the
+# experiment suite that runs through both, and the suite's Runner hook,
+# which every probed or delegated suite run goes through.
 race:
-	$(GO) test -race -run 'Concurrent|Dedup|RunPool' ./internal/experiments/ ./internal/flight/ ./internal/runspec/
+	$(GO) test -race -run 'Concurrent|Dedup|RunPool|Runner' ./internal/experiments/ ./internal/flight/ ./internal/runspec/
 
 # The probe hot path and the rewritten event engine under the race detector:
 # emission sites, Chrome-trace streaming, probed-vs-unprobed determinism, and

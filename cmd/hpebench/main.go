@@ -17,7 +17,10 @@
 // The run matrix is sharded across -workers goroutines (default: GOMAXPROCS).
 // Every simulation is deterministic and results are aggregated in canonical
 // order, so the reports are byte-identical at any worker count — with or
-// without probes attached (probes observe, they never steer).
+// without probes attached (probes observe, they never steer). -trace and
+// -metrics hand the suite a Runner that simulates each cell in process with
+// its probes and flushes them when the run ends; a failed flush, such as a
+// trace write on a full disk, is reported on stderr.
 package main
 
 import (
@@ -37,7 +40,9 @@ import (
 
 	"hpe"
 	"hpe/internal/experiments"
+	"hpe/internal/gpu"
 	"hpe/internal/probe"
+	"hpe/internal/runspec"
 )
 
 func main() {
@@ -93,7 +98,7 @@ func main() {
 	if *verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
-	opts.Probe = buildProbeFactory(*traceDir, *metrics)
+	opts.Runner = probedRunner(buildProbeFactory(*traceDir, *metrics), os.Stderr)
 	suite := experiments.NewSuite(opts)
 
 	ids := experiments.IDs()
@@ -137,7 +142,9 @@ func main() {
 
 // buildProbeFactory assembles the per-run probe factory for -trace/-metrics;
 // it returns nil (no instrumentation, exact fast path) when both are off.
-func buildProbeFactory(traceDir string, metrics bool) func(experiments.RunInfo) probe.Probe {
+// Each run is labelled by its spec's canonical slug, so trace files are
+// named consistently with every other layer's run identity.
+func buildProbeFactory(traceDir string, metrics bool) func(runspec.Spec) probe.Probe {
 	if traceDir == "" && !metrics {
 		return nil
 	}
@@ -148,8 +155,8 @@ func buildProbeFactory(traceDir string, metrics bool) func(experiments.RunInfo) 
 		}
 	}
 	var mu sync.Mutex // serialises -metrics stderr blocks across workers
-	return func(info experiments.RunInfo) probe.Probe {
-		label := runLabel(info)
+	return func(sp runspec.Spec) probe.Probe {
+		label := sp.Slug()
 		var probes []probe.Probe
 		if traceDir != "" {
 			path := filepath.Join(traceDir, label+".trace.json")
@@ -169,11 +176,28 @@ func buildProbeFactory(traceDir string, metrics bool) func(experiments.RunInfo) 
 	}
 }
 
-// runLabel renders a RunInfo as a filesystem-safe run name — the spec's
-// canonical slug, so trace files are named consistently with every other
-// layer's run identity.
-func runLabel(info experiments.RunInfo) string {
-	return info.Spec.Slug()
+// probedRunner is the suite Runner behind -trace/-metrics; with a nil
+// newProbe it is nil, and the suite runs its own unprobed cells. Every cell
+// runs in process over one shared trace cache with the probe newProbe
+// builds for it, and that probe is flushed once when the run ends. A flush
+// error, such as a trace that failed to write, goes to errw with or
+// without -v.
+func probedRunner(newProbe func(runspec.Spec) probe.Probe, errw io.Writer) func(context.Context, runspec.Spec, string) (gpu.Result, error) {
+	if newProbe == nil {
+		return nil
+	}
+	var cache runspec.Cache
+	env := runspec.Env{Trace: cache.Trace, Future: cache.Future}
+	return func(ctx context.Context, sp runspec.Spec, _ string) (gpu.Result, error) {
+		pr := newProbe(sp)
+		r, err := sp.Run(ctx, env, pr)
+		if pr != nil {
+			if err := pr.Flush(); err != nil {
+				fmt.Fprintf(errw, "hpebench: flush %s: %v\n", sp.Slug(), err)
+			}
+		}
+		return r, err
+	}
 }
 
 // metricsReporter prints the metrics snapshot when the run completes. Under

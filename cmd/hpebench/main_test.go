@@ -1,13 +1,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hpe/internal/experiments"
+	"hpe/internal/probe"
 	"hpe/internal/runspec"
 )
 
@@ -108,6 +113,8 @@ func TestWriteJSONBadPath(t *testing.T) {
 	}
 }
 
+// TestRunLabel: each run's trace file is named by its spec's canonical
+// slug, the run name every other layer uses.
 func TestRunLabel(t *testing.T) {
 	cases := []struct {
 		spec runspec.Spec
@@ -118,9 +125,14 @@ func TestRunLabel(t *testing.T) {
 			Tuning: runspec.Tuning{WalkLatency: 20}}, "B-T_hpe_50_walk20"},
 		{runspec.Spec{App: "SAD", Policy: "clock-pro", Rate: 100, Channels: 4}, "SAD_clockpro_100_ch4"},
 	}
+	dir := t.TempDir()
+	factory := buildProbeFactory(dir, false)
 	for _, c := range cases {
-		if got := runLabel(experiments.RunInfo{Spec: c.spec}); got != c.want {
-			t.Errorf("runLabel(%+v) = %q, want %q", c.spec, got, c.want)
+		if err := factory(c.spec).Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, c.want+".trace.json")); err != nil {
+			t.Errorf("run %+v: trace %s.trace.json missing: %v", c.spec, c.want, err)
 		}
 	}
 }
@@ -128,6 +140,9 @@ func TestRunLabel(t *testing.T) {
 func TestBuildProbeFactoryOffByDefault(t *testing.T) {
 	if buildProbeFactory("", false) != nil {
 		t.Fatal("factory should be nil with -trace and -metrics off (fast path)")
+	}
+	if probedRunner(nil, io.Discard) != nil {
+		t.Fatal("runner should be nil without a probe factory (the suite's own cells)")
 	}
 }
 
@@ -137,7 +152,7 @@ func TestBuildProbeFactoryTrace(t *testing.T) {
 	if factory == nil {
 		t.Fatal("nil factory with -trace set")
 	}
-	p := factory(experiments.RunInfo{Spec: runspec.Spec{App: "HSD", Policy: "lru", Rate: 75}})
+	p := factory(runspec.Spec{App: "HSD", Policy: "lru", Rate: 75})
 	if p == nil {
 		t.Fatal("factory returned no probe")
 	}
@@ -156,5 +171,63 @@ func TestBuildProbeFactoryTrace(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("empty trace document (lane metadata expected)")
+	}
+}
+
+// failingWriter is a trace sink that rejects every write, like a full disk.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// countingProbe counts its flushes.
+type countingProbe struct{ flushes int }
+
+func (*countingProbe) Emit(probe.Event) {}
+
+func (p *countingProbe) Flush() error { p.flushes++; return nil }
+
+// TestProbedRunnerReportsFlushError: a trace that fails to write is reported
+// on the runner's error stream, which hpebench points at stderr whether or
+// not -v is set; the run's result is still returned.
+func TestProbedRunnerReportsFlushError(t *testing.T) {
+	var errw strings.Builder
+	run := probedRunner(func(sp runspec.Spec) probe.Probe {
+		return probe.NewChromeTrace(failingWriter{}, probe.ChromeTraceConfig{Process: sp.Slug()})
+	}, &errw)
+	sp := runspec.Spec{App: "HOT", Policy: "lru", Rate: 75}
+	r, err := run(context.Background(), sp, sp.ID())
+	if err != nil || r.Accesses == 0 {
+		t.Fatalf("run = %+v, %v; want a complete result", r, err)
+	}
+	if got := errw.String(); !strings.Contains(got, "hpebench: flush HOT_lru_75: no space left on device") {
+		t.Fatalf("flush error not reported; error stream = %q", got)
+	}
+}
+
+// TestProbedRunnerFlushesOnce: the runner flushes each run's probe exactly
+// once (the -metrics reporter prints on Flush) and hands the probe the
+// run's event stream.
+func TestProbedRunnerFlushesOnce(t *testing.T) {
+	var errw strings.Builder
+	var probes []*countingProbe
+	m := probe.NewMetrics()
+	run := probedRunner(func(runspec.Spec) probe.Probe {
+		p := &countingProbe{}
+		probes = append(probes, p)
+		return probe.Multi(p, m)
+	}, &errw)
+	for _, pol := range []string{"lru", "hpe"} {
+		sp := runspec.Spec{App: "HOT", Policy: pol, Rate: 75}
+		if _, err := run(context.Background(), sp, sp.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range probes {
+		if p.flushes != 1 {
+			t.Errorf("run %d: probe flushed %d times, want 1", i, p.flushes)
+		}
+	}
+	if len(probes) != 2 || m.Snapshot().Events == 0 || errw.Len() != 0 {
+		t.Fatalf("%d probes, %d events, error stream %q", len(probes), m.Snapshot().Events, errw.String())
 	}
 }

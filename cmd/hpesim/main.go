@@ -2,10 +2,11 @@
 // oversubscription rate and prints the simulation metrics.
 //
 // The catalog flags are the CLI surface of the canonical run spec
-// (internal/runspec): flags build a Spec, the Spec is content-addressed and
-// materialized exactly as the experiment suite and hped materialize it, and
-// hpe.Run executes it — so an hpesim invocation, a POST /v1/runs body, and a
-// suite cell describing the same run share one identity.
+// (internal/runspec): runspec.BindFlags binds them straight into a Spec's
+// fields, the Spec is content-addressed and materialized exactly as the
+// experiment suite and hped materialize it, and hpe.Run executes it — so an
+// hpesim invocation, a POST /v1/runs body, and a suite cell describing the
+// same run share one identity.
 //
 // Usage:
 //
@@ -28,8 +29,7 @@ import (
 )
 
 func main() {
-	var fl runspec.Flags
-	fl.Register(flag.CommandLine)
+	spec := runspec.BindFlags(flag.CommandLine)
 	list := flag.Bool("list", false, "list catalog workloads and exit")
 	listPolicies := flag.Bool("policies", false, "list registered eviction policies and exit")
 	metrics := flag.Bool("metrics", false, "attach a metrics probe and print per-event histograms")
@@ -60,15 +60,16 @@ func main() {
 
 	// Catalog mode: each -policy entry is one run spec; the shared env
 	// generates the (scaled) workload's trace once across the policy list.
+	base := spec()
 	specs := make([]hpe.RunSpec, 0, 4)
-	for _, name := range strings.Split(fl.Policy, ",") {
-		f := fl
-		f.Policy = strings.TrimSpace(name)
-		sp, err := f.Spec().Canonicalize()
+	for _, name := range strings.Split(base.Policy, ",") {
+		sp := base
+		sp.Policy = strings.TrimSpace(name)
+		c, err := sp.Canonicalize()
 		if err != nil {
 			fatalf("%v", err)
 		}
-		specs = append(specs, sp)
+		specs = append(specs, c)
 	}
 	var cache runspec.Cache
 	env := hpe.RunEnv{Trace: cache.Trace, Future: cache.Future}

@@ -10,6 +10,7 @@
 package hpe_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -17,8 +18,9 @@ import (
 	"runtime"
 	"testing"
 
+	"hpe"
 	"hpe/internal/experiments"
-	"hpe/internal/probe"
+	"hpe/internal/runspec"
 )
 
 // goldenReport mirrors cmd/hpebench's jsonReport.
@@ -112,20 +114,26 @@ func TestGoldenHeadlineResults(t *testing.T) {
 
 // TestGoldenProbedRuns pins the two invariants the probe layer and the
 // rewritten engine hot path must uphold together: attaching instrumentation
-// (a Metrics probe on every run) changes no result, and neither does the
-// worker count. Both a serial run and an 8-worker run, each fully probed,
-// must reproduce the headline figures (Fig. 10/11/12) of the committed
-// results.json exactly — the same golden file the unprobed test uses.
+// (a Metrics probe on every run, through a Runner over hpe.Run) changes no
+// result, and neither does the worker count. Both a serial run and an
+// 8-worker run, each fully probed, must reproduce the headline figures
+// (Fig. 10/11/12) of the committed results.json exactly — the same golden
+// file the unprobed test uses.
 func TestGoldenProbedRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full recomputation skipped in -short mode")
 	}
 	golden := loadGolden(t)
 	for _, workers := range []int{1, 8} {
+		var cache runspec.Cache
+		env := hpe.RunEnv{Trace: cache.Trace, Future: cache.Future}
 		s := experiments.NewSuite(experiments.Options{
 			Seed:    1,
 			Workers: workers,
-			Probe:   func(experiments.RunInfo) probe.Probe { return probe.NewMetrics() },
+			Runner: func(ctx context.Context, sp hpe.RunSpec, _ string) (hpe.Result, error) {
+				return hpe.Run(sp, hpe.WithContext(ctx), hpe.WithRunEnv(env),
+					hpe.WithProbe(hpe.NewMetricsProbe()))
+			},
 		})
 		reps, err := s.Reports([]string{"fig10", "fig11", "fig12"})
 		if err != nil {

@@ -133,19 +133,11 @@ func ScenarioByName(name string) (Scenario, bool) { return workload.ScenarioByNa
 // cancellable, and WithRunEnv plugs in long-lived trace caches.
 func Run(sp RunSpec, opts ...RunOption) (Result, error) {
 	rc := applyRunOptions(opts)
-	m, err := sp.Materialize(rc.env)
+	pr := probe.Multi(rc.probes...)
+	r, err := sp.Run(rc.ctx, rc.env, pr)
 	if err != nil {
 		return Result{}, err
 	}
-	pr := probe.Multi(rc.probes...)
-	var gopts []gpu.Option
-	if pr != nil {
-		gopts = append(gopts, gpu.WithProbe(pr))
-	}
-	if rc.ctx != nil {
-		gopts = append(gopts, gpu.WithContext(rc.ctx))
-	}
-	r := gpu.Run(m.Config, m.Trace, m.Policy, gopts...)
 	flushProbe(pr)
 	return r, nil
 }

@@ -478,7 +478,7 @@ func sameOwnerSpecs(t *testing.T, tc *testCluster, n int) ([]string, int) {
 	for _, app := range []string{"HOT", "HSD", "STN", "SGM", "NW", "BFS"} {
 		for _, pol := range []string{"lru", "hpe", "fifo"} {
 			sp := runspec.Spec{App: app, Policy: pol, Rate: 75}
-			owner := tc.coord.ring.owner(sp.ID())
+			owner := tc.coord.ring.sequence(sp.ID())[0]
 			byOwner[owner] = append(byOwner[owner],
 				fmt.Sprintf(`{"app":%q,"policy":%q,"rate":75}`, app, pol))
 			if len(byOwner[owner]) < n {

@@ -65,23 +65,10 @@ func newRing(names []string, vnodes int) *ring {
 	return r
 }
 
-// owner returns the backend owning key: the first point clockwise of the
-// key's hash.
-func (r *ring) owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := hashKey(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap past the top of the ring
-	}
-	return r.points[i].name
-}
-
 // sequence returns every distinct backend in clockwise walk order from key's
-// position — the shard's full preference list. sequence(key)[0] == owner(key);
-// the dispatcher walks the tail when earlier entries are dead or broken.
+// position — the shard's full preference list. sequence(key)[0] owns key:
+// the first point clockwise of the key's hash. The dispatcher walks the
+// tail when earlier entries are dead or broken.
 func (r *ring) sequence(key string) []string {
 	if len(r.points) == 0 {
 		return nil

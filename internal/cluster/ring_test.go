@@ -13,8 +13,16 @@ func TestRingOwnerIsSequenceHead(t *testing.T) {
 		if len(seq) != 3 {
 			t.Fatalf("sequence(%q) has %d entries, want 3 distinct", key, len(seq))
 		}
-		if seq[0] != r.owner(key) {
-			t.Fatalf("sequence head %q != owner %q", seq[0], r.owner(key))
+		// The head owns key: the first point clockwise of the key's hash.
+		h, owner := hashKey(key), r.points[0].name
+		for _, p := range r.points {
+			if p.hash >= h {
+				owner = p.name
+				break
+			}
+		}
+		if seq[0] != owner {
+			t.Fatalf("sequence head %q != owner %q", seq[0], owner)
 		}
 		seen := map[string]bool{}
 		for _, n := range seq {
@@ -32,7 +40,7 @@ func TestRingDistribution(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
-		counts[r.owner(fmt.Sprintf("run-v2-%032x", i*7919))]++
+		counts[r.sequence(fmt.Sprintf("run-v2-%032x", i*7919))[0]]++
 	}
 	for _, b := range backends {
 		share := float64(counts[b]) / keys
@@ -84,7 +92,7 @@ func TestRingDeterministicAcrossConstruction(t *testing.T) {
 	b := newRing([]string{"x", "y", "z"}, 32)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("suite-%032x", i)
-		if a.owner(key) != b.owner(key) {
+		if a.sequence(key)[0] != b.sequence(key)[0] {
 			t.Fatalf("owner(%q) differs between identically-configured rings", key)
 		}
 	}

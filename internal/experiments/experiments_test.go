@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"hpe/internal/gpu"
 	"hpe/internal/hpe"
+	"hpe/internal/probe"
 	"hpe/internal/runspec"
 	"hpe/internal/trace"
 	"hpe/internal/workload"
@@ -52,6 +54,23 @@ func report(t *testing.T, s *Suite, id string) Report {
 func runCell(s *Suite, sp runspec.Spec) (gpu.Result, error) {
 	c, id := canonical(sp)
 	return s.run(s.ctx(), c, id)
+}
+
+// localRunner returns a Runner that simulates each cell in process over one
+// shared trace cache, the shape of hpebench's -trace/-metrics Runner: the
+// probe newProbe builds for the cell (nil: none) observes the run and is
+// flushed when it ends.
+func localRunner(newProbe func(sp runspec.Spec, id string) probe.Probe) func(context.Context, runspec.Spec, string) (gpu.Result, error) {
+	var cache runspec.Cache
+	env := runspec.Env{Trace: cache.Trace, Future: cache.Future}
+	return func(ctx context.Context, sp runspec.Spec, id string) (gpu.Result, error) {
+		pr := newProbe(sp, id)
+		r, err := sp.Run(ctx, env, pr)
+		if pr != nil {
+			_ = pr.Flush()
+		}
+		return r, err
+	}
 }
 
 func TestIDsAndLookupRoundTrip(t *testing.T) {

@@ -84,20 +84,20 @@ func TestRunPoolDrainsOnPanic(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestSuitePanickingRunDrains runs real suite cells whose probe factory
-// panics under a 4-worker pool: the panic must surface to the caller with
-// the pool fully drained, and the poisoned cells must be reclaimable
-// afterwards (flight.Memo drops panicked flights).
+// TestSuitePanickingRunDrains runs real suite cells whose Runner panics
+// under a 4-worker pool: the panic must surface to the caller with the pool
+// fully drained, and the poisoned cells must be reclaimable afterwards
+// (flight.Memo drops panicked flights).
 func TestSuitePanickingRunDrains(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	s := NewSuite(Options{Quick: true, Seed: 1, Workers: 4,
-		Probe: func(RunInfo) probe.Probe {
+		Runner: localRunner(func(runspec.Spec, string) probe.Probe {
 			if failing.Load() {
-				panic("probe factory failed")
+				panic("runner failed")
 			}
 			return nil
-		}})
+		})})
 	app, _ := workload.ByAbbr("HOT")
 	specs := make([]runspec.Spec, 4)
 	for i := range specs {
@@ -164,10 +164,10 @@ func TestCancelledRunNeverCached(t *testing.T) {
 	defer cancel()
 	factoryCalls := 0
 	s := NewSuite(Options{Quick: true, Seed: 1, Context: ctx,
-		Probe: func(RunInfo) probe.Probe {
+		Runner: localRunner(func(runspec.Spec, string) probe.Probe {
 			factoryCalls++
 			return &cancellingProbe{cancel: cancel, after: 100}
-		}})
+		})})
 	app, _ := workload.ByAbbr("HOT")
 	r, _ := runCell(s, s.spec(app, "lru", 75))
 	if !r.Cancelled {
@@ -197,9 +197,9 @@ func TestCancelledRunNeverCached(t *testing.T) {
 // proves singleflight semantics: the variant build closure runs once per key
 // no matter how many goroutines request it.
 func TestConcurrentSuiteRace(t *testing.T) {
-	var simulated atomic.Int32 // probe factory fires once per memoized cell
+	var simulated atomic.Int32 // Progress fires once per simulated cell
 	s := NewSuite(Options{Quick: true, Seed: 1, Workers: 4,
-		Probe: func(RunInfo) probe.Probe { simulated.Add(1); return nil }})
+		Progress: func(string) { simulated.Add(1) }})
 	apps := []string{"HOT", "STN", "SGM"}
 
 	var wg sync.WaitGroup

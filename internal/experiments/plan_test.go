@@ -121,17 +121,13 @@ func TestReportsFailsOnMissingCell(t *testing.T) {
 
 // TestConcurrentReportsUnionPool runs the union pool under the race
 // detector: two concurrent Reports calls on one 4-worker Suite, with every
-// cell delegated to an inner Suite whose probe factory counts simulations.
-// Each distinct cell of the requested plans' union is simulated exactly
-// once, and both calls render the same reports.
+// cell delegated to a Runner that counts simulations. Each distinct cell of
+// the requested plans' union is simulated exactly once, and both calls
+// render the same reports.
 func TestConcurrentReportsUnionPool(t *testing.T) {
 	var sims atomic.Int32
-	inner := NewSuite(Options{Quick: true, Seed: 1,
-		Probe: func(RunInfo) probe.Probe { sims.Add(1); return nil }})
 	outer := NewSuite(Options{Quick: true, Seed: 1, Workers: 4,
-		Runner: func(ctx context.Context, sp runspec.Spec, id string) (gpu.Result, error) {
-			return runCell(inner, sp)
-		}})
+		Runner: localRunner(func(runspec.Spec, string) probe.Probe { sims.Add(1); return nil })})
 	ids := []string{"fig10", "fig12", "walklat", "temporal"}
 	var wg sync.WaitGroup
 	reps := make([][]Report, 2)
@@ -159,8 +155,8 @@ func TestConcurrentReportsUnionPool(t *testing.T) {
 			union[cell] = true
 		}
 	}
-	if n := int(sims.Load()); n != len(union) || outer.CachedRuns() != n || inner.CachedRuns() != n {
-		t.Errorf("%d simulations for %d outer / %d inner cells, want one per cell of the %d-cell plan union",
-			n, outer.CachedRuns(), inner.CachedRuns(), len(union))
+	if n := int(sims.Load()); n != len(union) || outer.CachedRuns() != n {
+		t.Errorf("%d simulations for %d cached cells, want one per cell of the %d-cell plan union",
+			n, outer.CachedRuns(), len(union))
 	}
 }

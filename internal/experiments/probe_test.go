@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"hpe/internal/probe"
+	"hpe/internal/runspec"
 )
 
-// TestProbedReportsMatchUnprobed is the acceptance contract of the probe
-// hook: attaching probes to every simulation — at any worker count — must
-// leave the rendered reports byte-identical to an unprobed serial run,
-// because probes observe and never steer.
+// TestProbedReportsMatchUnprobed is the acceptance contract of probing
+// through a Runner: attaching probes to every simulation — at any worker
+// count — must leave the rendered reports byte-identical to an unprobed
+// serial run, because probes observe and never steer.
 func TestProbedReportsMatchUnprobed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three suite passes skipped in -short mode")
@@ -23,19 +24,23 @@ func TestProbedReportsMatchUnprobed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	type cell struct {
+		spec runspec.Spec
+		id   string
+	}
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
 		var made []*probe.Metrics
-		calls := map[RunInfo]int{}
+		calls := map[cell]int{}
 		s := NewSuite(Options{Quick: true, Seed: 1, Workers: workers,
-			Probe: func(info RunInfo) probe.Probe {
+			Runner: localRunner(func(sp runspec.Spec, id string) probe.Probe {
 				mu.Lock()
 				defer mu.Unlock()
-				calls[info]++
+				calls[cell{sp, id}]++
 				m := probe.NewMetrics()
 				made = append(made, m)
 				return m
-			}})
+			})})
 		reps, err := s.Reports(ids)
 		if err != nil {
 			t.Fatal(err)
@@ -48,21 +53,21 @@ func TestProbedReportsMatchUnprobed(t *testing.T) {
 				t.Errorf("workers=%d: %s metrics differ from unprobed baseline", workers, ids[i])
 			}
 		}
-		// The factory runs exactly once per memoized simulation cell.
+		// The Runner runs exactly once per memoized simulation cell.
 		mu.Lock()
-		for info, n := range calls {
+		for c, n := range calls {
 			if n != 1 {
-				t.Errorf("workers=%d: probe factory called %d times for %+v", workers, n, info)
+				t.Errorf("workers=%d: runner called %d times for %+v", workers, n, c)
 			}
-			if info.Spec.App == "" || info.Spec.Policy == "" || info.Spec.Rate == 0 || info.ID == "" {
-				t.Errorf("workers=%d: incomplete RunInfo %+v", workers, info)
+			if c.spec.App == "" || c.spec.Policy == "" || c.spec.Rate == 0 || c.id == "" {
+				t.Errorf("workers=%d: incomplete cell %+v", workers, c)
 			}
-			if info.ID != info.Spec.ID() {
-				t.Errorf("workers=%d: RunInfo.ID %q does not match Spec.ID() %q", workers, info.ID, info.Spec.ID())
+			if c.id != c.spec.ID() {
+				t.Errorf("workers=%d: cell id %q does not match Spec.ID() %q", workers, c.id, c.spec.ID())
 			}
 		}
 		if len(calls) != s.CachedRuns() {
-			t.Errorf("workers=%d: %d factory calls vs %d cached runs", workers, len(calls), s.CachedRuns())
+			t.Errorf("workers=%d: %d runner calls vs %d cached runs", workers, len(calls), s.CachedRuns())
 		}
 		// The probes actually saw the event stream.
 		events := uint64(0)
@@ -76,29 +81,15 @@ func TestProbedReportsMatchUnprobed(t *testing.T) {
 	}
 }
 
-// TestProbeFactoryMayReturnNil: a factory can decline individual runs; those
-// run on the uninstrumented fast path.
-func TestProbeFactoryMayReturnNil(t *testing.T) {
-	s := NewSuite(Options{Quick: true, Seed: 1,
-		Probe: func(RunInfo) probe.Probe { return nil }})
-	base := NewSuite(Options{Quick: true, Seed: 1})
-	app := s.Apps()[0]
-	a, _ := runCell(s, s.spec(app, "lru", 75))
-	b, _ := runCell(base, base.spec(app, "lru", 75))
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("nil-probe run diverged")
-	}
-}
-
-// TestProbeSurfacesMetricsSnapshot: a Metrics probe attached through the
-// suite surfaces its snapshot on the cached gpu.Result.
+// TestProbeSurfacesMetricsSnapshot: a Metrics probe attached by a suite
+// Runner surfaces its snapshot on the cached gpu.Result.
 func TestProbeSurfacesMetricsSnapshot(t *testing.T) {
 	s := NewSuite(Options{Quick: true, Seed: 1,
-		Probe: func(RunInfo) probe.Probe { return probe.NewMetrics() }})
+		Runner: localRunner(func(runspec.Spec, string) probe.Probe { return probe.NewMetrics() })})
 	app := s.Apps()[0]
 	res, _ := runCell(s, s.spec(app, "lru", 75))
 	if res.Probe == nil {
-		t.Fatal("Result.Probe nil with a metrics factory attached")
+		t.Fatal("Result.Probe nil with a metrics probe attached")
 	}
 	if res.Probe.Count("fault_end") != res.Faults {
 		t.Fatalf("probe fault_end %d vs faults %d", res.Probe.Count("fault_end"), res.Faults)

@@ -14,7 +14,9 @@
 // Every cell is a runspec.Spec keyed by its content-addressed Spec.ID() —
 // the identity hped and the CLIs use, so a run cached here is the same run
 // everywhere. Plans never touch gpu.Config; the spec materializer owns
-// every knob.
+// every knob. A cell runs through runspec.Spec.Run, the run function
+// behind hpe.Run, unless Options.Runner takes it: delegating it elsewhere,
+// or running it in process with probes attached.
 //
 // # Concurrency contract
 //
@@ -36,7 +38,6 @@ import (
 
 	"hpe/internal/flight"
 	"hpe/internal/gpu"
-	"hpe/internal/probe"
 	"hpe/internal/registry"
 	"hpe/internal/runspec"
 	"hpe/internal/trace"
@@ -63,12 +64,6 @@ type Options struct {
 	// debugging path); typical callers pass runtime.GOMAXPROCS(0). Results
 	// are byte-identical either way.
 	Workers int
-	// Probe, when non-nil, is invoked once per simulation (each memoized
-	// cell runs exactly once regardless of workers) to build that run's
-	// instrumentation probe; returning nil leaves the run unprobed. The
-	// probe is flushed when the run completes. Probes observe only, so
-	// attaching them never changes a report.
-	Probe func(RunInfo) probe.Probe
 	// Context, when non-nil, cancels the suite: in-flight simulations stop
 	// at their next cancellation poll, the worker pool drains, and Reports
 	// returns the context's error. Cancelled (partial) simulation results
@@ -82,18 +77,10 @@ type Options struct {
 	// Determinism makes the substitution exact. The first Runner error
 	// cancels the rest of the pool and is Reports' error, wrapped so
 	// errors.As still finds the Runner's type; a failed cell is never
-	// cached. Options.Probe is not invoked for delegated cells.
+	// cached. A Runner that simulates in process (runspec.Spec.Run) is also
+	// how a caller instruments every cell: it attaches and flushes its own
+	// probes, which observe only, so reports stay unchanged.
 	Runner func(ctx context.Context, sp runspec.Spec, id string) (gpu.Result, error)
-}
-
-// RunInfo identifies one simulation of the run matrix, as handed to the
-// Options.Probe factory. It is comparable, so probes may key on it.
-type RunInfo struct {
-	// Spec is the canonical description of the run.
-	Spec runspec.Spec
-	// ID is Spec.ID() — the run's cache key here and its content address
-	// everywhere else (hped, replay, the CLIs).
-	ID string
 }
 
 // Suite owns the cached traces and results. See the package comment for the
@@ -147,14 +134,18 @@ func (s *Suite) Trace(app workload.App) *trace.Trace { return s.cache.Trace(app)
 func (s *Suite) CachedRuns() int { return s.results.Len() }
 
 // run returns the memoized result of the canonical spec c (id is c.ID()),
-// simulating it on a miss; concurrent callers for one cell share one
-// simulation. The error is the Runner's, reported to the caller that ran
-// the cell.
+// simulating it on a miss, locally or through Options.Runner; concurrent
+// callers for one cell share one simulation. The error is the Runner's or
+// the materializer's, reported to the caller that ran the cell.
 func (s *Suite) run(ctx context.Context, c runspec.Spec, id string) (gpu.Result, error) {
 	var err error
 	r, computed := s.results.Do(id, func() (gpu.Result, bool) {
 		var r gpu.Result
-		r, err = s.simulate(ctx, c, id)
+		if s.opts.Runner != nil {
+			r, err = s.opts.Runner(ctx, c, id)
+		} else {
+			r, err = c.Run(ctx, s.env, nil)
+		}
 		// A failed or cancelled (partial) result must never be published
 		// under the spec's ID: a later identical request would mistake it
 		// for the complete run. Waiters of this flight still receive the
@@ -169,37 +160,6 @@ func (s *Suite) run(ctx context.Context, c runspec.Spec, id string) (gpu.Result,
 		s.progress(fmt.Sprintf("%-5s %-9s @%d%%%s: %v", c.App, display(c.Policy), c.Rate, variant, r))
 	}
 	return r, err
-}
-
-// simulate materializes and runs one spec, attaching (and flushing) the
-// caller's probe when an Options.Probe factory is set. When Options.Runner
-// is set the cell is delegated instead.
-func (s *Suite) simulate(ctx context.Context, sp runspec.Spec, id string) (gpu.Result, error) {
-	if s.opts.Runner != nil {
-		return s.opts.Runner(ctx, sp, id)
-	}
-	m, err := sp.Materialize(s.env)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	var opts []gpu.Option
-	if s.opts.Context != nil {
-		opts = append(opts, gpu.WithContext(ctx))
-	}
-	var pr probe.Probe
-	if s.opts.Probe != nil {
-		pr = s.opts.Probe(RunInfo{Spec: sp, ID: id})
-		if pr != nil {
-			opts = append(opts, gpu.WithProbe(pr))
-		}
-	}
-	r := gpu.Run(m.Config, m.Trace, m.Policy, opts...)
-	if pr != nil {
-		if err := pr.Flush(); err != nil {
-			s.progress(fmt.Sprintf("probe flush %s/%s@%d%%: %v", sp.App, sp.Policy, sp.Rate, err))
-		}
-	}
-	return r, nil
 }
 
 // display renders a registry policy name the way the paper does.

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -181,8 +180,9 @@ func (g *CallGraph) Reachable(roots []*CGNode, keep func(*CGNode) bool) (reached
 	return reached, via
 }
 
-// DebugString renders the graph as a deterministic textual dump — one line
-// per edge, sorted — used by the determinism tests and available for
+// DebugString renders the graph as a textual dump — one line per edge, in
+// build order (nodes, then each node's calls), so a determinism test
+// comparing two dumps sees any order difference — and is available for
 // debugging analyzer scope questions.
 func (g *CallGraph) DebugString() string {
 	var lines []string
@@ -197,7 +197,6 @@ func (g *CallGraph) DebugString() string {
 				n.Name, e.Callee.Name, e.Kind, pos.Filename, pos.Line))
 		}
 	}
-	sort.Strings(lines)
 	return strings.Join(lines, "\n")
 }
 

@@ -146,7 +146,8 @@ func TestFuncSymbolBridgesUniverses(t *testing.T) {
 
 // TestCallGraphDeterministic builds the graph twice from fully independent
 // loads and requires byte-identical debug dumps: node order, edge order and
-// CHA candidate order must not depend on map iteration.
+// CHA candidate order must not depend on map iteration. DebugString keeps
+// build order, so any such difference survives into the compare.
 func TestCallGraphDeterministic(t *testing.T) {
 	a := loadFixtureGraph(t, "callgraph").DebugString()
 	b := loadFixtureGraph(t, "callgraph").DebugString()

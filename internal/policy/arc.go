@@ -168,8 +168,3 @@ func (a *ARC) trimGhosts() {
 		a.dropLRU(b2)
 	}
 }
-
-// Sizes reports (|T1|, |T2|, |B1|, |B2|, p) for tests and diagnostics.
-func (a *ARC) Sizes() (t1Len, t2Len, b1Len, b2Len, p int) {
-	return a.len(t1), a.len(t2), a.len(b1), a.len(b2), a.p
-}

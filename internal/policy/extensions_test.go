@@ -92,14 +92,12 @@ func TestARCHitPromotesToT2(t *testing.T) {
 	a := NewARC(4)
 	a.OnFault(1, 0)
 	a.OnMapped(1, 0)
-	t1, t2, _, _, _ := a.Sizes()
-	if t1 != 1 || t2 != 0 {
-		t.Fatalf("after cold insert: T1=%d T2=%d", t1, t2)
+	if a.len(t1) != 1 || a.len(t2) != 0 {
+		t.Fatalf("after cold insert: T1=%d T2=%d", a.len(t1), a.len(t2))
 	}
 	a.OnWalkHit(1, 1)
-	t1, t2, _, _, _ = a.Sizes()
-	if t1 != 0 || t2 != 1 {
-		t.Fatalf("after hit: T1=%d T2=%d, want promotion to T2", t1, t2)
+	if a.len(t1) != 0 || a.len(t2) != 1 {
+		t.Fatalf("after hit: T1=%d T2=%d, want promotion to T2", a.len(t1), a.len(t2))
 	}
 }
 
@@ -122,21 +120,20 @@ func TestARCGhostHitAdaptsTarget(t *testing.T) {
 	}
 	a.OnEvicted(v)
 	a.OnMapped(4, 4)
-	_, _, b1, _, p0 := a.Sizes()
-	if b1 != 1 {
-		t.Fatalf("B1 = %d, want ghost of page 1 retained", b1)
+	p0 := a.p
+	if a.len(b1) != 1 {
+		t.Fatalf("B1 = %d, want ghost of page 1 retained", a.len(b1))
 	}
 	// Refault page 1: B1 hit → p grows, page lands in T2.
 	a.OnFault(1, 5)
 	v = a.SelectVictim()
 	a.OnEvicted(v)
 	a.OnMapped(1, 5)
-	t1, t2, _, _, p1 := a.Sizes()
-	if p1 <= p0 {
-		t.Fatalf("p did not grow on B1 hit: %d -> %d", p0, p1)
+	if a.p <= p0 {
+		t.Fatalf("p did not grow on B1 hit: %d -> %d", p0, a.p)
 	}
-	if t2 < 2 {
-		t.Fatalf("ghost-hit page not inserted into T2 (T1=%d T2=%d)", t1, t2)
+	if a.len(t2) < 2 {
+		t.Fatalf("ghost-hit page not inserted into T2 (T1=%d T2=%d)", a.len(t1), a.len(t2))
 	}
 }
 
@@ -145,15 +142,15 @@ func TestARCDirectoryBounded(t *testing.T) {
 	a := NewARC(capacity)
 	tr := randomTrace(20000, 500, 5)
 	Replay(tr, a, capacity)
-	t1, t2, b1, b2, p := a.Sizes()
-	if t1+t2 > capacity {
-		t.Fatalf("resident %d > capacity %d", t1+t2, capacity)
+	n1, n2, g1, g2, p := a.len(t1), a.len(t2), a.len(b1), a.len(b2), a.p
+	if n1+n2 > capacity {
+		t.Fatalf("resident %d > capacity %d", n1+n2, capacity)
 	}
-	if t1+b1 > capacity {
-		t.Fatalf("|T1|+|B1| = %d > capacity", t1+b1)
+	if n1+g1 > capacity {
+		t.Fatalf("|T1|+|B1| = %d > capacity", n1+g1)
 	}
-	if t1+t2+b1+b2 > 2*capacity {
-		t.Fatalf("directory %d > 2c", t1+t2+b1+b2)
+	if n1+n2+g1+g2 > 2*capacity {
+		t.Fatalf("directory %d > 2c", n1+n2+g1+g2)
 	}
 	if p < 0 || p > capacity {
 		t.Fatalf("target p = %d out of [0, c]", p)

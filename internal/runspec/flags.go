@@ -1,135 +1,35 @@
 package runspec
 
-import (
-	"flag"
-	"fmt"
-	"strconv"
-)
+import "flag"
 
-// Flags binds the spec fields to a flag.FlagSet so every CLI parses the
-// same vocabulary. The flow is Register → fs.Parse → Spec(); FlagsFromSpec
-// and Args invert it (spec → re-rendered command line), and the round trip
-// is lossless up to canonicalization — the property the flag tests pin.
-type Flags struct {
-	// App, Policy, Rate, Seed, Design, Prefetch, Channels, DataPath, HIR,
-	// Scale, MaxCycles mirror the Spec fields one-for-one.
-	App       string
-	Policy    string
-	Rate      int
-	Seed      int64
-	Design    string
-	Prefetch  int
-	Channels  int
-	DataPath  bool
-	HIR       string
-	Scale     int
-	MaxCycles uint64
-	// Phases, Tenants, Interleave mirror the workload-v2 scenario fields.
-	// Setting -phases or -tenants supersedes the -app default: the scenario
-	// is the run's workload source.
-	Phases     string
-	Tenants    string
-	Interleave int
-}
-
-// Register installs the spec flags on fs with the paper defaults. Callers
-// may register additional tool-specific flags on the same set.
-func (f *Flags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.App, "app", "HSD", "workload abbreviation (see -list)")
-	fs.StringVar(&f.Policy, "policy", "hpe", "policy name, comma-separated for several (see -policies)")
-	fs.IntVar(&f.Rate, "rate", 75, "oversubscription rate in percent (memory = rate% of footprint)")
-	fs.Int64Var(&f.Seed, "seed", 1, "seed for randomised policies")
-	fs.StringVar(&f.Design, "design", "l2tlb", "address translation design: l2tlb or pwc")
-	fs.IntVar(&f.Prefetch, "prefetch", 0, "extra pages migrated per fault from the same 64-KB block")
-	fs.IntVar(&f.Channels, "channels", 1, "parallel fault-service channels in the driver")
-	fs.BoolVar(&f.DataPath, "datapath", false, "model the Table I data hierarchy (L1D/L2/GDDR5)")
-	fs.StringVar(&f.HIR, "hir", "auto", "HIR cache: on, off, or auto (policy decides)")
-	fs.IntVar(&f.Scale, "scale", 1, "footprint scale multiplier [1,64]")
-	fs.Uint64Var(&f.MaxCycles, "max-cycles", 0, "abort a runaway simulation after this many cycles (0 = unlimited)")
-	fs.StringVar(&f.Phases, "phases", "", "phase-schedule workload, e.g. HOT:32,HSD:96,HOT:32 (supersedes -app)")
-	fs.StringVar(&f.Tenants, "tenants", "", "colocated tenant workload, e.g. HSD,BFS (supersedes -app)")
-	fs.IntVar(&f.Interleave, "interleave", 0, "tenant scheduling quantum in references (0 = default 1024; requires -tenants)")
-}
-
-// Spec assembles the parsed flags into a Spec (not yet canonicalized, so
-// invalid values surface through Canonicalize's errors, same as every other
-// input path).
-func (f Flags) Spec() Spec {
-	app := f.App
-	if f.Phases != "" || f.Tenants != "" {
-		// A scenario flag supersedes the -app default: the spec carries
-		// exactly one workload source.
-		app = ""
-	}
-	return Spec{
-		App:        app,
-		Policy:     f.Policy,
-		Rate:       f.Rate,
-		Seed:       f.Seed,
-		Design:     f.Design,
-		Prefetch:   f.Prefetch,
-		Channels:   f.Channels,
-		DataPath:   f.DataPath,
-		HIR:        f.HIR,
-		Scale:      f.Scale,
-		MaxCycles:  f.MaxCycles,
-		Phases:     f.Phases,
-		Tenants:    f.Tenants,
-		Interleave: f.Interleave,
+// BindFlags registers the spec flags on fs with the paper defaults, bound
+// straight to a Spec's fields, so every CLI parses the same vocabulary.
+// Callers may register tool-specific flags on the same set. After fs.Parse
+// the returned function hands the spec back, not yet canonicalized, so
+// invalid values surface through Canonicalize's errors like every other
+// input path. Setting -phases or -tenants supersedes the -app default: the
+// spec carries exactly one workload source.
+func BindFlags(fs *flag.FlagSet) func() Spec {
+	var s Spec
+	fs.StringVar(&s.App, "app", "HSD", "workload abbreviation (see -list)")
+	fs.StringVar(&s.Policy, "policy", "hpe", "policy name, comma-separated for several (see -policies)")
+	fs.IntVar(&s.Rate, "rate", 75, "oversubscription rate in percent (memory = rate% of footprint)")
+	fs.Int64Var(&s.Seed, "seed", 1, "seed for randomised policies")
+	fs.StringVar(&s.Design, "design", "l2tlb", "address translation design: l2tlb or pwc")
+	fs.IntVar(&s.Prefetch, "prefetch", 0, "extra pages migrated per fault from the same 64-KB block")
+	fs.IntVar(&s.Channels, "channels", 1, "parallel fault-service channels in the driver")
+	fs.BoolVar(&s.DataPath, "datapath", false, "model the Table I data hierarchy (L1D/L2/GDDR5)")
+	fs.StringVar(&s.HIR, "hir", "auto", "HIR cache: on, off, or auto (policy decides)")
+	fs.IntVar(&s.Scale, "scale", 1, "footprint scale multiplier [1,64]")
+	fs.Uint64Var(&s.MaxCycles, "max-cycles", 0, "abort a runaway simulation after this many cycles (0 = unlimited)")
+	fs.StringVar(&s.Phases, "phases", "", "phase-schedule workload, e.g. HOT:32,HSD:96,HOT:32 (supersedes -app)")
+	fs.StringVar(&s.Tenants, "tenants", "", "colocated tenant workload, e.g. HSD,BFS (supersedes -app)")
+	fs.IntVar(&s.Interleave, "interleave", 0, "tenant scheduling quantum in references (0 = default 1024; requires -tenants)")
+	return func() Spec {
+		sp := s
+		if sp.Phases != "" || sp.Tenants != "" {
+			sp.App = ""
+		}
+		return sp
 	}
 }
-
-// FlagsFromSpec renders a spec back into its flag form. Tuning has no flag
-// surface (the sensitivity knobs are suite-internal), so only the core
-// dimensions round-trip; specs with non-zero Tuning are not expressible as
-// CLI invocations.
-func FlagsFromSpec(s Spec) Flags {
-	return Flags{
-		App:        s.App,
-		Policy:     s.Policy,
-		Rate:       s.Rate,
-		Seed:       s.Seed,
-		Design:     s.Design,
-		Prefetch:   s.Prefetch,
-		Channels:   s.Channels,
-		DataPath:   s.DataPath,
-		HIR:        s.HIR,
-		Scale:      s.Scale,
-		MaxCycles:  s.MaxCycles,
-		Phases:     s.Phases,
-		Tenants:    s.Tenants,
-		Interleave: s.Interleave,
-	}
-}
-
-// Args renders the flags as a command line that re-parses to the same spec.
-func (f Flags) Args() []string {
-	args := []string{
-		"-app", f.App,
-		"-policy", f.Policy,
-		"-rate", strconv.Itoa(f.Rate),
-		"-seed", strconv.FormatInt(f.Seed, 10),
-		"-design", f.Design,
-		"-prefetch", strconv.Itoa(f.Prefetch),
-		"-channels", strconv.Itoa(f.Channels),
-		"-hir", f.HIR,
-		"-scale", strconv.Itoa(f.Scale),
-		"-max-cycles", strconv.FormatUint(f.MaxCycles, 10),
-	}
-	if f.DataPath {
-		args = append(args, "-datapath")
-	}
-	if f.Phases != "" {
-		args = append(args, "-phases", f.Phases)
-	}
-	if f.Tenants != "" {
-		args = append(args, "-tenants", f.Tenants)
-	}
-	if f.Interleave != 0 {
-		args = append(args, "-interleave", strconv.Itoa(f.Interleave))
-	}
-	return args
-}
-
-// String renders the flags for error messages.
-func (f Flags) String() string { return fmt.Sprintf("%v", f.Args()) }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,14 +12,44 @@ import (
 // parseArgs runs args through a fresh flag set, as a CLI would.
 func parseArgs(t *testing.T, args []string) Spec {
 	t.Helper()
-	var f Flags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f.Register(fs)
+	spec := BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return f.Spec()
+	return spec()
+}
+
+// specArgs renders a spec as a command line that re-parses to the same
+// spec. Tuning has no flag surface (the sensitivity knobs are
+// suite-internal), so only the core dimensions render.
+func specArgs(s Spec) []string {
+	args := []string{
+		"-app", s.App,
+		"-policy", s.Policy,
+		"-rate", strconv.Itoa(s.Rate),
+		"-seed", strconv.FormatInt(s.Seed, 10),
+		"-design", s.Design,
+		"-prefetch", strconv.Itoa(s.Prefetch),
+		"-channels", strconv.Itoa(s.Channels),
+		"-hir", s.HIR,
+		"-scale", strconv.Itoa(s.Scale),
+		"-max-cycles", strconv.FormatUint(s.MaxCycles, 10),
+	}
+	if s.DataPath {
+		args = append(args, "-datapath")
+	}
+	if s.Phases != "" {
+		args = append(args, "-phases", s.Phases)
+	}
+	if s.Tenants != "" {
+		args = append(args, "-tenants", s.Tenants)
+	}
+	if s.Interleave != 0 {
+		args = append(args, "-interleave", strconv.Itoa(s.Interleave))
+	}
+	return args
 }
 
 // TestFlagsDefaultsMatchSpecDefaults: an hpesim invocation with no flags at
@@ -38,8 +69,8 @@ func TestFlagsDefaultsMatchSpecDefaults(t *testing.T) {
 }
 
 // TestFlagsRoundTripProperty is the lossless-round-trip property over a
-// deterministic sample of the core spec dimensions: spec → FlagsFromSpec →
-// Args → re-parse → same canonical spec and same ID. Tuning is excluded by
+// deterministic sample of the core spec dimensions: spec → specArgs →
+// re-parse → same canonical spec and same ID. Tuning is excluded by
 // design — it has no flag surface.
 func TestFlagsRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7)) // fixed seed: reproducible sample
@@ -69,14 +100,14 @@ func TestFlagsRoundTripProperty(t *testing.T) {
 			// and Tuning is zero here, so every sample must canonicalize.
 			t.Fatalf("sample %d %+v: %v", i, sp, err)
 		}
-		reparsed := parseArgs(t, FlagsFromSpec(c).Args())
+		reparsed := parseArgs(t, specArgs(c))
 		rc, err := reparsed.Canonicalize()
 		if err != nil {
-			t.Fatalf("sample %d re-parse %v: %v", i, FlagsFromSpec(c).Args(), err)
+			t.Fatalf("sample %d re-parse %v: %v", i, specArgs(c), err)
 		}
 		if rc != c {
 			t.Fatalf("sample %d round trip lost information:\n spec  %+v\n flags %v\n back  %+v",
-				i, c, FlagsFromSpec(c).Args(), rc)
+				i, c, specArgs(c), rc)
 		}
 		if rc.ID() != c.ID() {
 			t.Fatalf("sample %d IDs diverged across the flag round trip", i)
@@ -84,8 +115,8 @@ func TestFlagsRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestScenarioFlagsRoundTrip: the workload-v2 flags survive the spec → flags
-// → args → spec round trip, and -phases / -tenants supersede the -app default
+// TestScenarioFlagsRoundTrip: the workload-v2 flags survive the spec → args →
+// spec round trip, and -phases / -tenants supersede the -app default
 // so the spec carries exactly one workload source.
 func TestScenarioFlagsRoundTrip(t *testing.T) {
 	for _, args := range [][]string{
@@ -98,9 +129,9 @@ func TestScenarioFlagsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flags %v: %v", args, err)
 		}
-		rc, err := parseArgs(t, FlagsFromSpec(c).Args()).Canonicalize()
+		rc, err := parseArgs(t, specArgs(c)).Canonicalize()
 		if err != nil {
-			t.Fatalf("re-parse %v: %v", FlagsFromSpec(c).Args(), err)
+			t.Fatalf("re-parse %v: %v", specArgs(c), err)
 		}
 		if rc != c || rc.ID() != c.ID() {
 			t.Errorf("scenario flags round trip lost information:\n spec  %+v\n back  %+v", c, rc)

@@ -1,6 +1,7 @@
 package runspec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"hpe/internal/gpu"
 	"hpe/internal/hpe"
 	"hpe/internal/policy"
+	"hpe/internal/probe"
 	"hpe/internal/registry"
 	"hpe/internal/sim"
 	"hpe/internal/trace"
@@ -137,6 +139,26 @@ func (s Spec) Materialize(env Env) (Materialized, error) {
 		return Materialized{}, err
 	}
 	return Materialized{App: app, Trace: tr, Capacity: capacity, Config: cfg, Policy: pol}, nil
+}
+
+// Run materializes the spec and simulates it: the one run path behind
+// hpe.Run, the experiment suite's local cells and every Runner that
+// simulates in process. A nil ctx leaves the run unpolled and a nil pr
+// leaves it uninstrumented, the simulator's exact fast path. The caller
+// that owns pr flushes it.
+func (s Spec) Run(ctx context.Context, env Env, pr probe.Probe) (gpu.Result, error) {
+	m, err := s.Materialize(env)
+	if err != nil {
+		return gpu.Result{}, err
+	}
+	var opts []gpu.Option
+	if ctx != nil {
+		opts = append(opts, gpu.WithContext(ctx))
+	}
+	if pr != nil {
+		opts = append(opts, gpu.WithProbe(pr))
+	}
+	return gpu.Run(m.Config, m.Trace, m.Policy, opts...), nil
 }
 
 // sourceApp resolves the canonical spec's workload source — catalog

@@ -132,16 +132,15 @@ func TestSubmitRunRejectsBadRequests(t *testing.T) {
 // explicitly, and the suite builds the spec programmatically.
 func TestSpecIDAgreesAcrossLayers(t *testing.T) {
 	// CLI path: hpesim's flag surface, defaults spelled out explicitly.
-	var fl runspec.Flags
 	fs := flag.NewFlagSet("hpesim", flag.ContinueOnError)
-	fl.Register(fs)
+	spec := runspec.BindFlags(fs)
 	if err := fs.Parse([]string{
 		"-app", "kmn", "-policy", "LRU", "-rate", "50",
 		"-seed", "1", "-design", "l2tlb", "-channels", "1", "-scale", "1",
 	}); err != nil {
 		t.Fatalf("parse flags: %v", err)
 	}
-	cliID := fl.Spec().ID()
+	cliID := spec().ID()
 
 	// Server wire path: the same run with every default omitted.
 	sp, err := runspec.Decode(strings.NewReader(`{"app":"KMN","policy":"lru","rate":50}`))
